@@ -236,21 +236,11 @@ def _run_mechanism(settings: dict) -> int:
         t = _coerce(settings, "t", float, math.log(10.0))
         closure = fourier.downward_closure(graph)
         retry_limit = _coerce(settings, "retries", int, 50)
-        post = None
-        for attempt in range(retry_limit + 1):
-            coeffs = fourier.release_coefficients(
-                data, closure, epsilon, t, derive_seed(seed, "attempt", attempt)
-            )
-            try:
-                post = fourier.fourier_posterior_params(coeffs, graph, priors)
-                break
-            except DpBayesError:
-                continue
-        if post is None:
+        coeffs, post, _, clamped = fourier.release_with_retries(
+            data, closure, graph, priors, epsilon, t, seed, retry_limit
+        )
+        if clamped:
             log.warning("stealth failed %d times; clamping", retry_limit + 1)
-            post = fourier.fourier_posterior_params(
-                coeffs, graph, priors, clamp_nonpositive=True
-            )
         lines = ["section,key1,key2,value"]
         for gamma in closure.members:
             lines.append(f"coefficient,{gamma:#x},,{coeffs.values[gamma]!r}")

@@ -51,7 +51,7 @@ class NonPositivePosteriorParamError(DpBayesError):
 
 
 class ConditionViolatedError(DpBayesError):
-    """Applicability condition of a composition rule does not hold."""
+    """A composition rule does not apply, or a conditioning event has no representable mass."""
 
 
 class OmegaTooLargeError(DpBayesError):

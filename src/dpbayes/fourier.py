@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidEpsilonError,
     InvalidTError,
@@ -40,7 +41,7 @@ from .graph import (
     PosteriorMap,
     PriorMap,
 )
-from .randomness import laplace_from_uniform, substream
+from .randomness import derive_seed, laplace_from_uniform, substream
 
 _NOISE_TAG = "fourier-coefficient-noise"
 
@@ -272,6 +273,38 @@ def fourier_posterior_params(
             f"stealth failure: non-positive posterior parameter at entries {bad}", entries=bad
         )
     return out
+
+
+def release_with_retries(
+    data: Dataset,
+    closure: DownwardClosure,
+    graph: BayesNetGraph,
+    priors: PriorMap,
+    epsilon: float,
+    t: float,
+    seed: int,
+    retry_limit: int,
+) -> tuple[CoefficientSet, PosteriorMap, int, int]:
+    """Release until the implied posterior is positive, else clamp.
+
+    Attempt a draws its noise from derive_seed(seed, "attempt", a); only
+    a stealth failure (NonPositivePosteriorParamError) triggers another
+    attempt, any other error propagates. After retry_limit retries the
+    last release is reconstructed with negative cells floored at zero.
+    Returns (coefficients, posterior, retries_used, clamped_flag).
+    """
+    if retry_limit < 0:
+        raise ConfigError(f"retry limit must be non-negative, got {retry_limit}")
+    for attempt in range(retry_limit + 1):
+        coeffs = release_coefficients(
+            data, closure, epsilon, t, derive_seed(seed, "attempt", attempt)
+        )
+        try:
+            return coeffs, fourier_posterior_params(coeffs, graph, priors), attempt, 0
+        except NonPositivePosteriorParamError:
+            pass
+    post = fourier_posterior_params(coeffs, graph, priors, clamp_nonpositive=True)
+    return coeffs, post, retry_limit + 1, 1
 
 
 def marginal_error_bound(

@@ -22,7 +22,6 @@ from . import fourier, laplace, regression, sampler
 from .errors import (
     ConfigError,
     MissingPosteriorEntryError,
-    NonPositivePosteriorParamError,
     OmegaTooLargeError,
 )
 from .graph import (
@@ -244,34 +243,6 @@ def nb_predictive_closed_form(posterior: PosteriorMap, x, class_node: int = 0) -
 # ---------------------------------------------------------------------------
 
 
-def _fourier_release_with_retries(
-    train: Dataset,
-    closure: fourier.DownwardClosure,
-    graph: BayesNetGraph,
-    priors,
-    epsilon: float,
-    t: float,
-    seed: int,
-    retry_limit: int,
-) -> tuple[PosteriorMap, int, int]:
-    """Release until the implied posterior is positive, else clamp.
-
-    Returns (posterior, retries_used, clamped_flag). Each retry uses a
-    fresh derived seed; the retry counter feeds the experiment log.
-    """
-    retries = 0
-    for attempt in range(retry_limit + 1):
-        coeffs = fourier.release_coefficients(
-            train, closure, epsilon, t, derive_seed(seed, "attempt", attempt)
-        )
-        try:
-            return fourier.fourier_posterior_params(coeffs, graph, priors), retries, 0
-        except NonPositivePosteriorParamError:
-            retries += 1
-    post = fourier.fourier_posterior_params(coeffs, graph, priors, clamp_nonpositive=True)
-    return post, retries, 1
-
-
 def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Accuracy sweep of the naive-Bayes mechanisms over the epsilon grid."""
     if config.dataset is not None:
@@ -317,7 +288,7 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                 acc[("laplace", ei, r)] = accuracy(probs, labels, config.threshold)
 
             if "fourier" in config.mechanisms:
-                post, retries, clamped = _fourier_release_with_retries(
+                _, post, retries, clamped = fourier.release_with_retries(
                     train,
                     closure,
                     graph,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.special
 
 from .errors import (
     ConditionViolatedError,
@@ -34,8 +35,6 @@ _DRAW_TAG = "trimmed-posterior-draw"
 # Fixed constants of the additive-guarantee expression.
 KAPPA = 4.91081
 OMEGA_BAR = 1.25643
-
-DEFAULT_REJECTION_BUDGET = 1000
 
 
 @dataclass(frozen=True)
@@ -160,19 +159,16 @@ def stochastic_privacy_report(
     )
 
 
-def max_to_marginal_ratio(prior: BetaParams, grid_points: int = 20001) -> float:
-    """Grid-search the max-to-marginal likelihood ratio of one Bernoulli node.
+def max_to_marginal_ratio(prior: BetaParams) -> float:
+    """Max-to-marginal likelihood ratio of one Bernoulli node, in closed form.
 
     sup over observations x and parameters theta of p(x | theta)
-    divided by the prior-marginal likelihood of x; for Beta priors the
-    marginal is alpha/(alpha+beta) or beta/(alpha+beta). The likelihood
-    max is approached on the theta grid, so this slightly undershoots
-    the supremum at finite resolution.
+    divided by the prior-marginal likelihood of x. The likelihood
+    reaches 1 (theta = 1 for x = 1, theta = 0 for x = 0) and the
+    marginals are alpha/(alpha+beta) and beta/(alpha+beta), so the
+    supremum is (alpha + beta) / min(alpha, beta).
     """
-    grid = np.linspace(0.0, 1.0, grid_points)
-    marg1 = prior.alpha / (prior.alpha + prior.beta)
-    marg0 = prior.beta / (prior.alpha + prior.beta)
-    return float(max(grid.max() / marg1, (1.0 - grid.min()) / marg0))
+    return (prior.alpha + prior.beta) / min(prior.alpha, prior.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -202,39 +198,40 @@ def trimmed_beta_draws(
     omega: float,
     rng: np.random.Generator,
     size: int = 1,
-    budget: int = DEFAULT_REJECTION_BUDGET,
 ) -> np.ndarray:
-    """Draws from Beta(alpha, beta) conditioned on [omega, 1 - omega].
+    """Exact draws from Beta(alpha, beta) conditioned on [omega, 1 - omega].
 
-    Rejection sampling in vectorized rounds; any coordinate still
-    unresolved after `budget` proposals is clamped into the interval,
-    which keeps the support guarantee at the cost of a small atom at
-    the boundary when the conditioning mass is tiny.
+    Inverse-CDF sampling (Devroye 1986, ch. 2): one uniform per slot is
+    mapped onto the interval's probability range and pushed through the
+    regularized incomplete beta inverse. When the interval sits in the
+    upper tail (CDF at omega above 1/2) the survival function and its
+    inverse are used instead, so a tiny conditioning mass never
+    cancels against 1. A mass that underflows to zero in double
+    precision raises ConditionViolatedError; no boundary atom is ever
+    substituted.
     """
     if not 0 < omega < 0.5:
         raise OmegaTooLargeError(f"omega must lie in (0, 1/2), got {omega}")
-    out = np.empty(size, dtype=np.float64)
-    pending = np.arange(size)
-    for _ in range(budget):
-        if pending.size == 0:
-            break
-        proposal = rng.beta(params.alpha, params.beta, size=pending.size)
-        ok = (proposal >= omega) & (proposal <= 1.0 - omega)
-        out[pending[ok]] = proposal[ok]
-        pending = pending[~ok]
-    if pending.size:
-        # Budget exhausted: clamp one last proposal per unresolved slot.
-        last = rng.beta(params.alpha, params.beta, size=pending.size)
-        out[pending] = np.clip(last, omega, 1.0 - omega)
-    return out
+    a, b = params.alpha, params.beta
+    u = rng.random(size)
+    if scipy.special.betainc(a, b, omega) > 0.5:
+        near = scipy.special.betaincc(a, b, 1.0 - omega)
+        mass = scipy.special.betaincc(a, b, omega) - near
+        inverse = scipy.special.betainccinv
+    else:
+        near = scipy.special.betainc(a, b, omega)
+        mass = scipy.special.betainc(a, b, 1.0 - omega) - near
+        inverse = scipy.special.betaincinv
+    if not mass > 0.0:
+        raise ConditionViolatedError(
+            f"Beta({a:.6g}, {b:.6g}) puts no representable mass on "
+            f"[{omega:.6g}, {1.0 - omega:.6g}]"
+        )
+    # The clip only absorbs ulp rounding of the inverse at the interval ends.
+    return np.clip(inverse(a, b, near + u * mass), omega, 1.0 - omega)
 
 
-def trimmed_posterior_sample(
-    posterior: PosteriorMap,
-    epsilon: float,
-    seed: int,
-    budget: int = DEFAULT_REJECTION_BUDGET,
-) -> ThetaMap:
+def trimmed_posterior_sample(posterior: PosteriorMap, epsilon: float, seed: int) -> ThetaMap:
     """One trimmed draw per posterior entry, omega = exp(-epsilon/2).
 
     Entry (i, j) consumes its own keyed substream, so the result does
@@ -244,16 +241,16 @@ def trimmed_posterior_sample(
     theta: ThetaMap = {}
     for (node, cfg), params in posterior.items():
         rng = substream(seed, _DRAW_TAG, node, cfg)
-        theta[(node, cfg)] = float(trimmed_beta_draws(params, omega, rng, 1, budget)[0])
+        theta[(node, cfg)] = float(trimmed_beta_draws(params, omega, rng, 1)[0])
     return theta
 
 
 def _entry_draws(
-    posterior: PosteriorMap, omega: float, seed: int, samples: int, budget: int
+    posterior: PosteriorMap, omega: float, seed: int, samples: int
 ) -> dict[tuple[int, int], np.ndarray]:
     return {
         (node, cfg): trimmed_beta_draws(
-            params, omega, substream(seed, _DRAW_TAG, node, cfg), samples, budget
+            params, omega, substream(seed, _DRAW_TAG, node, cfg), samples
         )
         for (node, cfg), params in posterior.items()
     }
@@ -277,7 +274,6 @@ def sampler_predictive_batch(
     samples: int,
     seed: int,
     class_node: int = 0,
-    budget: int = DEFAULT_REJECTION_BUDGET,
 ) -> np.ndarray:
     """Monte Carlo class-1 probabilities for rows of X under trimming.
 
@@ -297,7 +293,7 @@ def sampler_predictive_batch(
     if X.ndim != 2 or X.shape[1] != len(features):
         raise ValueError("X must be rows of feature bits, one column per feature")
 
-    draws = _entry_draws(posterior, omega, seed, samples, budget)
+    draws = _entry_draws(posterior, omega, seed, samples)
     cls = draws[(class_node, 0)]
     # theta[s, f] for the feature given each class value
     log_like = []
@@ -326,7 +322,6 @@ def sampler_predictive(
     samples: int,
     seed: int,
     class_node: int = 0,
-    budget: int = DEFAULT_REJECTION_BUDGET,
 ) -> float:
     """Pr(Y=1 | x) as a trimmed-posterior Monte Carlo average.
 
@@ -337,7 +332,7 @@ def sampler_predictive(
     if samples < 1:
         raise ValueError("need at least one Monte Carlo sample")
     omega = trim_bound(epsilon)
-    draws = _entry_draws(posterior, omega, seed, samples, budget)
+    draws = _entry_draws(posterior, omega, seed, samples)
 
     record = np.zeros(graph.node_count, dtype=np.int64)
     feat = [i for i in range(graph.node_count) if i != class_node]

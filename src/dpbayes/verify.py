@@ -141,14 +141,6 @@ def dense_marginal(table: np.ndarray, k: int, nodes: Sequence[int]) -> np.ndarra
     return marg.reshape(-1, order="F")
 
 
-def marginal_cells_from_dense(marg: np.ndarray, node_count: int) -> dict[tuple[int, ...], float]:
-    cells = {}
-    for idx in range(marg.size):
-        key = tuple((idx >> p) & 1 for p in range(node_count))
-        cells[key] = float(marg[idx])
-    return cells
-
-
 # ---------------------------------------------------------------------------
 # update-count oracles
 # ---------------------------------------------------------------------------
@@ -385,13 +377,6 @@ def max_log_ratio_per_hamming(graph: BayesNetGraph, theta) -> float:
             dist = sum(u != v for u, v in zip(a, assignments[ib]))
             worst = max(worst, abs(logps[ia] - logps[ib]) / dist)
     return worst
-
-
-def truncated_beta_log_norm(params: BetaParams, omega: float) -> float:
-    """log integral of the unnormalized Beta density over [omega, 1-omega]."""
-    a, b = params.alpha, params.beta
-    mass = scipy.special.betainc(a, b, 1.0 - omega) - scipy.special.betainc(a, b, omega)
-    return math.log(mass) + scipy.special.betaln(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ from dpbayes import (
     stealth_increment,
     uniform_priors,
 )
+from dpbayes import fourier as fourier_mod
+from dpbayes.fourier import release_with_retries
+from dpbayes.randomness import derive_seed
 from dpbayes.verify import dense_table, walsh_coefficients_dense, dense_marginal
 
 from conftest import CHAIN3, SINGLE, random_dag, random_dataset
@@ -294,6 +297,49 @@ def test_clamp_fallback_floors_cells():
     )
     assert post[(0, 0)].alpha == pytest.approx(1.0)  # floored cell + prior
     assert post[(0, 0)].beta == pytest.approx(3.0)
+
+
+def test_release_with_retries_rekeys_stealth_failures(monkeypatch):
+    data = Dataset(np.array([[0], [1], [1]], dtype=np.int8))
+    closure = downward_closure(SINGLE)
+    seeds, outcomes = [], [NonPositivePosteriorParamError("stealth"), None]
+    real_release = fourier_mod.release_coefficients
+
+    def recording_release(data, closure, epsilon, t, seed):
+        seeds.append(seed)
+        return real_release(data, closure, epsilon, t, seed)
+
+    def flaky_posterior(coeffs, graph, priors):
+        outcome = outcomes.pop(0)
+        if outcome is not None:
+            raise outcome
+        return {}
+
+    monkeypatch.setattr(fourier_mod, "release_coefficients", recording_release)
+    monkeypatch.setattr(fourier_mod, "fourier_posterior_params", flaky_posterior)
+    coeffs, post, retries, clamped = release_with_retries(
+        data, closure, SINGLE, uniform_priors(SINGLE), 1.0, 1.0, seed=5, retry_limit=3
+    )
+    assert (post, retries, clamped) == ({}, 1, 0)
+    assert seeds == [derive_seed(5, "attempt", 0), derive_seed(5, "attempt", 1)]
+    assert coeffs.values == real_release(data, closure, 1.0, 1.0, seeds[1]).values
+
+
+def test_release_with_retries_does_not_retry_other_errors(monkeypatch):
+    data = Dataset(np.array([[0], [1], [1]], dtype=np.int8))
+    calls = []
+
+    def broken_posterior(coeffs, graph, priors):
+        calls.append(coeffs)
+        raise MissingCoefficientError("not a stealth failure")
+
+    monkeypatch.setattr(fourier_mod, "fourier_posterior_params", broken_posterior)
+    with pytest.raises(MissingCoefficientError):
+        release_with_retries(
+            data, downward_closure(SINGLE), SINGLE, uniform_priors(SINGLE),
+            1.0, 1.0, seed=5, retry_limit=3,
+        )
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,12 @@ def test_cli_fourier_emission(tmp_path, capsys):
     assert float(alpha) > 0 and float(beta) > 0
 
 
+def test_cli_fourier_negative_retries_is_config_error(tmp_path, capsys):
+    args = mech_args(tmp_path, "mechanism=fourier", "epsilon=2", "retries=-1")
+    assert main(args) == 1
+    assert "retry limit" in capsys.readouterr().err
+
+
 def test_cli_sampler_emission(tmp_path, capsys):
     args = mech_args(tmp_path, "mechanism=sampler", "epsilon=3", "samples=2", "seed=9")
     assert main(args) == 0
@@ -360,6 +366,19 @@ def test_cli_sampler_emission(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 5
     thetas = [float(l.split(",")[3]) for l in lines[1:]]
     assert all(0.0 < t < 1.0 for t in thetas)
+
+
+def test_cli_sampler_underflowing_mass_exits_1(tmp_path, capsys):
+    # prior Beta(5000, 1) leaves no representable mass on the trim interval
+    spec = {"nodes": 1, "parents": [[]], "priors": {"default": [5000.0, 1.0]}}
+    net = write_network(tmp_path, spec)
+    data = write_binary_csv(tmp_path, [(1,), (0,)])
+    args = ["--task", "mechanism", "--network", str(net), "--dataset", str(data),
+            "mechanism=sampler", "epsilon=3", "seed=1"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mass" in captured.err
 
 
 def test_cli_map_emission(tmp_path, capsys):

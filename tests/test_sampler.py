@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from dpbayes import (
@@ -162,6 +163,8 @@ def test_stochastic_report_pairs_delta():
 def test_max_to_marginal_ratio_uniform_prior():
     # single Bernoulli observation: max likelihood 1, marginal 1/2
     assert max_to_marginal_ratio(BetaParams(1.0, 1.0)) == pytest.approx(2.0)
+    # asymmetric prior: the rarer outcome has marginal 2/8
+    assert max_to_marginal_ratio(BetaParams(2.0, 6.0)) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +219,34 @@ def test_trimmed_draws_vanishing_trim(rng):
     assert draws.mean() == pytest.approx(params.mean, abs=0.01)
 
 
-def test_trimmed_draws_clamp_fallback(rng):
-    # conditioning region mass ~ 0: budget exhausts, clamped draws remain in support
-    params = BetaParams(500.0, 2.0)  # mass pinned near 1
-    omega = 0.4
-    draws = trimmed_beta_draws(params, omega, rng, size=50, budget=5)
-    assert draws.min() >= omega and draws.max() <= 1.0 - omega
+TINY_MASS_CASES = {
+    # (params, omega): conditioning mass about 8e-5, 7e-11, 2e-109, 2e-109
+    "beta3_30": (BetaParams(3.0, 30.0), math.exp(-1.0)),  # upper tail
+    "beta1_51": (BetaParams(1.0, 51.0), math.exp(-1.0)),  # upper tail
+    "beta500_2": (BetaParams(500.0, 2.0), 0.4),  # lower tail
+    "beta2_500": (BetaParams(2.0, 500.0), 0.4),  # upper tail, lost to 1 - CDF
+}
+
+
+@pytest.mark.parametrize(
+    "params, omega", TINY_MASS_CASES.values(), ids=TINY_MASS_CASES.keys()
+)
+def test_trimmed_draws_exact_at_tiny_mass(rng, params, omega):
+    draws = trimmed_beta_draws(params, omega, rng, size=20000)
+    assert ((draws > omega) & (draws < 1.0 - omega)).all()  # no boundary atoms
+    a, b = params.alpha, params.beta
+    if scipy.special.betainc(a, b, omega) > 0.5:
+        # the oracle's lower-tail CDF difference cancels here: test the
+        # mirror image 1 - theta ~ Beta(b, a) on the same interval
+        draws, params = 1.0 - draws, BetaParams(b, a)
+    stat = scipy.stats.kstest(draws, lambda x: truncated_beta_cdf(params, omega, x))
+    assert stat.pvalue > 0.01
+
+
+def test_trimmed_draws_underflowing_mass_raises(rng):
+    # Beta(5000, 1) puts about 1e-548 on [omega, 1 - omega] at epsilon 3
+    with pytest.raises(ConditionViolatedError):
+        trimmed_beta_draws(BetaParams(5000.0, 1.0), trim_bound(3.0), rng, size=3)
 
 
 def test_trimmed_posterior_sample_interface():
