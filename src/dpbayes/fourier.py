@@ -19,6 +19,7 @@ caller re-runs or clamps.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ from .randomness import derive_seed, laplace_from_uniform, substream
 _NOISE_TAG = "fourier-coefficient-noise"
 
 DEFAULT_STEALTH_T = math.log(10.0)
+
+# index tables kept per closure and per (graph, closure)
+_PLAN_CACHE_SIZE = 32
 
 
 def _submasks(mask: int):
@@ -115,6 +119,91 @@ def fourier_coefficient(data: Dataset, gamma: int, k: int | None = None) -> floa
     return float(signed) * 2.0 ** (-k / 2.0)
 
 
+# ---------------------------------------------------------------------------
+# family-local Walsh transforms
+# ---------------------------------------------------------------------------
+
+
+def _local_masks(nodes: tuple[int, ...]) -> list[int]:
+    """Every subset of `nodes` as a global mask, listed by local index.
+
+    Bit b of the local index stands for nodes[b], so local indices are
+    the family's cells in the little-endian order of its nodes.
+    """
+    masks = [0]
+    for node in nodes:
+        masks += [m | (1 << node) for m in masks]
+    return masks
+
+
+def _walsh(table: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of each row of a (rows, 2^f) table.
+
+    out[r, g] = sum_c (-1)^{popcount(c & g)} * table[r, c], by f
+    butterfly passes in O(f 2^f) per row. The transform is its own
+    inverse up to a factor 2^f.
+    """
+    rows, width = table.shape
+    h = 1
+    while h < width:
+        pairs = table.reshape(rows, -1, 2, h)
+        lo, hi = pairs[:, :, :1], pairs[:, :, 1:]
+        table = np.concatenate((lo + hi, lo - hi), axis=2).reshape(rows, width)
+        h *= 2
+    return table
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _coefficient_plan(closure: DownwardClosure) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The closure's maximal members, grouped by size, as index tables.
+
+    One (columns, positions) pair per size f: columns[r] holds the f
+    ascending variables of a maximal member, positions[r, l] the index in
+    closure.members of its submask at local index l. Every member lies
+    under some maximal one, so together the positions cover the closure.
+    """
+    index = {gamma: pos for pos, gamma in enumerate(closure.members)}
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for gamma in closure.members:
+        # downward closed: gamma is maximal iff no one-bit extension is a member
+        if any(not (gamma >> b) & 1 and gamma | (1 << b) in index for b in range(closure.k)):
+            continue
+        nodes = tuple(b for b in range(closure.k) if (gamma >> b) & 1)
+        by_size.setdefault(len(nodes), []).append(nodes)
+    return tuple(
+        (
+            np.array(fams, dtype=np.intp).reshape(len(fams), size),
+            np.array([[index[m] for m in _local_masks(f)] for f in fams], dtype=np.intp),
+        )
+        for size, fams in sorted(by_size.items())
+    )
+
+
+def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
+    """Every exact coefficient, in closure.members order.
+
+    Per maximal member, the records' cells over its variables are packed
+    into local codes and counted with one bincount (members of equal size
+    share it, offset per member); the Walsh butterfly of those integer
+    counts gives 2^{k/2} times each submask's coefficient. Equal, bit for
+    bit, to fourier_coefficient; no records x closure matrix is built.
+    """
+    if data.n and data.dimension != closure.k:
+        raise DimensionMismatchError("record width does not match k")
+    exact = np.zeros(closure.size)
+    if data.n == 0:
+        return exact
+    for columns, positions in _coefficient_plan(closure):
+        fams, size = columns.shape
+        codes = np.zeros((data.n, fams), dtype=np.intp)
+        for b in range(size):
+            codes += np.left_shift(data.records[:, columns[:, b]], b, dtype=np.intp)
+        codes += np.arange(fams) << size
+        counts = np.bincount(codes.ravel(), minlength=fams << size)
+        exact[positions] = _walsh(counts.reshape(fams, 1 << size))
+    return exact * 2.0 ** (-closure.k / 2.0)
+
+
 @dataclass
 class CoefficientSet:
     """Released coefficient vector over a downward closure.
@@ -141,7 +230,7 @@ class CoefficientSet:
 
 def exact_coefficients(data: Dataset, closure: DownwardClosure) -> CoefficientSet:
     """Noise-free coefficient set; the zero-noise reference path."""
-    values = {g: fourier_coefficient(data, g, closure.k) for g in closure.members}
+    values = dict(zip(closure.members, _exact_vector(data, closure).tolist()))
     return CoefficientSet(closure=closure, values=values, noise_scale=0.0, t=0.0)
 
 
@@ -168,21 +257,21 @@ def release_coefficients(
 ) -> CoefficientSet:
     """Noisy coefficient release with the stealth increment applied.
 
-    Each coefficient gets Laplace(2|J|/(eps 2^{k/2})) noise from its own
-    substream keyed by gamma, then the all-zeros coefficient is raised
-    by 4t|J|^2/(eps 2^{k/2}). Reproducible under the seed and
-    independent of iteration order.
+    Each coefficient gets independent Laplace(2|J|/(eps 2^{k/2})) noise:
+    one keyed substream per release supplies closure.size uniforms, the
+    r-th for closure.members[r], each mapped by inverse CDF. Then the
+    all-zeros coefficient is raised by 4t|J|^2/(eps 2^{k/2}).
+    Reproducible under the seed; which uniform feeds which coefficient
+    depends on closure.members alone.
     """
     if not epsilon > 0 or math.isnan(epsilon):
         raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
     if not t > 0:
         raise InvalidTError(f"t must be positive, got {t}")
     scale = noise_scale(closure, epsilon)
-    values: dict[int, float] = {}
-    for gamma in closure.members:
-        exact = fourier_coefficient(data, gamma, closure.k)
-        rng = substream(seed, _NOISE_TAG, gamma)
-        values[gamma] = exact + laplace_from_uniform(rng.random(), scale)
+    u = substream(seed, _NOISE_TAG).random(closure.size)
+    noisy = _exact_vector(data, closure) + laplace_from_uniform(u, scale)
+    values = dict(zip(closure.members, noisy.tolist()))
     values[0] += stealth_increment(closure, epsilon, t)
     return CoefficientSet(closure=closure, values=values, noise_scale=scale, t=t)
 
@@ -192,8 +281,87 @@ def release_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def _mask_to_cell(mask: int, nodes: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((mask >> node) & 1 for node in nodes)
+@dataclass(frozen=True)
+class _FamilyPlan:
+    """Index tables for reading every family's cells off a coefficient set.
+
+    masks[i] lists the submasks of node i's family by local index;
+    missing[i] is the first submask (in _submasks order) the closure
+    lacks, for nodes whose family is not covered. groups batches the
+    covered nodes by family size. Concatenating the groups' cell tables
+    row by row puts entry keys[e]'s alpha cell (node = 1) at alpha_at[e]
+    and its beta cell (node = 0) at beta_at[e].
+    """
+
+    masks: dict[int, list[int]]
+    missing: dict[int, int]
+    groups: tuple[tuple[int, ...], ...]
+    keys: tuple[EntryKey, ...]
+    alpha_at: np.ndarray
+    beta_at: np.ndarray
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _family_plan(graph: BayesNetGraph, closure: DownwardClosure) -> _FamilyPlan:
+    released = set(closure.members)
+    masks: dict[int, list[int]] = {}
+    missing: dict[int, int] = {}
+    by_size: dict[int, list[int]] = {}
+    for i in range(graph.node_count):
+        gap = next((g for g in _submasks(graph.family_mask(i)) if g not in released), None)
+        if gap is not None:
+            missing[i] = gap
+            continue
+        fam = graph.family(i)
+        masks[i] = _local_masks(fam)
+        by_size.setdefault(len(fam), []).append(i)
+    groups = tuple(tuple(nodes) for _, nodes in sorted(by_size.items()))
+    first_cell: dict[int, int] = {}
+    start = 0
+    for nodes in groups:
+        for i in nodes:
+            first_cell[i] = start
+            start += len(masks[i])
+    keys: list[EntryKey] = []
+    alpha_at: list[int] = []
+    beta_at: list[int] = []
+    for i in masks:
+        local = {node: b for b, node in enumerate(graph.family(i))}
+        for j in range(graph.config_count(i)):
+            cell = first_cell[i]
+            for p, parent in enumerate(graph.parents[i]):
+                cell += ((j >> p) & 1) << local[parent]
+            keys.append((i, j))
+            beta_at.append(cell)
+            alpha_at.append(cell + (1 << local[i]))
+    return _FamilyPlan(
+        masks=masks,
+        missing=missing,
+        groups=groups,
+        keys=tuple(keys),
+        alpha_at=np.array(alpha_at, dtype=np.intp),
+        beta_at=np.array(beta_at, dtype=np.intp),
+    )
+
+
+def _require_released(plan: _FamilyPlan, node: int) -> None:
+    if node in plan.missing:
+        raise MissingCoefficientError(
+            f"coefficient {plan.missing[node]:#x} needed for node {node} was not released"
+        )
+
+
+def _family_cells(
+    coeffs: CoefficientSet, plan: _FamilyPlan, nodes: tuple[int, ...]
+) -> np.ndarray:
+    """(len(nodes), 2^f) cell tables of equal-size families, by local index.
+
+    cell(c) = 2^{k/2 - f} * sum_{gamma <= F} (-1)^{popcount(c & gamma)} z_gamma,
+    i.e. the Walsh butterfly of the family's coefficients, rescaled.
+    """
+    z = np.array([[coeffs.values[m] for m in plan.masks[i]] for i in nodes])
+    size = z.shape[1].bit_length() - 1
+    return _walsh(z) * 2.0 ** (coeffs.k / 2.0 - size)
 
 
 def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph) -> ContingencyTable:
@@ -202,33 +370,22 @@ def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph
     For family mask F with |F| coordinates, the projection of each basis
     vector is constant on cells up to sign, giving
 
-        cell(c) = sum_{gamma <= F} z_gamma * 2^{k/2 - |F|} * (-1)^{popcount(c & gamma)}.
+        cell(c) = sum_{gamma <= F} z_gamma * 2^{k/2 - |F|} * (-1)^{popcount(c & gamma)},
 
+    which is the inverse Walsh transform of the family's coefficients.
     Cells are indexed by the family's nodes in ascending order. With an
     exact coefficient set this identity reproduces direct
     marginalisation of the table; with noise, possibly-negative cells.
     """
     if graph.node_count != coeffs.k:
         raise DimensionMismatchError("coefficient set and graph disagree on k")
-    fam_mask = graph.family_mask(node)
-    fam_nodes = graph.family(node)
-    fam_size = len(fam_nodes)
-    weight = 2.0 ** (coeffs.k / 2.0 - fam_size)
-    cells: dict[tuple[int, ...], float] = {}
-    gammas = []
-    for gamma in _submasks(fam_mask):
-        if gamma not in coeffs.values:
-            raise MissingCoefficientError(
-                f"coefficient {gamma:#x} needed for node {node} was not released"
-            )
-        gammas.append(gamma)
-    for cell_mask in _submasks(fam_mask):
-        total = 0.0
-        for gamma in gammas:
-            sign = -1.0 if bin(cell_mask & gamma).count("1") & 1 else 1.0
-            total += coeffs.values[gamma] * sign
-        cells[_mask_to_cell(cell_mask, fam_nodes)] = total * weight
-    return ContingencyTable(fam_size, cells)
+    plan = _family_plan(graph, coeffs.closure)
+    _require_released(plan, node)
+    size = len(graph.family(node))
+    cells = _family_cells(coeffs, plan, (node,))[0].tolist()
+    return ContingencyTable(
+        size, {tuple((c >> b) & 1 for b in range(size)): v for c, v in enumerate(cells)}
+    )
 
 
 def fourier_posterior_params(
@@ -246,33 +403,27 @@ def fourier_posterior_params(
     with clamp_nonpositive=True negative cells are floored at zero
     instead.
     """
-    out: PosteriorMap = {}
-    bad: list[EntryKey] = []
-    for i in range(graph.node_count):
-        marginal = reconstruct_marginal(coeffs, i, graph)
-        fam_nodes = graph.family(node=i)
-        pa = graph.parents[i]
-        for j in range(graph.config_count(i)):
-            mask = 0
-            for p, parent in enumerate(pa):
-                mask |= ((j >> p) & 1) << parent
-            beta_cell = marginal.value(_mask_to_cell(mask, fam_nodes))
-            alpha_cell = marginal.value(_mask_to_cell(mask | (1 << i), fam_nodes))
-            if clamp_nonpositive:
-                alpha_cell = max(alpha_cell, 0.0)
-                beta_cell = max(beta_cell, 0.0)
-            prior = priors[(i, j)]
-            a = prior.alpha + alpha_cell
-            b = prior.beta + beta_cell
-            if a <= 0.0 or b <= 0.0:
-                bad.append((i, j))
-                continue
-            out[(i, j)] = BetaParams(a, b)
-    if bad:
+    if graph.node_count != coeffs.k:
+        raise DimensionMismatchError("coefficient set and graph disagree on k")
+    plan = _family_plan(graph, coeffs.closure)
+    for node in plan.missing:
+        _require_released(plan, node)
+    cells = np.concatenate([_family_cells(coeffs, plan, nodes).ravel() for nodes in plan.groups])
+    alpha_cells, beta_cells = cells[plan.alpha_at], cells[plan.beta_at]
+    if clamp_nonpositive:
+        alpha_cells = np.maximum(alpha_cells, 0.0)
+        beta_cells = np.maximum(beta_cells, 0.0)
+    prior = np.array([(priors[key].alpha, priors[key].beta) for key in plan.keys])
+    a = prior[:, 0] + alpha_cells
+    b = prior[:, 1] + beta_cells
+    bad = (a <= 0.0) | (b <= 0.0)
+    if bad.any():
+        entries = [key for key, flag in zip(plan.keys, bad.tolist()) if flag]
         raise NonPositivePosteriorParamError(
-            f"stealth failure: non-positive posterior parameter at entries {bad}", entries=bad
+            f"stealth failure: non-positive posterior parameter at entries {entries}",
+            entries=entries,
         )
-    return out
+    return {key: BetaParams(x, y) for key, x, y in zip(plan.keys, a.tolist(), b.tolist())}
 
 
 def release_with_retries(

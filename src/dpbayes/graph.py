@@ -10,6 +10,7 @@ the value of the p-th declared parent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -42,7 +43,7 @@ class BetaParams:
             raise ValueError(
                 f"Beta parameters must be positive, got ({self.alpha}, {self.beta})"
             )
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("Beta parameters must be finite")
 
     def updated(self, delta_alpha: float, delta_beta: float) -> "BetaParams":

@@ -220,13 +220,14 @@ def nb_predictive_batch(
             f"feature matrix has {X.shape[-1]} columns, posterior covers {len(features)}"
         )
     cls = posterior[(class_node, 0)]
+    # logs[y, f] = (log alpha, log beta, log(alpha + beta)) of entry (features[f], y)
+    entries = [posterior[(i, y)] for y in (0, 1) for i in features]
+    logs = np.array(
+        [(math.log(p.alpha), math.log(p.beta), math.log(p.alpha + p.beta)) for p in entries]
+    ).reshape(2, len(features), 3)
     log_joint = []
     for y in (0, 1):
-        la = np.array([math.log(posterior[(i, y)].alpha) for i in features])
-        lb = np.array([math.log(posterior[(i, y)].beta) for i in features])
-        lnorm = np.array(
-            [math.log(posterior[(i, y)].alpha + posterior[(i, y)].beta) for i in features]
-        )
+        la, lb, lnorm = logs[y].T
         cls_term = math.log(cls.alpha if y else cls.beta) - math.log(cls.alpha + cls.beta)
         log_joint.append(cls_term + X @ (la - lb) + (lb - lnorm).sum())
     return 1.0 / (1.0 + np.exp(log_joint[0] - log_joint[1]))

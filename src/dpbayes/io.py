@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,24 +60,38 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, PriorMap]:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    rows = []
     try:
-        with open(path, newline="") as fh:
-            for line_no, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                try:
-                    rows.append([int(v) for v in row])
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{line_no}: non-integer cell: {exc}") from exc
-    except OSError as exc:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+    rows = [line for line in lines if line]
     if not rows:
         raise ConfigError(f"dataset {path} is empty")
     try:
-        return Dataset.from_records(rows)
+        # NumPy 1.23-1.26 parse a float-form cell such as "0.5" into an int by
+        # truncation and only warn; make that warning an error so such a cell
+        # is rejected on every supported NumPy, as int() rejects it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            records = np.loadtxt(
+                rows, delimiter=",", dtype=np.int64, ndmin=2, comments=None, quotechar='"'
+            )
+    except (ValueError, DeprecationWarning) as exc:
+        _raise_non_integer_cell(path, lines)
+        raise ConfigError(f"dataset {path}: {exc}") from exc
+    try:
+        return Dataset(records)
     except ValueError as exc:
         raise ConfigError(f"dataset {path}: {exc}") from exc
+
+
+def _raise_non_integer_cell(path: str | Path, lines: list[str]) -> None:
+    """Name the first file line (1-based, blank lines counted) with a non-integer cell."""
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            [int(v) for v in next(csv.reader([line]), [])]
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: non-integer cell: {exc}") from exc
 
 
 def load_regression_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import InvalidEpsilonError, PriorTooSmallError
 from .graph import BayesNetGraph, BetaParams, EntryKey, UpdateVector
 from .randomness import laplace_from_uniform, substream
@@ -80,22 +82,22 @@ def update_sensitivity(graph: BayesNetGraph) -> float:
 def perturb_updates(updates: UpdateVector, spec: LaplaceNoiseSpec, seed: int) -> PerturbedUpdates:
     """Add per-count Laplace noise and truncate into [0, n].
 
-    Each count's noise comes from its own keyed substream via a single
-    inverse-CDF uniform, so the release is reproducible under the seed
-    and independent of iteration order.
+    One keyed substream per release supplies an (m, 2) block of
+    uniforms, row r for the r-th entry key in sorted order, and each
+    uniform becomes one count's noise by inverse CDF. The release is
+    reproducible under the seed and independent of the order of
+    updates.entries; both returned maps list the entries in sorted order.
     """
-    scale = spec.scale
-    lo, hi = 0.0, float(spec.n)
-    raw: dict[EntryKey, tuple[float, float]] = {}
-    clamped: dict[EntryKey, tuple[float, float]] = {}
-    for (node, cfg), (da, db) in updates.entries.items():
-        rng = substream(seed, _NOISE_TAG, node, cfg)
-        u = rng.random(2)
-        z1 = da + laplace_from_uniform(u[0], scale)
-        z2 = db + laplace_from_uniform(u[1], scale)
-        raw[(node, cfg)] = (float(z1), float(z2))
-        clamped[(node, cfg)] = (min(max(z1, lo), hi), min(max(z2, lo), hi))
-    return PerturbedUpdates(entries=clamped, raw=raw, spec=spec)
+    keys = sorted(updates.entries)
+    counts = np.array([updates.entries[key] for key in keys], dtype=np.float64).reshape(-1, 2)
+    u = substream(seed, _NOISE_TAG).random((len(keys), 2))
+    raw = counts + laplace_from_uniform(u, spec.scale)
+    clamped = np.clip(raw, 0.0, float(spec.n))
+    return PerturbedUpdates(
+        entries=dict(zip(keys, map(tuple, clamped.tolist()))),
+        raw=dict(zip(keys, map(tuple, raw.tolist()))),
+        spec=spec,
+    )
 
 
 def update_deviation_bound(graph: BayesNetGraph, epsilon: float, delta: float) -> float:

@@ -1,6 +1,7 @@
 """Walsh-basis coefficient release, reconstruction, consistency, stealth."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from dpbayes import (
 )
 from dpbayes import fourier as fourier_mod
 from dpbayes.fourier import release_with_retries
-from dpbayes.randomness import derive_seed
+from dpbayes.randomness import derive_seed, laplace_from_uniform, substream
 from dpbayes.verify import dense_table, walsh_coefficients_dense, dense_marginal
 
 from conftest import CHAIN3, SINGLE, random_dag, random_dataset
@@ -41,6 +42,20 @@ from conftest import CHAIN3, SINGLE, random_dag, random_dataset
 
 def keep_vector(k: int, mask: int) -> tuple[int, ...]:
     return tuple((mask >> p) & 1 for p in range(k))
+
+
+def twenty_node_dag(rng) -> BayesNetGraph:
+    """20 nodes whose parent counts 0..4 each occur four times.
+
+    Nodes are relabelled at random and parents are declared in random
+    order, so neither families nor configurations follow node order.
+    """
+    order = rng.permutation(20)
+    parents: list[tuple[int, ...]] = [()] * 20
+    for pos, count in enumerate(c for c in range(5) for _ in range(4)):
+        chosen = rng.choice(order[:pos], size=count, replace=False) if count else []
+        parents[int(order[pos])] = tuple(int(p) for p in chosen)
+    return BayesNetGraph(node_count=20, parents=tuple(parents))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +123,65 @@ def test_coefficient_streaming_equals_dense(rng):
         for gamma in rng.integers(0, 1 << k, size=5):
             got = fourier_coefficient(data, int(gamma))
             assert got == pytest.approx(dense[int(gamma)], abs=1e-9)
+
+
+def test_coefficient_vector_equals_streamed_definition(rng):
+    graph = twenty_node_dag(rng)
+    data = random_dataset(rng, 5000, 20)
+    clo = downward_closure(graph)
+    exact = exact_coefficients(data, clo)
+    # infinite epsilon: zero noise and zero stealth increment
+    released = release_coefficients(data, clo, epsilon=math.inf, t=1.0, seed=3)
+    for gamma in clo.members:
+        streamed = fourier_coefficient(data, gamma, clo.k)
+        assert exact.values[gamma] == streamed
+        assert released.values[gamma] == streamed
+
+
+def test_coefficient_vector_without_records():
+    clo = downward_closure(CHAIN3)
+    for data in (Dataset(np.zeros((0, 3), dtype=np.int8)), Dataset.from_records([])):
+        values = exact_coefficients(data, clo).values
+        assert values == {g: fourier_coefficient(data, g, 3) for g in clo.members}
+        assert set(values.values()) == {0.0}
+
+
+def test_coefficient_vector_on_empty_set_closure(rng):
+    data = random_dataset(rng, 37, 3)
+    clo = DownwardClosure(k=3, members=(0,))
+    assert exact_coefficients(data, clo).values == {0: fourier_coefficient(data, 0, 3)}
+    assert exact_coefficients(data, clo).values[0] == 37 * 2.0**-1.5
+
+
+def test_release_noise_layout(rng):
+    # one substream per release, one uniform per member in closure order
+    data = random_dataset(rng, 50, 3)
+    clo = downward_closure(CHAIN3)
+    eps, t, seed = 0.7, 1.5, 21
+    released = release_coefficients(data, clo, epsilon=eps, t=t, seed=seed)
+    u = substream(seed, fourier_mod._NOISE_TAG).random(clo.size)
+    noise = laplace_from_uniform(u, noise_scale(clo, eps))
+    exact = exact_coefficients(data, clo).values
+    for r, gamma in enumerate(clo.members):
+        expected = exact[gamma] + noise[r]
+        if gamma == 0:
+            expected += stealth_increment(clo, eps, t)
+        assert released.values[gamma] == expected
+
+
+def test_release_peak_allocation_stays_small(rng):
+    # a records x closure parity matrix alone would take more than 6.5 MB
+    graph = twenty_node_dag(rng)
+    data = random_dataset(rng, 5000, 20)
+    clo = downward_closure(graph)
+    release_coefficients(data, clo, epsilon=1.0, t=1.0, seed=0)  # fills the index cache
+    tracemalloc.start()
+    try:
+        release_coefficients(data, clo, epsilon=1.0, t=1.0, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_noise_scale_formula():
@@ -225,12 +299,36 @@ def test_reconstruction_matches_dense_oracle(rng):
 
 def test_reconstruction_missing_coefficient():
     # a closure built for a subgraph lacks gammas of the full family
-    data = Dataset.from_records([(0, 0), (1, 1)])
     narrow = DownwardClosure(k=2, members=(0, 1))
     coeffs = CoefficientSet(closure=narrow, values={0: 1.0, 1: 0.5}, noise_scale=0.0, t=0.0)
     graph = BayesNetGraph(node_count=2, parents=((), (0,)))
-    with pytest.raises(MissingCoefficientError):
+    message = "coefficient 0x3 needed for node 1 was not released"
+    with pytest.raises(MissingCoefficientError, match=message):
         reconstruct_marginal(coeffs, 1, graph)
+    with pytest.raises(MissingCoefficientError, match=message):
+        fourier_posterior_params(coeffs, graph, uniform_priors(graph))
+    assert reconstruct_marginal(coeffs, 0, graph).value((0,)) == pytest.approx(1.5)
+
+
+def test_reconstruction_matches_sign_sum_under_noise(rng):
+    # the butterfly equals the defining sign sum on noisy coefficients
+    graph = twenty_node_dag(rng)
+    data = random_dataset(rng, 200, 20)
+    coeffs = release_coefficients(data, downward_closure(graph), epsilon=0.5, t=1.0, seed=2)
+    for node in range(graph.node_count):
+        fam = graph.family(node)
+        weight = 2.0 ** (graph.node_count / 2.0 - len(fam))
+        recon = reconstruct_marginal(coeffs, node, graph)
+        assert len(recon.cells) == 1 << len(fam)
+        for c in range(1 << len(fam)):
+            cell = tuple((c >> b) & 1 for b in range(len(fam)))
+            cell_mask = sum(bit << v for bit, v in zip(cell, fam))
+            expected = sum(
+                z * (-1) ** bin(cell_mask & gamma).count("1")
+                for gamma, z in coeffs.values.items()
+                if gamma & ~graph.family_mask(node) == 0
+            )
+            assert recon.value(cell) == pytest.approx(expected * weight, abs=1e-9)
 
 
 def test_noisy_reconstructions_consistent(rng):
@@ -266,6 +364,31 @@ def test_fourier_posterior_zero_noise_matches_exact_path(rng):
     for key in via_counts:
         assert via_fourier[key].alpha == pytest.approx(via_counts[key].alpha, abs=1e-9)
         assert via_fourier[key].beta == pytest.approx(via_counts[key].beta, abs=1e-9)
+
+
+def test_fourier_posterior_zero_noise_large_network(rng):
+    # parents declared out of order: configuration bits follow declared order
+    graph = twenty_node_dag(rng)
+    data = random_dataset(rng, 5000, 20)
+    priors = uniform_priors(graph, 0.5, 2.0)
+    coeffs = exact_coefficients(data, downward_closure(graph))
+    via_fourier = fourier_posterior_params(coeffs, graph, priors)
+    via_counts = posterior_params(priors, compute_updates(graph, data))
+    assert list(via_fourier) == list(via_counts)
+    for key in via_counts:
+        assert via_fourier[key].alpha == pytest.approx(via_counts[key].alpha, abs=1e-8)
+        assert via_fourier[key].beta == pytest.approx(via_counts[key].beta, abs=1e-8)
+
+
+def test_nonpositive_entries_listed_in_entry_order(rng):
+    data = random_dataset(rng, 40, 3)
+    coeffs = exact_coefficients(data, downward_closure(CHAIN3))
+    coeffs.values[0] -= 1000.0  # lowers every cell of every family
+    with pytest.raises(NonPositivePosteriorParamError) as err:
+        fourier_posterior_params(coeffs, CHAIN3, uniform_priors(CHAIN3))
+    keys = list(CHAIN3.entry_keys())
+    assert err.value.entries == tuple(keys)
+    assert str(keys) in str(err.value)
 
 
 def crafted_single_node_coeffs(cell0: float, cell1: float) -> CoefficientSet:

@@ -1,6 +1,7 @@
 """File loaders and the command-line entry point."""
 import importlib.util
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -95,23 +96,42 @@ def test_load_dataset_parses_binary_csv(tmp_path):
 
 def test_load_dataset_reports_line_number(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("0,1\n0,x\n")
-    with pytest.raises(ConfigError, match=":2:"):
+    for bad in ("x", "0.5", "1.0", "1.9", "1e0"):
+        path.write_text(f"0,1\n0,{bad}\n")
+        with pytest.raises(ConfigError, match=":2: non-integer cell"):
+            load_dataset(path)
+
+
+def test_load_dataset_line_number_counts_blank_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("0,1\n\n0,x\n")
+    with pytest.raises(ConfigError, match=":3:"):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("0,1\n1,0,1\n0,0\n")
+    with pytest.raises(ConfigError):
         load_dataset(path)
 
 
 def test_load_dataset_rejects_nonbinary_values(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("0,2\n")
-    with pytest.raises(ConfigError):
-        load_dataset(path)
+    for text in ("0,2\n", "0,1\n300,0\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="0/1"):
+            load_dataset(path)
 
 
 def test_load_dataset_empty_file(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("")
-    with pytest.raises(ConfigError, match="empty"):
-        load_dataset(path)
+    for text in ("", "\n\n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="empty"):
+                load_dataset(path)
 
 
 def test_load_regression_csv_splits_target(tmp_path):

@@ -22,6 +22,8 @@ from dpbayes import (
     update_deviation_bound,
     update_sensitivity,
 )
+from dpbayes import laplace as laplace_mod
+from dpbayes.randomness import laplace_from_uniform, substream
 
 from conftest import CHAIN3, SINGLE, random_dag, random_dataset
 
@@ -104,13 +106,27 @@ def test_determinism_replay(rng):
 
 
 def test_noise_is_schedule_independent(rng):
-    # per-entry substreams: reordering the input dict changes nothing
+    # uniforms are drawn in sorted key order: reordering the input dict changes nothing
     up = chain_updates(rng)
     reordered = UpdateVector(dict(reversed(list(up.entries.items()))))
     spec = LaplaceNoiseSpec.for_graph(CHAIN3, epsilon=1.0, n=20)
     a = perturb_updates(up, spec, seed=5)
     b = perturb_updates(reordered, spec, seed=5)
     assert a.entries == b.entries
+
+
+def test_noise_layout_one_substream_sorted_keys(rng):
+    # row r of one (m, 2) uniform block feeds the r-th key in sorted order
+    up = chain_updates(rng)
+    spec = LaplaceNoiseSpec.for_graph(CHAIN3, epsilon=0.8, n=20)
+    pert = perturb_updates(up, spec, seed=17)
+    keys = sorted(up.entries)
+    u = substream(17, laplace_mod._NOISE_TAG).random((len(keys), 2))
+    noise = laplace_from_uniform(u, spec.scale)
+    assert list(pert.raw) == keys
+    for r, key in enumerate(keys):
+        da, db = up.entries[key]
+        assert pert.raw[key] == (da + noise[r, 0], db + noise[r, 1])
 
 
 # ---------------------------------------------------------------------------
