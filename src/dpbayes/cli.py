@@ -29,7 +29,6 @@ from .harness import (
     write_metrics,
 )
 from .io import load_dataset, load_grid, load_network
-from .randomness import derive_seed
 from .verify import run_verification_suite
 
 log = logging.getLogger("dpbayes.cli")
@@ -251,14 +250,16 @@ def _run_mechanism(settings: dict) -> int:
 
     if name == "sampler":
         samples = _coerce(settings, "samples", int, 1)
+        if samples < 0:
+            raise ConfigError(f"samples must be non-negative, got {samples}")
         post = posterior_params(priors, compute_updates(graph, data))
+        block = sampler.trimmed_posterior_draws(post, sampler.trim_bound(epsilon), seed, samples)
+        draws = {key: row.tolist() for key, row in block.items()}
+        keys = sorted(draws)
         lines = ["node,config,draw,theta"]
         for s in range(samples):
-            theta = sampler.trimmed_posterior_sample(
-                post, epsilon, derive_seed(seed, "draw", s)
-            )
-            for (i, j), value in sorted(theta.items()):
-                lines.append(f"{i},{j},{s},{value!r}")
+            for i, j in keys:
+                lines.append(f"{i},{j},{s},{draws[(i, j)][s]!r}")
         _emit(out, "\n".join(lines) + "\n")
         return 0
 

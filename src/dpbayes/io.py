@@ -111,8 +111,9 @@ def load_grid(path: str | Path) -> GridSpec:
         raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
     if raw.shape[1] < 2:
         raise ConfigError(f"grid file {path} needs parameter columns plus a mass column")
-    points = tuple(tuple(float(c) for c in row[:-1]) for row in raw)
+    rows = raw.tolist()
+    points = tuple(tuple(row[:-1]) for row in rows)
     try:
-        return GridSpec(points=points, prior_mass=tuple(float(m) for m in raw[:, -1]))
+        return GridSpec(points=points, prior_mass=tuple(row[-1] for row in rows))
     except ValueError as exc:
         raise ConfigError(f"grid file {path}: {exc}") from exc

@@ -194,7 +194,7 @@ def trim_bound(epsilon: float) -> float:
 
 
 def trimmed_beta_draws(
-    params: BetaParams,
+    params: BetaParams | Sequence[BetaParams],
     omega: float,
     rng: np.random.Generator,
     size: int = 1,
@@ -209,51 +209,67 @@ def trimmed_beta_draws(
     cancels against 1. A mass that underflows to zero in double
     precision raises ConditionViolatedError; no boundary atom is ever
     substituted.
+
+    A single BetaParams gives `size` draws. A sequence of m BetaParams
+    gives an (m, size) array from one (m, size) uniform block of `rng`,
+    row r for params[r]; a single BetaParams consumes `rng` exactly as
+    the one-row block does.
     """
     if not 0 < omega < 0.5:
         raise OmegaTooLargeError(f"omega must lie in (0, 1/2), got {omega}")
-    a, b = params.alpha, params.beta
-    u = rng.random(size)
-    if scipy.special.betainc(a, b, omega) > 0.5:
-        near = scipy.special.betaincc(a, b, 1.0 - omega)
-        mass = scipy.special.betaincc(a, b, omega) - near
-        inverse = scipy.special.betainccinv
-    else:
-        near = scipy.special.betainc(a, b, omega)
-        mass = scipy.special.betainc(a, b, 1.0 - omega) - near
-        inverse = scipy.special.betaincinv
-    if not mass > 0.0:
+    single = isinstance(params, BetaParams)
+    entries = [params] if single else list(params)
+    a = np.array([p.alpha for p in entries], dtype=np.float64)
+    b = np.array([p.beta for p in entries], dtype=np.float64)
+    u = rng.random((len(entries), size))
+    cdf_lo = scipy.special.betainc(a, b, omega)
+    upper = cdf_lo > 0.5
+    near = np.where(upper, scipy.special.betaincc(a, b, 1.0 - omega), cdf_lo)
+    far = np.where(
+        upper, scipy.special.betaincc(a, b, omega), scipy.special.betainc(a, b, 1.0 - omega)
+    )
+    mass = far - near
+    empty = np.flatnonzero(~(mass > 0.0))
+    if empty.size:
+        bad = entries[empty[0]]
         raise ConditionViolatedError(
-            f"Beta({a:.6g}, {b:.6g}) puts no representable mass on "
+            f"Beta({bad.alpha:.6g}, {bad.beta:.6g}) puts no representable mass on "
             f"[{omega:.6g}, {1.0 - omega:.6g}]"
         )
+    p = near[:, None] + u * mass[:, None]
+    out = np.empty_like(p)
+    lower = ~upper
+    out[lower] = scipy.special.betaincinv(a[lower, None], b[lower, None], p[lower])
+    out[upper] = scipy.special.betainccinv(a[upper, None], b[upper, None], p[upper])
     # The clip only absorbs ulp rounding of the inverse at the interval ends.
-    return np.clip(inverse(a, b, near + u * mass), omega, 1.0 - omega)
+    np.clip(out, omega, 1.0 - omega, out=out)
+    return out[0] if single else out
+
+
+def trimmed_posterior_draws(
+    posterior: PosteriorMap, omega: float, seed: int, samples: int
+) -> dict[tuple[int, int], np.ndarray]:
+    """`samples` trimmed draws per posterior entry, from one keyed substream.
+
+    One (m, samples) block is drawn for the m entries in sorted key
+    order, so the result does not depend on dict iteration order.
+    """
+    keys = sorted(posterior)
+    block = trimmed_beta_draws(
+        [posterior[k] for k in keys], omega, substream(seed, _DRAW_TAG), samples
+    )
+    return dict(zip(keys, block))
 
 
 def trimmed_posterior_sample(posterior: PosteriorMap, epsilon: float, seed: int) -> ThetaMap:
     """One trimmed draw per posterior entry, omega = exp(-epsilon/2).
 
-    Entry (i, j) consumes its own keyed substream, so the result does
-    not depend on dict iteration order.
+    Every entry's draw is one column of a single block drawn by
+    trimmed_posterior_draws, so the result does not depend on dict
+    iteration order.
     """
-    omega = trim_bound(epsilon)
-    theta: ThetaMap = {}
-    for (node, cfg), params in posterior.items():
-        rng = substream(seed, _DRAW_TAG, node, cfg)
-        theta[(node, cfg)] = float(trimmed_beta_draws(params, omega, rng, 1)[0])
-    return theta
-
-
-def _entry_draws(
-    posterior: PosteriorMap, omega: float, seed: int, samples: int
-) -> dict[tuple[int, int], np.ndarray]:
-    return {
-        (node, cfg): trimmed_beta_draws(
-            params, omega, substream(seed, _DRAW_TAG, node, cfg), samples
-        )
-        for (node, cfg), params in posterior.items()
-    }
+    draws = trimmed_posterior_draws(posterior, trim_bound(epsilon), seed, 1)
+    return {key: float(row[0]) for key, row in draws.items()}
 
 
 def _require_naive_bayes(graph: BayesNetGraph, class_node: int) -> list[int]:
@@ -277,10 +293,13 @@ def sampler_predictive_batch(
 ) -> np.ndarray:
     """Monte Carlo class-1 probabilities for rows of X under trimming.
 
-    Per draw s the joint likelihood of (y, x) factorizes over the
-    class term and per-feature terms, so log p_y for all rows at once
-    is two matrix products against the S x d matrices of log(theta)
-    and log(1-theta). Averages of exp use a per-row max subtraction.
+    Per draw s, log p_y(x) = c_y[s] + x . (log theta_y - log(1 - theta_y))[:, s]
+    with c_y[s] the class term plus the sum of log(1 - theta_y). Both
+    classes sit side by side in one d x 2S matrix, so one product gives
+    every row's 2S log-likelihoods. One shared row max is subtracted
+    before exp, so the larger class sum is at least 1 and the ratio
+    p1 / (p0 + p1) of the two half-sums stays finite however small the
+    likelihoods are.
     """
     if samples < 1:
         raise ValueError("need at least one Monte Carlo sample")
@@ -293,24 +312,18 @@ def sampler_predictive_batch(
     if X.ndim != 2 or X.shape[1] != len(features):
         raise ValueError("X must be rows of feature bits, one column per feature")
 
-    draws = _entry_draws(posterior, omega, seed, samples)
+    draws = trimmed_posterior_draws(posterior, omega, seed, samples)
     cls = draws[(class_node, 0)]
-    # theta[s, f] for the feature given each class value
-    log_like = []
-    for y in (0, 1):
-        th = np.stack([draws[(i, y)] for i in features], axis=1)
-        log_th = np.log(th)
-        log_1mth = np.log1p(-th)
-        logp = X @ log_th.T + (1.0 - X) @ log_1mth.T  # rows x samples
-        logp += np.log(cls) if y == 1 else np.log1p(-cls)
-        log_like.append(logp)
-
-    def _mean_exp(logp: np.ndarray) -> np.ndarray:
-        m = logp.max(axis=1, keepdims=True)
-        return np.exp(m.squeeze(1)) * np.exp(logp - m).mean(axis=1)
-
-    p0 = _mean_exp(log_like[0])
-    p1 = _mean_exp(log_like[1])
+    # theta[f, y * S + s] for feature f given class value y in draw s
+    theta = np.hstack([np.stack([draws[(i, y)] for i in features]) for y in (0, 1)])
+    log_1mth = np.log1p(-theta)
+    const = log_1mth.sum(axis=0) + np.concatenate([np.log1p(-cls), np.log(cls)])
+    logp = X @ (np.log(theta) - log_1mth)  # rows x 2S
+    logp += const
+    logp -= logp.max(axis=1, keepdims=True)
+    np.exp(logp, out=logp)
+    p0 = logp[:, :samples].sum(axis=1)
+    p1 = logp[:, samples:].sum(axis=1)
     return p1 / (p0 + p1)
 
 
@@ -326,13 +339,15 @@ def sampler_predictive(
     """Pr(Y=1 | x) as a trimmed-posterior Monte Carlo average.
 
     Draw theta repeatedly, average the unnormalized joint likelihoods
-    of (y=0, x) and (y=1, x), then normalize. Works for any network
-    shape; the class node's bit in the record is overwritten by y.
+    of (y=0, x) and (y=1, x), then normalize; one max shared by both
+    classes scales the likelihoods, so the ratio stays finite when
+    both underflow. Works for any network shape; the class node's bit
+    in the record is overwritten by y.
     """
     if samples < 1:
         raise ValueError("need at least one Monte Carlo sample")
     omega = trim_bound(epsilon)
-    draws = _entry_draws(posterior, omega, seed, samples)
+    draws = trimmed_posterior_draws(posterior, omega, seed, samples)
 
     record = np.zeros(graph.node_count, dtype=np.int64)
     feat = [i for i in range(graph.node_count) if i != class_node]
@@ -340,19 +355,17 @@ def sampler_predictive(
         raise ValueError("feature vector length must be node_count - 1")
     record[feat] = np.asarray(x, dtype=np.int64)
 
-    means = []
+    logp = np.zeros((2, samples), dtype=np.float64)
     for y in (0, 1):
         record[class_node] = y
-        logp = np.zeros(samples, dtype=np.float64)
         for i in range(graph.node_count):
             cfg = 0
             for p, parent in enumerate(graph.parents[i]):
                 cfg |= int(record[parent]) << p
             th = draws[(i, cfg)]
-            logp += np.log(th) if record[i] else np.log1p(-th)
-        m = logp.max()
-        means.append(math.exp(m) * float(np.exp(logp - m).mean()))
-    return means[1] / (means[0] + means[1])
+            logp[y] += np.log(th) if record[i] else np.log1p(-th)
+    like = np.exp(logp - logp.max()).sum(axis=1)
+    return float(like[1] / (like[0] + like[1]))
 
 
 def lipschitz_constants_from_theta(graph: BayesNetGraph, theta: ThetaMap) -> LipschitzSpec:

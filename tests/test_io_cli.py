@@ -8,12 +8,17 @@ import pytest
 
 from dpbayes import (
     ConfigError,
+    Dataset,
+    compute_updates,
     load_dataset,
     load_grid,
     load_network,
     load_regression_csv,
+    posterior_params,
+    trim_bound,
 )
 from dpbayes.cli import main
+from dpbayes.sampler import trimmed_posterior_draws
 
 # ---------------------------------------------------------------------------
 # network files
@@ -386,6 +391,25 @@ def test_cli_sampler_emission(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 5
     thetas = [float(l.split(",")[3]) for l in lines[1:]]
     assert all(0.0 < t < 1.0 for t in thetas)
+
+
+def test_cli_sampler_draws_are_release_block_columns(tmp_path, capsys):
+    # draw s of the output is column s of one release block keyed by seed
+    args = mech_args(tmp_path, "mechanism=sampler", "epsilon=3", "samples=3", "seed=9")
+    assert main(args) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[1:]
+    graph, priors = load_network(tmp_path / "net.json")
+    data = Dataset(np.array(MECH_DATA))
+    post = posterior_params(priors, compute_updates(graph, data))
+    block = trimmed_posterior_draws(post, trim_bound(3.0), 9, 3)
+    want = [f"{i},{j},{s},{float(block[(i, j)][s])!r}" for s in range(3) for i, j in sorted(post)]
+    assert lines == want
+
+
+def test_cli_sampler_negative_samples_is_config_error(tmp_path, capsys):
+    args = mech_args(tmp_path, "mechanism=sampler", "epsilon=3", "samples=-1")
+    assert main(args) == 1
+    assert "samples" in capsys.readouterr().err
 
 
 def test_cli_sampler_underflowing_mass_exits_1(tmp_path, capsys):

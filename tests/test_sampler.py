@@ -1,6 +1,7 @@
 """Lipschitz calculus, privacy constants, and the trimmed posterior sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from dpbayes import (
     trimmed_beta_draws,
     trimmed_posterior_sample,
 )
-from dpbayes.sampler import KAPPA, OMEGA_BAR
+from dpbayes.randomness import substream
+from dpbayes.sampler import KAPPA, OMEGA_BAR, trimmed_posterior_draws
 from dpbayes.verify import (
     max_log_ratio_per_hamming,
     trimmed_nb_predictive_quadrature,
@@ -228,11 +230,7 @@ TINY_MASS_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "params, omega", TINY_MASS_CASES.values(), ids=TINY_MASS_CASES.keys()
-)
-def test_trimmed_draws_exact_at_tiny_mass(rng, params, omega):
-    draws = trimmed_beta_draws(params, omega, rng, size=20000)
+def assert_exact_trimmed_sample(draws, params, omega):
     assert ((draws > omega) & (draws < 1.0 - omega)).all()  # no boundary atoms
     a, b = params.alpha, params.beta
     if scipy.special.betainc(a, b, omega) > 0.5:
@@ -241,6 +239,52 @@ def test_trimmed_draws_exact_at_tiny_mass(rng, params, omega):
         draws, params = 1.0 - draws, BetaParams(b, a)
     stat = scipy.stats.kstest(draws, lambda x: truncated_beta_cdf(params, omega, x))
     assert stat.pvalue > 0.01
+
+
+@pytest.mark.parametrize(
+    "params, omega", TINY_MASS_CASES.values(), ids=TINY_MASS_CASES.keys()
+)
+def test_trimmed_draws_exact_at_tiny_mass(rng, params, omega):
+    draws = trimmed_beta_draws(params, omega, rng, size=20000)
+    assert_exact_trimmed_sample(draws, params, omega)
+
+
+def test_trimmed_draws_mixed_tail_block(rng):
+    # one call mixes a bulk entry, upper-tail and lower-tail entries
+    omega = math.exp(-1.0)
+    params = [BetaParams(3.0, 2.0), BetaParams(2.0, 500.0), BetaParams(500.0, 2.0), BetaParams(1.0, 51.0)]
+    block = trimmed_beta_draws(params, omega, rng, size=20000)
+    assert block.shape == (4, 20000)
+    for row, p in zip(block, params):
+        assert_exact_trimmed_sample(row, p, omega)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose next uniforms are already known."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+def test_release_block_layout():
+    # row r of the release block is the single-entry inversion of row r
+    # of one (m, S) uniform block, entries in sorted key order
+    posterior = {
+        (2, 1): BetaParams(2.0, 500.0),
+        (0, 0): BetaParams(3.0, 2.0),
+        (1, 1): BetaParams(500.0, 2.0),
+        (1, 0): BetaParams(1.0, 51.0),
+        (2, 0): BetaParams(4.0, 9.0),
+    }
+    omega, seed, S = math.exp(-1.0), 11, 64
+    draws = trimmed_posterior_draws(posterior, omega, seed, S)
+    u = substream(seed, "trimmed-posterior-draw").random((len(posterior), S))
+    for r, key in enumerate(sorted(posterior)):
+        want = trimmed_beta_draws(posterior[key], omega, FixedUniforms(u[r]), S)
+        assert np.array_equal(draws[key], want)
 
 
 def test_trimmed_draws_underflowing_mass_raises(rng):
@@ -323,6 +367,64 @@ def test_predictive_batch_matches_scalar_path():
         for row in X
     ]
     assert np.allclose(batch, single, atol=1e-12)
+
+
+def test_predictive_batch_order_independence():
+    posterior = nb2_posterior(False)
+    reordered = dict(reversed(list(posterior.items())))
+    X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    a = sampler_predictive_batch(NB2, posterior, X, epsilon=3.0, samples=300, seed=4)
+    b = sampler_predictive_batch(NB2, reordered, X, epsilon=3.0, samples=300, seed=4)
+    assert np.array_equal(a, b)
+
+
+def test_predictive_batch_matches_quadrature_two_features():
+    posterior = nb2_posterior(False)
+    epsilon = 3.0
+    X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    got = sampler_predictive_batch(NB2, posterior, X, epsilon=epsilon, samples=100000, seed=21)
+    want = [trimmed_nb_predictive_quadrature(posterior, row, trim_bound(epsilon)) for row in X]
+    assert got == pytest.approx(want, abs=0.01)
+
+
+def test_predictive_finite_when_both_classes_underflow():
+    # 1000 features: on the alternating row both classes' joint
+    # log-likelihoods sit far below the double range (about -745)
+    k = 1000
+    graph = BayesNetGraph(node_count=k + 1, parents=((),) + ((0,),) * k)
+    posterior = {(0, 0): BetaParams(5.0, 5.0)}
+    for i in range(1, k + 1):
+        posterior[(i, 0)] = BetaParams(2.0, 40.0)
+        posterior[(i, 1)] = BetaParams(40.0, 2.0)
+    X = np.array([np.ones(k), np.zeros(k), np.arange(k) % 2])
+    batch = sampler_predictive_batch(graph, posterior, X, epsilon=20.0, samples=100, seed=2)
+    scalar = sampler_predictive(graph, posterior, X[2].astype(int), epsilon=20.0, samples=100, seed=2)
+    probs = np.append(batch, scalar)
+    assert np.isfinite(probs).all()
+    assert ((probs >= 0.0) & (probs <= 1.0)).all()
+    assert batch[0] == pytest.approx(1.0) and batch[1] == pytest.approx(0.0)
+    assert scalar == pytest.approx(batch[2], abs=1e-9)
+
+
+def test_predictive_batch_peak_allocation():
+    # the nb-sampler benchmark shape: 950 test rows, 16 features, S = 1000;
+    # one rows x 2S float64 matrix is 15.2 MB, the four rows x S matrices
+    # of a per-class layout came to 31 MB
+    d, rows, S = 16, 950, 1000
+    graph = BayesNetGraph(node_count=d + 1, parents=((),) + ((0,),) * d)
+    gen = np.random.default_rng(3)
+    posterior = {
+        key: BetaParams(float(a), float(b))
+        for key, (a, b) in zip(graph.entry_keys(), gen.integers(1, 60, (2 * d + 1, 2)))
+    }
+    X = gen.integers(0, 2, (rows, d))
+    tracemalloc.start()
+    try:
+        sampler_predictive_batch(graph, posterior, X, epsilon=10.0, samples=S, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_predictive_batch_requires_naive_bayes_shape():
