@@ -14,20 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
 from . import expmech, fourier, laplace, sampler
 from .errors import ConfigError, DpBayesError
-from .graph import UpdateVector, compute_updates, posterior_params
-from .harness import (
-    DEFAULT_B_GRID,
-    DEFAULT_EPSILON_GRID,
-    ExperimentConfig,
-    run_experiment,
-    write_metrics,
-)
+from .graph import compute_updates, posterior_params
+from .harness import ExperimentConfig, run_experiment, write_metrics
 from .io import load_dataset, load_grid, load_network
 from .verify import run_verification_suite
 
@@ -36,6 +29,24 @@ log = logging.getLogger("dpbayes.cli")
 # linreg sweeps default to a smaller, longer dataset than the nb task
 LINREG_DEFAULT_D = 5
 LINREG_DEFAULT_N = 2000
+
+# settings that have a flag
+_FLAG_KEYS = (
+    "task mechanisms epsilon_grid b_grid repeats seed train_fraction out d n "
+    "sampler_samples regression_samples fourier_t threshold sigma2 radius "
+    "noise_sigma dataset network grid utility"
+).split()
+# mechanism-task settings that have no flag
+_MECHANISM_KEYS = ("mechanism", "epsilon", "t", "delta", "draws", "samples")
+# ExperimentConfig fields taken from the settings when given, with their types
+_EXPERIMENT_FIELDS = {
+    **dict.fromkeys(("epsilon_grid", "b_grid"), tuple),
+    **dict.fromkeys(("repeats", "seed", "d", "n", "sampler_samples", "regression_samples"), int),
+    **dict.fromkeys(
+        ("train_fraction", "fourier_t", "threshold", "sigma2", "radius", "noise_sigma"), float
+    ),
+    **dict.fromkeys(("out", "dataset"), str),
+}
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -111,11 +122,10 @@ def _merge_settings(ns: argparse.Namespace) -> dict:
             raise ConfigError(f"expected key=value, got {token!r}")
         key, value = token.split("=", 1)
         settings[key.strip().replace("-", "_")] = value
-    for key in (
-        "task mechanisms epsilon_grid b_grid repeats seed train_fraction out d n "
-        "sampler_samples regression_samples fourier_t threshold sigma2 radius "
-        "noise_sigma dataset network grid utility"
-    ).split():
+    unknown = sorted(set(settings).difference(_FLAG_KEYS, _MECHANISM_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown setting {', '.join(map(repr, unknown))}")
+    for key in _FLAG_KEYS:
         value = getattr(ns, key, None)
         if value is not None:
             settings[key] = value
@@ -129,42 +139,27 @@ def _coerce(settings: dict, key: str, kind, default=None):
     try:
         if kind is tuple:
             return _parse_grid(value) if isinstance(value, str) else tuple(float(v) for v in value)
-        if kind is bool:
-            return value in (True, "true", "1", "yes")
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
 def _experiment_config(settings: dict, task: str) -> ExperimentConfig:
+    """ExperimentConfig from the given settings; every other field keeps its default."""
+    fields = {
+        key: _coerce(settings, key, kind)
+        for key, kind in _EXPERIMENT_FIELDS.items()
+        if settings.get(key) is not None
+    }
     mechanisms = settings.get("mechanisms")
     if isinstance(mechanisms, str):
-        mechanisms = tuple(m.strip() for m in mechanisms.split(",") if m.strip())
+        fields["mechanisms"] = tuple(m.strip() for m in mechanisms.split(",") if m.strip())
     elif mechanisms is not None:
-        mechanisms = tuple(mechanisms)
-    else:
-        mechanisms = ("none", "laplace", "fourier", "sampler") if task == "nb" else ("none", "sampler")
-    d_default, n_default = (LINREG_DEFAULT_D, LINREG_DEFAULT_N) if task == "linreg" else (16, 1000)
-    return ExperimentConfig(
-        task=task,
-        mechanisms=mechanisms,
-        epsilon_grid=_coerce(settings, "epsilon_grid", tuple, DEFAULT_EPSILON_GRID),
-        b_grid=_coerce(settings, "b_grid", tuple, DEFAULT_B_GRID),
-        repeats=_coerce(settings, "repeats", int, 100),
-        train_fraction=_coerce(settings, "train_fraction", float, 0.05),
-        seed=_coerce(settings, "seed", int, 0),
-        out=str(settings.get("out", "-")),
-        d=_coerce(settings, "d", int, d_default),
-        n=_coerce(settings, "n", int, n_default),
-        sampler_samples=_coerce(settings, "sampler_samples", int, 1000),
-        regression_samples=_coerce(settings, "regression_samples", int, 100),
-        fourier_t=_coerce(settings, "fourier_t", float, math.log(10.0)),
-        threshold=_coerce(settings, "threshold", float, 0.5),
-        sigma2=_coerce(settings, "sigma2", float, 1.0),
-        radius=_coerce(settings, "radius", float, None),
-        noise_sigma=_coerce(settings, "noise_sigma", float, 0.1),
-        dataset=settings.get("dataset"),
-    )
+        fields["mechanisms"] = tuple(mechanisms)
+    if task == "linreg":
+        fields.setdefault("d", LINREG_DEFAULT_D)
+        fields.setdefault("n", LINREG_DEFAULT_N)
+    return ExperimentConfig(task=task, **fields)
 
 
 def _emit(out: str, text: str) -> None:
@@ -232,14 +227,13 @@ def _run_mechanism(settings: dict) -> int:
         return 0
 
     if name == "fourier":
-        t = _coerce(settings, "t", float, math.log(10.0))
+        t = _coerce(settings, "t", float, fourier.DEFAULT_STEALTH_T)
         closure = fourier.downward_closure(graph)
-        retry_limit = _coerce(settings, "retries", int, 50)
-        coeffs, post, _, clamped = fourier.release_with_retries(
-            data, closure, graph, priors, epsilon, t, seed, retry_limit
+        coeffs, post, floored = fourier.release_posterior(
+            data, closure, graph, priors, epsilon, t, seed
         )
-        if clamped:
-            log.warning("stealth failed %d times; clamping", retry_limit + 1)
+        if floored:
+            log.warning("stealth failed; negative cells floored at zero")
         lines = ["section,key1,key2,value"]
         for gamma in closure.members:
             lines.append(f"coefficient,{gamma:#x},,{coeffs.values[gamma]!r}")

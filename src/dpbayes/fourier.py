@@ -14,8 +14,9 @@ by construction: they are all read off the same released vector.
 A deterministic increment on the empty-set coefficient buys, with
 probability at least 1 - exp(-t), a fully non-negative implied table,
 so the released posteriors look like ordinary clean outputs. That is
-the stealth property; when it fails, reconstruction reports and the
-caller re-runs or clamps.
+the stealth property. When it fails, release_posterior floors the
+negative cells of that same release at zero: post-processing, so the
+release still costs exactly epsilon.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatchError,
     InvalidEpsilonError,
     InvalidTError,
@@ -399,9 +399,8 @@ def fourier_posterior_params(
     Entry (i, j) becomes (alpha + cell(x_i=1, parents=j), beta +
     cell(x_i=0, parents=j)). Noisy cells can push a parameter to or
     below zero; by default that raises NonPositivePosteriorParamError
-    listing the offending entries (caller re-runs with a fresh seed),
-    with clamp_nonpositive=True negative cells are floored at zero
-    instead.
+    listing the offending entries, with clamp_nonpositive=True negative
+    cells are floored at zero instead.
     """
     if graph.node_count != coeffs.k:
         raise DimensionMismatchError("coefficient set and graph disagree on k")
@@ -426,7 +425,7 @@ def fourier_posterior_params(
     return {key: BetaParams(x, y) for key, x, y in zip(plan.keys, a.tolist(), b.tolist())}
 
 
-def release_with_retries(
+def release_posterior(
     data: Dataset,
     closure: DownwardClosure,
     graph: BayesNetGraph,
@@ -434,28 +433,22 @@ def release_with_retries(
     epsilon: float,
     t: float,
     seed: int,
-    retry_limit: int,
-) -> tuple[CoefficientSet, PosteriorMap, int, int]:
-    """Release until the implied posterior is positive, else clamp.
+) -> tuple[CoefficientSet, PosteriorMap, bool]:
+    """One coefficient release and the posterior it implies.
 
-    Attempt a draws its noise from derive_seed(seed, "attempt", a); only
-    a stealth failure (NonPositivePosteriorParamError) triggers another
-    attempt, any other error propagates. After retry_limit retries the
-    last release is reconstructed with negative cells floored at zero.
-    Returns (coefficients, posterior, retries_used, clamped_flag).
+    The noise is keyed derive_seed(seed, "attempt", 0). On a stealth
+    failure (NonPositivePosteriorParamError) the same release is read
+    again with its negative cells floored at zero; any other error
+    propagates. Flooring is post-processing of the one release, so the
+    privacy cost stays epsilon. Returns (coefficients, posterior,
+    floored).
     """
-    if retry_limit < 0:
-        raise ConfigError(f"retry limit must be non-negative, got {retry_limit}")
-    for attempt in range(retry_limit + 1):
-        coeffs = release_coefficients(
-            data, closure, epsilon, t, derive_seed(seed, "attempt", attempt)
-        )
-        try:
-            return coeffs, fourier_posterior_params(coeffs, graph, priors), attempt, 0
-        except NonPositivePosteriorParamError:
-            pass
-    post = fourier_posterior_params(coeffs, graph, priors, clamp_nonpositive=True)
-    return coeffs, post, retry_limit + 1, 1
+    coeffs = release_coefficients(data, closure, epsilon, t, derive_seed(seed, "attempt", 0))
+    try:
+        return coeffs, fourier_posterior_params(coeffs, graph, priors), False
+    except NonPositivePosteriorParamError:
+        post = fourier_posterior_params(coeffs, graph, priors, clamp_nonpositive=True)
+        return coeffs, post, True
 
 
 def marginal_error_bound(

@@ -54,31 +54,6 @@ class BetaParams:
         return self.alpha / (self.alpha + self.beta)
 
 
-@dataclass(frozen=True)
-class ParentConfig:
-    """One assignment of a node's parents.
-
-    bits[p] is the value of the p-th declared parent; the integer index
-    is sum(bits[p] << p), i.e. little-endian.
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"parent bits must be 0/1, got {self.bits}")
-
-    @property
-    def index(self) -> int:
-        return sum(b << p for p, b in enumerate(self.bits))
-
-    @classmethod
-    def from_index(cls, index: int, width: int) -> "ParentConfig":
-        if not 0 <= index < (1 << width):
-            raise ValueError(f"config index {index} out of range for width {width}")
-        return cls(tuple((index >> p) & 1 for p in range(width)))
-
-
 PriorMap = dict[EntryKey, BetaParams]
 PosteriorMap = dict[EntryKey, BetaParams]
 # full parameterisation of a network: success probability per entry
@@ -227,24 +202,6 @@ class UpdateVector:
     def size(self) -> int:
         return len(self.entries)
 
-    def linf_distance(self, other: "UpdateVector") -> float:
-        keys = self.entries.keys() | other.entries.keys()
-        worst = 0.0
-        for key in keys:
-            a = self.entries.get(key, (0.0, 0.0))
-            b = other.entries.get(key, (0.0, 0.0))
-            worst = max(worst, abs(a[0] - b[0]), abs(a[1] - b[1]))
-        return worst
-
-    def l1_distance(self, other: "UpdateVector") -> float:
-        keys = self.entries.keys() | other.entries.keys()
-        total = 0.0
-        for key in keys:
-            a = self.entries.get(key, (0.0, 0.0))
-            b = other.entries.get(key, (0.0, 0.0))
-            total += abs(a[0] - b[0]) + abs(a[1] - b[1])
-        return total
-
     @classmethod
     def zeros(cls, graph: BayesNetGraph) -> "UpdateVector":
         return cls({key: (0.0, 0.0) for key in graph.entry_keys()})
@@ -304,9 +261,6 @@ def uniform_priors(graph: BayesNetGraph, alpha: float = 1.0, beta: float = 1.0) 
 # contingency tables
 # ---------------------------------------------------------------------------
 
-DENSE_THRESHOLD = 20
-
-
 @dataclass
 class ContingencyTable:
     """Sparse table of non-negative cell weights over {0,1}^dimension."""
@@ -327,18 +281,6 @@ class ContingencyTable:
         for cell, v in other.cells.items():
             merged[cell] = merged.get(cell, 0.0) + v
         return ContingencyTable(self.dimension, merged)
-
-    def to_dense(self, max_dimension: int = DENSE_THRESHOLD) -> np.ndarray:
-        """Flat length-2^k array, cell bits little-endian in the index."""
-        if self.dimension > max_dimension:
-            raise DimensionMismatchError(
-                f"refusing to materialise 2^{self.dimension} cells (threshold {max_dimension})"
-            )
-        dense = np.zeros(1 << self.dimension)
-        for cell, v in self.cells.items():
-            idx = sum(b << p for p, b in enumerate(cell))
-            dense[idx] += v
-        return dense
 
 
 def build_table(data: Dataset) -> ContingencyTable:

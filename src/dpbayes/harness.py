@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +66,7 @@ class ExperimentConfig:
     n: int = 1000
     sampler_samples: int = 1000
     regression_samples: int = 100
-    fourier_t: float = math.log(10.0)
-    stealth_retry_limit: int = 50
+    fourier_t: float = fourier.DEFAULT_STEALTH_T
     threshold: float = 0.5
     sigma2: float = 1.0
     radius: float | None = None  # None: 10/sqrt(b) per grid point
@@ -116,8 +115,7 @@ class MetricsRow:
 @dataclass
 class ExperimentResult:
     rows: list[MetricsRow]
-    stealth_retries: int = 0
-    stealth_clamps: int = 0
+    stealth_clamps: int = 0  # Fourier releases read with negative cells floored
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +231,6 @@ def nb_predictive_batch(
     return 1.0 / (1.0 + np.exp(log_joint[0] - log_joint[1]))
 
 
-def nb_predictive_closed_form(posterior: PosteriorMap, x, class_node: int = 0) -> float:
-    """Single-row convenience wrapper around nb_predictive_batch."""
-    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(nb_predictive_batch(posterior, row, class_node)[0])
-
-
 # ---------------------------------------------------------------------------
 # experiment drivers
 # ---------------------------------------------------------------------------
@@ -259,7 +251,6 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     closure = fourier.downward_closure(graph)
 
     acc: dict[tuple[str, int, int], float] = {}
-    stealth_retries = 0
     stealth_clamps = 0
     for r in range(config.repeats):
         train, test = split_dataset(
@@ -289,7 +280,7 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                 acc[("laplace", ei, r)] = accuracy(probs, labels, config.threshold)
 
             if "fourier" in config.mechanisms:
-                _, post, retries, clamped = fourier.release_with_retries(
+                _, post, floored = fourier.release_posterior(
                     train,
                     closure,
                     graph,
@@ -297,10 +288,8 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                     eps,
                     config.fourier_t,
                     derive_seed(config.seed, "fourier", ei, r),
-                    config.stealth_retry_limit,
                 )
-                stealth_retries += retries
-                stealth_clamps += clamped
+                stealth_clamps += floored
                 probs = nb_predictive_batch(post, X_test)
                 acc[("fourier", ei, r)] = accuracy(probs, labels, config.threshold)
 
@@ -321,17 +310,16 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                     probs = np.full(X_test.shape[0], 0.5)
                 acc[("sampler", ei, r)] = accuracy(probs, labels, config.threshold)
 
-    if stealth_retries:
-        log.info(
-            "fourier stealth: %d re-releases, %d clamped fallbacks", stealth_retries, stealth_clamps
-        )
+    if stealth_clamps:
+        releases = config.repeats * len(config.epsilon_grid)
+        log.info("fourier stealth: %d of %d releases floored", stealth_clamps, releases)
     rows = [
         MetricsRow(mech, config.epsilon_grid[ei], r, "accuracy", acc[(mech, ei, r)])
         for mech in config.mechanisms
         for ei in range(len(config.epsilon_grid))
         for r in range(config.repeats)
     ]
-    return ExperimentResult(rows, stealth_retries, stealth_clamps)
+    return ExperimentResult(rows, stealth_clamps)
 
 
 def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -410,7 +398,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.task == "linreg":
         return run_linreg_experiment(config)
     raise ConfigError(f"task {config.task!r} is not an experiment sweep")
-
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    return replace(config, **kwargs)

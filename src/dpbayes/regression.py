@@ -21,7 +21,8 @@ from .randomness import substream
 
 _DRAW_TAG = "regression-weight-draw"
 
-DEFAULT_REJECTION_BUDGET = 1000
+# Gaussian proposals per requested draw before sampling gives up
+_REJECTION_BUDGET = 1000
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,11 @@ def fit_posterior(
     return GaussianPosterior(mu_n=mu, sigma_n=sigma, radius=radius)
 
 
-def sample_truncated(
-    post: GaussianPosterior,
-    seed: int,
-    size: int = 1,
-    budget: int = DEFAULT_REJECTION_BUDGET,
-) -> np.ndarray:
+def sample_truncated(post: GaussianPosterior, seed: int, size: int = 1) -> np.ndarray:
     """Rejection draws from the posterior restricted to its ball.
 
-    Each requested vector gets at most `budget` Gaussian proposals;
-    exhausting them raises RejectionBudgetExhaustedError, which signals
+    Each requested vector gets at most _REJECTION_BUDGET Gaussian
+    proposals; exhausting them raises RejectionBudgetExhaustedError, which signals
     that the radius leaves the Gaussian almost no mass and needs
     reconfiguring rather than silent clamping.
     """
@@ -160,7 +156,7 @@ def sample_truncated(
         raise SingularSystemError(f"posterior covariance not positive definite: {exc}") from exc
     out = np.empty((size, post.d), dtype=np.float64)
     pending = np.arange(size)
-    for _ in range(budget):
+    for _ in range(_REJECTION_BUDGET):
         if pending.size == 0:
             return out
         z = rng.standard_normal((pending.size, post.d))
@@ -171,7 +167,7 @@ def sample_truncated(
     if pending.size:
         raise RejectionBudgetExhaustedError(
             f"{pending.size} of {size} draws found no point with norm <= {post.radius} "
-            f"in {budget} attempts"
+            f"in {_REJECTION_BUDGET} attempts"
         )
     return out
 
@@ -186,17 +182,6 @@ def regression_sensitivity(w: np.ndarray, n: int, d: int, sigma2: float) -> floa
     l1 = float(np.abs(w).sum())
     l2 = float(np.linalg.norm(w))
     return n / (2.0 * sigma2) * (1.0 + 2.0 * l1 + d * l2)
-
-
-def regression_sensitivity_alt(w: np.ndarray, n: int, d: int, sigma2: float) -> float:
-    """Alternative intermediate bound n/(2 s2) (1 + (d+2)||w||_1).
-
-    Neither dominates the primary bound everywhere; both are exposed
-    and the caller picks.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    l1 = float(np.abs(w).sum())
-    return n / (2.0 * sigma2) * (1.0 + (d + 2.0) * l1)
 
 
 def worst_case_sensitivity(radius: float, n: int, d: int, sigma2: float) -> float:
@@ -227,14 +212,13 @@ def predictive_mse(
     y_test: np.ndarray,
     samples: int,
     seed: int,
-    budget: int = DEFAULT_REJECTION_BUDGET,
 ) -> float:
     """MSE of the predictor built from averaged truncated-posterior draws."""
     if samples < 1:
         raise ValueError("need at least one draw")
     X_test = np.asarray(X_test, dtype=np.float64)
     y_test = np.asarray(y_test, dtype=np.float64)
-    draws = sample_truncated(post, seed, samples, budget)
+    draws = sample_truncated(post, seed, samples)
     w_hat = draws.mean(axis=0)
     resid = X_test @ w_hat - y_test
     return float(np.mean(resid**2))

@@ -33,7 +33,7 @@ from dpbayes import (
     uniform_priors,
 )
 from dpbayes import fourier as fourier_mod
-from dpbayes.fourier import release_with_retries
+from dpbayes.fourier import release_posterior
 from dpbayes.randomness import derive_seed, laplace_from_uniform, substream
 from dpbayes.verify import dense_table, walsh_coefficients_dense, dense_marginal
 
@@ -422,47 +422,31 @@ def test_clamp_fallback_floors_cells():
     assert post[(0, 0)].beta == pytest.approx(3.0)
 
 
-def test_release_with_retries_rekeys_stealth_failures(monkeypatch):
-    data = Dataset(np.array([[0], [1], [1]], dtype=np.int8))
-    closure = downward_closure(SINGLE)
-    seeds, outcomes = [], [NonPositivePosteriorParamError("stealth"), None]
-    real_release = fourier_mod.release_coefficients
-
-    def recording_release(data, closure, epsilon, t, seed):
-        seeds.append(seed)
-        return real_release(data, closure, epsilon, t, seed)
-
-    def flaky_posterior(coeffs, graph, priors):
-        outcome = outcomes.pop(0)
-        if outcome is not None:
-            raise outcome
-        return {}
-
-    monkeypatch.setattr(fourier_mod, "release_coefficients", recording_release)
-    monkeypatch.setattr(fourier_mod, "fourier_posterior_params", flaky_posterior)
-    coeffs, post, retries, clamped = release_with_retries(
-        data, closure, SINGLE, uniform_priors(SINGLE), 1.0, 1.0, seed=5, retry_limit=3
-    )
-    assert (post, retries, clamped) == ({}, 1, 0)
-    assert seeds == [derive_seed(5, "attempt", 0), derive_seed(5, "attempt", 1)]
-    assert coeffs.values == real_release(data, closure, 1.0, 1.0, seeds[1]).values
+def test_release_posterior_is_one_release_floored_on_stealth_failure():
+    # at t = 0.01 and eps = 0.5 the stealth boost fails for most seeds
+    tree = BayesNetGraph(node_count=3, parents=((), (0,), (0,)))
+    data = random_dataset(np.random.default_rng(1), 40, 3)
+    closure, priors = downward_closure(tree), uniform_priors(tree)
+    floored_seeds = 0
+    for seed in range(40):
+        coeffs, post, floored = release_posterior(data, closure, tree, priors, 0.5, 0.01, seed)
+        want = release_coefficients(data, closure, 0.5, 0.01, derive_seed(seed, "attempt", 0))
+        assert coeffs.values == want.values
+        try:
+            assert post == fourier_posterior_params(want, tree, priors)
+            assert not floored
+        except NonPositivePosteriorParamError:
+            assert post == fourier_posterior_params(want, tree, priors, clamp_nonpositive=True)
+            assert floored
+            floored_seeds += 1
+    assert 0 < floored_seeds < 40
 
 
-def test_release_with_retries_does_not_retry_other_errors(monkeypatch):
-    data = Dataset(np.array([[0], [1], [1]], dtype=np.int8))
-    calls = []
-
-    def broken_posterior(coeffs, graph, priors):
-        calls.append(coeffs)
-        raise MissingCoefficientError("not a stealth failure")
-
-    monkeypatch.setattr(fourier_mod, "fourier_posterior_params", broken_posterior)
+def test_release_posterior_propagates_missing_coefficient():
+    data = Dataset(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int8))
+    singletons = DownwardClosure(k=3, members=(0, 1, 2, 4))
     with pytest.raises(MissingCoefficientError):
-        release_with_retries(
-            data, downward_closure(SINGLE), SINGLE, uniform_priors(SINGLE),
-            1.0, 1.0, seed=5, retry_limit=3,
-        )
-    assert len(calls) == 1
+        release_posterior(data, singletons, CHAIN3, uniform_priors(CHAIN3), 1.0, 1.0, seed=5)
 
 
 # ---------------------------------------------------------------------------

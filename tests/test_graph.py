@@ -13,7 +13,6 @@ from dpbayes import (
     Dataset,
     DimensionMismatchError,
     MissingPriorEntryError,
-    ParentConfig,
     UpdateVector,
     ancestral_sample,
     build_table,
@@ -47,23 +46,6 @@ def test_beta_params_positive():
 
 def test_beta_params_updated():
     assert BetaParams(1.0, 1.0).updated(3.0, 2.0) == BetaParams(4.0, 3.0)
-
-
-def test_parent_config_little_endian():
-    # bits[p] is the p-th declared parent, so (1, 0) -> 1 and (0, 1) -> 2
-    assert ParentConfig((1, 0)).index == 1
-    assert ParentConfig((0, 1)).index == 2
-    assert ParentConfig(()).index == 0
-
-
-def test_parent_config_round_trip():
-    for width in range(4):
-        for idx in range(1 << width):
-            assert ParentConfig.from_index(idx, width).index == idx
-    with pytest.raises(ValueError):
-        ParentConfig.from_index(4, 2)
-    with pytest.raises(ValueError):
-        ParentConfig((0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +153,6 @@ def test_updates_record_additive(data_strategy):
         assert u12.entries[key] == (a1 + a2, b1 + b2)
 
 
-def test_update_vector_distances():
-    u = UpdateVector({(0, 0): (3.0, 1.0)})
-    v = UpdateVector({(0, 0): (1.0, 2.0)})
-    assert u.linf_distance(v) == 2.0
-    assert u.l1_distance(v) == 3.0
-    assert u.l1_distance(u) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # posterior parameters
 # ---------------------------------------------------------------------------
@@ -278,12 +252,6 @@ def test_project_marginal_length_check():
     table = ContingencyTable(2, {(0, 0): 1.0})
     with pytest.raises(DimensionMismatchError):
         project_marginal(table, (1,))
-
-
-def test_dense_threshold_guard():
-    table = ContingencyTable(25, {})
-    with pytest.raises(DimensionMismatchError):
-        table.to_dense()
 
 
 # ---------------------------------------------------------------------------

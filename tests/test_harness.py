@@ -1,6 +1,7 @@
 """Experiment orchestration: synthesis, splits, predictives, sweeps, CSV."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from dpbayes import (
     accuracy,
     naive_bayes_graph,
     nb_predictive_batch,
-    nb_predictive_closed_form,
     rows_to_csv,
     run_experiment,
     run_linreg_experiment,
@@ -23,7 +23,6 @@ from dpbayes import (
     split_dataset,
     synth_linreg,
     synth_nb,
-    with_overrides,
 )
 from dpbayes.verify import nb_predictive_quadrature
 
@@ -91,11 +90,11 @@ def test_config_defaults_mirror_flagship_protocol():
 
 
 def test_with_overrides():
-    changed = with_overrides(TINY_NB, repeats=5)
+    changed = replace(TINY_NB, repeats=5)
     assert changed.repeats == 5
     assert changed.seed == TINY_NB.seed
     with pytest.raises(ConfigError):
-        with_overrides(TINY_NB, repeats=0)
+        replace(TINY_NB, repeats=0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +181,14 @@ def uniform_nb_posterior(d):
 def test_predictive_uniform_posterior_is_half():
     post = uniform_nb_posterior(3)
     for x in ((0, 0, 0), (1, 0, 1), (1, 1, 1)):
-        assert nb_predictive_closed_form(post, x) == pytest.approx(0.5)
+        assert nb_predictive_batch(post, [x])[0] == pytest.approx(0.5)
 
 
 def test_predictive_class_term_factor():
     # symmetric feature entries cancel; Beta(2,1) class term gives 2/3
     post = uniform_nb_posterior(1)
     post[(0, 0)] = BetaParams(2.0, 1.0)
-    assert nb_predictive_closed_form(post, (1,)) == pytest.approx(2.0 / 3.0)
+    assert nb_predictive_batch(post, [(1,)])[0] == pytest.approx(2.0 / 3.0)
 
 
 def test_predictive_matches_quadrature():
@@ -201,7 +200,7 @@ def test_predictive_matches_quadrature():
         (2, 1): BetaParams(1.0, 3.0),
     }
     for x in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        got = nb_predictive_closed_form(post, x)
+        got = nb_predictive_batch(post, [x])[0]
         want = nb_predictive_quadrature(post, x)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -210,7 +209,7 @@ def test_predictive_missing_entry():
     post = uniform_nb_posterior(2)
     del post[(2, 1)]
     with pytest.raises(MissingPosteriorEntryError):
-        nb_predictive_closed_form(post, (0, 1))
+        nb_predictive_batch(post, [(0, 1)])
 
 
 def test_predictive_batch_matches_single_rows():
@@ -221,8 +220,8 @@ def test_predictive_batch_matches_single_rows():
     }
     X = np.array([[0], [1]])
     batch = nb_predictive_batch(post, X)
-    assert batch[0] == pytest.approx(nb_predictive_closed_form(post, (0,)))
-    assert batch[1] == pytest.approx(nb_predictive_closed_form(post, (1,)))
+    assert batch[0] == pytest.approx(nb_predictive_batch(post, X[:1])[0])
+    assert batch[1] == pytest.approx(nb_predictive_batch(post, X[1:])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def test_nb_experiment_replay_byte_identical():
 
 def test_nb_experiment_sampler_degenerate_epsilon():
     # epsilon below 2 ln 2: the sampler falls back to the midpoint
-    config = with_overrides(
+    config = replace(
         TINY_NB, mechanisms=("sampler",), epsilon_grid=(1.0,), repeats=1
     )
     result = run_nb_experiment(config)
@@ -270,11 +269,21 @@ def test_nb_experiment_sampler_degenerate_epsilon():
     assert result.rows[0].value == pytest.approx(float(labels.mean()))
 
 
+def test_nb_experiment_counts_floored_fourier_releases(caplog):
+    # t = 0.01 leaves the stealth boost too small for some of the 8 releases
+    config = replace(TINY_NB, mechanisms=("fourier",), fourier_t=0.01, repeats=4)
+    with caplog.at_level("INFO", logger="dpbayes.harness"):
+        clamps = run_nb_experiment(config).stealth_clamps
+    assert 0 < clamps < 8
+    assert f"fourier stealth: {clamps} of 8 releases floored" in caplog.messages
+    assert run_nb_experiment(replace(config, fourier_t=math.log(10.0))).stealth_clamps == 0
+
+
 def test_nb_experiment_external_dataset(tmp_path):
     data, _ = synth_nb(2, 50, seed=11)
     path = tmp_path / "records.csv"
     path.write_text("\n".join(",".join(str(v) for v in row) for row in data.records) + "\n")
-    config = with_overrides(TINY_NB, dataset=str(path), repeats=1, epsilon_grid=(2.0,))
+    config = replace(TINY_NB, dataset=str(path), repeats=1, epsilon_grid=(2.0,))
     result = run_nb_experiment(config)
     assert len(result.rows) == len(TINY_NB.mechanisms)
 
@@ -289,7 +298,7 @@ def test_linreg_experiment_rows_and_replay():
 
 
 def test_linreg_experiment_needs_supported_mechanism():
-    config = with_overrides(TINY_LINREG, mechanisms=("fourier",))
+    config = replace(TINY_LINREG, mechanisms=("fourier",))
     with pytest.raises(ConfigError):
         run_linreg_experiment(config)
 
@@ -297,7 +306,7 @@ def test_linreg_experiment_needs_supported_mechanism():
 def test_run_experiment_dispatch():
     assert run_experiment(TINY_LINREG).rows
     with pytest.raises(ConfigError):
-        run_experiment(with_overrides(TINY_NB, task="verify"))
+        run_experiment(replace(TINY_NB, task="verify"))
 
 
 # ---------------------------------------------------------------------------

@@ -377,10 +377,14 @@ def test_cli_fourier_emission(tmp_path, capsys):
     assert float(alpha) > 0 and float(beta) > 0
 
 
-def test_cli_fourier_negative_retries_is_config_error(tmp_path, capsys):
-    args = mech_args(tmp_path, "mechanism=fourier", "epsilon=2", "retries=-1")
+def test_cli_unknown_setting_is_config_error(tmp_path, capsys):
+    args = mech_args(tmp_path, "mechanism=fourier", "epsilon=2", "retries=3")
     assert main(args) == 1
-    assert "retry limit" in capsys.readouterr().err
+    assert "unknown setting 'retries'" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "nb", "mechanisms": "none", "repeat": 3}))
+    assert main(["--config", str(cfg)]) == 1
+    assert "unknown setting 'repeat'" in capsys.readouterr().err
 
 
 def test_cli_sampler_emission(tmp_path, capsys):

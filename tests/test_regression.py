@@ -15,7 +15,6 @@ from dpbayes import (
     posterior_mean_predictions,
     predictive_mse,
     regression_sensitivity,
-    regression_sensitivity_alt,
     sample_truncated,
     scale_regression_data,
     worst_case_sensitivity,
@@ -165,7 +164,7 @@ def test_rejection_budget_exhaustion():
     # mean far outside the ball: the acceptance region has no mass
     post = GaussianPosterior(mu_n=np.array([10.0]), sigma_n=np.eye(1) * 1e-4, radius=0.1)
     with pytest.raises(RejectionBudgetExhaustedError):
-        sample_truncated(post, seed=1, size=3, budget=20)
+        sample_truncated(post, seed=1, size=3)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +187,6 @@ def test_sensitivity_linear_in_n():
     w = np.array([0.5, 0.5])
     one = regression_sensitivity(w, n=1, d=2, sigma2=1.0)
     assert regression_sensitivity(w, n=7, d=2, sigma2=1.0) == pytest.approx(7 * one)
-
-
-def test_sensitivity_alternative_form():
-    w = np.array([1.0, -1.0])
-    got = regression_sensitivity_alt(w, n=10, d=2, sigma2=1.0)
-    assert got == pytest.approx(5.0 * (1 + (2 + 2) * 2))
 
 
 def test_worst_case_sensitivity_uses_radius():
