@@ -113,7 +113,6 @@ from .sampler import (
     lipschitz_constants_from_theta,
     max_to_marginal_ratio,
     pure_privacy_report,
-    sampler_predictive,
     sampler_predictive_batch,
     stochastic_privacy_constant,
     stochastic_privacy_report,
@@ -166,7 +165,7 @@ __all__ = [
     "LipschitzSpec", "SamplerPrivacyReport", "StochasticLipschitzSpec",
     "compose_lipschitz", "compose_stochastic_lipschitz",
     "lipschitz_constants_from_theta", "max_to_marginal_ratio", "pure_privacy_report",
-    "sampler_predictive", "sampler_predictive_batch", "stochastic_privacy_constant",
+    "sampler_predictive_batch", "stochastic_privacy_constant",
     "stochastic_privacy_report", "trim_bound", "trimmed_beta_draws",
     "trimmed_posterior_sample",
 ]

@@ -21,7 +21,7 @@ from . import expmech, fourier, laplace, sampler
 from .errors import ConfigError, DpBayesError
 from .graph import compute_updates, posterior_params
 from .harness import ExperimentConfig, run_experiment, write_metrics
-from .io import load_dataset, load_grid, load_network
+from .io import load_dataset, load_grid, load_network, load_utility
 from .verify import run_verification_suite
 
 log = logging.getLogger("dpbayes.cli")
@@ -30,14 +30,20 @@ log = logging.getLogger("dpbayes.cli")
 LINREG_DEFAULT_D = 5
 LINREG_DEFAULT_N = 2000
 
-# settings that have a flag
-_FLAG_KEYS = (
-    "task mechanisms epsilon_grid b_grid repeats seed train_fraction out d n "
-    "sampler_samples regression_samples fourier_t threshold sigma2 radius "
-    "noise_sigma dataset network grid utility"
-).split()
-# mechanism-task settings that have no flag
-_MECHANISM_KEYS = ("mechanism", "epsilon", "t", "delta", "draws", "samples")
+# the settings each task reads; any other setting is a ConfigError
+_COMMON_KEYS = ("task", "seed", "out")
+_SWEEP_KEYS = (*_COMMON_KEYS, "mechanisms", "repeats", "train_fraction", "d", "n", "dataset")
+_TASK_KEYS = {
+    "nb": {*_SWEEP_KEYS, "epsilon_grid", "sampler_samples", "fourier_t", "threshold"},
+    "linreg": {*_SWEEP_KEYS, "b_grid", "regression_samples", "sigma2", "radius", "noise_sigma"},
+    "mechanism": {
+        *_COMMON_KEYS, "mechanism", "epsilon", "t", "delta", "draws", "samples",
+        "network", "dataset", "grid", "utility",
+    },
+    "verify": set(_COMMON_KEYS),
+}
+# argparse destinations that are not settings
+_NON_SETTINGS = ("config", "verbose", "pairs")
 # ExperimentConfig fields taken from the settings when given, with their types
 _EXPERIMENT_FIELDS = {
     **dict.fromkeys(("epsilon_grid", "b_grid"), tuple),
@@ -122,13 +128,21 @@ def _merge_settings(ns: argparse.Namespace) -> dict:
             raise ConfigError(f"expected key=value, got {token!r}")
         key, value = token.split("=", 1)
         settings[key.strip().replace("-", "_")] = value
-    unknown = sorted(set(settings).difference(_FLAG_KEYS, _MECHANISM_KEYS))
+    settings.update(
+        (key, value)
+        for key, value in vars(ns).items()
+        if key not in _NON_SETTINGS and value is not None
+    )
+    task = settings.get("task")
+    if task is None:
+        raise ConfigError("no task given; use --task {nb,linreg,mechanism,verify}")
+    if not isinstance(task, str) or task not in _TASK_KEYS:
+        raise ConfigError(f"unknown task {task!r}")
+    unknown = sorted(set(settings) - _TASK_KEYS[task])
     if unknown:
-        raise ConfigError(f"unknown setting {', '.join(map(repr, unknown))}")
-    for key in _FLAG_KEYS:
-        value = getattr(ns, key, None)
-        if value is not None:
-            settings[key] = value
+        raise ConfigError(
+            f"unknown setting {', '.join(map(repr, unknown))} for task {task!r}"
+        )
     return settings
 
 
@@ -192,9 +206,7 @@ def _run_mechanism(settings: dict) -> int:
             raise ConfigError("mechanism task needs epsilon=...")
         grid = load_grid(_require(settings, "grid"))
         if settings.get("utility") is not None:
-            import numpy as np
-
-            utility = np.loadtxt(str(settings["utility"]), delimiter=",", ndmin=1)
+            utility = load_utility(str(settings["utility"]), grid.size)
         else:
             # Without a utility file the draw reduces to prior sampling.
             utility = [0.0] * grid.size
@@ -282,19 +294,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         settings = _merge_settings(ns)
-        task = settings.get("task")
-        if task is None:
-            raise ConfigError("no task given; use --task {nb,linreg,mechanism,verify}")
+        task = settings["task"]
         if task == "verify":
             return _run_verify(settings)
         if task == "mechanism":
             return _run_mechanism(settings)
-        if task in ("nb", "linreg"):
-            config = _experiment_config(settings, task)
-            result = run_experiment(config)
-            write_metrics(result.rows, config.out)
-            return 0
-        raise ConfigError(f"unknown task {task!r}")
+        config = _experiment_config(settings, task)
+        result = run_experiment(config)
+        write_metrics(result.rows, config.out)
+        return 0
     except ConfigError as exc:
         print(f"dpbayes: config error: {exc}", file=sys.stderr)
         return 1

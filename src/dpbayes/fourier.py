@@ -84,9 +84,6 @@ class DownwardClosure:
     def size(self) -> int:
         return len(self.members)
 
-    def __contains__(self, gamma: int) -> bool:
-        return gamma in set(self.members)
-
 
 def downward_closure(graph: BayesNetGraph) -> DownwardClosure:
     """Union of all submasks of every node family pi(i) + {i}."""

@@ -226,19 +226,18 @@ def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
         raise DimensionMismatchError(
             f"records have width {data.dimension}, network has {graph.node_count} nodes"
         )
-    entries: dict[EntryKey, tuple[float, float]] = {}
     recs = data.records
+    counts: list[tuple[float, float]] = []
     for i in range(graph.node_count):
         width = graph.config_count(i)
         if data.n:
             cfg = _config_indices(graph, i, recs)
-            ones = np.bincount(cfg[recs[:, i] == 1], minlength=width)
-            zeros = np.bincount(cfg[recs[:, i] == 0], minlength=width)
+            ones = np.bincount(cfg, weights=recs[:, i], minlength=width)
+            totals = np.bincount(cfg, minlength=width)
         else:
-            ones = zeros = np.zeros(width, dtype=np.int64)
-        for j in range(width):
-            entries[(i, j)] = (float(ones[j]), float(zeros[j]))
-    return UpdateVector(entries)
+            ones = totals = np.zeros(width)
+        counts += zip(ones.tolist(), (totals - ones).tolist())
+    return UpdateVector(dict(zip(graph.entry_keys(), counts)))
 
 
 def posterior_params(priors: Mapping[EntryKey, BetaParams], updates: UpdateVector) -> PosteriorMap:

@@ -19,11 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fourier, laplace, regression, sampler
-from .errors import (
-    ConfigError,
-    MissingPosteriorEntryError,
-    OmegaTooLargeError,
-)
+from .errors import ConfigError, OmegaTooLargeError
 from .graph import (
     BayesNetGraph,
     Dataset,
@@ -187,48 +183,20 @@ def synth_linreg(
 
 
 # ---------------------------------------------------------------------------
-# closed-form naive-Bayes predictive
+# posterior-mean naive-Bayes predictive (kernel shared with the sampler)
 # ---------------------------------------------------------------------------
 
 
-def _nb_feature_nodes(posterior: PosteriorMap, class_node: int) -> list[int]:
-    features = sorted({i for (i, _) in posterior} - {class_node})
-    if (class_node, 0) not in posterior:
-        raise MissingPosteriorEntryError(f"missing class entry ({class_node}, 0)")
-    for i in features:
-        for j in (0, 1):
-            if (i, j) not in posterior:
-                raise MissingPosteriorEntryError(f"missing feature entry ({i}, {j})")
-    return features
-
-
-def nb_predictive_batch(
-    posterior: PosteriorMap, X: np.ndarray, class_node: int = 0
-) -> np.ndarray:
+def nb_predictive_batch(posterior: PosteriorMap, X: np.ndarray) -> np.ndarray:
     """Pr(Y=1 | x) for every row of X, from the posterior-mean factors.
 
     Each Beta entry contributes its predictive factor alpha/(alpha+beta)
-    or beta/(alpha+beta); the class-conditional products reduce to two
-    matrix products in log space.
+    or beta/(alpha+beta), so the posterior means are a single draw
+    column of the naive-Bayes kernel the Monte Carlo predictive uses.
     """
-    features = _nb_feature_nodes(posterior, class_node)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(features):
-        raise MissingPosteriorEntryError(
-            f"feature matrix has {X.shape[-1]} columns, posterior covers {len(features)}"
-        )
-    cls = posterior[(class_node, 0)]
-    # logs[y, f] = (log alpha, log beta, log(alpha + beta)) of entry (features[f], y)
-    entries = [posterior[(i, y)] for y in (0, 1) for i in features]
-    logs = np.array(
-        [(math.log(p.alpha), math.log(p.beta), math.log(p.alpha + p.beta)) for p in entries]
-    ).reshape(2, len(features), 3)
-    log_joint = []
-    for y in (0, 1):
-        la, lb, lnorm = logs[y].T
-        cls_term = math.log(cls.alpha if y else cls.beta) - math.log(cls.alpha + cls.beta)
-        log_joint.append(cls_term + X @ (la - lb) + (lb - lnorm).sum())
-    return 1.0 / (1.0 + np.exp(log_joint[0] - log_joint[1]))
+    keys = sampler.naive_bayes_keys(posterior)
+    means = np.array([posterior[k].mean for k in keys])[:, None]
+    return sampler.naive_bayes_class1(means, X)
 
 
 # ---------------------------------------------------------------------------

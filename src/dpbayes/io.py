@@ -11,6 +11,7 @@ overrides rows are (node, parent-configuration, alpha, beta). Binary
 datasets are headerless CSV of 0/1 values, one record per row.
 Regression data is numeric CSV with the target in the last column.
 Grid files are numeric CSV rows of (parameter components..., prior mass).
+Utility files hold one number per line, one line per grid point.
 """
 from __future__ import annotations
 
@@ -117,3 +118,16 @@ def load_grid(path: str | Path) -> GridSpec:
         return GridSpec(points=points, prior_mass=tuple(row[-1] for row in rows))
     except ValueError as exc:
         raise ConfigError(f"grid file {path}: {exc}") from exc
+
+
+def load_utility(path: str | Path, size: int) -> np.ndarray:
+    """One utility value per grid point, in grid order."""
+    try:
+        utility = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read utility file {path}: {exc}") from exc
+    if utility.shape != (size,):
+        raise ConfigError(
+            f"utility file {path} has shape {utility.shape}, grid has {size} points"
+        )
+    return utility

@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.special
 
 from .errors import (
     ConditionViolatedError,
+    DimensionMismatchError,
     InvalidEpsilonError,
     MissingPosteriorEntryError,
     OmegaTooLargeError,
 )
-from .graph import BayesNetGraph, BetaParams, PosteriorMap, ThetaMap
+from .graph import BayesNetGraph, BetaParams, EntryKey, PosteriorMap, ThetaMap
 from .randomness import substream
 
 _DRAW_TAG = "trimmed-posterior-draw"
@@ -272,14 +273,57 @@ def trimmed_posterior_sample(posterior: PosteriorMap, epsilon: float, seed: int)
     return {key: float(row[0]) for key, row in draws.items()}
 
 
-def _require_naive_bayes(graph: BayesNetGraph, class_node: int) -> list[int]:
-    features = [i for i in range(graph.node_count) if i != class_node]
-    if graph.parents[class_node]:
-        raise ValueError("class node must be parentless")
-    for i in features:
-        if graph.parents[i] != (class_node,):
-            raise ValueError("every feature's sole parent must be the class node")
-    return features
+def naive_bayes_keys(posterior: Mapping[EntryKey, object]) -> list[EntryKey]:
+    """Naive-Bayes entry order: class (0, 0), then (f, 0), (f, 1) per feature f = 1..d.
+
+    This is sorted key order, the order trimmed_posterior_draws draws in.
+    Any other key set raises MissingPosteriorEntryError.
+    """
+    keys = sorted(posterior)
+    d = keys[-1][0] if keys else 0
+    want = [(0, 0)] + [(f, y) for f in range(1, d + 1) for y in (0, 1)]
+    if keys != want:
+        missing = sorted(set(want) - set(keys))
+        extra = sorted(set(keys) - set(want))
+        raise MissingPosteriorEntryError(
+            f"not a naive-Bayes posterior: missing {missing}, extra {extra}"
+        )
+    return keys
+
+
+def naive_bayes_class1(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Pr(Y=1 | x) for every row of X, averaged over the columns of theta.
+
+    theta has one row per entry in naive_bayes_keys order and one column
+    per draw s. Per draw, log p_y(x) = c_y[s] + x . (log theta_y -
+    log(1 - theta_y))[:, s] with c_y[s] the class term plus the sum of
+    log(1 - theta_y). Both classes sit side by side in one 2S x d
+    matrix, so one product gives every row's 2S log-likelihoods, one
+    column per row of X. That column is shifted by its max before exp,
+    so the larger class sum is at least 1 and the ratio p1 / (p0 + p1)
+    of the two half-sums stays finite however small the likelihoods
+    are. Reductions run along the leading axis: a max along a short
+    trailing axis (2S = 2 for a single column of means) costs numpy a
+    call per row of X.
+    """
+    samples = theta.shape[1]
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != theta.shape[0] // 2:
+        raise DimensionMismatchError(
+            f"X must be rows of {theta.shape[0] // 2} feature bits, got shape {X.shape}"
+        )
+    cls = theta[0]
+    # per_class[f, y * S + s] for feature f given class value y in draw s
+    per_class = np.hstack([theta[1::2], theta[2::2]])
+    log_1mth = np.log1p(-per_class)
+    const = log_1mth.sum(axis=0) + np.concatenate([np.log1p(-cls), np.log(cls)])
+    logp = (np.log(per_class) - log_1mth).T @ X.T  # 2S x rows
+    logp += const[:, None]
+    logp -= logp.max(axis=0)
+    np.exp(logp, out=logp)
+    p0 = logp[:samples].sum(axis=0)
+    p1 = logp[samples:].sum(axis=0)
+    return p1 / (p0 + p1)
 
 
 def sampler_predictive_batch(
@@ -289,83 +333,31 @@ def sampler_predictive_batch(
     epsilon: float,
     samples: int,
     seed: int,
-    class_node: int = 0,
 ) -> np.ndarray:
     """Monte Carlo class-1 probabilities for rows of X under trimming.
 
-    Per draw s, log p_y(x) = c_y[s] + x . (log theta_y - log(1 - theta_y))[:, s]
-    with c_y[s] the class term plus the sum of log(1 - theta_y). Both
-    classes sit side by side in one d x 2S matrix, so one product gives
-    every row's 2S log-likelihoods. One shared row max is subtracted
-    before exp, so the larger class sum is at least 1 and the ratio
-    p1 / (p0 + p1) of the two half-sums stays finite however small the
-    likelihoods are.
+    graph must be naive Bayes with class node 0. One (m, samples) block
+    of trimmed draws in naive_bayes_keys order, from the substream that
+    trimmed_posterior_draws uses, feeds naive_bayes_class1.
     """
     if samples < 1:
         raise ValueError("need at least one Monte Carlo sample")
     omega = trim_bound(epsilon)
-    features = _require_naive_bayes(graph, class_node)
-    for key in [(class_node, 0)] + [(i, j) for i in features for j in (0, 1)]:
-        if key not in posterior:
-            raise MissingPosteriorEntryError(f"posterior entry {key} required")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(features):
-        raise ValueError("X must be rows of feature bits, one column per feature")
-
-    draws = trimmed_posterior_draws(posterior, omega, seed, samples)
-    cls = draws[(class_node, 0)]
-    # theta[f, y * S + s] for feature f given class value y in draw s
-    theta = np.hstack([np.stack([draws[(i, y)] for i in features]) for y in (0, 1)])
-    log_1mth = np.log1p(-theta)
-    const = log_1mth.sum(axis=0) + np.concatenate([np.log1p(-cls), np.log(cls)])
-    logp = X @ (np.log(theta) - log_1mth)  # rows x 2S
-    logp += const
-    logp -= logp.max(axis=1, keepdims=True)
-    np.exp(logp, out=logp)
-    p0 = logp[:, :samples].sum(axis=1)
-    p1 = logp[:, samples:].sum(axis=1)
-    return p1 / (p0 + p1)
-
-
-def sampler_predictive(
-    graph: BayesNetGraph,
-    posterior: PosteriorMap,
-    x: Sequence[int],
-    epsilon: float,
-    samples: int,
-    seed: int,
-    class_node: int = 0,
-) -> float:
-    """Pr(Y=1 | x) as a trimmed-posterior Monte Carlo average.
-
-    Draw theta repeatedly, average the unnormalized joint likelihoods
-    of (y=0, x) and (y=1, x), then normalize; one max shared by both
-    classes scales the likelihoods, so the ratio stays finite when
-    both underflow. Works for any network shape; the class node's bit
-    in the record is overwritten by y.
-    """
-    if samples < 1:
-        raise ValueError("need at least one Monte Carlo sample")
-    omega = trim_bound(epsilon)
-    draws = trimmed_posterior_draws(posterior, omega, seed, samples)
-
-    record = np.zeros(graph.node_count, dtype=np.int64)
-    feat = [i for i in range(graph.node_count) if i != class_node]
-    if len(feat) != len(x):
-        raise ValueError("feature vector length must be node_count - 1")
-    record[feat] = np.asarray(x, dtype=np.int64)
-
-    logp = np.zeros((2, samples), dtype=np.float64)
-    for y in (0, 1):
-        record[class_node] = y
-        for i in range(graph.node_count):
-            cfg = 0
-            for p, parent in enumerate(graph.parents[i]):
-                cfg |= int(record[parent]) << p
-            th = draws[(i, cfg)]
-            logp[y] += np.log(th) if record[i] else np.log1p(-th)
-    like = np.exp(logp - logp.max()).sum(axis=1)
-    return float(like[1] / (like[0] + like[1]))
+    d = graph.node_count - 1
+    if graph.parents != ((),) + ((0,),) * d:
+        raise ConditionViolatedError(
+            "the predictive needs a naive-Bayes graph: node 0 parentless, "
+            "node 0 the sole parent of every other node"
+        )
+    keys = naive_bayes_keys(posterior)
+    if len(keys) != 2 * d + 1:
+        raise MissingPosteriorEntryError(
+            f"posterior covers {len(keys) // 2} features, graph has {d}"
+        )
+    theta = trimmed_beta_draws(
+        [posterior[k] for k in keys], omega, substream(seed, _DRAW_TAG), samples
+    )
+    return naive_bayes_class1(theta, X)
 
 
 def lipschitz_constants_from_theta(graph: BayesNetGraph, theta: ThetaMap) -> LipschitzSpec:

@@ -1,6 +1,7 @@
 """File loaders and the command-line entry point."""
 import importlib.util
 import json
+from pathlib import Path
 import warnings
 
 import numpy as np
@@ -385,6 +386,35 @@ def test_cli_unknown_setting_is_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"task": "nb", "mechanisms": "none", "repeat": 3}))
     assert main(["--config", str(cfg)]) == 1
     assert "unknown setting 'repeat'" in capsys.readouterr().err
+    # a setting another task reads: epsilon= is the mechanism task's, and
+    # the nb sweep would silently run its default epsilon grid instead
+    args = ["--task", "nb", "epsilon=3", "--repeats", "1", "--d", "2", "--n", "40",
+            "--mechanisms", "none"]
+    assert main(args) == 1
+    assert "unknown setting 'epsilon' for task 'nb'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"task": "linreg", "threshold": 0.4}))
+    assert main(["--config", str(cfg)]) == 1
+    assert "unknown setting 'threshold' for task 'linreg'" in capsys.readouterr().err
+
+
+def test_cli_accepts_benchmark_release_argv(tmp_path):
+    # the in-process releases of the net-release benchmark workload
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.2,0.5\n0.8,0.5\n")
+    util = tmp_path / "util.csv"
+    util.write_text("0.0\n1.0\n")
+    paths = {
+        "network": str(write_network(tmp_path)),
+        "dataset": str(write_binary_csv(tmp_path, MECH_DATA)),
+        "grid": str(grid),
+        "utility": str(util),
+    }
+    for i, mechanism in enumerate(run.NET_MECHANISMS):
+        assert main(run.net_argv(mechanism, {"paths": paths}, i)) == 0, mechanism
 
 
 def test_cli_sampler_emission(tmp_path, capsys):
@@ -461,6 +491,23 @@ def test_cli_map_with_utility_file(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     # softmax at eps=5 with a 1000-point utility gap picks the winner
     assert all(line.split(",")[1] == "0.8" for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "utility", ["0.0\nx\n", "0.0\n1.0\n2.0\n"], ids=["non-numeric", "one-too-many"]
+)
+def test_cli_map_bad_utility_file_is_config_error(tmp_path, capsys, utility):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.2,0.5\n0.8,0.5\n")
+    util = tmp_path / "util.csv"
+    util.write_text(utility)
+    args = [
+        "--task", "mechanism",
+        "mechanism=map", "epsilon=1", "--grid", str(grid), "--utility", str(util),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpbayes: config error:") and f"utility file {util}" in err
 
 
 def test_cli_mechanism_out_file(tmp_path):

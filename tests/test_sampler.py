@@ -12,16 +12,18 @@ from dpbayes import (
     BayesNetGraph,
     BetaParams,
     ConditionViolatedError,
+    DimensionMismatchError,
     InvalidEpsilonError,
     LipschitzSpec,
+    MissingPosteriorEntryError,
     OmegaTooLargeError,
     StochasticLipschitzSpec,
     compose_lipschitz,
     compose_stochastic_lipschitz,
     lipschitz_constants_from_theta,
     max_to_marginal_ratio,
+    nb_predictive_batch,
     pure_privacy_report,
-    sampler_predictive,
     sampler_predictive_batch,
     stochastic_privacy_constant,
     stochastic_privacy_report,
@@ -337,7 +339,9 @@ NB2 = BayesNetGraph(node_count=3, parents=((), (0,), (0,)))
 
 
 def test_predictive_symmetric_posterior_is_half():
-    prob = sampler_predictive(NB2, nb2_posterior(), (1, 0), epsilon=3.0, samples=4000, seed=5)
+    (prob,) = sampler_predictive_batch(
+        NB2, nb2_posterior(), [(1, 0)], epsilon=3.0, samples=4000, seed=5
+    )
     assert prob == pytest.approx(0.5, abs=0.02)
 
 
@@ -346,27 +350,18 @@ def test_predictive_matches_quadrature_single_feature():
     posterior = {(0, 0): BetaParams(5.0, 3.0), (1, 0): BetaParams(2.0, 6.0), (1, 1): BetaParams(6.0, 2.0)}
     epsilon = 3.0
     omega = trim_bound(epsilon)
-    got = sampler_predictive(graph, posterior, (1,), epsilon=epsilon, samples=100000, seed=12)
+    (got,) = sampler_predictive_batch(
+        graph, posterior, [(1,)], epsilon=epsilon, samples=100000, seed=12
+    )
     want = trimmed_nb_predictive_quadrature(posterior, (1,), omega)
     assert got == pytest.approx(want, abs=0.01)
 
 
 def test_predictive_replay():
-    args = (NB2, nb2_posterior(False), (1, 1))
-    a = sampler_predictive(*args, epsilon=3.0, samples=500, seed=3)
-    b = sampler_predictive(*args, epsilon=3.0, samples=500, seed=3)
-    assert a == b
-
-
-def test_predictive_batch_matches_scalar_path():
-    posterior = nb2_posterior(False)
-    X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-    batch = sampler_predictive_batch(NB2, posterior, X, epsilon=3.0, samples=400, seed=9)
-    single = [
-        sampler_predictive(NB2, posterior, tuple(row), epsilon=3.0, samples=400, seed=9)
-        for row in X
-    ]
-    assert np.allclose(batch, single, atol=1e-12)
+    args = (NB2, nb2_posterior(False), [(1, 1), (0, 1)])
+    a = sampler_predictive_batch(*args, epsilon=3.0, samples=500, seed=3)
+    b = sampler_predictive_batch(*args, epsilon=3.0, samples=500, seed=3)
+    assert np.array_equal(a, b)
 
 
 def test_predictive_batch_order_independence():
@@ -397,18 +392,19 @@ def test_predictive_finite_when_both_classes_underflow():
         posterior[(i, 0)] = BetaParams(2.0, 40.0)
         posterior[(i, 1)] = BetaParams(40.0, 2.0)
     X = np.array([np.ones(k), np.zeros(k), np.arange(k) % 2])
-    batch = sampler_predictive_batch(graph, posterior, X, epsilon=20.0, samples=100, seed=2)
-    scalar = sampler_predictive(graph, posterior, X[2].astype(int), epsilon=20.0, samples=100, seed=2)
-    probs = np.append(batch, scalar)
-    assert np.isfinite(probs).all()
-    assert ((probs >= 0.0) & (probs <= 1.0)).all()
-    assert batch[0] == pytest.approx(1.0) and batch[1] == pytest.approx(0.0)
-    assert scalar == pytest.approx(batch[2], abs=1e-9)
+    sampled = sampler_predictive_batch(graph, posterior, X, epsilon=20.0, samples=100, seed=2)
+    closed = nb_predictive_batch(posterior, X)
+    for probs in (sampled, closed):
+        assert np.isfinite(probs).all()
+        assert ((probs >= 0.0) & (probs <= 1.0)).all()
+        assert probs[0] == pytest.approx(1.0) and probs[1] == pytest.approx(0.0)
+    # the posterior means are symmetric between the classes on this row
+    assert closed[2] == pytest.approx(0.5)
 
 
 def test_predictive_batch_peak_allocation():
     # the nb-sampler benchmark shape: 950 test rows, 16 features, S = 1000;
-    # one rows x 2S float64 matrix is 15.2 MB, the four rows x S matrices
+    # one 2S x rows float64 matrix is 15.2 MB, the four rows x S matrices
     # of a per-class layout came to 31 MB
     d, rows, S = 16, 950, 1000
     graph = BayesNetGraph(node_count=d + 1, parents=((),) + ((0,),) * d)
@@ -428,7 +424,8 @@ def test_predictive_batch_peak_allocation():
 
 
 def test_predictive_batch_requires_naive_bayes_shape():
-    with pytest.raises(ValueError):
+    # the chain 0 -> 1 -> 2 has exactly the naive-Bayes entry keys
+    with pytest.raises(ConditionViolatedError):
         sampler_predictive_batch(
             CHAIN3,
             {key: BetaParams(2.0, 2.0) for key in CHAIN3.entry_keys()},
@@ -437,3 +434,33 @@ def test_predictive_batch_requires_naive_bayes_shape():
             samples=10,
             seed=0,
         )
+
+
+NB_SCORERS = {
+    "closed-form": nb_predictive_batch,
+    "monte-carlo": lambda posterior, X: sampler_predictive_batch(
+        NB2, posterior, X, epsilon=3.0, samples=10, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("scorer", NB_SCORERS)
+@pytest.mark.parametrize(
+    "edit, X, error",
+    [
+        (None, np.zeros((2, 3)), DimensionMismatchError),
+        (None, np.zeros((2, 1)), DimensionMismatchError),
+        (None, np.zeros(2), DimensionMismatchError),
+        ("drop", np.zeros((2, 2)), MissingPosteriorEntryError),
+        ("extra", np.zeros((2, 2)), MissingPosteriorEntryError),
+    ],
+    ids=["wide-X", "narrow-X", "1d-X", "missing-entry", "extra-entry"],
+)
+def test_nb_scorers_reject_bad_shapes(scorer, edit, X, error):
+    posterior = nb2_posterior(False)
+    if edit == "drop":
+        del posterior[(2, 1)]
+    elif edit == "extra":
+        posterior[(0, 1)] = BetaParams(2.0, 2.0)
+    with pytest.raises(error):
+        NB_SCORERS[scorer](posterior, X)
