@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyLevelSetError, InvalidEpsilonError
+from .errors import EmptyLevelSetError, InvalidEpsilonError, LengthMismatchError
 from .randomness import substream
 
 _DRAW_TAG = "map-grid-draw"
@@ -99,7 +99,7 @@ def _utility_values(grid: GridSpec, utility: Utility) -> np.ndarray:
     else:
         vals = np.asarray(utility, dtype=np.float64)
         if vals.shape != (grid.size,):
-            raise ValueError("need one utility value per grid point")
+            raise LengthMismatchError("need one utility value per grid point")
     if not np.isfinite(vals).all():
         raise ValueError("utility must be finite on every grid point")
     return vals

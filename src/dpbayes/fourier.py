@@ -38,9 +38,10 @@ from .graph import (
     BetaParams,
     ContingencyTable,
     Dataset,
-    EntryKey,
     PosteriorMap,
     PriorMap,
+    count_cells,
+    family_plan,
 )
 from .randomness import derive_seed, laplace_from_uniform, substream
 
@@ -179,11 +180,11 @@ def _coefficient_plan(closure: DownwardClosure) -> tuple[tuple[np.ndarray, np.nd
 def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
     """Every exact coefficient, in closure.members order.
 
-    Per maximal member, the records' cells over its variables are packed
-    into local codes and counted with one bincount (members of equal size
-    share it, offset per member); the Walsh butterfly of those integer
-    counts gives 2^{k/2} times each submask's coefficient. Equal, bit for
-    bit, to fourier_coefficient; no records x closure matrix is built.
+    The records' cells over the variables of every maximal member are
+    counted by graph.count_cells, one call per member size; the Walsh
+    butterfly of those integer counts gives 2^{k/2} times each
+    submask's coefficient. Equal, bit for bit, to fourier_coefficient;
+    no records x closure matrix is built.
     """
     if data.n and data.dimension != closure.k:
         raise DimensionMismatchError("record width does not match k")
@@ -191,13 +192,7 @@ def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
     if data.n == 0:
         return exact
     for columns, positions in _coefficient_plan(closure):
-        fams, size = columns.shape
-        codes = np.zeros((data.n, fams), dtype=np.intp)
-        for b in range(size):
-            codes += np.left_shift(data.records[:, columns[:, b]], b, dtype=np.intp)
-        codes += np.arange(fams) << size
-        counts = np.bincount(codes.ravel(), minlength=fams << size)
-        exact[positions] = _walsh(counts.reshape(fams, 1 << size))
+        exact[positions] = _walsh(count_cells(data.records, columns))
     return exact * 2.0 ** (-closure.k / 2.0)
 
 
@@ -278,86 +273,45 @@ def release_coefficients(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _FamilyPlan:
-    """Index tables for reading every family's cells off a coefficient set.
+def _family_positions(closure: DownwardClosure, graph: BayesNetGraph, node: int) -> np.ndarray:
+    """Index in closure.members of the coefficient behind each family cell.
 
-    masks[i] lists the submasks of node i's family by local index;
-    missing[i] is the first submask (in _submasks order) the closure
-    lacks, for nodes whose family is not covered. groups batches the
-    covered nodes by family size. Concatenating the groups' cell tables
-    row by row puts entry keys[e]'s alpha cell (node = 1) at alpha_at[e]
-    and its beta cell (node = 0) at beta_at[e].
+    Entry l stands for the submask that holds the b-th variable of
+    (node, *parents) for every bit b set in l, so the Walsh butterfly of
+    the coefficients in this order yields the cells in the graph
+    module's family layout. Raises MissingCoefficientError naming the
+    largest submask the closure lacks.
     """
-
-    masks: dict[int, list[int]]
-    missing: dict[int, int]
-    groups: tuple[tuple[int, ...], ...]
-    keys: tuple[EntryKey, ...]
-    alpha_at: np.ndarray
-    beta_at: np.ndarray
+    masks = np.array(_local_masks((node, *graph.parents[node])))
+    members = np.array(closure.members)
+    at = np.searchsorted(members, masks)
+    missing = masks[members[np.minimum(at, members.size - 1)] != masks]
+    if missing.size:
+        raise MissingCoefficientError(
+            f"coefficient {int(missing.max()):#x} needed for node {node} was not released"
+        )
+    return at
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _family_plan(graph: BayesNetGraph, closure: DownwardClosure) -> _FamilyPlan:
-    released = set(closure.members)
-    masks: dict[int, list[int]] = {}
-    missing: dict[int, int] = {}
-    by_size: dict[int, list[int]] = {}
-    for i in range(graph.node_count):
-        gap = next((g for g in _submasks(graph.family_mask(i)) if g not in released), None)
-        if gap is not None:
-            missing[i] = gap
-            continue
-        fam = graph.family(i)
-        masks[i] = _local_masks(fam)
-        by_size.setdefault(len(fam), []).append(i)
-    groups = tuple(tuple(nodes) for _, nodes in sorted(by_size.items()))
-    first_cell: dict[int, int] = {}
-    start = 0
-    for nodes in groups:
-        for i in nodes:
-            first_cell[i] = start
-            start += len(masks[i])
-    keys: list[EntryKey] = []
-    alpha_at: list[int] = []
-    beta_at: list[int] = []
-    for i in masks:
-        local = {node: b for b, node in enumerate(graph.family(i))}
-        for j in range(graph.config_count(i)):
-            cell = first_cell[i]
-            for p, parent in enumerate(graph.parents[i]):
-                cell += ((j >> p) & 1) << local[parent]
-            keys.append((i, j))
-            beta_at.append(cell)
-            alpha_at.append(cell + (1 << local[i]))
-    return _FamilyPlan(
-        masks=masks,
-        missing=missing,
-        groups=groups,
-        keys=tuple(keys),
-        alpha_at=np.array(alpha_at, dtype=np.intp),
-        beta_at=np.array(beta_at, dtype=np.intp),
-    )
+def _plan_positions(graph: BayesNetGraph, closure: DownwardClosure) -> tuple[np.ndarray, ...]:
+    """_family_positions of every family, stacked per graph.family_plan batch.
+
+    Checks the nodes in ascending order, so a missing coefficient is
+    reported for the lowest node that needs one.
+    """
+    positions = [_family_positions(closure, graph, i) for i in range(graph.node_count)]
+    return tuple(np.array([positions[i] for i in batch[:, 0]]) for batch in family_plan(graph)[0])
 
 
-def _require_released(plan: _FamilyPlan, node: int) -> None:
-    if node in plan.missing:
-        raise MissingCoefficientError(
-            f"coefficient {plan.missing[node]:#x} needed for node {node} was not released"
-        )
-
-
-def _family_cells(
-    coeffs: CoefficientSet, plan: _FamilyPlan, nodes: tuple[int, ...]
-) -> np.ndarray:
-    """(len(nodes), 2^f) cell tables of equal-size families, by local index.
+def _family_cells(coeffs: CoefficientSet, positions: np.ndarray) -> np.ndarray:
+    """(rows, 2^f) cell tables of equal-size families from their coefficient positions.
 
     cell(c) = 2^{k/2 - f} * sum_{gamma <= F} (-1)^{popcount(c & gamma)} z_gamma,
     i.e. the Walsh butterfly of the family's coefficients, rescaled.
     """
-    z = np.array([[coeffs.values[m] for m in plan.masks[i]] for i in nodes])
-    size = z.shape[1].bit_length() - 1
+    z = np.array([coeffs.values[m] for m in coeffs.closure.members])[positions]
+    size = positions.shape[1].bit_length() - 1
     return _walsh(z) * 2.0 ** (coeffs.k / 2.0 - size)
 
 
@@ -376,12 +330,12 @@ def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph
     """
     if graph.node_count != coeffs.k:
         raise DimensionMismatchError("coefficient set and graph disagree on k")
-    plan = _family_plan(graph, coeffs.closure)
-    _require_released(plan, node)
-    size = len(graph.family(node))
-    cells = _family_cells(coeffs, plan, (node,))[0].tolist()
+    positions = _family_positions(coeffs.closure, graph, node)
+    cells = _family_cells(coeffs, positions[None])[0].tolist()
+    fam = (node, *graph.parents[node])
     return ContingencyTable(
-        size, {tuple((c >> b) & 1 for b in range(size)): v for c, v in enumerate(cells)}
+        len(fam),
+        {tuple((c >> fam.index(v)) & 1 for v in sorted(fam)): x for c, x in enumerate(cells)},
     )
 
 
@@ -394,32 +348,36 @@ def fourier_posterior_params(
     """Posterior Beta parameters from the reconstructed marginals.
 
     Entry (i, j) becomes (alpha + cell(x_i=1, parents=j), beta +
-    cell(x_i=0, parents=j)). Noisy cells can push a parameter to or
-    below zero; by default that raises NonPositivePosteriorParamError
-    listing the offending entries, with clamp_nonpositive=True negative
-    cells are floored at zero instead.
+    cell(x_i=0, parents=j)). Every family is read in the graph module's
+    layout, bit 0 the node and bit p+1 its p-th declared parent, so its
+    cells 2j and 2j + 1 are the beta and alpha cells of entry (i, j) and
+    the families' cells, in node order, list every entry's pair in
+    entry_keys() order. Noisy cells can push a parameter to or below
+    zero; by default that raises NonPositivePosteriorParamError listing
+    the offending entries, with clamp_nonpositive=True negative cells
+    are floored at zero instead.
     """
     if graph.node_count != coeffs.k:
         raise DimensionMismatchError("coefficient set and graph disagree on k")
-    plan = _family_plan(graph, coeffs.closure)
-    for node in plan.missing:
-        _require_released(plan, node)
-    cells = np.concatenate([_family_cells(coeffs, plan, nodes).ravel() for nodes in plan.groups])
-    alpha_cells, beta_cells = cells[plan.alpha_at], cells[plan.beta_at]
+    positions = _plan_positions(graph, coeffs.closure)
+    cells = np.concatenate([_family_cells(coeffs, at).ravel() for at in positions])
+    cells = cells[family_plan(graph)[1]]
+    beta_cells, alpha_cells = cells[0::2], cells[1::2]
     if clamp_nonpositive:
         alpha_cells = np.maximum(alpha_cells, 0.0)
         beta_cells = np.maximum(beta_cells, 0.0)
-    prior = np.array([(priors[key].alpha, priors[key].beta) for key in plan.keys])
+    keys = list(graph.entry_keys())
+    prior = np.array([(priors[key].alpha, priors[key].beta) for key in keys])
     a = prior[:, 0] + alpha_cells
     b = prior[:, 1] + beta_cells
     bad = (a <= 0.0) | (b <= 0.0)
     if bad.any():
-        entries = [key for key, flag in zip(plan.keys, bad.tolist()) if flag]
+        entries = [key for key, flag in zip(keys, bad.tolist()) if flag]
         raise NonPositivePosteriorParamError(
             f"stealth failure: non-positive posterior parameter at entries {entries}",
             entries=entries,
         )
-    return {key: BetaParams(x, y) for key, x, y in zip(plan.keys, a.tolist(), b.tolist())}
+    return {key: BetaParams(x, y) for key, x, y in zip(keys, a.tolist(), b.tolist())}
 
 
 def release_posterior(

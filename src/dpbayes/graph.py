@@ -7,9 +7,19 @@ entry when the node is 1 and beta when it is 0, so posterior updating
 is pure counting. Parent configurations are encoded little-endian in
 the declared parent order: configuration index j has bit p equal to
 the value of the p-th declared parent.
+
+The family of node i is the tuple (i, *parents[i]), and its 2^(p+1)
+cells (p parents) are indexed the same way: bit 0 of a cell index is
+x_i and bit p+1 is the p-th declared parent, so cell 2j + x_i holds the
+records with parent configuration j. Read two at a time, a family's
+cells are therefore the (x_i=0, x_i=1) = (beta, alpha) pairs of its
+entries in entry_keys() order. count_cells counts records into this
+layout and family_plan batches it; compute_updates and the Fourier
+reconstruction both read every family through them.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
@@ -81,7 +91,9 @@ class BayesNetGraph:
         if self.node_count <= 0:
             raise ValueError("node_count must be positive")
         if len(self.parents) != self.node_count:
-            raise ValueError("parents must list every node exactly once")
+            raise ValueError(
+                f"got {len(self.parents)} parent lists for {self.node_count} nodes"
+            )
         for i, pa in enumerate(self.parents):
             if any(not 0 <= p < self.node_count for p in pa):
                 raise ValueError(f"node {i}: parent index out of range in {pa}")
@@ -207,37 +219,59 @@ class UpdateVector:
         return cls({key: (0.0, 0.0) for key in graph.entry_keys()})
 
 
-def _config_indices(graph: BayesNetGraph, node: int, records: np.ndarray) -> np.ndarray:
-    """Configuration index of every record for one node (vectorised)."""
-    pa = graph.parents[node]
-    if not pa:
-        return np.zeros(records.shape[0], dtype=np.int64)
-    weights = (1 << np.arange(len(pa), dtype=np.int64))
-    return records[:, list(pa)].astype(np.int64) @ weights
+def count_cells(records: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Cell counts of the records over every row of a (rows, f) column table.
+
+    out[r, c] is the number of records whose variable columns[r, b]
+    equals bit b of c for every b. The records' cells are packed into
+    codes, offset per row, and counted with one bincount; the result is
+    a (rows, 2^f) integer array.
+    """
+    rows, f = columns.shape
+    codes = np.zeros((records.shape[0], rows), dtype=np.intp)
+    for b in range(f):
+        codes += np.left_shift(records[:, columns[:, b]], b, dtype=np.intp)
+    codes += np.arange(rows) << f
+    return np.bincount(codes.ravel(), minlength=rows << f).reshape(rows, 1 << f)
+
+
+@functools.lru_cache(maxsize=32)
+def family_plan(graph: BayesNetGraph) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Every family batched by parent count, and the order of its cells.
+
+    Each batch is a (rows, f) table whose rows are the families
+    (i, *parents[i]) of f - 1 parents, by ascending node. Concatenating
+    the batches' (rows, 2^f) cell tables row by row and indexing with
+    the returned order lists the cells family by family in node order:
+    the (beta, alpha) pairs of every entry in entry_keys() order.
+    """
+    by_count: dict[int, list[tuple[int, ...]]] = {}
+    for i in range(graph.node_count):
+        by_count.setdefault(graph.parent_count(i), []).append((i, *graph.parents[i]))
+    batches = tuple(np.array(fams, dtype=np.intp) for _, fams in sorted(by_count.items()))
+    owner = np.concatenate([np.repeat(batch[:, 0], 1 << batch.shape[1]) for batch in batches])
+    return batches, np.argsort(owner, kind="stable")
 
 
 def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
     """Count-based posterior updates for every entry of the network.
 
     For each record x and node i with parent configuration j = x_{pi(i)},
-    delta_alpha[i, j] grows by x_i and delta_beta[i, j] by 1 - x_i.
+    delta_alpha[i, j] grows by x_i and delta_beta[i, j] by 1 - x_i: the
+    family cells 2j + 1 and 2j.
     """
     if data.dimension != graph.node_count and data.n > 0:
         raise DimensionMismatchError(
             f"records have width {data.dimension}, network has {graph.node_count} nodes"
         )
-    recs = data.records
-    counts: list[tuple[float, float]] = []
-    for i in range(graph.node_count):
-        width = graph.config_count(i)
-        if data.n:
-            cfg = _config_indices(graph, i, recs)
-            ones = np.bincount(cfg, weights=recs[:, i], minlength=width)
-            totals = np.bincount(cfg, minlength=width)
-        else:
-            ones = totals = np.zeros(width)
-        counts += zip(ones.tolist(), (totals - ones).tolist())
-    return UpdateVector(dict(zip(graph.entry_keys(), counts)))
+    if not data.n:
+        return UpdateVector.zeros(graph)
+    batches, order = family_plan(graph)
+    cells = np.concatenate([count_cells(data.records, batch).ravel() for batch in batches])
+    pairs = cells[order].reshape(-1, 2).astype(np.float64)
+    return UpdateVector(
+        dict(zip(graph.entry_keys(), zip(pairs[:, 1].tolist(), pairs[:, 0].tolist())))
+    )
 
 
 def posterior_params(priors: Mapping[EntryKey, BetaParams], updates: UpdateVector) -> PosteriorMap:
@@ -338,7 +372,8 @@ def ancestral_sample(
     order = validate_graph(graph)
     recs = np.zeros((n, graph.node_count), dtype=np.int8)
     for i in order:
-        cfg = _config_indices(graph, i, recs)
-        probs = np.array([theta[(i, int(j))] for j in cfg])
-        recs[:, i] = (rng.random(n) < probs).astype(np.int8)
+        pa = list(graph.parents[i])
+        cfg = recs[:, pa].astype(np.int64) @ (1 << np.arange(len(pa), dtype=np.int64))
+        probs = np.array([theta[(i, j)] for j in range(graph.config_count(i))])
+        recs[:, i] = (rng.random(n) < probs[cfg]).astype(np.int8)
     return Dataset(recs)

@@ -33,13 +33,12 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, PriorMap]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read network file {path}: {exc}") from exc
     try:
-        nodes = int(spec["nodes"])
-        parents = tuple(tuple(int(p) for p in row) for row in spec["parents"])
+        graph = BayesNetGraph(
+            node_count=int(spec["nodes"]),
+            parents=tuple(tuple(int(p) for p in row) for row in spec["parents"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed network file {path}: {exc}") from exc
-    if len(parents) != nodes:
-        raise ConfigError(f"{path}: expected {nodes} parent lists, got {len(parents)}")
-    graph = BayesNetGraph(node_count=nodes, parents=parents)
     validate_graph(graph)
 
     priors_spec = spec.get("priors", {})
@@ -51,12 +50,12 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, PriorMap]:
     priors: PriorMap = {key: base for key in graph.entry_keys()}
     for row in priors_spec.get("overrides", []):
         try:
-            node, cfg, alpha, beta = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+            key, prior = (int(row[0]), int(row[1])), BetaParams(float(row[2]), float(row[3]))
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"{path}: bad prior override {row!r}: {exc}") from exc
-        if (node, cfg) not in priors:
+        if key not in priors:
             raise ConfigError(f"{path}: override {row!r} names a nonexistent entry")
-        priors[(node, cfg)] = BetaParams(alpha, beta)
+        priors[key] = prior
     return graph, priors
 
 
@@ -130,4 +129,6 @@ def load_utility(path: str | Path, size: int) -> np.ndarray:
         raise ConfigError(
             f"utility file {path} has shape {utility.shape}, grid has {size} points"
         )
+    if not np.isfinite(utility).all():
+        raise ConfigError(f"utility file {path} holds a non-finite value")
     return utility

@@ -26,5 +26,19 @@ def random_dag(rng: np.random.Generator, k: int, max_indegree: int = 3) -> Bayes
     return BayesNetGraph(node_count=k, parents=tuple(parents))
 
 
+def twenty_node_dag(rng) -> BayesNetGraph:
+    """20 nodes whose parent counts 0..4 each occur four times.
+
+    Nodes are relabelled at random and parents are declared in random
+    order, so neither families nor configurations follow node order.
+    """
+    order = rng.permutation(20)
+    parents: list[tuple[int, ...]] = [()] * 20
+    for pos, count in enumerate(c for c in range(5) for _ in range(4)):
+        chosen = rng.choice(order[:pos], size=count, replace=False) if count else []
+        parents[int(order[pos])] = tuple(int(p) for p in chosen)
+    return BayesNetGraph(node_count=20, parents=tuple(parents))
+
+
 CHAIN3 = BayesNetGraph(node_count=3, parents=((), (0,), (1,)))
 SINGLE = BayesNetGraph(node_count=1, parents=((),))

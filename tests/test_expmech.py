@@ -10,6 +10,7 @@ from dpbayes import (
     EmptyLevelSetError,
     GridSpec,
     InvalidEpsilonError,
+    LengthMismatchError,
     MapSensitivity,
     exp_mechanism_indices,
     exp_mechanism_sample,
@@ -123,7 +124,7 @@ def test_probs_reject_bad_inputs():
         sampling_probabilities(grid, np.zeros(10), -1.0, HALF)
     with pytest.raises(ValueError):
         sampling_probabilities(grid, np.full(10, np.inf), 1.0, HALF)
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatchError):
         sampling_probabilities(grid, np.zeros(3), 1.0, HALF)
 
 

@@ -37,25 +37,11 @@ from dpbayes.fourier import release_posterior
 from dpbayes.randomness import derive_seed, laplace_from_uniform, substream
 from dpbayes.verify import dense_table, walsh_coefficients_dense, dense_marginal
 
-from conftest import CHAIN3, SINGLE, random_dag, random_dataset
+from conftest import CHAIN3, SINGLE, random_dag, random_dataset, twenty_node_dag
 
 
 def keep_vector(k: int, mask: int) -> tuple[int, ...]:
     return tuple((mask >> p) & 1 for p in range(k))
-
-
-def twenty_node_dag(rng) -> BayesNetGraph:
-    """20 nodes whose parent counts 0..4 each occur four times.
-
-    Nodes are relabelled at random and parents are declared in random
-    order, so neither families nor configurations follow node order.
-    """
-    order = rng.permutation(20)
-    parents: list[tuple[int, ...]] = [()] * 20
-    for pos, count in enumerate(c for c in range(5) for _ in range(4)):
-        chosen = rng.choice(order[:pos], size=count, replace=False) if count else []
-        parents[int(order[pos])] = tuple(int(p) for p in chosen)
-    return BayesNetGraph(node_count=20, parents=tuple(parents))
 
 
 # ---------------------------------------------------------------------------

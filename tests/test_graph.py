@@ -25,7 +25,7 @@ from dpbayes import (
 )
 from dpbayes.verify import brute_force_updates
 
-from conftest import CHAIN3, random_dag, random_dataset
+from conftest import CHAIN3, random_dag, random_dataset, twenty_node_dag
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +125,16 @@ def test_updates_match_brute_force(rng):
         for (i, j), (da, db) in up.entries.items():
             assert da == oracle.get((i, j, "a"), 0.0)
             assert db == oracle.get((i, j, "b"), 0.0)
+
+
+def test_updates_equal_brute_force_with_parents_out_of_order(rng):
+    # random_dag sorts parents; here configuration bits follow declared order
+    graph = twenty_node_dag(rng)
+    data = random_dataset(rng, 2000, 20)
+    oracle = brute_force_updates(graph, data)
+    expected = {(i, j): (oracle[(i, j, "a")], oracle[(i, j, "b")]) for i, j in graph.entry_keys()}
+    up = compute_updates(graph, data)
+    assert list(up.entries.items()) == list(expected.items())
 
 
 def test_updates_per_node_totals(rng):

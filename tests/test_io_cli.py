@@ -81,6 +81,25 @@ def test_load_network_bad_default_prior(tmp_path):
         load_network(write_network(tmp_path, bad))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"nodes": 2, "parents": [[], [5]]},
+        {"nodes": 0, "parents": []},
+        {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1, 0, -1.0, 2.0]]}},
+    ],
+    ids=["parent-out-of-range", "no-nodes", "negative-override"],
+)
+def test_cli_bad_network_is_config_error(tmp_path, capsys, spec):
+    net = write_network(tmp_path, spec)
+    data = write_binary_csv(tmp_path, [(0, 1), (1, 0)])
+    args = ["--task", "mechanism", "--network", str(net), "--dataset", str(data),
+            "mechanism=laplace", "epsilon=1", "seed=1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpbayes: config error:") and str(net) in err
+
+
 def test_load_network_cycle_rejected(tmp_path):
     bad = {"nodes": 2, "parents": [[1], [0]]}
     with pytest.raises(Exception):
@@ -494,7 +513,9 @@ def test_cli_map_with_utility_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "utility", ["0.0\nx\n", "0.0\n1.0\n2.0\n"], ids=["non-numeric", "one-too-many"]
+    "utility",
+    ["0.0\nx\n", "0.0\n1.0\n2.0\n", "0.0\ninf\n", "nan\n1.0\n"],
+    ids=["non-numeric", "one-too-many", "inf", "nan"],
 )
 def test_cli_map_bad_utility_file_is_config_error(tmp_path, capsys, utility):
     grid = tmp_path / "grid.csv"
