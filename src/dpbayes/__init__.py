@@ -79,7 +79,6 @@ from .harness import (
     split_dataset,
     synth_linreg,
     synth_nb,
-    write_metrics,
 )
 from .io import load_dataset, load_grid, load_network, load_regression_csv
 from .laplace import (
@@ -147,7 +146,7 @@ __all__ = [
     "ExperimentConfig", "ExperimentResult", "MetricsRow", "naive_bayes_graph",
     "nb_predictive_batch", "rows_to_csv", "run_experiment", "run_linreg_experiment",
     "run_nb_experiment", "separated_nb_theta", "split_dataset", "synth_linreg",
-    "synth_nb", "write_metrics",
+    "synth_nb",
     # io
     "load_dataset", "load_grid", "load_network", "load_regression_csv",
     # laplace

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import expmech, fourier, laplace, sampler
 from .errors import ConfigError, DpBayesError
 from .graph import compute_updates, posterior_params
-from .harness import ExperimentConfig, run_experiment, write_metrics
+from .harness import ExperimentConfig, rows_to_csv, run_experiment
 from .io import load_dataset, load_grid, load_network, load_utility
 from .verify import run_verification_suite
 
@@ -30,16 +30,21 @@ log = logging.getLogger("dpbayes.cli")
 LINREG_DEFAULT_D = 5
 LINREG_DEFAULT_N = 2000
 
-# the settings each task reads; any other setting is a ConfigError
+# the settings each task, and each mechanism of the mechanism task,
+# reads; any other setting is a ConfigError
 _COMMON_KEYS = ("task", "seed", "out")
 _SWEEP_KEYS = (*_COMMON_KEYS, "mechanisms", "repeats", "train_fraction", "d", "n", "dataset")
+_RELEASE_KEYS = (*_COMMON_KEYS, "mechanism", "epsilon", "network", "dataset")
+_MECHANISM_KEYS = {
+    "laplace": {*_RELEASE_KEYS},
+    "fourier": {*_RELEASE_KEYS, "t"},
+    "sampler": {*_RELEASE_KEYS, "samples"},
+    "map": {*_COMMON_KEYS, "mechanism", "epsilon", "grid", "utility", "delta", "draws"},
+}
 _TASK_KEYS = {
     "nb": {*_SWEEP_KEYS, "epsilon_grid", "sampler_samples", "fourier_t", "threshold"},
     "linreg": {*_SWEEP_KEYS, "b_grid", "regression_samples", "sigma2", "radius", "noise_sigma"},
-    "mechanism": {
-        *_COMMON_KEYS, "mechanism", "epsilon", "t", "delta", "draws", "samples",
-        "network", "dataset", "grid", "utility",
-    },
+    "mechanism": set().union(*_MECHANISM_KEYS.values()),
     "verify": set(_COMMON_KEYS),
 }
 # argparse destinations that are not settings
@@ -138,11 +143,13 @@ def _merge_settings(ns: argparse.Namespace) -> dict:
         raise ConfigError("no task given; use --task {nb,linreg,mechanism,verify}")
     if not isinstance(task, str) or task not in _TASK_KEYS:
         raise ConfigError(f"unknown task {task!r}")
-    unknown = sorted(set(settings) - _TASK_KEYS[task])
+    allowed, scope = _TASK_KEYS[task], f"task {task!r}"
+    mechanism = settings.get("mechanism")
+    if task == "mechanism" and isinstance(mechanism, str) and mechanism in _MECHANISM_KEYS:
+        allowed, scope = _MECHANISM_KEYS[mechanism], f"mechanism {mechanism!r}"
+    unknown = sorted(set(settings) - allowed)
     if unknown:
-        raise ConfigError(
-            f"unknown setting {', '.join(map(repr, unknown))} for task {task!r}"
-        )
+        raise ConfigError(f"unknown setting {', '.join(map(repr, unknown))} for {scope}")
     return settings
 
 
@@ -228,28 +235,23 @@ def _run_mechanism(settings: dict) -> int:
         raise ConfigError("mechanism task needs epsilon=...")
 
     if name == "laplace":
-        spec = laplace.LaplaceNoiseSpec(
-            epsilon=epsilon, node_count=graph.node_count, n=data.n
-        )
+        spec = laplace.LaplaceNoiseSpec.for_graph(graph, epsilon, data.n)
         pert = laplace.perturb_updates(compute_updates(graph, data), spec, seed)
         lines = ["node,config,z1,z2"]
-        for (i, j), (z1, z2) in sorted(pert.entries.items()):
+        for (i, j), (z1, z2) in pert.entries.items():
             lines.append(f"{i},{j},{z1!r},{z2!r}")
         _emit(out, "\n".join(lines) + "\n")
         return 0
 
     if name == "fourier":
         t = _coerce(settings, "t", float, fourier.DEFAULT_STEALTH_T)
-        closure = fourier.downward_closure(graph)
-        coeffs, post, floored = fourier.release_posterior(
-            data, closure, graph, priors, epsilon, t, seed
-        )
+        coeffs, post, floored = fourier.release_posterior(data, graph, priors, epsilon, t, seed)
         if floored:
             log.warning("stealth failed; negative cells floored at zero")
         lines = ["section,key1,key2,value"]
-        for gamma in closure.members:
-            lines.append(f"coefficient,{gamma:#x},,{coeffs.values[gamma]!r}")
-        for (i, j), params in sorted(post.items()):
+        for gamma, value in coeffs.values.items():
+            lines.append(f"coefficient,{gamma:#x},,{value!r}")
+        for (i, j), params in post.items():
             lines.append(f"posterior,{i},{j},{params.alpha!r};{params.beta!r}")
         _emit(out, "\n".join(lines) + "\n")
         return 0
@@ -261,11 +263,10 @@ def _run_mechanism(settings: dict) -> int:
         post = posterior_params(priors, compute_updates(graph, data))
         block = sampler.trimmed_posterior_draws(post, sampler.trim_bound(epsilon), seed, samples)
         draws = {key: row.tolist() for key, row in block.items()}
-        keys = sorted(draws)
         lines = ["node,config,draw,theta"]
         for s in range(samples):
-            for i, j in keys:
-                lines.append(f"{i},{j},{s},{draws[(i, j)][s]!r}")
+            for (i, j), row in draws.items():
+                lines.append(f"{i},{j},{s},{row[s]!r}")
         _emit(out, "\n".join(lines) + "\n")
         return 0
 
@@ -300,8 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         if task == "mechanism":
             return _run_mechanism(settings)
         config = _experiment_config(settings, task)
-        result = run_experiment(config)
-        write_metrics(result.rows, config.out)
+        _emit(config.out, rows_to_csv(run_experiment(config).rows))
         return 0
     except ConfigError as exc:
         print(f"dpbayes: config error: {exc}", file=sys.stderr)

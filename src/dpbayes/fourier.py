@@ -49,7 +49,7 @@ _NOISE_TAG = "fourier-coefficient-noise"
 
 DEFAULT_STEALTH_T = math.log(10.0)
 
-# index tables kept per closure and per (graph, closure)
+# closures and index tables kept per graph, per closure and per (graph, closure)
 _PLAN_CACHE_SIZE = 32
 
 
@@ -86,6 +86,7 @@ class DownwardClosure:
         return len(self.members)
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def downward_closure(graph: BayesNetGraph) -> DownwardClosure:
     """Union of all submasks of every node family pi(i) + {i}."""
     members: set[int] = set()
@@ -198,22 +199,14 @@ def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
 
 @dataclass
 class CoefficientSet:
-    """Released coefficient vector over a downward closure.
-
-    noise_scale and t record how the values were produced; both are 0
-    for an exact (non-private) set.
-    """
+    """Released coefficient vector over a downward closure."""
 
     closure: DownwardClosure
     values: dict[int, float]
-    noise_scale: float
-    t: float
 
     def __post_init__(self) -> None:
         if set(self.values) != set(self.closure.members):
             raise ValueError("coefficient indices must equal the closure exactly")
-        if self.noise_scale < 0 or self.t < 0:
-            raise ValueError("noise_scale and t must be non-negative")
 
     @property
     def k(self) -> int:
@@ -223,7 +216,7 @@ class CoefficientSet:
 def exact_coefficients(data: Dataset, closure: DownwardClosure) -> CoefficientSet:
     """Noise-free coefficient set; the zero-noise reference path."""
     values = dict(zip(closure.members, _exact_vector(data, closure).tolist()))
-    return CoefficientSet(closure=closure, values=values, noise_scale=0.0, t=0.0)
+    return CoefficientSet(closure=closure, values=values)
 
 
 def noise_scale(closure: DownwardClosure, epsilon: float) -> float:
@@ -265,7 +258,7 @@ def release_coefficients(
     noisy = _exact_vector(data, closure) + laplace_from_uniform(u, scale)
     values = dict(zip(closure.members, noisy.tolist()))
     values[0] += stealth_increment(closure, epsilon, t)
-    return CoefficientSet(closure=closure, values=values, noise_scale=scale, t=t)
+    return CoefficientSet(closure=closure, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +375,13 @@ def fourier_posterior_params(
 
 def release_posterior(
     data: Dataset,
-    closure: DownwardClosure,
     graph: BayesNetGraph,
     priors: PriorMap,
     epsilon: float,
     t: float,
     seed: int,
 ) -> tuple[CoefficientSet, PosteriorMap, bool]:
-    """One coefficient release and the posterior it implies.
+    """One coefficient release over downward_closure(graph) and the posterior it implies.
 
     The noise is keyed derive_seed(seed, "attempt", 0). On a stealth
     failure (NonPositivePosteriorParamError) the same release is read
@@ -398,7 +390,8 @@ def release_posterior(
     privacy cost stays epsilon. Returns (coefficients, posterior,
     floored).
     """
-    coeffs = release_coefficients(data, closure, epsilon, t, derive_seed(seed, "attempt", 0))
+    seed = derive_seed(seed, "attempt", 0)
+    coeffs = release_coefficients(data, downward_closure(graph), epsilon, t, seed)
     try:
         return coeffs, fourier_posterior_params(coeffs, graph, priors), False
     except NonPositivePosteriorParamError:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -48,10 +46,13 @@ CSV_HEADER = "mechanism,param,repeat,metric,value"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run: what to sweep, how often, from which seed."""
+    """One experiment run: what to sweep, how often, from which seed.
+
+    mechanisms=None runs every mechanism of the task.
+    """
 
     task: str = "nb"
-    mechanisms: tuple[str, ...] = NB_MECHANISMS
+    mechanisms: tuple[str, ...] | None = None
     epsilon_grid: tuple[float, ...] = DEFAULT_EPSILON_GRID
     b_grid: tuple[float, ...] = DEFAULT_B_GRID
     repeats: int = 100
@@ -71,14 +72,16 @@ class ExperimentConfig:
     theta: ThetaMap | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
-        if self.task not in ("nb", "linreg", "mechanism", "verify"):
-            raise ConfigError(f"unknown task {self.task!r}")
+        allowed = {"nb": NB_MECHANISMS, "linreg": LINREG_MECHANISMS}.get(self.task)
+        if allowed is None:
+            raise ConfigError(f"unknown sweep task {self.task!r}; use 'nb' or 'linreg'")
+        if self.mechanisms is None:
+            object.__setattr__(self, "mechanisms", allowed)
         if not self.mechanisms:
             raise ConfigError("need at least one mechanism")
-        allowed = NB_MECHANISMS if self.task == "nb" else NB_MECHANISMS + LINREG_MECHANISMS
         for mech in self.mechanisms:
             if mech not in allowed:
-                raise ConfigError(f"unknown mechanism {mech!r}")
+                raise ConfigError(f"unknown mechanism {mech!r} for task {self.task!r}")
         if not self.epsilon_grid or any(
             not e > 0 or math.isnan(e) for e in self.epsilon_grid
         ):
@@ -171,13 +174,13 @@ def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Data
 
 
 def synth_linreg(
-    d: int, n: int, seed: int, noise_sigma: float = 0.1, w_scale: float = 1.5
+    d: int, n: int, seed: int, noise_sigma: float = 0.1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gaussian design, fixed-norm true weights, additive noise."""
+    """Gaussian design, true weights of norm 1.5, additive noise."""
     rng = substream(seed, "linreg-synth")
     X = rng.normal(size=(n, d))
     w = rng.normal(size=d)
-    w *= w_scale / np.linalg.norm(w)
+    w *= 1.5 / np.linalg.norm(w)
     y = X @ w + noise_sigma * rng.normal(size=n)
     return X, y, w
 
@@ -216,7 +219,6 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
         d = config.d
     graph = naive_bayes_graph(d)
     priors = uniform_priors(graph)
-    closure = fourier.downward_closure(graph)
 
     acc: dict[tuple[str, int, int], float] = {}
     stealth_clamps = 0
@@ -237,9 +239,7 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         for ei, eps in enumerate(config.epsilon_grid):
             if "laplace" in config.mechanisms:
-                spec = laplace.LaplaceNoiseSpec(
-                    epsilon=eps, node_count=graph.node_count, n=train.n
-                )
+                spec = laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n)
                 pert = laplace.perturb_updates(
                     updates, spec, derive_seed(config.seed, "laplace", ei, r)
                 )
@@ -250,7 +250,6 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
             if "fourier" in config.mechanisms:
                 _, post, floored = fourier.release_posterior(
                     train,
-                    closure,
                     graph,
                     priors,
                     eps,
@@ -292,9 +291,6 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
     """MSE sweep over prior precisions for exact and sampled predictors."""
-    mechanisms = tuple(m for m in config.mechanisms if m in LINREG_MECHANISMS)
-    if not mechanisms:
-        raise ConfigError("linreg task supports mechanisms 'none' and 'sampler'")
     if config.dataset is not None:
         X_raw, y_raw = load_regression_csv(config.dataset)
     else:
@@ -308,7 +304,7 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
         perm = substream(derive_seed(config.seed, "linreg-split", r), "train-test-split").permutation(
             data.n
         )
-        n_train = min(data.n - 1, max(config.d + 1, round(data.n * config.train_fraction)))
+        n_train = min(data.n - 1, max(data.d + 1, round(data.n * config.train_fraction)))
         tr, te = perm[:n_train], perm[n_train:]
         train = regression.RegressionData(
             X=data.X[tr], y=data.y[tr], sigma2=config.sigma2
@@ -317,10 +313,10 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
         for bi, b in enumerate(config.b_grid):
             radius = config.radius if config.radius is not None else regression.default_radius(b)
             post = regression.fit_posterior(train, b, radius)
-            if "none" in mechanisms:
+            if "none" in config.mechanisms:
                 resid = regression.posterior_mean_predictions(post, X_test) - y_test
                 mse[("none", bi, r)] = float(np.mean(resid**2))
-            if "sampler" in mechanisms:
+            if "sampler" in config.mechanisms:
                 mse[("sampler", bi, r)] = regression.predictive_mse(
                     post,
                     X_test,
@@ -330,7 +326,7 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
                 )
     rows = [
         MetricsRow(mech, config.b_grid[bi], r, "mse", mse[(mech, bi, r)])
-        for mech in mechanisms
+        for mech in config.mechanisms
         for bi in range(len(config.b_grid))
         for r in range(config.repeats)
     ]
@@ -352,17 +348,7 @@ def rows_to_csv(rows: list[MetricsRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_metrics(rows: list[MetricsRow], out: str = "-") -> None:
-    text = rows_to_csv(rows)
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.task == "nb":
         return run_nb_experiment(config)
-    if config.task == "linreg":
-        return run_linreg_experiment(config)
-    raise ConfigError(f"task {config.task!r} is not an experiment sweep")
+    return run_linreg_experiment(config)

@@ -42,6 +42,8 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, PriorMap]:
     validate_graph(graph)
 
     priors_spec = spec.get("priors", {})
+    if not isinstance(priors_spec, dict) or not isinstance(priors_spec.get("overrides", []), list):
+        raise ConfigError(f"{path}: priors must be an object whose overrides are a list")
     default = priors_spec.get("default", [1.0, 1.0])
     try:
         base = BetaParams(float(default[0]), float(default[1]))

@@ -67,7 +67,6 @@ class PerturbedUpdates:
 
     entries: dict[EntryKey, tuple[float, float]]
     raw: dict[EntryKey, tuple[float, float]]
-    spec: LaplaceNoiseSpec
 
 
 def update_sensitivity(graph: BayesNetGraph) -> float:
@@ -96,7 +95,6 @@ def perturb_updates(updates: UpdateVector, spec: LaplaceNoiseSpec, seed: int) ->
     return PerturbedUpdates(
         entries=dict(zip(keys, map(tuple, clamped.tolist()))),
         raw=dict(zip(keys, map(tuple, raw.tolist()))),
-        spec=spec,
     )
 
 

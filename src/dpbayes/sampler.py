@@ -40,10 +40,9 @@ OMEGA_BAR = 1.25643
 
 @dataclass(frozen=True)
 class LipschitzSpec:
-    """Per-node log-likelihood Lipschitz constants under per-node metrics."""
+    """Per-node log-likelihood Lipschitz constants under the discrete metric."""
 
     per_node_L: tuple[float, ...]
-    per_node_metric: str = "discrete"
 
     def __post_init__(self) -> None:
         if not self.per_node_L:
@@ -58,7 +57,6 @@ class StochasticLipschitzSpec:
 
     per_node_c: tuple[float, ...]
     L0: float
-    node_count: int = 0
 
     def __post_init__(self) -> None:
         if not self.per_node_c:
@@ -67,8 +65,6 @@ class StochasticLipschitzSpec:
             raise ValueError("tail rates must be positive")
         if self.L0 <= 0:
             raise ValueError("L0 must be positive")
-        if self.node_count == 0:
-            object.__setattr__(self, "node_count", len(self.per_node_c))
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ def compose_stochastic_lipschitz(spec: StochasticLipschitzSpec) -> float:
     non-positive.
     """
     c_min = min(spec.per_node_c)
-    size = spec.node_count
+    size = len(spec.per_node_c)
     if size > math.exp(spec.L0 * c_min):
         raise ConditionViolatedError(
             f"{size} nodes exceed exp(L0 * min c) = {math.exp(spec.L0 * c_min):.6g}"
@@ -336,9 +332,9 @@ def sampler_predictive_batch(
 ) -> np.ndarray:
     """Monte Carlo class-1 probabilities for rows of X under trimming.
 
-    graph must be naive Bayes with class node 0. One (m, samples) block
-    of trimmed draws in naive_bayes_keys order, from the substream that
-    trimmed_posterior_draws uses, feeds naive_bayes_class1.
+    graph must be naive Bayes with class node 0. The (m, samples)
+    block of trimmed_posterior_draws, whose sorted key order is
+    naive_bayes_keys order, feeds naive_bayes_class1.
     """
     if samples < 1:
         raise ValueError("need at least one Monte Carlo sample")
@@ -354,10 +350,8 @@ def sampler_predictive_batch(
         raise MissingPosteriorEntryError(
             f"posterior covers {len(keys) // 2} features, graph has {d}"
         )
-    theta = trimmed_beta_draws(
-        [posterior[k] for k in keys], omega, substream(seed, _DRAW_TAG), samples
-    )
-    return naive_bayes_class1(theta, X)
+    draws = trimmed_posterior_draws(posterior, omega, seed, samples)
+    return naive_bayes_class1(np.array([draws[k] for k in keys]), X)
 
 
 def lipschitz_constants_from_theta(graph: BayesNetGraph, theta: ThetaMap) -> LipschitzSpec:

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.special
 
-from .errors import BudgetExceededError
-from .expmech import GridSpec, MapSensitivity, _utility_values
+from .errors import BudgetExceededError, LengthMismatchError
+from .expmech import GridSpec, MapSensitivity
 from .graph import BayesNetGraph, BetaParams, Dataset, PosteriorMap, validate_graph
 from .metrics import PrivacyCheckReport
 
@@ -387,9 +387,15 @@ def max_log_ratio_per_hamming(graph: BayesNetGraph, theta) -> float:
 def exp_mechanism_bruteforce_probs(
     grid: GridSpec, utility, epsilon: float, delta: MapSensitivity
 ) -> np.ndarray:
-    """Directly normalized exp-weights, usable while exp() cannot overflow."""
-    u = _utility_values(grid, utility)
-    w = grid.masses * np.exp(epsilon * u / (2.0 * delta.delta_value))
+    """Directly normalized exp-weights, usable while exp() cannot overflow.
+
+    utility is a callable on grid points or one value per grid point.
+    """
+    values = [utility(p) for p in grid.points] if callable(utility) else list(utility)
+    u = np.array(values, dtype=np.float64)
+    if u.shape != (len(grid.points),):
+        raise LengthMismatchError(f"{len(u)} utility values for {len(grid.points)} grid points")
+    w = np.array(grid.prior_mass) * np.exp(epsilon * u / (2.0 * delta.delta_value))
     return w / w.sum()
 
 

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,15 @@ from dpbayes import BayesNetGraph, Dataset
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def perfbench_run():
+    """The benchmark script perfbench/run.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
 
 
 def random_dataset(rng: np.random.Generator, n: int, k: int) -> Dataset:

@@ -97,6 +97,12 @@ def test_probs_match_bruteforce_normalization(rng):
         probs = sampling_probabilities(grid, u, 2.0, HALF)
         brute = exp_mechanism_bruteforce_probs(grid, u, 2.0, HALF)
         assert np.abs(probs - brute).max() < 1e-12
+    # the oracle converts a callable and checks the length on its own
+    probs = sampling_probabilities(grid, lambda p: 3.0 * p[0], 2.0, HALF)
+    brute = exp_mechanism_bruteforce_probs(grid, lambda p: 3.0 * p[0], 2.0, HALF)
+    assert np.abs(probs - brute).max() < 1e-12
+    with pytest.raises(LengthMismatchError):
+        exp_mechanism_bruteforce_probs(grid, [0.0] * 3, 2.0, HALF)
 
 
 def test_probs_shift_invariance_exact(rng):

@@ -66,6 +66,8 @@ def test_closure_chain_members():
     clo = downward_closure(CHAIN3)
     assert set(clo.members) == {0b000, 0b001, 0b010, 0b011, 0b100, 0b110}
     assert clo.size == 6
+    # cached per graph, like graph.family_plan
+    assert downward_closure(BayesNetGraph(node_count=3, parents=((), (0,), (1,)))) is clo
 
 
 def test_closure_validation():
@@ -235,7 +237,7 @@ def test_release_determinism(rng):
 def test_coefficient_set_requires_exact_index_match():
     clo = downward_closure(SINGLE)
     with pytest.raises(ValueError):
-        CoefficientSet(closure=clo, values={0: 1.0}, noise_scale=0.0, t=0.0)
+        CoefficientSet(closure=clo, values={0: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,7 @@ def test_reconstruction_matches_dense_oracle(rng):
 def test_reconstruction_missing_coefficient():
     # a closure built for a subgraph lacks gammas of the full family
     narrow = DownwardClosure(k=2, members=(0, 1))
-    coeffs = CoefficientSet(closure=narrow, values={0: 1.0, 1: 0.5}, noise_scale=0.0, t=0.0)
+    coeffs = CoefficientSet(closure=narrow, values={0: 1.0, 1: 0.5})
     graph = BayesNetGraph(node_count=2, parents=((), (0,)))
     message = "coefficient 0x3 needed for node 1 was not released"
     with pytest.raises(MissingCoefficientError, match=message):
@@ -382,7 +384,7 @@ def crafted_single_node_coeffs(cell0: float, cell1: float) -> CoefficientSet:
     clo = downward_closure(SINGLE)
     z0 = (cell0 + cell1) / math.sqrt(2.0)
     z1 = (cell0 - cell1) / math.sqrt(2.0)
-    return CoefficientSet(closure=clo, values={0: z0, 1: z1}, noise_scale=0.0, t=0.0)
+    return CoefficientSet(closure=clo, values={0: z0, 1: z1})
 
 
 def test_small_negative_cell_still_valid():
@@ -415,7 +417,7 @@ def test_release_posterior_is_one_release_floored_on_stealth_failure():
     closure, priors = downward_closure(tree), uniform_priors(tree)
     floored_seeds = 0
     for seed in range(40):
-        coeffs, post, floored = release_posterior(data, closure, tree, priors, 0.5, 0.01, seed)
+        coeffs, post, floored = release_posterior(data, tree, priors, 0.5, 0.01, seed)
         want = release_coefficients(data, closure, 0.5, 0.01, derive_seed(seed, "attempt", 0))
         assert coeffs.values == want.values
         try:
@@ -426,13 +428,6 @@ def test_release_posterior_is_one_release_floored_on_stealth_failure():
             assert floored
             floored_seeds += 1
     assert 0 < floored_seeds < 40
-
-
-def test_release_posterior_propagates_missing_coefficient():
-    data = Dataset(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int8))
-    singletons = DownwardClosure(k=3, members=(0, 1, 2, 4))
-    with pytest.raises(MissingCoefficientError):
-        release_posterior(data, singletons, CHAIN3, uniform_priors(CHAIN3), 1.0, 1.0, seed=5)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,11 @@ from dpbayes import (
     synth_linreg,
     synth_nb,
 )
+from dpbayes import regression
+from dpbayes.harness import LINREG_MECHANISMS, NB_MECHANISMS
 from dpbayes.verify import nb_predictive_quadrature
+
+from conftest import perfbench_run
 
 
 TINY_NB = ExperimentConfig(
@@ -298,9 +302,39 @@ def test_linreg_experiment_rows_and_replay():
 
 
 def test_linreg_experiment_needs_supported_mechanism():
-    config = replace(TINY_LINREG, mechanisms=("fourier",))
-    with pytest.raises(ConfigError):
-        run_linreg_experiment(config)
+    for mechanisms in (("fourier",), ("none", "laplace")):
+        with pytest.raises(ConfigError, match="for task 'linreg'"):
+            replace(TINY_LINREG, mechanisms=mechanisms)
+    # the default is every mechanism the task runs
+    config = replace(TINY_LINREG, mechanisms=None)
+    assert config.mechanisms == LINREG_MECHANISMS
+    assert {row.mechanism for row in run_linreg_experiment(config).rows} == set(LINREG_MECHANISMS)
+    assert ExperimentConfig().mechanisms == NB_MECHANISMS
+
+
+def test_linreg_min_train_size_follows_dataset_width(tmp_path, monkeypatch):
+    # a 3-feature CSV under the default d=16: train on d + 1 = 4 rows, not 17
+    X, y, _ = synth_linreg(3, 40, seed=2)
+    path = tmp_path / "reg.csv"
+    np.savetxt(path, np.column_stack([X, y]), delimiter=",")
+    seen = []
+    fit = regression.fit_posterior
+    monkeypatch.setattr(
+        regression, "fit_posterior", lambda train, *args: seen.append(train.n) or fit(train, *args)
+    )
+    config = replace(TINY_LINREG, dataset=str(path), d=16, train_fraction=0.05, repeats=1)
+    run_linreg_experiment(config)
+    assert seen == [4] * len(config.b_grid)
+
+
+def test_benchmark_sweeps_are_valid_configs():
+    for name, sweep in perfbench_run().SWEEPS.items():
+        config = ExperimentConfig(**sweep)
+        assert config.mechanisms == sweep["mechanisms"], name
+        if config.task == "linreg":
+            # the benchmark's check_sweep keeps only these for a linreg sweep
+            kept = tuple(m for m in config.mechanisms if m in LINREG_MECHANISMS)
+            assert kept == config.mechanisms, name
 
 
 def test_run_experiment_dispatch():

@@ -1,7 +1,6 @@
 """File loaders and the command-line entry point."""
 import importlib.util
 import json
-from pathlib import Path
 import warnings
 
 import numpy as np
@@ -20,6 +19,8 @@ from dpbayes import (
 )
 from dpbayes.cli import main
 from dpbayes.sampler import trimmed_posterior_draws
+
+from conftest import perfbench_run
 
 # ---------------------------------------------------------------------------
 # network files
@@ -87,8 +88,14 @@ def test_load_network_bad_default_prior(tmp_path):
         {"nodes": 2, "parents": [[], [5]]},
         {"nodes": 0, "parents": []},
         {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1, 0, -1.0, 2.0]]}},
+        {"nodes": 2, "parents": [[], [0]], "priors": []},
+        {"nodes": 2, "parents": [[], [0]], "priors": None},
+        {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": 5}},
     ],
-    ids=["parent-out-of-range", "no-nodes", "negative-override"],
+    ids=[
+        "parent-out-of-range", "no-nodes", "negative-override",
+        "priors-list", "priors-null", "overrides-number",
+    ],
 )
 def test_cli_bad_network_is_config_error(tmp_path, capsys, spec):
     net = write_network(tmp_path, spec)
@@ -416,12 +423,42 @@ def test_cli_unknown_setting_is_config_error(tmp_path, capsys):
     assert "unknown setting 'threshold' for task 'linreg'" in capsys.readouterr().err
 
 
+def release_args(tmp_path, mechanism):
+    """Valid mechanism-task arguments for one release of `mechanism`."""
+    if mechanism != "map":
+        return mech_args(tmp_path, f"mechanism={mechanism}", "epsilon=3", "seed=2")
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.2,0.5\n0.8,0.5\n")
+    return ["--task", "mechanism", "mechanism=map", "epsilon=3", "--grid", str(grid)]
+
+
+@pytest.mark.parametrize(
+    "mechanism, foreign",
+    [("laplace", "t=2"), ("fourier", "samples=3"), ("sampler", "draws=4"), ("map", "t=2")],
+)
+def test_cli_rejects_another_mechanisms_setting(tmp_path, capsys, mechanism, foreign):
+    args = release_args(tmp_path, mechanism)
+    assert main(args) == 0
+    capsys.readouterr()
+    at = args.index(f"mechanism={mechanism}")
+    assert main([*args[:at], foreign, *args[at:]]) == 1
+    key = foreign.split("=")[0]
+    assert f"unknown setting {key!r} for mechanism {mechanism!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["nb", "laplace"])
+def test_cli_empty_out_writes_stdout_like_dash(tmp_path, capsys, task):
+    args = NB_ARGS if task == "nb" else release_args(tmp_path, task)
+    assert main(args + ["--out", "-"]) == 0
+    dash = capsys.readouterr().out
+    assert main(args + ["--out", ""]) == 0
+    assert capsys.readouterr().out == dash
+    assert dash.count("\n") > 1
+
+
 def test_cli_accepts_benchmark_release_argv(tmp_path):
     # the in-process releases of the net-release benchmark workload
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
-    spec = importlib.util.spec_from_file_location("perfbench_run", path)
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    run = perfbench_run()
     grid = tmp_path / "grid.csv"
     grid.write_text("0.2,0.5\n0.8,0.5\n")
     util = tmp_path / "util.csv"
