@@ -75,7 +75,6 @@ from .harness import (
     run_experiment,
     run_linreg_experiment,
     run_nb_experiment,
-    separated_nb_theta,
     split_dataset,
     synth_linreg,
     synth_nb,
@@ -145,8 +144,7 @@ __all__ = [
     # harness
     "ExperimentConfig", "ExperimentResult", "MetricsRow", "naive_bayes_graph",
     "nb_predictive_batch", "rows_to_csv", "run_experiment", "run_linreg_experiment",
-    "run_nb_experiment", "separated_nb_theta", "split_dataset", "synth_linreg",
-    "synth_nb",
+    "run_nb_experiment", "split_dataset", "synth_linreg", "synth_nb",
     # io
     "load_dataset", "load_grid", "load_network", "load_regression_csv",
     # laplace

@@ -56,7 +56,7 @@ _EXPERIMENT_FIELDS = {
     **dict.fromkeys(
         ("train_fraction", "fourier_t", "threshold", "sigma2", "radius", "noise_sigma"), float
     ),
-    **dict.fromkeys(("out", "dataset"), str),
+    "dataset": str,
 }
 
 
@@ -183,11 +183,14 @@ def _experiment_config(settings: dict, task: str) -> ExperimentConfig:
     return ExperimentConfig(task=task, **fields)
 
 
-def _emit(out: str, text: str) -> None:
-    if out in ("-", "", None):
+def _emit(out: str, lines: list[str]) -> int:
+    """Write the lines, each newline-terminated, to `out` ('-' or '' for stdout); returns 0."""
+    text = "\n".join(lines) + "\n"
+    if out in ("-", ""):
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +198,18 @@ def _emit(out: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require(settings: dict, key: str) -> str:
-    value = settings.get(key)
-    if value is None:
+def _require(settings: dict, key: str, kind=str):
+    if settings.get(key) is None:
         raise ConfigError(f"mechanism task needs {key}=...")
-    return str(value)
+    return _coerce(settings, key, kind)
 
 
-def _run_mechanism(settings: dict) -> int:
+def _run_mechanism(settings: dict, out: str) -> int:
     name = _require(settings, "mechanism")
     seed = _coerce(settings, "seed", int, 0)
-    out = str(settings.get("out", "-"))
+    epsilon = _require(settings, "epsilon", float)
 
     if name == "map":
-        epsilon = _coerce(settings, "epsilon", float, None)
-        if epsilon is None:
-            raise ConfigError("mechanism task needs epsilon=...")
         grid = load_grid(_require(settings, "grid"))
         if settings.get("utility") is not None:
             utility = load_utility(str(settings["utility"]), grid.size)
@@ -218,21 +217,19 @@ def _run_mechanism(settings: dict) -> int:
             # Without a utility file the draw reduces to prior sampling.
             utility = [0.0] * grid.size
         delta_value = _coerce(settings, "delta", float, 0.5)
-        sens = expmech.MapSensitivity(kind="lipschitz", delta_value=delta_value)
         draws = _coerce(settings, "draws", int, 1)
+        if not delta_value > 0 or draws < 0:
+            raise ConfigError(f"map needs delta > 0 and draws >= 0, got {delta_value} and {draws}")
+        sens = expmech.MapSensitivity(kind="lipschitz", delta_value=delta_value)
         idx = expmech.exp_mechanism_indices(grid, utility, epsilon, sens, seed, draws)
         lines = ["draw,point"]
         for i, gi in enumerate(idx):
             coords = ";".join(repr(c) for c in grid.points[int(gi)])
             lines.append(f"{i},{coords}")
-        _emit(out, "\n".join(lines) + "\n")
-        return 0
+        return _emit(out, lines)
 
     graph, priors = load_network(_require(settings, "network"))
     data = load_dataset(_require(settings, "dataset"))
-    epsilon = _coerce(settings, "epsilon", float, None)
-    if epsilon is None:
-        raise ConfigError("mechanism task needs epsilon=...")
 
     if name == "laplace":
         spec = laplace.LaplaceNoiseSpec.for_graph(graph, epsilon, data.n)
@@ -240,8 +237,7 @@ def _run_mechanism(settings: dict) -> int:
         lines = ["node,config,z1,z2"]
         for (i, j), (z1, z2) in pert.entries.items():
             lines.append(f"{i},{j},{z1!r},{z2!r}")
-        _emit(out, "\n".join(lines) + "\n")
-        return 0
+        return _emit(out, lines)
 
     if name == "fourier":
         t = _coerce(settings, "t", float, fourier.DEFAULT_STEALTH_T)
@@ -253,8 +249,7 @@ def _run_mechanism(settings: dict) -> int:
             lines.append(f"coefficient,{gamma:#x},,{value!r}")
         for (i, j), params in post.items():
             lines.append(f"posterior,{i},{j},{params.alpha!r};{params.beta!r}")
-        _emit(out, "\n".join(lines) + "\n")
-        return 0
+        return _emit(out, lines)
 
     if name == "sampler":
         samples = _coerce(settings, "samples", int, 1)
@@ -267,17 +262,15 @@ def _run_mechanism(settings: dict) -> int:
         for s in range(samples):
             for (i, j), row in draws.items():
                 lines.append(f"{i},{j},{s},{row[s]!r}")
-        _emit(out, "\n".join(lines) + "\n")
-        return 0
+        return _emit(out, lines)
 
     raise ConfigError(f"unknown mechanism {name!r}")
 
 
-def _run_verify(settings: dict) -> int:
+def _run_verify(settings: dict, out: str) -> int:
     checks = run_verification_suite(_coerce(settings, "seed", int, 20240817))
     ok = all(c["passed"] for c in checks)
-    report = {"passed": ok, "checks": checks}
-    _emit(str(settings.get("out", "-")), json.dumps(report, indent=2) + "\n")
+    _emit(out, [json.dumps({"passed": ok, "checks": checks}, indent=2)])
     return 0 if ok else 2
 
 
@@ -296,13 +289,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         settings = _merge_settings(ns)
         task = settings["task"]
+        out = _coerce(settings, "out", str, "-")
         if task == "verify":
-            return _run_verify(settings)
+            return _run_verify(settings, out)
         if task == "mechanism":
-            return _run_mechanism(settings)
-        config = _experiment_config(settings, task)
-        _emit(config.out, rows_to_csv(run_experiment(config).rows))
-        return 0
+            return _run_mechanism(settings, out)
+        rows = run_experiment(_experiment_config(settings, task)).rows
+        return _emit(out, rows_to_csv(rows).splitlines())
     except ConfigError as exc:
         print(f"dpbayes: config error: {exc}", file=sys.stderr)
         return 1

@@ -109,8 +109,8 @@ def sampling_probabilities(
     grid: GridSpec, utility: Utility, epsilon: float, delta: MapSensitivity
 ) -> np.ndarray:
     """Exactly-normalized sampling distribution over the grid points."""
-    if epsilon < 0 or math.isnan(epsilon):
-        raise InvalidEpsilonError(f"epsilon must be non-negative, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise InvalidEpsilonError(f"epsilon must be finite and non-negative, got {epsilon}")
     u = _utility_values(grid, utility)
     expo = epsilon * u / (2.0 * delta.delta_value)
     expo -= expo.max()
@@ -162,7 +162,7 @@ def map_utility_certificate(
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    if epsilon < 0 or math.isnan(epsilon):
+    if not epsilon >= 0:
         raise InvalidEpsilonError(f"epsilon must be non-negative, got {epsilon}")
     u = _utility_values(grid, utility)
     masses = grid.masses

@@ -42,6 +42,7 @@ from .graph import (
     PriorMap,
     count_cells,
     family_plan,
+    project_marginal,
 )
 from .randomness import derive_seed, laplace_from_uniform, substream
 
@@ -110,12 +111,8 @@ def fourier_coefficient(data: Dataset, gamma: int, k: int | None = None) -> floa
     if data.n == 0:
         return 0.0
     positions = [p for p in range(k) if (gamma >> p) & 1]
-    if positions:
-        parity = data.records[:, positions].sum(axis=1) & 1
-        signed = data.n - 2 * int(parity.sum())
-    else:
-        signed = data.n
-    return float(signed) * 2.0 ** (-k / 2.0)
+    parity = data.records[:, positions].sum(axis=1) & 1
+    return float(data.n - 2 * int(parity.sum())) * 2.0 ** (-k / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +217,12 @@ def exact_coefficients(data: Dataset, closure: DownwardClosure) -> CoefficientSe
 
 
 def noise_scale(closure: DownwardClosure, epsilon: float) -> float:
-    """Per-coefficient Laplace scale 2|J|/(epsilon * 2^{k/2})."""
-    if math.isinf(epsilon):
-        return 0.0
+    """Per-coefficient Laplace scale 2|J|/(epsilon * 2^{k/2}); 0 when epsilon is infinite."""
     return 2.0 * closure.size / (epsilon * 2.0 ** (closure.k / 2.0))
 
 
 def stealth_increment(closure: DownwardClosure, epsilon: float, t: float) -> float:
     """Deterministic boost of the empty-set coefficient: 4t|J|^2/(eps 2^{k/2})."""
-    if math.isinf(epsilon):
-        return 0.0
     return 4.0 * t * closure.size**2 / (epsilon * 2.0 ** (closure.k / 2.0))
 
 
@@ -249,10 +242,10 @@ def release_coefficients(
     Reproducible under the seed; which uniform feeds which coefficient
     depends on closure.members alone.
     """
-    if not epsilon > 0 or math.isnan(epsilon):
+    if not epsilon > 0:
         raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
-    if not t > 0:
-        raise InvalidTError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise InvalidTError(f"t must be positive and finite, got {t}")
     scale = noise_scale(closure, epsilon)
     u = substream(seed, _NOISE_TAG).random(closure.size)
     noisy = _exact_vector(data, closure) + laplace_from_uniform(u, scale)
@@ -297,15 +290,18 @@ def _plan_positions(graph: BayesNetGraph, closure: DownwardClosure) -> tuple[np.
     return tuple(np.array([positions[i] for i in batch[:, 0]]) for batch in family_plan(graph)[0])
 
 
-def _family_cells(coeffs: CoefficientSet, positions: np.ndarray) -> np.ndarray:
-    """(rows, 2^f) cell tables of equal-size families from their coefficient positions.
+def _family_cells(coeffs: CoefficientSet, positions: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Cells of the families behind each (rows, 2^f) position table, row by row.
 
     cell(c) = 2^{k/2 - f} * sum_{gamma <= F} (-1)^{popcount(c & gamma)} z_gamma,
-    i.e. the Walsh butterfly of the family's coefficients, rescaled.
+    i.e. the Walsh butterfly of the family's coefficients, rescaled. The
+    coefficient vector z is read from the set once, for all tables.
     """
-    z = np.array([coeffs.values[m] for m in coeffs.closure.members])[positions]
-    size = positions.shape[1].bit_length() - 1
-    return _walsh(z) * 2.0 ** (coeffs.k / 2.0 - size)
+    z = np.array([coeffs.values[m] for m in coeffs.closure.members])
+    return np.concatenate(
+        [(_walsh(z[at]) * 2.0 ** (coeffs.k / 2.0 - (at.shape[1].bit_length() - 1))).ravel()
+         for at in positions]
+    )
 
 
 def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph) -> ContingencyTable:
@@ -324,7 +320,7 @@ def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph
     if graph.node_count != coeffs.k:
         raise DimensionMismatchError("coefficient set and graph disagree on k")
     positions = _family_positions(coeffs.closure, graph, node)
-    cells = _family_cells(coeffs, positions[None])[0].tolist()
+    cells = _family_cells(coeffs, (positions[None],)).tolist()
     fam = (node, *graph.parents[node])
     return ContingencyTable(
         len(fam),
@@ -353,8 +349,7 @@ def fourier_posterior_params(
     if graph.node_count != coeffs.k:
         raise DimensionMismatchError("coefficient set and graph disagree on k")
     positions = _plan_positions(graph, coeffs.closure)
-    cells = np.concatenate([_family_cells(coeffs, at).ravel() for at in positions])
-    cells = cells[family_plan(graph)[1]]
+    cells = _family_cells(coeffs, positions)[family_plan(graph)[1]]
     beta_cells, alpha_cells = cells[0::2], cells[1::2]
     if clamp_nonpositive:
         alpha_cells = np.maximum(alpha_cells, 0.0)
@@ -432,6 +427,4 @@ def shared_submarginal(
     """
     keep_set = set(keep_nodes)
     selector = [1 if n in keep_set else 0 for n in table_nodes]
-    from .graph import project_marginal
-
     return project_marginal(marginal, selector)

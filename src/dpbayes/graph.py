@@ -214,10 +214,6 @@ class UpdateVector:
     def size(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def zeros(cls, graph: BayesNetGraph) -> "UpdateVector":
-        return cls({key: (0.0, 0.0) for key in graph.entry_keys()})
-
 
 def count_cells(records: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Cell counts of the records over every row of a (rows, f) column table.
@@ -265,7 +261,7 @@ def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
             f"records have width {data.dimension}, network has {graph.node_count} nodes"
         )
     if not data.n:
-        return UpdateVector.zeros(graph)
+        return UpdateVector({key: (0.0, 0.0) for key in graph.entry_keys()})
     batches, order = family_plan(graph)
     cells = np.concatenate([count_cells(data.records, batch).ravel() for batch in batches])
     pairs = cells[order].reshape(-1, 2).astype(np.float64)

@@ -11,7 +11,6 @@ work was scheduled.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,6 @@ class ExperimentConfig:
     repeats: int = 100
     train_fraction: float = 0.05
     seed: int = 0
-    out: str = "-"
     d: int = 16
     n: int = 1000
     sampler_samples: int = 1000
@@ -82,9 +80,7 @@ class ExperimentConfig:
         for mech in self.mechanisms:
             if mech not in allowed:
                 raise ConfigError(f"unknown mechanism {mech!r} for task {self.task!r}")
-        if not self.epsilon_grid or any(
-            not e > 0 or math.isnan(e) for e in self.epsilon_grid
-        ):
+        if not self.epsilon_grid or any(not e > 0 for e in self.epsilon_grid):
             raise ConfigError("epsilon grid must be non-empty and strictly positive")
         if not self.b_grid or any(not b > 0 for b in self.b_grid):
             raise ConfigError("b grid must be non-empty and strictly positive")
@@ -148,22 +144,6 @@ def synth_nb(
     return data, theta
 
 
-def separated_nb_theta(d: int, seed: int, lo: float = 0.06, hi: float = 0.12) -> ThetaMap:
-    """Generating parameters with a fixed per-feature class separation.
-
-    Class marginal 1/2; feature i is 1/2 - delta_i under class 0 and
-    1/2 + delta_i under class 1, delta_i uniform in [lo, hi]. Keeps the
-    exact-posterior test accuracy in a mid range so mechanism-induced
-    degradation is visible in both directions.
-    """
-    theta: ThetaMap = {(0, 0): 0.5}
-    for i in range(1, d + 1):
-        delta = lo + (hi - lo) * float(substream(seed, "spread-theta", i).random())
-        theta[(i, 0)] = 0.5 - delta
-        theta[(i, 1)] = 0.5 + delta
-    return theta
-
-
 def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint, covering train/test split from a seeded permutation."""
     if not 0.0 < train_fraction < 1.0:
@@ -207,8 +187,29 @@ def nb_predictive_batch(posterior: PosteriorMap, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _require_task(config: ExperimentConfig, task: str) -> None:
+    if config.task != task:
+        raise ConfigError(f"the {task!r} sweep cannot run a config for task {config.task!r}")
+
+
+def _rows(
+    config: ExperimentConfig,
+    grid: tuple[float, ...],
+    metric: str,
+    values: dict[tuple[str, int, int], float],
+) -> list[MetricsRow]:
+    """One row per (mechanism, grid point, repeat), in that order, from values keyed by index."""
+    return [
+        MetricsRow(mech, param, r, metric, values[(mech, gi, r)])
+        for mech in config.mechanisms
+        for gi, param in enumerate(grid)
+        for r in range(config.repeats)
+    ]
+
+
 def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Accuracy sweep of the naive-Bayes mechanisms over the epsilon grid."""
+    _require_task(config, "nb")
     if config.dataset is not None:
         data = load_dataset(config.dataset)
         if data.dimension < 2:
@@ -280,17 +281,12 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     if stealth_clamps:
         releases = config.repeats * len(config.epsilon_grid)
         log.info("fourier stealth: %d of %d releases floored", stealth_clamps, releases)
-    rows = [
-        MetricsRow(mech, config.epsilon_grid[ei], r, "accuracy", acc[(mech, ei, r)])
-        for mech in config.mechanisms
-        for ei in range(len(config.epsilon_grid))
-        for r in range(config.repeats)
-    ]
-    return ExperimentResult(rows, stealth_clamps)
+    return ExperimentResult(_rows(config, config.epsilon_grid, "accuracy", acc), stealth_clamps)
 
 
 def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
     """MSE sweep over prior precisions for exact and sampled predictors."""
+    _require_task(config, "linreg")
     if config.dataset is not None:
         X_raw, y_raw = load_regression_csv(config.dataset)
     else:
@@ -301,9 +297,8 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     mse: dict[tuple[str, int, int], float] = {}
     for r in range(config.repeats):
-        perm = substream(derive_seed(config.seed, "linreg-split", r), "train-test-split").permutation(
-            data.n
-        )
+        split_seed = derive_seed(config.seed, "linreg-split", r)
+        perm = substream(split_seed, "train-test-split").permutation(data.n)
         n_train = min(data.n - 1, max(data.d + 1, round(data.n * config.train_fraction)))
         tr, te = perm[:n_train], perm[n_train:]
         train = regression.RegressionData(
@@ -324,13 +319,7 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
                     config.regression_samples,
                     derive_seed(config.seed, "linreg-draws", bi, r),
                 )
-    rows = [
-        MetricsRow(mech, config.b_grid[bi], r, "mse", mse[(mech, bi, r)])
-        for mech in config.mechanisms
-        for bi in range(len(config.b_grid))
-        for r in range(config.repeats)
-    ]
-    return ExperimentResult(rows)
+    return ExperimentResult(_rows(config, config.b_grid, "mse", mse))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ class LaplaceNoiseSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0 or math.isnan(self.epsilon):
+        if not self.epsilon > 0:
             raise InvalidEpsilonError(f"epsilon must be positive, got {self.epsilon}")
         if self.node_count <= 0:
             raise ValueError("node_count must be positive")
@@ -47,8 +47,6 @@ class LaplaceNoiseSpec:
     @property
     def scale(self) -> float:
         """Laplace scale b = 2|I| / epsilon (0 when epsilon is infinite)."""
-        if math.isinf(self.epsilon):
-            return 0.0
         return 2.0 * self.node_count / self.epsilon
 
     @classmethod
@@ -105,12 +103,10 @@ def update_deviation_bound(graph: BayesNetGraph, epsilon: float, delta: float) -
     counts stays within (2|I|/epsilon) * ln(2m/delta) of its exact
     value. Union bound over the 2m independent Laplace draws.
     """
-    if not epsilon > 0:
-        raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
+    scale = LaplaceNoiseSpec.for_graph(graph, epsilon, 0).scale
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    m = graph.update_size()
-    return (2.0 * graph.node_count / epsilon) * math.log(2.0 * m / delta)
+    return scale * math.log(2.0 * graph.update_size() / delta)
 
 
 def posterior_kl_bound(
@@ -139,18 +135,15 @@ def posterior_kl_bound(
     logarithms in the derivation stay non-negative. delta = 1 makes the
     square-root term vanish.
     """
-    if not epsilon > 0:
-        raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
+    scale = LaplaceNoiseSpec.for_graph(graph, epsilon, n).scale
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    if n < 0:
-        raise ValueError("n must be non-negative")
     for key, prior in priors.items():
         if prior.alpha < 2.0 or prior.beta < 2.0:
             raise PriorTooSmallError(
                 f"entry {key} has prior ({prior.alpha}, {prior.beta}); both must be >= 2"
             )
-    refined = n >= 2.0 * graph.node_count / epsilon
+    refined = n >= scale
     expectation_total = 0.0
     variation_total = 0.0
     for key, (da, db) in updates.entries.items():

@@ -32,16 +32,11 @@ def derive_seed(seed: int, *key: int | str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(2, np.uint32)[0])
 
 
-def laplace_from_uniform(u: np.ndarray | float, scale: float) -> np.ndarray | float:
-    """Inverse-CDF Laplace draw from one uniform per coordinate.
+def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+    """Inverse-CDF Laplace draw from one uniform per coordinate of the array u.
 
     scale == 0 is allowed and yields exactly zero noise.
     """
-    u = np.asarray(u, dtype=float)
     # u == 0.0 would map to -inf; it sits one ulp away from a legal draw.
-    u = np.where(u == 0.0, 2.0**-53, u)
-    centered = u - 0.5
-    out = -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    centered = np.where(u == 0.0, 2.0**-53, u) - 0.5
+    return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))

@@ -47,7 +47,7 @@ class LipschitzSpec:
     def __post_init__(self) -> None:
         if not self.per_node_L:
             raise ValueError("need at least one node")
-        if any(L < 0 or math.isnan(L) for L in self.per_node_L):
+        if any(not L >= 0 for L in self.per_node_L):
             raise ValueError("Lipschitz constants must be non-negative")
 
 
@@ -178,11 +178,14 @@ def trim_bound(epsilon: float) -> float:
 
     Raises OmegaTooLargeError when omega >= 1/2 (epsilon <= 2 ln 2):
     the interval is empty or a single point, so the caller must raise
-    epsilon or pick a smaller omega directly.
+    epsilon or pick a smaller omega directly. Raises InvalidEpsilonError
+    when omega underflows to 0 (epsilon above ~1490): nothing is trimmed.
     """
-    if not epsilon > 0 or math.isnan(epsilon):
+    if not epsilon > 0:
         raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
     omega = math.exp(-epsilon / 2.0)
+    if omega == 0.0:
+        raise InvalidEpsilonError(f"epsilon={epsilon} makes omega underflow to 0; no trim left")
     if omega >= 0.5:
         raise OmegaTooLargeError(
             f"epsilon={epsilon} gives omega={omega:.4f} >= 1/2; trim interval degenerate"

@@ -128,6 +128,9 @@ def test_probs_reject_bad_inputs():
     grid = ten_point_grid()
     with pytest.raises(InvalidEpsilonError):
         sampling_probabilities(grid, np.zeros(10), -1.0, HALF)
+    # eps * u with eps = inf and u = 0 is NaN; no grid point may be drawn from that
+    with pytest.raises(InvalidEpsilonError):
+        sampling_probabilities(grid, np.zeros(10), math.inf, HALF)
     with pytest.raises(ValueError):
         sampling_probabilities(grid, np.full(10, np.inf), 1.0, HALF)
     with pytest.raises(LengthMismatchError):

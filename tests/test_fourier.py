@@ -199,6 +199,9 @@ def test_release_rejects_bad_parameters(rng):
         release_coefficients(data, clo, epsilon=1.0, t=0.0, seed=1)
     with pytest.raises(InvalidTError):
         release_coefficients(data, clo, epsilon=1.0, t=-2.0, seed=1)
+    # an infinite increment would leave no finite coefficient to read
+    with pytest.raises(InvalidTError, match="finite"):
+        release_coefficients(data, clo, epsilon=1.0, t=math.inf, seed=1)
 
 
 def test_release_near_zero_noise_limit(rng):

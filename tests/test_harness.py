@@ -10,6 +10,7 @@ from dpbayes import (
     BetaParams,
     ConfigError,
     ExperimentConfig,
+    InvalidEpsilonError,
     MetricsRow,
     MissingPosteriorEntryError,
     accuracy,
@@ -19,7 +20,6 @@ from dpbayes import (
     run_experiment,
     run_linreg_experiment,
     run_nb_experiment,
-    separated_nb_theta,
     split_dataset,
     synth_linreg,
     synth_nb,
@@ -132,15 +132,6 @@ def test_synth_nb_honors_theta_override():
 def test_synth_nb_flagship_scale():
     data, _ = synth_nb(16, 1000, seed=0)
     assert data.records.shape == (1000, 17)
-
-
-def test_separated_theta_spread():
-    theta = separated_nb_theta(5, seed=2)
-    assert theta[(0, 0)] == 0.5
-    for i in range(1, 6):
-        delta = theta[(i, 1)] - 0.5
-        assert 0.06 <= delta <= 0.12
-        assert theta[(i, 0)] == pytest.approx(0.5 - delta)
 
 
 def test_split_disjoint_and_covering():
@@ -273,6 +264,19 @@ def test_nb_experiment_sampler_degenerate_epsilon():
     assert result.rows[0].value == pytest.approx(float(labels.mean()))
 
 
+def test_nb_experiment_infinite_epsilon():
+    # laplace and fourier read eps = inf as zero noise; the sampler has no trim left
+    exact = replace(TINY_NB, mechanisms=("none", "laplace", "fourier"), epsilon_grid=(math.inf,))
+    values = {}
+    for row in run_nb_experiment(exact).rows:
+        values.setdefault(row.repeat, {})[row.mechanism] = row.value
+    assert all(v["laplace"] == v["fourier"] == v["none"] for v in values.values())
+    for eps in (1500.0, math.inf):
+        config = replace(TINY_NB, mechanisms=("sampler",), epsilon_grid=(20.0, eps))
+        with pytest.raises(InvalidEpsilonError, match="underflow"):
+            run_nb_experiment(config)
+
+
 def test_nb_experiment_counts_floored_fourier_releases(caplog):
     # t = 0.01 leaves the stealth boost too small for some of the 8 releases
     config = replace(TINY_NB, mechanisms=("fourier",), fourier_t=0.01, repeats=4)
@@ -335,6 +339,13 @@ def test_benchmark_sweeps_are_valid_configs():
             # the benchmark's check_sweep keeps only these for a linreg sweep
             kept = tuple(m for m in config.mechanisms if m in LINREG_MECHANISMS)
             assert kept == config.mechanisms, name
+
+
+def test_sweep_drivers_check_the_task():
+    with pytest.raises(ConfigError, match="'linreg' sweep .* task 'nb'"):
+        run_linreg_experiment(TINY_NB)
+    with pytest.raises(ConfigError, match="'nb' sweep .* task 'linreg'"):
+        run_nb_experiment(TINY_LINREG)
 
 
 def test_run_experiment_dispatch():

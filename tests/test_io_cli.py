@@ -446,6 +446,43 @@ def test_cli_rejects_another_mechanisms_setting(tmp_path, capsys, mechanism, for
     assert f"unknown setting {key!r} for mechanism {mechanism!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mechanism, setting, expect",
+    [
+        *[
+            (m, f"epsilon={e}", "epsilon must be")
+            for m in ("laplace", "fourier", "sampler")
+            for e in ("0", "-1", "nan")
+        ],
+        ("map", "epsilon=-1", "epsilon must be"),
+        ("map", "epsilon=nan", "epsilon must be"),
+        ("sampler", "epsilon=inf", "underflow"),
+        ("map", "epsilon=inf", "finite"),
+        ("fourier", "t=0", "t must be"),
+        ("fourier", "t=inf", "finite"),
+        ("sampler", "samples=-1", "samples"),
+        ("map", "delta=0", "delta > 0"),
+        ("map", "delta=-1", "delta > 0"),
+        ("map", "draws=-1", "draws >= 0"),
+    ],
+)
+def test_cli_bad_release_setting_exits_1(tmp_path, capsys, mechanism, setting, expect):
+    # a later key=value token overrides release_args' own epsilon=3
+    args = release_args(tmp_path, mechanism)
+    at = args.index("epsilon=3") + 1
+    assert main([*args[:at], setting, *args[at:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dpbayes:")
+    assert expect in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_nb_infinite_fourier_t_exits_1(capsys):
+    assert main([*NB_ARGS, "--mechanisms", "fourier", "--fourier-t", "inf"]) == 1
+    assert "t must be positive and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("task", ["nb", "laplace"])
 def test_cli_empty_out_writes_stdout_like_dash(tmp_path, capsys, task):
     args = NB_ARGS if task == "nb" else release_args(tmp_path, task)

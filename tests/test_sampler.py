@@ -192,6 +192,15 @@ def test_trim_bound_degenerate_interval():
         trim_bound(-3.0)
 
 
+def test_trim_bound_rejects_underflowing_omega():
+    # exp(-epsilon/2) is 0.0 in double precision beyond epsilon ~ 1490:
+    # nothing would be trimmed, so no finite guarantee holds
+    for epsilon in (1500.0, math.inf):
+        with pytest.raises(InvalidEpsilonError, match="underflow"):
+            trim_bound(epsilon)
+    assert trim_bound(1400.0) > 0.0
+
+
 def test_trimmed_draws_stay_inside_interval(rng):
     omega = math.exp(-1.0)
     draws = trimmed_beta_draws(BetaParams(3.0, 2.0), omega, rng, size=5000)
