@@ -7,6 +7,8 @@ MAP estimation; plus Bayesian linear regression with a truncated
 Gaussian posterior, verification oracles, and an experiment harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceededError,
     ConditionViolatedError,
@@ -122,47 +124,7 @@ from .sampler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    # errors
-    "BudgetExceededError", "ConditionViolatedError", "ConfigError", "CyclicGraphError",
-    "DimensionMismatchError", "DpBayesError", "EmptyLevelSetError",
-    "InvalidEpsilonError", "InvalidTError", "LengthMismatchError",
-    "MissingCoefficientError", "MissingPosteriorEntryError", "MissingPriorEntryError",
-    "NonPositivePosteriorParamError", "OmegaTooLargeError", "PriorTooSmallError",
-    "RejectionBudgetExhaustedError", "SingularSystemError",
-    # expmech
-    "GridSpec", "MapSensitivity", "exp_mechanism_indices", "exp_mechanism_sample",
-    "map_sensitivity", "map_utility_certificate", "sampling_probabilities",
-    # fourier
-    "CoefficientSet", "DownwardClosure", "downward_closure", "exact_coefficients",
-    "fourier_coefficient", "fourier_posterior_params", "marginal_error_bound",
-    "noise_scale", "reconstruct_marginal", "release_coefficients", "shared_submarginal",
-    "stealth_increment",
-    # graph
-    "BayesNetGraph", "BetaParams", "ContingencyTable", "Dataset", "UpdateVector",
-    "ancestral_sample", "build_table", "compute_updates", "joint_log_likelihood",
-    "posterior_params", "project_marginal", "uniform_priors", "validate_graph",
-    # harness
-    "ExperimentConfig", "ExperimentResult", "MetricsRow", "naive_bayes_graph",
-    "nb_predictive_batch", "rows_to_csv", "run_experiment", "run_linreg_experiment",
-    "run_nb_experiment", "split_dataset", "synth_linreg", "synth_nb",
-    # io
-    "load_dataset", "load_grid", "load_network", "load_regression_csv",
-    # laplace
-    "LaplaceNoiseSpec", "PerturbedUpdates", "perturb_updates", "posterior_kl_bound",
-    "update_deviation_bound", "update_sensitivity",
-    # metrics
-    "KlReport", "PrivacyCheckReport", "accuracy", "kl_beta", "kl_joint",
-    # randomness
-    "derive_seed", "laplace_from_uniform", "substream",
-    # regression
-    "GaussianPosterior", "RegressionData", "default_radius", "fit_posterior",
-    "posterior_mean_predictions", "predictive_mse", "regression_sensitivity",
-    "sample_truncated", "scale_regression_data", "worst_case_sensitivity",
-    # sampler
-    "LipschitzSpec", "SamplerPrivacyReport", "StochasticLipschitzSpec",
-    "compose_lipschitz", "compose_stochastic_lipschitz",
-    "lipschitz_constants_from_theta", "max_to_marginal_ratio", "pure_privacy_report",
-    "sampler_predictive_batch", "stochastic_privacy_constant",
-    "stochastic_privacy_report", "trim_bound", "trimmed_beta_draws",
-    "trimmed_posterior_sample",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

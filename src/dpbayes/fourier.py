@@ -226,12 +226,14 @@ def stealth_increment(closure: DownwardClosure, epsilon: float, t: float) -> flo
     return 4.0 * t * closure.size**2 / (epsilon * 2.0 ** (closure.k / 2.0))
 
 
+def _check_t(t: float) -> None:
+    """The stealth parameter t of every Fourier bound is positive and finite."""
+    if not 0 < t < math.inf:
+        raise InvalidTError(f"t must be positive and finite, got {t}")
+
+
 def release_coefficients(
-    data: Dataset,
-    closure: DownwardClosure,
-    epsilon: float,
-    t: float,
-    seed: int,
+    data: Dataset, closure: DownwardClosure, epsilon: float, t: float, seed: int
 ) -> CoefficientSet:
     """Noisy coefficient release with the stealth increment applied.
 
@@ -244,8 +246,7 @@ def release_coefficients(
     """
     if not epsilon > 0:
         raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < t < math.inf:
-        raise InvalidTError(f"t must be positive and finite, got {t}")
+    _check_t(t)
     scale = noise_scale(closure, epsilon)
     u = substream(seed, _NOISE_TAG).random(closure.size)
     noisy = _exact_vector(data, closure) + laplace_from_uniform(u, scale)
@@ -410,8 +411,7 @@ def marginal_error_bound(
         raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if not t > 0:
-        raise InvalidTError(f"t must be positive, got {t}")
+    _check_t(t)
     size = downward_closure(graph).size
     indeg = graph.parent_count(node)
     return (4.0 * size / epsilon) * (2.0**indeg * math.log(size / delta) + t * size)

@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError("sigma2 must be positive")
         if self.radius is not None and not self.radius > 0:
             raise ConfigError("radius must be positive when given")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise sigma must be non-negative and finite, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)

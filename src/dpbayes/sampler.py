@@ -11,6 +11,12 @@ For Beta-Bernoulli networks the required smoothness is forced by
 trimming: condition every success probability into [omega, 1 - omega],
 omega = exp(-epsilon/2), so one record's flip moves any log-likelihood
 by at most ln((1 - omega)/omega) <= epsilon per coordinate.
+
+The guarantee assumes exact draws from the trimmed posterior. A release
+draws them all in one trimmed_beta_draws call: one uniform block for
+inversion, then one plain Beta proposal block for the rows whose
+conditioning mass is at least PROPOSAL_MASS. Proposals inside the trim
+interval are kept and only the misses are inverted.
 """
 from __future__ import annotations
 
@@ -32,6 +38,9 @@ from .graph import BayesNetGraph, BetaParams, EntryKey, PosteriorMap, ThetaMap
 from .randomness import substream
 
 _DRAW_TAG = "trimmed-posterior-draw"
+
+# Conditioning mass from which a row tries one plain Beta proposal per slot.
+PROPOSAL_MASS = 0.5
 
 # Fixed constants of the additive-guarantee expression.
 KAPPA = 4.91081
@@ -199,21 +208,35 @@ def trimmed_beta_draws(
     rng: np.random.Generator,
     size: int = 1,
 ) -> np.ndarray:
-    """Exact draws from Beta(alpha, beta) conditioned on [omega, 1 - omega].
+    """Exact draws from Beta(alpha, beta) conditioned on I = [omega, 1 - omega].
 
-    Inverse-CDF sampling (Devroye 1986, ch. 2): one uniform per slot is
-    mapped onto the interval's probability range and pushed through the
-    regularized incomplete beta inverse. When the interval sits in the
-    upper tail (CDF at omega above 1/2) the survival function and its
-    inverse are used instead, so a tiny conditioning mass never
-    cancels against 1. A mass that underflows to zero in double
-    precision raises ConditionViolatedError; no boundary atom is ever
-    substituted.
+    Inverse-CDF sampling (Devroye 1986, ch. II): one uniform per slot is
+    mapped onto the interval's probability range [near, near + mass]
+    and pushed through the regularized incomplete beta inverse. When the
+    interval sits in the upper tail (CDF at omega above 1/2) the
+    survival function and its inverse are used instead, so a tiny
+    conditioning mass never cancels against 1. A mass that underflows
+    to zero in double precision raises ConditionViolatedError; no
+    boundary atom is ever substituted.
+
+    Rows whose mass m is at least PROPOSAL_MASS first draw one plain
+    Beta(alpha, beta) proposal Y per slot (Devroye 1986, ch. IX) and
+    keep it when it lands in I; only the slots whose proposal misses
+    are inverted, each with its own uniform U. The result is still
+    exact. U is independent of Y, and the inversion of U has the
+    trimmed law Q, so for any A inside I
+
+        P(X in A) = P(Y in A) + P(Y not in I) Q(A) = m Q(A) + (1 - m) Q(A) = Q(A),
+
+    since P(Y in A) = m Q(A) for A inside I. There is one proposal round
+    and no retry. At m >= 1/2 at most half the slots, on average, pay
+    for an inversion; rows below it are inverted outright.
 
     A single BetaParams gives `size` draws. A sequence of m BetaParams
-    gives an (m, size) array from one (m, size) uniform block of `rng`,
-    row r for params[r]; a single BetaParams consumes `rng` exactly as
-    the one-row block does.
+    gives an (m, size) array, row r for params[r]. `rng` first yields
+    one (m, size) uniform block, then, if any row proposes, one
+    (k, size) Beta proposal block for those k rows in row order. A
+    single BetaParams consumes `rng` exactly as the one-row block does.
     """
     if not 0 < omega < 0.5:
         raise OmegaTooLargeError(f"omega must lie in (0, 1/2), got {omega}")
@@ -236,11 +259,19 @@ def trimmed_beta_draws(
             f"Beta({bad.alpha:.6g}, {bad.beta:.6g}) puts no representable mass on "
             f"[{omega:.6g}, {1.0 - omega:.6g}]"
         )
-    p = near[:, None] + u * mass[:, None]
-    out = np.empty_like(p)
-    lower = ~upper
-    out[lower] = scipy.special.betaincinv(a[lower, None], b[lower, None], p[lower])
-    out[upper] = scipy.special.betainccinv(a[upper, None], b[upper, None], p[upper])
+    out = np.empty_like(u)
+    miss = np.ones(u.shape, dtype=bool)
+    propose = mass >= PROPOSAL_MASS
+    if propose.any():
+        y = rng.beta(a[propose, None], b[propose, None], (np.count_nonzero(propose), size))
+        out[propose] = y
+        miss[propose] = (y < omega) | (y > 1.0 - omega)
+    for invert, tail in (
+        (scipy.special.betaincinv, ~upper),
+        (scipy.special.betainccinv, upper),
+    ):
+        rows, cols = np.nonzero(miss & tail[:, None])
+        out[rows, cols] = invert(a[rows], b[rows], near[rows] + u[rows, cols] * mass[rows])
     # The clip only absorbs ulp rounding of the inverse at the interval ends.
     np.clip(out, omega, 1.0 - omega, out=out)
     return out[0] if single else out

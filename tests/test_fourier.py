@@ -446,6 +446,13 @@ def test_error_bound_increases_in_t():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_error_bound_rejects_non_finite_t(t):
+    # the bound and the release share one t rule, and its message
+    with pytest.raises(InvalidTError, match="t must be positive and finite"):
+        marginal_error_bound(CHAIN3, 1, epsilon=1.0, delta=0.1, t=t)
+
+
 def test_error_bound_naive_bayes_spot_value():
     nb = BayesNetGraph(node_count=3, parents=((), (0,), (0,)))  # d=2, |J|=6
     t = math.log(10.0)

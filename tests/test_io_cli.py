@@ -483,6 +483,27 @@ def test_cli_nb_infinite_fourier_t_exits_1(capsys):
     assert "t must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "task, flag, value",
+    [
+        ("nb", "--threshold", "7"),
+        ("nb", "--threshold", "nan"),
+        ("linreg", "--noise-sigma", "-1"),
+        ("linreg", "--noise-sigma", "nan"),
+    ],
+)
+def test_cli_bad_sweep_setting_exits_1(capsys, task, flag, value):
+    args = ["--task", task, "--repeats", "1", "--mechanisms", "none", flag, value]
+    if task == "nb":
+        args += ["--d", "2", "--n", "40", "--epsilon-grid", "1"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dpbayes:")
+    assert flag.lstrip("-").replace("-", " ") in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("task", ["nb", "laplace"])
 def test_cli_empty_out_writes_stdout_like_dash(tmp_path, capsys, task):
     args = NB_ARGS if task == "nb" else release_args(tmp_path, task)

@@ -1,5 +1,6 @@
 """Lipschitz calculus, privacy constants, and the trimmed posterior sampler."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -32,7 +33,7 @@ from dpbayes import (
     trimmed_posterior_sample,
 )
 from dpbayes.randomness import substream
-from dpbayes.sampler import KAPPA, OMEGA_BAR, trimmed_posterior_draws
+from dpbayes.sampler import KAPPA, OMEGA_BAR, PROPOSAL_MASS, trimmed_posterior_draws
 from dpbayes.verify import (
     max_log_ratio_per_hamming,
     trimmed_nb_predictive_quadrature,
@@ -270,6 +271,66 @@ def test_trimmed_draws_mixed_tail_block(rng):
         assert_exact_trimmed_sample(row, p, omega)
 
 
+def trim_mass(params, omega):
+    a, b = params.alpha, params.beta
+    return scipy.special.betainc(a, b, 1.0 - omega) - scipy.special.betainc(a, b, omega)
+
+
+HYBRID_BLOCKS = {
+    # rows with mass >= PROPOSAL_MASS come first: the e^-1 proposal rows
+    # miss on both sides and mostly above; the e^-5 ones miss below and
+    # above; the rest are inverted in the lower and the upper tail
+    "omega=e^-1": (
+        math.exp(-1.0),
+        [BetaParams(8.0, 8.0), BetaParams(9.0, 6.0), BetaParams(3.0, 2.0),
+         BetaParams(500.0, 2.0), BetaParams(1.0, 51.0)],
+    ),
+    "omega=e^-5": (
+        math.exp(-5.0),
+        [BetaParams(1.0, 51.0), BetaParams(80.0, 1.0), BetaParams(800.0, 2.0),
+         BetaParams(1.0, 200.0), BetaParams(2.0, 800.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("omega, params", HYBRID_BLOCKS.values(), ids=HYBRID_BLOCKS.keys())
+def test_hybrid_block_exact_per_row(rng, omega, params):
+    # one block mixes proposal rows, whose misses are inverted, with
+    # rows that are inverted outright; every row must have the trimmed law
+    proposes = [trim_mass(p, omega) >= PROPOSAL_MASS for p in params]
+    assert proposes == [True, True, False, False, False]
+    block = trimmed_beta_draws(params, omega, rng, size=20000)
+    for row, p in zip(block, params):
+        assert_exact_trimmed_sample(row, p, omega)
+
+
+def test_proposal_rows_keep_inside_proposals():
+    # after the uniform block, the proposal rows draw one Beta block;
+    # a proposal inside the interval is the draw, one outside is replaced
+    omega, S = math.exp(-1.0), 400
+    params = [BetaParams(3.0, 2.0), BetaParams(8.0, 8.0), BetaParams(30.0, 30.0)]
+    draws = trimmed_beta_draws(params, omega, np.random.default_rng(5), S)
+    replay = np.random.default_rng(5)
+    replay.random((3, S))
+    y = replay.beta([[8.0], [30.0]], [[8.0], [30.0]], (2, S))
+    inside = (y >= omega) & (y <= 1.0 - omega)
+    assert 0 < inside.sum() < inside.size
+    assert np.array_equal(draws[1:][inside], y[inside])
+    assert ((draws[1:][~inside] > omega) & (draws[1:][~inside] < 1.0 - omega)).all()
+
+
+def test_criterion_11_draws_stay_on_inversion_path():
+    # Beta(3, 2) at omega = e^-1 has mass 0.39 < PROPOSAL_MASS, so the
+    # acceptance draws are pure inversion and keep their bits (digest
+    # taken with numpy 2.4 and scipy 1.17)
+    params, omega = BetaParams(3.0, 2.0), math.exp(-1.0)
+    assert trim_mass(params, omega) < PROPOSAL_MASS
+    draws = trimmed_beta_draws(params, omega, substream(20240817, "ks"), size=100_000)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+        "1fc0f295de8ee4fca9bde03a444e600c8db2bfc02d61c984a7f1ea4f68ef2caf"
+    )
+
+
 class FixedUniforms:
     """Stands in for a Generator whose next uniforms are already known."""
 
@@ -282,7 +343,9 @@ class FixedUniforms:
 
 def test_release_block_layout():
     # row r of the release block is the single-entry inversion of row r
-    # of one (m, S) uniform block, entries in sorted key order
+    # of one (m, S) uniform block, entries in sorted key order. Every
+    # row's mass at omega = e^-1 is below PROPOSAL_MASS (0.39 at most),
+    # so no row draws a Beta proposal and FixedUniforms needs no beta()
     posterior = {
         (2, 1): BetaParams(2.0, 500.0),
         (0, 0): BetaParams(3.0, 2.0),
