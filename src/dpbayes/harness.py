@@ -92,10 +92,10 @@ class ExperimentConfig:
             raise ConfigError("need at least one feature and two records")
         if self.sampler_samples < 1 or self.regression_samples < 1:
             raise ConfigError("sample counts must be at least 1")
-        if not self.sigma2 > 0:
-            raise ConfigError("sigma2 must be positive")
-        if self.radius is not None and not self.radius > 0:
-            raise ConfigError("radius must be positive when given")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if self.radius is not None and not 0.0 < self.radius < np.inf:
+            raise ConfigError(f"radius must be positive and finite when given, got {self.radius}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
         if not 0.0 <= self.noise_sigma < np.inf:

@@ -13,10 +13,14 @@ omega = exp(-epsilon/2), so one record's flip moves any log-likelihood
 by at most ln((1 - omega)/omega) <= epsilon per coordinate.
 
 The guarantee assumes exact draws from the trimmed posterior. A release
-draws them all in one trimmed_beta_draws call: one uniform block for
-inversion, then one plain Beta proposal block for the rows whose
-conditioning mass is at least PROPOSAL_MASS. Proposals inside the trim
-interval are kept and only the misses are inverted.
+draws them all in one trimmed_beta_draws call, which takes from its
+generator, in this order: one (m, size) uniform block for inversion;
+one (k_beta, size) plain Beta proposal block for the rows whose
+conditioning mass is at least PROPOSAL_MASS; and one (k_env, size, 2)
+uniform block for the log-concave rows below that mass whose tangent
+envelope accepts at least PROPOSAL_MASS of its proposals. Accepted
+proposals are kept and only the misses, and every other row, are
+inverted.
 """
 from __future__ import annotations
 
@@ -39,7 +43,8 @@ from .randomness import substream
 
 _DRAW_TAG = "trimmed-posterior-draw"
 
-# Conditioning mass from which a row tries one plain Beta proposal per slot.
+# Conditioning mass from which a row tries one plain Beta proposal per slot,
+# and the acceptance from which a row below it tries one envelope proposal.
 PROPOSAL_MASS = 0.5
 
 # Fixed constants of the additive-guarantee expression.
@@ -202,6 +207,31 @@ def trim_bound(epsilon: float) -> float:
     return omega
 
 
+def _tangent_envelopes(
+    a: np.ndarray, b: np.ndarray, mass: np.ndarray, omega: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tangent point x0, log-slope g and log acceptance of each row's envelope on I.
+
+    x0 is the mode (a - 1)/(a + b - 2) clipped into I (any point when
+    a = b = 1), and g is the slope of log f at x0, or 0 when the mode
+    lies inside I. The acceptance is mass / integral of h over I, with
+    log f(x0) = (a - 1) log x0 + (b - 1) log(1 - x0) - log B(a, b) and
+    the integral of exp(g (x - x0)) equal to w at g = 0 and to
+    -expm1(-|g| w) / |g| otherwise, all in log space.
+    """
+    den = a + b - 2.0
+    mode = np.divide(a - 1.0, den, out=np.full_like(a, 0.5), where=den > 0.0)
+    x0 = np.clip(mode, omega, 1.0 - omega)
+    g = np.where(mode == x0, 0.0, (a - 1.0) / x0 - (b - 1.0) / (1.0 - x0))
+    width = 1.0 - 2.0 * omega
+    rate = np.where(g == 0.0, 1.0, np.abs(g))
+    log_z = np.where(
+        g == 0.0, math.log(width), np.log(-np.expm1(-rate * width)) - np.log(rate)
+    )
+    log_f0 = (a - 1.0) * np.log(x0) + (b - 1.0) * np.log1p(-x0) - scipy.special.betaln(a, b)
+    return x0, g, np.log(mass) - log_f0 - log_z
+
+
 def trimmed_beta_draws(
     params: BetaParams | Sequence[BetaParams],
     omega: float,
@@ -219,23 +249,48 @@ def trimmed_beta_draws(
     to zero in double precision raises ConditionViolatedError; no
     boundary atom is ever substituted.
 
-    Rows whose mass m is at least PROPOSAL_MASS first draw one plain
-    Beta(alpha, beta) proposal Y per slot (Devroye 1986, ch. IX) and
-    keep it when it lands in I; only the slots whose proposal misses
-    are inverted, each with its own uniform U. The result is still
-    exact. U is independent of Y, and the inversion of U has the
-    trimmed law Q, so for any A inside I
+    Each row takes one of three routes. Write Q for the trimmed law and
+    m for the row's mass on I.
 
-        P(X in A) = P(Y in A) + P(Y not in I) Q(A) = m Q(A) + (1 - m) Q(A) = Q(A),
+    - Beta proposal, when m >= PROPOSAL_MASS: one plain Beta(alpha,
+      beta) proposal Y per slot (Devroye 1986, ch. IX), kept when it
+      lands in I. For any B inside I, P(Y in B) = m Q(B).
+    - Tangent envelope, when m < PROPOSAL_MASS, alpha >= 1, beta >= 1
+      and the envelope's acceptance A is at least PROPOSAL_MASS
+      (Devroye 1986, ch. II.3 and VII). Then log f is concave on
+      (0, 1), so it lies below its tangent at any point x0:
+      log f(x) <= log f(x0) + g (x - x0) with g the slope of log f at
+      x0. Hence h(x) = f(x0) exp(g (x - x0)) >= f(x) on I. Here x0 is
+      the mode clipped into I and g = 0 when the mode lies inside I,
+      where x0 maximizes f. One proposal X per slot is drawn from h
+      normalized on I, as a truncated exponential measured from the
+      end of I where h peaks, which is x0's end: X = x0 + T or x0 - T
+      with T = -log1p(V expm1(-|g| w)) / |g| (T = V w when g = 0),
+      w = 1 - 2 omega. It is kept when V' h(X) <= f(X). With H the
+      integral of h over I and A = m / H,
 
-    since P(Y in A) = m Q(A) for A inside I. There is one proposal round
-    and no retry. At m >= 1/2 at most half the slots, on average, pay
-    for an inversion; rows below it are inverted outright.
+          P(accept, X in B) = integral over B of (h(x) / H) (f(x) / h(x)) dx
+                            = m Q(B) / H = A Q(B).
+
+    - Inversion outright for every other row.
+
+    A slot whose proposal misses (Y outside I, or X rejected) is
+    inverted with its own uniform U from the first block. U is
+    independent of the proposal and its inversion has law Q, so with
+    p = m on the Beta route and p = A on the envelope route
+
+        P(draw in B) = p Q(B) + (1 - p) Q(B) = Q(B).
+
+    There is one proposal round and no retry. At p >= 1/2 at most half
+    the slots, on average, pay for an inversion.
 
     A single BetaParams gives `size` draws. A sequence of m BetaParams
-    gives an (m, size) array, row r for params[r]. `rng` first yields
-    one (m, size) uniform block, then, if any row proposes, one
-    (k, size) Beta proposal block for those k rows in row order. A
+    gives an (m, size) array, row r for params[r]. `rng` yields, in
+    order: one (m, size) uniform block; if any row takes the Beta
+    route, one (k_beta, size) Beta block for those rows; if any row
+    takes the envelope route, one (k_env, size, 2) uniform block for
+    those rows, holding each slot's position uniform V and acceptance
+    uniform V' side by side. Rows keep row order within each block. A
     single BetaParams consumes `rng` exactly as the one-row block does.
     """
     if not 0 < omega < 0.5:
@@ -266,13 +321,32 @@ def trimmed_beta_draws(
         y = rng.beta(a[propose, None], b[propose, None], (np.count_nonzero(propose), size))
         out[propose] = y
         miss[propose] = (y < omega) | (y > 1.0 - omega)
+    rows = np.flatnonzero(~propose & (a >= 1.0) & (b >= 1.0))
+    x0, g, log_accept = _tangent_envelopes(a[rows], b[rows], mass[rows], omega)
+    keep = log_accept >= math.log(PROPOSAL_MASS)
+    rows, x0, g = rows[keep], x0[keep, None], g[keep, None]
+    if rows.size:
+        v = rng.random((rows.size, size, 2))
+        ra, rb = a[rows, None] - 1.0, b[rows, None] - 1.0
+        width = 1.0 - 2.0 * omega
+        rate = np.where(g == 0.0, 1.0, np.abs(g))
+        t = np.where(
+            g == 0.0, v[..., 0] * width, -np.log1p(v[..., 0] * np.expm1(-rate * width)) / rate
+        )
+        x = np.where(g > 0.0, 1.0 - omega - t, omega + t)
+        log_ratio = (
+            ra * (np.log(x) - np.log(x0)) + rb * (np.log1p(-x) - np.log1p(-x0)) - g * (x - x0)
+        )
+        out[rows] = x
+        miss[rows] = v[..., 1] > np.exp(log_ratio)
     for invert, tail in (
         (scipy.special.betaincinv, ~upper),
         (scipy.special.betainccinv, upper),
     ):
         rows, cols = np.nonzero(miss & tail[:, None])
         out[rows, cols] = invert(a[rows], b[rows], near[rows] + u[rows, cols] * mass[rows])
-    # The clip only absorbs ulp rounding of the inverse at the interval ends.
+    # The clip only absorbs ulp rounding of the inverse and of the envelope
+    # positions at the interval ends.
     np.clip(out, omega, 1.0 - omega, out=out)
     return out[0] if single else out
 

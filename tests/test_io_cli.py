@@ -490,6 +490,10 @@ def test_cli_nb_infinite_fourier_t_exits_1(capsys):
         ("nb", "--threshold", "nan"),
         ("linreg", "--noise-sigma", "-1"),
         ("linreg", "--noise-sigma", "nan"),
+        ("linreg", "--sigma2", "inf"),
+        ("linreg", "--sigma2", "nan"),
+        ("linreg", "--radius", "inf"),
+        ("linreg", "--radius", "nan"),
     ],
 )
 def test_cli_bad_sweep_setting_exits_1(capsys, task, flag, value):

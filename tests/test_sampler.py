@@ -242,15 +242,18 @@ TINY_MASS_CASES = {
 }
 
 
-def assert_exact_trimmed_sample(draws, params, omega):
-    assert ((draws > omega) & (draws < 1.0 - omega)).all()  # no boundary atoms
+def trimmed_ks_pvalue(draws, params, omega):
     a, b = params.alpha, params.beta
     if scipy.special.betainc(a, b, omega) > 0.5:
         # the oracle's lower-tail CDF difference cancels here: test the
         # mirror image 1 - theta ~ Beta(b, a) on the same interval
         draws, params = 1.0 - draws, BetaParams(b, a)
-    stat = scipy.stats.kstest(draws, lambda x: truncated_beta_cdf(params, omega, x))
-    assert stat.pvalue > 0.01
+    return scipy.stats.kstest(draws, lambda x: truncated_beta_cdf(params, omega, x)).pvalue
+
+
+def assert_exact_trimmed_sample(draws, params, omega):
+    assert ((draws > omega) & (draws < 1.0 - omega)).all()  # no boundary atoms
+    assert trimmed_ks_pvalue(draws, params, omega) > 0.01
 
 
 @pytest.mark.parametrize(
@@ -273,13 +276,48 @@ def test_trimmed_draws_mixed_tail_block(rng):
 
 def trim_mass(params, omega):
     a, b = params.alpha, params.beta
+    if scipy.special.betainc(a, b, omega) > 0.5:
+        return scipy.special.betaincc(a, b, omega) - scipy.special.betaincc(a, b, 1.0 - omega)
     return scipy.special.betainc(a, b, 1.0 - omega) - scipy.special.betainc(a, b, omega)
+
+
+def envelope(params, omega):
+    """Tangent point x0, log-slope g and acceptance of a row's envelope on I."""
+    a, b = params.alpha, params.beta
+    lo, hi = omega, 1.0 - omega
+    mode = (a - 1.0) / (a + b - 2.0) if a + b > 2.0 else 0.5
+    x0 = min(max(mode, lo), hi)
+    g = 0.0 if x0 == mode else (a - 1.0) / x0 - (b - 1.0) / (1.0 - x0)
+    area = hi - lo if g == 0.0 else (math.exp(g * (hi - x0)) - math.exp(g * (lo - x0))) / g
+    return x0, g, trim_mass(params, omega) / (scipy.stats.beta.pdf(x0, a, b) * area)
+
+
+def takes_envelope(params, omega):
+    a, b = params.alpha, params.beta
+    return (
+        a >= 1.0 and b >= 1.0
+        and trim_mass(params, omega) < PROPOSAL_MASS <= envelope(params, omega)[2]
+    )
+
+
+def envelope_proposals(params, omega, v):
+    """Each slot's envelope position X and acceptance, from its (V, V') pair."""
+    x0, g, _ = envelope(params, omega)
+    width = 1.0 - 2.0 * omega
+    if g == 0.0:
+        x = omega + v[:, 0] * width
+    else:
+        t = -np.log1p(v[:, 0] * np.expm1(-abs(g) * width)) / abs(g)
+        x = 1.0 - omega - t if g > 0.0 else omega + t
+    h = scipy.stats.beta.logpdf(x0, params.alpha, params.beta) + g * (x - x0)
+    return x, np.log(v[:, 1]) <= scipy.stats.beta.logpdf(x, params.alpha, params.beta) - h
 
 
 HYBRID_BLOCKS = {
     # rows with mass >= PROPOSAL_MASS come first: the e^-1 proposal rows
     # miss on both sides and mostly above; the e^-5 ones miss below and
-    # above; the rest are inverted in the lower and the upper tail
+    # above; the rest take the tangent envelope, and its misses are
+    # inverted in the lower and the upper tail
     "omega=e^-1": (
         math.exp(-1.0),
         [BetaParams(8.0, 8.0), BetaParams(9.0, 6.0), BetaParams(3.0, 2.0),
@@ -319,16 +357,23 @@ def test_proposal_rows_keep_inside_proposals():
     assert ((draws[1:][~inside] > omega) & (draws[1:][~inside] < 1.0 - omega)).all()
 
 
-def test_criterion_11_draws_stay_on_inversion_path():
-    # Beta(3, 2) at omega = e^-1 has mass 0.39 < PROPOSAL_MASS, so the
-    # acceptance draws are pure inversion and keep their bits (digest
-    # taken with numpy 2.4 and scipy 1.17)
-    params, omega = BetaParams(3.0, 2.0), math.exp(-1.0)
-    assert trim_mass(params, omega) < PROPOSAL_MASS
-    draws = trimmed_beta_draws(params, omega, substream(20240817, "ks"), size=100_000)
+def test_criterion_11_draws_take_envelope_route():
+    # Beta(3, 2) at omega = e^-1 has mass 0.39 < PROPOSAL_MASS and an
+    # envelope acceptance of 0.88, so after the (1, S) uniform block the
+    # acceptance draws take one (1, S, 2) envelope block; digest taken
+    # with numpy 2.4 and scipy 1.17
+    params, omega, S = BetaParams(3.0, 2.0), math.exp(-1.0), 100_000
+    assert takes_envelope(params, omega)
+    assert envelope(params, omega)[2] == pytest.approx(0.8804, abs=1e-4)
+    draws = trimmed_beta_draws(params, omega, substream(20240817, "ks"), size=S)
     assert hashlib.sha256(draws.tobytes()).hexdigest() == (
-        "1fc0f295de8ee4fca9bde03a444e600c8db2bfc02d61c984a7f1ea4f68ef2caf"
+        "102fad16096346906ef0eaa4fbae863299f53d0df3b26c207b12c2d32cfd0fef"
     )
+    replay = substream(20240817, "ks")
+    replay.random((1, S))
+    x, accept = envelope_proposals(params, omega, replay.random((1, S, 2))[0])
+    assert accept.mean() == pytest.approx(0.8804, abs=0.005)
+    assert np.allclose(draws[accept], x[accept], rtol=1e-13, atol=0.0)
 
 
 class FixedUniforms:
@@ -343,22 +388,140 @@ class FixedUniforms:
 
 def test_release_block_layout():
     # row r of the release block is the single-entry inversion of row r
-    # of one (m, S) uniform block, entries in sorted key order. Every
-    # row's mass at omega = e^-1 is below PROPOSAL_MASS (0.39 at most),
-    # so no row draws a Beta proposal and FixedUniforms needs no beta()
+    # of one (m, S) uniform block, entries in sorted key order. Every row
+    # has alpha or beta below 1, so none has a log-concave density, and
+    # every mass at omega = e^-1 is below PROPOSAL_MASS (0.22 at most):
+    # no row draws a proposal, so FixedUniforms needs no second block
     posterior = {
-        (2, 1): BetaParams(2.0, 500.0),
-        (0, 0): BetaParams(3.0, 2.0),
-        (1, 1): BetaParams(500.0, 2.0),
-        (1, 0): BetaParams(1.0, 51.0),
-        (2, 0): BetaParams(4.0, 9.0),
+        (2, 1): BetaParams(30.0, 0.5),
+        (0, 0): BetaParams(0.5, 0.5),
+        (1, 1): BetaParams(4.0, 0.6),
+        (1, 0): BetaParams(0.8, 2.0),
+        (2, 0): BetaParams(0.5, 30.0),
     }
     omega, seed, S = math.exp(-1.0), 11, 64
+    assert all(trim_mass(p, omega) < PROPOSAL_MASS for p in posterior.values())
     draws = trimmed_posterior_draws(posterior, omega, seed, S)
     u = substream(seed, "trimmed-posterior-draw").random((len(posterior), S))
     for r, key in enumerate(sorted(posterior)):
         want = trimmed_beta_draws(posterior[key], omega, FixedUniforms(u[r]), S)
         assert np.array_equal(draws[key], want)
+
+
+# Digests taken at the commit before the envelope route, with numpy 2.4
+# and scipy 1.17: rows that take the Beta route or are inverted outright
+# keep their bits, so only envelope rows move.
+BETA_ROUTE_ROWS = [BetaParams(3.0, 2.0), BetaParams(8.0, 8.0), BetaParams(30.0, 5.0),
+                   BetaParams(2.0, 40.0), BetaParams(1.0, 1.0)]
+INVERTED_ROWS = [BetaParams(0.5, 0.5), BetaParams(0.8, 2.0), BetaParams(4.0, 0.6),
+                 BetaParams(0.5, 30.0)]
+
+
+def test_beta_route_rows_keep_their_bits():
+    omega = math.exp(-10.0)  # epsilon 20: every mass is above 0.9999
+    assert all(trim_mass(p, omega) >= PROPOSAL_MASS for p in BETA_ROUTE_ROWS)
+    draws = trimmed_beta_draws(BETA_ROUTE_ROWS, omega, np.random.default_rng(20), 500)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+        "362ca9f5eab48c91a84a6b0577722a3dc3f028d585fad4339d064c66eb42d358"
+    )
+
+
+def test_inverted_rows_keep_their_bits():
+    # not log-concave (alpha or beta below 1), masses 0.17, 0.22, 0.07, 2e-7
+    omega = math.exp(-1.0)
+    assert all(trim_mass(p, omega) < PROPOSAL_MASS for p in INVERTED_ROWS)
+    draws = trimmed_beta_draws(INVERTED_ROWS, omega, np.random.default_rng(21), 500)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+        "b36b4491351feb5d64f4aae9f07e84e1559e4086a4d44551bd1ac50c9477f86a"
+    )
+
+
+def test_envelope_rows_leave_other_rows_bits():
+    # a Beta-route row and an inverted row drawn beside two envelope rows
+    omega = math.exp(-1.0)
+    params = [BetaParams(8.0, 8.0), BetaParams(3.0, 2.0), BetaParams(0.5, 0.5), BetaParams(1.0, 51.0)]
+    assert [takes_envelope(p, omega) for p in params] == [False, True, False, True]
+    draws = trimmed_beta_draws(params, omega, np.random.default_rng(22), 500)
+    assert hashlib.sha256(draws[[0, 2]].tobytes()).hexdigest() == (
+        "161b3de78785e2284a410fef544eb96e93e6a8057c775c4ca5c25288919540a2"
+    )
+
+
+def test_envelope_rows_keep_accepted_positions():
+    # after the uniform block and the Beta block, the envelope rows draw
+    # one (k, S, 2) block; an accepted position is the draw, a rejected
+    # one is replaced by an inversion inside the interval
+    omega, S = math.exp(-1.0), 400
+    params = [BetaParams(8.0, 8.0), BetaParams(3.0, 2.0), BetaParams(2.0, 9.0),
+              BetaParams(2.0, 2.0), BetaParams(0.5, 0.5)]
+    assert [takes_envelope(p, omega) for p in params] == [False, True, True, True, False]
+    draws = trimmed_beta_draws(params, omega, np.random.default_rng(5), S)
+    replay = np.random.default_rng(5)
+    replay.random((5, S))
+    replay.beta([[8.0]], [[8.0]], (1, S))
+    v = replay.random((3, S, 2))
+    for row, p, vr in zip(draws[1:4], params[1:4], v):
+        x, accept = envelope_proposals(p, omega, vr)
+        assert 0 < accept.sum() < S
+        assert np.allclose(row[accept], x[accept], rtol=1e-13, atol=0.0)
+        assert ((row[~accept] > omega) & (row[~accept] < 1.0 - omega)).all()
+        assert not np.isclose(row[~accept], x[~accept], rtol=1e-13, atol=0.0).any()
+
+
+ENVELOPE_ROWS = {
+    # both tails, both slope signs, an interior mode and tiny masses
+    "beta3_2": BetaParams(3.0, 2.0),  # x0 = 1 - omega, g > 0
+    "beta2_9": BetaParams(2.0, 9.0),  # x0 = omega, g < 0
+    "beta9_2": BetaParams(9.0, 2.0),  # upper tail, g > 0
+    "beta2_2": BetaParams(2.0, 2.0),  # interior mode, g = 0
+    "beta1_51": BetaParams(1.0, 51.0),  # mass 7e-11, g < 0
+    "beta30_3": BetaParams(30.0, 3.0),  # mass 8e-5, lower tail, g > 0
+}
+
+
+def test_envelope_rows_exact_over_substreams():
+    # each row's per-substream KS p-values must themselves look uniform
+    omega, S, streams = math.exp(-1.0), 2000, 30
+    params = list(ENVELOPE_ROWS.values())
+    assert all(takes_envelope(p, omega) for p in params)
+    pvalues = np.empty((len(params), streams))
+    for i in range(streams):
+        block = trimmed_beta_draws(params, omega, substream(7, "envelope", i), S)
+        assert ((block > omega) & (block < 1.0 - omega)).all()
+        pvalues[:, i] = [trimmed_ks_pvalue(row, p, omega) for row, p in zip(block, params)]
+    for name, row in zip(ENVELOPE_ROWS, pvalues):
+        assert scipy.stats.kstest(row, "uniform").pvalue > 0.01, name
+
+
+ENVELOPE_EDGES = {
+    # (params, omega, sign of g): a flat density, an interior mode, both
+    # slope signs, and slopes with |g| w about 2666 at mass about 5e-138
+    "flat": (BetaParams(1.0, 1.0), math.exp(-1.0), 0),
+    "interior": (BetaParams(2.0, 2.0), math.exp(-1.0), 0),
+    "rising": (BetaParams(9.0, 2.0), math.exp(-1.0), 1),
+    "falling": (BetaParams(2.0, 9.0), math.exp(-1.0), -1),
+    "steep-falling": (BetaParams(1.0, 3000.0), 0.1, -1),
+    "steep-rising": (BetaParams(3000.0, 1.0), 0.1, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "params, omega, sign", ENVELOPE_EDGES.values(), ids=ENVELOPE_EDGES.keys()
+)
+def test_envelope_numerics_at_the_edges(params, omega, sign):
+    # RuntimeWarnings are errors under the test configuration, so an
+    # overflow, a division by zero or a log of zero fails here too
+    S = 20000
+    _, g, acceptance = envelope(params, omega)
+    assert np.sign(g) == sign
+    assert takes_envelope(params, omega)
+    draws = trimmed_beta_draws(params, omega, np.random.default_rng(9), S)
+    assert_exact_trimmed_sample(draws, params, omega)
+    replay = np.random.default_rng(9)
+    replay.random(S)
+    x, accept = envelope_proposals(params, omega, replay.random((1, S, 2))[0])
+    assert accept.mean() == pytest.approx(acceptance, abs=0.02)
+    assert np.allclose(draws[accept], x[accept], rtol=1e-13, atol=0.0)
 
 
 def test_trimmed_draws_underflowing_mass_raises(rng):
