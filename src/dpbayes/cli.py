@@ -4,14 +4,16 @@ Four tasks: `nb` and `linreg` run experiment sweeps and write tidy
 metric CSVs; `mechanism` runs one mechanism once and prints its raw
 release; `verify` runs the oracle suite and emits a JSON report.
 Options come from flags, from a TOML or JSON config file, or from
-positional key=value tokens (the mechanism task's native style); flags
-win over key=value tokens, which win over the config file.
+positional key=value tokens (the mechanism task's native style), which
+may sit before, between or after the flags; flags win over key=value
+tokens, which win over the config file.
 
 Exit codes: 0 success, 1 configuration error, 2 verification failure.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -67,6 +69,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad numeric grid {text!r}: {exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dpbayes",
@@ -275,9 +278,9 @@ def _run_verify(settings: dict, out: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        # intermixed, so key=value tokens may sit on either side of any flag
+        ns = _build_parser().parse_intermixed_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; report config errors as 1
         return 0 if exc.code == 0 else 1

@@ -170,7 +170,7 @@ class Dataset:
         arr = np.asarray(self.records)
         if arr.ndim != 2:
             raise ValueError("records must be a 2-d array (n, k)")
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("records must contain only 0/1 values")
         object.__setattr__(self, "records", arr.astype(np.int8, copy=False))
 

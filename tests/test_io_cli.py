@@ -1,10 +1,15 @@
 """File loaders and the command-line entry point."""
 import importlib.util
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dpbayes.io
 
 from dpbayes import (
     ConfigError,
@@ -166,6 +171,51 @@ def test_load_dataset_empty_file(tmp_path):
                 load_dataset(path)
 
 
+def test_load_dataset_canonical_file_skips_loadtxt(tmp_path, monkeypatch):
+    records = np.random.default_rng(3).integers(0, 2, size=(50, 7))
+    path = tmp_path / "data.csv"
+    np.savetxt(path, records, fmt="%d", delimiter=",")
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("canonical file went through np.loadtxt")
+
+    monkeypatch.setattr(dpbayes.io.np, "loadtxt", no_loadtxt)
+    assert np.array_equal(load_dataset(path).records, records)
+
+
+# the canonical spelling, and near misses of it: one byte swapped for another
+DATASET_ALPHABET = '01,\n\r "+-2x.'
+_canonical_text = st.integers(1, 5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.sampled_from("01"), min_size=k, max_size=k), min_size=1, max_size=6
+    )
+).map(lambda rows: "".join(",".join(row) + "\n" for row in rows))
+_mutated_text = st.tuples(
+    _canonical_text, st.integers(0, 1000), st.sampled_from(DATASET_ALPHABET)
+).map(lambda t: t[0][: t[1] % len(t[0])] + t[2] + t[0][t[1] % len(t[0]) + 1 :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(DATASET_ALPHABET, max_size=40), _canonical_text, _mutated_text))
+def test_canonical_reader_agrees_with_loadtxt(text):
+    got = dpbayes.io._canonical_records(text.encode())
+    lines = text.split("\n")[:-1]
+    canonical = (
+        text.endswith("\n")
+        and len({len(line) for line in lines}) == 1
+        and all(re.fullmatch("[01](,[01])*", line) for line in lines)
+    )
+    assert (got is not None) == canonical
+    if got is None:
+        return
+    want = np.loadtxt(
+        [line for line in text.splitlines() if line],
+        delimiter=",", dtype=np.int64, ndmin=2, comments=None, quotechar='"',
+    )
+    assert ((want == 0) | (want == 1)).all()
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_load_regression_csv_splits_target(tmp_path):
     path = tmp_path / "reg.csv"
     path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
@@ -179,6 +229,23 @@ def test_load_regression_csv_needs_two_columns(tmp_path):
     path.write_text("1.0\n2.0\n")
     with pytest.raises(ConfigError):
         load_regression_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_regression_csv_rejects_non_finite(tmp_path, cell):
+    path = tmp_path / "reg.csv"
+    path.write_text(f"0.1,0.2,0.3\n{cell},0.5,0.6\n")
+    with pytest.raises(ConfigError, match=f"regression data {re.escape(str(path))} holds a non-finite"):
+        load_regression_csv(path)
+
+
+def test_cli_linreg_non_finite_dataset_exits_1(tmp_path, capsys):
+    path = tmp_path / "reg.csv"
+    path.write_text("0.1,0.2,0.3\nnan,0.5,0.6\n0.3,0.1,0.2\n")
+    args = ["--task", "linreg", "--dataset", str(path), "--repeats", "1", "--b-grid", "1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpbayes: config error:") and f"regression data {path}" in err
 
 
 def test_load_grid_round_trip(tmp_path):
@@ -201,6 +268,24 @@ def test_load_grid_needs_mass_column(tmp_path):
     path.write_text("1.0\n")
     with pytest.raises(ConfigError):
         load_grid(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_grid_rejects_non_finite(tmp_path, cell):
+    path = tmp_path / "grid.csv"
+    for text in (f"0.2,0.5\n{cell},0.5\n", f"0.2,0.5\n0.8,{cell}\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"grid file {re.escape(str(path))} holds a non-finite"):
+            load_grid(path)
+
+
+def test_cli_map_non_finite_grid_exits_1(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.2,0.5\nnan,0.5\n")
+    args = ["--task", "mechanism", "mechanism=map", "epsilon=1", "draws=2", "--grid", str(grid)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"grid file {grid}" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +439,22 @@ def mech_args(tmp_path, *pairs):
     net = write_network(tmp_path)
     data = write_binary_csv(tmp_path, MECH_DATA)
     return ["--task", "mechanism", "--network", str(net), "--dataset", str(data), *pairs]
+
+
+def test_cli_key_value_pairs_between_flags(tmp_path, capsys):
+    net, data = str(write_network(tmp_path)), str(write_binary_csv(tmp_path, MECH_DATA))
+    ordered = [
+        "--task", "mechanism", "--network", net, "--dataset", data,
+        "mechanism=laplace", "epsilon=1", "seed=7",
+    ]
+    interleaved = [
+        "--task", "mechanism", "mechanism=laplace", "--network", net,
+        "epsilon=1", "--dataset", data, "seed=7",
+    ]
+    assert main(ordered) == 0
+    expected = capsys.readouterr()
+    assert main(interleaved) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_cli_mechanism_needs_name(tmp_path, capsys):
