@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatchError,
     DpBayesError,
     EmptyLevelSetError,
+    InvalidArgumentError,
     InvalidEpsilonError,
     InvalidTError,
     LengthMismatchError,

@@ -26,6 +26,10 @@ class MissingPosteriorEntryError(DpBayesError):
     """A computation refers to a posterior entry that was never supplied."""
 
 
+class InvalidArgumentError(DpBayesError, ValueError):
+    """A numeric argument lies outside its allowed range."""
+
+
 class InvalidEpsilonError(DpBayesError):
     """Privacy budget must be a positive real."""
 

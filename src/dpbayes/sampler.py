@@ -34,6 +34,7 @@ import scipy.special
 from .errors import (
     ConditionViolatedError,
     DimensionMismatchError,
+    InvalidArgumentError,
     InvalidEpsilonError,
     MissingPosteriorEntryError,
     OmegaTooLargeError,
@@ -401,33 +402,59 @@ def naive_bayes_class1(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     theta has one row per entry in naive_bayes_keys order and one column
     per draw s. Per draw, log p_y(x) = c_y[s] + x . (log theta_y -
     log(1 - theta_y))[:, s] with c_y[s] the class term plus the sum of
-    log(1 - theta_y). Both classes sit side by side in one 2S x d
-    matrix, so one product gives every row's 2S log-likelihoods, one
-    column per row of X. That column is shifted by its max before exp,
-    so the larger class sum is at least 1 and the ratio p1 / (p0 + p1)
-    of the two half-sums stays finite however small the likelihoods
-    are. Reductions run along the leading axis: a max along a short
-    trailing axis (2S = 2 for a single column of means) costs numpy a
-    call per row of X.
+    log(1 - theta_y). Both classes sit side by side in one (d+1) x 2S
+    matrix whose columns are [log-odds | c], so one product with the
+    columns [x | 1] gives every row's 2S log-likelihoods, one column per
+    row of X, and exp runs in place on that one 2S x rows buffer.
+
+    No column is shifted by its max first. For feature bits each
+    log-likelihood is a sum of log-probabilities, so it is <= 0 and its
+    exp cannot overflow. When the column's sum p0 + p1 is at least
+    2^-900, its largest term is at least 2^-900 / 2S, still a normal
+    double for any S below 2^100; the subnormal terms that underflow
+    beside it each lose less than 2^-1074, at most a 2S * 2^-174 share
+    of the sum, so p1 / (p0 + p1) keeps full precision. A row whose sum
+    falls outside [2^-900, 2^900] (about 1000 features, or a non-binary
+    x that can overflow) is recomputed with its column shifted by its
+    max, which makes its largest term exactly 1; the other rows keep
+    their values. The class sums reduce over the draw axis, which comes
+    before the row axis: a reduction along a short trailing axis (2S = 2
+    for a single column of means) costs numpy a call per row of X.
     """
     samples = theta.shape[1]
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != theta.shape[0] // 2:
+    d = theta.shape[0] // 2
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != d:
         raise DimensionMismatchError(
-            f"X must be rows of {theta.shape[0] // 2} feature bits, got shape {X.shape}"
+            f"X must be rows of {d} feature bits, got shape {X.shape}"
         )
     cls = theta[0]
     # per_class[f, y * S + s] for feature f given class value y in draw s
     per_class = np.hstack([theta[1::2], theta[2::2]])
     log_1mth = np.log1p(-per_class)
-    const = log_1mth.sum(axis=0) + np.concatenate([np.log1p(-cls), np.log(cls)])
-    logp = (np.log(per_class) - log_1mth).T @ X.T  # 2S x rows
-    logp += const[:, None]
-    logp -= logp.max(axis=0)
-    np.exp(logp, out=logp)
-    p0 = logp[:samples].sum(axis=0)
-    p1 = logp[samples:].sum(axis=0)
-    return p1 / (p0 + p1)
+    # coef[:, y * S + s] = [log-odds of every feature | c_y[s]]
+    coef = np.empty((d + 1, 2 * samples))
+    np.subtract(np.log(per_class), log_1mth, out=coef[:d])
+    coef[d] = log_1mth.sum(axis=0) + np.concatenate([np.log1p(-cls), np.log(cls)])
+    # rows[:, i] = [x_i | 1]
+    rows = np.empty((d + 1, len(X)))
+    rows[:d] = X.T
+    rows[d] = 1.0
+    lik = coef.T @ rows  # 2S x rows
+    with np.errstate(over="ignore"):
+        np.exp(lik, out=lik)
+    p0, p1 = lik.reshape(2, samples, len(X)).sum(axis=1)
+    total = p0 + p1
+    redo = (total < 2.0**-900) | (total > 2.0**900)
+    if redo.any():
+        # the max-shifted formula, written into the front of the spent buffer
+        shifted = lik.ravel()[: 2 * samples * redo.sum()].reshape(2 * samples, -1)
+        np.matmul(coef.T, rows[:, redo], out=shifted)
+        shifted -= shifted.max(axis=0)
+        np.exp(shifted, out=shifted)
+        p0[redo], p1[redo] = shifted.reshape(2, samples, -1).sum(axis=1)
+        total = p0 + p1
+    return p1 / total
 
 
 def sampler_predictive_batch(
@@ -445,7 +472,7 @@ def sampler_predictive_batch(
     naive_bayes_keys order, feeds naive_bayes_class1.
     """
     if samples < 1:
-        raise ValueError("need at least one Monte Carlo sample")
+        raise InvalidArgumentError("need at least one Monte Carlo sample")
     omega = trim_bound(epsilon)
     d = graph.node_count - 1
     if graph.parents != ((),) + ((0,),) * d:

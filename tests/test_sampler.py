@@ -14,6 +14,8 @@ from dpbayes import (
     BetaParams,
     ConditionViolatedError,
     DimensionMismatchError,
+    DpBayesError,
+    InvalidArgumentError,
     InvalidEpsilonError,
     LipschitzSpec,
     MissingPosteriorEntryError,
@@ -33,7 +35,13 @@ from dpbayes import (
     trimmed_posterior_sample,
 )
 from dpbayes.randomness import substream
-from dpbayes.sampler import KAPPA, OMEGA_BAR, PROPOSAL_MASS, trimmed_posterior_draws
+from dpbayes.sampler import (
+    KAPPA,
+    OMEGA_BAR,
+    PROPOSAL_MASS,
+    naive_bayes_class1,
+    trimmed_posterior_draws,
+)
 from dpbayes.verify import (
     max_log_ratio_per_hamming,
     trimmed_nb_predictive_quadrature,
@@ -617,6 +625,96 @@ def test_predictive_batch_matches_quadrature_two_features():
     assert got == pytest.approx(want, abs=0.01)
 
 
+def class_log_sums(theta, X):
+    """log p0(x) and log p1(x) per row of X: each class's joint
+    likelihood summed over the draw columns of theta, in log space.
+
+    Row 0 of theta is Pr(Y=1), rows 1, 3, ... Pr(x_f = 1 | Y=0) and rows
+    2, 4, ... Pr(x_f = 1 | Y=1); a non-binary x_f weighs the two logs
+    linearly.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    return [
+        scipy.special.logsumexp(
+            np.log(prior) + X @ np.log(theta[1 + y :: 2]) + (1.0 - X) @ np.log(1.0 - theta[1 + y :: 2]),
+            axis=1,
+        )
+        for y, prior in ((0, 1.0 - theta[0]), (1, theta[0]))
+    ]
+
+
+def class1_by_logsumexp(theta, X):
+    log0, log1 = class_log_sums(theta, X)
+    return np.exp(log1 - np.logaddexp(log0, log1))
+
+
+def log_total(theta, X):
+    """log(p0 + p1) per row of X, the sum the kernel's window tests."""
+    return np.logaddexp(*class_log_sums(theta, X))
+
+
+LOG_WINDOW = 900 * math.log(2.0)
+
+
+def wide_theta(gen, d, S, separated):
+    """(2d + 1, S) draws. Separated draws make every bit likely under
+    class 1 and unlikely under class 0. Otherwise both classes put bits
+    f = 4j, 4j + 1 near 0.1 and bits 4j + 2, 4j + 3 near 0.9, so the
+    all-ones, all-zeros and alternating rows each match only half the
+    bits and their likelihoods, about 0.1^500 0.9^500, underflow to 0."""
+    theta = np.empty((2 * d + 1, S))
+    theta[0] = gen.uniform(0.3, 0.7, S)
+    if separated:
+        theta[1::2] = gen.beta(2.0, 40.0, (d, S))
+        theta[2::2] = gen.beta(40.0, 2.0, (d, S))
+    else:
+        high = (np.arange(d) % 4 >= 2)[:, None]
+        for y in (0, 1):
+            theta[1 + y :: 2] = np.abs(high - gen.uniform(0.08, 0.12, (d, S)))
+    return theta
+
+
+def test_naive_bayes_class1_matches_logsumexp_on_feature_bits():
+    gen = np.random.default_rng(41)
+    d, S = 16, 1000
+    theta = gen.beta(gen.integers(1, 60, (2 * d + 1, 1)), gen.integers(1, 60, (2 * d + 1, 1)), (2 * d + 1, S))
+    X = gen.integers(0, 2, (300, d))
+    assert (np.abs(log_total(theta, X)) < LOG_WINDOW).all()
+    np.testing.assert_allclose(naive_bayes_class1(theta, X), class1_by_logsumexp(theta, X), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [1, 200])
+def test_naive_bayes_class1_recomputes_underflowing_rows(samples):
+    # 1000 features: each of these rows sums to 0 in double over both
+    # classes, so each goes through the max-shifted recomputation
+    gen = np.random.default_rng(samples)
+    k = 1000
+    theta = wide_theta(gen, k, samples, separated=False)
+    X = np.array([np.ones(k), np.zeros(k), np.arange(k) % 2])
+    assert (log_total(theta, X) < math.log(np.finfo(float).smallest_subnormal)).all()
+    np.testing.assert_allclose(
+        naive_bayes_class1(theta, X), class1_by_logsumexp(theta, X), rtol=0, atol=1e-12
+    )
+
+
+def test_naive_bayes_class1_recomputes_overflowing_row():
+    # a non-binary row weighs log(1 - theta) by 1 - 3 = -2, so its
+    # log-likelihoods run far above the double range; beside it the
+    # all-ones row stays inside the window and the alternating row
+    # underflows
+    gen = np.random.default_rng(7)
+    k, S = 1000, 200
+    theta = wide_theta(gen, k, S, separated=True)
+    X = np.array([np.full(k, 3.0), np.ones(k), np.arange(k) % 2])
+    log_sums = log_total(theta, X)
+    assert log_sums[0] > LOG_WINDOW
+    assert abs(log_sums[1]) < LOG_WINDOW
+    assert log_sums[2] < -LOG_WINDOW
+    got = naive_bayes_class1(theta, X)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, class1_by_logsumexp(theta, X), rtol=0, atol=1e-12)
+
+
 def test_predictive_finite_when_both_classes_underflow():
     # 1000 features: on the alternating row both classes' joint
     # log-likelihoods sit far below the double range (about -745)
@@ -635,12 +733,28 @@ def test_predictive_finite_when_both_classes_underflow():
         assert probs[0] == pytest.approx(1.0) and probs[1] == pytest.approx(0.0)
     # the posterior means are symmetric between the classes on this row
     assert closed[2] == pytest.approx(0.5)
+    keys = sorted(posterior)
+    means = np.array([[posterior[key].mean] for key in keys])
+    draws = trimmed_posterior_draws(posterior, trim_bound(20.0), 2, 100)
+    theta = np.array([draws[key] for key in keys])
+    for probs, columns in ((closed, means), (sampled, theta)):
+        assert log_total(columns, X[2:])[0] < -LOG_WINDOW
+        assert probs[2] == pytest.approx(class1_by_logsumexp(columns, X[2:])[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_predictive_batch_rejects_no_samples(samples):
+    with pytest.raises(DpBayesError, match="at least one Monte Carlo sample") as caught:
+        sampler_predictive_batch(NB2, nb2_posterior(), [(1, 0)], epsilon=3.0, samples=samples, seed=0)
+    assert isinstance(caught.value, InvalidArgumentError)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_predictive_batch_peak_allocation():
     # the nb-sampler benchmark shape: 950 test rows, 16 features, S = 1000;
-    # one 2S x rows float64 matrix is 15.2 MB, the four rows x S matrices
-    # of a per-class layout came to 31 MB
+    # the kernel's one 2S x rows float64 buffer is 15.2 MB, and its
+    # (d+1) x 2S weights and (d+1) x rows inputs add 0.4 MB; the four
+    # rows x S matrices of a per-class layout came to 31 MB
     d, rows, S = 16, 950, 1000
     graph = BayesNetGraph(node_count=d + 1, parents=((),) + ((0,),) * d)
     gen = np.random.default_rng(3)
