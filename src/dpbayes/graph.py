@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     CyclicGraphError,
     DimensionMismatchError,
+    InvalidArgumentError,
     MissingPriorEntryError,
 )
 
@@ -50,11 +51,11 @@ class BetaParams:
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"Beta parameters must be positive, got ({self.alpha}, {self.beta})"
             )
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("Beta parameters must be finite")
+            raise InvalidArgumentError("Beta parameters must be finite")
 
     def updated(self, delta_alpha: float, delta_beta: float) -> "BetaParams":
         return BetaParams(self.alpha + delta_alpha, self.beta + delta_beta)
@@ -89,18 +90,18 @@ class BayesNetGraph:
 
     def __post_init__(self) -> None:
         if self.node_count <= 0:
-            raise ValueError("node_count must be positive")
+            raise InvalidArgumentError("node_count must be positive")
         if len(self.parents) != self.node_count:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"got {len(self.parents)} parent lists for {self.node_count} nodes"
             )
         for i, pa in enumerate(self.parents):
             if any(not 0 <= p < self.node_count for p in pa):
-                raise ValueError(f"node {i}: parent index out of range in {pa}")
+                raise InvalidArgumentError(f"node {i}: parent index out of range in {pa}")
             if i in pa:
-                raise ValueError(f"node {i} lists itself as a parent")
+                raise InvalidArgumentError(f"node {i} lists itself as a parent")
             if len(set(pa)) != len(pa):
-                raise ValueError(f"node {i}: duplicate parents in {pa}")
+                raise InvalidArgumentError(f"node {i}: duplicate parents in {pa}")
 
     @classmethod
     def from_parent_lists(cls, parents: Iterable[Iterable[int]]) -> "BayesNetGraph":
@@ -169,9 +170,9 @@ class Dataset:
     def __post_init__(self) -> None:
         arr = np.asarray(self.records)
         if arr.ndim != 2:
-            raise ValueError("records must be a 2-d array (n, k)")
+            raise InvalidArgumentError("records must be a 2-d array (n, k)")
         if not ((arr == 0) | (arr == 1)).all():
-            raise ValueError("records must contain only 0/1 values")
+            raise InvalidArgumentError("records must contain only 0/1 values")
         object.__setattr__(self, "records", arr.astype(np.int8, copy=False))
 
     @classmethod

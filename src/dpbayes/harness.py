@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import fourier, laplace, regression, sampler
-from .errors import ConfigError, OmegaTooLargeError
+from .errors import ConfigError, DimensionMismatchError, OmegaTooLargeError
 from .graph import (
     BayesNetGraph,
     Dataset,
@@ -174,16 +175,18 @@ def synth_linreg(
 # ---------------------------------------------------------------------------
 
 
-def nb_predictive_batch(posterior: PosteriorMap, X: np.ndarray) -> np.ndarray:
-    """Pr(Y=1 | x) for every row of X, from the posterior-mean factors.
+def nb_predictive_batch(posteriors: Sequence[PosteriorMap], X: np.ndarray) -> np.ndarray:
+    """Pr(Y=1 | x) from posterior-mean factors: one row per posterior, one column per row of X.
 
     Each Beta entry contributes its predictive factor alpha/(alpha+beta)
-    or beta/(alpha+beta), so the posterior means are a single draw
+    or beta/(alpha+beta), so a posterior's means are a single draw
     column of the naive-Bayes kernel the Monte Carlo predictive uses.
+    Each posterior is one kernel group, so a call reads X once for all.
     """
-    keys = sampler.naive_bayes_keys(posterior)
-    means = np.array([posterior[k].mean for k in keys])[:, None]
-    return sampler.naive_bayes_class1(means, X)
+    means = [[post[k].mean for k in sampler.naive_bayes_keys(post)] for post in posteriors]
+    if len({len(m) for m in means}) != 1:
+        raise DimensionMismatchError("need one or more posteriors over the same features")
+    return sampler.naive_bayes_class1(np.column_stack(means)[:, :, None], X)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +215,11 @@ def _rows(
 
 
 def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Accuracy sweep of the naive-Bayes mechanisms over the epsilon grid."""
+    """Accuracy sweep of the naive-Bayes mechanisms over the epsilon grid.
+
+    A repeat scores all its none, laplace and fourier posteriors in one
+    nb_predictive_batch call; the sampler scores each release alone.
+    """
     _require_task(config, "nb")
     if config.dataset is not None:
         data = load_dataset(config.dataset)
@@ -236,11 +243,9 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
         updates = compute_updates(graph, train)
         exact_post = posterior_params(priors, updates)
 
+        scored = []  # (acc keys, posterior) of each posterior-mean release
         if "none" in config.mechanisms:
-            probs = nb_predictive_batch(exact_post, X_test)
-            value = accuracy(probs, labels, config.threshold)
-            for ei in range(len(config.epsilon_grid)):
-                acc[("none", ei, r)] = value
+            scored.append(([("none", ei, r) for ei in range(len(config.epsilon_grid))], exact_post))
 
         for ei, eps in enumerate(config.epsilon_grid):
             if "laplace" in config.mechanisms:
@@ -249,8 +254,7 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                     updates, spec, derive_seed(config.seed, "laplace", ei, r)
                 )
                 post = posterior_params(priors, UpdateVector(pert.entries))
-                probs = nb_predictive_batch(post, X_test)
-                acc[("laplace", ei, r)] = accuracy(probs, labels, config.threshold)
+                scored.append(([("laplace", ei, r)], post))
 
             if "fourier" in config.mechanisms:
                 _, post, floored = fourier.release_posterior(
@@ -262,8 +266,7 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                     derive_seed(config.seed, "fourier", ei, r),
                 )
                 stealth_clamps += floored
-                probs = nb_predictive_batch(post, X_test)
-                acc[("fourier", ei, r)] = accuracy(probs, labels, config.threshold)
+                scored.append(([("fourier", ei, r)], post))
 
             if "sampler" in config.mechanisms:
                 try:
@@ -281,6 +284,11 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                     # carries no data and so costs no privacy.
                     probs = np.full(X_test.shape[0], 0.5)
                 acc[("sampler", ei, r)] = accuracy(probs, labels, config.threshold)
+
+        if scored:
+            all_probs = nb_predictive_batch([post for _, post in scored], X_test)
+            for (keys, _), probs in zip(scored, all_probs):
+                acc.update(dict.fromkeys(keys, accuracy(probs, labels, config.threshold)))
 
     if stealth_clamps:
         releases = config.repeats * len(config.epsilon_grid)

@@ -397,64 +397,69 @@ def naive_bayes_keys(posterior: Mapping[EntryKey, object]) -> list[EntryKey]:
 
 
 def naive_bayes_class1(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Pr(Y=1 | x) for every row of X, averaged over the columns of theta.
+    """Pr(Y=1 | x) for every group of draws and every row of X: (G, rows).
 
-    theta has one row per entry in naive_bayes_keys order and one column
-    per draw s. Per draw, log p_y(x) = c_y[s] + x . (log theta_y -
-    log(1 - theta_y))[:, s] with c_y[s] the class term plus the sum of
-    log(1 - theta_y). Both classes sit side by side in one (d+1) x 2S
-    matrix whose columns are [log-odds | c], so one product with the
-    columns [x | 1] gives every row's 2S log-likelihoods, one column per
-    row of X, and exp runs in place on that one 2S x rows buffer.
+    theta is (m, G, S): one row per entry in naive_bayes_keys order and
+    G groups of S draw columns; each group averages over its own S. Per
+    draw, log p_y(x) = c_y[s] + x . (log theta_y - log(1 - theta_y))[:, s]
+    with c_y[s] the class term plus the sum of log(1 - theta_y). Every
+    column, ordered (group, class, draw), of one (d+1) x 2GS matrix is
+    [log-odds | c], so one product with the columns [x | 1] gives every
+    row's 2GS log-likelihoods, one column per row of X, and exp runs in
+    place on that one 2GS x rows buffer. Each group matches a call with
+    that group alone up to BLAS rounding of the wider product (none seen
+    at S = 1 with OpenBLAS).
 
     No column is shifted by its max first. For feature bits each
     log-likelihood is a sum of log-probabilities, so it is <= 0 and its
-    exp cannot overflow. When the column's sum p0 + p1 is at least
-    2^-900, its largest term is at least 2^-900 / 2S, still a normal
-    double for any S below 2^100; the subnormal terms that underflow
-    beside it each lose less than 2^-1074, at most a 2S * 2^-174 share
-    of the sum, so p1 / (p0 + p1) keeps full precision. A row whose sum
-    falls outside [2^-900, 2^900] (about 1000 features, or a non-binary
-    x that can overflow) is recomputed with its column shifted by its
-    max, which makes its largest term exactly 1; the other rows keep
-    their values. The class sums reduce over the draw axis, which comes
-    before the row axis: a reduction along a short trailing axis (2S = 2
-    for a single column of means) costs numpy a call per row of X.
+    exp cannot overflow. When a group's sum p0 + p1 is at least 2^-900,
+    its largest term is at least 2^-900 / 2S, still a normal double for
+    any S below 2^100; the subnormal terms that underflow beside it each
+    lose less than 2^-1074, at most a 2S * 2^-174 share of the sum, so
+    p1 / (p0 + p1) keeps full precision. Rows with a (group, row) sum
+    outside [2^-900, 2^900] (about 1000 features, or a non-binary x that
+    can overflow) are recomputed with each group's 2S block shifted by
+    its own max, which makes its largest term exactly 1, and only the
+    out-of-window cells take the new values. The class sums reduce over
+    the draw axis, which comes before the row axis: a reduction along a
+    short trailing axis (2S = 2 for a single column of means) costs
+    numpy a call per row of X.
     """
-    samples = theta.shape[1]
     d = theta.shape[0] // 2
+    groups, samples = theta.shape[1:]
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != d:
         raise DimensionMismatchError(
             f"X must be rows of {d} feature bits, got shape {X.shape}"
         )
-    cls = theta[0]
-    # per_class[f, y * S + s] for feature f given class value y in draw s
-    per_class = np.hstack([theta[1::2], theta[2::2]])
+    # per_class[f, g, y, s] for feature f given class value y in draw s of group g
+    per_class = np.stack([theta[1::2], theta[2::2]], axis=2)
     log_1mth = np.log1p(-per_class)
-    # coef[:, y * S + s] = [log-odds of every feature | c_y[s]]
-    coef = np.empty((d + 1, 2 * samples))
+    # coef[:, g, y, s] = [log-odds of every feature | c_y[s]] of group g
+    coef = np.empty((d + 1, groups, 2, samples))
     np.subtract(np.log(per_class), log_1mth, out=coef[:d])
-    coef[d] = log_1mth.sum(axis=0) + np.concatenate([np.log1p(-cls), np.log(cls)])
+    coef[d] = log_1mth.sum(axis=0) + np.stack([np.log1p(-theta[0]), np.log(theta[0])], axis=1)
+    coef = coef.reshape(d + 1, -1)
     # rows[:, i] = [x_i | 1]
     rows = np.empty((d + 1, len(X)))
     rows[:d] = X.T
     rows[d] = 1.0
-    lik = coef.T @ rows  # 2S x rows
+    lik = coef.T @ rows  # 2GS x rows
     with np.errstate(over="ignore"):
         np.exp(lik, out=lik)
-    p0, p1 = lik.reshape(2, samples, len(X)).sum(axis=1)
-    total = p0 + p1
+    sums = lik.reshape(groups, 2, samples, len(X)).sum(axis=2)  # G x 2 x rows
+    total = sums.sum(axis=1)
     redo = (total < 2.0**-900) | (total > 2.0**900)
-    if redo.any():
+    hit = redo.any(axis=0)
+    if hit.any():
         # the max-shifted formula, written into the front of the spent buffer
-        shifted = lik.ravel()[: 2 * samples * redo.sum()].reshape(2 * samples, -1)
-        np.matmul(coef.T, rows[:, redo], out=shifted)
-        shifted -= shifted.max(axis=0)
+        shifted = lik.ravel()[: len(lik) * hit.sum()].reshape(groups, 2 * samples, -1)
+        np.matmul(coef.T, rows[:, hit], out=shifted.reshape(len(lik), -1))
+        shifted -= shifted.max(axis=1, keepdims=True)
         np.exp(shifted, out=shifted)
-        p0[redo], p1[redo] = shifted.reshape(2, samples, -1).sum(axis=1)
-        total = p0 + p1
-    return p1 / total
+        fixed = shifted.reshape(groups, 2, samples, -1).sum(axis=2)
+        sums[:, :, hit] = np.where(redo[:, None, hit], fixed, sums[:, :, hit])
+    return sums[:, 1] / sums.sum(axis=1)
 
 
 def sampler_predictive_batch(
@@ -469,7 +474,7 @@ def sampler_predictive_batch(
 
     graph must be naive Bayes with class node 0. The (m, samples)
     block of trimmed_posterior_draws, whose sorted key order is
-    naive_bayes_keys order, feeds naive_bayes_class1.
+    naive_bayes_keys order, feeds naive_bayes_class1 as its one group.
     """
     if samples < 1:
         raise InvalidArgumentError("need at least one Monte Carlo sample")
@@ -486,7 +491,7 @@ def sampler_predictive_batch(
             f"posterior covers {len(keys) // 2} features, graph has {d}"
         )
     draws = trimmed_posterior_draws(posterior, omega, seed, samples)
-    return naive_bayes_class1(np.array([draws[k] for k in keys]), X)
+    return naive_bayes_class1(np.array([draws[k] for k in keys])[:, None, :], X)[0]
 
 
 def lipschitz_constants_from_theta(graph: BayesNetGraph, theta: ThetaMap) -> LipschitzSpec:

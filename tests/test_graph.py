@@ -12,6 +12,8 @@ from dpbayes import (
     CyclicGraphError,
     Dataset,
     DimensionMismatchError,
+    DpBayesError,
+    InvalidArgumentError,
     MissingPriorEntryError,
     UpdateVector,
     ancestral_sample,
@@ -62,6 +64,38 @@ def test_graph_rejects_bad_parent_lists():
         BayesNetGraph(node_count=2, parents=((), (1,)))  # self-loop
     with pytest.raises(ValueError):
         BayesNetGraph(node_count=3, parents=((), (), (0, 0)))  # duplicate
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BetaParams(0.0, 1.0),
+        lambda: BetaParams(1.0, float("inf")),
+        lambda: BayesNetGraph(node_count=0, parents=()),
+        lambda: BayesNetGraph(node_count=2, parents=((),)),
+        lambda: BayesNetGraph(node_count=2, parents=((), (2,))),
+        lambda: BayesNetGraph(node_count=2, parents=((), (1,))),
+        lambda: BayesNetGraph(node_count=3, parents=((), (), (0, 0))),
+        lambda: Dataset(np.zeros(3)),
+        lambda: Dataset(np.full((2, 2), 2)),
+    ],
+    ids=[
+        "beta-nonpositive",
+        "beta-infinite",
+        "graph-no-nodes",
+        "graph-wrong-length",
+        "graph-out-of-range",
+        "graph-self-loop",
+        "graph-duplicate",
+        "dataset-1d",
+        "dataset-non-binary",
+    ],
+)
+def test_bad_constructor_arguments_raise_library_errors(build):
+    with pytest.raises(DpBayesError) as caught:
+        build()
+    assert isinstance(caught.value, InvalidArgumentError)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_validate_graph_topological_order():

@@ -9,6 +9,7 @@ import pytest
 from dpbayes import (
     BetaParams,
     ConfigError,
+    DimensionMismatchError,
     ExperimentConfig,
     InvalidEpsilonError,
     MetricsRow,
@@ -24,7 +25,9 @@ from dpbayes import (
     synth_linreg,
     synth_nb,
 )
-from dpbayes import regression
+from dpbayes import fourier, laplace, regression
+from dpbayes.graph import UpdateVector, compute_updates, posterior_params, uniform_priors
+from dpbayes.randomness import derive_seed
 from dpbayes.harness import LINREG_MECHANISMS, NB_MECHANISMS
 from dpbayes.verify import nb_predictive_quadrature
 
@@ -176,14 +179,14 @@ def uniform_nb_posterior(d):
 def test_predictive_uniform_posterior_is_half():
     post = uniform_nb_posterior(3)
     for x in ((0, 0, 0), (1, 0, 1), (1, 1, 1)):
-        assert nb_predictive_batch(post, [x])[0] == pytest.approx(0.5)
+        assert nb_predictive_batch([post], [x])[0, 0] == pytest.approx(0.5)
 
 
 def test_predictive_class_term_factor():
     # symmetric feature entries cancel; Beta(2,1) class term gives 2/3
     post = uniform_nb_posterior(1)
     post[(0, 0)] = BetaParams(2.0, 1.0)
-    assert nb_predictive_batch(post, [(1,)])[0] == pytest.approx(2.0 / 3.0)
+    assert nb_predictive_batch([post], [(1,)])[0, 0] == pytest.approx(2.0 / 3.0)
 
 
 def test_predictive_matches_quadrature():
@@ -195,7 +198,7 @@ def test_predictive_matches_quadrature():
         (2, 1): BetaParams(1.0, 3.0),
     }
     for x in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        got = nb_predictive_batch(post, [x])[0]
+        got = nb_predictive_batch([post], [x])[0, 0]
         want = nb_predictive_quadrature(post, x)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -204,7 +207,7 @@ def test_predictive_missing_entry():
     post = uniform_nb_posterior(2)
     del post[(2, 1)]
     with pytest.raises(MissingPosteriorEntryError):
-        nb_predictive_batch(post, [(0, 1)])
+        nb_predictive_batch([post], [(0, 1)])
 
 
 def test_predictive_batch_matches_single_rows():
@@ -214,9 +217,26 @@ def test_predictive_batch_matches_single_rows():
         (1, 1): BetaParams(5.0, 2.0),
     }
     X = np.array([[0], [1]])
-    batch = nb_predictive_batch(post, X)
-    assert batch[0] == pytest.approx(nb_predictive_batch(post, X[:1])[0])
-    assert batch[1] == pytest.approx(nb_predictive_batch(post, X[1:])[0])
+    batch = nb_predictive_batch([post], X)[0]
+    assert batch[0] == pytest.approx(nb_predictive_batch([post], X[:1])[0, 0])
+    assert batch[1] == pytest.approx(nb_predictive_batch([post], X[1:])[0, 0])
+
+
+def test_predictive_batch_scores_each_posterior_in_its_own_row():
+    post = uniform_nb_posterior(1)
+    skewed = {**post, (0, 0): BetaParams(2.0, 1.0)}
+    batch = nb_predictive_batch([post, skewed, post], [(0,), (1,)])
+    assert batch.shape == (3, 2)
+    np.testing.assert_array_equal(batch[0], batch[2])
+    assert batch[1] == pytest.approx([2.0 / 3.0, 2.0 / 3.0])
+
+
+@pytest.mark.parametrize("posteriors", [[], "mixed"], ids=["none", "mixed-widths"])
+def test_predictive_batch_needs_posteriors_over_the_same_features(posteriors):
+    if posteriors == "mixed":
+        posteriors = [uniform_nb_posterior(1), uniform_nb_posterior(2)]
+    with pytest.raises(DimensionMismatchError):
+        nb_predictive_batch(posteriors, [(0,)])
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +260,35 @@ def test_nb_experiment_baseline_constant_in_epsilon():
     for row in none_rows:
         by_repeat.setdefault(row.repeat, set()).add(row.value)
     assert all(len(values) == 1 for values in by_repeat.values())
+
+
+def test_nb_experiment_rows_match_releases_scored_one_at_a_time():
+    # the sweep scores a repeat's posterior-mean releases in one call;
+    # each row still equals its release made and scored on its own
+    config = replace(TINY_NB, mechanisms=("none", "laplace", "fourier"), d=3, n=120)
+    rows = {(r.mechanism, r.param, r.repeat): r.value for r in run_nb_experiment(config).rows}
+    data, _ = synth_nb(config.d, config.n, config.seed)
+    graph = naive_bayes_graph(config.d)
+    priors = uniform_priors(graph)
+    want = {}
+    for r in range(config.repeats):
+        train, test = split_dataset(data, config.train_fraction, derive_seed(config.seed, "split", r))
+        updates = compute_updates(graph, train)
+
+        def score(post):
+            probs = nb_predictive_batch([post], test.records[:, 1:])[0]
+            return accuracy(probs, test.records[:, 0], config.threshold)
+
+        for ei, eps in enumerate(config.epsilon_grid):
+            spec = laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n)
+            pert = laplace.perturb_updates(updates, spec, derive_seed(config.seed, "laplace", ei, r))
+            _, fourier_post, _ = fourier.release_posterior(
+                train, graph, priors, eps, config.fourier_t, derive_seed(config.seed, "fourier", ei, r)
+            )
+            want[("none", eps, r)] = score(posterior_params(priors, updates))
+            want[("laplace", eps, r)] = score(posterior_params(priors, UpdateVector(pert.entries)))
+            want[("fourier", eps, r)] = score(fourier_post)
+    assert rows == want
 
 
 def test_nb_experiment_replay_byte_identical():

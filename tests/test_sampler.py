@@ -680,7 +680,9 @@ def test_naive_bayes_class1_matches_logsumexp_on_feature_bits():
     theta = gen.beta(gen.integers(1, 60, (2 * d + 1, 1)), gen.integers(1, 60, (2 * d + 1, 1)), (2 * d + 1, S))
     X = gen.integers(0, 2, (300, d))
     assert (np.abs(log_total(theta, X)) < LOG_WINDOW).all()
-    np.testing.assert_allclose(naive_bayes_class1(theta, X), class1_by_logsumexp(theta, X), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        naive_bayes_class1(theta[:, None], X)[0], class1_by_logsumexp(theta, X), rtol=0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("samples", [1, 200])
@@ -693,7 +695,7 @@ def test_naive_bayes_class1_recomputes_underflowing_rows(samples):
     X = np.array([np.ones(k), np.zeros(k), np.arange(k) % 2])
     assert (log_total(theta, X) < math.log(np.finfo(float).smallest_subnormal)).all()
     np.testing.assert_allclose(
-        naive_bayes_class1(theta, X), class1_by_logsumexp(theta, X), rtol=0, atol=1e-12
+        naive_bayes_class1(theta[:, None], X)[0], class1_by_logsumexp(theta, X), rtol=0, atol=1e-12
     )
 
 
@@ -710,9 +712,73 @@ def test_naive_bayes_class1_recomputes_overflowing_row():
     assert log_sums[0] > LOG_WINDOW
     assert abs(log_sums[1]) < LOG_WINDOW
     assert log_sums[2] < -LOG_WINDOW
-    got = naive_bayes_class1(theta, X)
+    got = naive_bayes_class1(theta[:, None], X)[0]
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got, class1_by_logsumexp(theta, X), rtol=0, atol=1e-12)
+
+
+def test_naive_bayes_class1_groups_match_separate_calls():
+    # the posterior-mean shape of one nb-release repeat: 13 one-column
+    # groups over 950 rows of 16 int8 bits; one grouped call gives, bit
+    # for bit, what 13 one-group calls give, so the sweep's CSV keeps
+    # its bytes
+    gen = np.random.default_rng(17)
+    d, groups = 16, 13
+    ab = gen.integers(1, 60, (2 * d + 1, groups, 2)).astype(float)
+    theta = ab[..., :1] / ab.sum(axis=2, keepdims=True)
+    X = gen.integers(0, 2, (950, d + 1)).astype(np.int8)[:, 1:]
+    got = naive_bayes_class1(theta, X)
+    assert got.shape == (groups, 950)
+    for g in range(groups):
+        np.testing.assert_array_equal(got[g], naive_bayes_class1(theta[:, g : g + 1], X)[0])
+
+
+def test_naive_bayes_class1_averages_each_group_over_its_own_draws():
+    # many draws per group: each group matches the logsumexp oracle of
+    # its own columns (a wider BLAS product may round the last bit
+    # differently from a one-group call, so this is not a bit check)
+    gen = np.random.default_rng(19)
+    d, groups, S = 16, 4, 200
+    ab = gen.integers(1, 60, (2 * d + 1, groups, 2))
+    theta = gen.beta(ab[..., :1], ab[..., 1:], (2 * d + 1, groups, S))
+    X = gen.integers(0, 2, (300, d))
+    got = naive_bayes_class1(theta, X)
+    for g in range(groups):
+        np.testing.assert_allclose(
+            got[g], class1_by_logsumexp(theta[:, g], X), rtol=0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("samples", [1, 50])
+def test_naive_bayes_class1_rescues_only_the_out_of_window_group(samples):
+    # 1000 features, two rows: group 1 puts bit f near 0.1 or 0.9 by
+    # f % 4, so the pattern row fits it and the alternating row
+    # underflows; groups 0 and 2 sit near 0.5 where the two rows differ
+    # and near their shared bit elsewhere, so both rows stay in the window
+    gen = np.random.default_rng(23)
+    k = 1000
+    pattern = (np.arange(k) % 4 >= 2).astype(float)
+    alternating = (np.arange(k) % 2).astype(float)
+    X = np.array([alternating, pattern])
+    shared = np.where(pattern == alternating, np.abs(pattern - 0.05), 0.5)[:, None]
+    theta = np.empty((2 * k + 1, 3, samples))
+    theta[:, 1] = wide_theta(gen, k, samples, separated=False)
+    theta[0, ::2] = gen.uniform(0.3, 0.7, (2, samples))
+    for y in (0, 1):
+        theta[1 + y :: 2, ::2] = shared[:, None] + gen.uniform(-0.02, 0.02, (k, 2, samples))
+    assert log_total(theta[:, 1], X[:1])[0] < -LOG_WINDOW
+    assert abs(log_total(theta[:, 1], X[1:])[0]) < LOG_WINDOW
+    for g in (0, 2):
+        assert (np.abs(log_total(theta[:, g], X)) < LOG_WINDOW).all()
+    got = naive_bayes_class1(theta, X)
+    for g in range(3):
+        np.testing.assert_allclose(
+            got[g], class1_by_logsumexp(theta[:, g], X), rtol=0, atol=1e-12
+        )
+        if samples == 1:
+            # one-column groups keep a one-group call's bits (see above):
+            # the in-window cells of the rescued row were not overwritten
+            np.testing.assert_array_equal(got[g], naive_bayes_class1(theta[:, g : g + 1], X)[0])
 
 
 def test_predictive_finite_when_both_classes_underflow():
@@ -726,7 +792,7 @@ def test_predictive_finite_when_both_classes_underflow():
         posterior[(i, 1)] = BetaParams(40.0, 2.0)
     X = np.array([np.ones(k), np.zeros(k), np.arange(k) % 2])
     sampled = sampler_predictive_batch(graph, posterior, X, epsilon=20.0, samples=100, seed=2)
-    closed = nb_predictive_batch(posterior, X)
+    closed = nb_predictive_batch([posterior], X)[0]
     for probs in (sampled, closed):
         assert np.isfinite(probs).all()
         assert ((probs >= 0.0) & (probs <= 1.0)).all()
@@ -786,7 +852,7 @@ def test_predictive_batch_requires_naive_bayes_shape():
 
 
 NB_SCORERS = {
-    "closed-form": nb_predictive_batch,
+    "closed-form": lambda posterior, X: nb_predictive_batch([posterior], X)[0],
     "monte-carlo": lambda posterior, X: sampler_predictive_batch(
         NB2, posterior, X, epsilon=3.0, samples=10, seed=0
     ),
