@@ -34,7 +34,6 @@ from .expmech import (
     GridSpec,
     MapSensitivity,
     exp_mechanism_indices,
-    exp_mechanism_sample,
     map_sensitivity,
     map_utility_certificate,
     sampling_probabilities,
@@ -89,7 +88,6 @@ from .laplace import (
     perturb_updates,
     posterior_kl_bound,
     update_deviation_bound,
-    update_sensitivity,
 )
 from .metrics import KlReport, PrivacyCheckReport, accuracy, kl_beta, kl_joint
 from .randomness import derive_seed, laplace_from_uniform, substream
@@ -100,23 +98,12 @@ from .regression import (
     fit_posterior,
     posterior_mean_predictions,
     predictive_mse,
-    regression_sensitivity,
     sample_truncated,
     scale_regression_data,
     worst_case_sensitivity,
 )
 from .sampler import (
-    LipschitzSpec,
-    SamplerPrivacyReport,
-    StochasticLipschitzSpec,
-    compose_lipschitz,
-    compose_stochastic_lipschitz,
-    lipschitz_constants_from_theta,
-    max_to_marginal_ratio,
-    pure_privacy_report,
     sampler_predictive_batch,
-    stochastic_privacy_constant,
-    stochastic_privacy_report,
     trim_bound,
     trimmed_beta_draws,
     trimmed_posterior_sample,

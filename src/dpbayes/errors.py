@@ -55,7 +55,7 @@ class NonPositivePosteriorParamError(DpBayesError):
 
 
 class ConditionViolatedError(DpBayesError):
-    """A composition rule does not apply, or a conditioning event has no representable mass."""
+    """A graph lacks the form a routine needs, or a conditioning event has no representable mass."""
 
 
 class OmegaTooLargeError(DpBayesError):

@@ -135,17 +135,6 @@ def exp_mechanism_indices(
     return np.minimum(idx, grid.size - 1)
 
 
-def exp_mechanism_sample(
-    grid: GridSpec,
-    utility: Utility,
-    epsilon: float,
-    delta: MapSensitivity,
-    seed: int,
-) -> Point:
-    """One draw: a grid point with probability ∝ exp(εu/(2Δ)) * prior."""
-    return grid.points[int(exp_mechanism_indices(grid, utility, epsilon, delta, seed, 1)[0])]
-
-
 def map_utility_certificate(
     grid: GridSpec,
     utility: Utility,

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidEpsilonError, PriorTooSmallError
+from .errors import InvalidArgumentError, InvalidEpsilonError, PriorTooSmallError
 from .graph import BayesNetGraph, BetaParams, EntryKey, UpdateVector
 from .randomness import laplace_from_uniform, substream
 
@@ -40,13 +40,18 @@ class LaplaceNoiseSpec:
         if not self.epsilon > 0:
             raise InvalidEpsilonError(f"epsilon must be positive, got {self.epsilon}")
         if self.node_count <= 0:
-            raise ValueError("node_count must be positive")
+            raise InvalidArgumentError("node_count must be positive")
         if self.n < 0:
-            raise ValueError("n must be non-negative")
+            raise InvalidArgumentError("n must be non-negative")
 
     @property
     def scale(self) -> float:
-        """Laplace scale b = 2|I| / epsilon (0 when epsilon is infinite)."""
+        """Laplace scale b = 2|I| / epsilon (0 when epsilon is infinite).
+
+        2|I| is the L1 sensitivity of the complete update vector under
+        record replacement: swapping one record moves one unit of alpha
+        or beta mass per node, so it changes at most two counts per node.
+        """
         return 2.0 * self.node_count / self.epsilon
 
     @classmethod
@@ -65,15 +70,6 @@ class PerturbedUpdates:
 
     entries: dict[EntryKey, tuple[float, float]]
     raw: dict[EntryKey, tuple[float, float]]
-
-
-def update_sensitivity(graph: BayesNetGraph) -> float:
-    """L1 sensitivity of the complete update vector under record replacement.
-
-    Swapping one record moves one unit of (alpha or beta) mass per node,
-    touching at most two counts per node: 2 * |I|.
-    """
-    return 2.0 * graph.node_count
 
 
 def perturb_updates(updates: UpdateVector, spec: LaplaceNoiseSpec, seed: int) -> PerturbedUpdates:
@@ -100,12 +96,13 @@ def update_deviation_bound(graph: BayesNetGraph, epsilon: float, delta: float) -
     """High-probability sup-norm bound on the pre-truncation noise.
 
     With probability at least 1 - delta, every one of the 2m noisy
-    counts stays within (2|I|/epsilon) * ln(2m/delta) of its exact
-    value. Union bound over the 2m independent Laplace draws.
+    counts stays within b * ln(2m/delta) of its exact value, with b the
+    Laplace scale of the release. Union bound over the 2m independent
+    Laplace draws.
     """
     scale = LaplaceNoiseSpec.for_graph(graph, epsilon, 0).scale
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+        raise InvalidArgumentError("delta must lie in (0, 1)")
     return scale * math.log(2.0 * graph.update_size() / delta)
 
 
@@ -130,14 +127,14 @@ def posterior_kl_bound(
 
         E_ij = n * ln((alpha + dalpha)(beta + dbeta)),
 
-    refined to  ln((alpha+n+1)(beta+n+1)) * (n/2) * exp(-n epsilon / 2|I|)
-    once n >= 2|I|/epsilon. Requires every prior parameter >= 2 so the
-    logarithms in the derivation stay non-negative. delta = 1 makes the
-    square-root term vanish.
+    refined to  ln((alpha+n+1)(beta+n+1)) * (n/2) * exp(-n / b)
+    once n >= b, with b the Laplace scale of the release. Requires every
+    prior parameter >= 2 so the logarithms in the derivation stay
+    non-negative. delta = 1 makes the square-root term vanish.
     """
     scale = LaplaceNoiseSpec.for_graph(graph, epsilon, n).scale
     if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
+        raise InvalidArgumentError("delta must lie in (0, 1]")
     for key, prior in priors.items():
         if prior.alpha < 2.0 or prior.beta < 2.0:
             raise PriorTooSmallError(
@@ -154,7 +151,7 @@ def posterior_kl_bound(
             expectation_total += (
                 math.log((a + n + 1.0) * (b + n + 1.0))
                 * (n / 2.0)
-                * math.exp(-n * epsilon / (2.0 * graph.node_count))
+                * math.exp(-n / scale)
             )
         else:
             expectation_total += n * math.log((a + da) * (b + db))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import RejectionBudgetExhaustedError, SingularSystemError
+from .errors import InvalidArgumentError, RejectionBudgetExhaustedError, SingularSystemError
 from .randomness import substream
 
 _DRAW_TAG = "regression-weight-draw"
@@ -44,14 +44,14 @@ class RegressionData:
         X = np.asarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ValueError("X must be n x d with a length-n target vector")
+            raise InvalidArgumentError("X must be n x d with a length-n target vector")
         if not self.sigma2 > 0:
-            raise ValueError("noise variance must be positive")
+            raise InvalidArgumentError("noise variance must be positive")
         tol = 1e-9
         if X.size and float(np.linalg.norm(X, axis=1).max()) > 1.0 + tol:
-            raise ValueError("feature rows must have 2-norm at most 1; scale first")
+            raise InvalidArgumentError("feature rows must have 2-norm at most 1; scale first")
         if y.size and float(np.abs(y).max()) > 1.0 + tol:
-            raise ValueError("targets must lie in [-1, 1]; scale first")
+            raise InvalidArgumentError("targets must lie in [-1, 1]; scale first")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -89,11 +89,11 @@ class GaussianPosterior:
         mu = np.asarray(self.mu_n, dtype=np.float64)
         sig = np.asarray(self.sigma_n, dtype=np.float64)
         if mu.ndim != 1 or sig.shape != (mu.size, mu.size):
-            raise ValueError("mean and covariance shapes disagree")
+            raise InvalidArgumentError("mean and covariance shapes disagree")
         if float(np.abs(sig - sig.T).max()) > 1e-10:
-            raise ValueError("covariance must be symmetric")
+            raise InvalidArgumentError("covariance must be symmetric")
         if not self.radius > 0:
-            raise ValueError("radius must be positive")
+            raise InvalidArgumentError("radius must be positive")
         object.__setattr__(self, "mu_n", mu)
         object.__setattr__(self, "sigma_n", sig)
 
@@ -105,13 +105,13 @@ class GaussianPosterior:
 def _as_precision(precision: float | np.ndarray, d: int) -> np.ndarray:
     if np.isscalar(precision):
         if not precision > 0:  # type: ignore[operator]
-            raise ValueError("scalar prior precision must be positive")
+            raise InvalidArgumentError("scalar prior precision must be positive")
         return float(precision) * np.eye(d)
     lam = np.asarray(precision, dtype=np.float64)
     if lam.shape != (d, d):
-        raise ValueError("precision matrix must be d x d")
+        raise InvalidArgumentError("precision matrix must be d x d")
     if float(np.abs(lam - lam.T).max()) > 1e-10:
-        raise ValueError("precision matrix must be symmetric")
+        raise InvalidArgumentError("precision matrix must be symmetric")
     return lam
 
 
@@ -148,7 +148,7 @@ def sample_truncated(post: GaussianPosterior, seed: int, size: int = 1) -> np.nd
     reconfiguring rather than silent clamping.
     """
     if size < 1:
-        raise ValueError("size must be at least 1")
+        raise InvalidArgumentError("size must be at least 1")
     rng = substream(seed, _DRAW_TAG)
     try:
         chol = np.linalg.cholesky(post.sigma_n)
@@ -172,33 +172,24 @@ def sample_truncated(post: GaussianPosterior, seed: int, size: int = 1) -> np.nd
     return out
 
 
-def regression_sensitivity(w: np.ndarray, n: int, d: int, sigma2: float) -> float:
-    """Log-likelihood Lipschitz bound L(w) = n/(2 s2) (1 + 2||w||_1 + d ||w||_2).
-
-    One posterior draw answered from this model is 2 L(w)-private under
-    the summed per-record euclidean distance between datasets.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    l1 = float(np.abs(w).sum())
-    l2 = float(np.linalg.norm(w))
-    return n / (2.0 * sigma2) * (1.0 + 2.0 * l1 + d * l2)
-
-
 def worst_case_sensitivity(radius: float, n: int, d: int, sigma2: float) -> float:
     """L maximized over the truncated support: ||w||_2 = radius, ||w||_1 <= sqrt(d) radius.
 
-    This is the value a privacy report should carry, since it does not
-    depend on the realized draw.
+    At a weight vector w the per-record log-likelihood is Lipschitz with
+    L(w) = n/(2 s2) (1 + 2||w||_1 + d ||w||_2), and one posterior draw
+    answered from this model is 2L-private under the summed per-record
+    euclidean distance between datasets. L(w) depends on the draw; its
+    maximum over the ball is the value a privacy report should carry.
     """
     if not radius > 0:
-        raise ValueError("radius must be positive")
+        raise InvalidArgumentError("radius must be positive")
     return n / (2.0 * sigma2) * (1.0 + 2.0 * math.sqrt(d) * radius + d * radius)
 
 
 def default_radius(b: float) -> float:
     """Truncation radius 10/sqrt(b) paired with prior precision b."""
     if not b > 0:
-        raise ValueError("prior precision must be positive")
+        raise InvalidArgumentError("prior precision must be positive")
     return 10.0 / math.sqrt(b)
 
 
@@ -215,7 +206,7 @@ def predictive_mse(
 ) -> float:
     """MSE of the predictor built from averaged truncated-posterior draws."""
     if samples < 1:
-        raise ValueError("need at least one draw")
+        raise InvalidArgumentError("need at least one draw")
     X_test = np.asarray(X_test, dtype=np.float64)
     y_test = np.asarray(y_test, dtype=np.float64)
     draws = sample_truncated(post, seed, samples)

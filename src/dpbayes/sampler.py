@@ -1,20 +1,29 @@
-"""Privacy from posterior sampling, and the trimmed Beta sampler.
+"""Posterior sampling with trimmed Beta posteriors, and its exact sampler.
 
-Answering a query with a single posterior draw is itself a mechanism.
-Its privacy follows from how fast the log-likelihood can change when
-one record changes: a per-node Lipschitz bound composes into a network
-guarantee, and a weaker stochastic variant (the prior concentrates on
-smoothly-behaved parameters) buys a one-sided additive guarantee whose
-constant M is computed here.
+Answering a query with one posterior draw is itself a mechanism. If
+one record moves the whole log-likelihood by at most L, one draw is
+2L-DP (Dimitrakakis et al., ALT 2014). For Beta-Bernoulli networks the
+bound is forced by trimming: every success probability is conditioned
+into [omega, 1 - omega], omega = exp(-epsilon/2), so one factor's
+log-probability changes by at most ln((1 - omega)/omega) < epsilon/2.
 
-For Beta-Bernoulli networks the required smoothness is forced by
-trimming: condition every success probability into [omega, 1 - omega],
-omega = exp(-epsilon/2), so one record's flip moves any log-likelihood
-by at most ln((1 - omega)/omega) <= epsilon per coordinate.
+One record can move m factors at once, so one joint draw costs
+2 m ln((1 - omega)/omega) < m epsilon. Flipping node i moves its own
+factor and the factor of each child, so per unit of Hamming distance
+m = max_i (1 + children(i)). Under replacement of a whole record, the
+neighbouring relation of the laplace and fourier sensitivities,
+m = |I|. Both give m = 17 for naive Bayes with 16 features. The
+epsilon a sampler release carries is therefore a per-factor label:
+omega is not yet calibrated to the graph.
+
+The source paper also states a pure guarantee composed from per-node
+Lipschitz constants and a stochastic one, an additive delta for priors
+that concentrate on smooth parameters. No release reads either, so
+neither is computed here.
 
 The guarantee assumes exact draws from the trimmed posterior. A release
 draws them all in one trimmed_beta_draws call, which takes from its
-generator, in this order: one (m, size) uniform block for inversion;
+generator, in this order: one (entries, size) uniform block for inversion;
 one (k_beta, size) plain Beta proposal block for the rows whose
 conditioning mass is at least PROPOSAL_MASS; and one (k_env, size, 2)
 uniform block for the log-concave rows below that mass whose tangent
@@ -25,7 +34,6 @@ inverted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,148 +56,14 @@ _DRAW_TAG = "trimmed-posterior-draw"
 # and the acceptance from which a row below it tries one envelope proposal.
 PROPOSAL_MASS = 0.5
 
-# Fixed constants of the additive-guarantee expression.
-KAPPA = 4.91081
-OMEGA_BAR = 1.25643
-
-
-@dataclass(frozen=True)
-class LipschitzSpec:
-    """Per-node log-likelihood Lipschitz constants under the discrete metric."""
-
-    per_node_L: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.per_node_L:
-            raise ValueError("need at least one node")
-        if any(not L >= 0 for L in self.per_node_L):
-            raise ValueError("Lipschitz constants must be non-negative")
-
-
-@dataclass(frozen=True)
-class StochasticLipschitzSpec:
-    """Per-node prior tail rates c_i with shared smoothness scale L0."""
-
-    per_node_c: tuple[float, ...]
-    L0: float
-
-    def __post_init__(self) -> None:
-        if not self.per_node_c:
-            raise ValueError("need at least one node")
-        if any(c <= 0 for c in self.per_node_c):
-            raise ValueError("tail rates must be positive")
-        if self.L0 <= 0:
-            raise ValueError("L0 must be positive")
-
-
-@dataclass(frozen=True)
-class SamplerPrivacyReport:
-    """What the posterior-sampling mechanism promises, in DP terms.
-
-    kind "pure" reports epsilon per unit of record distance; kind
-    "stochastic" reports the additive delta sqrt(M/2) per unit distance
-    together with the M constant it came from.
-    """
-
-    kind: str
-    epsilon: float = 0.0
-    delta: float = 0.0
-    M_constant: float = field(default=float("nan"))
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("pure", "stochastic"):
-            raise ValueError(f"unknown report kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.kind == "stochastic" and not 0 <= self.delta <= 1:
-            raise ValueError("delta must lie in [0, 1] to be reported")
-
-
-def compose_lipschitz(spec: LipschitzSpec) -> float:
-    """Network constant: the worst per-node constant, max_i L_i."""
-    return max(spec.per_node_L)
-
-
-def compose_stochastic_lipschitz(spec: StochasticLipschitzSpec) -> float:
-    """Network tail rate c' = min_i c_i - ln|I|/L0.
-
-    Only applicable while |I| <= exp(L0 * min_i c_i); beyond that the
-    union bound over nodes consumes the whole tail and c' would be
-    non-positive.
-    """
-    c_min = min(spec.per_node_c)
-    size = len(spec.per_node_c)
-    if size > math.exp(spec.L0 * c_min):
-        raise ConditionViolatedError(
-            f"{size} nodes exceed exp(L0 * min c) = {math.exp(spec.L0 * c_min):.6g}"
-        )
-    return c_min - math.log(size) / spec.L0
-
-
-def stochastic_privacy_constant(c: float, L0: float, delta_slack: float, C: float) -> float:
-    """The M constant of the additive posterior-sampling guarantee.
-
-    M = (kappa/c + L0 (1/(1-e^-om) + 1) + ln C
-         + ln(e^{-L0 dc} (e^{-om(1-d)} - e^{-om})^{-1} + e^{L0(1-d)c})) * C
-
-    with kappa = 4.91081 and om = 1.25643. Valid when record distances
-    stay below (1-d)c; the report pairs it as (0, sqrt(M/2))-DP per
-    unit distance.
-    """
-    if c <= 0 or L0 <= 0:
-        raise ValueError("c and L0 must be positive")
-    if not 0 < delta_slack < 1:
-        raise ValueError("delta_slack must lie in (0, 1)")
-    if C < 1:
-        raise ValueError("C is a product of max-to-marginal ratios, hence >= 1")
-    d = delta_slack
-    bracket = (
-        KAPPA / c
-        + L0 * (1.0 / (1.0 - math.exp(-OMEGA_BAR)) + 1.0)
-        + math.log(C)
-        + math.log(
-            math.exp(-L0 * d * c) / (math.exp(-OMEGA_BAR * (1.0 - d)) - math.exp(-OMEGA_BAR))
-            + math.exp(L0 * (1.0 - d) * c)
-        )
-    )
-    return bracket * C
-
-
-def pure_privacy_report(spec: LipschitzSpec) -> SamplerPrivacyReport:
-    """Pure guarantee: one posterior draw is (2 max L_i, 0)-DP per unit distance."""
-    return SamplerPrivacyReport(kind="pure", epsilon=2.0 * compose_lipschitz(spec))
-
-
-def stochastic_privacy_report(
-    spec: StochasticLipschitzSpec, delta_slack: float, C: float
-) -> SamplerPrivacyReport:
-    """Additive guarantee built from the composed tail rate."""
-    c_prime = compose_stochastic_lipschitz(spec)
-    M = stochastic_privacy_constant(c_prime, spec.L0, delta_slack, C)
-    return SamplerPrivacyReport(
-        kind="stochastic", delta=min(1.0, math.sqrt(M / 2.0)), M_constant=M
-    )
-
-
-def max_to_marginal_ratio(prior: BetaParams) -> float:
-    """Max-to-marginal likelihood ratio of one Bernoulli node, in closed form.
-
-    sup over observations x and parameters theta of p(x | theta)
-    divided by the prior-marginal likelihood of x. The likelihood
-    reaches 1 (theta = 1 for x = 1, theta = 0 for x = 0) and the
-    marginals are alpha/(alpha+beta) and beta/(alpha+beta), so the
-    supremum is (alpha + beta) / min(alpha, beta).
-    """
-    return (prior.alpha + prior.beta) / min(prior.alpha, prior.beta)
-
-
-# ---------------------------------------------------------------------------
-# trimmed Beta sampling
-# ---------------------------------------------------------------------------
-
 
 def trim_bound(epsilon: float) -> float:
     """omega = exp(-epsilon/2); the trim interval is [omega, 1 - omega].
+
+    On the interval one factor's log-probability changes by at most
+    ln((1 - omega)/omega) < epsilon/2, so epsilon is a per-factor
+    budget. A joint draw in which one record moves m factors costs
+    2 m ln((1 - omega)/omega) < m epsilon (see the module docstring).
 
     Raises OmegaTooLargeError when omega >= 1/2 (epsilon <= 2 ln 2):
     the interval is empty or a single point, so the caller must raise
@@ -493,20 +367,3 @@ def sampler_predictive_batch(
     draws = trimmed_posterior_draws(posterior, omega, seed, samples)
     return naive_bayes_class1(np.array([draws[k] for k in keys])[:, None, :], X)[0]
 
-
-def lipschitz_constants_from_theta(graph: BayesNetGraph, theta: ThetaMap) -> LipschitzSpec:
-    """Per-node constants L_i = max over configs of |ln(theta/(1-theta))|.
-
-    The max log-ratio a single value flip of node i can induce in its
-    own conditional factor, maximized over parent configurations.
-    """
-    per_node = []
-    for i in range(graph.node_count):
-        worst = 0.0
-        for j in range(graph.config_count(i)):
-            t = theta[(i, j)]
-            if not 0 < t < 1:
-                raise ValueError(f"theta[{(i, j)}] must lie in (0, 1)")
-            worst = max(worst, abs(math.log(t / (1.0 - t))))
-        per_node.append(worst)
-    return LipschitzSpec(per_node_L=tuple(per_node))

@@ -13,7 +13,6 @@ from dpbayes import (
     LengthMismatchError,
     MapSensitivity,
     exp_mechanism_indices,
-    exp_mechanism_sample,
     map_sensitivity,
     map_utility_certificate,
     sampling_probabilities,
@@ -158,8 +157,6 @@ def test_draws_deterministic_under_seed():
     a = exp_mechanism_indices(grid, u, 1.0, HALF, seed=21, size=100)
     b = exp_mechanism_indices(grid, u, 1.0, HALF, seed=21, size=100)
     assert np.array_equal(a, b)
-    point = exp_mechanism_sample(grid, u, 1.0, HALF, seed=21)
-    assert point == grid.points[int(a[0])]
 
 
 def test_draw_frequencies_chi_square(rng):

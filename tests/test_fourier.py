@@ -8,7 +8,6 @@ import pytest
 
 from dpbayes import (
     BayesNetGraph,
-    BetaParams,
     CoefficientSet,
     Dataset,
     DownwardClosure,

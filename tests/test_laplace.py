@@ -8,7 +8,7 @@ import pytest
 from dpbayes import (
     BayesNetGraph,
     BetaParams,
-    Dataset,
+    InvalidArgumentError,
     InvalidEpsilonError,
     LaplaceNoiseSpec,
     PriorTooSmallError,
@@ -20,12 +20,11 @@ from dpbayes import (
     posterior_params,
     uniform_priors,
     update_deviation_bound,
-    update_sensitivity,
 )
 from dpbayes import laplace as laplace_mod
 from dpbayes.randomness import laplace_from_uniform, substream
 
-from conftest import CHAIN3, SINGLE, random_dag, random_dataset
+from conftest import CHAIN3, SINGLE, random_dataset
 
 
 def chain_updates(rng, n=20):
@@ -44,6 +43,13 @@ def test_spec_scale_formula():
     assert LaplaceNoiseSpec.for_graph(CHAIN3, epsilon=0.5, n=10).scale == 12.0
 
 
+def test_update_sensitivity_values():
+    # at epsilon 1 the scale is the update vector's L1 sensitivity 2|I|
+    assert LaplaceNoiseSpec.for_graph(SINGLE, epsilon=1.0, n=10).scale == 2.0
+    nb = BayesNetGraph(node_count=17, parents=((),) + ((0,),) * 16)
+    assert LaplaceNoiseSpec.for_graph(nb, epsilon=1.0, n=10).scale == 34.0
+
+
 def test_spec_rejects_bad_epsilon():
     with pytest.raises(InvalidEpsilonError):
         LaplaceNoiseSpec(epsilon=0.0, node_count=1, n=5)
@@ -51,6 +57,21 @@ def test_spec_rejects_bad_epsilon():
         LaplaceNoiseSpec(epsilon=-1.0, node_count=1, n=5)
     with pytest.raises(InvalidEpsilonError):
         LaplaceNoiseSpec(epsilon=float("nan"), node_count=1, n=5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LaplaceNoiseSpec(epsilon=1.0, node_count=0, n=5),
+        lambda: LaplaceNoiseSpec(epsilon=1.0, node_count=1, n=-1),
+        lambda: update_deviation_bound(SINGLE, epsilon=1.0, delta=1.0),
+        lambda: posterior_kl_bound({}, UpdateVector({}), SINGLE, epsilon=1.0, delta=0.0, n=5),
+    ],
+    ids=["no-nodes", "negative-n", "deviation-delta", "kl-delta"],
+)
+def test_bad_arguments_raise_library_errors(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +151,8 @@ def test_noise_layout_one_substream_sorted_keys(rng):
 
 
 # ---------------------------------------------------------------------------
-# sensitivity and deviation bound
+# deviation bound
 # ---------------------------------------------------------------------------
-
-
-def test_update_sensitivity_values():
-    assert update_sensitivity(SINGLE) == 2.0
-    nb = BayesNetGraph(node_count=17, parents=((),) + ((0,),) * 16)
-    assert update_sensitivity(nb) == 34.0
 
 
 def test_deviation_bound_spot_value():

@@ -1,6 +1,8 @@
-"""The package's public names."""
+"""The package's public names and the hygiene of its modules."""
 
+import ast
 import types
+from pathlib import Path
 
 import dpbayes
 
@@ -14,3 +16,24 @@ def test_star_import_binds_public_names_and_no_module():
     assert all(hasattr(dpbayes, name) for name in dpbayes.__all__)
     modules = [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
     assert modules == []
+
+
+def test_modules_have_no_unused_top_level_imports():
+    # the project declares no linter; this is pyflakes' unused-import check,
+    # limited to module-level imports
+    unused = []
+    for path in sorted(Path(dpbayes.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []

@@ -8,13 +8,13 @@ import pytest
 from dpbayes import (
     GaussianPosterior,
     RegressionData,
+    InvalidArgumentError,
     RejectionBudgetExhaustedError,
     SingularSystemError,
     default_radius,
     fit_posterior,
     posterior_mean_predictions,
     predictive_mse,
-    regression_sensitivity,
     sample_truncated,
     scale_regression_data,
     worst_case_sensitivity,
@@ -61,11 +61,11 @@ def test_scaling_zero_guard():
 
 
 def test_regression_data_rejects_oversized_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         RegressionData(X=np.array([[2.0, 0.0]]), y=np.array([0.5]), sigma2=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         RegressionData(X=np.array([[0.5, 0.0]]), y=np.array([1.5]), sigma2=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         RegressionData(X=np.array([[0.5]]), y=np.array([0.5]), sigma2=0.0)
 
 
@@ -109,7 +109,7 @@ def test_posterior_grid_quadrature_2d(rng):
 
 def test_posterior_matrix_precision_must_be_symmetric(rng):
     data = scaled_synth(rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         fit_posterior(data, precision=np.array([[1.0, 0.5], [0.0, 1.0]]), radius=1.0)
 
 
@@ -168,25 +168,8 @@ def test_rejection_budget_exhaustion():
 
 
 # ---------------------------------------------------------------------------
-# sensitivity calculators
+# sensitivity
 # ---------------------------------------------------------------------------
-
-
-def test_sensitivity_zero_weights():
-    assert regression_sensitivity(np.zeros(3), n=10, d=3, sigma2=1.0) == pytest.approx(5.0)
-
-
-def test_sensitivity_spot_value():
-    w = np.array([1.0, -1.0])
-    got = regression_sensitivity(w, n=10, d=2, sigma2=1.0)
-    assert got == pytest.approx(5.0 * (1 + 4 + 2 * math.sqrt(2)))
-    assert got == pytest.approx(39.142, abs=5e-4)
-
-
-def test_sensitivity_linear_in_n():
-    w = np.array([0.5, 0.5])
-    one = regression_sensitivity(w, n=1, d=2, sigma2=1.0)
-    assert regression_sensitivity(w, n=7, d=2, sigma2=1.0) == pytest.approx(7 * one)
 
 
 def test_worst_case_sensitivity_uses_radius():

@@ -1,6 +1,7 @@
-"""Lipschitz calculus, privacy constants, and the trimmed posterior sampler."""
+"""The trimmed posterior sampler, its structure factor and its predictive."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -17,27 +18,16 @@ from dpbayes import (
     DpBayesError,
     InvalidArgumentError,
     InvalidEpsilonError,
-    LipschitzSpec,
     MissingPosteriorEntryError,
     OmegaTooLargeError,
-    StochasticLipschitzSpec,
-    compose_lipschitz,
-    compose_stochastic_lipschitz,
-    lipschitz_constants_from_theta,
-    max_to_marginal_ratio,
     nb_predictive_batch,
-    pure_privacy_report,
     sampler_predictive_batch,
-    stochastic_privacy_constant,
-    stochastic_privacy_report,
     trim_bound,
     trimmed_beta_draws,
     trimmed_posterior_sample,
 )
 from dpbayes.randomness import substream
 from dpbayes.sampler import (
-    KAPPA,
-    OMEGA_BAR,
     PROPOSAL_MASS,
     naive_bayes_class1,
     trimmed_posterior_draws,
@@ -53,131 +43,32 @@ from conftest import CHAIN3
 
 
 # ---------------------------------------------------------------------------
-# composition calculus
+# structure factor
 # ---------------------------------------------------------------------------
 
 
-def test_compose_lipschitz_examples():
-    assert compose_lipschitz(LipschitzSpec((2.0, 3.0, 1.0))) == 3.0
-    assert compose_lipschitz(LipschitzSpec((0.7,))) == 0.7
+STRUCTURES = {
+    "empty3": (BayesNetGraph(node_count=3, parents=((),) * 3), 1),
+    "chain3": (CHAIN3, 2),
+    "v_structure": (BayesNetGraph(node_count=3, parents=((), (), (0, 1))), 2),
+    "naive_bayes3": (BayesNetGraph(node_count=4, parents=((),) + ((0,),) * 3), 4),
+}
 
 
-def test_lipschitz_spec_rejects_negative():
-    with pytest.raises(ValueError):
-        LipschitzSpec((1.0, -0.5))
-    with pytest.raises(ValueError):
-        LipschitzSpec(())
-
-
-def test_flip_bound_certified_on_product_networks(rng):
-    # with parent-invariant conditionals the joint factorizes, so one
-    # coordinate flip moves only its own factor and the per-flip bound
-    # max_i L_i covers every assignment pair per unit Hamming distance
-    for _ in range(10):
-        k = 4
-        graph = BayesNetGraph(node_count=k, parents=((),) * k)
-        theta = {(i, 0): float(0.05 + 0.9 * rng.random()) for i in range(k)}
-        spec = lipschitz_constants_from_theta(graph, theta)
-        observed = max_log_ratio_per_hamming(graph, theta)
-        assert observed <= compose_lipschitz(spec) + 1e-12
-
-
-def test_flip_bound_needs_product_form():
-    # a strongly parent-dependent conditional breaks the per-flip factor
-    # argument: flipping the parent changes the child's factor too, so
-    # the certified product-form bound must not be assumed in general
-    graph = BayesNetGraph(node_count=2, parents=((), (0,)))
-    theta = {(0, 0): 0.1, (1, 0): 0.2, (1, 1): 0.9}
-    spec = lipschitz_constants_from_theta(graph, theta)
-    observed = max_log_ratio_per_hamming(graph, theta)
-    assert observed > compose_lipschitz(spec)
-
-
-def test_compose_stochastic_single_node():
-    spec = StochasticLipschitzSpec(per_node_c=(2.5,), L0=1.0)
-    assert compose_stochastic_lipschitz(spec) == 2.5
-
-
-def test_compose_stochastic_two_nodes():
-    spec = StochasticLipschitzSpec(per_node_c=(2.0, 3.0), L0=1.0)
-    assert compose_stochastic_lipschitz(spec) == pytest.approx(2.0 - math.log(2.0))
-
-
-def test_compose_stochastic_condition_violated():
-    spec = StochasticLipschitzSpec(per_node_c=(0.1,) * 100, L0=1.0)
-    with pytest.raises(ConditionViolatedError):
-        compose_stochastic_lipschitz(spec)
-
-
-# ---------------------------------------------------------------------------
-# privacy constants
-# ---------------------------------------------------------------------------
-
-
-def independent_m_transcription(c, L0, d, C):
-    # second, structurally different transcription of the same constant
-    tail = 1.0 / (1.0 - math.exp(-OMEGA_BAR)) + 1.0
-    inner = math.exp(-L0 * d * c) / (
-        math.exp(-OMEGA_BAR * (1.0 - d)) - math.exp(-OMEGA_BAR)
+@pytest.mark.parametrize("graph, factor", STRUCTURES.values(), ids=STRUCTURES.keys())
+def test_flip_bound_is_the_structure_factor(graph, factor):
+    # flipping node i moves its own factor and each child's, each by at
+    # most ln((1 - omega)/omega) on the trimmed interval; a theta at the
+    # interval ends attains max_i (1 + children(i)) times that bound
+    omega = math.exp(-1.5)
+    children = [sum(i in ps for ps in graph.parents) for i in range(graph.node_count)]
+    assert max(1 + c for c in children) == factor
+    keys = [(i, j) for i in range(graph.node_count) for j in range(graph.config_count(i))]
+    worst = max(
+        max_log_ratio_per_hamming(graph, dict(zip(keys, theta)))
+        for theta in itertools.product((omega, 1.0 - omega), repeat=len(keys))
     )
-    inner += math.exp(L0 * (1.0 - d) * c)
-    return C * (KAPPA / c + L0 * tail + math.log(C) + math.log(inner))
-
-
-def test_privacy_constant_dual_transcription_spot_value():
-    got = stochastic_privacy_constant(c=1.0, L0=1.0, delta_slack=0.5, C=2.0)
-    assert got == pytest.approx(independent_m_transcription(1.0, 1.0, 0.5, 2.0), rel=1e-12)
-    # 18.818861930109906 computed independently at 40-digit precision
-    assert got == pytest.approx(18.8188619301099, abs=1e-10)
-
-
-def test_privacy_constant_kappa_term():
-    # at c = kappa, C = 1 the bracket is exactly 1 + remaining terms
-    L0, d = 1.0, 0.5
-    got = stochastic_privacy_constant(c=KAPPA, L0=L0, delta_slack=d, C=1.0)
-    tail = L0 * (1.0 / (1.0 - math.exp(-OMEGA_BAR)) + 1.0)
-    inner = math.exp(-L0 * d * KAPPA) / (
-        math.exp(-OMEGA_BAR * (1.0 - d)) - math.exp(-OMEGA_BAR)
-    ) + math.exp(L0 * (1.0 - d) * KAPPA)
-    assert got == pytest.approx(1.0 + tail + math.log(inner), rel=1e-12)
-
-
-def test_privacy_constant_monotone_in_C():
-    values = [
-        stochastic_privacy_constant(1.0, 1.0, 0.5, C) for C in (1.0, 1.5, 2.0, 4.0)
-    ]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_privacy_constant_domain_errors():
-    with pytest.raises(ValueError):
-        stochastic_privacy_constant(0.0, 1.0, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        stochastic_privacy_constant(1.0, -1.0, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        stochastic_privacy_constant(1.0, 1.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        stochastic_privacy_constant(1.0, 1.0, 0.5, 0.5)
-
-
-def test_pure_report_doubles_worst_constant():
-    report = pure_privacy_report(LipschitzSpec((2.0, 3.0)))
-    assert report.kind == "pure"
-    assert report.epsilon == 6.0
-
-
-def test_stochastic_report_pairs_delta():
-    spec = StochasticLipschitzSpec(per_node_c=(3.0, 4.0), L0=1.0)
-    report = stochastic_privacy_report(spec, delta_slack=0.5, C=2.0)
-    assert report.kind == "stochastic"
-    assert report.delta == min(1.0, math.sqrt(report.M_constant / 2.0))
-
-
-def test_max_to_marginal_ratio_uniform_prior():
-    # single Bernoulli observation: max likelihood 1, marginal 1/2
-    assert max_to_marginal_ratio(BetaParams(1.0, 1.0)) == pytest.approx(2.0)
-    # asymmetric prior: the rarer outcome has marginal 2/8
-    assert max_to_marginal_ratio(BetaParams(2.0, 6.0)) == pytest.approx(4.0)
+    assert worst == pytest.approx(factor * math.log((1.0 - omega) / omega), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
