@@ -302,10 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"dpbayes: config error: {exc}", file=sys.stderr)
         return 1
-    except DpBayesError as exc:
-        print(f"dpbayes: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DpBayesError, OSError) as exc:
         print(f"dpbayes: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,14 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the argument rules.
 
 Every error derives from DpBayesError so callers can catch library
 failures with a single except clause while letting programming errors
-(TypeError, AttributeError, ...) propagate.
+(TypeError, AttributeError, ...) propagate. Every bad argument raises
+InvalidArgumentError, which is both a DpBayesError and a ValueError;
+InvalidEpsilonError and InvalidTError are its subclasses. Each rule on
+a numeric argument is written once, as a check_* function below.
 """
+import math
+import operator
 
 
 class DpBayesError(Exception):
@@ -30,16 +35,54 @@ class InvalidArgumentError(DpBayesError, ValueError):
     """A numeric argument lies outside its allowed range."""
 
 
-class InvalidEpsilonError(DpBayesError):
-    """Privacy budget must be a positive real."""
+class InvalidEpsilonError(InvalidArgumentError):
+    """Privacy budget outside the range its mechanism allows."""
 
 
 class PriorTooSmallError(DpBayesError):
     """The utility-bound evaluator needs every prior parameter >= 2."""
 
 
-class InvalidTError(DpBayesError):
-    """Stealth parameter t must be strictly positive."""
+class InvalidTError(InvalidArgumentError):
+    """Stealth parameter t must be positive and finite."""
+
+
+def check_epsilon(epsilon: float) -> None:
+    if not epsilon > 0:
+        raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
+
+
+def check_map_epsilon(epsilon: float) -> None:
+    if not 0 <= epsilon < math.inf:
+        raise InvalidEpsilonError(f"epsilon must be finite and non-negative, got {epsilon}")
+
+
+def check_fraction(name: str, value: float) -> None:
+    if not 0 < value < 1:
+        raise InvalidArgumentError(f"{name} must lie in (0, 1), got {value}")
+
+
+def check_t(t: float) -> None:
+    if not 0 < t < math.inf:
+        raise InvalidTError(f"t must be positive and finite, got {t}")
+
+
+def check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise InvalidArgumentError(f"{name} must be non-negative and finite, got {value}")
+
+
+def check_integer(name: str, value: int, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """operator.index(value), once it is known to lie in [lo, hi)."""
+    index = operator.index(value) if hasattr(value, "__index__") else None
+    if index is None or not lo <= index < hi:
+        raise InvalidArgumentError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+    return index
 
 
 class MissingCoefficientError(DpBayesError):

@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyLevelSetError, InvalidEpsilonError, LengthMismatchError
+from .errors import EmptyLevelSetError, InvalidArgumentError, LengthMismatchError
+from .errors import check_integer, check_map_epsilon, check_positive
 from .randomness import substream
 
 _DRAW_TAG = "map-grid-draw"
@@ -36,14 +37,14 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not self.points:
-            raise ValueError("grid must be non-empty")
+            raise InvalidArgumentError("grid must be non-empty")
         if len(self.points) != len(self.prior_mass):
-            raise ValueError("one prior mass per grid point")
-        if any(m <= 0 for m in self.prior_mass):
-            raise ValueError("prior masses must be positive")
+            raise InvalidArgumentError("one prior mass per grid point")
+        if not all(m > 0 for m in self.prior_mass):
+            raise InvalidArgumentError("prior masses must be positive")
         total = math.fsum(self.prior_mass)
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError(f"prior masses sum to {total}, expected 1 within {_MASS_TOL}")
+        if not abs(total - 1.0) <= _MASS_TOL:
+            raise InvalidArgumentError(f"prior masses sum to {total}, expected 1 within {_MASS_TOL}")
 
     @property
     def size(self) -> int:
@@ -73,24 +74,22 @@ class MapSensitivity:
 
     def __post_init__(self) -> None:
         if self.kind not in ("lipschitz", "stochastic"):
-            raise ValueError(f"unknown sensitivity kind {self.kind!r}")
-        if not self.delta_value > 0:
-            raise ValueError("sensitivity must be positive")
+            raise InvalidArgumentError(f"unknown sensitivity kind {self.kind!r}")
+        check_positive("sensitivity", self.delta_value)
 
 
 def map_sensitivity(kind: str, L_or_M: float, r: float | None = None) -> MapSensitivity:
     """Δ = sqrt(L*r) for kind 'lipschitz', Δ = sqrt(M/2) for 'stochastic'."""
-    if not L_or_M > 0:
-        raise ValueError("constant must be positive")
+    check_positive("constant", L_or_M)
     if kind == "lipschitz":
-        if r is None or not r > 0:
-            raise ValueError("lipschitz sensitivity needs a positive radius r")
+        if r is None:
+            raise InvalidArgumentError("lipschitz sensitivity needs a positive radius r")
+        check_positive("radius r", r)
         return MapSensitivity(kind="lipschitz", delta_value=math.sqrt(L_or_M * r))
-    if kind == "stochastic":
-        if r is not None:
-            raise ValueError("stochastic sensitivity takes no radius")
-        return MapSensitivity(kind="stochastic", delta_value=math.sqrt(0.5 * L_or_M))
-    raise ValueError(f"unknown sensitivity kind {kind!r}")
+    if r is not None:
+        raise InvalidArgumentError(f"{kind} sensitivity takes no radius")
+    # MapSensitivity rejects any kind other than "stochastic" here
+    return MapSensitivity(kind=kind, delta_value=math.sqrt(0.5 * L_or_M))
 
 
 def _utility_values(grid: GridSpec, utility: Utility) -> np.ndarray:
@@ -101,7 +100,7 @@ def _utility_values(grid: GridSpec, utility: Utility) -> np.ndarray:
         if vals.shape != (grid.size,):
             raise LengthMismatchError("need one utility value per grid point")
     if not np.isfinite(vals).all():
-        raise ValueError("utility must be finite on every grid point")
+        raise InvalidArgumentError("utility must be finite on every grid point")
     return vals
 
 
@@ -109,8 +108,7 @@ def sampling_probabilities(
     grid: GridSpec, utility: Utility, epsilon: float, delta: MapSensitivity
 ) -> np.ndarray:
     """Exactly-normalized sampling distribution over the grid points."""
-    if not 0 <= epsilon < math.inf:
-        raise InvalidEpsilonError(f"epsilon must be finite and non-negative, got {epsilon}")
+    check_map_epsilon(epsilon)
     u = _utility_values(grid, utility)
     expo = epsilon * u / (2.0 * delta.delta_value)
     expo -= expo.max()
@@ -131,7 +129,7 @@ def exp_mechanism_indices(
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     rng = substream(seed, _DRAW_TAG)
-    idx = np.searchsorted(cum, rng.random(size), side="right")
+    idx = np.searchsorted(cum, rng.random(check_integer("size", size, 0)), side="right")
     return np.minimum(idx, grid.size - 1)
 
 
@@ -149,10 +147,8 @@ def map_utility_certificate(
     that probability. With no sensitivity argument the bound is the
     plain exp(-eps*t)/prior(S_t) form, which is the Δ = 1/2 case.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if not epsilon >= 0:
-        raise InvalidEpsilonError(f"epsilon must be non-negative, got {epsilon}")
+    check_positive("t", t)
+    check_map_epsilon(epsilon)
     u = _utility_values(grid, utility)
     masses = grid.masses
     level = u.max() - t

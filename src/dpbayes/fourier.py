@@ -26,13 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidEpsilonError,
-    InvalidTError,
-    MissingCoefficientError,
-    NonPositivePosteriorParamError,
-)
+from .errors import DimensionMismatchError, MissingCoefficientError, NonPositivePosteriorParamError
+from .errors import InvalidArgumentError, check_epsilon, check_fraction, check_integer, check_t
 from .graph import (
     BayesNetGraph,
     BetaParams,
@@ -72,15 +67,15 @@ class DownwardClosure:
     members: tuple[int, ...]  # sorted bitmasks over the k variables
 
     def __post_init__(self) -> None:
+        check_integer("k", self.k, 0)
         mset = set(self.members)
         if 0 not in mset:
-            raise ValueError("closure must contain the all-zeros index")
+            raise InvalidArgumentError("closure must contain the all-zeros index")
         for m in self.members:
-            if m >= (1 << self.k):
-                raise ValueError(f"index {m:#x} does not fit in {self.k} bits")
+            check_integer("closure index", m, 0, 1 << self.k)
             for sub in _submasks(m):
                 if sub not in mset:
-                    raise ValueError(f"closure not downward closed: missing {sub:#x}")
+                    raise InvalidArgumentError(f"closure not downward closed: missing {sub:#x}")
 
     @property
     def size(self) -> int:
@@ -106,8 +101,7 @@ def fourier_coefficient(data: Dataset, gamma: int, k: int | None = None) -> floa
     k = data.dimension if k is None else k
     if data.n and data.dimension != k:
         raise DimensionMismatchError("record width does not match k")
-    if gamma >> k:
-        raise DimensionMismatchError(f"index {gamma:#x} does not fit in {k} bits")
+    check_integer("gamma", gamma, 0, 1 << k)
     if data.n == 0:
         return 0.0
     positions = [p for p in range(k) if (gamma >> p) & 1]
@@ -203,7 +197,7 @@ class CoefficientSet:
 
     def __post_init__(self) -> None:
         if set(self.values) != set(self.closure.members):
-            raise ValueError("coefficient indices must equal the closure exactly")
+            raise InvalidArgumentError("coefficient indices must equal the closure exactly")
 
     @property
     def k(self) -> int:
@@ -218,18 +212,15 @@ def exact_coefficients(data: Dataset, closure: DownwardClosure) -> CoefficientSe
 
 def noise_scale(closure: DownwardClosure, epsilon: float) -> float:
     """Per-coefficient Laplace scale 2|J|/(epsilon * 2^{k/2}); 0 when epsilon is infinite."""
+    check_epsilon(epsilon)
     return 2.0 * closure.size / (epsilon * 2.0 ** (closure.k / 2.0))
 
 
 def stealth_increment(closure: DownwardClosure, epsilon: float, t: float) -> float:
     """Deterministic boost of the empty-set coefficient: 4t|J|^2/(eps 2^{k/2})."""
+    check_epsilon(epsilon)
+    check_t(t)
     return 4.0 * t * closure.size**2 / (epsilon * 2.0 ** (closure.k / 2.0))
-
-
-def _check_t(t: float) -> None:
-    """The stealth parameter t of every Fourier bound is positive and finite."""
-    if not 0 < t < math.inf:
-        raise InvalidTError(f"t must be positive and finite, got {t}")
 
 
 def release_coefficients(
@@ -244,14 +235,11 @@ def release_coefficients(
     Reproducible under the seed; which uniform feeds which coefficient
     depends on closure.members alone.
     """
-    if not epsilon > 0:
-        raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
-    _check_t(t)
-    scale = noise_scale(closure, epsilon)
+    boost = stealth_increment(closure, epsilon, t)
     u = substream(seed, _NOISE_TAG).random(closure.size)
-    noisy = _exact_vector(data, closure) + laplace_from_uniform(u, scale)
+    noisy = _exact_vector(data, closure) + laplace_from_uniform(u, noise_scale(closure, epsilon))
     values = dict(zip(closure.members, noisy.tolist()))
-    values[0] += stealth_increment(closure, epsilon, t)
+    values[0] += boost
     return CoefficientSet(closure=closure, values=values)
 
 
@@ -269,6 +257,9 @@ def _family_positions(closure: DownwardClosure, graph: BayesNetGraph, node: int)
     module's family layout. Raises MissingCoefficientError naming the
     largest submask the closure lacks.
     """
+    if graph.node_count != closure.k:
+        raise DimensionMismatchError("coefficient set and graph disagree on k")
+    check_integer("node", node, 0, graph.node_count)
     masks = np.array(_local_masks((node, *graph.parents[node])))
     members = np.array(closure.members)
     at = np.searchsorted(members, masks)
@@ -318,8 +309,6 @@ def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph
     exact coefficient set this identity reproduces direct
     marginalisation of the table; with noise, possibly-negative cells.
     """
-    if graph.node_count != coeffs.k:
-        raise DimensionMismatchError("coefficient set and graph disagree on k")
     positions = _family_positions(coeffs.closure, graph, node)
     cells = _family_cells(coeffs, (positions[None],)).tolist()
     fam = (node, *graph.parents[node])
@@ -347,8 +336,6 @@ def fourier_posterior_params(
     the offending entries, with clamp_nonpositive=True negative cells
     are floored at zero instead.
     """
-    if graph.node_count != coeffs.k:
-        raise DimensionMismatchError("coefficient set and graph disagree on k")
     positions = _plan_positions(graph, coeffs.closure)
     cells = _family_cells(coeffs, positions)[family_plan(graph)[1]]
     beta_cells, alpha_cells = cells[0::2], cells[1::2]
@@ -407,13 +394,11 @@ def marginal_error_bound(
 
     Natural logarithm throughout.
     """
-    if not epsilon > 0:
-        raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    _check_t(t)
+    check_epsilon(epsilon)
+    check_fraction("delta", delta)
+    check_t(t)
     size = downward_closure(graph).size
-    indeg = graph.parent_count(node)
+    indeg = graph.parent_count(check_integer("node", node, 0, graph.node_count))
     return (4.0 * size / epsilon) * (2.0**indeg * math.log(size / delta) + t * size)
 
 

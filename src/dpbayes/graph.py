@@ -20,18 +20,13 @@ reconstruction both read every family through them.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import (
-    CyclicGraphError,
-    DimensionMismatchError,
-    InvalidArgumentError,
-    MissingPriorEntryError,
-)
+from .errors import CyclicGraphError, DimensionMismatchError, InvalidArgumentError
+from .errors import MissingPriorEntryError, check_integer, check_positive
 
 # (node index, parent-configuration index)
 EntryKey = tuple[int, int]
@@ -50,12 +45,8 @@ class BetaParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise InvalidArgumentError(
-                f"Beta parameters must be positive, got ({self.alpha}, {self.beta})"
-            )
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise InvalidArgumentError("Beta parameters must be finite")
+        check_positive("alpha", self.alpha)
+        check_positive("beta", self.beta)
 
     def updated(self, delta_alpha: float, delta_beta: float) -> "BetaParams":
         return BetaParams(self.alpha + delta_alpha, self.beta + delta_beta)
@@ -89,8 +80,7 @@ class BayesNetGraph:
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.node_count <= 0:
-            raise InvalidArgumentError("node_count must be positive")
+        check_integer("node_count", self.node_count, 1)
         if len(self.parents) != self.node_count:
             raise InvalidArgumentError(
                 f"got {len(self.parents)} parent lists for {self.node_count} nodes"
@@ -343,7 +333,7 @@ def project_marginal(table: ContingencyTable, keep: Iterable[int]) -> Contingenc
 
 
 # ---------------------------------------------------------------------------
-# parameterised networks (used by synthesis and the Lipschitz calculus)
+# parameterised networks (used by synthesis and the verify oracles)
 # ---------------------------------------------------------------------------
 
 
@@ -367,7 +357,7 @@ def ancestral_sample(
 ) -> Dataset:
     """Sample n records in topological order from the parameterised network."""
     order = validate_graph(graph)
-    recs = np.zeros((n, graph.node_count), dtype=np.int8)
+    recs = np.zeros((check_integer("n", n, 0), graph.node_count), dtype=np.int8)
     for i in order:
         pa = list(graph.parents[i])
         cfg = recs[:, pa].astype(np.int64) @ (1 << np.arange(len(pa), dtype=np.int64))

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import fourier, laplace, regression, sampler
-from .errors import ConfigError, DimensionMismatchError, OmegaTooLargeError
+from .errors import ConfigError, DimensionMismatchError, InvalidArgumentError, OmegaTooLargeError
+from .errors import check_fraction, check_integer, check_nonnegative, check_positive, check_t
 from .graph import (
     BayesNetGraph,
     Dataset,
@@ -85,22 +86,22 @@ class ExperimentConfig:
             raise ConfigError("epsilon grid must be non-empty and strictly positive")
         if not self.b_grid or any(not b > 0 for b in self.b_grid):
             raise ConfigError("b grid must be non-empty and strictly positive")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be at least 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train fraction must lie strictly between 0 and 1")
-        if self.d < 1 or self.n < 2:
-            raise ConfigError("need at least one feature and two records")
-        if self.sampler_samples < 1 or self.regression_samples < 1:
-            raise ConfigError("sample counts must be at least 1")
-        if not 0.0 < self.sigma2 < np.inf:
-            raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if self.radius is not None and not 0.0 < self.radius < np.inf:
-            raise ConfigError(f"radius must be positive and finite when given, got {self.radius}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
-        if not 0.0 <= self.noise_sigma < np.inf:
-            raise ConfigError(f"noise sigma must be non-negative and finite, got {self.noise_sigma}")
+        # the library's own rules, reported as the configuration errors they are here
+        try:
+            check_fraction("train fraction", self.train_fraction)
+            for name in ("repeats", "d", "sampler_samples", "regression_samples"):
+                check_integer(name, getattr(self, name), 1)
+            check_integer("n", self.n, 2)
+            check_integer("seed", self.seed)
+            check_t(self.fourier_t)
+            check_positive("sigma2", self.sigma2)
+            if self.radius is not None:
+                check_positive("radius", self.radius)
+            check_nonnegative("noise sigma", self.noise_sigma)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,7 @@ class ExperimentResult:
 
 def naive_bayes_graph(d: int) -> BayesNetGraph:
     """Class node 0; features 1..d each with the class as sole parent."""
-    if d < 1:
-        raise ConfigError("need at least one feature")
+    check_integer("d", d, 1)
     return BayesNetGraph(node_count=d + 1, parents=((),) + ((0,),) * d)
 
 
@@ -151,8 +151,7 @@ def synth_nb(
 
 def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint, covering train/test split from a seeded permutation."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError("train fraction must lie strictly between 0 and 1")
+    check_fraction("train fraction", train_fraction)
     n_train = min(data.n - 1, max(1, round(data.n * train_fraction)))
     perm = substream(seed, "train-test-split").permutation(data.n)
     return data.subset(perm[:n_train]), data.subset(perm[n_train:])
@@ -162,6 +161,9 @@ def synth_linreg(
     d: int, n: int, seed: int, noise_sigma: float = 0.1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gaussian design, true weights of norm 1.5, additive noise."""
+    check_integer("d", d, 1)
+    check_integer("n", n, 0)
+    check_nonnegative("noise_sigma", noise_sigma)
     rng = substream(seed, "linreg-synth")
     X = rng.normal(size=(n, d))
     w = rng.normal(size=d)

@@ -131,27 +131,28 @@ def _raise_non_integer_cell(path: str | Path, lines: list[str]) -> None:
             raise ConfigError(f"{path}:{line_no}: non-integer cell: {exc}") from exc
 
 
-def load_regression_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+def _finite_csv(path: str | Path, what: str, ndmin: int) -> np.ndarray:
+    """The cells of a numeric CSV file, all finite; `what` names the file in errors."""
     try:
-        raw = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        raw = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=ndmin)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read regression data {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not np.isfinite(raw).all():
+        raise ConfigError(f"{what} {path} holds a non-finite value")
+    return raw
+
+
+def load_regression_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    raw = _finite_csv(path, "regression data", 2)
     if raw.shape[1] < 2:
         raise ConfigError(f"regression data {path} needs features plus a target column")
-    if not np.isfinite(raw).all():
-        raise ConfigError(f"regression data {path} holds a non-finite value")
     return raw[:, :-1], raw[:, -1]
 
 
 def load_grid(path: str | Path) -> GridSpec:
-    try:
-        raw = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
+    raw = _finite_csv(path, "grid file", 2)
     if raw.shape[1] < 2:
         raise ConfigError(f"grid file {path} needs parameter columns plus a mass column")
-    if not np.isfinite(raw).all():
-        raise ConfigError(f"grid file {path} holds a non-finite value")
     rows = raw.tolist()
     points = tuple(tuple(row[:-1]) for row in rows)
     try:
@@ -162,14 +163,9 @@ def load_grid(path: str | Path) -> GridSpec:
 
 def load_utility(path: str | Path, size: int) -> np.ndarray:
     """One utility value per grid point, in grid order."""
-    try:
-        utility = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read utility file {path}: {exc}") from exc
+    utility = _finite_csv(path, "utility file", 1)
     if utility.shape != (size,):
         raise ConfigError(
             f"utility file {path} has shape {utility.shape}, grid has {size} points"
         )
-    if not np.isfinite(utility).all():
-        raise ConfigError(f"utility file {path} holds a non-finite value")
     return utility

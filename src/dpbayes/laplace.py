@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidEpsilonError, PriorTooSmallError
+from .errors import PriorTooSmallError, check_epsilon, check_fraction, check_integer
 from .graph import BayesNetGraph, BetaParams, EntryKey, UpdateVector
 from .randomness import laplace_from_uniform, substream
 
@@ -37,12 +37,9 @@ class LaplaceNoiseSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise InvalidEpsilonError(f"epsilon must be positive, got {self.epsilon}")
-        if self.node_count <= 0:
-            raise InvalidArgumentError("node_count must be positive")
-        if self.n < 0:
-            raise InvalidArgumentError("n must be non-negative")
+        check_epsilon(self.epsilon)
+        check_integer("node_count", self.node_count, 1)
+        check_integer("n", self.n, 0)
 
     @property
     def scale(self) -> float:
@@ -101,8 +98,7 @@ def update_deviation_bound(graph: BayesNetGraph, epsilon: float, delta: float) -
     Laplace draws.
     """
     scale = LaplaceNoiseSpec.for_graph(graph, epsilon, 0).scale
-    if not 0 < delta < 1:
-        raise InvalidArgumentError("delta must lie in (0, 1)")
+    check_fraction("delta", delta)
     return scale * math.log(2.0 * graph.update_size() / delta)
 
 
@@ -133,14 +129,15 @@ def posterior_kl_bound(
     non-negative. delta = 1 makes the square-root term vanish.
     """
     scale = LaplaceNoiseSpec.for_graph(graph, epsilon, n).scale
-    if not 0 < delta <= 1:
-        raise InvalidArgumentError("delta must lie in (0, 1]")
+    if delta != 1:
+        check_fraction("delta", delta)
     for key, prior in priors.items():
         if prior.alpha < 2.0 or prior.beta < 2.0:
             raise PriorTooSmallError(
                 f"entry {key} has prior ({prior.alpha}, {prior.beta}); both must be >= 2"
             )
     refined = n >= scale
+    decay = math.exp(-n / scale) if scale else 0.0
     expectation_total = 0.0
     variation_total = 0.0
     for key, (da, db) in updates.entries.items():
@@ -151,7 +148,7 @@ def posterior_kl_bound(
             expectation_total += (
                 math.log((a + n + 1.0) * (b + n + 1.0))
                 * (n / 2.0)
-                * math.exp(-n / scale)
+                * decay
             )
         else:
             expectation_total += n * math.log((a + da) * (b + db))

@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import betaln, digamma
 
-from .errors import LengthMismatchError, MissingPosteriorEntryError
+from .errors import InvalidArgumentError, LengthMismatchError, MissingPosteriorEntryError
 from .graph import BetaParams, EntryKey
 
 
@@ -54,6 +54,8 @@ def accuracy(
 
     A prediction exactly at the threshold counts as class 1.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidArgumentError(f"threshold must lie in [0, 1], got {threshold}")
     preds = np.asarray(predictions, dtype=float)
     labs = np.asarray(labels)
     if preds.shape[0] != labs.shape[0]:

@@ -11,13 +11,15 @@ import zlib
 
 import numpy as np
 
+from .errors import check_integer, check_nonnegative
+
 _MASK64 = (1 << 64) - 1
 
 
 def _fold(part: int | str) -> int:
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
-    return int(part) & _MASK64
+    return check_integer("seed or key part", part) & _MASK64
 
 
 def substream(seed: int, *key: int | str) -> np.random.Generator:
@@ -37,6 +39,7 @@ def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
 
     scale == 0 is allowed and yields exactly zero noise.
     """
+    check_nonnegative("scale", scale)
     # u == 0.0 would map to -inf; it sits one ulp away from a legal draw.
     centered = np.where(u == 0.0, 2.0**-53, u) - 0.5
     return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))

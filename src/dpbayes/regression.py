@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, RejectionBudgetExhaustedError, SingularSystemError
+from .errors import check_integer, check_positive
 from .randomness import substream
 
 _DRAW_TAG = "regression-weight-draw"
@@ -45,8 +46,8 @@ class RegressionData:
         y = np.asarray(self.y, dtype=np.float64)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise InvalidArgumentError("X must be n x d with a length-n target vector")
-        if not self.sigma2 > 0:
-            raise InvalidArgumentError("noise variance must be positive")
+        for name in ("sigma2", "x_scale", "y_scale"):
+            check_positive(name, getattr(self, name))
         tol = 1e-9
         if X.size and float(np.linalg.norm(X, axis=1).max()) > 1.0 + tol:
             raise InvalidArgumentError("feature rows must have 2-norm at most 1; scale first")
@@ -92,8 +93,7 @@ class GaussianPosterior:
             raise InvalidArgumentError("mean and covariance shapes disagree")
         if float(np.abs(sig - sig.T).max()) > 1e-10:
             raise InvalidArgumentError("covariance must be symmetric")
-        if not self.radius > 0:
-            raise InvalidArgumentError("radius must be positive")
+        check_positive("radius", self.radius)
         object.__setattr__(self, "mu_n", mu)
         object.__setattr__(self, "sigma_n", sig)
 
@@ -104,8 +104,7 @@ class GaussianPosterior:
 
 def _as_precision(precision: float | np.ndarray, d: int) -> np.ndarray:
     if np.isscalar(precision):
-        if not precision > 0:  # type: ignore[operator]
-            raise InvalidArgumentError("scalar prior precision must be positive")
+        check_positive("scalar prior precision", precision)  # type: ignore[arg-type]
         return float(precision) * np.eye(d)
     lam = np.asarray(precision, dtype=np.float64)
     if lam.shape != (d, d):
@@ -147,8 +146,7 @@ def sample_truncated(post: GaussianPosterior, seed: int, size: int = 1) -> np.nd
     that the radius leaves the Gaussian almost no mass and needs
     reconfiguring rather than silent clamping.
     """
-    if size < 1:
-        raise InvalidArgumentError("size must be at least 1")
+    check_integer("size", size, 1)
     rng = substream(seed, _DRAW_TAG)
     try:
         chol = np.linalg.cholesky(post.sigma_n)
@@ -181,15 +179,16 @@ def worst_case_sensitivity(radius: float, n: int, d: int, sigma2: float) -> floa
     euclidean distance between datasets. L(w) depends on the draw; its
     maximum over the ball is the value a privacy report should carry.
     """
-    if not radius > 0:
-        raise InvalidArgumentError("radius must be positive")
+    check_positive("radius", radius)
+    check_integer("n", n, 0)
+    check_integer("d", d, 0)
+    check_positive("sigma2", sigma2)
     return n / (2.0 * sigma2) * (1.0 + 2.0 * math.sqrt(d) * radius + d * radius)
 
 
 def default_radius(b: float) -> float:
     """Truncation radius 10/sqrt(b) paired with prior precision b."""
-    if not b > 0:
-        raise InvalidArgumentError("prior precision must be positive")
+    check_positive("prior precision", b)
     return 10.0 / math.sqrt(b)
 
 
@@ -205,8 +204,6 @@ def predictive_mse(
     seed: int,
 ) -> float:
     """MSE of the predictor built from averaged truncated-posterior draws."""
-    if samples < 1:
-        raise InvalidArgumentError("need at least one draw")
     X_test = np.asarray(X_test, dtype=np.float64)
     y_test = np.asarray(y_test, dtype=np.float64)
     draws = sample_truncated(post, seed, samples)

@@ -39,14 +39,8 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.special
 
-from .errors import (
-    ConditionViolatedError,
-    DimensionMismatchError,
-    InvalidArgumentError,
-    InvalidEpsilonError,
-    MissingPosteriorEntryError,
-    OmegaTooLargeError,
-)
+from .errors import ConditionViolatedError, DimensionMismatchError, InvalidEpsilonError
+from .errors import MissingPosteriorEntryError, OmegaTooLargeError, check_epsilon, check_integer
 from .graph import BayesNetGraph, BetaParams, EntryKey, PosteriorMap, ThetaMap
 from .randomness import substream
 
@@ -70,8 +64,7 @@ def trim_bound(epsilon: float) -> float:
     epsilon or pick a smaller omega directly. Raises InvalidEpsilonError
     when omega underflows to 0 (epsilon above ~1490): nothing is trimmed.
     """
-    if not epsilon > 0:
-        raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     omega = math.exp(-epsilon / 2.0)
     if omega == 0.0:
         raise InvalidEpsilonError(f"epsilon={epsilon} makes omega underflow to 0; no trim left")
@@ -174,7 +167,7 @@ def trimmed_beta_draws(
     entries = [params] if single else list(params)
     a = np.array([p.alpha for p in entries], dtype=np.float64)
     b = np.array([p.beta for p in entries], dtype=np.float64)
-    u = rng.random((len(entries), size))
+    u = rng.random((len(entries), check_integer("size", size, 0)))
     cdf_lo = scipy.special.betainc(a, b, omega)
     upper = cdf_lo > 0.5
     near = np.where(upper, scipy.special.betaincc(a, b, 1.0 - omega), cdf_lo)
@@ -350,8 +343,7 @@ def sampler_predictive_batch(
     block of trimmed_posterior_draws, whose sorted key order is
     naive_bayes_keys order, feeds naive_bayes_class1 as its one group.
     """
-    if samples < 1:
-        raise InvalidArgumentError("need at least one Monte Carlo sample")
+    check_integer("samples", samples, 1)
     omega = trim_bound(epsilon)
     d = graph.node_count - 1
     if graph.parents != ((),) + ((0,),) * d:

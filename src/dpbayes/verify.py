@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.special
 
-from .errors import BudgetExceededError, LengthMismatchError
+from .errors import BudgetExceededError, InvalidArgumentError, LengthMismatchError
 from .expmech import GridSpec, MapSensitivity
 from .graph import BayesNetGraph, BetaParams, Dataset, PosteriorMap, validate_graph
 from .metrics import PrivacyCheckReport
@@ -45,7 +45,7 @@ def adaptive_simpson(
     coarse sample points would otherwise fake early agreement.
     """
     if not a < b:
-        raise ValueError("need a < b")
+        raise InvalidArgumentError("need a < b")
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -117,7 +117,7 @@ def walsh_coefficients_dense(table: np.ndarray) -> np.ndarray:
     v = np.asarray(table, dtype=np.float64).copy()
     size = v.size
     if size & (size - 1):
-        raise ValueError("table length must be a power of two")
+        raise InvalidArgumentError("table length must be a power of two")
     k = size.bit_length() - 1
     if k > _DENSE_K_BUDGET:
         raise BudgetExceededError(f"dense transform limited to k <= {_DENSE_K_BUDGET}")
@@ -249,10 +249,10 @@ def laplace_density_ratio_check(
     grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
     shifts = np.atleast_2d(np.asarray(shifts, dtype=np.float64))
     if grid.shape[1] != shifts.shape[1]:
-        raise ValueError("grid and shift vectors must share the coordinate count")
+        raise InvalidArgumentError("grid and shift vectors must share the coordinate count")
     l1 = np.abs(shifts).sum(axis=1)
     if float(l1.max()) > sensitivity + 1e-9:
-        raise ValueError("a shift vector exceeds the stated sensitivity")
+        raise InvalidArgumentError("a shift vector exceeds the stated sensitivity")
     b = sensitivity / epsilon
     worst = 0.0
     for s in shifts:

@@ -9,6 +9,7 @@ import scipy.stats
 from dpbayes import (
     EmptyLevelSetError,
     GridSpec,
+    InvalidArgumentError,
     InvalidEpsilonError,
     LengthMismatchError,
     MapSensitivity,
@@ -43,6 +44,11 @@ def test_grid_mass_must_normalize():
         GridSpec(points=(), prior_mass=())
     with pytest.raises(ValueError):
         GridSpec(points=((0.0,),), prior_mass=(0.5, 0.5))
+    # NaN compares False both ways, so it must fail the positivity and the sum check
+    with pytest.raises(InvalidArgumentError):
+        GridSpec(points=((0.0,), (1.0,), (2.0,)), prior_mass=(math.nan, 0.5, 0.5))
+    with pytest.raises(InvalidArgumentError):
+        GridSpec(points=((0.0,), (1.0,)), prior_mass=(0.5, math.inf))
 
 
 def test_grid_uniform_constructor():

@@ -11,6 +11,7 @@ from dpbayes import (
     ConfigError,
     DimensionMismatchError,
     ExperimentConfig,
+    InvalidArgumentError,
     InvalidEpsilonError,
     MetricsRow,
     MissingPosteriorEntryError,
@@ -112,7 +113,7 @@ def test_with_overrides():
 def test_naive_bayes_graph_shape():
     graph = naive_bayes_graph(3)
     assert graph.parents == ((), (0,), (0,), (0,))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidArgumentError):
         naive_bayes_graph(0)
 
 

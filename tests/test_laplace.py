@@ -221,6 +221,19 @@ def test_kl_bound_finite_nonnegative(rng):
     assert math.isfinite(bound) and bound > 0.0
 
 
+def test_kl_bound_at_infinite_epsilon_is_the_deviation_term(rng):
+    # epsilon = inf is the noiseless release, scale 0: the refined
+    # expectation term is 0 and only sqrt(-0.5 sum c ln delta) is left
+    priors, up = kl_inputs(rng)
+    n, delta = 20, 0.1
+    variation_total = sum(
+        (2 * n + 1) * (math.log(p.alpha + n + 1) + math.log(p.beta + n + 1))
+        for p in priors.values()
+    )
+    bound = posterior_kl_bound(priors, up, CHAIN3, epsilon=math.inf, delta=delta, n=n)
+    assert bound == pytest.approx(math.sqrt(-0.5 * variation_total * math.log(delta)), rel=1e-12)
+
+
 def test_kl_bound_delta_term_vanishes(rng):
     # as delta -> 1 the sqrt(-0.5 sum c ln delta) term goes to zero, and
     # the gap to the limit follows the sqrt(-ln delta) shape exactly

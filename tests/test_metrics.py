@@ -13,6 +13,7 @@ from dpbayes import (
     BetaParams,
     BudgetExceededError,
     Dataset,
+    InvalidArgumentError,
     LengthMismatchError,
     PrivacyCheckReport,
     accuracy,
@@ -103,6 +104,18 @@ def test_accuracy_all_correct():
 def test_accuracy_tie_predicts_class_one():
     assert accuracy([0.5], [1]) == 1.0
     assert accuracy([0.5], [0]) == 0.0
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 5.0, -0.1, math.inf])
+def test_accuracy_rejects_threshold_outside_unit_interval(threshold):
+    # any such threshold would label every row the same class
+    with pytest.raises(InvalidArgumentError, match="threshold must lie in"):
+        accuracy([0.9, 0.8, 0.1], [1, 1, 0], threshold)
+
+
+def test_accuracy_accepts_threshold_endpoints():
+    assert accuracy([0.9, 0.8, 0.1], [1, 1, 0], 0.0) == pytest.approx(2 / 3)
+    assert accuracy([1.0, 0.8, 0.1], [1, 0, 0], 1.0) == 1.0
 
 
 def test_accuracy_length_mismatch():

@@ -37,3 +37,16 @@ def test_modules_have_no_unused_top_level_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+def test_modules_raise_no_plain_value_or_type_error():
+    # a bad argument raises InvalidArgumentError, a DpBayesError that is also
+    # a ValueError; a plain ValueError or TypeError would escape the contract
+    plain = []
+    for path in sorted(Path(dpbayes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                    plain.append(f"{path.name}:{node.lineno} {exc.id}")
+    assert plain == []

@@ -701,7 +701,7 @@ def test_predictive_finite_when_both_classes_underflow():
 
 @pytest.mark.parametrize("samples", [0, -1])
 def test_predictive_batch_rejects_no_samples(samples):
-    with pytest.raises(DpBayesError, match="at least one Monte Carlo sample") as caught:
+    with pytest.raises(DpBayesError, match=r"samples must be an integer in \[1, inf\)") as caught:
         sampler_predictive_batch(NB2, nb2_posterior(), [(1, 0)], epsilon=3.0, samples=samples, seed=0)
     assert isinstance(caught.value, InvalidArgumentError)
     assert isinstance(caught.value, ValueError)
