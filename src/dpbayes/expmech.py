@@ -10,6 +10,7 @@ realistic log-posteriors overflow exp otherwise.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,6 +41,10 @@ class GridSpec:
             raise InvalidArgumentError("grid must be non-empty")
         if len(self.points) != len(self.prior_mass):
             raise InvalidArgumentError("one prior mass per grid point")
+        if len(set(map(len, self.points))) != 1:
+            raise InvalidArgumentError("grid points must all have one coordinate count")
+        if not all(map(math.isfinite, itertools.chain.from_iterable(self.points))):
+            raise InvalidArgumentError("grid point coordinates must be finite")
         if not all(m > 0 for m in self.prior_mass):
             raise InvalidArgumentError("prior masses must be positive")
         total = math.fsum(self.prior_mass)

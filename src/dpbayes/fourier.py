@@ -198,6 +198,8 @@ class CoefficientSet:
     def __post_init__(self) -> None:
         if set(self.values) != set(self.closure.members):
             raise InvalidArgumentError("coefficient indices must equal the closure exactly")
+        if not all(map(math.isfinite, self.values.values())):
+            raise InvalidArgumentError("coefficient values must be finite")
 
     @property
     def k(self) -> int:

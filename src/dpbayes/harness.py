@@ -18,7 +18,8 @@ import numpy as np
 
 from . import fourier, laplace, regression, sampler
 from .errors import ConfigError, DimensionMismatchError, InvalidArgumentError, OmegaTooLargeError
-from .errors import check_fraction, check_integer, check_nonnegative, check_positive, check_t
+from .errors import check_epsilon, check_fraction, check_integer, check_nonnegative
+from .errors import check_positive, check_t
 from .graph import (
     BayesNetGraph,
     Dataset,
@@ -82,14 +83,16 @@ class ExperimentConfig:
         for mech in self.mechanisms:
             if mech not in allowed:
                 raise ConfigError(f"unknown mechanism {mech!r} for task {self.task!r}")
-        if not self.epsilon_grid or any(not e > 0 for e in self.epsilon_grid):
-            raise ConfigError("epsilon grid must be non-empty and strictly positive")
-        if not self.b_grid or any(not b > 0 for b in self.b_grid):
-            raise ConfigError("b grid must be non-empty and strictly positive")
+        if not self.epsilon_grid or not self.b_grid:
+            raise ConfigError("epsilon and b grids must be non-empty")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
         # the library's own rules, reported as the configuration errors they are here
         try:
+            for epsilon in self.epsilon_grid:
+                check_epsilon(epsilon)
+            for b in self.b_grid:
+                check_positive("prior precision", b)
             check_fraction("train fraction", self.train_fraction)
             for name in ("repeats", "d", "sampler_samples", "regression_samples"):
                 check_integer(name, getattr(self, name), 1)

@@ -48,6 +48,8 @@ class RegressionData:
             raise InvalidArgumentError("X must be n x d with a length-n target vector")
         for name in ("sigma2", "x_scale", "y_scale"):
             check_positive(name, getattr(self, name))
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise InvalidArgumentError("X and y must hold finite numbers only")
         tol = 1e-9
         if X.size and float(np.linalg.norm(X, axis=1).max()) > 1.0 + tol:
             raise InvalidArgumentError("feature rows must have 2-norm at most 1; scale first")

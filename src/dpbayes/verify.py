@@ -7,6 +7,11 @@ sensitivity bound, quadrature instead of closed forms, direct
 normalization instead of log-sum-exp. Oracles deliberately do not call
 the code paths they check.
 
+Every integral goes through QUADPACK's adaptive Gauss-Kronrod rule
+(scipy.integrate.quad) at fixed tolerances; an integral it reports as
+not converged raises DpBayesError naming the interval, so no oracle
+returns an unconverged estimate.
+
 Budgets are tight (|I| <= 4, n <= 4, k <= 12) because every oracle is
 exponential in something; BudgetExceededError refuses anything larger.
 """
@@ -19,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.special
 
-from .errors import BudgetExceededError, InvalidArgumentError, LengthMismatchError
+from .errors import BudgetExceededError, DpBayesError, InvalidArgumentError, LengthMismatchError
 from .expmech import GridSpec, MapSensitivity
 from .graph import BayesNetGraph, BetaParams, Dataset, PosteriorMap, validate_graph
 from .metrics import PrivacyCheckReport
@@ -29,41 +34,24 @@ from .metrics import PrivacyCheckReport
 # ---------------------------------------------------------------------------
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-9,
-    max_depth: int = 60,
-    min_depth: int = 10,
-) -> float:
-    """Adaptive Simpson integration by interval halving.
+# QUADPACK's adaptive Gauss-Kronrod tolerances; 1e-13 absolute or 1e-11
+# relative already makes it report roundoff on some Beta-KL integrands
+_QUAD_EPSABS = 1e-12
+_QUAD_EPSREL = 1e-10
 
-    Classic estimate-and-recurse with the 1/15 Richardson correction;
-    depth exhaustion falls back to the refined estimate for that panel.
-    The first min_depth levels always split: a narrow spike between
-    coarse sample points would otherwise fake early agreement.
-    """
-    if not a < b:
-        raise InvalidArgumentError("need a < b")
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
-    def rec(a, m, b, fa, fm, fb, whole, tol, depth, forced):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or (forced <= 0 and abs(left + right - whole) <= 15.0 * tol):
-            return left + right + (left + right - whole) / 15.0
-        return rec(a, lm, m, fa, flm, fm, left, tol / 2.0, depth - 1, forced - 1) + rec(
-            m, rm, b, fm, frm, fb, right, tol / 2.0, depth - 1, forced - 1
-        )
+def _quad(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integral of f over [a, b] by scipy.integrate.quad; raises unless it converged."""
+    # imported here: scipy.integrate adds about 0.3 s to every CLI start-up
+    import scipy.integrate
 
-    return rec(a, m, b, fa, fm, fb, whole, tol, max_depth, min_depth)
+    value, _, _, *failure = scipy.integrate.quad(
+        f, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, full_output=1
+    )
+    if failure:
+        reason = " ".join(failure[0].split()).split(". ")[0]
+        raise DpBayesError(f"quadrature on [{a}, {b}] did not converge: {reason}")
+    return value
 
 
 def beta_logpdf(x: float, params: BetaParams) -> float:
@@ -75,8 +63,8 @@ def beta_logpdf(x: float, params: BetaParams) -> float:
     )
 
 
-def kl_beta_quadrature(p: BetaParams, q: BetaParams, tol: float = 1e-9) -> float:
-    """KL(p || q) for Betas by adaptive Simpson on [1e-12, 1-1e-12].
+def kl_beta_quadrature(p: BetaParams, q: BetaParams) -> float:
+    """KL(p || q) for Betas by quadrature on [1e-12, 1-1e-12].
 
     Endpoint singularities for shape parameters below 1 are excluded by
     the parameter ranges the tests use.
@@ -86,7 +74,7 @@ def kl_beta_quadrature(p: BetaParams, q: BetaParams, tol: float = 1e-9) -> float
         lp = beta_logpdf(x, p)
         return math.exp(lp) * (lp - beta_logpdf(x, q))
 
-    return adaptive_simpson(integrand, 1e-12, 1.0 - 1e-12, tol)
+    return _quad(integrand, 1e-12, 1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -183,47 +171,34 @@ def all_dags(k: int) -> list[BayesNetGraph]:
     return graphs
 
 
-def _update_vec(graph: BayesNetGraph, data: Dataset, key_order: list[tuple[int, int]]) -> np.ndarray:
-    tallies = brute_force_updates(graph, data)
-    return np.array(
-        [tallies[(i, j, half)] for (i, j) in key_order for half in ("a", "b")],
-        dtype=np.float64,
-    )
-
-
 def exhaustive_sensitivity(graph: BayesNetGraph, n_max: int) -> float:
     """Max L1 update distance over every dataset/neighbor pair, by enumeration.
 
-    Exponential in everything; refuses |I| > 4 or n_max > 4.
+    Each of the 2^|I| possible records is tallied once as a one-record
+    dataset; a dataset's tallies are the sum over its records. Datasets
+    of n records are enumerated in itertools.product order, so dataset
+    c sits at row sum_p c[p] 2^(|I|(n-1-p)) and replacing its record at
+    position p is an index shift. Exponential in everything; refuses
+    |I| > 4 or n_max > 4.
     """
     k = graph.node_count
     if k > 4 or n_max > 4:
         raise BudgetExceededError("exhaustive sensitivity limited to |I| <= 4, n <= 4")
-    key_order = list(graph.entry_keys())
     n_records = 1 << k
-    all_records = [
-        np.array([[(r >> p) & 1 for p in range(k)]], dtype=np.int64) for r in range(n_records)
-    ]
+    order = [(i, j, half) for (i, j) in graph.entry_keys() for half in ("a", "b")]
+    records = (np.arange(n_records)[:, None] >> np.arange(k)) & 1
+    singles = [brute_force_updates(graph, Dataset.from_records([r])) for r in records]
+    tallies = np.array([[t[key] for key in order] for t in singles])
     worst = 0.0
     for n in range(1, n_max + 1):
-        vec_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-        def vec_of(idx_tuple: tuple[int, ...]) -> np.ndarray:
-            if idx_tuple not in vec_cache:
-                rows = np.vstack([all_records[r] for r in idx_tuple])
-                vec_cache[idx_tuple] = _update_vec(graph, Dataset.from_records(rows), key_order)
-            return vec_cache[idx_tuple]
-
-        for combo in itertools.product(range(n_records), repeat=n):
-            base = vec_of(combo)
-            for pos in range(n):
-                for replacement in range(n_records):
-                    if replacement == combo[pos]:
-                        continue
-                    neighbor = combo[:pos] + (replacement,) + combo[pos + 1 :]
-                    dist = float(np.abs(base - vec_of(neighbor)).sum())
-                    if dist > worst:
-                        worst = dist
+        combos = np.array(list(itertools.product(range(n_records), repeat=n)))
+        vecs = tallies[combos].sum(axis=1)
+        rows = np.arange(len(combos))
+        for pos in range(n):
+            stride = n_records ** (n - 1 - pos)
+            for replacement in range(n_records):
+                neighbor = rows + (replacement - combos[:, pos]) * stride
+                worst = max(worst, float(np.abs(vecs - vecs[neighbor]).sum(axis=1).max()))
     return worst
 
 
@@ -296,7 +271,7 @@ def truncated_beta_moment(
         return math.exp(beta_logpdf(x, params))
 
     lo, hi = omega, 1.0 - omega
-    return adaptive_simpson(num, lo, hi, 1e-12) / adaptive_simpson(den, lo, hi, 1e-12)
+    return _quad(num, lo, hi) / _quad(den, lo, hi)
 
 
 def truncated_normal_moments(mu: float, sigma2: float, lo: float, hi: float) -> tuple[float, float]:
@@ -307,9 +282,9 @@ def truncated_normal_moments(mu: float, sigma2: float, lo: float, hi: float) -> 
         z = (x - mu) / sd
         return math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
-    mass = adaptive_simpson(pdf, lo, hi, 1e-12)
-    mean = adaptive_simpson(lambda x: x * pdf(x), lo, hi, 1e-12) / mass
-    second = adaptive_simpson(lambda x: x * x * pdf(x), lo, hi, 1e-12) / mass
+    mass = _quad(pdf, lo, hi)
+    mean = _quad(lambda x: x * pdf(x), lo, hi) / mass
+    second = _quad(lambda x: x * x * pdf(x), lo, hi) / mass
     return mean, second - mean * mean
 
 
@@ -325,7 +300,7 @@ def _beta_obs_moment(params: BetaParams, value: int) -> float:
         lik = x if value else 1.0 - x
         return math.exp(beta_logpdf(x, params)) * lik
 
-    return adaptive_simpson(integrand, 1e-12, 1.0 - 1e-12, 1e-12)
+    return _quad(integrand, 1e-12, 1.0 - 1e-12)
 
 
 def nb_predictive_quadrature(

@@ -51,6 +51,16 @@ def test_grid_mass_must_normalize():
         GridSpec(points=((0.0,), (1.0,)), prior_mass=(0.5, math.inf))
 
 
+@pytest.mark.parametrize(
+    "points",
+    [((math.nan,), (1.0,)), ((0.0,), (math.inf,)), ((0.0, -math.inf), (1.0, 2.0)),
+     ((0.0,), (1.0, 2.0)), ((0.0, 1.0), (2.0,))],
+)
+def test_grid_rejects_non_finite_or_ragged_points(points):
+    with pytest.raises(InvalidArgumentError, match="finite|one coordinate count"):
+        GridSpec(points=points, prior_mass=(0.5, 0.5))
+
+
 def test_grid_uniform_constructor():
     grid = GridSpec.uniform([(0.0,), (0.5,), (1.0,)])
     assert grid.size == 3

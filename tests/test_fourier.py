@@ -11,6 +11,7 @@ from dpbayes import (
     CoefficientSet,
     Dataset,
     DownwardClosure,
+    InvalidArgumentError,
     InvalidEpsilonError,
     InvalidTError,
     MissingCoefficientError,
@@ -240,6 +241,14 @@ def test_coefficient_set_requires_exact_index_match():
     clo = downward_closure(SINGLE)
     with pytest.raises(ValueError):
         CoefficientSet(closure=clo, values={0: 1.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coefficient_set_rejects_non_finite_values(bad):
+    # a NaN coefficient would otherwise reconstruct all-NaN marginal cells
+    clo = downward_closure(SINGLE)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        CoefficientSet(closure=clo, values={0: bad, 1: 0.5})
 
 
 # ---------------------------------------------------------------------------

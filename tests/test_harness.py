@@ -86,6 +86,22 @@ def test_config_rejects_invalid_fields():
         ExperimentConfig(radius=-1.0)
 
 
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        (dict(b_grid=(1.0, math.inf)), "prior precision must be positive and finite"),
+        (dict(b_grid=(math.nan,)), "prior precision must be positive and finite"),
+        (dict(epsilon_grid=(1.0, math.nan)), "epsilon must be positive"),
+        (dict(epsilon_grid=()), "grids must be non-empty"),
+        (dict(b_grid=()), "grids must be non-empty"),
+    ],
+)
+def test_config_grids_follow_the_library_rules(grids, message):
+    # an infinite b passed the sweep config and failed only after b=1 had run
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(task="linreg", **grids)
+
+
 def test_config_defaults_mirror_flagship_protocol():
     config = ExperimentConfig()
     assert config.d == 16 and config.n == 1000

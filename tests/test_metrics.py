@@ -1,7 +1,9 @@
 """Utility metrics and the independent verification oracles."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -13,6 +15,7 @@ from dpbayes import (
     BetaParams,
     BudgetExceededError,
     Dataset,
+    DpBayesError,
     InvalidArgumentError,
     LengthMismatchError,
     PrivacyCheckReport,
@@ -23,7 +26,7 @@ from dpbayes import (
     project_marginal,
 )
 from dpbayes.verify import (
-    adaptive_simpson,
+    _quad,
     all_dags,
     dense_marginal,
     dense_table,
@@ -36,6 +39,7 @@ from dpbayes.verify import (
     truncated_beta_moment,
     truncated_beta_ppf,
     truncated_normal_moments,
+    trimmed_nb_predictive_quadrature,
     walsh_coefficients_dense,
 )
 
@@ -137,26 +141,92 @@ def test_privacy_report_pass_rule():
 
 
 # ---------------------------------------------------------------------------
-# quadrature engine
+# quadrature oracles against mpmath
 # ---------------------------------------------------------------------------
 
 
-def test_adaptive_simpson_polynomial():
-    assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+# mpmath references, each split at the density's mode so tanh-sinh sees
+# one smooth hump per panel; the test sets the precision to 30 digits
 
 
-def test_adaptive_simpson_sine():
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-9)
+def _mp_beta_pdf(params: BetaParams):
+    a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+    norm = mpmath.beta(a, b)
+    return lambda x: x ** (a - 1) * (1 - x) ** (b - 1) / norm
 
 
-def test_adaptive_simpson_forced_depth_catches_spikes():
-    # a narrow bump that plain three-point agreement would miss
-    def spike(x):
-        return math.exp(-((x - 0.31) ** 2) / 2e-6)
+def _mp_panels(params: BetaParams, lo=0.0, hi=1.0):
+    mode = (params.alpha - 1.0) / (params.alpha + params.beta - 2.0)
+    return [lo, hi] if not lo < mode < hi else [lo, mode, hi]
 
-    got = adaptive_simpson(spike, 0.0, 1.0, tol=1e-10)
-    want = math.sqrt(2 * math.pi * 1e-6)
-    assert got == pytest.approx(want, rel=1e-6)
+
+def _mp_kl(p: BetaParams, q: BetaParams) -> float:
+    fp, fq = _mp_beta_pdf(p), _mp_beta_pdf(q)
+    return float(mpmath.quad(lambda x: fp(x) * mpmath.log(fp(x) / fq(x)), _mp_panels(p)))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_beta_moment(params: BetaParams, lo: float, hi: float, x_power: int, one_minus_power: int):
+    f, panels = _mp_beta_pdf(params), _mp_panels(params, lo, hi)
+    num = mpmath.quad(lambda x: f(x) * x**x_power * (1 - x) ** one_minus_power, panels)
+    return num / mpmath.quad(f, panels)
+
+
+def _mp_nb_predictive(posterior, x, lo=0.0, hi=1.0) -> float:
+    joint = []
+    for y in (0, 1):
+        term = _mp_beta_moment(posterior[(0, 0)], lo, hi, y, 1 - y)
+        for f, v in enumerate(x, start=1):
+            term *= _mp_beta_moment(posterior[(f, y)], lo, hi, v, 1 - v)
+        joint.append(term)
+    return float(joint[1] / (joint[0] + joint[1]))
+
+
+QUAD_PAIRS = [
+    (BetaParams(2.0, 1.0), BetaParams(1.0, 1.0)),
+    (BetaParams(30.0, 12.0), BetaParams(25.0, 14.0)),
+    (BetaParams(49.0, 1.5), BetaParams(1.2, 40.0)),
+]
+QUAD_POSTERIOR = {
+    (0, 0): BetaParams(12.0, 9.0),
+    (1, 0): BetaParams(3.0, 7.0), (1, 1): BetaParams(8.0, 2.5),
+    (2, 0): BetaParams(1.0, 4.0), (2, 1): BetaParams(40.0, 38.0),
+}
+
+
+@mpmath.workdps(30)
+def test_quadrature_oracles_match_mpmath():
+    # each oracle within the tolerance its criterion or test holds it to
+    for p, q in QUAD_PAIRS:
+        assert kl_beta_quadrature(p, q) == pytest.approx(_mp_kl(p, q), abs=1e-6)
+    for params, trim, powers in [
+        (BetaParams(3.0, 2.0), math.exp(-1.0), (1, 0)),
+        (BetaParams(0.7, 5.0), math.exp(-3.0), (0, 1)),
+        (BetaParams(40.0, 2.0), 0.01, (1, 1)),
+    ]:
+        want = float(_mp_beta_moment(params, trim, 1.0 - trim, *powers))
+        assert truncated_beta_moment(params, trim, *powers) == pytest.approx(want, abs=1e-9)
+    omega = math.exp(-1.0)
+    for mu, sigma2, lo, hi in [(0.3, 2.0, -1.0, 1.5), (5.0, 0.01, 4.5, 6.0), (-2.0, 0.5, 0.0, 3.0)]:
+        pdf = lambda x: mpmath.npdf(x, mu, mpmath.sqrt(sigma2))  # noqa: E731
+        panels = [lo, mu, hi] if lo < mu < hi else [lo, hi]
+        mass = mpmath.quad(pdf, panels)
+        mean = mpmath.quad(lambda x: x * pdf(x), panels) / mass
+        var = mpmath.quad(lambda x: (x - mean) ** 2 * pdf(x), panels) / mass
+        got = truncated_normal_moments(mu, sigma2, lo, hi)
+        assert got == pytest.approx((float(mean), float(var)), abs=1e-9)
+    for x in [(0, 0), (1, 0), (1, 1)]:
+        want = _mp_nb_predictive(QUAD_POSTERIOR, x)
+        assert nb_predictive_quadrature(QUAD_POSTERIOR, x) == pytest.approx(want, abs=1e-9)
+        want = _mp_nb_predictive(QUAD_POSTERIOR, x, omega, 1.0 - omega)
+        got = trimmed_nb_predictive_quadrature(QUAD_POSTERIOR, x, omega)
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_quadrature_raises_when_quadpack_does_not_converge():
+    # sin(1/x) oscillates without bound near 0: QUADPACK runs out of subintervals
+    with pytest.raises(DpBayesError, match=r"quadrature on \[1e-06, 1.0\] did not converge"):
+        _quad(lambda x: math.sin(1.0 / x), 1e-6, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,16 @@ def test_regression_data_rejects_oversized_rows():
         RegressionData(X=np.array([[0.5]]), y=np.array([0.5]), sigma2=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["X", "y"])
+def test_regression_data_rejects_non_finite_cells(bad, where):
+    # NaN fails the norm comparisons silently, so it needs its own check
+    X, y = np.array([[0.5, 0.1], [0.2, 0.3]]), np.array([0.5, -0.2])
+    (X if where == "X" else y).flat[-1] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        RegressionData(X=X, y=y, sigma2=1.0)
+
+
 # ---------------------------------------------------------------------------
 # conjugate posterior
 # ---------------------------------------------------------------------------
