@@ -57,6 +57,7 @@ from .graph import (
     BetaParams,
     ContingencyTable,
     Dataset,
+    EntryTable,
     UpdateVector,
     ancestral_sample,
     build_table,

@@ -227,7 +227,7 @@ def _run_mechanism(settings: dict, out: str) -> int:
         idx = expmech.exp_mechanism_indices(grid, utility, epsilon, sens, seed, draws)
         lines = ["draw,point"]
         for i, gi in enumerate(idx):
-            coords = ";".join(repr(c) for c in grid.points[int(gi)])
+            coords = ";".join(repr(c) for c in grid.points[gi].tolist())
             lines.append(f"{i},{coords}")
         return _emit(out, lines)
 
@@ -238,7 +238,7 @@ def _run_mechanism(settings: dict, out: str) -> int:
         spec = laplace.LaplaceNoiseSpec.for_graph(graph, epsilon, data.n)
         pert = laplace.perturb_updates(compute_updates(graph, data), spec, seed)
         lines = ["node,config,z1,z2"]
-        for (i, j), (z1, z2) in pert.entries.items():
+        for (i, j), (z1, z2) in zip(pert.entries.order, pert.entries.array.tolist()):
             lines.append(f"{i},{j},{z1!r},{z2!r}")
         return _emit(out, lines)
 
@@ -248,10 +248,10 @@ def _run_mechanism(settings: dict, out: str) -> int:
         if floored:
             log.warning("stealth failed; negative cells floored at zero")
         lines = ["section,key1,key2,value"]
-        for gamma, value in coeffs.values.items():
+        for gamma, value in zip(coeffs.closure.members, coeffs.values.array.tolist()):
             lines.append(f"coefficient,{gamma:#x},,{value!r}")
-        for (i, j), params in post.items():
-            lines.append(f"posterior,{i},{j},{params.alpha!r};{params.beta!r}")
+        for (i, j), (alpha, beta) in zip(post.order, post.array.tolist()):
+            lines.append(f"posterior,{i},{j},{alpha!r};{beta!r}")
         return _emit(out, lines)
 
     if name == "sampler":
@@ -259,12 +259,11 @@ def _run_mechanism(settings: dict, out: str) -> int:
         if samples < 0:
             raise ConfigError(f"samples must be non-negative, got {samples}")
         post = posterior_params(priors, compute_updates(graph, data))
-        block = sampler.trimmed_posterior_draws(post, sampler.trim_bound(epsilon), seed, samples)
-        draws = {key: row.tolist() for key, row in block.items()}
+        draws = sampler.trimmed_posterior_draws(post, sampler.trim_bound(epsilon), seed, samples)
         lines = ["node,config,draw,theta"]
-        for s in range(samples):
-            for (i, j), row in draws.items():
-                lines.append(f"{i},{j},{s},{row[s]!r}")
+        for s, column in enumerate(draws.array.T.tolist()):
+            for (i, j), theta in zip(draws.order, column):
+                lines.append(f"{i},{j},{s},{theta!r}")
         return _emit(out, lines)
 
     raise ConfigError(f"unknown mechanism {name!r}")

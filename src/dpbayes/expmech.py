@@ -10,7 +10,6 @@ realistic log-posteriors overflow exp otherwise.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,46 +22,53 @@ from .randomness import substream
 
 _DRAW_TAG = "map-grid-draw"
 
-Point = tuple[float, ...]
+Point = np.ndarray  # one row of GridSpec.points
 Utility = Callable[[Point], float] | Sequence[float] | np.ndarray
 
 _MASS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Finite parameter grid with its prior masses (the base measure)."""
+    """Finite parameter grid with its prior masses (the base measure).
 
-    points: tuple[Point, ...]
-    prior_mass: tuple[float, ...]
+    points is a read-only (size, dim) array, one row per grid point, and
+    prior_mass a read-only vector of one mass per point.
+    """
+
+    points: np.ndarray
+    prior_mass: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.points:
+        points, mass = self.points, np.array(self.prior_mass, dtype=np.float64)
+        if not len(points):
             raise InvalidArgumentError("grid must be non-empty")
-        if len(self.points) != len(self.prior_mass):
+        if mass.shape != (len(points),):
             raise InvalidArgumentError("one prior mass per grid point")
-        if len(set(map(len, self.points))) != 1:
+        # a ragged sequence must be caught before numpy refuses it
+        ragged = not isinstance(points, np.ndarray) and len(set(map(len, points))) != 1
+        if ragged or np.ndim(points) != 2:
             raise InvalidArgumentError("grid points must all have one coordinate count")
-        if not all(map(math.isfinite, itertools.chain.from_iterable(self.points))):
+        points = np.array(points, dtype=np.float64)
+        if not np.isfinite(points).all():
             raise InvalidArgumentError("grid point coordinates must be finite")
-        if not all(m > 0 for m in self.prior_mass):
+        if not (mass > 0).all():
             raise InvalidArgumentError("prior masses must be positive")
-        total = math.fsum(self.prior_mass)
+        total = math.fsum(mass.tolist())
         if not abs(total - 1.0) <= _MASS_TOL:
             raise InvalidArgumentError(f"prior masses sum to {total}, expected 1 within {_MASS_TOL}")
+        points.flags.writeable = mass.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "prior_mass", mass)
 
     @property
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def masses(self) -> np.ndarray:
-        return np.asarray(self.prior_mass, dtype=np.float64)
-
     @classmethod
     def uniform(cls, points: Sequence[Sequence[float]]) -> "GridSpec":
-        pts = tuple(tuple(float(c) for c in p) for p in points)
-        return cls(points=pts, prior_mass=(1.0 / len(pts),) * len(pts))
+        # no points: no masses, which the constructor rejects as an empty grid
+        return cls(points=points, prior_mass=np.full(len(points), 1.0 / max(len(points), 1)))
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ def sampling_probabilities(
     u = _utility_values(grid, utility)
     expo = epsilon * u / (2.0 * delta.delta_value)
     expo -= expo.max()
-    w = grid.masses * np.exp(expo)
+    w = grid.prior_mass * np.exp(expo)
     return w / w.sum()
 
 
@@ -155,7 +161,7 @@ def map_utility_certificate(
     check_positive("t", t)
     check_map_epsilon(epsilon)
     u = _utility_values(grid, utility)
-    masses = grid.masses
+    masses = grid.prior_mass
     level = u.max() - t
     mass = float(masses[u > level].sum() / masses.sum())
     if mass <= 0.0:

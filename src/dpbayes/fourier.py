@@ -30,13 +30,14 @@ from .errors import DimensionMismatchError, MissingCoefficientError, NonPositive
 from .errors import InvalidArgumentError, check_epsilon, check_fraction, check_integer, check_t
 from .graph import (
     BayesNetGraph,
-    BetaParams,
+    BetaTable,
     ContingencyTable,
     Dataset,
-    PosteriorMap,
+    EntryTable,
     PriorMap,
     count_cells,
     family_plan,
+    prior_rows,
     project_marginal,
 )
 from .randomness import derive_seed, laplace_from_uniform, substream
@@ -190,15 +191,19 @@ def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
 
 @dataclass
 class CoefficientSet:
-    """Released coefficient vector over a downward closure."""
+    """Released coefficient vector over a downward closure, keyed by closure.members.
+
+    A dict of values is read through EntryTable.of.
+    """
 
     closure: DownwardClosure
-    values: dict[int, float]
+    values: EntryTable
 
     def __post_init__(self) -> None:
-        if set(self.values) != set(self.closure.members):
+        self.values = EntryTable.of(self.values)
+        if self.values.order != self.closure.members:
             raise InvalidArgumentError("coefficient indices must equal the closure exactly")
-        if not all(map(math.isfinite, self.values.values())):
+        if not np.isfinite(self.values.array).all():
             raise InvalidArgumentError("coefficient values must be finite")
 
     @property
@@ -208,8 +213,7 @@ class CoefficientSet:
 
 def exact_coefficients(data: Dataset, closure: DownwardClosure) -> CoefficientSet:
     """Noise-free coefficient set; the zero-noise reference path."""
-    values = dict(zip(closure.members, _exact_vector(data, closure).tolist()))
-    return CoefficientSet(closure=closure, values=values)
+    return CoefficientSet(closure, EntryTable(closure.members, _exact_vector(data, closure)))
 
 
 def noise_scale(closure: DownwardClosure, epsilon: float) -> float:
@@ -239,10 +243,9 @@ def release_coefficients(
     """
     boost = stealth_increment(closure, epsilon, t)
     u = substream(seed, _NOISE_TAG).random(closure.size)
-    noisy = _exact_vector(data, closure) + laplace_from_uniform(u, noise_scale(closure, epsilon))
-    values = dict(zip(closure.members, noisy.tolist()))
+    values = _exact_vector(data, closure) + laplace_from_uniform(u, noise_scale(closure, epsilon))
     values[0] += boost
-    return CoefficientSet(closure=closure, values=values)
+    return CoefficientSet(closure, EntryTable(closure.members, values))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +291,9 @@ def _family_cells(coeffs: CoefficientSet, positions: tuple[np.ndarray, ...]) -> 
     """Cells of the families behind each (rows, 2^f) position table, row by row.
 
     cell(c) = 2^{k/2 - f} * sum_{gamma <= F} (-1)^{popcount(c & gamma)} z_gamma,
-    i.e. the Walsh butterfly of the family's coefficients, rescaled. The
-    coefficient vector z is read from the set once, for all tables.
+    i.e. the Walsh butterfly of the family's coefficients, rescaled.
     """
-    z = np.array([coeffs.values[m] for m in coeffs.closure.members])
+    z = coeffs.values.array
     return np.concatenate(
         [(_walsh(z[at]) * 2.0 ** (coeffs.k / 2.0 - (at.shape[1].bit_length() - 1))).ravel()
          for at in positions]
@@ -325,18 +327,16 @@ def fourier_posterior_params(
     graph: BayesNetGraph,
     priors: PriorMap,
     clamp_nonpositive: bool = False,
-) -> PosteriorMap:
+) -> BetaTable:
     """Posterior Beta parameters from the reconstructed marginals.
 
     Entry (i, j) becomes (alpha + cell(x_i=1, parents=j), beta +
-    cell(x_i=0, parents=j)). Every family is read in the graph module's
-    layout, bit 0 the node and bit p+1 its p-th declared parent, so its
-    cells 2j and 2j + 1 are the beta and alpha cells of entry (i, j) and
-    the families' cells, in node order, list every entry's pair in
-    entry_keys() order. Noisy cells can push a parameter to or below
-    zero; by default that raises NonPositivePosteriorParamError listing
-    the offending entries, with clamp_nonpositive=True negative cells
-    are floored at zero instead.
+    cell(x_i=0, parents=j)). Read in the graph module's family layout,
+    the families' cells list these (beta, alpha) pairs in the entry
+    order, the order of the prior and posterior tables. Noisy cells can
+    push a parameter to or below zero; by default that raises
+    NonPositivePosteriorParamError listing the offending entries, with
+    clamp_nonpositive=True negative cells are floored at zero instead.
     """
     positions = _plan_positions(graph, coeffs.closure)
     cells = _family_cells(coeffs, positions)[family_plan(graph)[1]]
@@ -344,18 +344,18 @@ def fourier_posterior_params(
     if clamp_nonpositive:
         alpha_cells = np.maximum(alpha_cells, 0.0)
         beta_cells = np.maximum(beta_cells, 0.0)
-    keys = list(graph.entry_keys())
-    prior = np.array([(priors[key].alpha, priors[key].beta) for key in keys])
+    keys = graph.entry_keys()
+    prior = prior_rows(priors, keys)
     a = prior[:, 0] + alpha_cells
     b = prior[:, 1] + beta_cells
     bad = (a <= 0.0) | (b <= 0.0)
     if bad.any():
-        entries = [key for key, flag in zip(keys, bad.tolist()) if flag]
+        entries = [keys[r] for r in np.flatnonzero(bad)]
         raise NonPositivePosteriorParamError(
             f"stealth failure: non-positive posterior parameter at entries {entries}",
             entries=entries,
         )
-    return {key: BetaParams(x, y) for key, x, y in zip(keys, a.tolist(), b.tolist())}
+    return BetaTable(keys, np.column_stack((a, b)))
 
 
 def release_posterior(
@@ -365,7 +365,7 @@ def release_posterior(
     epsilon: float,
     t: float,
     seed: int,
-) -> tuple[CoefficientSet, PosteriorMap, bool]:
+) -> tuple[CoefficientSet, BetaTable, bool]:
     """One coefficient release over downward_closure(graph) and the posterior it implies.
 
     The noise is keyed derive_seed(seed, "attempt", 0). On a stealth

@@ -8,20 +8,30 @@ is pure counting. Parent configurations are encoded little-endian in
 the declared parent order: configuration index j has bit p equal to
 the value of the p-th declared parent.
 
+The entry order is the one order of every entry-indexed quantity:
+node-major, configurations ascending, as entry_keys() lists it. It is
+sorted key order, so a dict keyed by entries reaches it by one sort. It
+is also the order of family_plan's cell pairs and, for naive Bayes,
+class (0, 0) then (f, 0), (f, 1) per feature f. Update counts, noisy
+counts, priors and posteriors are (m, 2) arrays of (alpha, beta) rows in
+this order, held by an EntryTable: a read-only mapping view from each
+key to its row. EntryTable.of is the one boundary between dicts and
+tables; it sorts a dict's keys once and passes a table through.
+
 The family of node i is the tuple (i, *parents[i]), and its 2^(p+1)
 cells (p parents) are indexed the same way: bit 0 of a cell index is
 x_i and bit p+1 is the p-th declared parent, so cell 2j + x_i holds the
 records with parent configuration j. Read two at a time, a family's
 cells are therefore the (x_i=0, x_i=1) = (beta, alpha) pairs of its
-entries in entry_keys() order. count_cells counts records into this
-layout and family_plan batches it; compute_updates and the Fourier
-reconstruction both read every family through them.
+entries in entry order. count_cells counts records into this layout and
+family_plan batches it; compute_updates and the Fourier reconstruction
+both read every family through them.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -48,16 +58,68 @@ class BetaParams:
         check_positive("alpha", self.alpha)
         check_positive("beta", self.beta)
 
-    def updated(self, delta_alpha: float, delta_beta: float) -> "BetaParams":
-        return BetaParams(self.alpha + delta_alpha, self.beta + delta_beta)
-
     @property
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)
 
 
-PriorMap = dict[EntryKey, BetaParams]
-PosteriorMap = dict[EntryKey, BetaParams]
+class EntryTable(Mapping):
+    """Read-only mapping view of an array whose row r belongs to key order[r].
+
+    A vector reads as one float per key, an (m, c) array as a tuple of c floats per key.
+    """
+
+    def __init__(self, order: tuple[Hashable, ...], array: np.ndarray) -> None:
+        array = np.asarray(array).view()  # a view: the caller's own array stays writeable
+        if len(order) != len(array):
+            raise DimensionMismatchError(f"{len(order)} keys for {len(array)} rows")
+        array.flags.writeable = False
+        self.order, self.array = order, array
+
+    @classmethod
+    def of(cls, entries: Mapping) -> "EntryTable":
+        """A table as it is; any other mapping as a table of its values in sorted key order."""
+        if isinstance(entries, EntryTable):
+            return entries
+        order = tuple(sorted(entries))
+        return cls(order, np.array([cls._cells(entries[key]) for key in order], dtype=np.float64))
+
+    _cells = staticmethod(lambda value: value)  # one mapping value as one array row
+
+    @functools.cached_property
+    def positions(self) -> dict:
+        """Row of each key."""
+        return dict(zip(self.order, range(len(self.order))))
+
+    def __getitem__(self, key):
+        value = self.array[self.positions[key]].tolist()
+        return tuple(value) if isinstance(value, list) else value
+
+    def __iter__(self) -> Iterator:
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+
+class BetaTable(EntryTable):
+    """(m, 2) table of positive, finite (alpha, beta) rows; each entry reads as BetaParams."""
+
+    def __init__(self, order: tuple[EntryKey, ...], array: np.ndarray) -> None:
+        super().__init__(order, np.reshape(array, (-1, 2)))
+        bad = np.argwhere(~((self.array > 0.0) & (self.array < np.inf)))
+        if bad.size:
+            row, col = bad[0]
+            check_positive(("alpha", "beta")[col], float(self.array[row, col]))
+
+    _cells = staticmethod(lambda value: (value.alpha, value.beta))
+
+    def __getitem__(self, key: EntryKey) -> BetaParams:
+        return BetaParams(*self.array[self.positions[key]].tolist())
+
+
+PriorMap = Mapping[EntryKey, BetaParams]
+PosteriorMap = Mapping[EntryKey, BetaParams]
 # full parameterisation of a network: success probability per entry
 ThetaMap = Mapping[EntryKey, float]
 
@@ -108,10 +170,9 @@ class BayesNetGraph:
         """Total number of (node, configuration) entries."""
         return sum(self.config_count(i) for i in range(self.node_count))
 
-    def entry_keys(self) -> Iterator[EntryKey]:
-        for i in range(self.node_count):
-            for j in range(self.config_count(i)):
-                yield (i, j)
+    def entry_keys(self) -> tuple[EntryKey, ...]:
+        """Every (node, configuration) entry in the entry order."""
+        return _entry_keys(self)
 
     def family(self, node: int) -> tuple[int, ...]:
         """Node together with its parents, ascending."""
@@ -122,6 +183,11 @@ class BayesNetGraph:
         for p in self.parents[node]:
             mask |= 1 << p
         return mask
+
+
+@functools.lru_cache(maxsize=32)
+def _entry_keys(graph: BayesNetGraph) -> tuple[EntryKey, ...]:
+    return tuple((i, j) for i in range(graph.node_count) for j in range(graph.config_count(i)))
 
 
 def validate_graph(graph: BayesNetGraph) -> list[int]:
@@ -193,17 +259,15 @@ class Dataset:
 
 @dataclass
 class UpdateVector:
-    """Complete map (node, config) -> (delta_alpha, delta_beta).
+    """(delta_alpha, delta_beta) of every entry, zeros included, as an (m, 2) EntryTable.
 
-    Zero entries are materialised, so len(entries) always equals the
-    graph's update_size. Values are treated as immutable after
-    construction.
+    A dict of pairs is read through EntryTable.of.
     """
 
-    entries: dict[EntryKey, tuple[float, float]]
+    entries: EntryTable
 
-    def size(self) -> int:
-        return len(self.entries)
+    def __post_init__(self) -> None:
+        self.entries = EntryTable.of(self.entries)
 
 
 def count_cells(records: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -230,7 +294,7 @@ def family_plan(graph: BayesNetGraph) -> tuple[tuple[np.ndarray, ...], np.ndarra
     (i, *parents[i]) of f - 1 parents, by ascending node. Concatenating
     the batches' (rows, 2^f) cell tables row by row and indexing with
     the returned order lists the cells family by family in node order:
-    the (beta, alpha) pairs of every entry in entry_keys() order.
+    the (beta, alpha) pairs of every entry in the entry order.
     """
     by_count: dict[int, list[tuple[int, ...]]] = {}
     for i in range(graph.node_count):
@@ -251,30 +315,36 @@ def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
         raise DimensionMismatchError(
             f"records have width {data.dimension}, network has {graph.node_count} nodes"
         )
+    keys = graph.entry_keys()
     if not data.n:
-        return UpdateVector({key: (0.0, 0.0) for key in graph.entry_keys()})
+        return UpdateVector(EntryTable(keys, np.zeros((len(keys), 2))))
     batches, order = family_plan(graph)
     cells = np.concatenate([count_cells(data.records, batch).ravel() for batch in batches])
     pairs = cells[order].reshape(-1, 2).astype(np.float64)
-    return UpdateVector(
-        dict(zip(graph.entry_keys(), zip(pairs[:, 1].tolist(), pairs[:, 0].tolist())))
-    )
+    return UpdateVector(EntryTable(keys, pairs[:, ::-1]))
 
 
-def posterior_params(priors: Mapping[EntryKey, BetaParams], updates: UpdateVector) -> PosteriorMap:
+def prior_rows(priors: PriorMap, order: tuple[EntryKey, ...]) -> np.ndarray:
+    """The (alpha, beta) rows of the priors of the keys in order; each key needs a prior."""
+    table = BetaTable.of(priors)
+    if table.order == order:
+        return table.array
+    missing = [key for key in order if key not in table.positions]
+    if missing:
+        raise MissingPriorEntryError(f"no prior for entry {missing[0]}")
+    return table.array[[table.positions[key] for key in order]]
+
+
+def posterior_params(priors: PriorMap, updates: UpdateVector) -> BetaTable:
     """Elementwise conjugate update of priors; every update key needs a prior."""
-    out: PosteriorMap = {}
-    for key, (da, db) in updates.entries.items():
-        prior = priors.get(key)
-        if prior is None:
-            raise MissingPriorEntryError(f"no prior for entry {key}")
-        out[key] = prior.updated(da, db)
-    return out
+    order = updates.entries.order
+    return BetaTable(order, prior_rows(priors, order) + updates.entries.array)
 
 
-def uniform_priors(graph: BayesNetGraph, alpha: float = 1.0, beta: float = 1.0) -> PriorMap:
+def uniform_priors(graph: BayesNetGraph, alpha: float = 1.0, beta: float = 1.0) -> BetaTable:
     prior = BetaParams(alpha, beta)
-    return {key: prior for key in graph.entry_keys()}
+    rows = np.full((graph.update_size(), 2), (prior.alpha, prior.beta), dtype=np.float64)
+    return BetaTable(graph.entry_keys(), rows)
 
 
 # ---------------------------------------------------------------------------

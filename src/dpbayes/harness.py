@@ -188,10 +188,12 @@ def nb_predictive_batch(posteriors: Sequence[PosteriorMap], X: np.ndarray) -> np
     column of the naive-Bayes kernel the Monte Carlo predictive uses.
     Each posterior is one kernel group, so a call reads X once for all.
     """
-    means = [[post[k].mean for k in sampler.naive_bayes_keys(post)] for post in posteriors]
-    if len({len(m) for m in means}) != 1:
+    if len({len(post) for post in posteriors}) != 1:
         raise DimensionMismatchError("need one or more posteriors over the same features")
-    return sampler.naive_bayes_class1(np.column_stack(means)[:, :, None], X)
+    d = len(posteriors[0]) // 2
+    params = np.stack([sampler.naive_bayes_params(post, d).array for post in posteriors], axis=1)
+    means = params[:, :, 0] / (params[:, :, 0] + params[:, :, 1])
+    return sampler.naive_bayes_class1(means[:, :, None], X)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .expmech import GridSpec
-from .graph import BayesNetGraph, BetaParams, Dataset, PriorMap, validate_graph
+from .graph import BayesNetGraph, BetaParams, BetaTable, Dataset, validate_graph
 
 
-def load_network(path: str | Path) -> tuple[BayesNetGraph, PriorMap]:
+def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
     try:
         spec = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -57,7 +57,7 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, PriorMap]:
         base = BetaParams(float(default[0]), float(default[1]))
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"{path}: bad default prior: {exc}") from exc
-    priors: PriorMap = {key: base for key in graph.entry_keys()}
+    priors = dict.fromkeys(graph.entry_keys(), base)
     for row in priors_spec.get("overrides", []):
         try:
             key, prior = (int(row[0]), int(row[1])), BetaParams(float(row[2]), float(row[3]))
@@ -66,7 +66,7 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, PriorMap]:
         if key not in priors:
             raise ConfigError(f"{path}: override {row!r} names a nonexistent entry")
         priors[key] = prior
-    return graph, priors
+    return graph, BetaTable.of(priors)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -153,10 +153,8 @@ def load_grid(path: str | Path) -> GridSpec:
     raw = _finite_csv(path, "grid file", 2)
     if raw.shape[1] < 2:
         raise ConfigError(f"grid file {path} needs parameter columns plus a mass column")
-    rows = raw.tolist()
-    points = tuple(tuple(row[:-1]) for row in rows)
     try:
-        return GridSpec(points=points, prior_mass=tuple(row[-1] for row in rows))
+        return GridSpec(points=raw[:, :-1], prior_mass=raw[:, -1])
     except ValueError as exc:
         raise ConfigError(f"grid file {path}: {exc}") from exc
 

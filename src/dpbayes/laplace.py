@@ -7,17 +7,18 @@ structure. The mechanism adds Laplace(2|I| / epsilon) noise to every
 one of the 2m update counts (m = sum_i 2^{|parents(i)|}, zero-filled
 entries included) and truncates the noisy counts to [0, n]. Truncation
 is post-processing and costs no privacy; outputs stay real-valued.
+Counts and noisy counts are (m, 2) tables in the graph module's entry order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .errors import PriorTooSmallError, check_epsilon, check_fraction, check_integer
-from .graph import BayesNetGraph, BetaParams, EntryKey, UpdateVector
+from .errors import InvalidArgumentError, PriorTooSmallError, check_epsilon, check_fraction
+from .errors import check_integer
+from .graph import BayesNetGraph, BetaTable, EntryTable, PriorMap, UpdateVector, prior_rows
 from .randomness import laplace_from_uniform, substream
 
 _NOISE_TAG = "laplace-update-noise"
@@ -62,30 +63,26 @@ class PerturbedUpdates:
 
     entries hold the truncated values in [0, n]; raw holds the same
     draws before truncation (useful for deviation diagnostics; both are
-    covered by the same privacy guarantee).
+    covered by the same privacy guarantee). Both are (m, 2) tables in
+    the order of the updates they perturb.
     """
 
-    entries: dict[EntryKey, tuple[float, float]]
-    raw: dict[EntryKey, tuple[float, float]]
+    entries: EntryTable
+    raw: EntryTable
 
 
 def perturb_updates(updates: UpdateVector, spec: LaplaceNoiseSpec, seed: int) -> PerturbedUpdates:
     """Add per-count Laplace noise and truncate into [0, n].
 
     One keyed substream per release supplies an (m, 2) block of
-    uniforms, row r for the r-th entry key in sorted order, and each
-    uniform becomes one count's noise by inverse CDF. The release is
-    reproducible under the seed and independent of the order of
-    updates.entries; both returned maps list the entries in sorted order.
+    uniforms, row r for row r of the updates' table, and each uniform
+    becomes one count's noise by inverse CDF.
     """
-    keys = sorted(updates.entries)
-    counts = np.array([updates.entries[key] for key in keys], dtype=np.float64).reshape(-1, 2)
-    u = substream(seed, _NOISE_TAG).random((len(keys), 2))
+    counts, order = updates.entries.array, updates.entries.order
+    u = substream(seed, _NOISE_TAG).random(counts.shape)
     raw = counts + laplace_from_uniform(u, spec.scale)
-    clamped = np.clip(raw, 0.0, float(spec.n))
     return PerturbedUpdates(
-        entries=dict(zip(keys, map(tuple, clamped.tolist()))),
-        raw=dict(zip(keys, map(tuple, raw.tolist()))),
+        EntryTable(order, np.clip(raw, 0.0, float(spec.n))), EntryTable(order, raw)
     )
 
 
@@ -103,7 +100,7 @@ def update_deviation_bound(graph: BayesNetGraph, epsilon: float, delta: float) -
 
 
 def posterior_kl_bound(
-    priors: Mapping[EntryKey, BetaParams],
+    priors: PriorMap,
     updates: UpdateVector,
     graph: BayesNetGraph,
     epsilon: float,
@@ -131,25 +128,22 @@ def posterior_kl_bound(
     scale = LaplaceNoiseSpec.for_graph(graph, epsilon, n).scale
     if delta != 1:
         check_fraction("delta", delta)
-    for key, prior in priors.items():
-        if prior.alpha < 2.0 or prior.beta < 2.0:
-            raise PriorTooSmallError(
-                f"entry {key} has prior ({prior.alpha}, {prior.beta}); both must be >= 2"
-            )
-    refined = n >= scale
-    decay = math.exp(-n / scale) if scale else 0.0
-    expectation_total = 0.0
-    variation_total = 0.0
-    for key, (da, db) in updates.entries.items():
-        prior = priors[key]
-        a, b = prior.alpha, prior.beta
-        variation_total += (2.0 * n + 1.0) * (math.log(a + n + 1.0) + math.log(b + n + 1.0))
-        if refined:
-            expectation_total += (
-                math.log((a + n + 1.0) * (b + n + 1.0))
-                * (n / 2.0)
-                * decay
-            )
-        else:
-            expectation_total += n * math.log((a + da) * (b + db))
-    return expectation_total + math.sqrt(-0.5 * variation_total * math.log(delta))
+    priors = BetaTable.of(priors)
+    small = np.flatnonzero((priors.array < 2.0).any(axis=1))
+    if small.size:
+        alpha, beta = priors.array[small[0]].tolist()
+        raise PriorTooSmallError(
+            f"entry {priors.order[small[0]]} has prior ({alpha}, {beta}); both must be >= 2"
+        )
+    a, b = prior_rows(priors, updates.entries.order).T
+    variation = (2.0 * n + 1.0) * (np.log(a + n + 1.0) + np.log(b + n + 1.0))
+    if n >= scale:
+        decay = math.exp(-n / scale) if scale else 0.0
+        expectation = np.log((a + n + 1.0) * (b + n + 1.0)) * (n / 2.0) * decay
+    else:
+        da, db = updates.entries.array.T
+        product = (a + da) * (b + db)
+        if not (product > 0.0).all():
+            raise InvalidArgumentError("(alpha + dalpha)(beta + dbeta) must be positive")
+        expectation = n * np.log(product)
+    return float(expectation.sum() + math.sqrt(-0.5 * variation.sum() * math.log(delta)))

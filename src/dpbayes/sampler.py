@@ -22,26 +22,21 @@ that concentrate on smooth parameters. No release reads either, so
 neither is computed here.
 
 The guarantee assumes exact draws from the trimmed posterior. A release
-draws them all in one trimmed_beta_draws call, which takes from its
-generator, in this order: one (entries, size) uniform block for inversion;
-one (k_beta, size) plain Beta proposal block for the rows whose
-conditioning mass is at least PROPOSAL_MASS; and one (k_env, size, 2)
-uniform block for the log-concave rows below that mass whose tangent
-envelope accepts at least PROPOSAL_MASS of its proposals. Accepted
-proposals are kept and only the misses, and every other row, are
-inverted.
+draws them all in one trimmed_beta_draws call, whose docstring proves
+them exact and lists the blocks it takes from its generator. Posteriors
+and draw blocks are tables in the graph module's entry order.
 """
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.special
 
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidEpsilonError
 from .errors import MissingPosteriorEntryError, OmegaTooLargeError, check_epsilon, check_integer
-from .graph import BayesNetGraph, BetaParams, EntryKey, PosteriorMap, ThetaMap
+from .graph import BayesNetGraph, BetaParams, BetaTable, EntryTable, PosteriorMap
 from .randomness import substream
 
 _DRAW_TAG = "trimmed-posterior-draw"
@@ -101,7 +96,7 @@ def _tangent_envelopes(
 
 
 def trimmed_beta_draws(
-    params: BetaParams | Sequence[BetaParams],
+    params: BetaParams | Sequence[BetaParams] | BetaTable,
     omega: float,
     rng: np.random.Generator,
     size: int = 1,
@@ -152,8 +147,9 @@ def trimmed_beta_draws(
     There is one proposal round and no retry. At p >= 1/2 at most half
     the slots, on average, pay for an inversion.
 
-    A single BetaParams gives `size` draws. A sequence of m BetaParams
-    gives an (m, size) array, row r for params[r]. `rng` yields, in
+    A single BetaParams gives `size` draws. A sequence of m BetaParams,
+    or a BetaTable of m rows, gives an (m, size) array, row r for the
+    r-th parameter pair. `rng` yields, in
     order: one (m, size) uniform block; if any row takes the Beta
     route, one (k_beta, size) Beta block for those rows; if any row
     takes the envelope route, one (k_env, size, 2) uniform block for
@@ -164,10 +160,13 @@ def trimmed_beta_draws(
     if not 0 < omega < 0.5:
         raise OmegaTooLargeError(f"omega must lie in (0, 1/2), got {omega}")
     single = isinstance(params, BetaParams)
-    entries = [params] if single else list(params)
-    a = np.array([p.alpha for p in entries], dtype=np.float64)
-    b = np.array([p.beta for p in entries], dtype=np.float64)
-    u = rng.random((len(entries), check_integer("size", size, 0)))
+    if isinstance(params, BetaTable):
+        a, b = params.array.T
+    else:
+        entries = [params] if single else params
+        a = np.array([p.alpha for p in entries], dtype=np.float64)
+        b = np.array([p.beta for p in entries], dtype=np.float64)
+    u = rng.random((len(a), check_integer("size", size, 0)))
     cdf_lo = scipy.special.betainc(a, b, omega)
     upper = cdf_lo > 0.5
     near = np.where(upper, scipy.special.betaincc(a, b, 1.0 - omega), cdf_lo)
@@ -177,9 +176,9 @@ def trimmed_beta_draws(
     mass = far - near
     empty = np.flatnonzero(~(mass > 0.0))
     if empty.size:
-        bad = entries[empty[0]]
+        bad = empty[0]
         raise ConditionViolatedError(
-            f"Beta({bad.alpha:.6g}, {bad.beta:.6g}) puts no representable mass on "
+            f"Beta({a[bad]:.6g}, {b[bad]:.6g}) puts no representable mass on "
             f"[{omega:.6g}, {1.0 - omega:.6g}]"
         )
     out = np.empty_like(u)
@@ -221,52 +220,41 @@ def trimmed_beta_draws(
 
 def trimmed_posterior_draws(
     posterior: PosteriorMap, omega: float, seed: int, samples: int
-) -> dict[tuple[int, int], np.ndarray]:
-    """`samples` trimmed draws per posterior entry, from one keyed substream.
+) -> EntryTable:
+    """`samples` trimmed draws per posterior entry: one (m, samples) block, one keyed substream.
 
-    One (m, samples) block is drawn for the m entries in sorted key
-    order, so the result does not depend on dict iteration order.
+    Rows follow the posterior's table, so a dict is drawn in sorted key order.
     """
-    keys = sorted(posterior)
-    block = trimmed_beta_draws(
-        [posterior[k] for k in keys], omega, substream(seed, _DRAW_TAG), samples
-    )
-    return dict(zip(keys, block))
+    table = BetaTable.of(posterior)
+    block = trimmed_beta_draws(table, omega, substream(seed, _DRAW_TAG), samples)
+    return EntryTable(table.order, block)
 
 
-def trimmed_posterior_sample(posterior: PosteriorMap, epsilon: float, seed: int) -> ThetaMap:
-    """One trimmed draw per posterior entry, omega = exp(-epsilon/2).
-
-    Every entry's draw is one column of a single block drawn by
-    trimmed_posterior_draws, so the result does not depend on dict
-    iteration order.
-    """
+def trimmed_posterior_sample(posterior: PosteriorMap, epsilon: float, seed: int) -> EntryTable:
+    """One trimmed draw per posterior entry, omega = exp(-epsilon/2): a one-column block."""
     draws = trimmed_posterior_draws(posterior, trim_bound(epsilon), seed, 1)
-    return {key: float(row[0]) for key, row in draws.items()}
+    return EntryTable(draws.order, draws.array[:, 0])
 
 
-def naive_bayes_keys(posterior: Mapping[EntryKey, object]) -> list[EntryKey]:
-    """Naive-Bayes entry order: class (0, 0), then (f, 0), (f, 1) per feature f = 1..d.
+def naive_bayes_params(posterior: PosteriorMap, d: int) -> BetaTable:
+    """The posterior's table, checked to list the naive-Bayes entries over d features.
 
-    This is sorted key order, the order trimmed_posterior_draws draws in.
-    Any other key set raises MissingPosteriorEntryError.
+    That is class (0, 0), then (f, 0), (f, 1) per feature f = 1..d; any
+    other key tuple raises MissingPosteriorEntryError.
     """
-    keys = sorted(posterior)
-    d = keys[-1][0] if keys else 0
-    want = [(0, 0)] + [(f, y) for f in range(1, d + 1) for y in (0, 1)]
-    if keys != want:
-        missing = sorted(set(want) - set(keys))
-        extra = sorted(set(keys) - set(want))
+    table = BetaTable.of(posterior)
+    want = ((0, 0),) + tuple((f, y) for f in range(1, d + 1) for y in (0, 1))
+    if table.order != want:
         raise MissingPosteriorEntryError(
-            f"not a naive-Bayes posterior: missing {missing}, extra {extra}"
+            f"not a naive-Bayes posterior over {d} features: entries {list(table.order)}"
         )
-    return keys
+    return table
 
 
 def naive_bayes_class1(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Pr(Y=1 | x) for every group of draws and every row of X: (G, rows).
 
-    theta is (m, G, S): one row per entry in naive_bayes_keys order and
+    theta is (m, G, S): one row per entry in naive_bayes_params order and
     G groups of S draw columns; each group averages over its own S. Per
     draw, log p_y(x) = c_y[s] + x . (log theta_y - log(1 - theta_y))[:, s]
     with c_y[s] the class term plus the sum of log(1 - theta_y). Every
@@ -340,8 +328,8 @@ def sampler_predictive_batch(
     """Monte Carlo class-1 probabilities for rows of X under trimming.
 
     graph must be naive Bayes with class node 0. The (m, samples)
-    block of trimmed_posterior_draws, whose sorted key order is
-    naive_bayes_keys order, feeds naive_bayes_class1 as its one group.
+    block of trimmed_posterior_draws, in the graph's entry order, feeds
+    naive_bayes_class1 as its one group.
     """
     check_integer("samples", samples, 1)
     omega = trim_bound(epsilon)
@@ -351,11 +339,6 @@ def sampler_predictive_batch(
             "the predictive needs a naive-Bayes graph: node 0 parentless, "
             "node 0 the sole parent of every other node"
         )
-    keys = naive_bayes_keys(posterior)
-    if len(keys) != 2 * d + 1:
-        raise MissingPosteriorEntryError(
-            f"posterior covers {len(keys) // 2} features, graph has {d}"
-        )
-    draws = trimmed_posterior_draws(posterior, omega, seed, samples)
-    return naive_bayes_class1(np.array([draws[k] for k in keys])[:, None, :], X)[0]
+    draws = trimmed_posterior_draws(naive_bayes_params(posterior, d), omega, seed, samples)
+    return naive_bayes_class1(draws.array[:, None, :], X)[0]
 

@@ -10,6 +10,7 @@ warnings included.
 import dataclasses
 import math
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -138,9 +139,9 @@ ERROR_CLASSES = {
 }
 
 # No scalar numeric argument: graphs, datasets, maps, arrays, tuples, flags, paths and
-# configs only. GridSpec takes its masses as a tuple; test_expmech checks a NaN mass.
+# configs only. GridSpec takes its masses as a vector; test_expmech checks a NaN mass.
 NO_NUMERIC_ARGUMENT = {
-    "GridSpec", "CoefficientSet", "downward_closure", "exact_coefficients",
+    "GridSpec", "CoefficientSet", "EntryTable", "downward_closure", "exact_coefficients",
     "fourier_posterior_params", "shared_submarginal", "Dataset", "UpdateVector", "build_table",
     "compute_updates", "joint_log_likelihood", "posterior_params", "project_marginal",
     "validate_graph", "nb_predictive_batch", "rows_to_csv", "run_experiment",
@@ -166,7 +167,7 @@ def _call(name, kwargs):
 def _has_nan(value) -> bool:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return any(_has_nan(getattr(value, f.name)) for f in dataclasses.fields(value))
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return any(_has_nan(k) or _has_nan(v) for k, v in value.items())
     if isinstance(value, (tuple, list)):
         return any(_has_nan(v) for v in value)
@@ -186,6 +187,7 @@ def test_nan_detector_sees_nested_values():
     assert _has_nan({(0, 0): (1.0, math.nan)})
     assert _has_nan(dp.KlReport(per_entry={}, total=math.nan))
     assert _has_nan([np.array([0.0, math.nan])])
+    assert _has_nan(dp.EntryTable(((0, 0),), np.array([[1.0, math.nan]])))
     assert not _has_nan((np.arange(3), 1.0, "nan"))
 
 

@@ -64,7 +64,9 @@ def test_grid_rejects_non_finite_or_ragged_points(points):
 def test_grid_uniform_constructor():
     grid = GridSpec.uniform([(0.0,), (0.5,), (1.0,)])
     assert grid.size == 3
-    assert grid.masses == pytest.approx([1 / 3] * 3)
+    assert grid.prior_mass == pytest.approx([1 / 3] * 3)
+    with pytest.raises(InvalidArgumentError, match="non-empty"):
+        GridSpec.uniform([])
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,7 @@ def test_map_sensitivity_argument_errors():
 def test_probs_epsilon_zero_equals_prior():
     grid = ten_point_grid()
     probs = sampling_probabilities(grid, lambda p: 100 * p[0], 0.0, HALF)
-    expected = grid.masses / grid.masses.sum()
+    expected = grid.prior_mass / grid.prior_mass.sum()
     assert np.array_equal(probs, expected)
 
 
@@ -216,7 +218,7 @@ def test_certificate_level_set_mass():
     grid = ten_point_grid()
     u = np.arange(10.0)
     t = 1.5  # S_t = top two utilities
-    masses = grid.masses
+    masses = grid.prior_mass
     expected = math.exp(-2.0 * 1.5) / float(masses[-2:].sum())
     assert map_utility_certificate(grid, u, 2.0, t) == pytest.approx(expected)
 
@@ -226,7 +228,7 @@ def test_certificate_with_explicit_sensitivity():
     u = np.arange(10.0)
     delta = map_sensitivity("stochastic", 2.0)  # delta_value 1
     got = map_utility_certificate(grid, u, 2.0, 1.5, sensitivity=delta)
-    assert got == pytest.approx(math.exp(-2.0 * 1.5 / 2.0) / float(grid.masses[-2:].sum()))
+    assert got == pytest.approx(math.exp(-2.0 * 1.5 / 2.0) / float(grid.prior_mass[-2:].sum()))
 
 
 def test_certificate_empty_level_set():

@@ -11,6 +11,7 @@ from dpbayes import (
     CoefficientSet,
     Dataset,
     DownwardClosure,
+    EntryTable,
     InvalidArgumentError,
     InvalidEpsilonError,
     InvalidTError,
@@ -381,8 +382,10 @@ def test_fourier_posterior_zero_noise_large_network(rng):
 
 def test_nonpositive_entries_listed_in_entry_order(rng):
     data = random_dataset(rng, 40, 3)
-    coeffs = exact_coefficients(data, downward_closure(CHAIN3))
-    coeffs.values[0] -= 1000.0  # lowers every cell of every family
+    exact = exact_coefficients(data, downward_closure(CHAIN3))
+    shifted = exact.values.array.copy()
+    shifted[0] -= 1000.0  # lowers every cell of every family
+    coeffs = CoefficientSet(exact.closure, EntryTable(exact.closure.members, shifted))
     with pytest.raises(NonPositivePosteriorParamError) as err:
         fourier_posterior_params(coeffs, CHAIN3, uniform_priors(CHAIN3))
     keys = list(CHAIN3.entry_keys())

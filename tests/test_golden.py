@@ -1,0 +1,70 @@
+"""Golden outputs: sha256 digests of CLI releases and sweep CSVs.
+
+Every release prints Python floats through repr, so any change of the
+arithmetic, the noise layout or the entry order moves a digest. The
+digests were taken with numpy 2.4 and scipy 1.17; a refactor that
+claims byte-identical output must leave every one of them in place.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from dpbayes.cli import main
+
+# 5 nodes: a root, a chain, a v-structure and a node with two parents
+# declared out of ascending order
+NETWORK = {
+    "nodes": 5,
+    "parents": [[], [0], [0, 1], [2], [3, 1]],
+    "priors": {"default": [1.0, 1.0], "overrides": [[2, 3, 2.0, 0.5], [4, 1, 3.0, 4.0]]},
+}
+
+RELEASES = {
+    "laplace": ("mechanism=laplace", "epsilon=3", "seed=7"),
+    "fourier": ("mechanism=fourier", "epsilon=3", "seed=7"),
+    "sampler": ("mechanism=sampler", "epsilon=3", "seed=7", "samples=3"),
+    "map": ("mechanism=map", "epsilon=1", "seed=7", "draws=20"),
+}
+
+DIGESTS = {
+    "laplace": "c7d717acd191b3ee36f9a6cfa1acda0ee62a2072af7aee75c6043e05ea305cba",
+    "fourier": "361be0d2a641785a7ed34db44fd1cf8f5345b22aab6ec4d6399f231be1dad877",
+    "sampler": "9d27f2227d5e77750b436df94ab34821d81670310b9e44a53602f4051d598636",
+    "map": "35209c4875c8fc6296cba89245a85456bc61c48f27a875e7f017f37533d6b968",
+    "nb": "42bf968718debcb61f2ae15202bdd65475c63896f3009fdd0ddbb6440bf033e8",
+    "linreg": "66232434f8517595b8750bc8a0f8633fcf1db1be0924dfd349c9d054d0dda2ff",
+}
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def files(tmp_path):
+    rng = np.random.default_rng(20240817)
+    (tmp_path / "net.json").write_text(json.dumps(NETWORK))
+    np.savetxt(tmp_path / "data.csv", rng.integers(0, 2, size=(60, 5)), fmt="%d", delimiter=",")
+    points = rng.normal(size=(40, 2))
+    mass = rng.random(40) + 0.5
+    np.savetxt(tmp_path / "grid.csv", np.column_stack([points, mass / mass.sum()]), delimiter=",")
+    np.savetxt(tmp_path / "utility.csv", -np.sum(points**2, axis=1))
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(RELEASES))
+def test_cli_release_digest(name, files, capsys):
+    if name == "map":
+        paths = [f"grid={files / 'grid.csv'}", f"utility={files / 'utility.csv'}"]
+    else:
+        paths = ["--network", str(files / "net.json"), "--dataset", str(files / "data.csv")]
+    assert main(["--task", "mechanism", *paths, *RELEASES[name]]) == 0
+    assert digest(capsys.readouterr().out) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("task", ["nb", "linreg"])
+def test_sweep_csv_digest(task, capsys):
+    assert main(["--task", task, "--repeats", "2"]) == 0
+    assert digest(capsys.readouterr().out) == DIGESTS[task]

@@ -13,6 +13,7 @@ from dpbayes import (
     Dataset,
     DimensionMismatchError,
     DpBayesError,
+    EntryTable,
     InvalidArgumentError,
     MissingPriorEntryError,
     UpdateVector,
@@ -25,7 +26,10 @@ from dpbayes import (
     uniform_priors,
     validate_graph,
 )
-from dpbayes.verify import brute_force_updates
+from dpbayes import naive_bayes_graph
+from dpbayes.graph import family_plan
+from dpbayes.sampler import naive_bayes_params
+from dpbayes.verify import all_dags, brute_force_updates
 
 from conftest import CHAIN3, random_dag, random_dataset, twenty_node_dag
 
@@ -46,8 +50,9 @@ def test_beta_params_positive():
         BetaParams(float("nan"), 1.0)
 
 
-def test_beta_params_updated():
-    assert BetaParams(1.0, 1.0).updated(3.0, 2.0) == BetaParams(4.0, 3.0)
+def test_posterior_params_adds_one_pair():
+    post = posterior_params({(0, 0): BetaParams(1.0, 1.0)}, UpdateVector({(0, 0): (3.0, 2.0)}))
+    assert post[(0, 0)] == BetaParams(4.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +128,40 @@ def test_family_and_mask():
 
 
 # ---------------------------------------------------------------------------
+# the entry order
+# ---------------------------------------------------------------------------
+
+
+def assert_entry_order(graph):
+    # entry_keys() is sorted, and family_plan's cells, read two at a time,
+    # are the (x_i = 0, x_i = 1) cells of those entries in that order
+    keys = graph.entry_keys()
+    assert keys == tuple(sorted(keys))
+    batches, order = family_plan(graph)
+    cells = [
+        (int(i), c >> 1, c & 1) for batch in batches for i in batch[:, 0]
+        for c in range(1 << batch.shape[1])
+    ]
+    assert [cells[c] for c in order] == [(i, j, x) for i, j in keys for x in (0, 1)]
+
+
+def test_entry_order_of_every_small_dag():
+    graphs = [g for k in range(1, 5) for g in all_dags(k)]
+    assert len(graphs) == 1 + 3 + 25 + 543
+    for graph in graphs:
+        assert_entry_order(graph)
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_entry_order_of_naive_bayes(d):
+    graph = naive_bayes_graph(d)
+    assert_entry_order(graph)
+    want = ((0, 0),) + tuple((f, y) for f in range(1, d + 1) for y in (0, 1))
+    assert graph.entry_keys() == want
+    assert naive_bayes_params(uniform_priors(graph), d).order == want
+
+
+# ---------------------------------------------------------------------------
 # update counting
 # ---------------------------------------------------------------------------
 
@@ -131,7 +170,7 @@ def test_updates_empty_dataset_all_zero():
     # an empty dataset has no width to check, whether or not one was given
     for data in (Dataset.from_records([], dimension=3), Dataset.from_records([])):
         up = compute_updates(CHAIN3, data)
-        assert up.size() == CHAIN3.update_size()
+        assert len(up.entries) == CHAIN3.update_size()
         assert all(v == (0.0, 0.0) for v in up.entries.values())
 
 
@@ -215,6 +254,24 @@ def test_posterior_params_missing_prior():
     up = UpdateVector({(0, 0): (1.0, 0.0)})
     with pytest.raises(MissingPriorEntryError):
         posterior_params({}, up)
+
+
+def test_posterior_params_rejects_a_non_positive_parameter():
+    with pytest.raises(InvalidArgumentError, match="alpha must be positive and finite, got -1.0"):
+        posterior_params({(0, 0): BetaParams(1.0, 1.0)}, UpdateVector({(0, 0): (-2.0, 0.0)}))
+
+
+def test_entry_table_is_a_read_only_view_in_sorted_key_order():
+    table = EntryTable.of({(1, 0): (3.0, 4.0), (0, 0): (1.0, 2.0)})
+    assert table.order == ((0, 0), (1, 0))
+    assert table[(1, 0)] == (3.0, 4.0) and dict(table) == {(0, 0): (1.0, 2.0), (1, 0): (3.0, 4.0)}
+    assert EntryTable.of(table) is table
+    with pytest.raises(TypeError):
+        table[(0, 0)] = (0.0, 0.0)
+    with pytest.raises(ValueError):
+        table.array[0, 0] = 5.0
+    with pytest.raises(DimensionMismatchError):
+        EntryTable(((0, 0),), np.zeros((2, 2)))
 
 
 def test_posterior_order_independence(rng):

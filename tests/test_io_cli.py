@@ -252,8 +252,8 @@ def test_load_grid_round_trip(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("0.1,0.2,0.25\n0.3,0.4,0.75\n")
     grid = load_grid(path)
-    assert grid.points == ((0.1, 0.2), (0.3, 0.4))
-    assert grid.prior_mass == (0.25, 0.75)
+    assert grid.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    assert grid.prior_mass.tolist() == [0.25, 0.75]
 
 
 def test_load_grid_rejects_unnormalized_mass(tmp_path):

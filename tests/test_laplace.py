@@ -215,6 +215,14 @@ def test_kl_bound_requires_priors_at_least_two(rng):
         posterior_kl_bound(weak, up, CHAIN3, epsilon=1.0, delta=0.1, n=20)
 
 
+def test_kl_bound_rejects_updates_that_empty_a_posterior():
+    # a negative (raw) count can push alpha + dalpha to zero or below,
+    # where the expectation term's log is undefined
+    up = UpdateVector({(0, 0): (-5.0, 1.0)})
+    with pytest.raises(InvalidArgumentError, match="must be positive"):
+        posterior_kl_bound(uniform_priors(SINGLE, 2.0, 2.0), up, SINGLE, epsilon=0.05, delta=0.1, n=1)
+
+
 def test_kl_bound_finite_nonnegative(rng):
     priors, up = kl_inputs(rng)
     bound = posterior_kl_bound(priors, up, CHAIN3, epsilon=1.0, delta=0.1, n=20)
