@@ -34,7 +34,6 @@ from .expmech import (
     GridSpec,
     MapSensitivity,
     exp_mechanism_indices,
-    map_sensitivity,
     map_utility_certificate,
     sampling_probabilities,
 )

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import expmech, fourier, laplace, sampler
-from .errors import ConfigError, DpBayesError
+from .errors import ConfigError, DpBayesError, check_integer
 from .graph import compute_updates, posterior_params
 from .harness import ExperimentConfig, rows_to_csv, run_experiment
 from .io import load_dataset, load_grid, load_network, load_utility
@@ -163,6 +163,8 @@ def _coerce(settings: dict, key: str, kind, default=None):
     try:
         if kind is tuple:
             return _parse_grid(value) if isinstance(value, str) else tuple(float(v) for v in value)
+        if kind is int and not isinstance(value, str):  # int() truncates a file's 1.9
+            return check_integer(key, value)
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc

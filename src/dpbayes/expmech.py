@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .randomness import substream
 
 _DRAW_TAG = "map-grid-draw"
 
-Point = np.ndarray  # one row of GridSpec.points
-Utility = Callable[[Point], float] | Sequence[float] | np.ndarray
+Utility = Sequence[float] | np.ndarray  # one value per grid point
 
 _MASS_TOL = 1e-9
 
@@ -73,11 +72,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class MapSensitivity:
-    """Utility sensitivity Δ in the mechanism's exponent.
+    """Utility sensitivity Δ in the mechanism's exponent, derived by the caller.
 
-    Two supported derivations: sqrt(L * r) from a Lipschitz likelihood
-    with radius-r parameter support, or sqrt(M / 2) from the stochastic
-    route's M constant.
+    Kind "lipschitz": Δ = sqrt(L r) for an L-Lipschitz likelihood on
+    radius-r parameter support; kind "stochastic": Δ = sqrt(M / 2) from
+    the stochastic route's constant M. The CLI's map delta is Δ itself.
     """
 
     kind: str
@@ -89,27 +88,10 @@ class MapSensitivity:
         check_positive("sensitivity", self.delta_value)
 
 
-def map_sensitivity(kind: str, L_or_M: float, r: float | None = None) -> MapSensitivity:
-    """Δ = sqrt(L*r) for kind 'lipschitz', Δ = sqrt(M/2) for 'stochastic'."""
-    check_positive("constant", L_or_M)
-    if kind == "lipschitz":
-        if r is None:
-            raise InvalidArgumentError("lipschitz sensitivity needs a positive radius r")
-        check_positive("radius r", r)
-        return MapSensitivity(kind="lipschitz", delta_value=math.sqrt(L_or_M * r))
-    if r is not None:
-        raise InvalidArgumentError(f"{kind} sensitivity takes no radius")
-    # MapSensitivity rejects any kind other than "stochastic" here
-    return MapSensitivity(kind=kind, delta_value=math.sqrt(0.5 * L_or_M))
-
-
 def _utility_values(grid: GridSpec, utility: Utility) -> np.ndarray:
-    if callable(utility):
-        vals = np.array([float(utility(p)) for p in grid.points], dtype=np.float64)
-    else:
-        vals = np.asarray(utility, dtype=np.float64)
-        if vals.shape != (grid.size,):
-            raise LengthMismatchError("need one utility value per grid point")
+    vals = np.asarray(utility, dtype=np.float64)
+    if vals.shape != (grid.size,):
+        raise LengthMismatchError("need one utility value per grid point")
     if not np.isfinite(vals).all():
         raise InvalidArgumentError("utility must be finite on every grid point")
     return vals

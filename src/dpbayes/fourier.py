@@ -50,16 +50,6 @@ DEFAULT_STEALTH_T = math.log(10.0)
 _PLAN_CACHE_SIZE = 32
 
 
-def _submasks(mask: int):
-    """All submasks of `mask`, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 @dataclass(frozen=True)
 class DownwardClosure:
     """Index set of released coefficients, closed under taking submasks."""
@@ -72,9 +62,10 @@ class DownwardClosure:
         mset = set(self.members)
         if 0 not in mset:
             raise InvalidArgumentError("closure must contain the all-zeros index")
+        # with 0 held, closed iff clearing any one set bit of a member gives a member
         for m in self.members:
             check_integer("closure index", m, 0, 1 << self.k)
-            for sub in _submasks(m):
+            for sub in (m & ~(1 << b) for b in range(self.k) if (m >> b) & 1):
                 if sub not in mset:
                     raise InvalidArgumentError(f"closure not downward closed: missing {sub:#x}")
 
@@ -86,25 +77,18 @@ class DownwardClosure:
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def downward_closure(graph: BayesNetGraph) -> DownwardClosure:
     """Union of all submasks of every node family pi(i) + {i}."""
-    members: set[int] = set()
-    for i in range(graph.node_count):
-        fam = graph.family_mask(i)
-        members.update(_submasks(fam))
+    members = {m for i in range(graph.node_count) for m in _local_masks((i, *graph.parents[i]))}
     return DownwardClosure(k=graph.node_count, members=tuple(sorted(members)))
 
 
-def fourier_coefficient(data: Dataset, gamma: int, k: int | None = None) -> float:
-    """<f^gamma, h> for the table h of the records, streamed in O(n).
+def fourier_coefficient(data: Dataset, gamma: int) -> float:
+    """<f^gamma, h> for the table h of the records, streamed in O(n); the reference coefficient.
 
-    Equals 2^{-k/2} * sum_records (-1)^{<x, gamma>}; the dense table is
-    never built.
+    Equals 2^{-k/2} * sum_records (-1)^{<x, gamma>}, k the records'
+    width; the dense table is never built.
     """
-    k = data.dimension if k is None else k
-    if data.n and data.dimension != k:
-        raise DimensionMismatchError("record width does not match k")
+    k = data.dimension
     check_integer("gamma", gamma, 0, 1 << k)
-    if data.n == 0:
-        return 0.0
     positions = [p for p in range(k) if (gamma >> p) & 1]
     parity = data.records[:, positions].sum(axis=1) & 1
     return float(data.n - 2 * int(parity.sum())) * 2.0 ** (-k / 2.0)

@@ -58,10 +58,6 @@ class BetaParams:
         check_positive("alpha", self.alpha)
         check_positive("beta", self.beta)
 
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
 
 class EntryTable(Mapping):
     """Read-only mapping view of an array whose row r belongs to key order[r].
@@ -232,13 +228,9 @@ class Dataset:
         object.__setattr__(self, "records", arr.astype(np.int8, copy=False))
 
     @classmethod
-    def from_records(cls, rows: Iterable[Iterable[int]], dimension: int | None = None) -> "Dataset":
+    def from_records(cls, rows: Iterable[Iterable[int]]) -> "Dataset":
         rows = [tuple(r) for r in rows]
-        if rows:
-            arr = np.array(rows, dtype=np.int8)
-        else:
-            arr = np.zeros((0, dimension or 0), dtype=np.int8)
-        return cls(arr)
+        return cls(np.array(rows, dtype=np.int8) if rows else np.zeros((0, 0), dtype=np.int8))
 
     @property
     def n(self) -> int:
@@ -325,18 +317,15 @@ def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
 
 
 def prior_rows(priors: PriorMap, order: tuple[EntryKey, ...]) -> np.ndarray:
-    """The (alpha, beta) rows of the priors of the keys in order; each key needs a prior."""
+    """The (alpha, beta) rows of priors, which must list exactly the keys in order."""
     table = BetaTable.of(priors)
-    if table.order == order:
-        return table.array
-    missing = [key for key in order if key not in table.positions]
-    if missing:
-        raise MissingPriorEntryError(f"no prior for entry {missing[0]}")
-    return table.array[[table.positions[key] for key in order]]
+    if table.order != order:
+        raise MissingPriorEntryError(f"priors list entries {table.order}, expected {order}")
+    return table.array
 
 
 def posterior_params(priors: PriorMap, updates: UpdateVector) -> BetaTable:
-    """Elementwise conjugate update of priors; every update key needs a prior."""
+    """Elementwise conjugate update of priors, which must list exactly the update entries."""
     order = updates.entries.order
     return BetaTable(order, prior_rows(priors, order) + updates.entries.array)
 
@@ -358,19 +347,8 @@ class ContingencyTable:
     dimension: int
     cells: dict[tuple[int, ...], float] = field(default_factory=dict)
 
-    def total(self) -> float:
-        return float(sum(self.cells.values()))
-
     def value(self, cell: tuple[int, ...]) -> float:
         return self.cells.get(tuple(cell), 0.0)
-
-    def __add__(self, other: "ContingencyTable") -> "ContingencyTable":
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError("cannot add tables of different dimension")
-        merged = dict(self.cells)
-        for cell, v in other.cells.items():
-            merged[cell] = merged.get(cell, 0.0) + v
-        return ContingencyTable(self.dimension, merged)
 
 
 def build_table(data: Dataset) -> ContingencyTable:

@@ -7,7 +7,9 @@ Network files are JSON:
      "priors": {"default": [1.0, 1.0],
                 "overrides": [[1, 0, 2.0, 3.0]]}}
 
-overrides rows are (node, parent-configuration, alpha, beta). Binary
+overrides rows are (node, parent-configuration, alpha, beta). The node
+count, every parent index and each override's node and configuration
+must be JSON integers, and every parent row a list. Binary
 datasets are headerless CSV of 0/1 values, one record per row. The
 canonical spelling, equal-width lines of `0`/`1` cells joined by single
 commas and each ending in a newline (as `np.savetxt(fmt="%d",
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .expmech import GridSpec
 from .graph import BayesNetGraph, BetaParams, BetaTable, Dataset, validate_graph
 
@@ -42,8 +44,11 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
         raise ConfigError(f"cannot read network file {path}: {exc}") from exc
     try:
         graph = BayesNetGraph(
-            node_count=int(spec["nodes"]),
-            parents=tuple(tuple(int(p) for p in row) for row in spec["parents"]),
+            node_count=_json(int, "node count", spec["nodes"]),
+            parents=tuple(
+                tuple(_json(int, "parent index", p) for p in _json(list, "parent row", row))
+                for row in _json(list, "parents", spec["parents"])
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed network file {path}: {exc}") from exc
@@ -60,13 +65,21 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
     priors = dict.fromkeys(graph.entry_keys(), base)
     for row in priors_spec.get("overrides", []):
         try:
-            key, prior = (int(row[0]), int(row[1])), BetaParams(float(row[2]), float(row[3]))
+            key = tuple(_json(int, "override node or configuration", v) for v in row[:2])
+            prior = BetaParams(float(row[2]), float(row[3]))
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"{path}: bad prior override {row!r}: {exc}") from exc
         if key not in priors:
             raise ConfigError(f"{path}: override {row!r} names a nonexistent entry")
         priors[key] = prior
     return graph, BetaTable.of(priors)
+
+
+def _json(kind: type, what: str, value):
+    """value, once its type is exactly kind: JSON true and false load as bools, not ints."""
+    if type(value) is not kind:
+        raise InvalidArgumentError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -31,23 +31,20 @@ class RegressionData:
     """Design matrix, targets, and the assumed noise variance.
 
     Rows must satisfy ||x_i||_2 <= 1 and |y_i| <= 1; use
-    scale_regression_data to ingest raw data. x_scale and y_scale
-    record the divisors applied, for mapping predictions back.
+    scale_regression_data to ingest raw data. Fits, draws and their
+    mean squared errors all stay on this scaled data.
     """
 
     X: np.ndarray
     y: np.ndarray
     sigma2: float
-    x_scale: float = 1.0
-    y_scale: float = 1.0
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise InvalidArgumentError("X must be n x d with a length-n target vector")
-        for name in ("sigma2", "x_scale", "y_scale"):
-            check_positive(name, getattr(self, name))
+        check_positive("sigma2", self.sigma2)
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise InvalidArgumentError("X and y must hold finite numbers only")
         tol = 1e-9
@@ -68,16 +65,12 @@ class RegressionData:
 
 
 def scale_regression_data(X: np.ndarray, y: np.ndarray, sigma2: float) -> RegressionData:
-    """Ingest raw data, dividing rows by the max row norm and y by max |y|."""
+    """Ingest raw data, dividing rows by the max row norm and y by max |y| (by 1 if it is 0)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    x_scale = float(np.linalg.norm(X, axis=1).max()) if X.size else 1.0
-    y_scale = float(np.abs(y).max()) if y.size else 1.0
-    x_scale = x_scale if x_scale > 0 else 1.0
-    y_scale = y_scale if y_scale > 0 else 1.0
-    return RegressionData(
-        X=X / x_scale, y=y / y_scale, sigma2=sigma2, x_scale=x_scale, y_scale=y_scale
-    )
+    x_scale = float(np.linalg.norm(X, axis=1).max(initial=0.0)) or 1.0
+    y_scale = float(np.abs(y).max(initial=0.0)) or 1.0
+    return RegressionData(X=X / x_scale, y=y / y_scale, sigma2=sigma2)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ and draw blocks are tables in the graph module's entry order.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 import scipy.special
@@ -96,7 +95,7 @@ def _tangent_envelopes(
 
 
 def trimmed_beta_draws(
-    params: BetaParams | Sequence[BetaParams] | BetaTable,
+    params: BetaParams | BetaTable,
     omega: float,
     rng: np.random.Generator,
     size: int = 1,
@@ -147,9 +146,9 @@ def trimmed_beta_draws(
     There is one proposal round and no retry. At p >= 1/2 at most half
     the slots, on average, pay for an inversion.
 
-    A single BetaParams gives `size` draws. A sequence of m BetaParams,
-    or a BetaTable of m rows, gives an (m, size) array, row r for the
-    r-th parameter pair. `rng` yields, in
+    params takes one of two forms: a single BetaParams gives `size`
+    draws, and a BetaTable of m rows gives an (m, size) array, row r for
+    the table's r-th row. `rng` yields, in
     order: one (m, size) uniform block; if any row takes the Beta
     route, one (k_beta, size) Beta block for those rows; if any row
     takes the envelope route, one (k_env, size, 2) uniform block for
@@ -160,12 +159,7 @@ def trimmed_beta_draws(
     if not 0 < omega < 0.5:
         raise OmegaTooLargeError(f"omega must lie in (0, 1/2), got {omega}")
     single = isinstance(params, BetaParams)
-    if isinstance(params, BetaTable):
-        a, b = params.array.T
-    else:
-        entries = [params] if single else params
-        a = np.array([p.alpha for p in entries], dtype=np.float64)
-        b = np.array([p.beta for p in entries], dtype=np.float64)
+    a, b = np.array([[params.alpha], [params.beta]], np.float64) if single else params.array.T
     u = rng.random((len(a), check_integer("size", size, 0)))
     cdf_lo = scipy.special.betainc(a, b, omega)
     upper = cdf_lo > 0.5

@@ -500,7 +500,7 @@ def run_verification_suite(seed: int = 20240817) -> list[dict]:
     # exponential-mechanism probabilities vs direct normalization
     gridspec = expmech.GridSpec.uniform([(float(i),) for i in range(10)])
     utility = [math.sin(i * 0.7) for i in range(10)]
-    delta = expmech.map_sensitivity("lipschitz", 2.0, 0.5)
+    delta = expmech.MapSensitivity(kind="lipschitz", delta_value=1.0)  # sqrt(L r), L = 2, r = 0.5
     probs = expmech.sampling_probabilities(gridspec, utility, 2.0, delta)
     brute = exp_mechanism_bruteforce_probs(gridspec, utility, 2.0, delta)
     gap = float(np.abs(probs - brute).max())

@@ -42,14 +42,13 @@ CONTRACT = {
         dict(**MAP, epsilon=1.0, delta=SENS, seed=3, size=4),
         ("epsilon", "seed", "size"),
     ),
-    "map_sensitivity": (dict(kind="lipschitz", L_or_M=2.0, r=0.5), ("L_or_M", "r")),
     "map_utility_certificate": (
         dict(**MAP, epsilon=1.0, t=0.5, sensitivity=SENS),
         ("epsilon", "t"),
     ),
     "sampling_probabilities": (dict(**MAP, epsilon=1.0, delta=SENS), ("epsilon",)),
     "DownwardClosure": (dict(k=2, members=(0, 1, 2, 3)), ("k",)),
-    "fourier_coefficient": (dict(data=DATA, gamma=3, k=3), ("gamma", "k")),
+    "fourier_coefficient": (dict(data=DATA, gamma=3), ("gamma",)),
     "marginal_error_bound": (
         dict(graph=NB2, node=1, epsilon=1.0, delta=0.1, t=1.0),
         ("node", "epsilon", "delta", "t"),
@@ -97,8 +96,8 @@ CONTRACT = {
         ("radius",),
     ),
     "RegressionData": (
-        dict(X=REG.X, y=REG.y, sigma2=1.0, x_scale=2.0, y_scale=3.0),
-        ("sigma2", "x_scale", "y_scale"),
+        dict(X=REG.X, y=REG.y, sigma2=1.0),
+        ("sigma2",),
     ),
     "default_radius": (dict(b=1.0), ("b",)),
     "fit_posterior": (dict(data=REG, precision=1.0, radius=10.0), ("precision", "radius")),

@@ -14,7 +14,6 @@ from dpbayes import (
     LengthMismatchError,
     MapSensitivity,
     exp_mechanism_indices,
-    map_sensitivity,
     map_utility_certificate,
     sampling_probabilities,
 )
@@ -70,39 +69,13 @@ def test_grid_uniform_constructor():
 
 
 # ---------------------------------------------------------------------------
-# sensitivity
-# ---------------------------------------------------------------------------
-
-
-def test_map_sensitivity_branches():
-    assert map_sensitivity("lipschitz", 2.0, r=0.5).delta_value == pytest.approx(1.0)
-    assert map_sensitivity("stochastic", 2.0).delta_value == pytest.approx(1.0)
-
-
-def test_map_sensitivity_sqrt_r_scaling():
-    base = map_sensitivity("lipschitz", 3.0, r=0.25).delta_value
-    assert map_sensitivity("lipschitz", 3.0, r=1.0).delta_value == pytest.approx(2 * base)
-
-
-def test_map_sensitivity_argument_errors():
-    with pytest.raises(ValueError):
-        map_sensitivity("lipschitz", 2.0)  # needs r
-    with pytest.raises(ValueError):
-        map_sensitivity("stochastic", 2.0, r=1.0)  # takes no r
-    with pytest.raises(ValueError):
-        map_sensitivity("other", 2.0)
-    with pytest.raises(ValueError):
-        map_sensitivity("lipschitz", -1.0, r=1.0)
-
-
-# ---------------------------------------------------------------------------
 # sampling distribution
 # ---------------------------------------------------------------------------
 
 
 def test_probs_epsilon_zero_equals_prior():
     grid = ten_point_grid()
-    probs = sampling_probabilities(grid, lambda p: 100 * p[0], 0.0, HALF)
+    probs = sampling_probabilities(grid, 100 * grid.points[:, 0], 0.0, HALF)
     expected = grid.prior_mass / grid.prior_mass.sum()
     assert np.array_equal(probs, expected)
 
@@ -115,7 +88,7 @@ def test_probs_match_bruteforce_normalization(rng):
         brute = exp_mechanism_bruteforce_probs(grid, u, 2.0, HALF)
         assert np.abs(probs - brute).max() < 1e-12
     # the oracle converts a callable and checks the length on its own
-    probs = sampling_probabilities(grid, lambda p: 3.0 * p[0], 2.0, HALF)
+    probs = sampling_probabilities(grid, 3.0 * grid.points[:, 0], 2.0, HALF)
     brute = exp_mechanism_bruteforce_probs(grid, lambda p: 3.0 * p[0], 2.0, HALF)
     assert np.abs(probs - brute).max() < 1e-12
     with pytest.raises(LengthMismatchError):
@@ -130,14 +103,6 @@ def test_probs_shift_invariance_exact(rng):
     shifted = u + 5.0
     a = sampling_probabilities(grid, u, 2.0, HALF)
     b = sampling_probabilities(grid, shifted, 2.0, HALF)
-    assert np.array_equal(a, b)
-
-
-def test_probs_utility_callable_and_array_agree():
-    grid = ten_point_grid()
-    arr = np.array([3.0 * p[0] for p in grid.points])
-    a = sampling_probabilities(grid, lambda p: 3.0 * p[0], 1.0, HALF)
-    b = sampling_probabilities(grid, arr, 1.0, HALF)
     assert np.array_equal(a, b)
 
 
@@ -226,7 +191,7 @@ def test_certificate_level_set_mass():
 def test_certificate_with_explicit_sensitivity():
     grid = ten_point_grid()
     u = np.arange(10.0)
-    delta = map_sensitivity("stochastic", 2.0)  # delta_value 1
+    delta = MapSensitivity(kind="stochastic", delta_value=1.0)  # sqrt(M / 2) at M = 2
     got = map_utility_certificate(grid, u, 2.0, 1.5, sensitivity=delta)
     assert got == pytest.approx(math.exp(-2.0 * 1.5 / 2.0) / float(grid.prior_mass[-2:].sum()))
 

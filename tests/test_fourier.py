@@ -1,5 +1,6 @@
 """Walsh-basis coefficient release, reconstruction, consistency, stealth."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -36,7 +37,7 @@ from dpbayes import (
 from dpbayes import fourier as fourier_mod
 from dpbayes.fourier import release_posterior
 from dpbayes.randomness import derive_seed, laplace_from_uniform, substream
-from dpbayes.verify import dense_table, walsh_coefficients_dense, dense_marginal
+from dpbayes.verify import all_dags, dense_table, walsh_coefficients_dense, dense_marginal
 
 from conftest import CHAIN3, SINGLE, random_dag, random_dataset, twenty_node_dag
 
@@ -78,6 +79,34 @@ def test_closure_validation():
         DownwardClosure(k=2, members=(0, 3))  # not downward closed
     with pytest.raises(ValueError):
         DownwardClosure(k=1, members=(0, 2))  # mask outside k bits
+
+
+def all_submasks(mask: int, k: int) -> list[int]:
+    return [sub for sub in range(1 << k) if sub & mask == sub]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_closure_check_agrees_with_all_submasks(k):
+    # every set of masks over k variables that holds 0
+    others = range(1, 1 << k)
+    for chosen in itertools.chain.from_iterable(
+        itertools.combinations(others, r) for r in range(len(others) + 1)
+    ):
+        members = (0, *chosen)
+        closed = all(sub in members for m in members for sub in all_submasks(m, k))
+        try:
+            DownwardClosure(k=k, members=members)
+        except InvalidArgumentError:
+            assert not closed, members
+        else:
+            assert closed, members
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_closure_is_the_union_of_family_submasks(k):
+    for graph in all_dags(k):
+        union = {s for i in range(k) for s in all_submasks(graph.family_mask(i), k)}
+        assert downward_closure(graph).members == tuple(sorted(union)), graph.parents
 
 
 def test_closure_economy_bound(rng):
@@ -122,23 +151,24 @@ def test_coefficient_vector_equals_streamed_definition(rng):
     # infinite epsilon: zero noise and zero stealth increment
     released = release_coefficients(data, clo, epsilon=math.inf, t=1.0, seed=3)
     for gamma in clo.members:
-        streamed = fourier_coefficient(data, gamma, clo.k)
+        streamed = fourier_coefficient(data, gamma)
         assert exact.values[gamma] == streamed
         assert released.values[gamma] == streamed
 
 
 def test_coefficient_vector_without_records():
     clo = downward_closure(CHAIN3)
-    for data in (Dataset(np.zeros((0, 3), dtype=np.int8)), Dataset.from_records([])):
+    empty = Dataset(np.zeros((0, 3), dtype=np.int8))
+    for data in (empty, Dataset.from_records([])):
         values = exact_coefficients(data, clo).values
-        assert values == {g: fourier_coefficient(data, g, 3) for g in clo.members}
+        assert values == {g: fourier_coefficient(empty, g) for g in clo.members}
         assert set(values.values()) == {0.0}
 
 
 def test_coefficient_vector_on_empty_set_closure(rng):
     data = random_dataset(rng, 37, 3)
     clo = DownwardClosure(k=3, members=(0,))
-    assert exact_coefficients(data, clo).values == {0: fourier_coefficient(data, 0, 3)}
+    assert exact_coefficients(data, clo).values == {0: fourier_coefficient(data, 0)}
     assert exact_coefficients(data, clo).values[0] == 37 * 2.0**-1.5
 
 

@@ -96,15 +96,24 @@ def test_load_network_bad_default_prior(tmp_path):
         {"nodes": 2, "parents": [[], [0]], "priors": []},
         {"nodes": 2, "parents": [[], [0]], "priors": None},
         {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": 5}},
+        # int() would truncate or misread each of these into a valid network
+        {"nodes": 2.7, "parents": [[], [0]]},
+        {"nodes": 2, "parents": [[], [0.9]]},
+        {"nodes": 3, "parents": [[], [], "10"]},
+        {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1.6, 0, 2.0, 3.0]]}},
+        {"nodes": True, "parents": [[]]},
     ],
     ids=[
         "parent-out-of-range", "no-nodes", "negative-override",
         "priors-list", "priors-null", "overrides-number",
+        "float-node-count", "float-parent", "string-parent-row", "float-override-node",
+        "bool-node-count",
     ],
 )
 def test_cli_bad_network_is_config_error(tmp_path, capsys, spec):
     net = write_network(tmp_path, spec)
-    data = write_binary_csv(tmp_path, [(0, 1), (1, 0)])
+    width = int(spec["nodes"])  # the width a truncating reader expects
+    data = write_binary_csv(tmp_path, [(0,) * width, (1,) * width])
     args = ["--task", "mechanism", "--network", str(net), "--dataset", str(data),
             "mechanism=laplace", "epsilon=1", "seed=1"]
     assert main(args) == 1
@@ -373,6 +382,38 @@ def test_cli_json_config_file(tmp_path, capsys):
     assert main(["--config", str(cfg)]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 + 3
+
+
+NB_CONFIG = {
+    "task": "nb", "mechanisms": "none", "epsilon_grid": [1.0], "repeats": 1, "seed": 5,
+    "train_fraction": 0.3, "d": 2, "n": 40,
+}
+
+
+@pytest.mark.parametrize(
+    "base, key, value",
+    [
+        ("nb", "repeats", 1.9), ("nb", "d", 2.5), ("nb", "n", 40.7), ("nb", "seed", 7.8),
+        ("sampler", "samples", 2.9), ("sampler", "seed", 7.8), ("map", "draws", 2.5),
+    ],
+)
+def test_cli_config_file_integer_settings_refuse_floats(tmp_path, capsys, base, key, value):
+    # int() would truncate each float and run; the integer part alone runs
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.0,0.5\n1.0,0.5\n")
+    release = {"task": "mechanism", "epsilon": 3.0, "seed": 7}
+    config = {
+        "nb": NB_CONFIG,
+        "sampler": {**release, "mechanism": "sampler", "network": str(write_network(tmp_path)),
+                    "dataset": str(write_binary_csv(tmp_path, [(0, 1, 1), (1, 0, 0)]))},
+        "map": {**release, "mechanism": "map", "grid": str(grid)},
+    }[base]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, key: value}))
+    assert main(["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"dpbayes: config error: bad value for {key}:")
+    cfg.write_text(json.dumps({**config, key: int(value)}))
+    assert main(["--config", str(cfg)]) == 0
 
 
 def test_cli_bad_json_config(tmp_path, capsys):

@@ -51,13 +51,14 @@ def test_scaling_records_factors(rng):
     X = rng.normal(size=(30, 3))
     y = rng.normal(size=30)
     data = scale_regression_data(X, y, 1.0)
-    assert np.allclose(data.X * data.x_scale, X)
-    assert np.allclose(data.y * data.y_scale, y)
+    assert np.allclose(data.X * np.linalg.norm(X, axis=1).max(), X)
+    assert np.allclose(data.y * np.abs(y).max(), y)
 
 
 def test_scaling_zero_guard():
     data = scale_regression_data(np.zeros((4, 2)), np.zeros(4), 1.0)
-    assert data.x_scale == 1.0 and data.y_scale == 1.0
+    # all-zero data is divided by 1, not by its zero norms
+    assert np.array_equal(data.X, np.zeros((4, 2))) and np.array_equal(data.y, np.zeros(4))
 
 
 def test_regression_data_rejects_oversized_rows():
@@ -232,7 +233,7 @@ def test_predictive_mse_reaches_noise_floor(rng):
     data = scale_regression_data(X, y, sigma2=1.0)
     post = fit_posterior(data, precision=0.01, radius=1e6)
     mse = predictive_mse(post, data.X, data.y, samples=5000, seed=13)
-    floor = (noise / data.y_scale) ** 2
+    floor = (noise / np.abs(y).max()) ** 2
     assert mse == pytest.approx(floor, rel=0.1)
 
 

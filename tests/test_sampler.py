@@ -26,6 +26,7 @@ from dpbayes import (
     trimmed_beta_draws,
     trimmed_posterior_sample,
 )
+from dpbayes.graph import BetaTable
 from dpbayes.randomness import substream
 from dpbayes.sampler import (
     PROPOSAL_MASS,
@@ -129,7 +130,7 @@ def test_trimmed_draws_vanishing_trim(rng):
     params = BetaParams(5.0, 3.0)
     omega = trim_bound(60.0)
     draws = trimmed_beta_draws(params, omega, rng, size=20000)
-    assert draws.mean() == pytest.approx(params.mean, abs=0.01)
+    assert draws.mean() == pytest.approx(5.0 / 8.0, abs=0.01)
 
 
 TINY_MASS_CASES = {
@@ -139,6 +140,11 @@ TINY_MASS_CASES = {
     "beta500_2": (BetaParams(500.0, 2.0), 0.4),  # lower tail
     "beta2_500": (BetaParams(2.0, 500.0), 0.4),  # upper tail, lost to 1 - CDF
 }
+
+
+def as_table(params):
+    """A BetaTable whose row r holds params[r]."""
+    return BetaTable.of(dict(enumerate(params)))
 
 
 def trimmed_ks_pvalue(draws, params, omega):
@@ -167,7 +173,7 @@ def test_trimmed_draws_mixed_tail_block(rng):
     # one call mixes a bulk entry, upper-tail and lower-tail entries
     omega = math.exp(-1.0)
     params = [BetaParams(3.0, 2.0), BetaParams(2.0, 500.0), BetaParams(500.0, 2.0), BetaParams(1.0, 51.0)]
-    block = trimmed_beta_draws(params, omega, rng, size=20000)
+    block = trimmed_beta_draws(as_table(params), omega, rng, size=20000)
     assert block.shape == (4, 20000)
     for row, p in zip(block, params):
         assert_exact_trimmed_sample(row, p, omega)
@@ -236,7 +242,7 @@ def test_hybrid_block_exact_per_row(rng, omega, params):
     # rows that are inverted outright; every row must have the trimmed law
     proposes = [trim_mass(p, omega) >= PROPOSAL_MASS for p in params]
     assert proposes == [True, True, False, False, False]
-    block = trimmed_beta_draws(params, omega, rng, size=20000)
+    block = trimmed_beta_draws(as_table(params), omega, rng, size=20000)
     for row, p in zip(block, params):
         assert_exact_trimmed_sample(row, p, omega)
 
@@ -246,7 +252,7 @@ def test_proposal_rows_keep_inside_proposals():
     # a proposal inside the interval is the draw, one outside is replaced
     omega, S = math.exp(-1.0), 400
     params = [BetaParams(3.0, 2.0), BetaParams(8.0, 8.0), BetaParams(30.0, 30.0)]
-    draws = trimmed_beta_draws(params, omega, np.random.default_rng(5), S)
+    draws = trimmed_beta_draws(as_table(params), omega, np.random.default_rng(5), S)
     replay = np.random.default_rng(5)
     replay.random((3, S))
     y = replay.beta([[8.0], [30.0]], [[8.0], [30.0]], (2, S))
@@ -319,7 +325,7 @@ INVERTED_ROWS = [BetaParams(0.5, 0.5), BetaParams(0.8, 2.0), BetaParams(4.0, 0.6
 def test_beta_route_rows_keep_their_bits():
     omega = math.exp(-10.0)  # epsilon 20: every mass is above 0.9999
     assert all(trim_mass(p, omega) >= PROPOSAL_MASS for p in BETA_ROUTE_ROWS)
-    draws = trimmed_beta_draws(BETA_ROUTE_ROWS, omega, np.random.default_rng(20), 500)
+    draws = trimmed_beta_draws(as_table(BETA_ROUTE_ROWS), omega, np.random.default_rng(20), 500)
     assert hashlib.sha256(draws.tobytes()).hexdigest() == (
         "362ca9f5eab48c91a84a6b0577722a3dc3f028d585fad4339d064c66eb42d358"
     )
@@ -329,7 +335,7 @@ def test_inverted_rows_keep_their_bits():
     # not log-concave (alpha or beta below 1), masses 0.17, 0.22, 0.07, 2e-7
     omega = math.exp(-1.0)
     assert all(trim_mass(p, omega) < PROPOSAL_MASS for p in INVERTED_ROWS)
-    draws = trimmed_beta_draws(INVERTED_ROWS, omega, np.random.default_rng(21), 500)
+    draws = trimmed_beta_draws(as_table(INVERTED_ROWS), omega, np.random.default_rng(21), 500)
     assert hashlib.sha256(draws.tobytes()).hexdigest() == (
         "b36b4491351feb5d64f4aae9f07e84e1559e4086a4d44551bd1ac50c9477f86a"
     )
@@ -340,7 +346,7 @@ def test_envelope_rows_leave_other_rows_bits():
     omega = math.exp(-1.0)
     params = [BetaParams(8.0, 8.0), BetaParams(3.0, 2.0), BetaParams(0.5, 0.5), BetaParams(1.0, 51.0)]
     assert [takes_envelope(p, omega) for p in params] == [False, True, False, True]
-    draws = trimmed_beta_draws(params, omega, np.random.default_rng(22), 500)
+    draws = trimmed_beta_draws(as_table(params), omega, np.random.default_rng(22), 500)
     assert hashlib.sha256(draws[[0, 2]].tobytes()).hexdigest() == (
         "161b3de78785e2284a410fef544eb96e93e6a8057c775c4ca5c25288919540a2"
     )
@@ -354,7 +360,7 @@ def test_envelope_rows_keep_accepted_positions():
     params = [BetaParams(8.0, 8.0), BetaParams(3.0, 2.0), BetaParams(2.0, 9.0),
               BetaParams(2.0, 2.0), BetaParams(0.5, 0.5)]
     assert [takes_envelope(p, omega) for p in params] == [False, True, True, True, False]
-    draws = trimmed_beta_draws(params, omega, np.random.default_rng(5), S)
+    draws = trimmed_beta_draws(as_table(params), omega, np.random.default_rng(5), S)
     replay = np.random.default_rng(5)
     replay.random((5, S))
     replay.beta([[8.0]], [[8.0]], (1, S))
@@ -385,7 +391,7 @@ def test_envelope_rows_exact_over_substreams():
     assert all(takes_envelope(p, omega) for p in params)
     pvalues = np.empty((len(params), streams))
     for i in range(streams):
-        block = trimmed_beta_draws(params, omega, substream(7, "envelope", i), S)
+        block = trimmed_beta_draws(as_table(params), omega, substream(7, "envelope", i), S)
         assert ((block > omega) & (block < 1.0 - omega)).all()
         pvalues[:, i] = [trimmed_ks_pvalue(row, p, omega) for row, p in zip(block, params)]
     for name, row in zip(ENVELOPE_ROWS, pvalues):
@@ -691,7 +697,7 @@ def test_predictive_finite_when_both_classes_underflow():
     # the posterior means are symmetric between the classes on this row
     assert closed[2] == pytest.approx(0.5)
     keys = sorted(posterior)
-    means = np.array([[posterior[key].mean] for key in keys])
+    means = np.array([[p.alpha / (p.alpha + p.beta)] for p in map(posterior.get, keys)])
     draws = trimmed_posterior_draws(posterior, trim_bound(20.0), 2, 100)
     theta = np.array([draws[key] for key in keys])
     for probs, columns in ((closed, means), (sampled, theta)):
