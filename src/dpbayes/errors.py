@@ -78,8 +78,9 @@ def check_nonnegative(name: str, value: float) -> None:
 
 
 def check_integer(name: str, value: int, lo: float = -math.inf, hi: float = math.inf) -> int:
-    """operator.index(value), once it is known to lie in [lo, hi)."""
-    index = operator.index(value) if hasattr(value, "__index__") else None
+    """operator.index(value), once it is known to lie in [lo, hi); a bool is no integer."""
+    integral = hasattr(value, "__index__") and not isinstance(value, bool)
+    index = operator.index(value) if integral else None
     if index is None or not lo <= index < hi:
         raise InvalidArgumentError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
     return index

@@ -9,15 +9,15 @@ Network files are JSON:
 
 overrides rows are (node, parent-configuration, alpha, beta). The node
 count, every parent index and each override's node and configuration
-must be JSON integers, and every parent row a list. Binary
-datasets are headerless CSV of 0/1 values, one record per row. The
-canonical spelling, equal-width lines of `0`/`1` cells joined by single
-commas and each ending in a newline (as `np.savetxt(fmt="%d",
-delimiter=",")` writes it), is read in one vectorised pass over the
-file's bytes. Other integer spellings of 0/1 (blank lines, CRLF, spaces,
-quotes, signs, leading zeros, no final newline) are still accepted, at
-`np.loadtxt` speed, and a bad cell is still reported with its file line
-number.
+must be JSON integers, every parent row a list, and every prior
+parameter a JSON number. Binary datasets are headerless CSV of 0/1
+values, one record per row. The canonical spelling, equal-width lines
+of `0`/`1` cells joined by single commas and each ending in a newline
+(as `np.savetxt(fmt="%d", delimiter=",")` writes it), is read in one
+vectorised pass over the file's bytes. Other integer spellings of 0/1
+(blank lines, CRLF, spaces, quotes, signs, leading zeros, no final
+newline) are still accepted, at `np.loadtxt` speed, and a bad cell is
+still reported with its file line number.
 Regression data is numeric CSV with the target in the last column.
 Grid files are numeric CSV rows of (parameter components..., prior mass).
 Utility files hold one number per line, one line per grid point.
@@ -59,14 +59,14 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
         raise ConfigError(f"{path}: priors must be an object whose overrides are a list")
     default = priors_spec.get("default", [1.0, 1.0])
     try:
-        base = BetaParams(float(default[0]), float(default[1]))
+        base = BetaParams(*(_json(float, "prior parameter", v) for v in default[:2]))
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"{path}: bad default prior: {exc}") from exc
     priors = dict.fromkeys(graph.entry_keys(), base)
     for row in priors_spec.get("overrides", []):
         try:
             key = tuple(_json(int, "override node or configuration", v) for v in row[:2])
-            prior = BetaParams(float(row[2]), float(row[3]))
+            prior = BetaParams(*(_json(float, "prior parameter", v) for v in row[2:4]))
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"{path}: bad prior override {row!r}: {exc}") from exc
         if key not in priors:
@@ -76,10 +76,11 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
 
 
 def _json(kind: type, what: str, value):
-    """value, once its type is exactly kind: JSON true and false load as bools, not ints."""
-    if type(value) is not kind:
-        raise InvalidArgumentError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return value
+    """value, once its type is exactly kind (an int counts as a float); JSON true is no int."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        name = "number" if kind is float else kind.__name__
+        raise InvalidArgumentError(f"{what} must be a JSON {name}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def load_dataset(path: str | Path) -> Dataset:

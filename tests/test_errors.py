@@ -216,7 +216,7 @@ def test_bad_arguments_are_one_family():
     assert issubclass(dp.InvalidArgumentError, ValueError)
 
 
-@pytest.mark.parametrize("count", [2.0, math.nan, np.float64(3.0), "3"])
+@pytest.mark.parametrize("count", [2.0, math.nan, np.float64(3.0), "3", True])
 def test_a_float_count_is_an_invalid_argument(count):
     with pytest.raises(dp.InvalidArgumentError, match="size must be an integer"):
         dp.trimmed_beta_draws(dp.BetaParams(2.0, 3.0), 0.2, np.random.default_rng(0), count)

@@ -256,6 +256,17 @@ def test_posterior_params_missing_prior():
         posterior_params({}, up)
 
 
+@pytest.mark.parametrize(
+    "prior_keys", [((0, 0), (1, 0), (1, 1)), ((0, 0),)], ids=["superset", "subset"]
+)
+def test_posterior_params_needs_priors_for_exactly_the_update_entries(prior_keys):
+    up = UpdateVector({(0, 0): (1.0, 0.0), (1, 0): (0.0, 1.0)})
+    priors = dict.fromkeys(prior_keys, BetaParams(1.0, 1.0))
+    with pytest.raises(MissingPriorEntryError) as err:
+        posterior_params(priors, up)
+    assert f"priors list entries {prior_keys}, expected ((0, 0), (1, 0))" in str(err.value)
+
+
 def test_posterior_params_rejects_a_non_positive_parameter():
     with pytest.raises(InvalidArgumentError, match="alpha must be positive and finite, got -1.0"):
         posterior_params({(0, 0): BetaParams(1.0, 1.0)}, UpdateVector({(0, 0): (-2.0, 0.0)}))

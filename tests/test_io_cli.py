@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import dpbayes.io
 
 from dpbayes import (
+    BetaParams,
     ConfigError,
     Dataset,
     compute_updates,
@@ -53,6 +54,12 @@ def test_load_network_round_trip(tmp_path):
     assert priors[(0, 0)].alpha == 1.0
     assert priors[(2, 1)].beta == 1.0
     assert set(priors) == set(graph.entry_keys())
+
+
+def test_load_network_reads_integer_prior_parameters_as_numbers(tmp_path):
+    spec = {**NETWORK, "priors": {"default": [1, 2], "overrides": [[1, 0, 2, 3]]}}
+    _, priors = load_network(write_network(tmp_path, spec))
+    assert priors[(0, 0)] == BetaParams(1.0, 2.0) and priors[(1, 0)] == BetaParams(2.0, 3.0)
 
 
 def test_load_network_bad_json(tmp_path):
@@ -102,12 +109,15 @@ def test_load_network_bad_default_prior(tmp_path):
         {"nodes": 3, "parents": [[], [], "10"]},
         {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1.6, 0, 2.0, 3.0]]}},
         {"nodes": True, "parents": [[]]},
+        # float() would read each of these into a valid prior
+        {"nodes": 2, "parents": [[], [0]], "priors": {"default": [True, "2.5"]}},
+        {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1, 0, "2.0", 3.0]]}},
     ],
     ids=[
         "parent-out-of-range", "no-nodes", "negative-override",
         "priors-list", "priors-null", "overrides-number",
         "float-node-count", "float-parent", "string-parent-row", "float-override-node",
-        "bool-node-count",
+        "bool-node-count", "bool-and-string-default-prior", "string-override-prior",
     ],
 )
 def test_cli_bad_network_is_config_error(tmp_path, capsys, spec):
@@ -395,10 +405,11 @@ NB_CONFIG = {
     [
         ("nb", "repeats", 1.9), ("nb", "d", 2.5), ("nb", "n", 40.7), ("nb", "seed", 7.8),
         ("sampler", "samples", 2.9), ("sampler", "seed", 7.8), ("map", "draws", 2.5),
+        ("nb", "repeats", True), ("sampler", "samples", True),
     ],
 )
 def test_cli_config_file_integer_settings_refuse_floats(tmp_path, capsys, base, key, value):
-    # int() would truncate each float and run; the integer part alone runs
+    # int() would truncate each float, or read true as 1, and run; the integer alone runs
     grid = tmp_path / "grid.csv"
     grid.write_text("0.0,0.5\n1.0,0.5\n")
     release = {"task": "mechanism", "epsilon": 3.0, "seed": 7}
