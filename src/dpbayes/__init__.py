@@ -100,7 +100,6 @@ from .regression import (
     predictive_mse,
     sample_truncated,
     scale_regression_data,
-    worst_case_sensitivity,
 )
 from .sampler import (
     sampler_predictive_batch,

@@ -2,13 +2,13 @@
 
 Four tasks: `nb` and `linreg` run experiment sweeps and write tidy
 metric CSVs; `mechanism` runs one mechanism once and prints its raw
-release; `verify` runs the oracle suite and emits a JSON report.
+release; `verify` emits the privacy-loss table as a JSON report.
 Options come from flags, from a TOML or JSON config file, or from
 positional key=value tokens (the mechanism task's native style), which
 may sit before, between or after the flags; flags win over key=value
 tokens, which win over the config file.
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure.
+Exit codes: 0 success, 1 configuration error, 2 a failing privacy-loss row.
 """
 from __future__ import annotations
 
@@ -27,10 +27,6 @@ from .io import load_dataset, load_grid, load_network, load_utility
 from .verify import run_verification_suite
 
 log = logging.getLogger("dpbayes.cli")
-
-# linreg sweeps default to a smaller, longer dataset than the nb task
-LINREG_DEFAULT_D = 5
-LINREG_DEFAULT_N = 2000
 
 # the settings each task, and each mechanism of the mechanism task,
 # reads; any other setting is a ConfigError
@@ -182,9 +178,6 @@ def _experiment_config(settings: dict, task: str) -> ExperimentConfig:
         fields["mechanisms"] = tuple(m.strip() for m in mechanisms.split(",") if m.strip())
     elif mechanisms is not None:
         fields["mechanisms"] = tuple(mechanisms)
-    if task == "linreg":
-        fields.setdefault("d", LINREG_DEFAULT_D)
-        fields.setdefault("n", LINREG_DEFAULT_N)
     return ExperimentConfig(task=task, **fields)
 
 

@@ -42,6 +42,8 @@ LINREG_MECHANISMS = ("none", "sampler")
 
 DEFAULT_EPSILON_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 DEFAULT_B_GRID = (0.1, 1.0, 10.0)
+# per sweep task: its mechanisms, and its default feature and record counts
+_TASKS = {"nb": (NB_MECHANISMS, 16, 1000), "linreg": (LINREG_MECHANISMS, 5, 2000)}
 
 CSV_HEADER = "mechanism,param,repeat,metric,value"
 
@@ -50,7 +52,9 @@ CSV_HEADER = "mechanism,param,repeat,metric,value"
 class ExperimentConfig:
     """One experiment run: what to sweep, how often, from which seed.
 
-    mechanisms=None runs every mechanism of the task.
+    mechanisms=None runs every mechanism of the task; d=None and n=None
+    take the task's sweep size, 16 features and 1000 records for nb, 5
+    and 2000 for linreg.
     """
 
     task: str = "nb"
@@ -60,8 +64,8 @@ class ExperimentConfig:
     repeats: int = 100
     train_fraction: float = 0.05
     seed: int = 0
-    d: int = 16
-    n: int = 1000
+    d: int | None = None
+    n: int | None = None
     sampler_samples: int = 1000
     regression_samples: int = 100
     fourier_t: float = fourier.DEFAULT_STEALTH_T
@@ -73,11 +77,12 @@ class ExperimentConfig:
     theta: ThetaMap | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
-        allowed = {"nb": NB_MECHANISMS, "linreg": LINREG_MECHANISMS}.get(self.task)
-        if allowed is None:
+        if self.task not in _TASKS:
             raise ConfigError(f"unknown sweep task {self.task!r}; use 'nb' or 'linreg'")
-        if self.mechanisms is None:
-            object.__setattr__(self, "mechanisms", allowed)
+        allowed, d, n = _TASKS[self.task]
+        for name, default in (("mechanisms", allowed), ("d", d), ("n", n)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if not self.mechanisms:
             raise ConfigError("need at least one mechanism")
         for mech in self.mechanisms:

@@ -3,10 +3,15 @@
 The conjugate pair: Gaussian likelihood with known noise variance and
 a zero-mean Gaussian prior restricted to a Euclidean ball. Posterior
 mean and covariance have the usual ridge form; sampling restricts to
-the ball by rejection. The privacy constant of answering with a
-posterior draw is the Lipschitz bound L(w) of the per-record
-log-likelihood, evaluated at the truncation radius so the report never
-depends on the realized sample.
+the ball by rejection.
+
+One posterior draw costs 2L (Dimitrakakis et al., ALT 2014), with L
+the largest change of the log-likelihood between neighbouring datasets.
+Under record replacement with ||x|| <= 1, |y| <= 1 and ||w|| <= r, the
+per-record term (y - w'x)^2 / (2 sigma2) lies in [0, (1+r)^2 / (2 sigma2)]:
+the top at ||w|| = r, x = -w/r, y = 1, the bottom wherever y = w'x.
+So L = (1+r)^2 / (2 sigma2), with no n and no d in it, and one draw
+costs (1+r)^2 / sigma2.
 """
 from __future__ import annotations
 
@@ -163,22 +168,6 @@ def sample_truncated(post: GaussianPosterior, seed: int, size: int = 1) -> np.nd
             f"in {_REJECTION_BUDGET} attempts"
         )
     return out
-
-
-def worst_case_sensitivity(radius: float, n: int, d: int, sigma2: float) -> float:
-    """L maximized over the truncated support: ||w||_2 = radius, ||w||_1 <= sqrt(d) radius.
-
-    At a weight vector w the per-record log-likelihood is Lipschitz with
-    L(w) = n/(2 s2) (1 + 2||w||_1 + d ||w||_2), and one posterior draw
-    answered from this model is 2L-private under the summed per-record
-    euclidean distance between datasets. L(w) depends on the draw; its
-    maximum over the ball is the value a privacy report should carry.
-    """
-    check_positive("radius", radius)
-    check_integer("n", n, 0)
-    check_integer("d", d, 0)
-    check_positive("sigma2", sigma2)
-    return n / (2.0 * sigma2) * (1.0 + 2.0 * math.sqrt(d) * radius + d * radius)
 
 
 def default_radius(b: float) -> float:

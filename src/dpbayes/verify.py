@@ -12,8 +12,14 @@ Every integral goes through QUADPACK's adaptive Gauss-Kronrod rule
 not converged raises DpBayesError naming the interval, so no oracle
 returns an unconverged estimate.
 
-Budgets are tight (|I| <= 4, n <= 4, k <= 12) because every oracle is
-exponential in something; BudgetExceededError refuses anything larger.
+The privacy-loss oracles compute a release's exact worst loss between
+neighbouring inputs by exhaustion on tiny inputs, not by a statistical
+test; run_verification_suite, the body of `dpbayes --task verify`,
+reports one such loss per mechanism, divided by its epsilon.
+
+Budgets are tight (|I| <= 4, n <= 4, k <= 12, 12 grid points) because
+every oracle is exponential in something; BudgetExceededError refuses
+anything larger.
 """
 from __future__ import annotations
 
@@ -24,7 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.special
 
-from .errors import BudgetExceededError, DpBayesError, InvalidArgumentError, LengthMismatchError
+from .errors import BudgetExceededError, CyclicGraphError, DpBayesError, InvalidArgumentError
+from .errors import LengthMismatchError
 from .expmech import GridSpec, MapSensitivity
 from .graph import BayesNetGraph, BetaParams, Dataset, PosteriorMap, validate_graph
 from .metrics import PrivacyCheckReport
@@ -130,7 +137,7 @@ def dense_marginal(table: np.ndarray, k: int, nodes: Sequence[int]) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# update-count oracles
+# update counts and exhaustive privacy-loss oracles
 # ---------------------------------------------------------------------------
 
 
@@ -165,34 +172,33 @@ def all_dags(k: int) -> list[BayesNetGraph]:
         g = BayesNetGraph(node_count=k, parents=tuple(combo))
         try:
             validate_graph(g)
-        except Exception:
+        except CyclicGraphError:
             continue
         graphs.append(g)
     return graphs
 
 
-def exhaustive_sensitivity(graph: BayesNetGraph, n_max: int) -> float:
-    """Max L1 update distance over every dataset/neighbor pair, by enumeration.
-
-    Each of the 2^|I| possible records is tallied once as a one-record
-    dataset; a dataset's tallies are the sum over its records. Datasets
-    of n records are enumerated in itertools.product order, so dataset
-    c sits at row sum_p c[p] 2^(|I|(n-1-p)) and replacing its record at
-    position p is an index shift. Exponential in everything; refuses
-    |I| > 4 or n_max > 4.
-    """
-    k = graph.node_count
+def _records(k: int, n_max: int) -> np.ndarray:
+    """Every record on k binary nodes, row r holding the bits of r little-endian."""
     if k > 4 or n_max > 4:
         raise BudgetExceededError("exhaustive sensitivity limited to |I| <= 4, n <= 4")
-    n_records = 1 << k
-    order = [(i, j, half) for (i, j) in graph.entry_keys() for half in ("a", "b")]
-    records = (np.arange(n_records)[:, None] >> np.arange(k)) & 1
-    singles = [brute_force_updates(graph, Dataset.from_records([r])) for r in records]
-    tallies = np.array([[t[key] for key in order] for t in singles])
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+
+
+def _worst_neighbour_l1(terms: np.ndarray, n_max: int) -> float:
+    """Max L1 distance between the summed terms of neighbouring datasets.
+
+    terms is (R, dim): row r is what record r adds to a dataset's
+    vector. Datasets of n <= n_max records are enumerated in
+    itertools.product order, so dataset c sits at row
+    sum_p c[p] R^(n-1-p) and replacing its record at position p is an
+    index shift.
+    """
+    n_records = len(terms)
     worst = 0.0
     for n in range(1, n_max + 1):
         combos = np.array(list(itertools.product(range(n_records), repeat=n)))
-        vecs = tallies[combos].sum(axis=1)
+        vecs = terms[combos].sum(axis=1)
         rows = np.arange(len(combos))
         for pos in range(n):
             stride = n_records ** (n - 1 - pos)
@@ -202,9 +208,36 @@ def exhaustive_sensitivity(graph: BayesNetGraph, n_max: int) -> float:
     return worst
 
 
-# ---------------------------------------------------------------------------
-# privacy density-ratio check
-# ---------------------------------------------------------------------------
+def exhaustive_sensitivity(graph: BayesNetGraph, n_max: int) -> float:
+    """Max L1 update distance over every dataset/neighbor pair, by enumeration.
+
+    Each of the 2^|I| possible records is tallied once as a one-record
+    dataset; a dataset's tallies are the sum over its records.
+    Exponential in everything; refuses |I| > 4 or n_max > 4.
+    """
+    tallies = [
+        list(brute_force_updates(graph, Dataset.from_records([r])).values())
+        for r in _records(graph.node_count, n_max)
+    ]
+    return _worst_neighbour_l1(np.array(tallies), n_max)
+
+
+def exhaustive_coefficient_sensitivity(graph: BayesNetGraph, n_max: int) -> float:
+    """Max L1 change of the Fourier release's coefficients over every neighbor pair.
+
+    The released indices are the masks lying inside some family mask,
+    found by testing all 2^|I| masks; a record's terms are the dense
+    Walsh coefficients of its one-record table at those indices.
+    Refuses |I| > 4 or n_max > 4.
+    """
+    k = graph.node_count
+    families = [graph.family_mask(i) for i in range(k)]
+    closure = [m for m in range(1 << k) if any((m & ~f) == 0 for f in families)]
+    terms = [
+        walsh_coefficients_dense(dense_table(Dataset.from_records([r])))[closure]
+        for r in _records(k, n_max)
+    ]
+    return _worst_neighbour_l1(np.array(terms), n_max)
 
 
 def laplace_density_ratio_check(
@@ -234,6 +267,45 @@ def laplace_density_ratio_check(
         ratios = np.abs((np.abs(grid) - np.abs(grid - s)).sum(axis=1)) / b
         worst = max(worst, float(ratios.max()))
     return PrivacyCheckReport.from_observation(mechanism, epsilon, worst)
+
+
+def max_log_ratio_per_hamming(graph: BayesNetGraph, theta) -> float:
+    """Max over assignment pairs of |log p(x) - log p(y)| / hamming(x, y)."""
+    from .graph import joint_log_likelihood
+
+    k = graph.node_count
+    if k > 4:
+        raise BudgetExceededError("exhaustive pair check limited to |I| <= 4")
+    assignments = list(itertools.product((0, 1), repeat=k))
+    logps = [joint_log_likelihood(graph, theta, np.array(a, dtype=np.int64)) for a in assignments]
+    worst = 0.0
+    for ia, a in enumerate(assignments):
+        for ib in range(ia + 1, len(assignments)):
+            dist = sum(u != v for u, v in zip(a, assignments[ib]))
+            worst = max(worst, abs(logps[ia] - logps[ib]) / dist)
+    return worst
+
+
+def exp_mechanism_worst_log_ratio(
+    probs: Callable[[np.ndarray], np.ndarray], utility, delta: float
+) -> float:
+    """Largest |log p(u) - log p(u')| over every u' with |u'_i - u_i| <= delta.
+
+    probs maps a utility vector to the release's probabilities over the
+    grid. In an exponential mechanism log p_i rises with u_i and falls
+    with every other coordinate, so both extremes of each log-ratio lie
+    at corners of the box, and enumerating its 2^size corners is exact.
+    Refuses more than 12 grid points.
+    """
+    u = np.asarray(utility, dtype=np.float64)
+    if u.size > 12:
+        raise BudgetExceededError("corner enumeration limited to 12 points")
+    corners = np.array(list(itertools.product((-delta, delta), repeat=u.size)))
+    with np.errstate(divide="ignore"):
+        logs = np.log([probs(u), *(probs(u + s) for s in corners)])
+    if not np.isfinite(logs).all():
+        raise DpBayesError("a probability is 0, so its log-ratio is unbounded")
+    return float(np.abs(logs[1:] - logs[0]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -333,28 +405,6 @@ def trimmed_nb_predictive_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# network log-ratio oracle
-# ---------------------------------------------------------------------------
-
-
-def max_log_ratio_per_hamming(graph: BayesNetGraph, theta) -> float:
-    """Max over assignment pairs of |log p(x) - log p(y)| / hamming(x, y)."""
-    from .graph import joint_log_likelihood
-
-    k = graph.node_count
-    if k > 4:
-        raise BudgetExceededError("exhaustive pair check limited to |I| <= 4")
-    assignments = list(itertools.product((0, 1), repeat=k))
-    logps = [joint_log_likelihood(graph, theta, np.array(a, dtype=np.int64)) for a in assignments]
-    worst = 0.0
-    for ia, a in enumerate(assignments):
-        for ib in range(ia + 1, len(assignments)):
-            dist = sum(u != v for u, v in zip(a, assignments[ib]))
-            worst = max(worst, abs(logps[ia] - logps[ib]) / dist)
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # exponential-mechanism and regression oracles
 # ---------------------------------------------------------------------------
 
@@ -374,14 +424,6 @@ def exp_mechanism_bruteforce_probs(
     return w / w.sum()
 
 
-def regression_log_posterior_unnormalized(
-    X: np.ndarray, y: np.ndarray, sigma2: float, lam: np.ndarray, w: np.ndarray
-) -> float:
-    """log prior + log likelihood at w, constants dropped."""
-    resid = y - X @ w
-    return float(-0.5 * (resid @ resid) / sigma2 - 0.5 * (w @ lam @ w))
-
-
 def regression_grid_check(
     X: np.ndarray,
     y: np.ndarray,
@@ -398,9 +440,8 @@ def regression_grid_check(
     the same grid, so agreement certifies the conjugate update.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
-    direct = np.array(
-        [regression_log_posterior_unnormalized(X, y, sigma2, lam, w) for w in grid]
-    )
+    # log prior + log likelihood, constants dropped
+    direct = np.array([-0.5 * ((y - X @ w) @ (y - X @ w) / sigma2 + w @ lam @ w) for w in grid])
     prec = np.linalg.inv(sigma_n)
     fitted = np.array([-0.5 * (w - mu_n) @ prec @ (w - mu_n) for w in grid])
     direct = np.exp(direct - direct.max())
@@ -424,109 +465,46 @@ def ridge_mse(
 
 
 # ---------------------------------------------------------------------------
-# the battery behind the `verify` subcommand
+# the privacy-loss table behind the `verify` subcommand
 # ---------------------------------------------------------------------------
 
 
 def run_verification_suite(seed: int = 20240817) -> list[dict]:
-    """Fixed oracle battery; each item reports name, passed, detail."""
-    from . import expmech, fourier, graph, laplace, metrics, regression, sampler
+    """One row per mechanism: its exact worst privacy loss divided by epsilon.
+
+    Each loss is taken at the noise scale or the probabilities that the
+    release itself uses, so a wrong scale fails its row; a row passes at
+    <= 1 + 1e-9. laplace and fourier range over every DAG of up to 3
+    nodes and every dataset of up to 3 records at epsilon 1; map over
+    three seeded 8-point grids, each at three (epsilon, delta) pairs.
+    Each item reports name, passed, detail.
+    """
+    from . import expmech, fourier, laplace
     from .randomness import substream
 
+    dags = [g for k in (1, 2, 3) for g in all_dags(k)]
+    losses = {
+        "laplace": max(
+            exhaustive_sensitivity(g, 3) / laplace.LaplaceNoiseSpec.for_graph(g, 1.0, 3).scale
+            for g in dags
+        ),
+        "fourier": max(
+            exhaustive_coefficient_sensitivity(g, 3)
+            / fourier.noise_scale(fourier.downward_closure(g), 1.0)
+            for g in dags
+        ),
+        "map": 0.0,
+    }
     rng = substream(seed, "verification-suite")
-    results: list[dict] = []
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        results.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    # KL closed form vs quadrature; shapes >= 1 keep the density bounded,
-    # which the truncated integration interval needs
-    worst = 0.0
-    for _ in range(20):
-        p = BetaParams(*(1.0 + 30 * rng.random(2)))
-        q = BetaParams(*(1.0 + 30 * rng.random(2)))
-        worst = max(worst, abs(metrics.kl_beta(p, q) - kl_beta_quadrature(p, q)))
-    record("kl-closed-form-vs-quadrature", worst <= 1e-6, f"max gap {worst:.3e}")
-
-    # update-count sensitivity never exceeds twice the node count
-    worst_ratio = 0.0
-    for g in all_dags(2):
-        sens = exhaustive_sensitivity(g, 2)
-        worst_ratio = max(worst_ratio, sens / (2.0 * g.node_count))
-    record("count-sensitivity-bound", worst_ratio <= 1.0, f"max sens/(2|I|) {worst_ratio:.3f}")
-
-    # analytic density-ratio check for the Laplace release
-    m = 6
-    shifts = rng.laplace(size=(100, m))
-    shifts *= (6.0 * rng.random((100, 1))) / np.abs(shifts).sum(axis=1, keepdims=True)
-    report = laplace_density_ratio_check(6.0, 1.0, rng.normal(scale=8.0, size=(200, m)), shifts)
-    record(
-        "laplace-density-ratio",
-        report.passed,
-        f"max log-ratio {report.max_log_ratio_observed:.6f} vs epsilon 1",
-    )
-
-    # zero-noise coefficient reconstruction equals dense marginalization
-    g = graph.BayesNetGraph(node_count=4, parents=((), (0,), (0,), (1, 2)))
-    data = Dataset.from_records(rng.integers(0, 2, size=(200, 4)))
-    closure = fourier.downward_closure(g)
-    coeffs = fourier.exact_coefficients(data, closure)
-    dense = dense_table(data)
-    dense_coeffs = walsh_coefficients_dense(dense)
-    worst = 0.0
-    for gamma in closure.members:
-        worst = max(worst, abs(coeffs.values[gamma] - dense_coeffs[gamma]))
-    for node in range(4):
-        recon = fourier.reconstruct_marginal(coeffs, node, g)
-        marg = dense_marginal(dense, 4, g.family(node))
-        for idx, cell_value in enumerate(marg):
-            key = tuple((idx >> p) & 1 for p in range(len(g.family(node))))
-            worst = max(worst, abs(recon.value(key) - float(cell_value)))
-    record("fourier-zero-noise-exactness", worst <= 1e-9, f"max gap {worst:.3e}")
-
-    # trimmed draws stay inside the interval and match oracle mean
-    params = BetaParams(3.0, 2.0)
-    omega = math.exp(-1.0)
-    draws = sampler.trimmed_beta_draws(params, omega, substream(seed, "suite-trim"), 20000)
-    in_range = bool((draws >= omega).all() and (draws <= 1.0 - omega).all())
-    oracle_mean = truncated_beta_moment(params, omega, 1, 0)
-    mean_gap = abs(float(draws.mean()) - oracle_mean)
-    record(
-        "trimmed-sampler-support-and-mean",
-        in_range and mean_gap < 0.01,
-        f"support ok={in_range}, mean gap {mean_gap:.4f}",
-    )
-
-    # exponential-mechanism probabilities vs direct normalization
-    gridspec = expmech.GridSpec.uniform([(float(i),) for i in range(10)])
-    utility = [math.sin(i * 0.7) for i in range(10)]
-    delta = expmech.MapSensitivity(kind="lipschitz", delta_value=1.0)  # sqrt(L r), L = 2, r = 0.5
-    probs = expmech.sampling_probabilities(gridspec, utility, 2.0, delta)
-    brute = exp_mechanism_bruteforce_probs(gridspec, utility, 2.0, delta)
-    gap = float(np.abs(probs - brute).max())
-    record("exp-mechanism-normalization", gap <= 1e-12, f"max gap {gap:.3e}")
-
-    # regression conjugacy on a 1-d grid
-    X = rng.normal(size=(30, 1))
-    X /= np.abs(X).max()
-    w_true = np.array([0.5])
-    yv = X @ w_true + 0.1 * rng.normal(size=30)
-    yv /= np.abs(yv).max()
-    data_r = regression.RegressionData(X=X, y=yv, sigma2=0.5)
-    post = regression.fit_posterior(data_r, 2.0, radius=10.0)
-    grid_w = np.linspace(-1.5, 1.5, 301).reshape(-1, 1)
-    gap = regression_grid_check(
-        data_r.X, data_r.y, 0.5, 2.0 * np.eye(1), post.mu_n, post.sigma_n, grid_w
-    )
-    record("regression-conjugacy-grid", gap <= 1e-6, f"max density gap {gap:.3e}")
-
-    # deviation bound formula spot check
-    one_node = graph.BayesNetGraph(node_count=1, parents=((),))
-    bound = laplace.update_deviation_bound(one_node, epsilon=2.0, delta=0.5)
-    record(
-        "deviation-bound-spot-value",
-        abs(bound - math.log(4.0)) <= 1e-12,
-        f"bound {bound:.12f} vs ln 4",
-    )
-
-    return results
+    for mass, utility in zip(0.1 + rng.random((3, 8)), 5.0 * rng.normal(size=(3, 8))):
+        grid = expmech.GridSpec(np.arange(8.0)[:, None], mass / mass.sum())
+        for epsilon, delta in ((0.5, 0.5), (1.0, 2.0), (4.0, 0.25)):
+            sens = expmech.MapSensitivity(kind="lipschitz", delta_value=delta)
+            loss = exp_mechanism_worst_log_ratio(
+                lambda u: expmech.sampling_probabilities(grid, u, epsilon, sens), utility, delta
+            )
+            losses["map"] = max(losses["map"], loss / epsilon)
+    return [
+        {"name": name, "passed": loss <= 1.0 + 1e-9, "detail": f"worst loss / epsilon {loss:.6f}"}
+        for name, loss in losses.items()
+    ]

@@ -107,10 +107,6 @@ CONTRACT = {
     ),
     "sample_truncated": (dict(post=GAUSS, seed=3, size=2), ("seed", "size")),
     "scale_regression_data": (dict(X=REG.X * 4.0, y=REG.y, sigma2=1.0), ("sigma2",)),
-    "worst_case_sensitivity": (
-        dict(radius=1.0, n=10, d=2, sigma2=1.0),
-        ("radius", "n", "d", "sigma2"),
-    ),
     "sampler_predictive_batch": (
         dict(graph=NB2, posterior=POSTERIOR, X=np.array([[1, 0], [0, 1]]), epsilon=3.0,
              samples=4, seed=3),

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from dpbayes import (
+    BudgetExceededError,
     EmptyLevelSetError,
     GridSpec,
     InvalidArgumentError,
@@ -17,7 +18,7 @@ from dpbayes import (
     map_utility_certificate,
     sampling_probabilities,
 )
-from dpbayes.verify import exp_mechanism_bruteforce_probs
+from dpbayes.verify import exp_mechanism_bruteforce_probs, exp_mechanism_worst_log_ratio
 
 HALF = MapSensitivity(kind="stochastic", delta_value=0.5)
 
@@ -220,3 +221,36 @@ def test_certificate_covers_monte_carlo(rng):
     frac = float((u[idx] <= u.max() - 2 * t).mean())
     slack = 3 * math.sqrt(max(frac, 1e-4) * (1 - min(frac, 0.999)) / n)
     assert frac <= bound + slack
+
+
+# ---------------------------------------------------------------------------
+# exact privacy loss by corner enumeration
+# ---------------------------------------------------------------------------
+
+
+def _probs(grid, epsilon, delta):
+    sens = MapSensitivity(kind="lipschitz", delta_value=delta)
+    return lambda u: sampling_probabilities(grid, u, epsilon, sens)
+
+
+def test_worst_log_ratio_two_point_hand_value():
+    # p = (1/2, 1/2) at u = 0; the corner u' = (-1, 1) lowers log p_0 by
+    # eps/2 + log cosh(eps/2)
+    grid = GridSpec.uniform([(0.0,), (1.0,)])
+    got = exp_mechanism_worst_log_ratio(_probs(grid, 1.0, 1.0), [0.0, 0.0], 1.0)
+    assert got == pytest.approx(0.5 + math.log(math.cosh(0.5)), rel=1e-12)
+    assert got == pytest.approx(0.62011, abs=1e-5)
+
+
+def test_worst_log_ratio_catches_a_halved_delta():
+    grid = GridSpec.uniform([(float(i),) for i in range(8)])
+    utility = 5.0 * np.random.default_rng(3).normal(size=8)
+    assert exp_mechanism_worst_log_ratio(_probs(grid, 1.0, 1.0), utility, 1.0) <= 1.0
+    # calibrated at delta/2 while neighbours move each utility by delta
+    assert exp_mechanism_worst_log_ratio(_probs(grid, 1.0, 0.5), utility, 1.0) > 1.0
+
+
+def test_worst_log_ratio_budget():
+    grid = GridSpec.uniform([(float(i),) for i in range(13)])
+    with pytest.raises(BudgetExceededError):
+        exp_mechanism_worst_log_ratio(_probs(grid, 1.0, 1.0), np.zeros(13), 1.0)

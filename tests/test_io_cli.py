@@ -9,12 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpbayes.cli
+import dpbayes.fourier
 import dpbayes.io
 
 from dpbayes import (
     BetaParams,
     ConfigError,
     Dataset,
+    ExperimentConfig,
+    ExperimentResult,
+    LaplaceNoiseSpec,
     compute_updates,
     load_dataset,
     load_grid,
@@ -353,6 +358,18 @@ def test_cli_out_file_and_byte_identical_reruns(tmp_path):
     assert main(NB_ARGS + ["--out", str(out_a)]) == 0
     assert main(NB_ARGS + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_cli_sweeps_run_the_library_default_configs(monkeypatch, capsys):
+    # one default per setting: the CLI adds none of its own to a sweep
+    seen = []
+    monkeypatch.setattr(
+        dpbayes.cli, "run_experiment", lambda config: seen.append(config) or ExperimentResult([])
+    )
+    assert main(["--task", "nb"]) == 0
+    assert main(["--task", "linreg"]) == 0
+    assert seen == [ExperimentConfig(task="nb"), ExperimentConfig(task="linreg")]
+    assert (seen[1].d, seen[1].n) == (5, 2000)
 
 
 def test_cli_linreg_task(tmp_path):
@@ -801,5 +818,19 @@ def test_cli_verify_json_report(capsys):
     assert main(["--task", "verify", "--seed", "20240817"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
-    assert len(report["checks"]) >= 8
-    assert all({"name", "passed"} <= set(c) for c in report["checks"])
+    assert [c["name"] for c in report["checks"]] == ["laplace", "fourier", "map"]
+    assert all(set(c) == {"name", "passed", "detail"} and c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("name, reads", [("laplace", "2.000000"), ("fourier", "1.500000")])
+def test_cli_verify_exits_2_on_a_halved_noise_scale(name, reads, monkeypatch, capsys):
+    # the table reads the scale each release uses, so a wrong one fails its row
+    if name == "laplace":
+        monkeypatch.setattr(LaplaceNoiseSpec, "scale", property(lambda s: s.node_count / s.epsilon))
+    else:
+        scale = dpbayes.fourier.noise_scale
+        monkeypatch.setattr(dpbayes.fourier, "noise_scale", lambda c, eps: scale(c, eps) / 2.0)
+    assert main(["--task", "verify"]) == 2
+    failing = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == [name]
+    assert f"worst loss / epsilon {reads}" in failing[0]["detail"]

@@ -10,6 +10,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpbayes.verify
+
 from dpbayes import (
     BayesNetGraph,
     BetaParams,
@@ -30,6 +32,7 @@ from dpbayes.verify import (
     all_dags,
     dense_marginal,
     dense_table,
+    exhaustive_coefficient_sensitivity,
     exhaustive_sensitivity,
     kl_beta_quadrature,
     laplace_density_ratio_check,
@@ -288,11 +291,32 @@ def test_exhaustive_sensitivity_budget():
         exhaustive_sensitivity(SINGLE, n_max=5)
 
 
+def test_coefficient_sensitivity_single_node():
+    # records 0 and 1 have coefficients (1, 1)/sqrt 2 and (1, -1)/sqrt 2
+    assert exhaustive_coefficient_sensitivity(SINGLE, n_max=3) == pytest.approx(math.sqrt(2.0))
+
+
+def test_coefficient_sensitivity_budget():
+    with pytest.raises(BudgetExceededError):
+        exhaustive_coefficient_sensitivity(BayesNetGraph(5, ((),) * 5), n_max=1)
+
+
 def test_all_dags_counts():
-    # 3 labeled nodes admit 25 DAGs
+    # labeled DAGs, OEIS A003024
     assert len(all_dags(1)) == 1
     assert len(all_dags(2)) == 3
     assert len(all_dags(3)) == 25
+    assert len(all_dags(4)) == 543
+
+
+def test_all_dags_skips_only_cycles(monkeypatch):
+    # any other failure of the check must not silently shrink the DAG set
+    def broken(graph):
+        raise TypeError("broken check")
+
+    monkeypatch.setattr(dpbayes.verify, "validate_graph", broken)
+    with pytest.raises(TypeError, match="broken check"):
+        all_dags(2)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +407,9 @@ def test_nb_predictive_quadrature_uniform_is_half():
 
 def test_verification_suite_all_green():
     results = run_verification_suite()
-    assert results, "suite must run at least one check"
+    assert [r["name"] for r in results] == ["laplace", "fourier", "map"]
     failing = [r["name"] for r in results if not r["passed"]]
     assert not failing, f"failing checks: {failing}"
+    # laplace's 2|I| is tight; fourier's 2|J| 2^{-k/2} is 4/3 of what its coefficients need
+    assert "worst loss / epsilon 1.000000" in results[0]["detail"]
+    assert "worst loss / epsilon 0.750000" in results[1]["detail"]

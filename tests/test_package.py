@@ -10,12 +10,6 @@ from dpbayes.errors import DpBayesError
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# public names that nothing outside their unit tests reads yet
-UNREFERENCED = {
-    # the linreg sampler's privacy cost, kept for the release to report (ROADMAP item 3)
-    "worst_case_sensitivity",
-}
-
 
 def test_star_import_binds_public_names_and_no_module():
     namespace: dict = {}
@@ -45,7 +39,7 @@ def test_every_public_name_has_a_reader_beyond_its_unit_tests():
         definition = re.compile(rf"^\s*(def|class) {name}\b")
         if not any(word.search(line) and not definition.match(line) for line in lines):
             unread.add(name)
-    assert unread == UNREFERENCED
+    assert unread == set()
 
 
 def test_modules_have_no_unused_top_level_imports():

@@ -17,7 +17,6 @@ from dpbayes import (
     predictive_mse,
     sample_truncated,
     scale_regression_data,
-    worst_case_sensitivity,
 )
 from dpbayes.verify import (
     regression_grid_check,
@@ -183,9 +182,18 @@ def test_rejection_budget_exhaustion():
 # ---------------------------------------------------------------------------
 
 
-def test_worst_case_sensitivity_uses_radius():
-    got = worst_case_sensitivity(radius=2.0, n=10, d=4, sigma2=1.0)
-    assert got == pytest.approx(5.0 * (1 + 2 * 2 * math.sqrt(4) + 4 * 2))
+@pytest.mark.parametrize("d", [1, 2])
+def test_record_term_oscillation_is_the_closed_form(d):
+    # L, the largest change of the log-likelihood under record replacement,
+    # is the oscillation of (y - w'x)^2 / (2 sigma2) over ||x|| <= 1,
+    # |y| <= 1 and ||w|| <= r; a grid holding x = -w/r reaches the closed form
+    r, sigma2 = 3.0, 0.5
+    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    unit = np.array([[-1.0], [1.0]]) if d == 1 else np.stack([np.cos(angles), np.sin(angles)], 1)
+    xs = (np.linspace(0.0, 1.0, 11)[:, None, None] * unit).reshape(-1, d)
+    ys = np.linspace(-1.0, 1.0, 21)
+    terms = (ys - ((r * xs) @ xs.T)[..., None]) ** 2 / (2.0 * sigma2)
+    assert terms.max() - terms.min() == pytest.approx((1.0 + r) ** 2 / (2.0 * sigma2), rel=1e-12)
 
 
 def test_default_radius_rule():
