@@ -8,6 +8,7 @@ import scipy.stats
 
 from dpbayes import (
     BudgetExceededError,
+    DpBayesError,
     EmptyLevelSetError,
     GridSpec,
     InvalidArgumentError,
@@ -254,3 +255,10 @@ def test_worst_log_ratio_budget():
     grid = GridSpec.uniform([(float(i),) for i in range(13)])
     with pytest.raises(BudgetExceededError):
         exp_mechanism_worst_log_ratio(_probs(grid, 1.0, 1.0), np.zeros(13), 1.0)
+
+
+def test_worst_log_ratio_refuses_a_zero_probability():
+    # a point whose probability underflows to 0 makes its log-ratio unbounded
+    grid = GridSpec.uniform([(0.0,), (1.0,)])
+    with pytest.raises(DpBayesError, match="unbounded"):
+        exp_mechanism_worst_log_ratio(_probs(grid, 1.0, 1.0), [0.0, 2000.0], 1.0)

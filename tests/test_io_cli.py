@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpbayes.cli
+import dpbayes.expmech
 import dpbayes.fourier
 import dpbayes.io
 
@@ -20,6 +21,7 @@ from dpbayes import (
     ExperimentConfig,
     ExperimentResult,
     LaplaceNoiseSpec,
+    MapSensitivity,
     compute_updates,
     load_dataset,
     load_grid,
@@ -834,3 +836,16 @@ def test_cli_verify_exits_2_on_a_halved_noise_scale(name, reads, monkeypatch, ca
     failing = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
     assert [c["name"] for c in failing] == [name]
     assert f"worst loss / epsilon {reads}" in failing[0]["detail"]
+
+
+def test_cli_verify_exits_2_on_a_halved_map_delta(monkeypatch, capsys):
+    # probabilities calibrated at delta/2 while neighbours move each utility by delta
+    probs = dpbayes.expmech.sampling_probabilities
+
+    def halved(grid, utility, epsilon, delta):
+        return probs(grid, utility, epsilon, MapSensitivity(delta.kind, delta.delta_value / 2.0))
+
+    monkeypatch.setattr(dpbayes.expmech, "sampling_probabilities", halved)
+    assert main(["--task", "verify"]) == 2
+    failing = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["map"]

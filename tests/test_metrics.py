@@ -1,6 +1,7 @@
 """Utility metrics and the independent verification oracles."""
 
 import functools
+import itertools
 import math
 
 import mpmath
@@ -23,6 +24,7 @@ from dpbayes import (
     PrivacyCheckReport,
     accuracy,
     build_table,
+    downward_closure,
     kl_beta,
     kl_joint,
     project_marginal,
@@ -299,6 +301,37 @@ def test_coefficient_sensitivity_single_node():
 def test_coefficient_sensitivity_budget():
     with pytest.raises(BudgetExceededError):
         exhaustive_coefficient_sensitivity(BayesNetGraph(5, ((),) * 5), n_max=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exhaustive_sensitivity_is_twice_node_count_on_every_dag(k):
+    # records differing in every bit move one tally down and one up at each node
+    assert {exhaustive_sensitivity(graph, n_max=2) for graph in all_dags(k)} == {2.0 * k}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_coefficient_sensitivity_counts_odd_parities(k):
+    # replacing record x by x ^ d moves coefficient gamma by 2^{1-k/2} when
+    # gamma & d has odd popcount and leaves it alone otherwise
+    for graph in all_dags(k):
+        closure = downward_closure(graph).members
+        odd = max(sum(bin(g & d).count("1") % 2 for g in closure) for d in range(1 << k))
+        got = exhaustive_coefficient_sensitivity(graph, n_max=2)
+        assert got == pytest.approx(odd * 2.0 ** (1.0 - k / 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_neighbour_enumeration_matches_pairwise_search(n_max):
+    # the index-shift walk against a plain search over every replacement
+    terms = np.random.default_rng(n_max).normal(size=(3, 2))
+    worst = 0.0
+    for n in range(1, n_max + 1):
+        for data in itertools.product(range(3), repeat=n):
+            for pos, other in itertools.product(range(n), range(3)):
+                neighbour = data[:pos] + (other,) + data[pos + 1 :]
+                diff = terms[list(data)].sum(axis=0) - terms[list(neighbour)].sum(axis=0)
+                worst = max(worst, float(np.abs(diff).sum()))
+    assert dpbayes.verify._worst_neighbour_l1(terms, n_max) == pytest.approx(worst, rel=1e-12)
 
 
 def test_all_dags_counts():
