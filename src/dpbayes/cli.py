@@ -108,7 +108,7 @@ def _load_config_file(path: str) -> dict:
     if path.endswith(".json"):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad JSON config {path}: {exc}") from exc
     try:
         import tomllib
@@ -116,7 +116,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError("TOML config needs Python 3.11+; use JSON instead") from exc
     try:
         return tomllib.loads(text.decode())
-    except tomllib.TOMLDecodeError as exc:
+    except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
         raise ConfigError(f"bad TOML config {path}: {exc}") from exc
 
 

@@ -40,7 +40,7 @@ from .graph import BayesNetGraph, BetaParams, BetaTable, Dataset, validate_graph
 def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
     try:
         spec = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read network file {path}: {exc}") from exc
     try:
         graph = BayesNetGraph(

@@ -52,7 +52,8 @@ def accuracy(
 ) -> float:
     """Fraction of labels matched by thresholding class-1 probabilities.
 
-    A prediction exactly at the threshold counts as class 1.
+    A prediction exactly at the threshold counts as class 1. A NaN or
+    infinite prediction raises InvalidArgumentError: it has no class.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidArgumentError(f"threshold must lie in [0, 1], got {threshold}")
@@ -64,6 +65,8 @@ def accuracy(
         )
     if preds.shape[0] == 0:
         raise LengthMismatchError("cannot score an empty prediction set")
+    if not np.isfinite(preds).all():
+        raise InvalidArgumentError("predictions must be finite probabilities")
     hard = (preds >= threshold).astype(int)
     return float(np.mean(hard == labs))
 

@@ -123,6 +123,11 @@ CONTRACT = {
     ),
 }
 
+# name -> (keyword arguments of one valid call, the array arguments whose entries must be finite)
+FINITE_ARRAYS = {
+    "accuracy": (dict(predictions=[0.9, 0.2, 0.6], labels=[1, 0, 0]), ("predictions",)),
+}
+
 # Exception classes: they take a message, not a numeric argument.
 ERROR_CLASSES = {
     "BudgetExceededError", "ConditionViolatedError", "ConfigError", "CyclicGraphError",
@@ -203,6 +208,18 @@ def test_bad_numeric_argument_fails_as_library_error(name, slot, bad):
     except dp.DpBayesError:
         return
     assert not _has_nan(result), f"{name}({slot}={bad}) returned NaN"
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize(
+    "name, slot", [(name, slot) for name, (_, slots) in FINITE_ARRAYS.items() for slot in slots]
+)
+def test_non_finite_array_entry_is_an_invalid_argument(name, slot, bad):
+    kwargs = FINITE_ARRAYS[name][0]
+    spoiled = np.array(kwargs[slot], dtype=float)
+    spoiled[0] = bad
+    with pytest.raises(dp.InvalidArgumentError):
+        _call(name, {**kwargs, slot: spoiled})
 
 
 def test_bad_arguments_are_one_family():

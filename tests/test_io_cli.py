@@ -138,6 +138,17 @@ def test_cli_bad_network_is_config_error(tmp_path, capsys, spec):
     assert err.startswith("dpbayes: config error:") and str(net) in err
 
 
+def test_cli_network_not_utf8_is_config_error(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_bytes(json.dumps(NETWORK).encode() + b"\xff")
+    data = write_binary_csv(tmp_path, [(0, 1, 1), (1, 0, 0)])
+    args = ["--task", "mechanism", "--network", str(net), "--dataset", str(data),
+            "mechanism=laplace", "epsilon=1", "seed=1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpbayes: config error:") and str(net) in err
+
+
 def test_load_network_cycle_rejected(tmp_path):
     bad = {"nodes": 2, "parents": [[1], [0]]}
     with pytest.raises(Exception):
@@ -450,6 +461,14 @@ def test_cli_bad_json_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken")
     assert main(["--config", str(cfg), "--task", "nb"]) == 1
+
+
+@pytest.mark.parametrize("name, text", [("cfg.json", b'{"task": "nb"}'), ("cfg.toml", b'task = "nb"')])
+def test_cli_config_file_not_utf8_is_config_error(tmp_path, capsys, name, text):
+    cfg = tmp_path / name
+    cfg.write_bytes(text + b"\n# \xff\n")
+    assert main(["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("dpbayes: config error:")
 
 
 def test_cli_toml_config(tmp_path, capsys):

@@ -29,6 +29,7 @@ from dpbayes import (
 from dpbayes.graph import BetaTable
 from dpbayes.randomness import substream
 from dpbayes.sampler import (
+    _BLOCK_BYTES,
     PROPOSAL_MASS,
     naive_bayes_class1,
     trimmed_posterior_draws,
@@ -614,19 +615,26 @@ def test_naive_bayes_class1_recomputes_overflowing_row():
     np.testing.assert_allclose(got, class1_by_logsumexp(theta, X), rtol=0, atol=1e-12)
 
 
-def test_naive_bayes_class1_groups_match_separate_calls():
+def test_naive_bayes_class1_groups_match_separate_calls(monkeypatch):
     # the posterior-mean shape of one nb-release repeat: 13 one-column
-    # groups over 950 rows of 16 int8 bits; one grouped call gives, bit
-    # for bit, what 13 one-group calls give, so the sweep's CSV keeps
-    # its bytes
+    # groups over 950 rows of 16 int8 bits fit in one block, so they are
+    # one product; one grouped call gives, bit for bit, what 13 one-group
+    # calls give, so the sweep's CSV keeps its bytes
     gen = np.random.default_rng(17)
     d, groups = 16, 13
     ab = gen.integers(1, 60, (2 * d + 1, groups, 2)).astype(float)
     theta = ab[..., :1] / ab.sum(axis=2, keepdims=True)
     X = gen.integers(0, 2, (950, d + 1)).astype(np.int8)[:, 1:]
+    products = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(1) or matmul(*a, **k))
     got = naive_bayes_class1(theta, X)
+    assert len(products) == 1
     assert got.shape == (groups, 950)
     for g in range(groups):
+        np.testing.assert_allclose(
+            got[g], class1_by_logsumexp(theta[:, g], X), rtol=0, atol=1e-12
+        )
         np.testing.assert_array_equal(got[g], naive_bayes_class1(theta[:, g : g + 1], X)[0])
 
 
@@ -678,6 +686,85 @@ def test_naive_bayes_class1_rescues_only_the_out_of_window_group(samples):
             np.testing.assert_array_equal(got[g], naive_bayes_class1(theta[:, g : g + 1], X)[0])
 
 
+def block_columns(rows):
+    """Likelihood columns of `rows` float64 values that fit in one kernel block."""
+    return _BLOCK_BYTES // (8 * rows)
+
+
+def nb_theta(gen, d, groups, S):
+    """(2d + 1, groups, S) Beta draws around each entry's own random mean."""
+    ab = gen.integers(1, 60, (2 * d + 1, groups, 2))
+    return gen.beta(ab[..., :1], ab[..., 1:], (2 * d + 1, groups, S))
+
+
+def test_naive_bayes_class1_sums_draws_across_blocks():
+    # S spans two and a half blocks, so the last block is partial and
+    # every block after a segment's first carries its partial sum
+    gen = np.random.default_rng(43)
+    d, rows = 16, 300
+    S = 2 * block_columns(rows) + block_columns(rows) // 2
+    theta = nb_theta(gen, d, 1, S)
+    X = gen.integers(0, 2, (rows, d))
+    np.testing.assert_allclose(
+        naive_bayes_class1(theta, X)[0], class1_by_logsumexp(theta[:, 0], X), rtol=0, atol=1e-12
+    )
+
+
+def test_naive_bayes_class1_groups_wider_than_a_block():
+    # each of three groups spans more than one block: every group matches
+    # its logsumexp oracle and, bit for bit, a call with that group alone
+    gen = np.random.default_rng(47)
+    d, rows, groups = 16, 300, 3
+    theta = nb_theta(gen, d, groups, block_columns(rows) + 11)
+    X = gen.integers(0, 2, (rows, d))
+    got = naive_bayes_class1(theta, X)
+    for g in range(groups):
+        np.testing.assert_allclose(
+            got[g], class1_by_logsumexp(theta[:, g], X), rtol=0, atol=1e-12
+        )
+        np.testing.assert_array_equal(got[g], naive_bayes_class1(theta[:, g : g + 1], X)[0])
+
+
+def test_naive_bayes_class1_recomputes_rows_in_chunks():
+    # 2S = 40000 likelihoods per row of X: the recomputation takes at most
+    # `chunk` rows at a time, and 3 chunk + 1 out-of-window rows, between
+    # in-window bit rows, span four chunks. x = +-30 on every feature
+    # makes one class's likelihood overflow.
+    gen = np.random.default_rng(59)
+    d, S = 16, 20000
+    chunk = _BLOCK_BYTES // (8 * 2 * S)
+    theta = wide_theta(gen, d, S, separated=True)
+    far = np.where(np.arange(3 * chunk + 1) % 2, 30.0, -30.0)[:, None] * np.ones(d)
+    X = np.empty((2 * len(far), d))
+    X[::2] = far
+    X[1::2] = gen.integers(0, 2, (len(far), d))
+    log_sums = log_total(theta, X)
+    assert (log_sums[::2] > LOG_WINDOW).all()
+    assert (np.abs(log_sums[1::2]) < LOG_WINDOW).all()
+    got = naive_bayes_class1(theta[:, None], X)[0]
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, class1_by_logsumexp(theta, X), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, -0.25, 1.5])
+@pytest.mark.parametrize("entry", [0, 5])
+def test_naive_bayes_class1_refuses_theta_outside_the_open_unit_interval(bad, entry):
+    # a log of 0 would turn the product into NaN; entry 0 is the class
+    gen = np.random.default_rng(61)
+    theta = nb_theta(gen, 3, 2, 4)
+    theta[entry, 1, 2] = bad
+    with pytest.raises(InvalidArgumentError, match=r"strictly inside \(0, 1\)"):
+        naive_bayes_class1(theta, np.zeros((2, 3)))
+
+
+def test_posterior_mean_of_one_refuses_to_score():
+    # Beta(1e17, 1) has mean 1e17 / (1e17 + 1), which rounds to 1.0
+    posterior = nb2_posterior()
+    posterior[(1, 0)] = BetaParams(1e17, 1.0)
+    with pytest.raises(InvalidArgumentError):
+        nb_predictive_batch([posterior], np.array([[1, 0], [0, 1], [1, 1]]))
+
+
 def test_predictive_finite_when_both_classes_underflow():
     # 1000 features: on the alternating row both classes' joint
     # log-likelihoods sit far below the double range (about -745)
@@ -713,11 +800,9 @@ def test_predictive_batch_rejects_no_samples(samples):
     assert isinstance(caught.value, ValueError)
 
 
-def test_predictive_batch_peak_allocation():
-    # the nb-sampler benchmark shape: 950 test rows, 16 features, S = 1000;
-    # the kernel's one 2S x rows float64 buffer is 15.2 MB, and its
-    # (d+1) x 2S weights and (d+1) x rows inputs add 0.4 MB; the four
-    # rows x S matrices of a per-class layout came to 31 MB
+def benchmark_shape_peak():
+    """Traced peak bytes of one sampler_predictive_batch call at the
+    nb-sampler benchmark shape: 950 test rows, 16 features, S = 1000."""
     d, rows, S = 16, 950, 1000
     graph = BayesNetGraph(node_count=d + 1, parents=((),) + ((0,),) * d)
     gen = np.random.default_rng(3)
@@ -729,10 +814,22 @@ def test_predictive_batch_peak_allocation():
     tracemalloc.start()
     try:
         sampler_predictive_batch(graph, posterior, X, epsilon=10.0, samples=S, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+
+
+def test_predictive_batch_peak_allocation():
+    # the kernel's likelihood buffer is one block of _BLOCK_BYTES, reused
+    # for every block, and its (d+1) x 2S weights and (d+1) x rows inputs
+    # add 0.4 MB; the four rows x S matrices of a per-class layout came
+    # to 31 MB
+    assert benchmark_shape_peak() < 24 * 2**20
+
+
+def test_predictive_batch_peak_allocation_stays_within_blocks():
+    # one unblocked 2S x rows float64 buffer alone was 15.2 MB
+    assert benchmark_shape_peak() < 4 * 2**20
 
 
 def test_predictive_batch_requires_naive_bayes_shape():
