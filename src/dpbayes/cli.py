@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import expmech, fourier, laplace, sampler
-from .errors import ConfigError, DpBayesError, check_integer
+from .errors import ConfigError, DpBayesError, InvalidArgumentError, check_integer
 from .graph import compute_updates, posterior_params
 from .harness import ExperimentConfig, rows_to_csv, run_experiment
 from .io import load_dataset, load_grid, load_network, load_utility
@@ -100,6 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="key=value",
         help="mechanism-task settings, e.g. mechanism=laplace epsilon=1 seed=7",
     )
+    # parse_intermixed_args renders the whole usage on every call while it is unset
+    p.usage = p.format_usage().removeprefix("usage: ").rstrip("\n").replace("%", "%%")
     return p
 
 
@@ -152,18 +154,30 @@ def _merge_settings(ns: argparse.Namespace) -> dict:
     return settings
 
 
+def _file_float(value) -> float:
+    """float() of a config file's number; it would read true as 1.0."""
+    if isinstance(value, bool):
+        raise InvalidArgumentError("a boolean is not a number")
+    return float(value)
+
+
 def _coerce(settings: dict, key: str, kind, default=None):
     if key not in settings or settings[key] is None:
         return default
     value = settings[key]
     try:
-        if kind is tuple:
-            return _parse_grid(value) if isinstance(value, str) else tuple(float(v) for v in value)
-        if kind is int and not isinstance(value, str):  # int() truncates a file's 1.9
+        if isinstance(value, str):  # a key=value token, a flag or a file's string
+            return _parse_grid(value) if kind is tuple else kind(value)
+        if kind is int:  # int() would truncate a file's 1.9
             return check_integer(key, value)
-        return kind(value)
+        if kind is tuple:
+            return tuple(_file_float(v) for v in value)
+        if kind is float:
+            return _file_float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+    # str() would turn a file's true into the path "True"
+    raise ConfigError(f"bad value for {key}: {value!r} (not a string)")
 
 
 def _experiment_config(settings: dict, task: str) -> ExperimentConfig:
@@ -176,8 +190,10 @@ def _experiment_config(settings: dict, task: str) -> ExperimentConfig:
     mechanisms = settings.get("mechanisms")
     if isinstance(mechanisms, str):
         fields["mechanisms"] = tuple(m.strip() for m in mechanisms.split(",") if m.strip())
-    elif mechanisms is not None:
+    elif isinstance(mechanisms, list) and all(isinstance(m, str) for m in mechanisms):
         fields["mechanisms"] = tuple(mechanisms)
+    elif mechanisms is not None:
+        raise ConfigError(f"bad value for mechanisms: {mechanisms!r} (not a list of names)")
     return ExperimentConfig(task=task, **fields)
 
 
@@ -210,7 +226,7 @@ def _run_mechanism(settings: dict, out: str) -> int:
     if name == "map":
         grid = load_grid(_require(settings, "grid"))
         if settings.get("utility") is not None:
-            utility = load_utility(str(settings["utility"]), grid.size)
+            utility = load_utility(_coerce(settings, "utility", str), grid.size)
         else:
             # Without a utility file the draw reduces to prior sampling.
             utility = [0.0] * grid.size

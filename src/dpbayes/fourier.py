@@ -14,15 +14,18 @@ by construction: they are all read off the same released vector.
 A deterministic increment on the empty-set coefficient buys, with
 probability at least 1 - exp(-t), a fully non-negative implied table,
 so the released posteriors look like ordinary clean outputs. That is
-the stealth property. When it fails, release_posterior floors the
+the stealth property. When it fails, release_posterior_stack floors the
 negative cells of that same release at zero: post-processing, so the
-release still costs exactly epsilon.
+release still costs exactly epsilon. The stack makes a whole epsilon
+grid of releases of one dataset at once, each from its own keyed
+substream; release_posterior is its one-row case.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -213,22 +216,42 @@ def stealth_increment(closure: DownwardClosure, epsilon: float, t: float) -> flo
     return 4.0 * t * closure.size**2 / (epsilon * 2.0 ** (closure.k / 2.0))
 
 
+def release_coefficient_stack(
+    data: Dataset,
+    closure: DownwardClosure,
+    epsilons: Sequence[float],
+    t: float,
+    seeds: Sequence[int],
+) -> np.ndarray:
+    """One noisy coefficient release per (epsilon, seed) pair, stacked as an (E, |J|) array.
+
+    Row e adds independent Laplace(2|J|/(eps_e 2^{k/2})) noise to every
+    exact coefficient, which are computed once for the whole stack: the
+    release's own keyed substream supplies closure.size uniforms, the
+    r-th for closure.members[r], each mapped by inverse CDF. Then the
+    all-zeros coefficient is raised by 4t|J|^2/(eps_e 2^{k/2}).
+    Reproducible under the seeds; which uniform feeds which coefficient
+    depends on closure.members alone.
+    """
+    if not seeds or len(epsilons) != len(seeds):
+        raise DimensionMismatchError(
+            f"need one seed per epsilon, got {len(epsilons)} epsilons and {len(seeds)} seeds"
+        )
+    boosts = [stealth_increment(closure, epsilon, t) for epsilon in epsilons]
+    u = np.stack([substream(seed, _NOISE_TAG).random(closure.size) for seed in seeds])
+    scales = np.array([noise_scale(closure, epsilon) for epsilon in epsilons])[:, None]
+    values = _exact_vector(data, closure) + laplace_from_uniform(u, scales)
+    values[:, 0] += boosts
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError("coefficient values must be finite")
+    return values
+
+
 def release_coefficients(
     data: Dataset, closure: DownwardClosure, epsilon: float, t: float, seed: int
 ) -> CoefficientSet:
-    """Noisy coefficient release with the stealth increment applied.
-
-    Each coefficient gets independent Laplace(2|J|/(eps 2^{k/2})) noise:
-    one keyed substream per release supplies closure.size uniforms, the
-    r-th for closure.members[r], each mapped by inverse CDF. Then the
-    all-zeros coefficient is raised by 4t|J|^2/(eps 2^{k/2}).
-    Reproducible under the seed; which uniform feeds which coefficient
-    depends on closure.members alone.
-    """
-    boost = stealth_increment(closure, epsilon, t)
-    u = substream(seed, _NOISE_TAG).random(closure.size)
-    values = _exact_vector(data, closure) + laplace_from_uniform(u, noise_scale(closure, epsilon))
-    values[0] += boost
+    """Noisy coefficient release with the stealth increment applied: one row of the stack."""
+    values = release_coefficient_stack(data, closure, (epsilon,), t, (seed,))[0]
     return CoefficientSet(closure, EntryTable(closure.members, values))
 
 
@@ -271,17 +294,23 @@ def _plan_positions(graph: BayesNetGraph, closure: DownwardClosure) -> tuple[np.
     return tuple(np.array([positions[i] for i in batch[:, 0]]) for batch in family_plan(graph)[0])
 
 
-def _family_cells(coeffs: CoefficientSet, positions: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Cells of the families behind each (rows, 2^f) position table, row by row.
+def _family_cells(z: np.ndarray, k: int, positions: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Cells of the families behind each (rows, 2^f) position table, for each row of z.
 
-    cell(c) = 2^{k/2 - f} * sum_{gamma <= F} (-1)^{popcount(c & gamma)} z_gamma,
-    i.e. the Walsh butterfly of the family's coefficients, rescaled.
+    z is an (E, |J|) coefficient stack; the result holds one row of cells
+    per row of z, family by family. With f the family's size,
+
+        cell(c) = 2^{k/2 - f} * sum_{gamma <= F} (-1)^{popcount(c & gamma)} z_gamma,
+
+    i.e. the Walsh butterfly of the family's coefficients, rescaled: one
+    pass per position table over every row of z at once.
     """
-    z = coeffs.values.array
-    return np.concatenate(
-        [(_walsh(z[at]) * 2.0 ** (coeffs.k / 2.0 - (at.shape[1].bit_length() - 1))).ravel()
-         for at in positions]
-    )
+    blocks = []
+    for at in positions:
+        width = at.shape[1]
+        cells = _walsh(z[:, at].reshape(-1, width)) * 2.0 ** (k / 2.0 - (width.bit_length() - 1))
+        blocks.append(cells.reshape(len(z), -1))
+    return np.concatenate(blocks, axis=1)
 
 
 def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph) -> ContingencyTable:
@@ -298,12 +327,41 @@ def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph
     marginalisation of the table; with noise, possibly-negative cells.
     """
     positions = _family_positions(coeffs.closure, graph, node)
-    cells = _family_cells(coeffs, (positions[None],)).tolist()
+    cells = _family_cells(coeffs.values.array[None], coeffs.k, (positions[None],))[0].tolist()
     fam = (node, *graph.parents[node])
     return ContingencyTable(
         len(fam),
         {tuple((c >> fam.index(v)) & 1 for v in sorted(fam)): x for c, x in enumerate(cells)},
     )
+
+
+def _entry_cells(z: np.ndarray, closure: DownwardClosure, graph: BayesNetGraph) -> np.ndarray:
+    """(alpha, beta) cells of every entry for each row of an (E, |J|) stack: (E, m, 2).
+
+    Entry (i, j) reads (cell(x_i=1, parents=j), cell(x_i=0, parents=j)).
+    In the graph module's family layout the families' cells list these
+    as (beta, alpha) pairs in the entry order.
+    """
+    cells = _family_cells(z, closure.k, _plan_positions(graph, closure))[:, family_plan(graph)[1]]
+    return cells.reshape(len(z), -1, 2)[:, :, ::-1]
+
+
+def _posterior_rows(prior: np.ndarray, cells: np.ndarray, graph: BayesNetGraph) -> np.ndarray:
+    """prior + cells for each (m, 2) table of a stack; a non-positive parameter raises.
+
+    The NonPositivePosteriorParamError lists the offending entries of the
+    first release that has any.
+    """
+    post = prior + cells
+    bad = (post <= 0.0).any(axis=2)
+    if bad.any():
+        keys = graph.entry_keys()
+        entries = [keys[r] for r in np.flatnonzero(bad[bad.any(axis=1)][0])]
+        raise NonPositivePosteriorParamError(
+            f"stealth failure: non-positive posterior parameter at entries {entries}",
+            entries=entries,
+        )
+    return post
 
 
 def fourier_posterior_params(
@@ -315,31 +373,47 @@ def fourier_posterior_params(
     """Posterior Beta parameters from the reconstructed marginals.
 
     Entry (i, j) becomes (alpha + cell(x_i=1, parents=j), beta +
-    cell(x_i=0, parents=j)). Read in the graph module's family layout,
-    the families' cells list these (beta, alpha) pairs in the entry
-    order, the order of the prior and posterior tables. Noisy cells can
-    push a parameter to or below zero; by default that raises
-    NonPositivePosteriorParamError listing the offending entries, with
-    clamp_nonpositive=True negative cells are floored at zero instead.
+    cell(x_i=0, parents=j)), in the entry order of the prior and
+    posterior tables. Noisy cells can push a parameter to or below zero;
+    by default that raises NonPositivePosteriorParamError listing the
+    offending entries, with clamp_nonpositive=True negative cells are
+    floored at zero instead.
     """
-    positions = _plan_positions(graph, coeffs.closure)
-    cells = _family_cells(coeffs, positions)[family_plan(graph)[1]]
-    beta_cells, alpha_cells = cells[0::2], cells[1::2]
+    cells = _entry_cells(coeffs.values.array[None], coeffs.closure, graph)
     if clamp_nonpositive:
-        alpha_cells = np.maximum(alpha_cells, 0.0)
-        beta_cells = np.maximum(beta_cells, 0.0)
+        cells = np.maximum(cells, 0.0)
     keys = graph.entry_keys()
-    prior = prior_rows(priors, keys)
-    a = prior[:, 0] + alpha_cells
-    b = prior[:, 1] + beta_cells
-    bad = (a <= 0.0) | (b <= 0.0)
-    if bad.any():
-        entries = [keys[r] for r in np.flatnonzero(bad)]
-        raise NonPositivePosteriorParamError(
-            f"stealth failure: non-positive posterior parameter at entries {entries}",
-            entries=entries,
-        )
-    return BetaTable(keys, np.column_stack((a, b)))
+    return BetaTable(keys, _posterior_rows(prior_rows(priors, keys), cells, graph)[0])
+
+
+def release_posterior_stack(
+    data: Dataset,
+    graph: BayesNetGraph,
+    priors: PriorMap,
+    epsilons: Sequence[float],
+    t: float,
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One release over downward_closure(graph) per (epsilon, seed) pair, and its posterior.
+
+    Release e draws its noise from derive_seed(seeds[e], "attempt", 0).
+    A release whose posterior has a non-positive parameter (a stealth
+    failure) is read again with its negative cells floored at zero;
+    every other release keeps its cells as they are, and any other error
+    propagates. Flooring is post-processing of the one release, so the
+    privacy cost of release e stays epsilons[e]. Returns the (E, |J|)
+    coefficients, the (E, m, 2) posterior rows in the entry order and the
+    (E,) mask of floored releases: row e equals fourier_posterior_params
+    of release e, with clamp_nonpositive set exactly when floored[e] is.
+    """
+    closure = downward_closure(graph)
+    seeds = [derive_seed(seed, "attempt", 0) for seed in seeds]
+    z = release_coefficient_stack(data, closure, epsilons, t, seeds)
+    prior = prior_rows(priors, graph.entry_keys())
+    cells = _entry_cells(z, closure, graph)
+    floored = (prior + cells <= 0.0).any(axis=(1, 2))
+    cells = np.where(floored[:, None, None], np.maximum(cells, 0.0), cells)
+    return z, _posterior_rows(prior, cells, graph), floored
 
 
 def release_posterior(
@@ -350,22 +424,14 @@ def release_posterior(
     t: float,
     seed: int,
 ) -> tuple[CoefficientSet, BetaTable, bool]:
-    """One coefficient release over downward_closure(graph) and the posterior it implies.
+    """One coefficient release and the posterior it implies: one row of release_posterior_stack.
 
-    The noise is keyed derive_seed(seed, "attempt", 0). On a stealth
-    failure (NonPositivePosteriorParamError) the same release is read
-    again with its negative cells floored at zero; any other error
-    propagates. Flooring is post-processing of the one release, so the
-    privacy cost stays epsilon. Returns (coefficients, posterior,
-    floored).
+    Returns (coefficients, posterior, floored).
     """
-    seed = derive_seed(seed, "attempt", 0)
-    coeffs = release_coefficients(data, downward_closure(graph), epsilon, t, seed)
-    try:
-        return coeffs, fourier_posterior_params(coeffs, graph, priors), False
-    except NonPositivePosteriorParamError:
-        post = fourier_posterior_params(coeffs, graph, priors, clamp_nonpositive=True)
-        return coeffs, post, True
+    z, post, floored = release_posterior_stack(data, graph, priors, (epsilon,), t, (seed,))
+    closure = downward_closure(graph)
+    coeffs = CoefficientSet(closure, EntryTable(closure.members, z[0]))
+    return coeffs, BetaTable(graph.entry_keys(), post[0]), bool(floored[0])
 
 
 def marginal_error_bound(

@@ -103,15 +103,20 @@ class BetaTable(EntryTable):
 
     def __init__(self, order: tuple[EntryKey, ...], array: np.ndarray) -> None:
         super().__init__(order, np.reshape(array, (-1, 2)))
-        bad = np.argwhere(~((self.array > 0.0) & (self.array < np.inf)))
-        if bad.size:
-            row, col = bad[0]
-            check_positive(("alpha", "beta")[col], float(self.array[row, col]))
+        check_beta_rows(self.array)
 
     _cells = staticmethod(lambda value: (value.alpha, value.beta))
 
     def __getitem__(self, key: EntryKey) -> BetaParams:
         return BetaParams(*self.array[self.positions[key]].tolist())
+
+
+def check_beta_rows(array: np.ndarray) -> np.ndarray:
+    """The array of (alpha, beta) pairs along its last axis, once each is positive and finite."""
+    bad = np.argwhere(~((array > 0.0) & (array < np.inf)))
+    if bad.size:
+        check_positive(("alpha", "beta")[bad[0][-1]], float(array[tuple(bad[0])]))
+    return array
 
 
 PriorMap = Mapping[EntryKey, BetaParams]

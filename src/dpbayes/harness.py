@@ -25,8 +25,8 @@ from .graph import (
     Dataset,
     PosteriorMap,
     ThetaMap,
-    UpdateVector,
     ancestral_sample,
+    check_beta_rows,
     compute_updates,
     posterior_params,
     uniform_priors,
@@ -85,9 +85,11 @@ class ExperimentConfig:
                 object.__setattr__(self, name, default)
         if not self.mechanisms:
             raise ConfigError("need at least one mechanism")
-        for mech in self.mechanisms:
+        for at, mech in enumerate(self.mechanisms):
             if mech not in allowed:
                 raise ConfigError(f"unknown mechanism {mech!r} for task {self.task!r}")
+            if mech in self.mechanisms[:at]:
+                raise ConfigError(f"mechanism {mech!r} is listed more than once")
         if not self.epsilon_grid or not self.b_grid:
             raise ConfigError("epsilon and b grids must be non-empty")
         if not 0.0 <= self.threshold <= 1.0:
@@ -185,20 +187,33 @@ def synth_linreg(
 # ---------------------------------------------------------------------------
 
 
-def nb_predictive_batch(posteriors: Sequence[PosteriorMap], X: np.ndarray) -> np.ndarray:
+def nb_predictive_batch(
+    posteriors: Sequence[PosteriorMap] | np.ndarray, X: np.ndarray
+) -> np.ndarray:
     """Pr(Y=1 | x) from posterior-mean factors: one row per posterior, one column per row of X.
 
-    Each Beta entry contributes its predictive factor alpha/(alpha+beta)
-    or beta/(alpha+beta), so a posterior's means are a single draw
-    column of the naive-Bayes kernel the Monte Carlo predictive uses.
-    Each posterior is one kernel group, so a call reads X once for all.
+    posteriors are maps over the same naive-Bayes entries, or their
+    (alpha, beta) rows stacked as one (G, m, 2) array in the entry order
+    of sampler.naive_bayes_params. Each Beta entry contributes its
+    predictive factor alpha/(alpha+beta) or beta/(alpha+beta), so a
+    posterior's means are a single draw column of the naive-Bayes kernel
+    the Monte Carlo predictive uses. Each posterior is one kernel group,
+    so a call reads X once for all.
     """
-    if len({len(post) for post in posteriors}) != 1:
-        raise DimensionMismatchError("need one or more posteriors over the same features")
-    d = len(posteriors[0]) // 2
-    params = np.stack([sampler.naive_bayes_params(post, d).array for post in posteriors], axis=1)
+    if isinstance(posteriors, np.ndarray):
+        shape = posteriors.shape
+        if len(shape) != 3 or not shape[0] or shape[1] % 2 != 1 or shape[2] != 2:
+            raise DimensionMismatchError(
+                f"need a (G, m, 2) stack of naive-Bayes posteriors, got shape {posteriors.shape}"
+            )
+        params = check_beta_rows(posteriors)
+    else:
+        if len({len(post) for post in posteriors}) != 1:
+            raise DimensionMismatchError("need one or more posteriors over the same features")
+        d = len(posteriors[0]) // 2
+        params = np.stack([sampler.naive_bayes_params(post, d).array for post in posteriors])
     means = params[:, :, 0] / (params[:, :, 0] + params[:, :, 1])
-    return sampler.naive_bayes_class1(means[:, :, None], X)
+    return sampler.naive_bayes_class1(means.T[:, :, None], X)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +244,16 @@ def _rows(
 def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Accuracy sweep of the naive-Bayes mechanisms over the epsilon grid.
 
-    A repeat scores all its none, laplace and fourier posteriors in one
-    nb_predictive_batch call; the sampler scores each release alone.
+    Each repeat counts its training split once. Laplace then releases
+    the whole epsilon grid as one (E, m, 2) stack of noisy counts, and
+    fourier as one (E, |J|) stack of coefficients over one exact
+    coefficient vector, read back with one Walsh pass per family batch.
+    Every release still draws from its own keyed substream, row e of its
+    stack, and a fourier release is floored only when its own posterior
+    has a non-positive parameter. The repeat's none, laplace and fourier
+    posteriors form one (G, m, 2) array, scored by one
+    nb_predictive_batch call and one accuracy over its G rows; the
+    sampler scores each release alone.
     """
     _require_task(config, "nb")
     if config.dataset is not None:
@@ -243,6 +266,7 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
         d = config.d
     graph = naive_bayes_graph(d)
     priors = uniform_priors(graph)
+    eis = range(len(config.epsilon_grid))
 
     acc: dict[tuple[str, int, int], float] = {}
     stealth_clamps = 0
@@ -255,32 +279,33 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
         updates = compute_updates(graph, train)
         exact_post = posterior_params(priors, updates)
 
-        scored = []  # (acc keys, posterior) of each posterior-mean release
+        keys = []  # the acc keys of each posterior-mean release, one list per stack row
+        stacks = []
         if "none" in config.mechanisms:
-            scored.append(([("none", ei, r) for ei in range(len(config.epsilon_grid))], exact_post))
+            keys.append([("none", ei, r) for ei in eis])
+            stacks.append(exact_post.array[None])
 
-        for ei, eps in enumerate(config.epsilon_grid):
-            if "laplace" in config.mechanisms:
-                spec = laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n)
-                pert = laplace.perturb_updates(
-                    updates, spec, derive_seed(config.seed, "laplace", ei, r)
-                )
-                post = posterior_params(priors, UpdateVector(pert.entries))
-                scored.append(([("laplace", ei, r)], post))
+        if "laplace" in config.mechanisms:
+            specs = [
+                laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n)
+                for eps in config.epsilon_grid
+            ]
+            seeds = [derive_seed(config.seed, "laplace", ei, r) for ei in eis]
+            noisy, _ = laplace.perturb_update_stack(updates, specs, seeds)
+            keys += [[("laplace", ei, r)] for ei in eis]
+            stacks.append(priors.array + noisy)
 
-            if "fourier" in config.mechanisms:
-                _, post, floored = fourier.release_posterior(
-                    train,
-                    graph,
-                    priors,
-                    eps,
-                    config.fourier_t,
-                    derive_seed(config.seed, "fourier", ei, r),
-                )
-                stealth_clamps += floored
-                scored.append(([("fourier", ei, r)], post))
+        if "fourier" in config.mechanisms:
+            seeds = [derive_seed(config.seed, "fourier", ei, r) for ei in eis]
+            _, post, floored = fourier.release_posterior_stack(
+                train, graph, priors, config.epsilon_grid, config.fourier_t, seeds
+            )
+            stealth_clamps += int(floored.sum())
+            keys += [[("fourier", ei, r)] for ei in eis]
+            stacks.append(post)
 
-            if "sampler" in config.mechanisms:
+        if "sampler" in config.mechanisms:
+            for ei, eps in enumerate(config.epsilon_grid):
                 try:
                     probs = sampler.sampler_predictive_batch(
                         graph,
@@ -297,10 +322,10 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                     probs = np.full(X_test.shape[0], 0.5)
                 acc[("sampler", ei, r)] = accuracy(probs, labels, config.threshold)
 
-        if scored:
-            all_probs = nb_predictive_batch([post for _, post in scored], X_test)
-            for (keys, _), probs in zip(scored, all_probs):
-                acc.update(dict.fromkeys(keys, accuracy(probs, labels, config.threshold)))
+        if stacks:
+            probs = nb_predictive_batch(np.concatenate(stacks), X_test)
+            for row_keys, value in zip(keys, accuracy(probs, labels, config.threshold).tolist()):
+                acc.update(dict.fromkeys(row_keys, value))
 
     if stealth_clamps:
         releases = config.repeats * len(config.epsilon_grid)

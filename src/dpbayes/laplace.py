@@ -7,17 +7,20 @@ structure. The mechanism adds Laplace(2|I| / epsilon) noise to every
 one of the 2m update counts (m = sum_i 2^{|parents(i)|}, zero-filled
 entries included) and truncates the noisy counts to [0, n]. Truncation
 is post-processing and costs no privacy; outputs stay real-valued.
-Counts and noisy counts are (m, 2) tables in the graph module's entry order.
+Counts and noisy counts are (m, 2) tables in the graph module's entry order;
+perturb_update_stack makes several releases of the same counts at once,
+one table per row of an (E, m, 2) stack.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PriorTooSmallError, check_epsilon, check_fraction
-from .errors import check_integer
+from .errors import DimensionMismatchError, InvalidArgumentError, PriorTooSmallError
+from .errors import check_epsilon, check_fraction, check_integer
 from .graph import BayesNetGraph, BetaTable, EntryTable, PriorMap, UpdateVector, prior_rows
 from .randomness import laplace_from_uniform, substream
 
@@ -71,19 +74,35 @@ class PerturbedUpdates:
     raw: EntryTable
 
 
-def perturb_updates(updates: UpdateVector, spec: LaplaceNoiseSpec, seed: int) -> PerturbedUpdates:
-    """Add per-count Laplace noise and truncate into [0, n].
+def perturb_update_stack(
+    updates: UpdateVector, specs: Sequence[LaplaceNoiseSpec], seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One release of the updates per (spec, seed) pair, stacked: (truncated, raw).
 
-    One keyed substream per release supplies an (m, 2) block of
-    uniforms, row r for row r of the updates' table, and each uniform
-    becomes one count's noise by inverse CDF.
+    Both are (E, m, 2) arrays, row e the release under specs[e] and
+    seeds[e]. Each release keeps its own keyed substream, which supplies
+    an (m, 2) block of uniforms, row r for row r of the updates' table;
+    each uniform becomes one count's noise by inverse CDF, and row e is
+    truncated into [0, specs[e].n]. Row e equals perturb_updates(updates,
+    specs[e], seeds[e]) bit for bit.
     """
-    counts, order = updates.entries.array, updates.entries.order
-    u = substream(seed, _NOISE_TAG).random(counts.shape)
-    raw = counts + laplace_from_uniform(u, spec.scale)
-    return PerturbedUpdates(
-        EntryTable(order, np.clip(raw, 0.0, float(spec.n))), EntryTable(order, raw)
-    )
+    if not specs or len(specs) != len(seeds):
+        raise DimensionMismatchError(
+            f"need one seed per noise spec, got {len(specs)} specs and {len(seeds)} seeds"
+        )
+    counts = updates.entries.array
+    u = np.stack([substream(seed, _NOISE_TAG).random(counts.shape) for seed in seeds])
+    scales = np.array([spec.scale for spec in specs])[:, None, None]
+    raw = counts + laplace_from_uniform(u, scales)
+    ns = np.array([float(spec.n) for spec in specs])[:, None, None]
+    return np.clip(raw, 0.0, ns), raw
+
+
+def perturb_updates(updates: UpdateVector, spec: LaplaceNoiseSpec, seed: int) -> PerturbedUpdates:
+    """Add per-count Laplace noise and truncate into [0, n]: one row of perturb_update_stack."""
+    entries, raw = perturb_update_stack(updates, (spec,), (seed,))
+    order = updates.entries.order
+    return PerturbedUpdates(EntryTable(order, entries[0]), EntryTable(order, raw[0]))
 
 
 def update_deviation_bound(graph: BayesNetGraph, epsilon: float, delta: float) -> float:

@@ -49,26 +49,28 @@ def accuracy(
     predictions: Sequence[float] | np.ndarray,
     labels: Sequence[int] | np.ndarray,
     threshold: float = 0.5,
-) -> float:
+) -> float | np.ndarray:
     """Fraction of labels matched by thresholding class-1 probabilities.
 
-    A prediction exactly at the threshold counts as class 1. A NaN or
-    infinite prediction raises InvalidArgumentError: it has no class.
+    predictions hold one probability per label, or a (G, labels) stack of
+    such rows, which gives one accuracy per row as an array. A prediction
+    exactly at the threshold counts as class 1. A NaN or infinite
+    prediction raises InvalidArgumentError: it has no class.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidArgumentError(f"threshold must lie in [0, 1], got {threshold}")
     preds = np.asarray(predictions, dtype=float)
     labs = np.asarray(labels)
-    if preds.shape[0] != labs.shape[0]:
+    if preds.shape[-1] != labs.shape[0]:
         raise LengthMismatchError(
-            f"{preds.shape[0]} predictions vs {labs.shape[0]} labels"
+            f"{preds.shape[-1]} predictions vs {labs.shape[0]} labels"
         )
-    if preds.shape[0] == 0:
+    if preds.shape[-1] == 0:
         raise LengthMismatchError("cannot score an empty prediction set")
     if not np.isfinite(preds).all():
         raise InvalidArgumentError("predictions must be finite probabilities")
-    hard = (preds >= threshold).astype(int)
-    return float(np.mean(hard == labs))
+    hits = np.mean((preds >= threshold) == labs, axis=-1)
+    return float(hits) if preds.ndim == 1 else hits
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,16 @@ def derive_seed(seed: int, *key: int | str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(2, np.uint32)[0])
 
 
-def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+def laplace_from_uniform(u: np.ndarray, scale: float | np.ndarray) -> np.ndarray:
     """Inverse-CDF Laplace draw from one uniform per coordinate of the array u.
 
-    scale == 0 is allowed and yields exactly zero noise.
+    scale is one Laplace scale, or an array of them that broadcasts
+    against u, such as one per row of a stack of releases. A coordinate's
+    draw depends only on its uniform and its scale. scale == 0 is allowed
+    and yields exactly zero noise.
     """
-    check_nonnegative("scale", scale)
+    for value in np.ravel(scale).tolist():
+        check_nonnegative("scale", value)
     # u == 0.0 would map to -inf; it sits one ulp away from a legal draw.
     centered = np.where(u == 0.0, 2.0**-53, u) - 0.5
     return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))

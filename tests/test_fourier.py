@@ -11,6 +11,7 @@ from dpbayes import (
     BayesNetGraph,
     CoefficientSet,
     Dataset,
+    DimensionMismatchError,
     DownwardClosure,
     EntryTable,
     InvalidArgumentError,
@@ -472,6 +473,45 @@ def test_release_posterior_is_one_release_floored_on_stealth_failure():
             assert floored
             floored_seeds += 1
     assert 0 < floored_seeds < 40
+
+
+def test_release_stack_rows_equal_single_releases_bit_for_bit():
+    # node 1 copies node 0, so two of its cells are empty: at t = 0.01 some
+    # releases floor, and some keep a small negative cell with a positive posterior
+    tree = BayesNetGraph(node_count=3, parents=((), (0,), (0,)))
+    records = np.random.default_rng(1).integers(0, 2, size=(40, 3))
+    records[:, 1] = records[:, 0]
+    data, closure, priors = Dataset(records), downward_closure(tree), uniform_priors(tree)
+    epsilons = (0.5, math.inf, 2.0, 4.0, 8.0, 16.0, 4.0, 8.0)
+    seeds = range(len(epsilons))
+    z, post, floored = fourier_mod.release_posterior_stack(
+        data, tree, priors, epsilons, 0.01, seeds
+    )
+    assert z.shape == (len(epsilons), closure.size)
+    assert post.shape == (len(epsilons), tree.update_size(), 2)
+    kept_negative = 0
+    for e, (eps, seed) in enumerate(zip(epsilons, seeds)):
+        coeffs, single_post, single_floored = release_posterior(data, tree, priors, eps, 0.01, seed)
+        want = release_coefficients(data, closure, eps, 0.01, derive_seed(seed, "attempt", 0))
+        assert z[e].tobytes() == coeffs.values.array.tobytes() == want.values.array.tobytes()
+        try:
+            want_post = fourier_posterior_params(want, tree, priors)
+            assert not floored[e]
+            kept_negative += bool((post[e] < priors.array).any())
+        except NonPositivePosteriorParamError:
+            want_post = fourier_posterior_params(want, tree, priors, clamp_nonpositive=True)
+            assert floored[e]
+        assert post[e].tobytes() == single_post.array.tobytes() == want_post.array.tobytes()
+        assert floored[e] == single_floored
+    exact = posterior_params(priors, compute_updates(tree, data)).array
+    assert not floored[1] and post[1] == pytest.approx(exact, rel=1e-12)
+    assert 0 < floored.sum() < len(epsilons) - 1 and kept_negative
+
+
+def test_release_stack_needs_one_seed_per_epsilon(rng):
+    data = random_dataset(rng, 10, 3)
+    with pytest.raises(DimensionMismatchError, match="one seed per epsilon"):
+        fourier_mod.release_coefficient_stack(data, downward_closure(CHAIN3), (1.0, 2.0), 1.0, (3,))
 
 
 # ---------------------------------------------------------------------------

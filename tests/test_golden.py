@@ -35,7 +35,14 @@ DIGESTS = {
     "map": "35209c4875c8fc6296cba89245a85456bc61c48f27a875e7f017f37533d6b968",
     "nb": "42bf968718debcb61f2ae15202bdd65475c63896f3009fdd0ddbb6440bf033e8",
     "linreg": "66232434f8517595b8750bc8a0f8633fcf1db1be0924dfd349c9d054d0dda2ff",
+    # 18 of its 24 fourier releases floor their negative cells
+    "nb-floored": "ab4064220e01443435f06dc807b202bb1882d6ae20d9b94e12d8cbeb3822d06b",
 }
+
+FLOORED_SWEEP = (
+    "--task", "nb", "--mechanisms", "fourier", "--fourier-t", "0.01", "--repeats", "4",
+    "--d", "3", "--n", "120", "--seed", "0",
+)
 
 
 def digest(text: str) -> str:
@@ -68,3 +75,10 @@ def test_cli_release_digest(name, files, capsys):
 def test_sweep_csv_digest(task, capsys):
     assert main(["--task", task, "--repeats", "2"]) == 0
     assert digest(capsys.readouterr().out) == DIGESTS[task]
+
+
+def test_floored_sweep_csv_digest(capsys, caplog):
+    with caplog.at_level("INFO", logger="dpbayes.harness"):
+        assert main(list(FLOORED_SWEEP)) == 0
+    assert "fourier stealth: 18 of 24 releases floored" in caplog.messages
+    assert digest(capsys.readouterr().out) == DIGESTS["nb-floored"]

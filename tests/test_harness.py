@@ -87,6 +87,17 @@ def test_config_rejects_invalid_fields():
 
 
 @pytest.mark.parametrize(
+    "task, mechanisms",
+    [("nb", ("none", "none")), ("nb", ("laplace", "fourier", "laplace")),
+     ("linreg", ("sampler", "sampler"))],
+)
+def test_config_refuses_a_repeated_mechanism(task, mechanisms):
+    # a repeated mechanism wrote every one of its rows twice
+    with pytest.raises(ConfigError, match=f"mechanism '{mechanisms[-1]}' is listed more than once"):
+        ExperimentConfig(task=task, mechanisms=mechanisms)
+
+
+@pytest.mark.parametrize(
     "grids, message",
     [
         (dict(b_grid=(1.0, math.inf)), "prior precision must be positive and finite"),
@@ -248,12 +259,28 @@ def test_predictive_batch_scores_each_posterior_in_its_own_row():
     assert batch[1] == pytest.approx([2.0 / 3.0, 2.0 / 3.0])
 
 
-@pytest.mark.parametrize("posteriors", [[], "mixed"], ids=["none", "mixed-widths"])
+@pytest.mark.parametrize(
+    "posteriors",
+    [[], "mixed", np.ones((0, 3, 2)), np.ones((1, 4, 2)), np.ones((3, 2))],
+    ids=["none", "mixed-widths", "empty-stack", "even-entry-count", "no-stack-axis"],
+)
 def test_predictive_batch_needs_posteriors_over_the_same_features(posteriors):
-    if posteriors == "mixed":
+    if isinstance(posteriors, str):
         posteriors = [uniform_nb_posterior(1), uniform_nb_posterior(2)]
     with pytest.raises(DimensionMismatchError):
         nb_predictive_batch(posteriors, [(0,)])
+
+
+def test_predictive_batch_reads_a_stack_as_its_rows_of_maps():
+    post = uniform_nb_posterior(1)
+    skewed = {**post, (0, 0): BetaParams(2.0, 1.0)}
+    stack = np.array([[[1.0, 1.0]] * 3, [[2.0, 1.0]] + [[1.0, 1.0]] * 2])
+    X = [(0,), (1,)]
+    np.testing.assert_array_equal(
+        nb_predictive_batch(stack, X), nb_predictive_batch([post, skewed], X)
+    )
+    with pytest.raises(InvalidArgumentError, match="beta must be positive"):
+        nb_predictive_batch(np.array([[[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]]), X)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +378,34 @@ def test_nb_experiment_counts_floored_fourier_releases(caplog):
     assert 0 < clamps < 8
     assert f"fourier stealth: {clamps} of 8 releases floored" in caplog.messages
     assert run_nb_experiment(replace(config, fourier_t=math.log(10.0))).stealth_clamps == 0
+
+
+def test_nb_experiment_floors_only_the_failing_releases_of_each_stack():
+    # a repeat releases its whole grid as one stack; each release is floored
+    # exactly when it would be floored on its own, and scores as it would alone
+    config = replace(
+        TINY_NB, mechanisms=("fourier",), fourier_t=0.01, repeats=3,
+        epsilon_grid=(0.5, math.inf, 2.0, 8.0),
+    )
+    result = run_nb_experiment(config)
+    data, _ = synth_nb(config.d, config.n, config.seed)
+    graph = naive_bayes_graph(config.d)
+    priors = uniform_priors(graph)
+    floored, want = 0, {}
+    for r in range(config.repeats):
+        split_seed = derive_seed(config.seed, "split", r)
+        train, test = split_dataset(data, config.train_fraction, split_seed)
+        for ei, eps in enumerate(config.epsilon_grid):
+            seed = derive_seed(config.seed, "fourier", ei, r)
+            _, post, single_floored = fourier.release_posterior(
+                train, graph, priors, eps, config.fourier_t, seed
+            )
+            floored += single_floored
+            probs = nb_predictive_batch([post], test.records[:, 1:])[0]
+            want[("fourier", eps, r)] = accuracy(probs, test.records[:, 0], config.threshold)
+    assert result.stealth_clamps == floored
+    assert 0 < floored < 3 * config.repeats  # some of the finite-epsilon releases, not all
+    assert {(row.mechanism, row.param, row.repeat): row.value for row in result.rows} == want
 
 
 def test_nb_experiment_external_dataset(tmp_path):

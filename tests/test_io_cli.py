@@ -457,6 +457,44 @@ def test_cli_config_file_integer_settings_refuse_floats(tmp_path, capsys, base, 
     assert main(["--config", str(cfg)]) == 0
 
 
+@pytest.mark.parametrize(
+    "base, key, value",
+    [
+        ("nb", "epsilon_grid", [True, 2]), ("nb", "threshold", True), ("nb", "fourier_t", False),
+        ("nb", "out", True), ("nb", "dataset", 5), ("nb", "mechanisms", 5),
+        ("sampler", "epsilon", True), ("sampler", "network", 5), ("sampler", "out", 1.0),
+        ("map", "grid", True), ("map", "utility", True), ("map", "delta", True),
+    ],
+)
+def test_cli_config_file_refuses_booleans_and_non_strings(
+    tmp_path, capsys, monkeypatch, base, key, value
+):
+    # float() read true as 1.0 and str() turned it into the path "True"; both ran
+    monkeypatch.chdir(tmp_path)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.0,0.5\n1.0,0.5\n")
+    release = {"task": "mechanism", "epsilon": 3.0, "seed": 7}
+    config = {
+        "nb": NB_CONFIG,
+        "sampler": {**release, "mechanism": "sampler", "network": str(write_network(tmp_path)),
+                    "dataset": str(write_binary_csv(tmp_path, [(0, 1, 1), (1, 0, 0)]))},
+        "map": {**release, "mechanism": "map", "grid": str(grid)},
+    }[base]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, key: value}))
+    assert main(["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"dpbayes: config error: bad value for {key}:")
+    assert {p.name for p in tmp_path.iterdir()} == {"cfg.json", "grid.csv", "net.json", "data.csv"}
+
+
+def test_cli_string_settings_still_parse_numbers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**NB_CONFIG, "epsilon_grid": "1,2", "threshold": "1"}))
+    assert main(["--config", str(cfg), "fourier_t=0.5", "--out", str(tmp_path / "out.csv")]) == 0
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["1.0", "2.0"]
+
+
 def test_cli_bad_json_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken")

@@ -8,6 +8,7 @@ import pytest
 from dpbayes import (
     BayesNetGraph,
     BetaParams,
+    DimensionMismatchError,
     InvalidArgumentError,
     InvalidEpsilonError,
     LaplaceNoiseSpec,
@@ -148,6 +149,32 @@ def test_noise_layout_one_substream_sorted_keys(rng):
     for r, key in enumerate(keys):
         da, db = up.entries[key]
         assert pert.raw[key] == (da + noise[r, 0], db + noise[r, 1])
+
+
+def test_stack_rows_equal_single_releases_bit_for_bit(rng):
+    # each row keeps its own substream, scale and truncation bound; eps = inf adds no noise
+    up = chain_updates(rng)
+    specs = [LaplaceNoiseSpec.for_graph(CHAIN3, eps, n) for eps, n in
+             ((0.5, 20), (math.inf, 20), (3.0, 20), (0.5, 5))]
+    seeds = [11, 12, 13, 11]
+    entries, raw = laplace_mod.perturb_update_stack(up, specs, seeds)
+    assert entries.shape == raw.shape == (len(specs), CHAIN3.update_size(), 2)
+    for e, (spec, seed) in enumerate(zip(specs, seeds)):
+        single = perturb_updates(up, spec, seed)
+        u = substream(seed, laplace_mod._NOISE_TAG).random(up.entries.array.shape)
+        want = up.entries.array + laplace_from_uniform(u, spec.scale)
+        assert raw[e].tobytes() == single.raw.array.tobytes() == want.tobytes()
+        clipped = np.clip(want, 0.0, spec.n)
+        assert entries[e].tobytes() == single.entries.array.tobytes() == clipped.tobytes()
+    assert raw[1].tobytes() == up.entries.array.tobytes()
+    assert entries[3].max() <= 5.0 < entries[0].max()
+
+
+@pytest.mark.parametrize("seeds", [[], [1], [1, 2, 3]], ids=["empty", "short", "long"])
+def test_stack_needs_one_seed_per_spec(rng, seeds):
+    specs = [LaplaceNoiseSpec.for_graph(CHAIN3, 1.0, 20)] * (2 if seeds else 0)
+    with pytest.raises(DimensionMismatchError, match="one seed per noise spec"):
+        laplace_mod.perturb_update_stack(chain_updates(rng), specs, seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,15 @@ def test_accuracy_accepts_threshold_endpoints():
 def test_accuracy_length_mismatch():
     with pytest.raises(LengthMismatchError):
         accuracy([0.5, 0.5], [1])
+    with pytest.raises(LengthMismatchError):
+        accuracy([[0.5, 0.5]], [1])
+
+
+def test_accuracy_of_a_stack_is_one_value_per_row():
+    preds = [[0.9, 0.8, 0.1], [0.1, 0.2, 0.9], [0.5, 0.5, 0.5]]
+    got = accuracy(preds, [1, 1, 0], 0.5)
+    assert isinstance(got, np.ndarray)
+    assert got.tolist() == [accuracy(row, [1, 1, 0], 0.5) for row in preds] == [1.0, 0.0, 2 / 3]
 
 
 def test_accuracy_random_approaches_half(rng):
