@@ -34,10 +34,12 @@ from .errors import InvalidArgumentError, check_epsilon, check_fraction, check_i
 from .graph import (
     BayesNetGraph,
     BetaTable,
+    CellPlan,
     ContingencyTable,
     Dataset,
     EntryTable,
     PriorMap,
+    cell_plan,
     count_cells,
     family_plan,
     prior_rows,
@@ -132,13 +134,15 @@ def _walsh(table: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _coefficient_plan(closure: DownwardClosure) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The closure's maximal members, grouped by size, as index tables.
+def _coefficient_plan(closure: DownwardClosure) -> tuple[CellPlan, tuple[np.ndarray, ...]]:
+    """The closure's maximal members, grouped by size, as one cell plan and index tables.
 
-    One (columns, positions) pair per size f: columns[r] holds the f
-    ascending variables of a maximal member, positions[r, l] the index in
-    closure.members of its submask at local index l. Every member lies
-    under some maximal one, so together the positions cover the closure.
+    The plan lists the maximal members' ascending variables, by size
+    and then in closure order. One positions table per size follows:
+    positions[r, l] is the index in closure.members of the r-th member's
+    submask at local index l, and the tables, read in turn, take the
+    plan's cells in order. Every member lies under some maximal one, so
+    together the positions cover the closure.
     """
     index = {gamma: pos for pos, gamma in enumerate(closure.members)}
     by_size: dict[int, list[tuple[int, ...]]] = {}
@@ -148,31 +152,34 @@ def _coefficient_plan(closure: DownwardClosure) -> tuple[tuple[np.ndarray, np.nd
             continue
         nodes = tuple(b for b in range(closure.k) if (gamma >> b) & 1)
         by_size.setdefault(len(nodes), []).append(nodes)
-    return tuple(
-        (
-            np.array(fams, dtype=np.intp).reshape(len(fams), size),
-            np.array([[index[m] for m in _local_masks(f)] for f in fams], dtype=np.intp),
-        )
-        for size, fams in sorted(by_size.items())
+    groups = [fams for _, fams in sorted(by_size.items())]
+    positions = tuple(
+        np.array([[index[m] for m in _local_masks(f)] for f in fams], dtype=np.intp)
+        for fams in groups
     )
+    return cell_plan(closure.k, (f for fams in groups for f in fams)), positions
 
 
 def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
     """Every exact coefficient, in closure.members order.
 
     The records' cells over the variables of every maximal member are
-    counted by graph.count_cells, one call per member size; the Walsh
-    butterfly of those integer counts gives 2^{k/2} times each
-    submask's coefficient. Equal, bit for bit, to fourier_coefficient;
-    no records x closure matrix is built.
+    counted by one graph.count_cells call; the Walsh butterfly of each
+    member size's integer counts gives 2^{k/2} times each submask's
+    coefficient. Equal, bit for bit, to fourier_coefficient; no
+    records x closure matrix is built.
     """
     if data.n and data.dimension != closure.k:
         raise DimensionMismatchError("record width does not match k")
     exact = np.zeros(closure.size)
     if data.n == 0:
         return exact
-    for columns, positions in _coefficient_plan(closure):
-        exact[positions] = _walsh(count_cells(data.records, columns))
+    plan, positions = _coefficient_plan(closure)
+    cells = count_cells(data.records, plan)
+    start = 0
+    for at in positions:
+        exact[at] = _walsh(cells[start : start + at.size].reshape(at.shape))
+        start += at.size
     return exact * 2.0 ** (-closure.k / 2.0)
 
 

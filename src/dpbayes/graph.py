@@ -23,9 +23,12 @@ cells (p parents) are indexed the same way: bit 0 of a cell index is
 x_i and bit p+1 is the p-th declared parent, so cell 2j + x_i holds the
 records with parent configuration j. Read two at a time, a family's
 cells are therefore the (x_i=0, x_i=1) = (beta, alpha) pairs of its
-entries in entry order. count_cells counts records into this layout and
-family_plan batches it; compute_updates and the Fourier reconstruction
-both read every family through them.
+entries in entry order. count_cells counts the records into the cells
+of every family a cell_plan lists with one matrix product and one
+bincount; entry_cell_plan lists the families in node order, so the
+counts read two at a time are the update pairs of compute_updates.
+family_plan batches the families by parent count for the Fourier
+reconstruction.
 """
 from __future__ import annotations
 
@@ -267,20 +270,99 @@ class UpdateVector:
         self.entries = EntryTable.of(self.entries)
 
 
-def count_cells(records: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Cell counts of the records over every row of a (rows, f) column table.
+# Largest family whose cell codes float32 holds exactly: its 24-bit significand.
+_FLOAT32_FAMILY = 24
+# Largest family whose cell codes float64 holds exactly: its 53-bit significand.
+_FLOAT64_FAMILY = 53
+# Codes count_cells holds at once: its buffers stay in cache and are
+# allocated once per call rather than once per (records x families) product.
+_BLOCK_CODES = 1 << 15
 
-    out[r, c] is the number of records whose variable columns[r, b]
-    equals bit b of c for every b. The records' cells are packed into
-    codes, offset per row, and counted with one bincount; the result is
-    a (rows, 2^f) integer array.
+
+@dataclass(frozen=True)
+class CellPlan:
+    """Families laid out for count_cells: weights, cell offsets and the cell total.
+
+    weights is a (k, F) float matrix with weights[v, r] = 2^b where
+    variable v is bit b of family r, and zero elsewhere; family r's
+    2^f_r cells start at offsets[r] of a flat vector of total cells.
     """
-    rows, f = columns.shape
-    codes = np.zeros((records.shape[0], rows), dtype=np.intp)
-    for b in range(f):
-        codes += np.left_shift(records[:, columns[:, b]], b, dtype=np.intp)
-    codes += np.arange(rows) << f
-    return np.bincount(codes.ravel(), minlength=rows << f).reshape(rows, 1 << f)
+
+    weights: np.ndarray
+    offsets: np.ndarray
+    total: int
+
+
+def cell_plan(k: int, families: Iterable[Iterable[int]]) -> CellPlan:
+    """The plan that counts records of width k into the cells of every family, in order.
+
+    Bit b of a family's cell index is the value of its b-th variable.
+    Weights are float32 while every family has at most 24 variables and
+    float64 up to 53 (see count_cells); a larger family raises
+    InvalidArgumentError.
+    """
+    families = [tuple(fam) for fam in families]
+    widest = max(map(len, families), default=0)
+    if widest > _FLOAT64_FAMILY:
+        raise InvalidArgumentError(
+            f"a family of {widest} variables has more cells than can be counted exactly"
+        )
+    dtype = np.float32 if widest <= _FLOAT32_FAMILY else np.float64
+    weights = np.zeros((k, len(families)), dtype=dtype)
+    for r, fam in enumerate(families):
+        weights[list(fam), r] = 2.0 ** np.arange(len(fam))
+    sizes = [1 << len(fam) for fam in families]
+    offsets = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
+    return CellPlan(weights, offsets, sum(sizes))
+
+
+def count_cells(records: np.ndarray, plan: CellPlan) -> np.ndarray:
+    """Cell counts of the (n, k) 0/1 records over every family of the plan.
+
+    Family r's cell c is the number of records whose b-th variable of
+    the family equals bit b of c for every b; the result is the flat
+    integer vector of plan.total cells, family r's at plan.offsets[r].
+    Each record's cell code in every family is one row of the product
+    records @ weights; the codes, shifted by the offsets, are counted
+    with one bincount. The records are taken in blocks of rows, through
+    buffers allocated once per call.
+
+    Exactness: a record's code in a family of f variables is a sum of
+    distinct powers of two 2^b with b < f, so every partial sum, in
+    whatever order and grouping BLAS adds the terms, is an integer below
+    2^f. Floats with a p-bit significand hold every integer below 2^p
+    exactly, so no addition rounds when f <= p: 24 for the float32
+    weights cell_plan picks while every family has at most 24 variables,
+    53 for the float64 weights it picks up to 53.
+    """
+    k, families = plan.weights.shape
+    if records.ndim != 2 or records.shape[1] != k:
+        raise DimensionMismatchError(f"records of shape {records.shape} for {k} variables")
+    n = len(records)
+    rows = max(1, min(n, _BLOCK_CODES // max(families, 1)))
+    values = np.empty((rows, k), dtype=plan.weights.dtype)
+    products = np.empty((rows, families), dtype=plan.weights.dtype)
+    codes = np.empty((rows, families), dtype=np.intp)
+    counts = np.zeros(plan.total, dtype=np.intp)
+    for start in range(0, n, rows):
+        block = records[start : start + rows]
+        size = len(block)
+        np.copyto(values[:size], block)
+        np.matmul(values[:size], plan.weights, out=products[:size])
+        np.copyto(codes[:size], products[:size], casting="unsafe")
+        codes[:size] += plan.offsets
+        counts += np.bincount(codes[:size].ravel(), minlength=plan.total)
+    return counts
+
+
+@functools.lru_cache(maxsize=32)
+def entry_cell_plan(graph: BayesNetGraph) -> CellPlan:
+    """cell_plan of every family (i, *parents[i]) in node order.
+
+    The counted cells, read two at a time, are the (beta, alpha) pairs
+    of every entry in the entry order.
+    """
+    return cell_plan(graph.node_count, ((i, *graph.parents[i]) for i in range(graph.node_count)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -315,9 +397,7 @@ def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
     keys = graph.entry_keys()
     if not data.n:
         return UpdateVector(EntryTable(keys, np.zeros((len(keys), 2))))
-    batches, order = family_plan(graph)
-    cells = np.concatenate([count_cells(data.records, batch).ravel() for batch in batches])
-    pairs = cells[order].reshape(-1, 2).astype(np.float64)
+    pairs = count_cells(data.records, entry_cell_plan(graph)).reshape(-1, 2).astype(np.float64)
     return UpdateVector(EntryTable(keys, pairs[:, ::-1]))
 
 

@@ -1,5 +1,7 @@
 """Graph layer: structures, update counting, tables, marginalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,8 @@ from dpbayes import (
     validate_graph,
 )
 from dpbayes import naive_bayes_graph
-from dpbayes.graph import family_plan
+from dpbayes import graph as graph_module
+from dpbayes.graph import cell_plan, count_cells, entry_cell_plan, family_plan
 from dpbayes.sampler import naive_bayes_params
 from dpbayes.verify import all_dags, brute_force_updates
 
@@ -236,6 +239,107 @@ def test_updates_record_additive(data_strategy):
         a1, b1 = u1.entries[key]
         a2, b2 = u2.entries[key]
         assert u12.entries[key] == (a1 + a2, b1 + b2)
+
+
+# ---------------------------------------------------------------------------
+# cell counting
+# ---------------------------------------------------------------------------
+
+
+def oracle_cells(records, families) -> list[int]:
+    """Every family's cells, counted one record and one family at a time."""
+    out = []
+    for fam in families:
+        cells = [0] * (1 << len(fam))
+        for row in records.tolist():
+            cells[sum(int(row[v]) << b for b, v in enumerate(fam))] += 1
+        out += cells
+    return out
+
+
+def random_families(rng, k, count, widest=None):
+    sizes = rng.integers(0, (widest or k) + 1, size=count)
+    return [tuple(rng.permutation(k)[:size].tolist()) for size in sizes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 40), st.integers(1, 6))
+def test_count_cells_equals_per_record_oracle(seed, k, n, count):
+    # families of mixed sizes, the empty one included, in one call
+    rng = np.random.default_rng(seed)
+    families = random_families(rng, k, count)
+    records = rng.integers(0, 2, size=(n, k)).astype(np.int8)
+    plan = cell_plan(k, families)
+    assert plan.weights.dtype == np.float32
+    assert plan.total == sum(1 << len(fam) for fam in families)
+    assert count_cells(records, plan).tolist() == oracle_cells(records, families)
+
+
+def test_count_cells_edges(rng):
+    families = [(2, 0), (1,), (0, 1, 2, 3)]
+    plan = cell_plan(4, families)
+    assert count_cells(np.zeros((0, 4), np.int8), plan).tolist() == [0] * plan.total
+    one = np.array([[1, 0, 1, 1]], np.int8)
+    assert count_cells(one, plan).tolist() == oracle_cells(one, families)
+    # strided uint8 views, as a dataset file's columns are read, and reversed rows
+    wide = rng.integers(0, 2, size=(25, 9)).astype(np.uint8)
+    for records in (wide[:, ::2][:, :4], wide[::-3, 1::2], wide[:, :4].T.copy().T[::-1]):
+        assert not records.flags.c_contiguous
+        assert count_cells(records, plan).tolist() == oracle_cells(records, families)
+
+
+def test_count_cells_over_many_blocks(rng):
+    # more records than one block holds, so the counts add over blocks
+    families = random_families(rng, 12, 40, widest=5)
+    plan = cell_plan(12, families)
+    n = 2 * (graph_module._BLOCK_CODES // len(families)) + 7
+    records = rng.integers(0, 2, size=(n, 12)).astype(np.int8)
+    assert count_cells(records, plan).tolist() == oracle_cells(records, families)
+
+
+def test_count_cells_widens_past_24_variables(rng):
+    # a 25-variable family's codes reach 2^25 - 1, past float32's exact integers;
+    # building its plan allocates no cells
+    wide = cell_plan(25, [tuple(range(25)), (3,)])
+    assert wide.weights.dtype == np.float64 and wide.total == (1 << 25) + 2
+    assert cell_plan(30, [tuple(range(24))]).weights.dtype == np.float32
+    with pytest.raises(InvalidArgumentError):
+        cell_plan(54, [tuple(range(54))])
+    # float64 weights count exactly what float32 ones do
+    families = random_families(rng, 10, 6)
+    plan = cell_plan(10, families)
+    records = rng.integers(0, 2, size=(300, 10)).astype(np.int8)
+    widened = dataclasses.replace(plan, weights=plan.weights.astype(np.float64))
+    assert count_cells(records, widened).tolist() == oracle_cells(records, families)
+
+
+def test_count_cells_twenty_variable_family(rng):
+    # the largest codes of a wide family stay exact
+    families = [tuple(rng.permutation(20).tolist()), (5,)]
+    records = np.concatenate(
+        [np.ones((3, 20), np.int8), rng.integers(0, 2, size=(40, 20)).astype(np.int8)]
+    )
+    counts = count_cells(records, cell_plan(20, families))
+    assert counts[(1 << 20) - 1] >= 3
+    assert counts.tolist() == oracle_cells(records, families)
+
+
+def test_count_cells_width_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        count_cells(np.zeros((3, 2), np.int8), cell_plan(3, [(0, 2)]))
+    # compute_updates checks the width before it counts
+    with pytest.raises(DimensionMismatchError):
+        compute_updates(CHAIN3, Dataset.from_records([(0, 1), (1, 1)]))
+
+
+def test_entry_cell_plan_lists_families_in_node_order(rng):
+    graph = twenty_node_dag(rng)
+    plan = entry_cell_plan(graph)
+    assert entry_cell_plan(graph) is plan
+    families = [(i, *graph.parents[i]) for i in range(graph.node_count)]
+    assert plan.total == 2 * graph.update_size()
+    records = rng.integers(0, 2, size=(60, 20)).astype(np.int8)
+    assert count_cells(records, plan).tolist() == oracle_cells(records, families)
 
 
 # ---------------------------------------------------------------------------
