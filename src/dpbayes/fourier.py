@@ -18,7 +18,14 @@ the stealth property. When it fails, release_posterior_stack floors the
 negative cells of that same release at zero: post-processing, so the
 release still costs exactly epsilon. The stack makes a whole epsilon
 grid of releases of one dataset at once, each from its own keyed
-substream; release_posterior is its one-row case.
+substream; a single release is its one-row case.
+
+Counting and reconstruction share one layout of the family cells:
+_family_layout pairs each cell of a tuple of families with the closure
+member behind it. The exact coefficients count the maximal members'
+cells and transform them; the posteriors transform the released
+coefficients back into the node families' cells, which entry_cell_plan
+lays out as the (beta, alpha) pairs of the entry order.
 """
 from __future__ import annotations
 
@@ -41,7 +48,6 @@ from .graph import (
     PriorMap,
     cell_plan,
     count_cells,
-    family_plan,
     prior_rows,
     project_marginal,
 )
@@ -134,52 +140,75 @@ def _walsh(table: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _coefficient_plan(closure: DownwardClosure) -> tuple[CellPlan, tuple[np.ndarray, ...]]:
-    """The closure's maximal members, grouped by size, as one cell plan and index tables.
+def _family_layout(
+    closure: DownwardClosure, families: tuple[tuple[int, ...], ...]
+) -> tuple[CellPlan, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The cell_plan of the families, and which coefficient each of their cells pairs with.
 
-    The plan lists the maximal members' ascending variables, by size
-    and then in closure order. One positions table per size follows:
-    positions[r, l] is the index in closure.members of the r-th member's
-    submask at local index l, and the tables, read in turn, take the
-    plan's cells in order. Every member lies under some maximal one, so
-    together the positions cover the closure.
+    One (cells, positions) pair of (rows, 2^f) tables follows per family
+    size f, ascending: cells[s, l] is the flat index in the plan of cell
+    l of the s-th family of that size, and positions[s, l] is the index
+    in closure.members of that cell's submask, the one holding the
+    family's b-th variable for every bit b set in l. The Walsh butterfly
+    of a family's cell counts is then 2^{k/2} times its coefficients at
+    the positions, and the butterfly of those coefficients 2^{f - k/2}
+    times its cells. Raises MissingCoefficientError for the first family
+    that lacks a submask, naming the largest one it lacks.
     """
     index = {gamma: pos for pos, gamma in enumerate(closure.members)}
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for gamma in closure.members:
-        # downward closed: gamma is maximal iff no one-bit extension is a member
-        if any(not (gamma >> b) & 1 and gamma | (1 << b) in index for b in range(closure.k)):
-            continue
-        nodes = tuple(b for b in range(closure.k) if (gamma >> b) & 1)
-        by_size.setdefault(len(nodes), []).append(nodes)
-    groups = [fams for _, fams in sorted(by_size.items())]
-    positions = tuple(
-        np.array([[index[m] for m in _local_masks(f)] for f in fams], dtype=np.intp)
-        for fams in groups
+    plan = cell_plan(closure.k, families)
+    groups: dict[int, tuple[list, list]] = {}
+    for fam, offset in zip(families, plan.offsets.tolist()):
+        masks = _local_masks(fam)
+        missing = [m for m in masks if m not in index]
+        if missing:
+            raise MissingCoefficientError(
+                f"coefficient {max(missing):#x} needed for node {fam[0]} was not released"
+            )
+        cells, positions = groups.setdefault(len(fam), ([], []))
+        cells.append(range(offset, offset + len(masks)))
+        positions.append([index[m] for m in masks])
+    tables = (
+        (np.array(cells, dtype=np.intp), np.array(positions, dtype=np.intp))
+        for _, (cells, positions) in sorted(groups.items())
     )
-    return cell_plan(closure.k, (f for fams in groups for f in fams)), positions
+    return plan, tuple(tables)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _maximal_families(closure: DownwardClosure) -> tuple[tuple[int, ...], ...]:
+    """The ascending variables of every maximal member, in closure order.
+
+    Every member lies under some maximal one, so the submasks of these
+    families cover the closure.
+    """
+    members = set(closure.members)
+    return tuple(
+        tuple(b for b in range(closure.k) if (gamma >> b) & 1)
+        for gamma in closure.members
+        # downward closed: gamma is maximal iff no one-bit extension is a member
+        if not any(not (gamma >> b) & 1 and gamma | (1 << b) in members for b in range(closure.k))
+    )
 
 
 def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
     """Every exact coefficient, in closure.members order.
 
     The records' cells over the variables of every maximal member are
-    counted by one graph.count_cells call; the Walsh butterfly of each
-    member size's integer counts gives 2^{k/2} times each submask's
-    coefficient. Equal, bit for bit, to fourier_coefficient; no
-    records x closure matrix is built.
+    counted by one graph.count_cells call into their _family_layout; the
+    Walsh butterfly of each member size's integer counts gives 2^{k/2}
+    times each submask's coefficient. Equal, bit for bit, to
+    fourier_coefficient; no records x closure matrix is built.
     """
     if data.n and data.dimension != closure.k:
         raise DimensionMismatchError("record width does not match k")
     exact = np.zeros(closure.size)
     if data.n == 0:
         return exact
-    plan, positions = _coefficient_plan(closure)
-    cells = count_cells(data.records, plan)
-    start = 0
-    for at in positions:
-        exact[at] = _walsh(cells[start : start + at.size].reshape(at.shape))
-        start += at.size
+    plan, tables = _family_layout(closure, _maximal_families(closure))
+    counts = count_cells(data.records, plan)
+    for cells, positions in tables:
+        exact[positions] = _walsh(counts[cells])
     return exact * 2.0 ** (-closure.k / 2.0)
 
 
@@ -267,57 +296,36 @@ def release_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def _family_positions(closure: DownwardClosure, graph: BayesNetGraph, node: int) -> np.ndarray:
-    """Index in closure.members of the coefficient behind each family cell.
-
-    Entry l stands for the submask that holds the b-th variable of
-    (node, *parents) for every bit b set in l, so the Walsh butterfly of
-    the coefficients in this order yields the cells in the graph
-    module's family layout. Raises MissingCoefficientError naming the
-    largest submask the closure lacks.
-    """
-    if graph.node_count != closure.k:
-        raise DimensionMismatchError("coefficient set and graph disagree on k")
-    check_integer("node", node, 0, graph.node_count)
-    masks = np.array(_local_masks((node, *graph.parents[node])))
-    members = np.array(closure.members)
-    at = np.searchsorted(members, masks)
-    missing = masks[members[np.minimum(at, members.size - 1)] != masks]
-    if missing.size:
-        raise MissingCoefficientError(
-            f"coefficient {int(missing.max()):#x} needed for node {node} was not released"
-        )
-    return at
-
-
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan_positions(graph: BayesNetGraph, closure: DownwardClosure) -> tuple[np.ndarray, ...]:
-    """_family_positions of every family, stacked per graph.family_plan batch.
-
-    Checks the nodes in ascending order, so a missing coefficient is
-    reported for the lowest node that needs one.
-    """
-    positions = [_family_positions(closure, graph, i) for i in range(graph.node_count)]
-    return tuple(np.array([positions[i] for i in batch[:, 0]]) for batch in family_plan(graph)[0])
+def _node_families(graph: BayesNetGraph) -> tuple[tuple[int, ...], ...]:
+    """The family (i, *parents[i]) of every node i, in node order: entry_cell_plan's families."""
+    return tuple((i, *graph.parents[i]) for i in range(graph.node_count))
 
 
-def _family_cells(z: np.ndarray, k: int, positions: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Cells of the families behind each (rows, 2^f) position table, for each row of z.
+def _family_cells(
+    z: np.ndarray,
+    closure: DownwardClosure,
+    graph: BayesNetGraph,
+    families: tuple[tuple[int, ...], ...],
+) -> np.ndarray:
+    """Cells of the graph's families for each row of an (E, |J|) stack, in their cell_plan layout.
 
-    z is an (E, |J|) coefficient stack; the result holds one row of cells
-    per row of z, family by family. With f the family's size,
+    With f a family's size,
 
         cell(c) = 2^{k/2 - f} * sum_{gamma <= F} (-1)^{popcount(c & gamma)} z_gamma,
 
     i.e. the Walsh butterfly of the family's coefficients, rescaled: one
-    pass per position table over every row of z at once.
+    pass per family size over every row of z at once.
     """
-    blocks = []
-    for at in positions:
-        width = at.shape[1]
-        cells = _walsh(z[:, at].reshape(-1, width)) * 2.0 ** (k / 2.0 - (width.bit_length() - 1))
-        blocks.append(cells.reshape(len(z), -1))
-    return np.concatenate(blocks, axis=1)
+    if graph.node_count != closure.k:
+        raise DimensionMismatchError("coefficient set and graph disagree on k")
+    plan, tables = _family_layout(closure, families)
+    out = np.empty((len(z), plan.total))
+    for cells, positions in tables:
+        rows, width = positions.shape
+        table = _walsh(z[:, positions].reshape(-1, width)).reshape(len(z), rows, width)
+        out[:, cells] = table * 2.0 ** (closure.k / 2.0 - (width.bit_length() - 1))
+    return out
 
 
 def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph) -> ContingencyTable:
@@ -333,9 +341,9 @@ def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph
     exact coefficient set this identity reproduces direct
     marginalisation of the table; with noise, possibly-negative cells.
     """
-    positions = _family_positions(coeffs.closure, graph, node)
-    cells = _family_cells(coeffs.values.array[None], coeffs.k, (positions[None],))[0].tolist()
+    check_integer("node", node, 0, graph.node_count)
     fam = (node, *graph.parents[node])
+    cells = _family_cells(coeffs.values.array[None], coeffs.closure, graph, (fam,))[0].tolist()
     return ContingencyTable(
         len(fam),
         {tuple((c >> fam.index(v)) & 1 for v in sorted(fam)): x for c, x in enumerate(cells)},
@@ -346,10 +354,10 @@ def _entry_cells(z: np.ndarray, closure: DownwardClosure, graph: BayesNetGraph) 
     """(alpha, beta) cells of every entry for each row of an (E, |J|) stack: (E, m, 2).
 
     Entry (i, j) reads (cell(x_i=1, parents=j), cell(x_i=0, parents=j)).
-    In the graph module's family layout the families' cells list these
-    as (beta, alpha) pairs in the entry order.
+    The node families' cells, in entry_cell_plan's layout, list these as
+    (beta, alpha) pairs in the entry order.
     """
-    cells = _family_cells(z, closure.k, _plan_positions(graph, closure))[:, family_plan(graph)[1]]
+    cells = _family_cells(z, closure, graph, _node_families(graph))
     return cells.reshape(len(z), -1, 2)[:, :, ::-1]
 
 
@@ -421,24 +429,6 @@ def release_posterior_stack(
     floored = (prior + cells <= 0.0).any(axis=(1, 2))
     cells = np.where(floored[:, None, None], np.maximum(cells, 0.0), cells)
     return z, _posterior_rows(prior, cells, graph), floored
-
-
-def release_posterior(
-    data: Dataset,
-    graph: BayesNetGraph,
-    priors: PriorMap,
-    epsilon: float,
-    t: float,
-    seed: int,
-) -> tuple[CoefficientSet, BetaTable, bool]:
-    """One coefficient release and the posterior it implies: one row of release_posterior_stack.
-
-    Returns (coefficients, posterior, floored).
-    """
-    z, post, floored = release_posterior_stack(data, graph, priors, (epsilon,), t, (seed,))
-    closure = downward_closure(graph)
-    coeffs = CoefficientSet(closure, EntryTable(closure.members, z[0]))
-    return coeffs, BetaTable(graph.entry_keys(), post[0]), bool(floored[0])
 
 
 def marginal_error_bound(

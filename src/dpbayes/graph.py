@@ -11,7 +11,7 @@ the value of the p-th declared parent.
 The entry order is the one order of every entry-indexed quantity:
 node-major, configurations ascending, as entry_keys() lists it. It is
 sorted key order, so a dict keyed by entries reaches it by one sort. It
-is also the order of family_plan's cell pairs and, for naive Bayes,
+is also the order of entry_cell_plan's cell pairs and, for naive Bayes,
 class (0, 0) then (f, 0), (f, 1) per feature f. Update counts, noisy
 counts, priors and posteriors are (m, 2) arrays of (alpha, beta) rows in
 this order, held by an EntryTable: a read-only mapping view from each
@@ -27,8 +27,8 @@ entries in entry order. count_cells counts the records into the cells
 of every family a cell_plan lists with one matrix product and one
 bincount; entry_cell_plan lists the families in node order, so the
 counts read two at a time are the update pairs of compute_updates.
-family_plan batches the families by parent count for the Fourier
-reconstruction.
+The Fourier reconstruction writes the node families' cells in the same
+layout, so its cells read two at a time are the same pairs.
 """
 from __future__ import annotations
 
@@ -177,10 +177,6 @@ class BayesNetGraph:
     def entry_keys(self) -> tuple[EntryKey, ...]:
         """Every (node, configuration) entry in the entry order."""
         return _entry_keys(self)
-
-    def family(self, node: int) -> tuple[int, ...]:
-        """Node together with its parents, ascending."""
-        return tuple(sorted((node, *self.parents[node])))
 
     def family_mask(self, node: int) -> int:
         mask = 1 << node
@@ -363,24 +359,6 @@ def entry_cell_plan(graph: BayesNetGraph) -> CellPlan:
     of every entry in the entry order.
     """
     return cell_plan(graph.node_count, ((i, *graph.parents[i]) for i in range(graph.node_count)))
-
-
-@functools.lru_cache(maxsize=32)
-def family_plan(graph: BayesNetGraph) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Every family batched by parent count, and the order of its cells.
-
-    Each batch is a (rows, f) table whose rows are the families
-    (i, *parents[i]) of f - 1 parents, by ascending node. Concatenating
-    the batches' (rows, 2^f) cell tables row by row and indexing with
-    the returned order lists the cells family by family in node order:
-    the (beta, alpha) pairs of every entry in the entry order.
-    """
-    by_count: dict[int, list[tuple[int, ...]]] = {}
-    for i in range(graph.node_count):
-        by_count.setdefault(graph.parent_count(i), []).append((i, *graph.parents[i]))
-    batches = tuple(np.array(fams, dtype=np.intp) for _, fams in sorted(by_count.items()))
-    owner = np.concatenate([np.repeat(batch[:, 0], 1 << batch.shape[1]) for batch in batches])
-    return batches, np.argsort(owner, kind="stable")
 
 
 def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:

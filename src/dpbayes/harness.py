@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import check_positive, check_t
 from .graph import (
     BayesNetGraph,
     Dataset,
-    PosteriorMap,
     ThetaMap,
     ancestral_sample,
     check_beta_rows,
@@ -187,31 +185,23 @@ def synth_linreg(
 # ---------------------------------------------------------------------------
 
 
-def nb_predictive_batch(
-    posteriors: Sequence[PosteriorMap] | np.ndarray, X: np.ndarray
-) -> np.ndarray:
+def nb_predictive_batch(posteriors: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Pr(Y=1 | x) from posterior-mean factors: one row per posterior, one column per row of X.
 
-    posteriors are maps over the same naive-Bayes entries, or their
-    (alpha, beta) rows stacked as one (G, m, 2) array in the entry order
-    of sampler.naive_bayes_params. Each Beta entry contributes its
+    posteriors are the (alpha, beta) rows of naive-Bayes posteriors,
+    stacked as one (G, m, 2) array in the entry order of
+    sampler.naive_bayes_params. Each Beta entry contributes its
     predictive factor alpha/(alpha+beta) or beta/(alpha+beta), so a
     posterior's means are a single draw column of the naive-Bayes kernel
     the Monte Carlo predictive uses. Each posterior is one kernel group,
     so a call reads X once for all.
     """
-    if isinstance(posteriors, np.ndarray):
-        shape = posteriors.shape
-        if len(shape) != 3 or not shape[0] or shape[1] % 2 != 1 or shape[2] != 2:
-            raise DimensionMismatchError(
-                f"need a (G, m, 2) stack of naive-Bayes posteriors, got shape {posteriors.shape}"
-            )
-        params = check_beta_rows(posteriors)
-    else:
-        if len({len(post) for post in posteriors}) != 1:
-            raise DimensionMismatchError("need one or more posteriors over the same features")
-        d = len(posteriors[0]) // 2
-        params = np.stack([sampler.naive_bayes_params(post, d).array for post in posteriors])
+    shape = getattr(posteriors, "shape", None)  # None for anything but an array
+    if shape is None or len(shape) != 3 or not shape[0] or shape[1] % 2 != 1 or shape[2] != 2:
+        raise DimensionMismatchError(
+            f"need a (G, m, 2) stack of naive-Bayes posteriors, got shape {shape}"
+        )
+    params = check_beta_rows(posteriors)
     means = params[:, :, 0] / (params[:, :, 0] + params[:, :, 1])
     return sampler.naive_bayes_class1(means.T[:, :, None], X)
 
@@ -247,7 +237,7 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     Each repeat counts its training split once. Laplace then releases
     the whole epsilon grid as one (E, m, 2) stack of noisy counts, and
     fourier as one (E, |J|) stack of coefficients over one exact
-    coefficient vector, read back with one Walsh pass per family batch.
+    coefficient vector, read back with one Walsh pass per family size.
     Every release still draws from its own keyed substream, row e of its
     stack, and a fourier release is floored only when its own posterior
     has a non-positive parameter. The repeat's none, laplace and fourier

@@ -36,7 +36,7 @@ from dpbayes import (
     uniform_priors,
 )
 from dpbayes import fourier as fourier_mod
-from dpbayes.fourier import release_posterior
+from dpbayes.graph import BetaTable
 from dpbayes.randomness import derive_seed, laplace_from_uniform, substream
 from dpbayes.verify import all_dags, dense_table, walsh_coefficients_dense, dense_marginal
 
@@ -69,7 +69,7 @@ def test_closure_chain_members():
     clo = downward_closure(CHAIN3)
     assert set(clo.members) == {0b000, 0b001, 0b010, 0b011, 0b100, 0b110}
     assert clo.size == 6
-    # cached per graph, like graph.family_plan
+    # cached per graph, like graph.entry_cell_plan
     assert downward_closure(BayesNetGraph(node_count=3, parents=((), (0,), (1,)))) is clo
 
 
@@ -320,7 +320,7 @@ def test_reconstruction_matches_dense_oracle(rng):
     coeffs = exact_coefficients(data, downward_closure(graph))
     dense = dense_table(data, k)
     for i in range(k):
-        fam = sorted(graph.family(i))
+        fam = sorted((i, *graph.parents[i]))
         marg = dense_marginal(dense, k, fam)
         recon = reconstruct_marginal(coeffs, i, graph)
         for idx in range(marg.size):
@@ -347,7 +347,7 @@ def test_reconstruction_matches_sign_sum_under_noise(rng):
     data = random_dataset(rng, 200, 20)
     coeffs = release_coefficients(data, downward_closure(graph), epsilon=0.5, t=1.0, seed=2)
     for node in range(graph.node_count):
-        fam = graph.family(node)
+        fam = sorted((node, *graph.parents[node]))
         weight = 2.0 ** (graph.node_count / 2.0 - len(fam))
         recon = reconstruct_marginal(coeffs, node, graph)
         assert len(recon.cells) == 1 << len(fam)
@@ -411,6 +411,33 @@ def test_fourier_posterior_zero_noise_large_network(rng):
         assert via_fourier[key].beta == pytest.approx(via_counts[key].beta, abs=1e-8)
 
 
+@pytest.mark.parametrize("k", range(1, 5))
+def test_zero_noise_release_of_every_small_dag_matches_the_counts(k):
+    # parents declared in shuffled order, so every family's cells and
+    # coefficients are paired in a layout other than ascending
+    rng = np.random.default_rng(k)
+    for dag in all_dags(k):
+        parents = [tuple(rng.permutation(pa).tolist()) for pa in dag.parents]
+        graph = BayesNetGraph.from_parent_lists(parents)
+        data = random_dataset(rng, int(rng.integers(0, 40)), k)
+        priors = uniform_priors(graph, 0.5, 2.0)
+        z, post, floored = fourier_mod.release_posterior_stack(
+            data, graph, priors, (math.inf,), 1.0, (0,)
+        )
+        exact = posterior_params(priors, compute_updates(graph, data)).array
+        np.testing.assert_allclose(post[0], exact, rtol=1e-12)
+        assert not floored[0]
+        closure = downward_closure(graph)
+        coeffs = CoefficientSet(closure, EntryTable(closure.members, z[0]))
+        table = build_table(data)
+        for i in range(k):
+            recon = reconstruct_marginal(coeffs, i, graph)
+            direct = project_marginal(table, keep_vector(k, graph.family_mask(i)))
+            assert len(recon.cells) == 1 << (len(parents[i]) + 1)
+            for cell, value in recon.cells.items():
+                assert value == pytest.approx(direct.value(cell), rel=1e-12, abs=1e-12)
+
+
 def test_nonpositive_entries_listed_in_entry_order(rng):
     data = random_dataset(rng, 40, 3)
     exact = exact_coefficients(data, downward_closure(CHAIN3))
@@ -455,22 +482,25 @@ def test_clamp_fallback_floors_cells():
     assert post[(0, 0)].beta == pytest.approx(3.0)
 
 
-def test_release_posterior_is_one_release_floored_on_stealth_failure():
+def test_one_row_release_is_one_release_floored_on_stealth_failure():
     # at t = 0.01 and eps = 0.5 the stealth boost fails for most seeds
     tree = BayesNetGraph(node_count=3, parents=((), (0,), (0,)))
     data = random_dataset(np.random.default_rng(1), 40, 3)
     closure, priors = downward_closure(tree), uniform_priors(tree)
     floored_seeds = 0
     for seed in range(40):
-        coeffs, post, floored = release_posterior(data, tree, priors, 0.5, 0.01, seed)
+        z, rows, floored = fourier_mod.release_posterior_stack(
+            data, tree, priors, (0.5,), 0.01, (seed,)
+        )
+        post = BetaTable(tree.entry_keys(), rows[0])
         want = release_coefficients(data, closure, 0.5, 0.01, derive_seed(seed, "attempt", 0))
-        assert coeffs.values == want.values
+        assert z[0].tobytes() == want.values.array.tobytes()
         try:
             assert post == fourier_posterior_params(want, tree, priors)
-            assert not floored
+            assert not floored[0]
         except NonPositivePosteriorParamError:
             assert post == fourier_posterior_params(want, tree, priors, clamp_nonpositive=True)
-            assert floored
+            assert floored[0]
             floored_seeds += 1
     assert 0 < floored_seeds < 40
 
@@ -491,9 +521,11 @@ def test_release_stack_rows_equal_single_releases_bit_for_bit():
     assert post.shape == (len(epsilons), tree.update_size(), 2)
     kept_negative = 0
     for e, (eps, seed) in enumerate(zip(epsilons, seeds)):
-        coeffs, single_post, single_floored = release_posterior(data, tree, priors, eps, 0.01, seed)
+        single_z, single_post, single_floored = fourier_mod.release_posterior_stack(
+            data, tree, priors, (eps,), 0.01, (seed,)
+        )
         want = release_coefficients(data, closure, eps, 0.01, derive_seed(seed, "attempt", 0))
-        assert z[e].tobytes() == coeffs.values.array.tobytes() == want.values.array.tobytes()
+        assert z[e].tobytes() == single_z[0].tobytes() == want.values.array.tobytes()
         try:
             want_post = fourier_posterior_params(want, tree, priors)
             assert not floored[e]
@@ -501,8 +533,8 @@ def test_release_stack_rows_equal_single_releases_bit_for_bit():
         except NonPositivePosteriorParamError:
             want_post = fourier_posterior_params(want, tree, priors, clamp_nonpositive=True)
             assert floored[e]
-        assert post[e].tobytes() == single_post.array.tobytes() == want_post.array.tobytes()
-        assert floored[e] == single_floored
+        assert post[e].tobytes() == single_post[0].tobytes() == want_post.array.tobytes()
+        assert floored[e] == single_floored[0]
     exact = posterior_params(priors, compute_updates(tree, data)).array
     assert not floored[1] and post[1] == pytest.approx(exact, rel=1e-12)
     assert 0 < floored.sum() < len(epsilons) - 1 and kept_negative

@@ -30,7 +30,7 @@ from dpbayes import (
 )
 from dpbayes import naive_bayes_graph
 from dpbayes import graph as graph_module
-from dpbayes.graph import cell_plan, count_cells, entry_cell_plan, family_plan
+from dpbayes.graph import cell_plan, count_cells, entry_cell_plan
 from dpbayes.sampler import naive_bayes_params
 from dpbayes.verify import all_dags, brute_force_updates
 
@@ -125,7 +125,6 @@ def test_update_size_naive_bayes():
 
 
 def test_family_and_mask():
-    assert CHAIN3.family(1) == (0, 1)
     assert CHAIN3.family_mask(1) == 0b011
     assert CHAIN3.family_mask(2) == 0b110
 
@@ -136,16 +135,19 @@ def test_family_and_mask():
 
 
 def assert_entry_order(graph):
-    # entry_keys() is sorted, and family_plan's cells, read two at a time,
-    # are the (x_i = 0, x_i = 1) cells of those entries in that order
+    # entry_keys() is sorted, and entry_cell_plan's cells, read two at a time,
+    # are the (x_i = 0, x_i = 1) cells of those entries in that order: family
+    # (i, *parents[i]) starts at offsets[i], with x_i as bit 0 of its cell index
     keys = graph.entry_keys()
     assert keys == tuple(sorted(keys))
-    batches, order = family_plan(graph)
-    cells = [
-        (int(i), c >> 1, c & 1) for batch in batches for i in batch[:, 0]
-        for c in range(1 << batch.shape[1])
-    ]
-    assert [cells[c] for c in order] == [(i, j, x) for i, j in keys for x in (0, 1)]
+    plan = entry_cell_plan(graph)
+    cells = [None] * plan.total
+    for i, offset in enumerate(plan.offsets.tolist()):
+        family = (i, *graph.parents[i])
+        assert plan.weights[family, i].tolist() == [2.0**b for b in range(len(family))]
+        for c in range(1 << len(family)):
+            cells[offset + c] = (i, c >> 1, c & 1)
+    assert cells == [(i, j, x) for i, j in keys for x in (0, 1)]
 
 
 def test_entry_order_of_every_small_dag():

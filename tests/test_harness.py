@@ -27,9 +27,11 @@ from dpbayes import (
     synth_nb,
 )
 from dpbayes import fourier, laplace, regression
-from dpbayes.graph import UpdateVector, compute_updates, posterior_params, uniform_priors
+from dpbayes.graph import BetaTable, UpdateVector, compute_updates, posterior_params
+from dpbayes.graph import uniform_priors
 from dpbayes.randomness import derive_seed
 from dpbayes.harness import LINREG_MECHANISMS, NB_MECHANISMS
+from dpbayes.sampler import naive_bayes_params
 from dpbayes.verify import nb_predictive_quadrature
 
 from conftest import perfbench_run
@@ -204,17 +206,22 @@ def uniform_nb_posterior(d):
     return post
 
 
+def nb_stack(*posteriors):
+    # the (G, m, 2) stack of naive-Bayes posterior maps, each over d = m // 2 features
+    return np.stack([naive_bayes_params(post, len(post) // 2).array for post in posteriors])
+
+
 def test_predictive_uniform_posterior_is_half():
     post = uniform_nb_posterior(3)
     for x in ((0, 0, 0), (1, 0, 1), (1, 1, 1)):
-        assert nb_predictive_batch([post], [x])[0, 0] == pytest.approx(0.5)
+        assert nb_predictive_batch(nb_stack(post), [x])[0, 0] == pytest.approx(0.5)
 
 
 def test_predictive_class_term_factor():
     # symmetric feature entries cancel; Beta(2,1) class term gives 2/3
     post = uniform_nb_posterior(1)
     post[(0, 0)] = BetaParams(2.0, 1.0)
-    assert nb_predictive_batch([post], [(1,)])[0, 0] == pytest.approx(2.0 / 3.0)
+    assert nb_predictive_batch(nb_stack(post), [(1,)])[0, 0] == pytest.approx(2.0 / 3.0)
 
 
 def test_predictive_matches_quadrature():
@@ -226,7 +233,7 @@ def test_predictive_matches_quadrature():
         (2, 1): BetaParams(1.0, 3.0),
     }
     for x in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        got = nb_predictive_batch([post], [x])[0, 0]
+        got = nb_predictive_batch(nb_stack(post), [x])[0, 0]
         want = nb_predictive_quadrature(post, x)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -235,7 +242,7 @@ def test_predictive_missing_entry():
     post = uniform_nb_posterior(2)
     del post[(2, 1)]
     with pytest.raises(MissingPosteriorEntryError):
-        nb_predictive_batch([post], [(0, 1)])
+        nb_predictive_batch(nb_stack(post), [(0, 1)])
 
 
 def test_predictive_batch_matches_single_rows():
@@ -245,15 +252,15 @@ def test_predictive_batch_matches_single_rows():
         (1, 1): BetaParams(5.0, 2.0),
     }
     X = np.array([[0], [1]])
-    batch = nb_predictive_batch([post], X)[0]
-    assert batch[0] == pytest.approx(nb_predictive_batch([post], X[:1])[0, 0])
-    assert batch[1] == pytest.approx(nb_predictive_batch([post], X[1:])[0, 0])
+    batch = nb_predictive_batch(nb_stack(post), X)[0]
+    assert batch[0] == pytest.approx(nb_predictive_batch(nb_stack(post), X[:1])[0, 0])
+    assert batch[1] == pytest.approx(nb_predictive_batch(nb_stack(post), X[1:])[0, 0])
 
 
 def test_predictive_batch_scores_each_posterior_in_its_own_row():
     post = uniform_nb_posterior(1)
     skewed = {**post, (0, 0): BetaParams(2.0, 1.0)}
-    batch = nb_predictive_batch([post, skewed, post], [(0,), (1,)])
+    batch = nb_predictive_batch(nb_stack(post, skewed, post), [(0,), (1,)])
     assert batch.shape == (3, 2)
     np.testing.assert_array_equal(batch[0], batch[2])
     assert batch[1] == pytest.approx([2.0 / 3.0, 2.0 / 3.0])
@@ -261,23 +268,20 @@ def test_predictive_batch_scores_each_posterior_in_its_own_row():
 
 @pytest.mark.parametrize(
     "posteriors",
-    [[], "mixed", np.ones((0, 3, 2)), np.ones((1, 4, 2)), np.ones((3, 2))],
-    ids=["none", "mixed-widths", "empty-stack", "even-entry-count", "no-stack-axis"],
+    [[], np.ones((0, 3, 2)), np.ones((1, 4, 2)), np.ones((3, 2))],
+    ids=["none", "empty-stack", "even-entry-count", "no-stack-axis"],
 )
-def test_predictive_batch_needs_posteriors_over_the_same_features(posteriors):
-    if isinstance(posteriors, str):
-        posteriors = [uniform_nb_posterior(1), uniform_nb_posterior(2)]
+def test_predictive_batch_needs_a_stack_of_naive_bayes_posteriors(posteriors):
     with pytest.raises(DimensionMismatchError):
         nb_predictive_batch(posteriors, [(0,)])
 
 
-def test_predictive_batch_reads_a_stack_as_its_rows_of_maps():
-    post = uniform_nb_posterior(1)
-    skewed = {**post, (0, 0): BetaParams(2.0, 1.0)}
+def test_predictive_batch_reads_a_stack_as_its_rows():
     stack = np.array([[[1.0, 1.0]] * 3, [[2.0, 1.0]] + [[1.0, 1.0]] * 2])
     X = [(0,), (1,)]
     np.testing.assert_array_equal(
-        nb_predictive_batch(stack, X), nb_predictive_batch([post, skewed], X)
+        nb_predictive_batch(stack, X),
+        np.concatenate([nb_predictive_batch(stack[g : g + 1], X) for g in range(2)]),
     )
     with pytest.raises(InvalidArgumentError, match="beta must be positive"):
         nb_predictive_batch(np.array([[[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]]), X)
@@ -320,15 +324,17 @@ def test_nb_experiment_rows_match_releases_scored_one_at_a_time():
         updates = compute_updates(graph, train)
 
         def score(post):
-            probs = nb_predictive_batch([post], test.records[:, 1:])[0]
+            probs = nb_predictive_batch(nb_stack(post), test.records[:, 1:])[0]
             return accuracy(probs, test.records[:, 0], config.threshold)
 
         for ei, eps in enumerate(config.epsilon_grid):
             spec = laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n)
             pert = laplace.perturb_updates(updates, spec, derive_seed(config.seed, "laplace", ei, r))
-            _, fourier_post, _ = fourier.release_posterior(
-                train, graph, priors, eps, config.fourier_t, derive_seed(config.seed, "fourier", ei, r)
+            _, fourier_rows, _ = fourier.release_posterior_stack(
+                train, graph, priors, (eps,), config.fourier_t,
+                (derive_seed(config.seed, "fourier", ei, r),),
             )
+            fourier_post = BetaTable(graph.entry_keys(), fourier_rows[0])
             want[("none", eps, r)] = score(posterior_params(priors, updates))
             want[("laplace", eps, r)] = score(posterior_params(priors, UpdateVector(pert.entries)))
             want[("fourier", eps, r)] = score(fourier_post)
@@ -397,11 +403,11 @@ def test_nb_experiment_floors_only_the_failing_releases_of_each_stack():
         train, test = split_dataset(data, config.train_fraction, split_seed)
         for ei, eps in enumerate(config.epsilon_grid):
             seed = derive_seed(config.seed, "fourier", ei, r)
-            _, post, single_floored = fourier.release_posterior(
-                train, graph, priors, eps, config.fourier_t, seed
+            _, post, single_floored = fourier.release_posterior_stack(
+                train, graph, priors, (eps,), config.fourier_t, (seed,)
             )
-            floored += single_floored
-            probs = nb_predictive_batch([post], test.records[:, 1:])[0]
+            floored += single_floored[0]
+            probs = nb_predictive_batch(post, test.records[:, 1:])[0]
             want[("fourier", eps, r)] = accuracy(probs, test.records[:, 0], config.threshold)
     assert result.stealth_clamps == floored
     assert 0 < floored < 3 * config.repeats  # some of the finite-epsilon releases, not all

@@ -32,6 +32,7 @@ from dpbayes.sampler import (
     _BLOCK_BYTES,
     PROPOSAL_MASS,
     naive_bayes_class1,
+    naive_bayes_params,
     trimmed_posterior_draws,
 )
 from dpbayes.verify import (
@@ -761,8 +762,9 @@ def test_posterior_mean_of_one_refuses_to_score():
     # Beta(1e17, 1) has mean 1e17 / (1e17 + 1), which rounds to 1.0
     posterior = nb2_posterior()
     posterior[(1, 0)] = BetaParams(1e17, 1.0)
+    stack = naive_bayes_params(posterior, 2).array[None]
     with pytest.raises(InvalidArgumentError):
-        nb_predictive_batch([posterior], np.array([[1, 0], [0, 1], [1, 1]]))
+        nb_predictive_batch(stack, np.array([[1, 0], [0, 1], [1, 1]]))
 
 
 def test_predictive_finite_when_both_classes_underflow():
@@ -776,7 +778,7 @@ def test_predictive_finite_when_both_classes_underflow():
         posterior[(i, 1)] = BetaParams(40.0, 2.0)
     X = np.array([np.ones(k), np.zeros(k), np.arange(k) % 2])
     sampled = sampler_predictive_batch(graph, posterior, X, epsilon=20.0, samples=100, seed=2)
-    closed = nb_predictive_batch([posterior], X)[0]
+    closed = nb_predictive_batch(naive_bayes_params(posterior, k).array[None], X)[0]
     for probs in (sampled, closed):
         assert np.isfinite(probs).all()
         assert ((probs >= 0.0) & (probs <= 1.0)).all()
@@ -846,7 +848,9 @@ def test_predictive_batch_requires_naive_bayes_shape():
 
 
 NB_SCORERS = {
-    "closed-form": lambda posterior, X: nb_predictive_batch([posterior], X)[0],
+    "closed-form": lambda posterior, X: nb_predictive_batch(
+        naive_bayes_params(posterior, 2).array[None], X
+    )[0],
     "monte-carlo": lambda posterior, X: sampler_predictive_batch(
         NB2, posterior, X, epsilon=3.0, samples=10, seed=0
     ),
