@@ -62,6 +62,7 @@ from .graph import (
     build_table,
     compute_updates,
     joint_log_likelihood,
+    naive_bayes_graph,
     posterior_params,
     project_marginal,
     uniform_priors,
@@ -71,7 +72,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     MetricsRow,
-    naive_bayes_graph,
     nb_predictive_batch,
     rows_to_csv,
     run_experiment,
@@ -96,7 +96,6 @@ from .regression import (
     RegressionData,
     default_radius,
     fit_posterior,
-    posterior_mean_predictions,
     predictive_mse,
     sample_truncated,
     scale_regression_data,

@@ -100,11 +100,16 @@ def _utility_values(grid: GridSpec, utility: Utility) -> np.ndarray:
 def sampling_probabilities(
     grid: GridSpec, utility: Utility, epsilon: float, delta: MapSensitivity
 ) -> np.ndarray:
-    """Exactly-normalized sampling distribution over the grid points."""
+    """Exactly-normalized sampling distribution over the grid points.
+
+    Utilities are shifted by their max before they are scaled, so an
+    exponent can overflow only to -inf, a weight of 0.
+    """
     check_map_epsilon(epsilon)
     u = _utility_values(grid, utility)
-    expo = epsilon * u / (2.0 * delta.delta_value)
-    expo -= expo.max()
+    with np.errstate(over="ignore"):
+        gap = (u - u.max()) / (2.0 * delta.delta_value)
+        expo = epsilon * gap if epsilon else np.zeros_like(gap)
     w = grid.prior_mass * np.exp(expo)
     return w / w.sum()
 

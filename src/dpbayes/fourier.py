@@ -24,8 +24,9 @@ Counting and reconstruction share one layout of the family cells:
 _family_layout pairs each cell of a tuple of families with the closure
 member behind it. The exact coefficients count the maximal members'
 cells and transform them; the posteriors transform the released
-coefficients back into the node families' cells, which entry_cell_plan
-lays out as the (beta, alpha) pairs of the entry order.
+coefficients back into the cells of graph.node_families, which
+entry_cell_plan lays out as the (beta, alpha) pairs of the entry order.
+A stack's noise is one randomness.keyed_laplace_stack draw.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ import numpy as np
 from .errors import DimensionMismatchError, MissingCoefficientError, NonPositivePosteriorParamError
 from .errors import InvalidArgumentError, check_epsilon, check_fraction, check_integer, check_t
 from .graph import (
+    PLAN_CACHE_SIZE,
     BayesNetGraph,
     BetaTable,
     CellPlan,
@@ -47,18 +49,17 @@ from .graph import (
     EntryTable,
     PriorMap,
     cell_plan,
+    check_beta_rows,
     count_cells,
+    node_families,
     prior_rows,
     project_marginal,
 )
-from .randomness import derive_seed, laplace_from_uniform, substream
+from .randomness import derive_seed, keyed_laplace_stack
 
 _NOISE_TAG = "fourier-coefficient-noise"
 
 DEFAULT_STEALTH_T = math.log(10.0)
-
-# closures and index tables kept per graph, per closure and per (graph, closure)
-_PLAN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,10 @@ class DownwardClosure:
         return len(self.members)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def downward_closure(graph: BayesNetGraph) -> DownwardClosure:
     """Union of all submasks of every node family pi(i) + {i}."""
-    members = {m for i in range(graph.node_count) for m in _local_masks((i, *graph.parents[i]))}
+    members = {m for fam in node_families(graph) for m in _local_masks(fam)}
     return DownwardClosure(k=graph.node_count, members=tuple(sorted(members)))
 
 
@@ -139,7 +140,7 @@ def _walsh(table: np.ndarray) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _family_layout(
     closure: DownwardClosure, families: tuple[tuple[int, ...], ...]
 ) -> tuple[CellPlan, tuple[tuple[np.ndarray, np.ndarray], ...]]:
@@ -175,7 +176,7 @@ def _family_layout(
     return plan, tuple(tables)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _maximal_families(closure: DownwardClosure) -> tuple[tuple[int, ...], ...]:
     """The ascending variables of every maximal member, in closure order.
 
@@ -229,10 +230,6 @@ class CoefficientSet:
         if not np.isfinite(self.values.array).all():
             raise InvalidArgumentError("coefficient values must be finite")
 
-    @property
-    def k(self) -> int:
-        return self.closure.k
-
 
 def exact_coefficients(data: Dataset, closure: DownwardClosure) -> CoefficientSet:
     """Noise-free coefficient set; the zero-noise reference path."""
@@ -274,9 +271,9 @@ def release_coefficient_stack(
             f"need one seed per epsilon, got {len(epsilons)} epsilons and {len(seeds)} seeds"
         )
     boosts = [stealth_increment(closure, epsilon, t) for epsilon in epsilons]
-    u = np.stack([substream(seed, _NOISE_TAG).random(closure.size) for seed in seeds])
-    scales = np.array([noise_scale(closure, epsilon) for epsilon in epsilons])[:, None]
-    values = _exact_vector(data, closure) + laplace_from_uniform(u, scales)
+    scales = [noise_scale(closure, epsilon) for epsilon in epsilons]
+    noise = keyed_laplace_stack(seeds, _NOISE_TAG, closure.size, scales)
+    values = _exact_vector(data, closure) + noise
     values[:, 0] += boosts
     if not np.isfinite(values).all():
         raise InvalidArgumentError("coefficient values must be finite")
@@ -296,12 +293,6 @@ def release_coefficients(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _node_families(graph: BayesNetGraph) -> tuple[tuple[int, ...], ...]:
-    """The family (i, *parents[i]) of every node i, in node order: entry_cell_plan's families."""
-    return tuple((i, *graph.parents[i]) for i in range(graph.node_count))
-
-
 def _family_cells(
     z: np.ndarray,
     closure: DownwardClosure,
@@ -315,16 +306,18 @@ def _family_cells(
         cell(c) = 2^{k/2 - f} * sum_{gamma <= F} (-1)^{popcount(c & gamma)} z_gamma,
 
     i.e. the Walsh butterfly of the family's coefficients, rescaled: one
-    pass per family size over every row of z at once.
+    pass per family size over every row of z at once. A cell past the
+    double range is left inf or NaN, without a warning.
     """
     if graph.node_count != closure.k:
         raise DimensionMismatchError("coefficient set and graph disagree on k")
     plan, tables = _family_layout(closure, families)
     out = np.empty((len(z), plan.total))
-    for cells, positions in tables:
-        rows, width = positions.shape
-        table = _walsh(z[:, positions].reshape(-1, width)).reshape(len(z), rows, width)
-        out[:, cells] = table * 2.0 ** (closure.k / 2.0 - (width.bit_length() - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cells, positions in tables:
+            rows, width = positions.shape
+            table = _walsh(z[:, positions].reshape(-1, width)).reshape(len(z), rows, width)
+            out[:, cells] = table * 2.0 ** (closure.k / 2.0 - (width.bit_length() - 1))
     return out
 
 
@@ -341,8 +334,7 @@ def reconstruct_marginal(coeffs: CoefficientSet, node: int, graph: BayesNetGraph
     exact coefficient set this identity reproduces direct
     marginalisation of the table; with noise, possibly-negative cells.
     """
-    check_integer("node", node, 0, graph.node_count)
-    fam = (node, *graph.parents[node])
+    fam = node_families(graph)[check_integer("node", node, 0, graph.node_count)]
     cells = _family_cells(coeffs.values.array[None], coeffs.closure, graph, (fam,))[0].tolist()
     return ContingencyTable(
         len(fam),
@@ -357,15 +349,15 @@ def _entry_cells(z: np.ndarray, closure: DownwardClosure, graph: BayesNetGraph) 
     The node families' cells, in entry_cell_plan's layout, list these as
     (beta, alpha) pairs in the entry order.
     """
-    cells = _family_cells(z, closure, graph, _node_families(graph))
+    cells = _family_cells(z, closure, graph, node_families(graph))
     return cells.reshape(len(z), -1, 2)[:, :, ::-1]
 
 
 def _posterior_rows(prior: np.ndarray, cells: np.ndarray, graph: BayesNetGraph) -> np.ndarray:
-    """prior + cells for each (m, 2) table of a stack; a non-positive parameter raises.
+    """prior + cells for each (m, 2) table of a stack, once each parameter is positive and finite.
 
     The NonPositivePosteriorParamError lists the offending entries of the
-    first release that has any.
+    first release that has any; a non-finite one is an InvalidArgumentError.
     """
     post = prior + cells
     bad = (post <= 0.0).any(axis=2)
@@ -376,7 +368,7 @@ def _posterior_rows(prior: np.ndarray, cells: np.ndarray, graph: BayesNetGraph) 
             f"stealth failure: non-positive posterior parameter at entries {entries}",
             entries=entries,
         )
-    return post
+    return check_beta_rows(post)
 
 
 def fourier_posterior_params(

@@ -18,10 +18,10 @@ this order, held by an EntryTable: a read-only mapping view from each
 key to its row. EntryTable.of is the one boundary between dicts and
 tables; it sorts a dict's keys once and passes a table through.
 
-The family of node i is the tuple (i, *parents[i]), and its 2^(p+1)
-cells (p parents) are indexed the same way: bit 0 of a cell index is
-x_i and bit p+1 is the p-th declared parent, so cell 2j + x_i holds the
-records with parent configuration j. Read two at a time, a family's
+The family of node i is node_families' tuple (i, *parents[i]), and its
+2^(p+1) cells (p parents) are indexed the same way: bit 0 of a cell
+index is x_i and bit p+1 is the p-th declared parent, so cell 2j + x_i
+holds the records with parent configuration j. Read two at a time, a family's
 cells are therefore the (x_i=0, x_i=1) = (beta, alpha) pairs of its
 entries in entry order. count_cells counts the records into the cells
 of every family a cell_plan lists with one matrix product and one
@@ -43,6 +43,9 @@ from .errors import MissingPriorEntryError, check_integer, check_positive
 
 # (node index, parent-configuration index)
 EntryKey = tuple[int, int]
+
+# size of every cache keyed by a graph, a closure, family tuples or a feature count
+PLAN_CACHE_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +119,10 @@ class BetaTable(EntryTable):
 
 def check_beta_rows(array: np.ndarray) -> np.ndarray:
     """The array of (alpha, beta) pairs along its last axis, once each is positive and finite."""
-    bad = np.argwhere(~((array > 0.0) & (array < np.inf)))
-    if bad.size:
-        check_positive(("alpha", "beta")[bad[0][-1]], float(array[tuple(bad[0])]))
+    ok = (array > 0.0) & (array < np.inf)
+    if not ok.all():
+        bad = np.argwhere(~ok)[0]
+        check_positive(("alpha", "beta")[bad[-1]], float(array[tuple(bad)]))
     return array
 
 
@@ -179,15 +183,25 @@ class BayesNetGraph:
         return _entry_keys(self)
 
     def family_mask(self, node: int) -> int:
-        mask = 1 << node
-        for p in self.parents[node]:
-            mask |= 1 << p
-        return mask
+        return sum(1 << v for v in node_families(self)[node])
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _entry_keys(graph: BayesNetGraph) -> tuple[EntryKey, ...]:
     return tuple((i, j) for i in range(graph.node_count) for j in range(graph.config_count(i)))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def node_families(graph: BayesNetGraph) -> tuple[tuple[int, ...], ...]:
+    """The family (i, *parents[i]) of every node i, in node order."""
+    return tuple((i, *graph.parents[i]) for i in range(graph.node_count))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def naive_bayes_graph(d: int) -> BayesNetGraph:
+    """Class node 0; features 1..d each with the class as sole parent."""
+    check_integer("d", d, 1)
+    return BayesNetGraph(node_count=d + 1, parents=((),) + ((0,),) * d)
 
 
 def validate_graph(graph: BayesNetGraph) -> list[int]:
@@ -351,14 +365,14 @@ def count_cells(records: np.ndarray, plan: CellPlan) -> np.ndarray:
     return counts
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def entry_cell_plan(graph: BayesNetGraph) -> CellPlan:
-    """cell_plan of every family (i, *parents[i]) in node order.
+    """cell_plan of the node families.
 
     The counted cells, read two at a time, are the (beta, alpha) pairs
     of every entry in the entry order.
     """
-    return cell_plan(graph.node_count, ((i, *graph.parents[i]) for i in range(graph.node_count)))
+    return cell_plan(graph.node_count, node_families(graph))
 
 
 def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:

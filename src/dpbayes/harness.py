@@ -20,12 +20,12 @@ from .errors import ConfigError, DimensionMismatchError, InvalidArgumentError, O
 from .errors import check_epsilon, check_fraction, check_integer, check_nonnegative
 from .errors import check_positive, check_t
 from .graph import (
-    BayesNetGraph,
     Dataset,
     ThetaMap,
     ancestral_sample,
     check_beta_rows,
     compute_updates,
+    naive_bayes_graph,
     posterior_params,
     uniform_priors,
 )
@@ -132,12 +132,6 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def naive_bayes_graph(d: int) -> BayesNetGraph:
-    """Class node 0; features 1..d each with the class as sole parent."""
-    check_integer("d", d, 1)
-    return BayesNetGraph(node_count=d + 1, parents=((),) + ((0,),) * d)
-
-
 def synth_nb(
     d: int, n: int, seed: int, theta: ThetaMap | None = None
 ) -> tuple[Dataset, ThetaMap]:
@@ -157,12 +151,18 @@ def synth_nb(
     return data, theta
 
 
+def _split_indices(n: int, fraction: float, least: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test indices from a seeded permutation; at least `least` train, one test."""
+    n_train = min(n - 1, max(least, round(n * fraction)))
+    perm = substream(seed, "train-test-split").permutation(n)
+    return perm[:n_train], perm[n_train:]
+
+
 def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint, covering train/test split from a seeded permutation."""
     check_fraction("train fraction", train_fraction)
-    n_train = min(data.n - 1, max(1, round(data.n * train_fraction)))
-    perm = substream(seed, "train-test-split").permutation(data.n)
-    return data.subset(perm[:n_train]), data.subset(perm[n_train:])
+    train, test = _split_indices(data.n, train_fraction, 1, seed)
+    return data.subset(train), data.subset(test)
 
 
 def synth_linreg(
@@ -217,17 +217,14 @@ def _require_task(config: ExperimentConfig, task: str) -> None:
 
 
 def _rows(
-    config: ExperimentConfig,
-    grid: tuple[float, ...],
-    metric: str,
-    values: dict[tuple[str, int, int], float],
+    config: ExperimentConfig, grid: tuple[float, ...], metric: str, values: dict[str, np.ndarray]
 ) -> list[MetricsRow]:
-    """One row per (mechanism, grid point, repeat), in that order, from values keyed by index."""
+    """One row per (mechanism, grid point, repeat), in that order, from (grid, repeats) arrays."""
     return [
-        MetricsRow(mech, param, r, metric, values[(mech, gi, r)])
+        MetricsRow(mech, param, r, metric, value)
         for mech in config.mechanisms
-        for gi, param in enumerate(grid)
-        for r in range(config.repeats)
+        for param, line in zip(grid, np.broadcast_to(values[mech], (len(grid), config.repeats)))
+        for r, value in enumerate(line.tolist())
     ]
 
 
@@ -258,7 +255,8 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     priors = uniform_priors(graph)
     eis = range(len(config.epsilon_grid))
 
-    acc: dict[tuple[str, int, int], float] = {}
+    # the exact posterior's one row serves every epsilon
+    acc = {m: np.empty((1 if m == "none" else len(eis), config.repeats)) for m in config.mechanisms}
     stealth_clamps = 0
     for r in range(config.repeats):
         train, test = split_dataset(
@@ -269,11 +267,9 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
         updates = compute_updates(graph, train)
         exact_post = posterior_params(priors, updates)
 
-        keys = []  # the acc keys of each posterior-mean release, one list per stack row
-        stacks = []
+        stacks = {}  # the posterior-mean releases of each mechanism, one per row
         if "none" in config.mechanisms:
-            keys.append([("none", ei, r) for ei in eis])
-            stacks.append(exact_post.array[None])
+            stacks["none"] = exact_post.array[None]
 
         if "laplace" in config.mechanisms:
             specs = [
@@ -282,8 +278,7 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
             ]
             seeds = [derive_seed(config.seed, "laplace", ei, r) for ei in eis]
             noisy, _ = laplace.perturb_update_stack(updates, specs, seeds)
-            keys += [[("laplace", ei, r)] for ei in eis]
-            stacks.append(priors.array + noisy)
+            stacks["laplace"] = priors.array + noisy
 
         if "fourier" in config.mechanisms:
             seeds = [derive_seed(config.seed, "fourier", ei, r) for ei in eis]
@@ -291,8 +286,7 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                 train, graph, priors, config.epsilon_grid, config.fourier_t, seeds
             )
             stealth_clamps += int(floored.sum())
-            keys += [[("fourier", ei, r)] for ei in eis]
-            stacks.append(post)
+            stacks["fourier"] = post
 
         if "sampler" in config.mechanisms:
             for ei, eps in enumerate(config.epsilon_grid):
@@ -310,12 +304,15 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                     # only released parameter is the midpoint, which
                     # carries no data and so costs no privacy.
                     probs = np.full(X_test.shape[0], 0.5)
-                acc[("sampler", ei, r)] = accuracy(probs, labels, config.threshold)
+                acc["sampler"][ei, r] = accuracy(probs, labels, config.threshold)
 
         if stacks:
-            probs = nb_predictive_batch(np.concatenate(stacks), X_test)
-            for row_keys, value in zip(keys, accuracy(probs, labels, config.threshold).tolist()):
-                acc.update(dict.fromkeys(row_keys, value))
+            probs = nb_predictive_batch(np.concatenate(list(stacks.values())), X_test)
+            scores = accuracy(probs, labels, config.threshold)
+            at = 0  # each mechanism's rows follow the previous one's in the scored stack
+            for mech, stack in stacks.items():
+                acc[mech][:, r] = scores[at : at + len(stack)]
+                at += len(stack)
 
     if stealth_clamps:
         releases = config.repeats * len(config.epsilon_grid)
@@ -334,12 +331,10 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
     data = regression.scale_regression_data(X_raw, y_raw, config.sigma2)
 
-    mse: dict[tuple[str, int, int], float] = {}
+    mse = {mech: np.empty((len(config.b_grid), config.repeats)) for mech in config.mechanisms}
     for r in range(config.repeats):
         split_seed = derive_seed(config.seed, "linreg-split", r)
-        perm = substream(split_seed, "train-test-split").permutation(data.n)
-        n_train = min(data.n - 1, max(data.d + 1, round(data.n * config.train_fraction)))
-        tr, te = perm[:n_train], perm[n_train:]
+        tr, te = _split_indices(data.n, config.train_fraction, data.d + 1, split_seed)
         train = regression.RegressionData(
             X=data.X[tr], y=data.y[tr], sigma2=config.sigma2
         )
@@ -348,10 +343,9 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
             radius = config.radius if config.radius is not None else regression.default_radius(b)
             post = regression.fit_posterior(train, b, radius)
             if "none" in config.mechanisms:
-                resid = regression.posterior_mean_predictions(post, X_test) - y_test
-                mse[("none", bi, r)] = float(np.mean(resid**2))
+                mse["none"][bi, r] = np.mean((X_test @ post.mu_n - y_test) ** 2)
             if "sampler" in config.mechanisms:
-                mse[("sampler", bi, r)] = regression.predictive_mse(
+                mse["sampler"][bi, r] = regression.predictive_mse(
                     post,
                     X_test,
                     y_test,

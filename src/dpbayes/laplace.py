@@ -9,7 +9,8 @@ entries included) and truncates the noisy counts to [0, n]. Truncation
 is post-processing and costs no privacy; outputs stay real-valued.
 Counts and noisy counts are (m, 2) tables in the graph module's entry order;
 perturb_update_stack makes several releases of the same counts at once,
-one table per row of an (E, m, 2) stack.
+one table per row of an (E, m, 2) stack, whose noise is one
+randomness.keyed_laplace_stack draw.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidArgumentError, PriorTooSmallError
 from .errors import check_epsilon, check_fraction, check_integer
 from .graph import BayesNetGraph, BetaTable, EntryTable, PriorMap, UpdateVector, prior_rows
-from .randomness import laplace_from_uniform, substream
+from .randomness import keyed_laplace_stack
 
 _NOISE_TAG = "laplace-update-noise"
 
@@ -91,9 +92,7 @@ def perturb_update_stack(
             f"need one seed per noise spec, got {len(specs)} specs and {len(seeds)} seeds"
         )
     counts = updates.entries.array
-    u = np.stack([substream(seed, _NOISE_TAG).random(counts.shape) for seed in seeds])
-    scales = np.array([spec.scale for spec in specs])[:, None, None]
-    raw = counts + laplace_from_uniform(u, scales)
+    raw = counts + keyed_laplace_stack(seeds, _NOISE_TAG, counts.shape, [s.scale for s in specs])
     ns = np.array([float(spec.n) for spec in specs])[:, None, None]
     return np.clip(raw, 0.0, ns), raw
 

@@ -4,10 +4,12 @@ Noise draws are keyed by content (entry index, basis index, repeat
 number, ...) rather than by call order, so results do not depend on
 iteration or thread order. String tags are folded to integers with
 crc32; everything below is a thin wrapper over numpy's SeedSequence.
+keyed_laplace_stack is the one keyed Laplace draw of a release stack.
 """
 from __future__ import annotations
 
 import zlib
+from typing import Sequence
 
 import numpy as np
 
@@ -46,4 +48,14 @@ def laplace_from_uniform(u: np.ndarray, scale: float | np.ndarray) -> np.ndarray
         check_nonnegative("scale", value)
     # u == 0.0 would map to -inf; it sits one ulp away from a legal draw.
     centered = np.where(u == 0.0, 2.0**-53, u) - 0.5
-    return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+    # an overflow is a draw beyond the double range, which rounds to +-inf
+    with np.errstate(over="ignore"):
+        return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+
+
+def keyed_laplace_stack(
+    seeds: Sequence[int], tag: str, shape: int | tuple[int, ...], scales: Sequence[float]
+) -> np.ndarray:
+    """Row e is one block of uniforms from substream(seeds[e], tag), as Laplace(scales[e]) noise."""
+    u = np.stack([substream(seed, tag).random(shape) for seed in seeds])
+    return laplace_from_uniform(u, np.reshape(scales, (-1,) + (1,) * (u.ndim - 1)))

@@ -176,10 +176,6 @@ def default_radius(b: float) -> float:
     return 10.0 / math.sqrt(b)
 
 
-def posterior_mean_predictions(post: GaussianPosterior, X: np.ndarray) -> np.ndarray:
-    return np.asarray(X, dtype=np.float64) @ post.mu_n
-
-
 def predictive_mse(
     post: GaussianPosterior,
     X_test: np.ndarray,

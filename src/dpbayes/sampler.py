@@ -36,7 +36,7 @@ import scipy.special
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidArgumentError
 from .errors import InvalidEpsilonError, MissingPosteriorEntryError, OmegaTooLargeError
 from .errors import check_epsilon, check_integer
-from .graph import BayesNetGraph, BetaParams, BetaTable, EntryTable, PosteriorMap
+from .graph import BayesNetGraph, BetaParams, BetaTable, EntryTable, PosteriorMap, naive_bayes_graph
 from .randomness import substream
 
 _DRAW_TAG = "trimmed-posterior-draw"
@@ -237,14 +237,13 @@ def trimmed_posterior_sample(posterior: PosteriorMap, epsilon: float, seed: int)
 
 
 def naive_bayes_params(posterior: PosteriorMap, d: int) -> BetaTable:
-    """The posterior's table, checked to list the naive-Bayes entries over d features.
+    """The posterior's table, checked to list the entries of naive_bayes_graph(d).
 
     That is class (0, 0), then (f, 0), (f, 1) per feature f = 1..d; any
     other key tuple raises MissingPosteriorEntryError.
     """
     table = BetaTable.of(posterior)
-    want = ((0, 0),) + tuple((f, y) for f in range(1, d + 1) for y in (0, 1))
-    if table.order != want:
+    if table.order != naive_bayes_graph(d).entry_keys():
         raise MissingPosteriorEntryError(
             f"not a naive-Bayes posterior over {d} features: entries {list(table.order)}"
         )
@@ -371,17 +370,16 @@ def sampler_predictive_batch(
 ) -> np.ndarray:
     """Monte Carlo class-1 probabilities for rows of X under trimming.
 
-    graph must be naive Bayes with class node 0. The (m, samples)
+    graph must be naive_bayes_graph(d) for some d >= 1. The (m, samples)
     block of trimmed_posterior_draws, in the graph's entry order, feeds
     naive_bayes_class1 as its one group.
     """
     check_integer("samples", samples, 1)
     omega = trim_bound(epsilon)
     d = graph.node_count - 1
-    if graph.parents != ((),) + ((0,),) * d:
+    if not d or graph != naive_bayes_graph(d):
         raise ConditionViolatedError(
-            "the predictive needs a naive-Bayes graph: node 0 parentless, "
-            "node 0 the sole parent of every other node"
+            "the predictive needs a naive-Bayes graph: node 0 the sole parent of nodes 1..d, d >= 1"
         )
     draws = trimmed_posterior_draws(naive_bayes_params(posterior, d), omega, seed, samples)
     return naive_bayes_class1(draws.array[:, None, :], X)[0]

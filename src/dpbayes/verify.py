@@ -322,15 +322,6 @@ def truncated_beta_cdf(params: BetaParams, omega: float, x: np.ndarray | float) 
     return (scipy.special.betainc(a, b, x) - lo) / (hi - lo)
 
 
-def truncated_beta_ppf(params: BetaParams, omega: float, u: np.ndarray | float) -> np.ndarray:
-    """Inverse CDF of the conditioned Beta, via the regularized-incomplete-beta inverse."""
-    a, b = params.alpha, params.beta
-    lo = scipy.special.betainc(a, b, omega)
-    hi = scipy.special.betainc(a, b, 1.0 - omega)
-    u = np.asarray(u, dtype=np.float64)
-    return scipy.special.betaincinv(a, b, lo + u * (hi - lo))
-
-
 def truncated_beta_moment(
     params: BetaParams, omega: float, x_power: int, one_minus_power: int
 ) -> float:
@@ -375,14 +366,12 @@ def _beta_obs_moment(params: BetaParams, value: int) -> float:
     return _quad(integrand, 1e-12, 1.0 - 1e-12)
 
 
-def nb_predictive_quadrature(
-    posterior: PosteriorMap, x: Sequence[int], class_node: int = 0
-) -> float:
-    """Pr(Y=1 | x) by direct numerical integration of each Beta factor."""
-    features = sorted({i for (i, _) in posterior} - {class_node})
+def nb_predictive_quadrature(posterior: PosteriorMap, x: Sequence[int]) -> float:
+    """Pr(Y=1 | x) by direct numerical integration of each Beta factor; class node 0."""
+    features = sorted({i for (i, _) in posterior} - {0})
     joint = []
     for y in (0, 1):
-        term = _beta_obs_moment(posterior[(class_node, 0)], y)
+        term = _beta_obs_moment(posterior[(0, 0)], y)
         for pos, i in enumerate(features):
             term *= _beta_obs_moment(posterior[(i, y)], int(x[pos]))
         joint.append(term)
@@ -390,13 +379,13 @@ def nb_predictive_quadrature(
 
 
 def trimmed_nb_predictive_quadrature(
-    posterior: PosteriorMap, x: Sequence[int], omega: float, class_node: int = 0
+    posterior: PosteriorMap, x: Sequence[int], omega: float
 ) -> float:
-    """Trimmed-posterior predictive by per-entry truncated-Beta moments."""
-    features = sorted({i for (i, _) in posterior} - {class_node})
+    """Trimmed-posterior predictive by per-entry truncated-Beta moments; class node 0."""
+    features = sorted({i for (i, _) in posterior} - {0})
     joint = []
     for y in (0, 1):
-        term = truncated_beta_moment(posterior[(class_node, 0)], omega, y, 1 - y)
+        term = truncated_beta_moment(posterior[(0, 0)], omega, y, 1 - y)
         for pos, i in enumerate(features):
             v = int(x[pos])
             term *= truncated_beta_moment(posterior[(i, y)], omega, v, 1 - v)

@@ -146,7 +146,7 @@ NO_NUMERIC_ARGUMENT = {
     "compute_updates", "joint_log_likelihood", "posterior_params", "project_marginal",
     "validate_graph", "nb_predictive_batch", "rows_to_csv", "run_experiment",
     "run_linreg_experiment", "run_nb_experiment", "load_dataset", "load_grid", "load_network",
-    "load_regression_csv", "kl_beta", "kl_joint", "posterior_mean_predictions",
+    "load_regression_csv", "kl_beta", "kl_joint",
 }
 
 # Result records: plain holders of values that another call computed or checks.

@@ -1,6 +1,7 @@
 """Exponential mechanism over parameter grids and its tail certificate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ def test_probs_reject_bad_inputs():
         sampling_probabilities(grid, np.full(10, np.inf), 1.0, HALF)
     with pytest.raises(LengthMismatchError):
         sampling_probabilities(grid, np.zeros(3), 1.0, HALF)
+
+
+def test_probs_shift_utilities_before_scaling_them():
+    # eps * u / (2 delta) overflows to inf at eps 1e308, and inf - inf is NaN
+    grid = GridSpec(points=((0.2,), (0.4,), (0.6,), (0.8,)), prior_mass=(0.3, 0.2, 0.3, 0.2))
+    tiny = MapSensitivity(kind="lipschitz", delta_value=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = sampling_probabilities(grid, [1.0, 2.0, 3.0, -1.0], 1e308, HALF)
+        # at eps 0 the distribution is the prior, however far the scaled gaps overflow
+        flat = sampling_probabilities(grid, [-1e308, 1e308, 0.0, 0.0], 0.0, tiny)
+    assert probs.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert flat.tolist() == (grid.prior_mass / grid.prior_mass.sum()).tolist()
 
 
 def test_probs_survive_large_log_posteriors():

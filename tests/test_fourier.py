@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -480,6 +481,22 @@ def test_clamp_fallback_floors_cells():
     )
     assert post[(0, 0)].alpha == pytest.approx(1.0)  # floored cell + prior
     assert post[(0, 0)].beta == pytest.approx(3.0)
+
+
+def test_posterior_past_the_double_range_is_refused_without_a_warning():
+    # at eps 1.4e-306 the coefficients are finite but their Walsh sums are not
+    graph = BayesNetGraph.from_parent_lists([[], [0], [0, 1]])
+    data = Dataset.from_records([(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)])
+    priors = uniform_priors(graph)
+    t = fourier_mod.DEFAULT_STEALTH_T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            fourier_mod.release_posterior_stack(data, graph, priors, (1.4e-306,), t, (1,))
+        coeffs = release_coefficients(data, downward_closure(graph), 1.4e-306, t, 1)
+        for clamp in (False, True):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                fourier_posterior_params(coeffs, graph, priors, clamp_nonpositive=clamp)
 
 
 def test_one_row_release_is_one_release_floored_on_stealth_failure():

@@ -30,7 +30,7 @@ from dpbayes import (
 )
 from dpbayes import naive_bayes_graph
 from dpbayes import graph as graph_module
-from dpbayes.graph import cell_plan, count_cells, entry_cell_plan
+from dpbayes.graph import cell_plan, count_cells, entry_cell_plan, node_families
 from dpbayes.sampler import naive_bayes_params
 from dpbayes.verify import all_dags, brute_force_updates
 
@@ -127,6 +127,17 @@ def test_update_size_naive_bayes():
 def test_family_and_mask():
     assert CHAIN3.family_mask(1) == 0b011
     assert CHAIN3.family_mask(2) == 0b110
+
+
+def test_node_families_are_cached_by_value():
+    # every CLI release loads an equal but new graph, which must hit the caches
+    a = BayesNetGraph.from_parent_lists([[], [0], [1, 0]])
+    b = BayesNetGraph.from_parent_lists([[], [0], [1, 0]])
+    assert a is not b
+    assert node_families(a) == ((0,), (1, 0), (2, 1, 0))
+    assert node_families(b) is node_families(a)
+    assert entry_cell_plan(b) is entry_cell_plan(a)
+    assert [a.family_mask(i) for i in range(3)] == [0b001, 0b011, 0b111]
 
 
 # ---------------------------------------------------------------------------

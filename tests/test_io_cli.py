@@ -707,6 +707,48 @@ def test_cli_bad_release_setting_exits_1(tmp_path, capsys, mechanism, setting, e
     assert "Traceback" not in captured.err
 
 
+def edge_release_args(tmp_path, *pairs):
+    """Mechanism-task arguments on a 3-node network where tiny epsilons reach the double range."""
+    net = write_network(tmp_path, {"nodes": 3, "parents": [[], [0], [0, 1]]})
+    data = write_binary_csv(tmp_path, [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)])
+    return ["--task", "mechanism", "--network", str(net), "--dataset", str(data), *pairs]
+
+
+def test_cli_fourier_posterior_past_the_double_range_exits_1(tmp_path, capsys):
+    args = edge_release_args(tmp_path, "mechanism=fourier", "epsilon=1.4e-306", "seed=1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dpbayes:")
+    assert "finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_laplace_release_at_tiny_epsilon_prints_truncated_counts(tmp_path, capsys):
+    args = edge_release_args(tmp_path, "mechanism=laplace", "epsilon=1e-307", "seed=1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "node,config,z1,z2"
+    assert {float(v) for row in rows for v in row.split(",")[2:]} == {0.0, 4.0}
+
+
+def test_cli_map_draw_at_huge_epsilon_is_the_best_point(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.2,0.3\n0.4,0.2\n0.6,0.3\n0.8,0.2\n")
+    utility = tmp_path / "util.csv"
+    utility.write_text("1\n2\n3\n-1\n")
+    args = ["--task", "mechanism", "mechanism=map", "epsilon=1e308", "draws=5", "seed=1",
+            "--grid", str(grid), "--utility", str(utility)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == ["draw,point", *(f"{i},0.6" for i in range(5))]
+
+
 def test_cli_nb_infinite_fourier_t_exits_1(capsys):
     assert main([*NB_ARGS, "--mechanisms", "fourier", "--fourier-t", "inf"]) == 1
     assert "t must be positive and finite" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Laplace perturbation of update counts and its utility bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dpbayes import (
     BayesNetGraph,
     BetaParams,
+    Dataset,
     DimensionMismatchError,
     InvalidArgumentError,
     InvalidEpsilonError,
@@ -168,6 +170,19 @@ def test_stack_rows_equal_single_releases_bit_for_bit(rng):
         assert entries[e].tobytes() == single.entries.array.tobytes() == clipped.tobytes()
     assert raw[1].tobytes() == up.entries.array.tobytes()
     assert entries[3].max() <= 5.0 < entries[0].max()
+
+
+def test_release_at_tiny_epsilon_truncates_without_a_warning():
+    # at scale 6e307 a draw can pass the double range: it rounds to +-inf, which
+    # truncation maps to 0 or n like any other draw beyond [0, n]
+    graph = BayesNetGraph.from_parent_lists([[], [0], [0, 1]])
+    data = Dataset.from_records([(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)])
+    spec = LaplaceNoiseSpec.for_graph(graph, 1e-307, data.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pert = perturb_updates(compute_updates(graph, data), spec, 1)
+    assert np.isinf(pert.raw.array).any()
+    assert set(pert.entries.array.ravel().tolist()) == {0.0, 4.0}
 
 
 @pytest.mark.parametrize("seeds", [[], [1], [1, 2, 3]], ids=["empty", "short", "long"])

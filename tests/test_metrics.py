@@ -40,9 +40,7 @@ from dpbayes.verify import (
     laplace_density_ratio_check,
     nb_predictive_quadrature,
     run_verification_suite,
-    truncated_beta_cdf,
     truncated_beta_moment,
-    truncated_beta_ppf,
     truncated_normal_moments,
     trimmed_nb_predictive_quadrature,
     walsh_coefficients_dense,
@@ -406,15 +404,6 @@ def test_density_ratio_rejects_oversized_shift():
 # ---------------------------------------------------------------------------
 # truncated-distribution oracles
 # ---------------------------------------------------------------------------
-
-
-def test_truncated_beta_cdf_ppf_round_trip():
-    params = BetaParams(3.0, 2.0)
-    omega = math.exp(-1.0)
-    u = np.linspace(0.01, 0.99, 25)
-    x = truncated_beta_ppf(params, omega, u)
-    assert np.allclose(truncated_beta_cdf(params, omega, x), u, atol=1e-10)
-    assert x.min() >= omega and x.max() <= 1 - omega
 
 
 def test_truncated_beta_moment_against_closed_form():

@@ -13,7 +13,6 @@ from dpbayes import (
     SingularSystemError,
     default_radius,
     fit_posterior,
-    posterior_mean_predictions,
     predictive_mse,
     sample_truncated,
     scale_regression_data,
@@ -243,11 +242,3 @@ def test_predictive_mse_reaches_noise_floor(rng):
     mse = predictive_mse(post, data.X, data.y, samples=5000, seed=13)
     floor = (noise / np.abs(y).max()) ** 2
     assert mse == pytest.approx(floor, rel=0.1)
-
-
-def test_posterior_mean_predictions_shape(rng):
-    data = scaled_synth(rng)
-    post = fit_posterior(data, precision=1.0, radius=5.0)
-    preds = posterior_mean_predictions(post, data.X)
-    assert preds.shape == (data.n,)
-    assert np.allclose(preds, data.X @ post.mu_n)

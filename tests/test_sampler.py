@@ -847,6 +847,17 @@ def test_predictive_batch_requires_naive_bayes_shape():
         )
 
 
+def test_predictive_batch_refuses_a_graph_without_features():
+    # naive_bayes_graph(0) does not exist: a naive-Bayes graph has at least one feature
+    single = BayesNetGraph(node_count=1, parents=((),))
+    with pytest.raises(ConditionViolatedError):
+        sampler_predictive_batch(
+            single, {(0, 0): BetaParams(2.0, 2.0)}, np.zeros((1, 0)), 3.0, 10, 0
+        )
+    with pytest.raises(InvalidArgumentError):
+        naive_bayes_params({(0, 0): BetaParams(2.0, 2.0)}, 0)
+
+
 NB_SCORERS = {
     "closed-form": lambda posterior, X: nb_predictive_batch(
         naive_bayes_params(posterior, 2).array[None], X
