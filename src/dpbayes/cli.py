@@ -46,7 +46,7 @@ _TASK_KEYS = {
     "verify": set(_COMMON_KEYS),
 }
 # argparse destinations that are not settings
-_NON_SETTINGS = ("config", "verbose", "pairs")
+_NON_SETTINGS = ("config", "pairs")
 # ExperimentConfig fields taken from the settings when given, with their types
 _EXPERIMENT_FIELDS = {
     **dict.fromkeys(("epsilon_grid", "b_grid"), tuple),
@@ -93,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", help="network JSON path (mechanism task)")
     p.add_argument("--grid", help="grid CSV path (map mechanism)")
     p.add_argument("--utility", help="utility CSV path (map mechanism)")
-    p.add_argument("--verbose", action="store_true")
     p.add_argument(
         "pairs",
         nargs="*",
@@ -187,6 +186,12 @@ def _experiment_config(settings: dict, task: str) -> ExperimentConfig:
         for key, kind in _EXPERIMENT_FIELDS.items()
         if settings.get(key) is not None
     }
+    if "dataset" in fields:
+        # the dataset replaces the generated data, so the generator's settings go unread
+        unread = sorted({"d", "n", "noise_sigma"} & set(fields))
+        if unread:
+            names = ", ".join(map(repr, unread))
+            raise ConfigError(f"unknown setting {names} for task {task!r} with a dataset")
     mechanisms = settings.get("mechanisms")
     if isinstance(mechanisms, str):
         fields["mechanisms"] = tuple(m.strip() for m in mechanisms.split(",") if m.strip())
@@ -296,11 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags; report config errors as 1
         return 0 if exc.code == 0 else 1
-    logging.basicConfig(
-        level=logging.DEBUG if ns.verbose else logging.INFO,
-        stream=sys.stderr,
-        format="%(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(name)s: %(message)s")
     try:
         settings = _merge_settings(ns)
         task = settings["task"]

@@ -201,8 +201,6 @@ def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
     times each submask's coefficient. Equal, bit for bit, to
     fourier_coefficient; no records x closure matrix is built.
     """
-    if data.n and data.dimension != closure.k:
-        raise DimensionMismatchError("record width does not match k")
     exact = np.zeros(closure.size)
     if data.n == 0:
         return exact
@@ -275,8 +273,6 @@ def release_coefficient_stack(
     noise = keyed_laplace_stack(seeds, _NOISE_TAG, closure.size, scales)
     values = _exact_vector(data, closure) + noise
     values[:, 0] += boosts
-    if not np.isfinite(values).all():
-        raise InvalidArgumentError("coefficient values must be finite")
     return values
 
 
@@ -306,8 +302,8 @@ def _family_cells(
         cell(c) = 2^{k/2 - f} * sum_{gamma <= F} (-1)^{popcount(c & gamma)} z_gamma,
 
     i.e. the Walsh butterfly of the family's coefficients, rescaled: one
-    pass per family size over every row of z at once. A cell past the
-    double range is left inf or NaN, without a warning.
+    pass per family size over every row of z at once. A non-finite cell
+    is refused with InvalidArgumentError, without a warning.
     """
     if graph.node_count != closure.k:
         raise DimensionMismatchError("coefficient set and graph disagree on k")
@@ -318,6 +314,8 @@ def _family_cells(
             rows, width = positions.shape
             table = _walsh(z[:, positions].reshape(-1, width)).reshape(len(z), rows, width)
             out[:, cells] = table * 2.0 ** (closure.k / 2.0 - (width.bit_length() - 1))
+    if not np.isfinite(out).all():
+        raise InvalidArgumentError("reconstructed cells must be finite")
     return out
 
 

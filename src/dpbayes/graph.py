@@ -1,6 +1,6 @@
 """Binary Bayesian networks with Beta priors and exact conjugate updating.
 
-Every node is Boolean. A network is a parent map; node i carries one
+Every node is Boolean. A network is an acyclic parent map; node i carries one
 Beta(alpha, beta) prior per assignment of its parents. Observing a
 record increments alpha of the active (node, parent-configuration)
 entry when the node is 1 and beta when it is 0, so posterior updating
@@ -142,8 +142,8 @@ class BayesNetGraph:
     """Directed structure over binary nodes 0..node_count-1.
 
     parents[i] is the ordered tuple of parent indices of node i. The
-    constructor checks index bounds, self-loops and duplicates; use
-    validate_graph for the cycle check.
+    constructor checks index bounds, self-loops and duplicates, and
+    raises CyclicGraphError on a cycle, so every built graph is a DAG.
     """
 
     node_count: int
@@ -162,6 +162,7 @@ class BayesNetGraph:
                 raise InvalidArgumentError(f"node {i} lists itself as a parent")
             if len(set(pa)) != len(pa):
                 raise InvalidArgumentError(f"node {i}: duplicate parents in {pa}")
+        validate_graph(self)
 
     @classmethod
     def from_parent_lists(cls, parents: Iterable[Iterable[int]]) -> "BayesNetGraph":
@@ -205,7 +206,7 @@ def naive_bayes_graph(d: int) -> BayesNetGraph:
 
 
 def validate_graph(graph: BayesNetGraph) -> list[int]:
-    """Topological order of the nodes; raises CyclicGraphError otherwise."""
+    """Topological order; CyclicGraphError on a cycle, which BayesNetGraph's constructor relays."""
     indegree = [len(graph.parents[i]) for i in range(graph.node_count)]
     children: list[list[int]] = [[] for _ in range(graph.node_count)]
     for i, pa in enumerate(graph.parents):
@@ -382,10 +383,6 @@ def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
     delta_alpha[i, j] grows by x_i and delta_beta[i, j] by 1 - x_i: the
     family cells 2j + 1 and 2j.
     """
-    if data.dimension != graph.node_count and data.n > 0:
-        raise DimensionMismatchError(
-            f"records have width {data.dimension}, network has {graph.node_count} nodes"
-        )
     keys = graph.entry_keys()
     if not data.n:
         return UpdateVector(EntryTable(keys, np.zeros((len(keys), 2))))

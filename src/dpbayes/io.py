@@ -9,9 +9,10 @@ Network files are JSON:
 
 overrides rows are (node, parent-configuration, alpha, beta). The node
 count, every parent index and each override's node and configuration
-must be JSON integers, every parent row a list, and every prior
-parameter a JSON number. Binary datasets are headerless CSV of 0/1
-values, one record per row. The canonical spelling, equal-width lines
+must be JSON integers, every parent row a list, every prior parameter a
+JSON number, and the parents acyclic. A key not shown above, or a prior
+row of another length, is refused. Binary datasets are headerless CSV
+of 0/1 values, one record per row. The canonical spelling, equal-width lines
 of `0`/`1` cells joined by single commas and each ending in a newline
 (as `np.savetxt(fmt="%d", delimiter=",")` writes it), is read in one
 vectorised pass over the file's bytes. Other integer spellings of 0/1
@@ -32,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, CyclicGraphError, InvalidArgumentError
 from .expmech import GridSpec
-from .graph import BayesNetGraph, BetaParams, BetaTable, Dataset, validate_graph
+from .graph import BayesNetGraph, BetaParams, BetaTable, Dataset
 
 
 def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
@@ -50,29 +51,40 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
                 for row in _json(list, "parents", spec["parents"])
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, CyclicGraphError) as exc:
         raise ConfigError(f"malformed network file {path}: {exc}") from exc
-    validate_graph(graph)
 
     priors_spec = spec.get("priors", {})
     if not isinstance(priors_spec, dict) or not isinstance(priors_spec.get("overrides", []), list):
         raise ConfigError(f"{path}: priors must be an object whose overrides are a list")
+    unknown = sorted(set(spec) - {"nodes", "parents", "priors"})
+    unknown += [f"priors.{key}" for key in sorted(set(priors_spec) - {"default", "overrides"})]
+    if unknown:
+        raise ConfigError(f"{path}: unknown network key {', '.join(map(repr, unknown))}")
     default = priors_spec.get("default", [1.0, 1.0])
     try:
-        base = BetaParams(*(_json(float, "prior parameter", v) for v in default[:2]))
-    except (TypeError, ValueError, IndexError) as exc:
+        base = BetaParams(*(_json(float, "prior parameter", v) for v in _prior_row(default, 2)))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad default prior: {exc}") from exc
     priors = dict.fromkeys(graph.entry_keys(), base)
     for row in priors_spec.get("overrides", []):
         try:
-            key = tuple(_json(int, "override node or configuration", v) for v in row[:2])
-            prior = BetaParams(*(_json(float, "prior parameter", v) for v in row[2:4]))
-        except (TypeError, ValueError, IndexError) as exc:
+            values = _prior_row(row, 4)
+            key = tuple(_json(int, "override node or configuration", v) for v in values[:2])
+            prior = BetaParams(*(_json(float, "prior parameter", v) for v in values[2:]))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad prior override {row!r}: {exc}") from exc
         if key not in priors:
             raise ConfigError(f"{path}: override {row!r} names a nonexistent entry")
         priors[key] = prior
     return graph, BetaTable.of(priors)
+
+
+def _prior_row(row, size: int) -> list:
+    """row, once it is a JSON list of exactly size values."""
+    if len(_json(list, "prior row", row)) != size:
+        raise InvalidArgumentError(f"a prior row holds {size} values, got {row!r}")
+    return row
 
 
 def _json(kind: type, what: str, value):

@@ -31,7 +31,7 @@ def substream(seed: int, *key: int | str) -> np.random.Generator:
 
 
 def derive_seed(seed: int, *key: int | str) -> int:
-    """Stable 64-bit child seed for (seed, *key)."""
+    """Stable 32-bit child seed for (seed, *key): the first word of its SeedSequence state."""
     entropy = [_fold(seed)] + [_fold(k) for k in key]
     return int(np.random.SeedSequence(entropy).generate_state(2, np.uint32)[0])
 

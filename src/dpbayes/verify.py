@@ -33,7 +33,7 @@ import scipy.special
 from .errors import BudgetExceededError, CyclicGraphError, DpBayesError, InvalidArgumentError
 from .errors import LengthMismatchError
 from .expmech import GridSpec, MapSensitivity
-from .graph import BayesNetGraph, BetaParams, Dataset, PosteriorMap, validate_graph
+from .graph import BayesNetGraph, BetaParams, Dataset, PosteriorMap
 from .metrics import PrivacyCheckReport
 
 # ---------------------------------------------------------------------------
@@ -169,12 +169,10 @@ def all_dags(k: int) -> list[BayesNetGraph]:
         for i in range(k)
     ]
     for combo in itertools.product(*subset_choices):
-        g = BayesNetGraph(node_count=k, parents=tuple(combo))
         try:
-            validate_graph(g)
+            graphs.append(BayesNetGraph(node_count=k, parents=tuple(combo)))
         except CyclicGraphError:
-            continue
-        graphs.append(g)
+            pass
     return graphs
 
 
@@ -366,31 +364,30 @@ def _beta_obs_moment(params: BetaParams, value: int) -> float:
     return _quad(integrand, 1e-12, 1.0 - 1e-12)
 
 
-def nb_predictive_quadrature(posterior: PosteriorMap, x: Sequence[int]) -> float:
-    """Pr(Y=1 | x) by direct numerical integration of each Beta factor; class node 0."""
+def _nb_predictive(posterior: PosteriorMap, x: Sequence[int], moment: Callable) -> float:
+    """Pr(Y=1 | x) from moment(params, v) = E[theta^v (1-theta)^(1-v)] of each factor."""
     features = sorted({i for (i, _) in posterior} - {0})
     joint = []
     for y in (0, 1):
-        term = _beta_obs_moment(posterior[(0, 0)], y)
+        term = moment(posterior[(0, 0)], y)
         for pos, i in enumerate(features):
-            term *= _beta_obs_moment(posterior[(i, y)], int(x[pos]))
+            term *= moment(posterior[(i, y)], int(x[pos]))
         joint.append(term)
     return joint[1] / (joint[0] + joint[1])
+
+
+def nb_predictive_quadrature(posterior: PosteriorMap, x: Sequence[int]) -> float:
+    """Pr(Y=1 | x) by direct numerical integration of each Beta factor; class node 0."""
+    return _nb_predictive(posterior, x, _beta_obs_moment)
 
 
 def trimmed_nb_predictive_quadrature(
     posterior: PosteriorMap, x: Sequence[int], omega: float
 ) -> float:
     """Trimmed-posterior predictive by per-entry truncated-Beta moments; class node 0."""
-    features = sorted({i for (i, _) in posterior} - {0})
-    joint = []
-    for y in (0, 1):
-        term = truncated_beta_moment(posterior[(0, 0)], omega, y, 1 - y)
-        for pos, i in enumerate(features):
-            v = int(x[pos])
-            term *= truncated_beta_moment(posterior[(i, y)], omega, v, 1 - v)
-        joint.append(term)
-    return joint[1] / (joint[0] + joint[1])
+    return _nb_predictive(
+        posterior, x, lambda params, v: truncated_beta_moment(params, omega, v, 1 - v)
+    )
 
 
 # ---------------------------------------------------------------------------

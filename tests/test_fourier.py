@@ -190,6 +190,13 @@ def test_release_noise_layout(rng):
         assert released.values[gamma] == expected
 
 
+def test_derive_seed_is_a_32_bit_seed():
+    # the first uint32 word of the SeedSequence state, as every release reads it
+    seeds = [derive_seed(seed, "attempt", key) for seed in range(40) for key in range(50)]
+    assert all(0 <= s < 2**32 for s in seeds)
+    assert max(seeds) >= 2**31
+
+
 def test_release_peak_allocation_stays_small(rng):
     # a records x closure parity matrix alone would take more than 6.5 MB
     graph = twenty_node_dag(rng)
@@ -497,6 +504,19 @@ def test_posterior_past_the_double_range_is_refused_without_a_warning():
         for clamp in (False, True):
             with pytest.raises(InvalidArgumentError, match="finite"):
                 fourier_posterior_params(coeffs, graph, priors, clamp_nonpositive=clamp)
+
+
+def test_marginal_past_the_double_range_is_refused_without_a_warning():
+    graph = BayesNetGraph.from_parent_lists([[], [0], [0, 1]])
+    data = Dataset.from_records([(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)])
+    coeffs = release_coefficients(data, downward_closure(graph), 1.4e-306, math.log(10), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # node 0's two cells pass the double range; the other families' cells stay finite
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            reconstruct_marginal(coeffs, 0, graph)
+        for node in (1, 2):
+            assert np.isfinite(list(reconstruct_marginal(coeffs, node, graph).cells.values())).all()
 
 
 def test_one_row_release_is_one_release_floored_on_stealth_failure():

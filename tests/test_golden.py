@@ -1,6 +1,7 @@
-"""Golden outputs: sha256 digests of CLI releases and sweep CSVs.
+"""Golden outputs: sha256 digests of CLI releases, sweep CSVs and random-DAG releases.
 
-Every release prints Python floats through repr, so any change of the
+Every release prints Python floats through repr, and the random-DAG
+digest hashes the released arrays' bytes, so any change of the
 arithmetic, the noise layout or the entry order moves a digest. The
 digests were taken with numpy 2.4 and scipy 1.17; a refactor that
 claims byte-identical output must leave every one of them in place.
@@ -11,7 +12,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_dag, random_dataset, twenty_node_dag
+from dpbayes import fourier, laplace, sampler
 from dpbayes.cli import main
+from dpbayes.graph import BetaTable, EntryTable, compute_updates, posterior_params, uniform_priors
 
 # 5 nodes: a root, a chain, a v-structure and a node with two parents
 # declared out of ascending order
@@ -37,6 +41,7 @@ DIGESTS = {
     "linreg": "66232434f8517595b8750bc8a0f8633fcf1db1be0924dfd349c9d054d0dda2ff",
     # 18 of its 24 fourier releases floor their negative cells
     "nb-floored": "ab4064220e01443435f06dc807b202bb1882d6ae20d9b94e12d8cbeb3822d06b",
+    "random-dags": "34487aa3c2f6841babec85230da9e2e14c528fb0b58e991b8da2b3a0d424e24a",
 }
 
 FLOORED_SWEEP = (
@@ -82,3 +87,38 @@ def test_floored_sweep_csv_digest(capsys, caplog):
         assert main(list(FLOORED_SWEEP)) == 0
     assert "fourier stealth: 18 of 24 releases floored" in caplog.messages
     assert digest(capsys.readouterr().out) == DIGESTS["nb-floored"]
+
+
+def test_random_dag_release_digest():
+    """Fourier and Laplace stacks on a random 8-node and a 20-node DAG.
+
+    Covers floored and unfloored Fourier rows, every node's
+    reconstructed marginal of every Fourier row, and trimmed draws from
+    the exact and the Fourier posteriors.
+    """
+    rng = np.random.default_rng(20240817)
+    epsilons, seeds = (0.5, 1.0, 3.0, 10.0, 0.5, 3.0), tuple(range(6))
+    sha = hashlib.sha256()
+    for graph in (random_dag(rng, 8), twenty_node_dag(rng)):
+        data = random_dataset(rng, 300, graph.node_count)
+        priors = uniform_priors(graph)
+        keys = graph.entry_keys()
+        z, post, floored = fourier.release_posterior_stack(
+            data, graph, priors, epsilons, 0.05, seeds
+        )
+        assert floored.any() and not floored.all()
+        closure = fourier.downward_closure(graph)
+        for row in z:
+            coeffs = fourier.CoefficientSet(closure, EntryTable(closure.members, row))
+            for node in range(graph.node_count):
+                cells = fourier.reconstruct_marginal(coeffs, node, graph).cells
+                sha.update(repr(sorted(cells.items())).encode())
+        updates = compute_updates(graph, data)
+        specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, data.n) for eps in epsilons]
+        truncated, raw = laplace.perturb_update_stack(updates, specs, seeds)
+        tables = [posterior_params(priors, updates), *(BetaTable(keys, rows) for rows in post)]
+        draws = [sampler.trimmed_posterior_draws(table, sampler.trim_bound(3.0), 7, 3).array
+                 for table in tables]
+        for array in (z, post, floored, truncated, raw, *draws):
+            sha.update(np.ascontiguousarray(array).tobytes())
+    assert sha.hexdigest() == DIGESTS["random-dags"]

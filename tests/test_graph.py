@@ -113,9 +113,11 @@ def test_validate_graph_topological_order():
 
 
 def test_validate_graph_rejects_cycle():
-    cyclic = BayesNetGraph(node_count=2, parents=((1,), (0,)))
-    with pytest.raises(CyclicGraphError):
-        validate_graph(cyclic)
+    # the constructor runs the check, so a cyclic graph cannot be built
+    with pytest.raises(CyclicGraphError, match=r"cycle through nodes \[0, 1\]"):
+        BayesNetGraph(node_count=2, parents=((1,), (0,)))
+    with pytest.raises(CyclicGraphError, match=r"cycle through nodes \[0, 1, 2\]"):
+        BayesNetGraph.from_parent_lists([(2,), (0,), (1,)])
 
 
 def test_update_size_naive_bayes():

@@ -119,12 +119,21 @@ def test_load_network_bad_default_prior(tmp_path):
         # float() would read each of these into a valid prior
         {"nodes": 2, "parents": [[], [0]], "priors": {"default": [True, "2.5"]}},
         {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1, 0, "2.0", 3.0]]}},
+        {"nodes": 2, "parents": [[1], [0]]},
+        # a misspelled key or a long prior row would be dropped, leaving the default prior
+        {"nodes": 2, "parents": [[], [0]], "prior": {"default": [5.0, 5.0]}},
+        {"nodes": 2, "parents": [[], [0]], "priors": {"defaults": [5.0, 5.0]}},
+        {"nodes": 2, "parents": [[], [0]], "priors": {"default": [1.0, 1.0, 99]}},
+        {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1, 0, 2.0, 3.0, 7]]}},
+        {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1, 0, 2.0]]}},
     ],
     ids=[
         "parent-out-of-range", "no-nodes", "negative-override",
         "priors-list", "priors-null", "overrides-number",
         "float-node-count", "float-parent", "string-parent-row", "float-override-node",
         "bool-node-count", "bool-and-string-default-prior", "string-override-prior",
+        "cycle", "prior-key", "priors-defaults-key", "long-default-prior", "long-override",
+        "short-override",
     ],
 )
 def test_cli_bad_network_is_config_error(tmp_path, capsys, spec):
@@ -150,9 +159,9 @@ def test_cli_network_not_utf8_is_config_error(tmp_path, capsys):
 
 
 def test_load_network_cycle_rejected(tmp_path):
-    bad = {"nodes": 2, "parents": [[1], [0]]}
-    with pytest.raises(Exception):
-        load_network(write_network(tmp_path, bad))
+    path = write_network(tmp_path, {"nodes": 2, "parents": [[1], [0]]})
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: .*cycle through nodes"):
+        load_network(path)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +659,36 @@ def test_cli_unknown_setting_is_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"task": "linreg", "threshold": 0.4}))
     assert main(["--config", str(cfg)]) == 1
     assert "unknown setting 'threshold' for task 'linreg'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, generator, unread",
+    [
+        ("nb", ["--d", "40", "--n", "9999"], "'d', 'n'"),
+        ("nb", ["n=9999"], "'n'"),
+        ("linreg", ["--noise-sigma", "3"], "'noise_sigma'"),
+    ],
+)
+def test_cli_sweep_with_a_dataset_refuses_generator_settings(
+    tmp_path, capsys, task, generator, unread
+):
+    # the dataset replaces the generated data, so these settings would go unread
+    path = tmp_path / "data.csv"
+    if task == "nb":
+        write_binary_csv(tmp_path, [(0, 1), (1, 0), (1, 1), (0, 0)] * 3, "data.csv")
+        base = ["--task", "nb", "--mechanisms", "none", "--epsilon-grid", "1"]
+    else:
+        path.write_text("".join(f"{i / 10},{(i * 7 % 5) / 10}\n" for i in range(12)))
+        base = ["--task", "linreg", "--b-grid", "1"]
+    args = [*base, "--repeats", "2", "--train-frac", "0.5", "--dataset", str(path)]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main([*args, *generator]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"dpbayes: config error: unknown setting {unread} for task {task!r} with a dataset\n"
+    )
 
 
 def release_args(tmp_path, mechanism):
