@@ -10,25 +10,14 @@ Gaussian posterior, verification oracles, and an experiment harness.
 from types import ModuleType as _ModuleType
 
 from .errors import (
-    BudgetExceededError,
     ConditionViolatedError,
     ConfigError,
     CyclicGraphError,
     DimensionMismatchError,
     DpBayesError,
-    EmptyLevelSetError,
     InvalidArgumentError,
-    InvalidEpsilonError,
-    InvalidTError,
-    LengthMismatchError,
-    MissingCoefficientError,
-    MissingPosteriorEntryError,
-    MissingPriorEntryError,
     NonPositivePosteriorParamError,
     OmegaTooLargeError,
-    PriorTooSmallError,
-    RejectionBudgetExhaustedError,
-    SingularSystemError,
 )
 from .expmech import (
     GridSpec,

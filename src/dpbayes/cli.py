@@ -71,24 +71,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dpbayes",
         description="Differentially private Bayesian inference experiments",
     )
-    p.add_argument("--task", choices=("nb", "linreg", "mechanism", "verify"))
+    p.add_argument("--task", metavar="{nb,linreg,mechanism,verify}")
     p.add_argument("--config", help="TOML or JSON config file")
     p.add_argument("--mechanisms", help="comma-separated mechanism list")
     p.add_argument("--epsilon-grid", dest="epsilon_grid", help="comma-separated epsilons")
     p.add_argument("--b-grid", dest="b_grid", help="comma-separated prior precisions")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-frac", dest="train_fraction", type=float)
+    p.add_argument("--repeats")
+    p.add_argument("--seed")
+    p.add_argument("--train-frac", dest="train_fraction")
     p.add_argument("--out", help="output path, '-' for stdout (default)")
-    p.add_argument("--d", type=int, help="feature count for synthetic data")
-    p.add_argument("--n", type=int, help="record count for synthetic data")
-    p.add_argument("--sampler-samples", dest="sampler_samples", type=int)
-    p.add_argument("--regression-samples", dest="regression_samples", type=int)
-    p.add_argument("--fourier-t", dest="fourier_t", type=float)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
+    p.add_argument("--d", help="feature count for synthetic data")
+    p.add_argument("--n", help="record count for synthetic data")
+    p.add_argument("--sampler-samples", dest="sampler_samples")
+    p.add_argument("--regression-samples", dest="regression_samples")
+    p.add_argument("--fourier-t", dest="fourier_t")
+    p.add_argument("--threshold")
+    p.add_argument("--sigma2")
+    p.add_argument("--radius")
+    p.add_argument("--noise-sigma", dest="noise_sigma")
     p.add_argument("--dataset", help="CSV dataset path")
     p.add_argument("--network", help="network JSON path (mechanism task)")
     p.add_argument("--grid", help="grid CSV path (map mechanism)")

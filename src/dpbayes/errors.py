@@ -2,10 +2,16 @@
 
 Every error derives from DpBayesError so callers can catch library
 failures with a single except clause while letting programming errors
-(TypeError, AttributeError, ...) propagate. Every bad argument raises
-InvalidArgumentError, which is both a DpBayesError and a ValueError;
-InvalidEpsilonError and InvalidTError are its subclasses. Each rule on
-a numeric argument is written once, as a check_* function below.
+(TypeError, AttributeError, ...) propagate. Each kind of failure has
+one class: InvalidArgumentError (also a ValueError) for an argument
+outside its allowed range, DimensionMismatchError for inputs that
+disagree with each other or with the network, ConditionViolatedError
+for a condition that fails on well-formed input, CyclicGraphError for
+a parent map with a cycle, ConfigError for a bad experiment or CLI
+setting, and one class for each mechanism's own failure: the trim
+interval of posterior sampling (OmegaTooLargeError) and the stealth
+failure of the Fourier release (NonPositivePosteriorParamError). Each
+rule on a numeric argument is written once, as a check_* function below.
 """
 import math
 import operator
@@ -20,41 +26,26 @@ class CyclicGraphError(DpBayesError):
 
 
 class DimensionMismatchError(DpBayesError):
-    """Record width or vector shape does not match the network."""
+    """Inputs disagree in shape, length or keys: with the network, or with each other.
 
-
-class MissingPriorEntryError(DpBayesError):
-    """A posterior update refers to an entry with no prior."""
-
-
-class MissingPosteriorEntryError(DpBayesError):
-    """A computation refers to a posterior entry that was never supplied."""
+    Record width or vector shape against the network, paired sequences
+    of different lengths, and a prior, posterior or released basis
+    coefficient that is missing for an entry the computation needs.
+    """
 
 
 class InvalidArgumentError(DpBayesError, ValueError):
     """A numeric argument lies outside its allowed range."""
 
 
-class InvalidEpsilonError(InvalidArgumentError):
-    """Privacy budget outside the range its mechanism allows."""
-
-
-class PriorTooSmallError(DpBayesError):
-    """The utility-bound evaluator needs every prior parameter >= 2."""
-
-
-class InvalidTError(InvalidArgumentError):
-    """Stealth parameter t must be positive and finite."""
-
-
 def check_epsilon(epsilon: float) -> None:
     if not epsilon > 0:
-        raise InvalidEpsilonError(f"epsilon must be positive, got {epsilon}")
+        raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
 
 
 def check_map_epsilon(epsilon: float) -> None:
     if not 0 <= epsilon < math.inf:
-        raise InvalidEpsilonError(f"epsilon must be finite and non-negative, got {epsilon}")
+        raise InvalidArgumentError(f"epsilon must be finite and non-negative, got {epsilon}")
 
 
 def check_fraction(name: str, value: float) -> None:
@@ -64,7 +55,7 @@ def check_fraction(name: str, value: float) -> None:
 
 def check_t(t: float) -> None:
     if not 0 < t < math.inf:
-        raise InvalidTError(f"t must be positive and finite, got {t}")
+        raise InvalidArgumentError(f"t must be positive and finite, got {t}")
 
 
 def check_positive(name: str, value: float) -> None:
@@ -86,10 +77,6 @@ def check_integer(name: str, value: int, lo: float = -math.inf, hi: float = math
     return index
 
 
-class MissingCoefficientError(DpBayesError):
-    """A reconstruction asked for a basis coefficient that was not released."""
-
-
 class NonPositivePosteriorParamError(DpBayesError):
     """A noisy reconstruction produced a Beta parameter <= 0 (stealth failure)."""
 
@@ -99,31 +86,17 @@ class NonPositivePosteriorParamError(DpBayesError):
 
 
 class ConditionViolatedError(DpBayesError):
-    """A graph lacks the form a routine needs, or a conditioning event has no representable mass."""
+    """A condition the computation needs fails on well-formed input.
+
+    A graph lacks the form a routine needs, a conditioning event has no
+    representable mass, a regression system is not positive definite,
+    the rejection sampler exhausts its attempt budget, or a utility
+    level set carries no prior mass.
+    """
 
 
 class OmegaTooLargeError(DpBayesError):
     """Trim bound >= 1/2 leaves an empty or degenerate support interval."""
-
-
-class SingularSystemError(DpBayesError):
-    """Normal-equation matrix is not positive definite."""
-
-
-class RejectionBudgetExhaustedError(DpBayesError):
-    """Rejection sampler hit its attempt budget without an acceptance."""
-
-
-class EmptyLevelSetError(DpBayesError):
-    """Utility level set carries zero prior mass; certificate undefined."""
-
-
-class BudgetExceededError(DpBayesError):
-    """Requested brute-force enumeration is above the supported size."""
-
-
-class LengthMismatchError(DpBayesError):
-    """Paired sequences have different lengths."""
 
 
 class ConfigError(DpBayesError):

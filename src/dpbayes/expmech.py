@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyLevelSetError, InvalidArgumentError, LengthMismatchError
+from .errors import ConditionViolatedError, DimensionMismatchError, InvalidArgumentError
 from .errors import check_integer, check_map_epsilon, check_positive
 from .randomness import substream
 
@@ -91,7 +91,7 @@ class MapSensitivity:
 def _utility_values(grid: GridSpec, utility: Utility) -> np.ndarray:
     vals = np.asarray(utility, dtype=np.float64)
     if vals.shape != (grid.size,):
-        raise LengthMismatchError("need one utility value per grid point")
+        raise DimensionMismatchError("need one utility value per grid point")
     if not np.isfinite(vals).all():
         raise InvalidArgumentError("utility must be finite on every grid point")
     return vals
@@ -152,6 +152,6 @@ def map_utility_certificate(
     level = u.max() - t
     mass = float(masses[u > level].sum() / masses.sum())
     if mass <= 0.0:
-        raise EmptyLevelSetError(f"no grid point has utility above {level}")
+        raise ConditionViolatedError(f"no grid point has utility above {level}")
     scale = 1.0 if sensitivity is None else 2.0 * sensitivity.delta_value
     return math.exp(-epsilon * t / scale) / mass

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MissingCoefficientError, NonPositivePosteriorParamError
+from .errors import DimensionMismatchError, NonPositivePosteriorParamError
 from .errors import InvalidArgumentError, check_epsilon, check_fraction, check_integer, check_t
 from .graph import (
     PLAN_CACHE_SIZE,
@@ -153,7 +153,7 @@ def _family_layout(
     family's b-th variable for every bit b set in l. The Walsh butterfly
     of a family's cell counts is then 2^{k/2} times its coefficients at
     the positions, and the butterfly of those coefficients 2^{f - k/2}
-    times its cells. Raises MissingCoefficientError for the first family
+    times its cells. Raises DimensionMismatchError for the first family
     that lacks a submask, naming the largest one it lacks.
     """
     index = {gamma: pos for pos, gamma in enumerate(closure.members)}
@@ -163,7 +163,7 @@ def _family_layout(
         masks = _local_masks(fam)
         missing = [m for m in masks if m not in index]
         if missing:
-            raise MissingCoefficientError(
+            raise DimensionMismatchError(
                 f"coefficient {max(missing):#x} needed for node {fam[0]} was not released"
             )
         cells, positions = groups.setdefault(len(fam), ([], []))

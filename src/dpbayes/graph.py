@@ -39,7 +39,7 @@ from typing import Hashable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import CyclicGraphError, DimensionMismatchError, InvalidArgumentError
-from .errors import MissingPriorEntryError, check_integer, check_positive
+from .errors import check_integer, check_positive
 
 # (node index, parent-configuration index)
 EntryKey = tuple[int, int]
@@ -394,7 +394,7 @@ def prior_rows(priors: PriorMap, order: tuple[EntryKey, ...]) -> np.ndarray:
     """The (alpha, beta) rows of priors, which must list exactly the keys in order."""
     table = BetaTable.of(priors)
     if table.order != order:
-        raise MissingPriorEntryError(f"priors list entries {table.order}, expected {order}")
+        raise DimensionMismatchError(f"priors list entries {table.order}, expected {order}")
     return table.array
 
 

@@ -67,6 +67,7 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad default prior: {exc}") from exc
     priors = dict.fromkeys(graph.entry_keys(), base)
+    overridden = set()
     for row in priors_spec.get("overrides", []):
         try:
             values = _prior_row(row, 4)
@@ -76,6 +77,9 @@ def load_network(path: str | Path) -> tuple[BayesNetGraph, BetaTable]:
             raise ConfigError(f"{path}: bad prior override {row!r}: {exc}") from exc
         if key not in priors:
             raise ConfigError(f"{path}: override {row!r} names a nonexistent entry")
+        if key in overridden:
+            raise ConfigError(f"{path}: entry {key} has a second prior override {row!r}")
+        overridden.add(key)
         priors[key] = prior
     return graph, BetaTable.of(priors)
 

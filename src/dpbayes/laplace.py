@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidArgumentError, PriorTooSmallError
+from .errors import DimensionMismatchError, InvalidArgumentError
 from .errors import check_epsilon, check_fraction, check_integer
 from .graph import BayesNetGraph, BetaTable, EntryTable, PriorMap, UpdateVector, prior_rows
 from .randomness import keyed_laplace_stack
@@ -150,7 +150,7 @@ def posterior_kl_bound(
     small = np.flatnonzero((priors.array < 2.0).any(axis=1))
     if small.size:
         alpha, beta = priors.array[small[0]].tolist()
-        raise PriorTooSmallError(
+        raise InvalidArgumentError(
             f"entry {priors.order[small[0]]} has prior ({alpha}, {beta}); both must be >= 2"
         )
     a, b = prior_rows(priors, updates.entries.order).T

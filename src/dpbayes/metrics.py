@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import betaln, digamma
 
-from .errors import InvalidArgumentError, LengthMismatchError, MissingPosteriorEntryError
+from .errors import DimensionMismatchError, InvalidArgumentError
 from .graph import BetaParams, EntryKey
 
 
@@ -40,7 +40,7 @@ def kl_joint(p: Mapping[EntryKey, BetaParams], q: Mapping[EntryKey, BetaParams])
     """
     if p.keys() != q.keys():
         missing = p.keys() ^ q.keys()
-        raise MissingPosteriorEntryError(f"posterior maps disagree on entries {sorted(missing)}")
+        raise DimensionMismatchError(f"posterior maps disagree on entries {sorted(missing)}")
     per_entry = {key: kl_beta(p[key], q[key]) for key in p}
     return KlReport(per_entry=per_entry, total=float(sum(per_entry.values())))
 
@@ -62,11 +62,11 @@ def accuracy(
     preds = np.asarray(predictions, dtype=float)
     labs = np.asarray(labels)
     if preds.shape[-1] != labs.shape[0]:
-        raise LengthMismatchError(
+        raise DimensionMismatchError(
             f"{preds.shape[-1]} predictions vs {labs.shape[0]} labels"
         )
     if preds.shape[-1] == 0:
-        raise LengthMismatchError("cannot score an empty prediction set")
+        raise DimensionMismatchError("cannot score an empty prediction set")
     if not np.isfinite(preds).all():
         raise InvalidArgumentError("predictions must be finite probabilities")
     hits = np.mean((preds >= threshold) == labs, axis=-1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidArgumentError, RejectionBudgetExhaustedError, SingularSystemError
+from .errors import ConditionViolatedError, InvalidArgumentError
 from .errors import check_integer, check_positive
 from .randomness import substream
 
@@ -121,7 +121,7 @@ def fit_posterior(
 
     Solved through a Cholesky factorization of the posterior precision;
     no explicit inverse is formed for the mean. Raises
-    SingularSystemError if the system is not numerically positive
+    ConditionViolatedError if the system is not numerically positive
     definite.
     """
     lam = _as_precision(precision, data.d)
@@ -130,7 +130,7 @@ def fit_posterior(
     try:
         chol = scipy.linalg.cho_factor(A, lower=True)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"posterior precision not positive definite: {exc}") from exc
+        raise ConditionViolatedError(f"posterior precision not positive definite: {exc}") from exc
     mu = scipy.linalg.cho_solve(chol, data.X.T @ data.y)
     ident = np.eye(data.d)
     sigma = data.sigma2 * scipy.linalg.cho_solve(chol, ident)
@@ -142,16 +142,17 @@ def sample_truncated(post: GaussianPosterior, seed: int, size: int = 1) -> np.nd
     """Rejection draws from the posterior restricted to its ball.
 
     Each requested vector gets at most _REJECTION_BUDGET Gaussian
-    proposals; exhausting them raises RejectionBudgetExhaustedError, which signals
-    that the radius leaves the Gaussian almost no mass and needs
-    reconfiguring rather than silent clamping.
+    proposals; exhausting them raises ConditionViolatedError, which
+    signals that the radius leaves the Gaussian almost no mass and needs
+    reconfiguring rather than silent clamping. A covariance that is not
+    positive definite raises it too.
     """
     check_integer("size", size, 1)
     rng = substream(seed, _DRAW_TAG)
     try:
         chol = np.linalg.cholesky(post.sigma_n)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"posterior covariance not positive definite: {exc}") from exc
+        raise ConditionViolatedError(f"posterior covariance not positive definite: {exc}") from exc
     out = np.empty((size, post.d), dtype=np.float64)
     pending = np.arange(size)
     for _ in range(_REJECTION_BUDGET):
@@ -163,7 +164,7 @@ def sample_truncated(post: GaussianPosterior, seed: int, size: int = 1) -> np.nd
         out[pending[ok]] = proposal[ok]
         pending = pending[~ok]
     if pending.size:
-        raise RejectionBudgetExhaustedError(
+        raise ConditionViolatedError(
             f"{pending.size} of {size} draws found no point with norm <= {post.radius} "
             f"in {_REJECTION_BUDGET} attempts"
         )

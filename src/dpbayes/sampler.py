@@ -34,8 +34,7 @@ import numpy as np
 import scipy.special
 
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidArgumentError
-from .errors import InvalidEpsilonError, MissingPosteriorEntryError, OmegaTooLargeError
-from .errors import check_epsilon, check_integer
+from .errors import OmegaTooLargeError, check_epsilon, check_integer
 from .graph import BayesNetGraph, BetaParams, BetaTable, EntryTable, PosteriorMap, naive_bayes_graph
 from .randomness import substream
 
@@ -60,13 +59,13 @@ def trim_bound(epsilon: float) -> float:
 
     Raises OmegaTooLargeError when omega >= 1/2 (epsilon <= 2 ln 2):
     the interval is empty or a single point, so the caller must raise
-    epsilon or pick a smaller omega directly. Raises InvalidEpsilonError
+    epsilon or pick a smaller omega directly. Raises InvalidArgumentError
     when omega underflows to 0 (epsilon above ~1490): nothing is trimmed.
     """
     check_epsilon(epsilon)
     omega = math.exp(-epsilon / 2.0)
     if omega == 0.0:
-        raise InvalidEpsilonError(f"epsilon={epsilon} makes omega underflow to 0; no trim left")
+        raise InvalidArgumentError(f"epsilon={epsilon} makes omega underflow to 0; no trim left")
     if omega >= 0.5:
         raise OmegaTooLargeError(
             f"epsilon={epsilon} gives omega={omega:.4f} >= 1/2; trim interval degenerate"
@@ -240,11 +239,11 @@ def naive_bayes_params(posterior: PosteriorMap, d: int) -> BetaTable:
     """The posterior's table, checked to list the entries of naive_bayes_graph(d).
 
     That is class (0, 0), then (f, 0), (f, 1) per feature f = 1..d; any
-    other key tuple raises MissingPosteriorEntryError.
+    other key tuple raises DimensionMismatchError.
     """
     table = BetaTable.of(posterior)
     if table.order != naive_bayes_graph(d).entry_keys():
-        raise MissingPosteriorEntryError(
+        raise DimensionMismatchError(
             f"not a naive-Bayes posterior over {d} features: entries {list(table.order)}"
         )
     return table

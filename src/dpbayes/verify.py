@@ -18,7 +18,7 @@ test; run_verification_suite, the body of `dpbayes --task verify`,
 reports one such loss per mechanism, divided by its epsilon.
 
 Budgets are tight (|I| <= 4, n <= 4, k <= 12, 12 grid points) because
-every oracle is exponential in something; BudgetExceededError refuses
+every oracle is exponential in something; InvalidArgumentError refuses
 anything larger.
 """
 from __future__ import annotations
@@ -30,8 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.special
 
-from .errors import BudgetExceededError, CyclicGraphError, DpBayesError, InvalidArgumentError
-from .errors import LengthMismatchError
+from .errors import CyclicGraphError, DimensionMismatchError, DpBayesError, InvalidArgumentError
 from .expmech import GridSpec, MapSensitivity
 from .graph import BayesNetGraph, BetaParams, Dataset, PosteriorMap
 from .metrics import PrivacyCheckReport
@@ -95,7 +94,7 @@ def dense_table(data: Dataset, k: int | None = None) -> np.ndarray:
     """Full contingency table as a length-2^k vector, little-endian cells."""
     k = data.dimension if k is None else k
     if k > _DENSE_K_BUDGET:
-        raise BudgetExceededError(f"dense table limited to k <= {_DENSE_K_BUDGET}")
+        raise InvalidArgumentError(f"dense table limited to k <= {_DENSE_K_BUDGET}")
     out = np.zeros(1 << k, dtype=np.float64)
     if data.n:
         idx = data.records @ (1 << np.arange(k, dtype=np.int64))
@@ -115,7 +114,7 @@ def walsh_coefficients_dense(table: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError("table length must be a power of two")
     k = size.bit_length() - 1
     if k > _DENSE_K_BUDGET:
-        raise BudgetExceededError(f"dense transform limited to k <= {_DENSE_K_BUDGET}")
+        raise InvalidArgumentError(f"dense transform limited to k <= {_DENSE_K_BUDGET}")
     h = 1
     while h < size:
         for start in range(0, size, h * 2):
@@ -161,7 +160,7 @@ def brute_force_updates(graph: BayesNetGraph, data: Dataset) -> dict[tuple[int, 
 def all_dags(k: int) -> list[BayesNetGraph]:
     """Every DAG on k labeled nodes, as parent-list graphs."""
     if k > 4:
-        raise BudgetExceededError("DAG enumeration limited to k <= 4")
+        raise InvalidArgumentError("DAG enumeration limited to k <= 4")
     graphs = []
     others = [tuple(o for o in range(k) if o != i) for i in range(k)]
     subset_choices = [
@@ -179,7 +178,7 @@ def all_dags(k: int) -> list[BayesNetGraph]:
 def _records(k: int, n_max: int) -> np.ndarray:
     """Every record on k binary nodes, row r holding the bits of r little-endian."""
     if k > 4 or n_max > 4:
-        raise BudgetExceededError("exhaustive sensitivity limited to |I| <= 4, n <= 4")
+        raise InvalidArgumentError("exhaustive sensitivity limited to |I| <= 4, n <= 4")
     return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
 
 
@@ -273,7 +272,7 @@ def max_log_ratio_per_hamming(graph: BayesNetGraph, theta) -> float:
 
     k = graph.node_count
     if k > 4:
-        raise BudgetExceededError("exhaustive pair check limited to |I| <= 4")
+        raise InvalidArgumentError("exhaustive pair check limited to |I| <= 4")
     assignments = list(itertools.product((0, 1), repeat=k))
     logps = [joint_log_likelihood(graph, theta, np.array(a, dtype=np.int64)) for a in assignments]
     worst = 0.0
@@ -297,7 +296,7 @@ def exp_mechanism_worst_log_ratio(
     """
     u = np.asarray(utility, dtype=np.float64)
     if u.size > 12:
-        raise BudgetExceededError("corner enumeration limited to 12 points")
+        raise InvalidArgumentError("corner enumeration limited to 12 points")
     corners = np.array(list(itertools.product((-delta, delta), repeat=u.size)))
     with np.errstate(divide="ignore"):
         logs = np.log([probs(u), *(probs(u + s) for s in corners)])
@@ -405,7 +404,7 @@ def exp_mechanism_bruteforce_probs(
     values = [utility(p) for p in grid.points] if callable(utility) else list(utility)
     u = np.array(values, dtype=np.float64)
     if u.shape != (len(grid.points),):
-        raise LengthMismatchError(f"{len(u)} utility values for {len(grid.points)} grid points")
+        raise DimensionMismatchError(f"{len(u)} utility values for {len(grid.points)} grid points")
     w = np.array(grid.prior_mass) * np.exp(epsilon * u / (2.0 * delta.delta_value))
     return w / w.sum()
 

@@ -16,9 +16,6 @@ from dpbayes import (
     DownwardClosure,
     EntryTable,
     InvalidArgumentError,
-    InvalidEpsilonError,
-    InvalidTError,
-    MissingCoefficientError,
     NonPositivePosteriorParamError,
     build_table,
     compute_updates,
@@ -233,14 +230,14 @@ def test_stealth_increment_formula():
 def test_release_rejects_bad_parameters(rng):
     data = random_dataset(rng, 10, 3)
     clo = downward_closure(CHAIN3)
-    with pytest.raises(InvalidEpsilonError):
+    with pytest.raises(InvalidArgumentError, match="epsilon"):
         release_coefficients(data, clo, epsilon=0.0, t=1.0, seed=1)
-    with pytest.raises(InvalidTError):
+    with pytest.raises(InvalidArgumentError, match="t must be positive"):
         release_coefficients(data, clo, epsilon=1.0, t=0.0, seed=1)
-    with pytest.raises(InvalidTError):
+    with pytest.raises(InvalidArgumentError, match="t must be positive"):
         release_coefficients(data, clo, epsilon=1.0, t=-2.0, seed=1)
     # an infinite increment would leave no finite coefficient to read
-    with pytest.raises(InvalidTError, match="finite"):
+    with pytest.raises(InvalidArgumentError, match="finite"):
         release_coefficients(data, clo, epsilon=1.0, t=math.inf, seed=1)
 
 
@@ -342,9 +339,9 @@ def test_reconstruction_missing_coefficient():
     coeffs = CoefficientSet(closure=narrow, values={0: 1.0, 1: 0.5})
     graph = BayesNetGraph(node_count=2, parents=((), (0,)))
     message = "coefficient 0x3 needed for node 1 was not released"
-    with pytest.raises(MissingCoefficientError, match=message):
+    with pytest.raises(DimensionMismatchError, match=message):
         reconstruct_marginal(coeffs, 1, graph)
-    with pytest.raises(MissingCoefficientError, match=message):
+    with pytest.raises(DimensionMismatchError, match=message):
         fourier_posterior_params(coeffs, graph, uniform_priors(graph))
     assert reconstruct_marginal(coeffs, 0, graph).value((0,)) == pytest.approx(1.5)
 
@@ -599,7 +596,7 @@ def test_error_bound_increases_in_t():
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_error_bound_rejects_non_finite_t(t):
     # the bound and the release share one t rule, and its message
-    with pytest.raises(InvalidTError, match="t must be positive and finite"):
+    with pytest.raises(InvalidArgumentError, match="t must be positive and finite"):
         marginal_error_bound(CHAIN3, 1, epsilon=1.0, delta=0.1, t=t)
 
 

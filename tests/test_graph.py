@@ -17,7 +17,6 @@ from dpbayes import (
     DpBayesError,
     EntryTable,
     InvalidArgumentError,
-    MissingPriorEntryError,
     UpdateVector,
     ancestral_sample,
     build_table,
@@ -371,7 +370,7 @@ def test_posterior_params_adds_counts():
 
 def test_posterior_params_missing_prior():
     up = UpdateVector({(0, 0): (1.0, 0.0)})
-    with pytest.raises(MissingPriorEntryError):
+    with pytest.raises(DimensionMismatchError, match="priors list entries"):
         posterior_params({}, up)
 
 
@@ -381,7 +380,7 @@ def test_posterior_params_missing_prior():
 def test_posterior_params_needs_priors_for_exactly_the_update_entries(prior_keys):
     up = UpdateVector({(0, 0): (1.0, 0.0), (1, 0): (0.0, 1.0)})
     priors = dict.fromkeys(prior_keys, BetaParams(1.0, 1.0))
-    with pytest.raises(MissingPriorEntryError) as err:
+    with pytest.raises(DimensionMismatchError) as err:
         posterior_params(priors, up)
     assert f"priors list entries {prior_keys}, expected ((0, 0), (1, 0))" in str(err.value)
 

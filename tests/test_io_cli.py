@@ -126,6 +126,9 @@ def test_load_network_bad_default_prior(tmp_path):
         {"nodes": 2, "parents": [[], [0]], "priors": {"default": [1.0, 1.0, 99]}},
         {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1, 0, 2.0, 3.0, 7]]}},
         {"nodes": 2, "parents": [[], [0]], "priors": {"overrides": [[1, 0, 2.0]]}},
+        # a second override of one entry would replace the first without a word
+        {"nodes": 2, "parents": [[], [0]],
+         "priors": {"overrides": [[1, 0, 2.0, 3.0], [1, 0, 5.0, 5.0]]}},
     ],
     ids=[
         "parent-out-of-range", "no-nodes", "negative-override",
@@ -133,7 +136,7 @@ def test_load_network_bad_default_prior(tmp_path):
         "float-node-count", "float-parent", "string-parent-row", "float-override-node",
         "bool-node-count", "bool-and-string-default-prior", "string-override-prior",
         "cycle", "prior-key", "priors-defaults-key", "long-default-prior", "long-override",
-        "short-override",
+        "short-override", "duplicate-override",
     ],
 )
 def test_cli_bad_network_is_config_error(tmp_path, capsys, spec):
@@ -355,8 +358,25 @@ def test_cli_requires_task(capsys):
     assert "task" in capsys.readouterr().err
 
 
-def test_cli_bad_flag_maps_to_config_error_code(capsys):
-    assert main(["--task", "nb", "--repeats", "many"]) == 1
+@pytest.mark.parametrize(
+    "flag, token, line",
+    [
+        (["--task", "nb", "--repeats", "many"], ["--task", "nb", "repeats=many"],
+         "dpbayes: config error: bad value for repeats:"),
+        (["--task", "nb", "--train-frac", "half"], ["--task", "nb", "train_fraction=half"],
+         "dpbayes: config error: bad value for train_fraction:"),
+        (["--task", "tarot"], ["task=tarot"], "dpbayes: config error: unknown task 'tarot'"),
+    ],
+    ids=["repeats", "train-fraction", "task"],
+)
+def test_cli_bad_flag_maps_to_config_error_code(capsys, flag, token, line):
+    # a bad value gets one report, whether it comes as a flag or a key=value token
+    reports = []
+    for args in (flag, token):
+        assert main(args) == 1
+        reports.append(capsys.readouterr().err)
+    assert reports[0] == reports[1]
+    assert reports[0].startswith(line) and reports[0].count("\n") == 1
 
 
 def test_cli_unknown_task_via_pair(capsys):

@@ -12,9 +12,7 @@ from dpbayes import (
     Dataset,
     DimensionMismatchError,
     InvalidArgumentError,
-    InvalidEpsilonError,
     LaplaceNoiseSpec,
-    PriorTooSmallError,
     UpdateVector,
     compute_updates,
     kl_joint,
@@ -54,11 +52,11 @@ def test_update_sensitivity_values():
 
 
 def test_spec_rejects_bad_epsilon():
-    with pytest.raises(InvalidEpsilonError):
+    with pytest.raises(InvalidArgumentError, match="epsilon"):
         LaplaceNoiseSpec(epsilon=0.0, node_count=1, n=5)
-    with pytest.raises(InvalidEpsilonError):
+    with pytest.raises(InvalidArgumentError, match="epsilon"):
         LaplaceNoiseSpec(epsilon=-1.0, node_count=1, n=5)
-    with pytest.raises(InvalidEpsilonError):
+    with pytest.raises(InvalidArgumentError, match="epsilon"):
         LaplaceNoiseSpec(epsilon=float("nan"), node_count=1, n=5)
 
 
@@ -253,7 +251,7 @@ def test_kl_bound_requires_priors_at_least_two(rng):
     priors, up = kl_inputs(rng)
     weak = dict(priors)
     weak[(0, 0)] = BetaParams(1.0, 2.0)
-    with pytest.raises(PriorTooSmallError):
+    with pytest.raises(InvalidArgumentError, match="must be >= 2"):
         posterior_kl_bound(weak, up, CHAIN3, epsilon=1.0, delta=0.1, n=20)
 
 

@@ -74,3 +74,24 @@ def test_modules_raise_no_plain_value_or_type_error():
                 if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
                     plain.append(f"{path.name}:{node.lineno} {exc.id}")
     assert plain == []
+
+
+def test_every_error_class_is_raised_or_caught():
+    # one class per kind of failure: an exported error that no module raises
+    # or catches is a name no caller can tell apart from its kind's class
+    named = set()
+    for path in sorted(Path(dpbayes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                named.add(getattr(exc, "id", None))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                named.update(getattr(exc, "id", None) for exc in caught)
+    errors = {
+        name for name in dpbayes.__all__
+        if isinstance(getattr(dpbayes, name), type)
+        and issubclass(getattr(dpbayes, name), DpBayesError)
+        and getattr(dpbayes, name) is not DpBayesError
+    }
+    assert errors and errors - named == set()
