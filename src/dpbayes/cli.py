@@ -6,7 +6,9 @@ release; `verify` emits the privacy-loss table as a JSON report.
 Options come from flags, from a TOML or JSON config file, or from
 positional key=value tokens (the mechanism task's native style), which
 may sit before, between or after the flags; flags win over key=value
-tokens, which win over the config file.
+tokens, which win over the config file. Each setting is one row of
+`_SETTINGS` (its kind, readers and flag); the parser is built from the
+rows, and every given value is read once, by its kind.
 
 Exit codes: 0 success, 1 configuration error, 2 a failing privacy-loss row.
 """
@@ -18,6 +20,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import expmech, fourier, laplace, sampler
 from .errors import ConfigError, DpBayesError, InvalidArgumentError, check_integer
@@ -28,41 +31,52 @@ from .verify import run_verification_suite
 
 log = logging.getLogger("dpbayes.cli")
 
-# the settings each task, and each mechanism of the mechanism task,
-# reads; any other setting is a ConfigError
-_COMMON_KEYS = ("task", "seed", "out")
-_SWEEP_KEYS = (*_COMMON_KEYS, "mechanisms", "repeats", "train_fraction", "d", "n", "dataset")
-_RELEASE_KEYS = (*_COMMON_KEYS, "mechanism", "epsilon", "network", "dataset")
-_MECHANISM_KEYS = {
-    "laplace": {*_RELEASE_KEYS},
-    "fourier": {*_RELEASE_KEYS, "t"},
-    "sampler": {*_RELEASE_KEYS, "samples"},
-    "map": {*_COMMON_KEYS, "mechanism", "epsilon", "grid", "utility", "delta", "draws"},
-}
-_TASK_KEYS = {
-    "nb": {*_SWEEP_KEYS, "epsilon_grid", "sampler_samples", "fourier_t", "threshold"},
-    "linreg": {*_SWEEP_KEYS, "b_grid", "regression_samples", "sigma2", "radius", "noise_sigma"},
-    "mechanism": set().union(*_MECHANISM_KEYS.values()),
-    "verify": set(_COMMON_KEYS),
-}
-# argparse destinations that are not settings
-_NON_SETTINGS = ("config", "pairs")
-# ExperimentConfig fields taken from the settings when given, with their types
-_EXPERIMENT_FIELDS = {
-    **dict.fromkeys(("epsilon_grid", "b_grid"), tuple),
-    **dict.fromkeys(("repeats", "seed", "d", "n", "sampler_samples", "regression_samples"), int),
-    **dict.fromkeys(
-        ("train_fraction", "fourier_t", "threshold", "sigma2", "radius", "noise_sigma"), float
-    ),
-    "dataset": str,
-}
+_TASKS = ("nb", "linreg", "mechanism", "verify")
+_TASK_METAVAR = "{" + ",".join(_TASKS) + "}"
+_MECHANISMS = ("laplace", "fourier", "sampler", "map")
+_RELEASES = ("laplace", "fourier", "sampler")  # the mechanisms that read a network and a dataset
+_SWEEPS = ("nb", "linreg")
+_ALL = (*_SWEEPS, "verify", *_MECHANISMS)
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric grid {text!r}: {exc}") from exc
+class _Row(NamedTuple):
+    kind: type  # tuple[item, ...] for a list setting
+    readers: tuple[str, ...]  # the sweeps, verify and release mechanisms that read it
+    flag: str | None = None  # without one, a setting comes as key=value or from the file
+    help: str | None = None
+
+
+# every setting; any other, or one the task or mechanism does not read, is a ConfigError
+_SETTINGS = {
+    "task": _Row(str, _ALL, "--task"),
+    "config": _Row(str, (), "--config", "TOML or JSON config file"),
+    "mechanisms": _Row(tuple[str, ...], _SWEEPS, "--mechanisms", "comma-separated mechanism list"),
+    "epsilon_grid": _Row(tuple[float, ...], ("nb",), "--epsilon-grid", "comma-separated epsilons"),
+    "b_grid": _Row(tuple[float, ...], ("linreg",), "--b-grid", "comma-separated prior precisions"),
+    "repeats": _Row(int, _SWEEPS, "--repeats"),
+    "seed": _Row(int, _ALL, "--seed"),
+    "train_fraction": _Row(float, _SWEEPS, "--train-frac"),
+    "out": _Row(str, _ALL, "--out", "output path, '-' for stdout (default)"),
+    "d": _Row(int, _SWEEPS, "--d", "feature count for synthetic data"),
+    "n": _Row(int, _SWEEPS, "--n", "record count for synthetic data"),
+    "sampler_samples": _Row(int, ("nb",), "--sampler-samples"),
+    "regression_samples": _Row(int, ("linreg",), "--regression-samples"),
+    "fourier_t": _Row(float, ("nb",), "--fourier-t"),
+    "threshold": _Row(float, ("nb",), "--threshold"),
+    "sigma2": _Row(float, ("linreg",), "--sigma2"),
+    "radius": _Row(float, ("linreg",), "--radius"),
+    "noise_sigma": _Row(float, ("linreg",), "--noise-sigma"),
+    "dataset": _Row(str, (*_SWEEPS, *_RELEASES), "--dataset", "CSV dataset path"),
+    "network": _Row(str, _RELEASES, "--network", "network JSON path (mechanism task)"),
+    "grid": _Row(str, ("map",), "--grid", "grid CSV path (map mechanism)"),
+    "utility": _Row(str, ("map",), "--utility", "utility CSV path (map mechanism)"),
+    "mechanism": _Row(str, _MECHANISMS),
+    "epsilon": _Row(float, _MECHANISMS),
+    "t": _Row(float, ("fourier",)),
+    "samples": _Row(int, ("sampler",)),
+    "delta": _Row(float, ("map",)),
+    "draws": _Row(int, ("map",)),
+}
 
 
 @functools.cache
@@ -71,34 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dpbayes",
         description="Differentially private Bayesian inference experiments",
     )
-    p.add_argument("--task", metavar="{nb,linreg,mechanism,verify}")
-    p.add_argument("--config", help="TOML or JSON config file")
-    p.add_argument("--mechanisms", help="comma-separated mechanism list")
-    p.add_argument("--epsilon-grid", dest="epsilon_grid", help="comma-separated epsilons")
-    p.add_argument("--b-grid", dest="b_grid", help="comma-separated prior precisions")
-    p.add_argument("--repeats")
-    p.add_argument("--seed")
-    p.add_argument("--train-frac", dest="train_fraction")
-    p.add_argument("--out", help="output path, '-' for stdout (default)")
-    p.add_argument("--d", help="feature count for synthetic data")
-    p.add_argument("--n", help="record count for synthetic data")
-    p.add_argument("--sampler-samples", dest="sampler_samples")
-    p.add_argument("--regression-samples", dest="regression_samples")
-    p.add_argument("--fourier-t", dest="fourier_t")
-    p.add_argument("--threshold")
-    p.add_argument("--sigma2")
-    p.add_argument("--radius")
-    p.add_argument("--noise-sigma", dest="noise_sigma")
-    p.add_argument("--dataset", help="CSV dataset path")
-    p.add_argument("--network", help="network JSON path (mechanism task)")
-    p.add_argument("--grid", help="grid CSV path (map mechanism)")
-    p.add_argument("--utility", help="utility CSV path (map mechanism)")
-    p.add_argument(
-        "pairs",
-        nargs="*",
-        metavar="key=value",
-        help="mechanism-task settings, e.g. mechanism=laplace epsilon=1 seed=7",
-    )
+    for key, row in _SETTINGS.items():
+        if row.flag:
+            metavar = _TASK_METAVAR if key == "task" else None
+            p.add_argument(row.flag, dest=key, metavar=metavar, help=row.help)
+    example = "mechanism-task settings, e.g. mechanism=laplace epsilon=1 seed=7"
+    p.add_argument("pairs", nargs="*", metavar="key=value", help=example)
     # parse_intermixed_args renders the whole usage on every call while it is unset
     p.usage = p.format_usage().removeprefix("usage: ").rstrip("\n").replace("%", "%%")
     return p
@@ -122,84 +114,72 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge_settings(ns: argparse.Namespace) -> dict:
+    """The given settings, checked against the rows the task reads, each read by its kind."""
+    flags = {key: value for key, value in vars(ns).items() if value is not None}
+    config, pairs = flags.pop("config", None), flags.pop("pairs")
     settings: dict = {}
-    if ns.config:
-        file_map = _load_config_file(ns.config)
+    if config:
+        file_map = _load_config_file(config)
         if not isinstance(file_map, dict):
             raise ConfigError("config file must hold a table of settings")
         settings.update(file_map)
-    for token in ns.pairs:
+    for token in pairs:
         if "=" not in token:
             raise ConfigError(f"expected key=value, got {token!r}")
         key, value = token.split("=", 1)
         settings[key.strip().replace("-", "_")] = value
-    settings.update(
-        (key, value)
-        for key, value in vars(ns).items()
-        if key not in _NON_SETTINGS and value is not None
-    )
+    settings.update(flags)
     task = settings.get("task")
     if task is None:
-        raise ConfigError("no task given; use --task {nb,linreg,mechanism,verify}")
-    if not isinstance(task, str) or task not in _TASK_KEYS:
+        raise ConfigError(f"no task given; use --task {_TASK_METAVAR}")
+    if not isinstance(task, str) or task not in _TASKS:
         raise ConfigError(f"unknown task {task!r}")
-    allowed, scope = _TASK_KEYS[task], f"task {task!r}"
+    readers, scope = (set(_MECHANISMS) if task == "mechanism" else {task}), f"task {task!r}"
     mechanism = settings.get("mechanism")
-    if task == "mechanism" and isinstance(mechanism, str) and mechanism in _MECHANISM_KEYS:
-        allowed, scope = _MECHANISM_KEYS[mechanism], f"mechanism {mechanism!r}"
-    unknown = sorted(set(settings) - allowed)
+    if task == "mechanism" and mechanism in _MECHANISMS:
+        readers, scope = {mechanism}, f"mechanism {mechanism!r}"
+    read = {key for key, row in _SETTINGS.items() if readers & {*row.readers}}
+    unknown = sorted(set(settings) - read)
     if unknown:
         raise ConfigError(f"unknown setting {', '.join(map(repr, unknown))} for {scope}")
-    return settings
+    given = {}
+    for key, value in settings.items():
+        try:
+            if value is not None:
+                given[key] = _read(key, value, _SETTINGS[key].kind)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+    return given
 
 
-def _file_float(value) -> float:
-    """float() of a config file's number; it would read true as 1.0."""
-    if isinstance(value, bool):
+def _read(key: str, value, kind):
+    """`value` of setting `key`, read by `kind`; a string is a flag's, a token's or a file's."""
+    if kind not in (int, float, str):  # a list of kind.__args__[0] items
+        # a comma-separated string, each item stripped, or a config file's list
+        items = [v.strip() for v in value.split(",")] if isinstance(value, str) else list(value)
+        if "" in items:
+            raise InvalidArgumentError("an item is empty")
+        return tuple(_read(key, item, kind.__args__[0]) for item in items)
+    if isinstance(value, str):
+        return kind(value)
+    if kind is int:  # int() would truncate a file's 1.9
+        return check_integer(key, value)
+    if kind is str:  # str() would turn a file's true into the path "True"
+        raise InvalidArgumentError("not a string")
+    if isinstance(value, bool):  # float() would read a file's true as 1.0
         raise InvalidArgumentError("a boolean is not a number")
     return float(value)
 
 
-def _coerce(settings: dict, key: str, kind, default=None):
-    if key not in settings or settings[key] is None:
-        return default
-    value = settings[key]
-    try:
-        if isinstance(value, str):  # a key=value token, a flag or a file's string
-            return _parse_grid(value) if kind is tuple else kind(value)
-        if kind is int:  # int() would truncate a file's 1.9
-            return check_integer(key, value)
-        if kind is tuple:
-            return tuple(_file_float(v) for v in value)
-        if kind is float:
-            return _file_float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
-    # str() would turn a file's true into the path "True"
-    raise ConfigError(f"bad value for {key}: {value!r} (not a string)")
-
-
-def _experiment_config(settings: dict, task: str) -> ExperimentConfig:
+def _experiment_config(settings: dict) -> ExperimentConfig:
     """ExperimentConfig from the given settings; every other field keeps its default."""
-    fields = {
-        key: _coerce(settings, key, kind)
-        for key, kind in _EXPERIMENT_FIELDS.items()
-        if settings.get(key) is not None
-    }
-    if "dataset" in fields:
-        # the dataset replaces the generated data, so the generator's settings go unread
-        unread = sorted({"d", "n", "noise_sigma"} & set(fields))
-        if unread:
-            names = ", ".join(map(repr, unread))
-            raise ConfigError(f"unknown setting {names} for task {task!r} with a dataset")
-    mechanisms = settings.get("mechanisms")
-    if isinstance(mechanisms, str):
-        fields["mechanisms"] = tuple(m.strip() for m in mechanisms.split(",") if m.strip())
-    elif isinstance(mechanisms, list) and all(isinstance(m, str) for m in mechanisms):
-        fields["mechanisms"] = tuple(mechanisms)
-    elif mechanisms is not None:
-        raise ConfigError(f"bad value for mechanisms: {mechanisms!r} (not a list of names)")
-    return ExperimentConfig(task=task, **fields)
+    fields = {key: value for key, value in settings.items() if key != "out"}
+    # the dataset replaces the generated data, so the generator's settings go unread
+    unread = sorted({"d", "n", "noise_sigma"} & set(fields)) if "dataset" in fields else []
+    if unread:
+        scope = f"task {fields['task']!r} with a dataset"
+        raise ConfigError(f"unknown setting {', '.join(map(repr, unread))} for {scope}")
+    return ExperimentConfig(**fields)
 
 
 def _emit(out: str, lines: list[str]) -> int:
@@ -217,26 +197,26 @@ def _emit(out: str, lines: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _require(settings: dict, key: str, kind=str):
-    if settings.get(key) is None:
+def _require(settings: dict, key: str):
+    if key not in settings:
         raise ConfigError(f"mechanism task needs {key}=...")
-    return _coerce(settings, key, kind)
+    return settings[key]
 
 
 def _run_mechanism(settings: dict, out: str) -> int:
     name = _require(settings, "mechanism")
-    seed = _coerce(settings, "seed", int, 0)
-    epsilon = _require(settings, "epsilon", float)
+    seed = settings.get("seed", 0)
+    epsilon = _require(settings, "epsilon")
 
     if name == "map":
         grid = load_grid(_require(settings, "grid"))
-        if settings.get("utility") is not None:
-            utility = load_utility(_coerce(settings, "utility", str), grid.size)
+        if "utility" in settings:
+            utility = load_utility(settings["utility"], grid.size)
         else:
             # Without a utility file the draw reduces to prior sampling.
             utility = [0.0] * grid.size
-        delta_value = _coerce(settings, "delta", float, 0.5)
-        draws = _coerce(settings, "draws", int, 1)
+        delta_value = settings.get("delta", 0.5)
+        draws = settings.get("draws", 1)
         if not delta_value > 0 or draws < 0:
             raise ConfigError(f"map needs delta > 0 and draws >= 0, got {delta_value} and {draws}")
         sens = expmech.MapSensitivity(kind="lipschitz", delta_value=delta_value)
@@ -259,7 +239,7 @@ def _run_mechanism(settings: dict, out: str) -> int:
         return _emit(out, lines)
 
     if name == "fourier":
-        t = _coerce(settings, "t", float, fourier.DEFAULT_STEALTH_T)
+        t = settings.get("t", fourier.DEFAULT_STEALTH_T)
         z, post, floored = fourier.release_posterior_stack(
             data, graph, priors, (epsilon,), t, (seed,)
         )
@@ -273,7 +253,7 @@ def _run_mechanism(settings: dict, out: str) -> int:
         return _emit(out, lines)
 
     if name == "sampler":
-        samples = _coerce(settings, "samples", int, 1)
+        samples = settings.get("samples", 1)
         if samples < 0:
             raise ConfigError(f"samples must be non-negative, got {samples}")
         post = posterior_params(priors, compute_updates(graph, data))
@@ -288,7 +268,8 @@ def _run_mechanism(settings: dict, out: str) -> int:
 
 
 def _run_verify(settings: dict, out: str) -> int:
-    checks = run_verification_suite(_coerce(settings, "seed", int, 20240817))
+    # the suite keeps its own default seed unless one is given
+    checks = run_verification_suite(**{k: v for k, v in settings.items() if k == "seed"})
     ok = all(c["passed"] for c in checks)
     _emit(out, [json.dumps({"passed": ok, "checks": checks}, indent=2)])
     return 0 if ok else 2
@@ -304,13 +285,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(name)s: %(message)s")
     try:
         settings = _merge_settings(ns)
-        task = settings["task"]
-        out = _coerce(settings, "out", str, "-")
+        task, out = settings["task"], settings.get("out", "-")
         if task == "verify":
             return _run_verify(settings, out)
         if task == "mechanism":
             return _run_mechanism(settings, out)
-        rows = run_experiment(_experiment_config(settings, task)).rows
+        rows = run_experiment(_experiment_config(settings)).rows
         return _emit(out, rows_to_csv(rows).splitlines())
     except ConfigError as exc:
         print(f"dpbayes: config error: {exc}", file=sys.stderr)

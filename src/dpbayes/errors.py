@@ -53,6 +53,11 @@ def check_fraction(name: str, value: float) -> None:
         raise InvalidArgumentError(f"{name} must lie in (0, 1), got {value}")
 
 
+def check_probability(name: str, value: float) -> None:
+    if not 0 <= value <= 1:
+        raise InvalidArgumentError(f"{name} must lie in [0, 1], got {value}")
+
+
 def check_t(t: float) -> None:
     if not 0 < t < math.inf:
         raise InvalidArgumentError(f"t must be positive and finite, got {t}")

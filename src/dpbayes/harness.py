@@ -18,7 +18,7 @@ import numpy as np
 from . import fourier, laplace, regression, sampler
 from .errors import ConfigError, DimensionMismatchError, InvalidArgumentError, OmegaTooLargeError
 from .errors import check_epsilon, check_fraction, check_integer, check_nonnegative
-from .errors import check_positive, check_t
+from .errors import check_positive, check_probability, check_t
 from .graph import (
     Dataset,
     ThetaMap,
@@ -90,10 +90,9 @@ class ExperimentConfig:
                 raise ConfigError(f"mechanism {mech!r} is listed more than once")
         if not self.epsilon_grid or not self.b_grid:
             raise ConfigError("epsilon and b grids must be non-empty")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
         # the library's own rules, reported as the configuration errors they are here
         try:
+            check_probability("threshold", self.threshold)
             for epsilon in self.epsilon_grid:
                 check_epsilon(epsilon)
             for b in self.b_grid:

@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import betaln, digamma
 
-from .errors import DimensionMismatchError, InvalidArgumentError
+from .errors import DimensionMismatchError, InvalidArgumentError, check_probability
 from .graph import BetaParams, EntryKey
 
 
@@ -57,8 +57,7 @@ def accuracy(
     exactly at the threshold counts as class 1. A NaN or infinite
     prediction raises InvalidArgumentError: it has no class.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidArgumentError(f"threshold must lie in [0, 1], got {threshold}")
+    check_probability("threshold", threshold)
     preds = np.asarray(predictions, dtype=float)
     labs = np.asarray(labels)
     if preds.shape[-1] != labs.shape[0]:

@@ -1,7 +1,10 @@
 """File loaders and the command-line entry point."""
+import dataclasses
 import importlib.util
 import json
 import re
+import types
+import typing
 import warnings
 
 import numpy as np
@@ -366,22 +369,27 @@ def test_cli_requires_task(capsys):
         (["--task", "nb", "--train-frac", "half"], ["--task", "nb", "train_fraction=half"],
          "dpbayes: config error: bad value for train_fraction:"),
         (["--task", "tarot"], ["task=tarot"], "dpbayes: config error: unknown task 'tarot'"),
+        # a left-out list item is refused, not skipped
+        (["--task", "nb", "--epsilon-grid", "1,,2"], ["--task", "nb", "epsilon_grid=1,,2"],
+         "dpbayes: config error: bad value for epsilon_grid: '1,,2' ("),
+        (["--task", "nb", "--mechanisms", "none,,laplace"],
+         ["--task", "nb", "mechanisms=none,,laplace"],
+         "dpbayes: config error: bad value for mechanisms: 'none,,laplace' ("),
     ],
-    ids=["repeats", "train-fraction", "task"],
+    ids=["repeats", "train-fraction", "task", "epsilon-grid", "mechanisms"],
 )
-def test_cli_bad_flag_maps_to_config_error_code(capsys, flag, token, line):
-    # a bad value gets one report, whether it comes as a flag or a key=value token
+def test_cli_bad_flag_maps_to_config_error_code(tmp_path, capsys, flag, token, line):
+    # a bad value gets one report, whether it comes as a flag, a key=value
+    # token or a config file's string
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(arg.split("=", 1) for arg in token if "=" in arg)))
+    from_file = [*(arg for arg in token if "=" not in arg), "--config", str(cfg)]
     reports = []
-    for args in (flag, token):
+    for args in (flag, token, from_file):
         assert main(args) == 1
         reports.append(capsys.readouterr().err)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert reports[0].startswith(line) and reports[0].count("\n") == 1
-
-
-def test_cli_unknown_task_via_pair(capsys):
-    assert main(["task=tarot"]) == 1
-    assert "unknown task" in capsys.readouterr().err
 
 
 def test_cli_nb_stdout_csv(capsys):
@@ -412,6 +420,22 @@ def test_cli_sweeps_run_the_library_default_configs(monkeypatch, capsys):
     assert main(["--task", "linreg"]) == 0
     assert seen == [ExperimentConfig(task="nb"), ExperimentConfig(task="linreg")]
     assert (seen[1].d, seen[1].n) == (5, 2000)
+
+
+def test_cli_settings_table_matches_experiment_config():
+    # a sweep passes the settings it read straight to ExperimentConfig, so the
+    # rows the sweeps read are its fields, each of the field's own type
+    rows = dpbayes.cli._SETTINGS
+    hints = typing.get_type_hints(ExperimentConfig)
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)} - {"theta"}
+    swept = {key for key, row in rows.items() if {"nb", "linreg"} & set(row.readers)}
+    assert swept - {"out"} == fields
+    for name in fields:
+        hint = hints[name]
+        # X | None: the config fills in a None itself
+        if typing.get_origin(hint) in (typing.Union, types.UnionType):
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
+        assert rows[name].kind == hint, name
 
 
 def test_cli_linreg_task(tmp_path):
@@ -824,6 +848,7 @@ def test_cli_nb_infinite_fourier_t_exits_1(capsys):
         ("linreg", "--sigma2", "nan"),
         ("linreg", "--radius", "inf"),
         ("linreg", "--radius", "nan"),
+        ("linreg", "--b-grid", "1,"),
     ],
 )
 def test_cli_bad_sweep_setting_exits_1(capsys, task, flag, value):
@@ -834,7 +859,9 @@ def test_cli_bad_sweep_setting_exits_1(capsys, task, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("dpbayes:")
-    assert flag.lstrip("-").replace("-", " ") in captured.err
+    # a range rule names the setting in words, a bad value by its key
+    name = flag.lstrip("-")
+    assert name.replace("-", " ") in captured.err or name.replace("-", "_") in captured.err
     assert "Traceback" not in captured.err
 
 
