@@ -320,7 +320,12 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """MSE sweep over prior precisions for exact and sampled predictors."""
+    """MSE sweep over prior precisions for exact and sampled predictors.
+
+    Each repeat fits its whole b grid in one fit_posterior_grid call,
+    from one X'X; the sampler then draws once per (b, repeat), from
+    that pair's own keyed substream.
+    """
     _require_task(config, "linreg")
     if config.dataset is not None:
         X_raw, y_raw = load_regression_csv(config.dataset)
@@ -329,6 +334,10 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
             config.d, config.n, config.seed, config.noise_sigma
         )
     data = regression.scale_regression_data(X_raw, y_raw, config.sigma2)
+    radii = [
+        config.radius if config.radius is not None else regression.default_radius(b)
+        for b in config.b_grid
+    ]
 
     mse = {mech: np.empty((len(config.b_grid), config.repeats)) for mech in config.mechanisms}
     for r in range(config.repeats):
@@ -338,9 +347,8 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
             X=data.X[tr], y=data.y[tr], sigma2=config.sigma2
         )
         X_test, y_test = data.X[te], data.y[te]
-        for bi, b in enumerate(config.b_grid):
-            radius = config.radius if config.radius is not None else regression.default_radius(b)
-            post = regression.fit_posterior(train, b, radius)
+        posts = regression.fit_posterior_grid(train, config.b_grid, radii)
+        for bi, post in enumerate(posts):
             if "none" in config.mechanisms:
                 mse["none"][bi, r] = np.mean((X_test @ post.mu_n - y_test) ** 2)
             if "sampler" in config.mechanisms:

@@ -3,7 +3,9 @@
 The conjugate pair: Gaussian likelihood with known noise variance and
 a zero-mean Gaussian prior restricted to a Euclidean ball. Posterior
 mean and covariance have the usual ridge form; sampling restricts to
-the ball by rejection.
+the ball by rejection. fit_posterior_grid fits one dataset under a
+whole grid of prior precisions from a single X'X and X'y, calling
+LAPACK's Cholesky routines directly; fit_posterior is its one-entry case.
 
 One posterior draw costs 2L (Dimitrakakis et al., ALT 2014), with L
 the largest change of the log-likelihood between neighbouring datasets.
@@ -16,12 +18,13 @@ costs (1+r)^2 / sigma2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import ConditionViolatedError, InvalidArgumentError
+from .errors import ConditionViolatedError, DimensionMismatchError, InvalidArgumentError
 from .errors import check_integer, check_positive
 from .randomness import substream
 
@@ -49,6 +52,8 @@ class RegressionData:
         y = np.asarray(self.y, dtype=np.float64)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise InvalidArgumentError("X must be n x d with a length-n target vector")
+        if X.shape[1] == 0:
+            raise InvalidArgumentError("X must have at least one feature column")
         check_positive("sigma2", self.sigma2)
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise InvalidArgumentError("X and y must hold finite numbers only")
@@ -91,6 +96,8 @@ class GaussianPosterior:
         sig = np.asarray(self.sigma_n, dtype=np.float64)
         if mu.ndim != 1 or sig.shape != (mu.size, mu.size):
             raise InvalidArgumentError("mean and covariance shapes disagree")
+        if not (np.isfinite(mu).all() and np.isfinite(sig).all()):
+            raise InvalidArgumentError("mean and covariance must hold finite numbers only")
         if float(np.abs(sig - sig.T).max()) > 1e-10:
             raise InvalidArgumentError("covariance must be symmetric")
         check_positive("radius", self.radius)
@@ -109,33 +116,62 @@ def _as_precision(precision: float | np.ndarray, d: int) -> np.ndarray:
     lam = np.asarray(precision, dtype=np.float64)
     if lam.shape != (d, d):
         raise InvalidArgumentError("precision matrix must be d x d")
+    if not np.isfinite(lam).all():
+        raise InvalidArgumentError("precision matrix must hold finite numbers only")
     if float(np.abs(lam - lam.T).max()) > 1e-10:
         raise InvalidArgumentError("precision matrix must be symmetric")
     return lam
 
 
+def fit_posterior_grid(
+    data: RegressionData,
+    precisions: Sequence[float | np.ndarray],
+    radii: Sequence[float],
+) -> list[GaussianPosterior]:
+    """One posterior per (precision, radius) pair, all on the same data.
+
+    For each prior precision L: mu_n = (X'X + s2 L)^-1 X'y and
+    sigma_n = s2 (X'X + s2 L)^-1. X'X and X'y are formed once for the
+    grid. Each posterior precision is factored by LAPACK dpotrf and
+    solved by dpotrs, the routines behind scipy's cho_factor and
+    cho_solve, so a grid entry equals its own fit_posterior bit for bit;
+    no explicit inverse is formed for the mean. Raises
+    ConditionViolatedError if a system overflows or is not numerically
+    positive definite.
+    """
+    if len(precisions) != len(radii):
+        raise DimensionMismatchError(
+            f"{len(precisions)} prior precisions but {len(radii)} radii"
+        )
+    if not len(precisions):
+        return []
+    lam = np.stack([_as_precision(precision, data.d) for precision in precisions])
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        A = data.X.T @ data.X + data.sigma2 * lam
+        A = (A + A.swapaxes(1, 2)) / 2.0
+    if not np.isfinite(A).all():
+        raise ConditionViolatedError("posterior precision overflows to a non-finite entry")
+    xty = data.X.T @ data.y
+    ident = np.eye(data.d)
+    posts = []
+    for a, radius in zip(A, radii):
+        chol, info = dpotrf(a, lower=1, clean=0)
+        if info:
+            raise ConditionViolatedError(
+                "posterior precision not positive definite: "
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+        mu = dpotrs(chol, xty, lower=1)[0]
+        sigma = data.sigma2 * dpotrs(chol, ident, lower=1)[0]
+        posts.append(GaussianPosterior(mu_n=mu, sigma_n=(sigma + sigma.T) / 2.0, radius=radius))
+    return posts
+
+
 def fit_posterior(
     data: RegressionData, precision: float | np.ndarray, radius: float
 ) -> GaussianPosterior:
-    """mu_n = (X'X + s2 L)^-1 X'y and sigma_n = s2 (X'X + s2 L)^-1.
-
-    Solved through a Cholesky factorization of the posterior precision;
-    no explicit inverse is formed for the mean. Raises
-    ConditionViolatedError if the system is not numerically positive
-    definite.
-    """
-    lam = _as_precision(precision, data.d)
-    A = data.X.T @ data.X + data.sigma2 * lam
-    A = (A + A.T) / 2.0
-    try:
-        chol = scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConditionViolatedError(f"posterior precision not positive definite: {exc}") from exc
-    mu = scipy.linalg.cho_solve(chol, data.X.T @ data.y)
-    ident = np.eye(data.d)
-    sigma = data.sigma2 * scipy.linalg.cho_solve(chol, ident)
-    sigma = (sigma + sigma.T) / 2.0
-    return GaussianPosterior(mu_n=mu, sigma_n=sigma, radius=radius)
+    """The posterior under one prior precision: fit_posterior_grid with one entry."""
+    return fit_posterior_grid(data, [precision], [radius])[0]
 
 
 def sample_truncated(post: GaussianPosterior, seed: int, size: int = 1) -> np.ndarray:
@@ -187,6 +223,17 @@ def predictive_mse(
     """MSE of the predictor built from averaged truncated-posterior draws."""
     X_test = np.asarray(X_test, dtype=np.float64)
     y_test = np.asarray(y_test, dtype=np.float64)
+    if X_test.ndim != 2 or X_test.shape[1] != post.d:
+        raise DimensionMismatchError(
+            f"X_test must have {post.d} columns, one per weight; got shape {X_test.shape}"
+        )
+    if y_test.shape != (X_test.shape[0],):
+        raise DimensionMismatchError(
+            f"y_test must hold one target per X_test row ({X_test.shape[0]}); "
+            f"got shape {y_test.shape}"
+        )
+    if X_test.shape[0] == 0:
+        raise InvalidArgumentError("the test set is empty")
     draws = sample_truncated(post, seed, samples)
     w_hat = draws.mean(axis=0)
     resid = X_test @ w_hat - y_test

@@ -447,13 +447,15 @@ def test_linreg_min_train_size_follows_dataset_width(tmp_path, monkeypatch):
     path = tmp_path / "reg.csv"
     np.savetxt(path, np.column_stack([X, y]), delimiter=",")
     seen = []
-    fit = regression.fit_posterior
+    fit = regression.fit_posterior_grid
     monkeypatch.setattr(
-        regression, "fit_posterior", lambda train, *args: seen.append(train.n) or fit(train, *args)
+        regression,
+        "fit_posterior_grid",
+        lambda train, *args: seen.append(train.n) or fit(train, *args),
     )
     config = replace(TINY_LINREG, dataset=str(path), d=16, train_fraction=0.05, repeats=1)
     run_linreg_experiment(config)
-    assert seen == [4] * len(config.b_grid)
+    assert seen == [4]  # one grid fit per repeat
 
 
 def test_benchmark_sweeps_are_valid_configs():

@@ -7,6 +7,7 @@ import pytest
 
 from dpbayes import (
     ConditionViolatedError,
+    DimensionMismatchError,
     GaussianPosterior,
     InvalidArgumentError,
     RegressionData,
@@ -16,6 +17,7 @@ from dpbayes import (
     sample_truncated,
     scale_regression_data,
 )
+from dpbayes.regression import fit_posterior_grid
 from dpbayes.verify import (
     regression_grid_check,
     ridge_mse,
@@ -77,6 +79,11 @@ def test_regression_data_rejects_non_finite_cells(bad, where):
         RegressionData(X=X, y=y, sigma2=1.0)
 
 
+def test_regression_data_rejects_zero_feature_columns():
+    with pytest.raises(InvalidArgumentError, match="^X must have at least one feature column$"):
+        RegressionData(X=np.zeros((3, 0)), y=np.zeros(3), sigma2=1.0)
+
+
 # ---------------------------------------------------------------------------
 # conjugate posterior
 # ---------------------------------------------------------------------------
@@ -125,6 +132,74 @@ def test_posterior_singular_system():
     data = RegressionData(X=np.zeros((3, 2)), y=np.zeros(3), sigma2=1.0)
     with pytest.raises(ConditionViolatedError, match="not positive definite"):
         fit_posterior(data, precision=np.zeros((2, 2)), radius=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_posterior_matrix_precision_must_be_finite(rng, bad):
+    # NaN passes the symmetry comparison, so it needs its own check before LAPACK
+    data = scaled_synth(rng)
+    msg = "^precision matrix must hold finite numbers only$"
+    with pytest.raises(InvalidArgumentError, match=msg):
+        fit_posterior(data, precision=np.array([[bad, 0.0], [0.0, 1.0]]), radius=1.0)
+
+
+def test_posterior_precision_overflow_is_refused():
+    data = RegressionData(X=np.zeros((3, 2)), y=np.zeros(3), sigma2=10.0)
+    msg = "^posterior precision overflows to a non-finite entry$"
+    with pytest.raises(ConditionViolatedError, match=msg):
+        fit_posterior(data, precision=np.diag([1e308, 1.0]), radius=1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_grid_fit_matches_single_fits_bit_for_bit(rng, d):
+    data = scaled_synth(rng, n=80, d=d)
+    M = rng.normal(size=(d, d))
+    precisions = [0.1, M @ M.T + 0.5 * np.eye(d), 10.0, np.diag(rng.uniform(0.5, 2.0, d))]
+    radii = [1.0, 2.0, 3.0, 4.0]
+    posts = fit_posterior_grid(data, precisions, radii)
+    assert len(posts) == len(precisions)
+    for precision, radius, post in zip(precisions, radii, posts):
+        one = fit_posterior(data, precision, radius)
+        assert np.array_equal(post.mu_n, one.mu_n)
+        assert np.array_equal(post.sigma_n, one.sigma_n)
+        assert post.radius == radius
+
+
+@pytest.mark.parametrize(
+    "lam, minor", [(np.zeros((2, 2)), 1), (np.diag([1.0, -1.0]), 2)]
+)
+def test_grid_fit_names_the_failing_minor(lam, minor):
+    # the same message as a one-entry fit, wherever the entry sits in the grid
+    data = RegressionData(X=np.zeros((3, 2)), y=np.zeros(3), sigma2=1.0)
+    msg = (
+        f"^posterior precision not positive definite: {minor}-th leading minor "
+        "of the array is not positive definite$"
+    )
+    with pytest.raises(ConditionViolatedError, match=msg):
+        fit_posterior_grid(data, [1.0, lam, 2.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ConditionViolatedError, match=msg):
+        fit_posterior(data, lam, 1.0)
+
+
+def test_grid_fit_needs_one_radius_per_precision(rng):
+    data = scaled_synth(rng)
+    with pytest.raises(DimensionMismatchError, match="^2 prior precisions but 1 radii$"):
+        fit_posterior_grid(data, [1.0, 2.0], [1.0])
+    assert fit_posterior_grid(data, [], []) == []
+
+
+@pytest.mark.parametrize(
+    "mu, sigma",
+    [
+        (np.array([math.nan, 0.0]), np.eye(2)),
+        (np.zeros(2), np.array([[1.0, 0.0], [0.0, math.inf]])),
+    ],
+)
+def test_gaussian_posterior_must_be_finite(mu, sigma):
+    # a NaN mean would otherwise spend the whole rejection budget
+    msg = "^mean and covariance must hold finite numbers only$"
+    with pytest.raises(InvalidArgumentError, match=msg):
+        GaussianPosterior(mu_n=mu, sigma_n=sigma, radius=1.0)
 
 
 def test_posterior_covariance_symmetric_and_spd(rng):
@@ -212,6 +287,23 @@ def test_predictive_mse_deterministic(rng):
     a = predictive_mse(post, X_test, y_test, samples=200, seed=6)
     b = predictive_mse(post, X_test, y_test, samples=200, seed=6)
     assert a == b
+
+
+def test_predictive_mse_checks_the_test_set():
+    post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=1.0)
+    X, y = np.zeros((4, 2)), np.zeros(4)
+    with pytest.raises(
+        DimensionMismatchError,
+        match=r"^X_test must have 2 columns, one per weight; got shape \(4, 3\)$",
+    ):
+        predictive_mse(post, np.zeros((4, 3)), y, samples=5, seed=1)
+    with pytest.raises(
+        DimensionMismatchError,
+        match=r"^y_test must hold one target per X_test row \(4\); got shape \(3,\)$",
+    ):
+        predictive_mse(post, X, np.zeros(3), samples=5, seed=1)
+    with pytest.raises(InvalidArgumentError, match="^the test set is empty$"):
+        predictive_mse(post, np.zeros((0, 2)), np.zeros(0), samples=5, seed=1)
 
 
 def test_predictive_mse_approaches_ridge(rng):
