@@ -241,14 +241,14 @@ def _run_mechanism(settings: dict, out: str) -> int:
     if name == "fourier":
         t = settings.get("t", fourier.DEFAULT_STEALTH_T)
         z, post, floored = fourier.release_posterior_stack(
-            data, graph, priors, (epsilon,), t, (seed,)
+            (data,), graph, priors, (epsilon,), t, ((seed,),)
         )
-        if floored[0]:
+        if floored[0, 0]:
             log.warning("stealth failed; negative cells floored at zero")
         lines = ["section,key1,key2,value"]
-        for gamma, value in zip(fourier.downward_closure(graph).members, z[0].tolist()):
+        for gamma, value in zip(fourier.downward_closure(graph).members, z[0, 0].tolist()):
             lines.append(f"coefficient,{gamma:#x},,{value!r}")
-        for (i, j), (alpha, beta) in zip(graph.entry_keys(), post[0].tolist()):
+        for (i, j), (alpha, beta) in zip(graph.entry_keys(), post[0, 0].tolist()):
             lines.append(f"posterior,{i},{j},{alpha!r};{beta!r}")
         return _emit(out, lines)
 

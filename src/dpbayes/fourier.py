@@ -16,9 +16,9 @@ probability at least 1 - exp(-t), a fully non-negative implied table,
 so the released posteriors look like ordinary clean outputs. That is
 the stealth property. When it fails, release_posterior_stack floors the
 negative cells of that same release at zero: post-processing, so the
-release still costs exactly epsilon. The stack makes a whole epsilon
-grid of releases of one dataset at once, each from its own keyed
-substream; a single release is its one-row case.
+release still costs exactly epsilon. The stack makes a whole grid of
+releases at once, one row of epsilons per dataset, each release from
+its own keyed substream; a single release is its one-entry case.
 
 Counting and reconstruction share one layout of the family cells:
 _family_layout pairs each cell of a tuple of families with the closure
@@ -26,7 +26,8 @@ member behind it. The exact coefficients count the maximal members'
 cells and transform them; the posteriors transform the released
 coefficients back into the cells of graph.node_families, which
 entry_cell_plan lays out as the (beta, alpha) pairs of the entry order.
-A stack's noise is one randomness.keyed_laplace_stack draw.
+A stack's noise is one randomness.keyed_laplace_stack draw, over every
+(dataset, epsilon) pair of the grid.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ from .graph import (
     prior_rows,
     project_marginal,
 )
-from .randomness import derive_seed, keyed_laplace_stack
+from .randomness import derive_seeds, keyed_laplace_stack, seed_array
 
 _NOISE_TAG = "fourier-coefficient-noise"
 
@@ -248,39 +249,43 @@ def stealth_increment(closure: DownwardClosure, epsilon: float, t: float) -> flo
 
 
 def release_coefficient_stack(
-    data: Dataset,
+    datasets: Sequence[Dataset],
     closure: DownwardClosure,
     epsilons: Sequence[float],
     t: float,
-    seeds: Sequence[int],
+    seeds: Sequence[Sequence[int]] | np.ndarray,
 ) -> np.ndarray:
-    """One noisy coefficient release per (epsilon, seed) pair, stacked as an (E, |J|) array.
+    """One noisy coefficient release per (dataset, epsilon) pair, stacked as an (R, E, |J|) array.
 
-    Row e adds independent Laplace(2|J|/(eps_e 2^{k/2})) noise to every
-    exact coefficient, which are computed once for the whole stack: the
-    release's own keyed substream supplies closure.size uniforms, the
-    r-th for closure.members[r], each mapped by inverse CDF. Then the
-    all-zeros coefficient is raised by 4t|J|^2/(eps_e 2^{k/2}).
-    Reproducible under the seeds; which uniform feeds which coefficient
-    depends on closure.members alone.
+    seeds holds one row of E seeds per dataset. Release [r, e] adds
+    independent Laplace(2|J|/(eps_e 2^{k/2})) noise to every exact
+    coefficient of datasets[r], which are computed once per dataset: the
+    release's own keyed substream, seeds[r][e], supplies closure.size
+    uniforms, the i-th for closure.members[i], each mapped by inverse
+    CDF. Then the all-zeros coefficient is raised by
+    4t|J|^2/(eps_e 2^{k/2}). The whole grid's noise is one
+    keyed_laplace_stack draw. Reproducible under the seeds; which
+    uniform feeds which coefficient depends on closure.members alone.
     """
-    if not seeds or len(epsilons) != len(seeds):
+    seeds = seed_array(seeds)
+    if not len(datasets) or not len(epsilons) or seeds.shape != (len(datasets), len(epsilons)):
         raise DimensionMismatchError(
-            f"need one seed per epsilon, got {len(epsilons)} epsilons and {len(seeds)} seeds"
+            f"need one seed per epsilon for each dataset, got {len(datasets)} datasets, "
+            f"{len(epsilons)} epsilons and seeds of shape {seeds.shape}"
         )
     boosts = [stealth_increment(closure, epsilon, t) for epsilon in epsilons]
-    scales = [noise_scale(closure, epsilon) for epsilon in epsilons]
+    scales = [[noise_scale(closure, epsilon) for epsilon in epsilons]]
     noise = keyed_laplace_stack(seeds, _NOISE_TAG, closure.size, scales)
-    values = _exact_vector(data, closure) + noise
-    values[:, 0] += boosts
+    values = np.stack([_exact_vector(data, closure) for data in datasets])[:, None] + noise
+    values[:, :, 0] += boosts
     return values
 
 
 def release_coefficients(
     data: Dataset, closure: DownwardClosure, epsilon: float, t: float, seed: int
 ) -> CoefficientSet:
-    """Noisy coefficient release with the stealth increment applied: one row of the stack."""
-    values = release_coefficient_stack(data, closure, (epsilon,), t, (seed,))[0]
+    """Noisy coefficient release with the stealth increment applied: one entry of the stack."""
+    values = release_coefficient_stack((data,), closure, (epsilon,), t, ((seed,),))[0, 0]
     return CoefficientSet(closure, EntryTable(closure.members, values))
 
 
@@ -392,33 +397,39 @@ def fourier_posterior_params(
 
 
 def release_posterior_stack(
-    data: Dataset,
+    datasets: Sequence[Dataset],
     graph: BayesNetGraph,
     priors: PriorMap,
     epsilons: Sequence[float],
     t: float,
-    seeds: Sequence[int],
+    seeds: Sequence[Sequence[int]] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One release over downward_closure(graph) per (epsilon, seed) pair, and its posterior.
+    """One release over downward_closure(graph) per (dataset, epsilon) pair, and its posterior.
 
-    Release e draws its noise from derive_seed(seeds[e], "attempt", 0).
-    A release whose posterior has a non-positive parameter (a stealth
-    failure) is read again with its negative cells floored at zero;
-    every other release keeps its cells as they are, and any other error
-    propagates. Flooring is post-processing of the one release, so the
-    privacy cost of release e stays epsilons[e]. Returns the (E, |J|)
-    coefficients, the (E, m, 2) posterior rows in the entry order and the
-    (E,) mask of floored releases: row e equals fourier_posterior_params
-    of release e, with clamp_nonpositive set exactly when floored[e] is.
+    seeds holds one row of E seeds per dataset, and release [r, e] of
+    datasets[r] at epsilons[e] draws its noise from
+    derive_seed(seeds[r][e], "attempt", 0): the whole grid derives those
+    seeds in one derive_seeds call and makes its releases in one
+    release_coefficient_stack call. A release whose posterior has a
+    non-positive parameter (a stealth failure) is read again with its
+    negative cells floored at zero; every other release keeps its cells
+    as they are, and any other error propagates. Flooring is
+    post-processing of the one release, so the privacy cost of release
+    [r, e] stays epsilons[e]. Returns the (R, E, |J|) coefficients, the
+    (R, E, m, 2) posterior rows in the entry order and the (R, E) mask
+    of floored releases: entry [r, e] equals fourier_posterior_params of
+    release [r, e], with clamp_nonpositive set exactly when floored[r, e] is.
     """
     closure = downward_closure(graph)
-    seeds = [derive_seed(seed, "attempt", 0) for seed in seeds]
-    z = release_coefficient_stack(data, closure, epsilons, t, seeds)
+    z = release_coefficient_stack(
+        datasets, closure, epsilons, t, derive_seeds(seed_array(seeds), "attempt", 0)
+    )
     prior = prior_rows(priors, graph.entry_keys())
-    cells = _entry_cells(z, closure, graph)
+    cells = _entry_cells(z.reshape(-1, closure.size), closure, graph)
     floored = (prior + cells <= 0.0).any(axis=(1, 2))
     cells = np.where(floored[:, None, None], np.maximum(cells, 0.0), cells)
-    return z, _posterior_rows(prior, cells, graph), floored
+    post = _posterior_rows(prior, cells, graph)
+    return z, post.reshape(z.shape[:2] + post.shape[1:]), floored.reshape(z.shape[:2])
 
 
 def marginal_error_bound(

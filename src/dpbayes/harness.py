@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .graph import (
 )
 from .io import load_dataset, load_regression_csv
 from .metrics import accuracy
-from .randomness import derive_seed, substream
+from .randomness import derive_seeds, substream, substreams
 
 log = logging.getLogger("dpbayes.harness")
 
@@ -150,17 +151,20 @@ def synth_nb(
     return data, theta
 
 
-def _split_indices(n: int, fraction: float, least: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Train and test indices from a seeded permutation; at least `least` train, one test."""
+def _splits(
+    n: int, fraction: float, least: int, seeds: Sequence[int] | np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Train and test indices from each seed's permutation; at least `least` train, one test."""
     n_train = min(n - 1, max(least, round(n * fraction)))
-    perm = substream(seed, "train-test-split").permutation(n)
-    return perm[:n_train], perm[n_train:]
+    for rng in substreams(seeds, "train-test-split"):
+        perm = rng.permutation(n)
+        yield perm[:n_train], perm[n_train:]
 
 
 def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint, covering train/test split from a seeded permutation."""
     check_fraction("train fraction", train_fraction)
-    train, test = _split_indices(data.n, train_fraction, 1, seed)
+    train, test = next(_splits(data.n, train_fraction, 1, (seed,)))
     return data.subset(train), data.subset(test)
 
 
@@ -227,19 +231,28 @@ def _rows(
     ]
 
 
+def _seed_grid(config: ExperimentConfig, tag: str, grid: tuple[float, ...]) -> np.ndarray:
+    """derive_seed(config.seed, tag, grid index, repeat) of every pair: a (repeats, grid) array."""
+    return derive_seeds(
+        config.seed, tag, np.arange(len(grid)), np.arange(config.repeats)[:, None]
+    )
+
+
 def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Accuracy sweep of the naive-Bayes mechanisms over the epsilon grid.
 
-    Each repeat counts its training split once. Laplace then releases
-    the whole epsilon grid as one (E, m, 2) stack of noisy counts, and
-    fourier as one (E, |J|) stack of coefficients over one exact
-    coefficient vector, read back with one Walsh pass per family size.
-    Every release still draws from its own keyed substream, row e of its
-    stack, and a fourier release is floored only when its own posterior
-    has a non-positive parameter. The repeat's none, laplace and fourier
-    posteriors form one (G, m, 2) array, scored by one
-    nb_predictive_batch call and one accuracy over its G rows; the
-    sampler scores each release alone.
+    The sweep derives each kind of seed for all its repeats and epsilons
+    in one derive_seeds call, and takes every repeat's split from one
+    batch of keyed streams. Each repeat counts its training split once.
+    Laplace then releases the whole (repeat, epsilon) grid as one
+    (R, E, m, 2) stack of noisy counts, and fourier as one (R, E, |J|)
+    stack of coefficients over each repeat's exact coefficient vector,
+    read back with one Walsh pass per family size. Every release still
+    draws from its own keyed substream, and a fourier release is floored
+    only when its own posterior has a non-positive parameter. A repeat's
+    none, laplace and fourier posteriors form one (G, m, 2) array,
+    scored by one nb_predictive_batch call and one accuracy over its G
+    rows; the sampler scores each release alone.
     """
     _require_task(config, "nb")
     if config.dataset is not None:
@@ -252,51 +265,48 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
         d = config.d
     graph = naive_bayes_graph(d)
     priors = uniform_priors(graph)
-    eis = range(len(config.epsilon_grid))
+    grid = config.epsilon_grid
+
+    split_seeds = derive_seeds(config.seed, "split", np.arange(config.repeats))
+    splits = [
+        (data.subset(train), data.subset(test))
+        for train, test in _splits(data.n, config.train_fraction, 1, split_seeds)
+    ]
+    updates = [compute_updates(graph, train) for train, _ in splits]
+    exact = [posterior_params(priors, u) for u in updates]
+
+    stacks = {}  # the posterior-mean releases of each mechanism, one row of them per repeat
+    if "none" in config.mechanisms:
+        stacks["none"] = np.stack([post.array for post in exact])[:, None]
+    if "laplace" in config.mechanisms:
+        specs = [
+            [laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n) for eps in grid]
+            for train, _ in splits
+        ]
+        noisy, _ = laplace.perturb_update_stack(updates, specs, _seed_grid(config, "laplace", grid))
+        stacks["laplace"] = priors.array + noisy
+    stealth_clamps = 0
+    if "fourier" in config.mechanisms:
+        _, stacks["fourier"], floored = fourier.release_posterior_stack(
+            [train for train, _ in splits], graph, priors, grid, config.fourier_t,
+            _seed_grid(config, "fourier", grid),
+        )
+        stealth_clamps = int(floored.sum())
 
     # the exact posterior's one row serves every epsilon
-    acc = {m: np.empty((1 if m == "none" else len(eis), config.repeats)) for m in config.mechanisms}
-    stealth_clamps = 0
-    for r in range(config.repeats):
-        train, test = split_dataset(
-            data, config.train_fraction, derive_seed(config.seed, "split", r)
-        )
+    acc = {m: np.empty((1 if m == "none" else len(grid), config.repeats))
+           for m in config.mechanisms}
+    if "sampler" in config.mechanisms:
+        sampler_seeds = _seed_grid(config, "sampler", grid).tolist()
+    for r, (_, test) in enumerate(splits):
         X_test = test.records[:, 1:]
         labels = test.records[:, 0].astype(np.int64)
-        updates = compute_updates(graph, train)
-        exact_post = posterior_params(priors, updates)
-
-        stacks = {}  # the posterior-mean releases of each mechanism, one per row
-        if "none" in config.mechanisms:
-            stacks["none"] = exact_post.array[None]
-
-        if "laplace" in config.mechanisms:
-            specs = [
-                laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n)
-                for eps in config.epsilon_grid
-            ]
-            seeds = [derive_seed(config.seed, "laplace", ei, r) for ei in eis]
-            noisy, _ = laplace.perturb_update_stack(updates, specs, seeds)
-            stacks["laplace"] = priors.array + noisy
-
-        if "fourier" in config.mechanisms:
-            seeds = [derive_seed(config.seed, "fourier", ei, r) for ei in eis]
-            _, post, floored = fourier.release_posterior_stack(
-                train, graph, priors, config.epsilon_grid, config.fourier_t, seeds
-            )
-            stealth_clamps += int(floored.sum())
-            stacks["fourier"] = post
-
         if "sampler" in config.mechanisms:
-            for ei, eps in enumerate(config.epsilon_grid):
+            for ei, eps in enumerate(grid):
                 try:
                     probs = sampler.sampler_predictive_batch(
-                        graph,
-                        exact_post,
-                        X_test,
-                        eps,
-                        config.sampler_samples,
-                        derive_seed(config.seed, "sampler", ei, r),
+                        graph, exact[r], X_test, eps, config.sampler_samples,
+                        sampler_seeds[r][ei],
                     )
                 except OmegaTooLargeError:
                     # Trim interval is degenerate at this epsilon: the
@@ -306,25 +316,27 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
                 acc["sampler"][ei, r] = accuracy(probs, labels, config.threshold)
 
         if stacks:
-            probs = nb_predictive_batch(np.concatenate(list(stacks.values())), X_test)
+            probs = nb_predictive_batch(np.concatenate([s[r] for s in stacks.values()]), X_test)
             scores = accuracy(probs, labels, config.threshold)
             at = 0  # each mechanism's rows follow the previous one's in the scored stack
             for mech, stack in stacks.items():
-                acc[mech][:, r] = scores[at : at + len(stack)]
-                at += len(stack)
+                acc[mech][:, r] = scores[at : at + stack.shape[1]]
+                at += stack.shape[1]
 
     if stealth_clamps:
-        releases = config.repeats * len(config.epsilon_grid)
+        releases = config.repeats * len(grid)
         log.info("fourier stealth: %d of %d releases floored", stealth_clamps, releases)
-    return ExperimentResult(_rows(config, config.epsilon_grid, "accuracy", acc), stealth_clamps)
+    return ExperimentResult(_rows(config, grid, "accuracy", acc), stealth_clamps)
 
 
 def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
     """MSE sweep over prior precisions for exact and sampled predictors.
 
-    Each repeat fits its whole b grid in one fit_posterior_grid call,
-    from one X'X; the sampler then draws once per (b, repeat), from
-    that pair's own keyed substream.
+    The sweep derives its split seeds and its (repeat, b) grid of draw
+    seeds in one derive_seeds call each, and takes every repeat's split
+    from one batch of keyed streams. Each repeat fits its whole b grid
+    in one fit_posterior_grid call, from one X'X; the sampler then draws
+    once per (b, repeat), from that pair's own keyed substream.
     """
     _require_task(config, "linreg")
     if config.dataset is not None:
@@ -340,9 +352,10 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
     ]
 
     mse = {mech: np.empty((len(config.b_grid), config.repeats)) for mech in config.mechanisms}
-    for r in range(config.repeats):
-        split_seed = derive_seed(config.seed, "linreg-split", r)
-        tr, te = _split_indices(data.n, config.train_fraction, data.d + 1, split_seed)
+    split_seeds = derive_seeds(config.seed, "linreg-split", np.arange(config.repeats))
+    draw_seeds = _seed_grid(config, "linreg-draws", config.b_grid).tolist()
+    splits = _splits(data.n, config.train_fraction, data.d + 1, split_seeds)
+    for r, (tr, te) in enumerate(splits):
         train = regression.RegressionData(
             X=data.X[tr], y=data.y[tr], sigma2=config.sigma2
         )
@@ -353,11 +366,7 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
                 mse["none"][bi, r] = np.mean((X_test @ post.mu_n - y_test) ** 2)
             if "sampler" in config.mechanisms:
                 mse["sampler"][bi, r] = regression.predictive_mse(
-                    post,
-                    X_test,
-                    y_test,
-                    config.regression_samples,
-                    derive_seed(config.seed, "linreg-draws", bi, r),
+                    post, X_test, y_test, config.regression_samples, draw_seeds[r][bi]
                 )
     return ExperimentResult(_rows(config, config.b_grid, "mse", mse))
 

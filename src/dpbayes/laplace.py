@@ -8,8 +8,8 @@ one of the 2m update counts (m = sum_i 2^{|parents(i)|}, zero-filled
 entries included) and truncates the noisy counts to [0, n]. Truncation
 is post-processing and costs no privacy; outputs stay real-valued.
 Counts and noisy counts are (m, 2) tables in the graph module's entry order;
-perturb_update_stack makes several releases of the same counts at once,
-one table per row of an (E, m, 2) stack, whose noise is one
+perturb_update_stack makes a grid of releases at once, one row of specs
+per count table, as one (R, E, m, 2) stack whose noise is one
 randomness.keyed_laplace_stack draw.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .errors import check_epsilon, check_fraction, check_integer
 from .graph import BayesNetGraph, BetaTable, EntryTable, PriorMap, UpdateVector, prior_rows
-from .randomness import keyed_laplace_stack
+from .randomness import keyed_laplace_stack, seed_array
 
 _NOISE_TAG = "laplace-update-noise"
 
@@ -76,32 +76,49 @@ class PerturbedUpdates:
 
 
 def perturb_update_stack(
-    updates: UpdateVector, specs: Sequence[LaplaceNoiseSpec], seeds: Sequence[int]
+    updates: Sequence[UpdateVector],
+    specs: Sequence[Sequence[LaplaceNoiseSpec]],
+    seeds: Sequence[Sequence[int]] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One release of the updates per (spec, seed) pair, stacked: (truncated, raw).
+    """Releases of several update tables under a grid of specs, stacked: (truncated, raw).
 
-    Both are (E, m, 2) arrays, row e the release under specs[e] and
-    seeds[e]. Each release keeps its own keyed substream, which supplies
-    an (m, 2) block of uniforms, row r for row r of the updates' table;
-    each uniform becomes one count's noise by inverse CDF, and row e is
-    truncated into [0, specs[e].n]. Row e equals perturb_updates(updates,
-    specs[e], seeds[e]) bit for bit.
+    updates holds R tables of one graph, specs and seeds one row of E
+    each per table. Both results are (R, E, m, 2) arrays, entry [r, e]
+    the release of updates[r] under specs[r][e] and seeds[r][e]. Each
+    release keeps its own keyed substream, which supplies an (m, 2)
+    block of uniforms, row i for row i of its table; each uniform becomes
+    one count's noise by inverse CDF, and release [r, e] is truncated
+    into [0, specs[r][e].n]. The whole grid's noise is one
+    keyed_laplace_stack draw. Entry [r, e] equals
+    perturb_updates(updates[r], specs[r][e], seeds[r][e]) bit for bit.
     """
-    if not specs or len(specs) != len(seeds):
+    seeds = seed_array(seeds)
+    width = len(specs[0]) if len(specs) else 0
+    if (
+        not width
+        or len(specs) != len(updates)
+        or any(len(row) != width for row in specs)
+        or seeds.shape != (len(updates), width)
+    ):
         raise DimensionMismatchError(
-            f"need one seed per noise spec, got {len(specs)} specs and {len(seeds)} seeds"
+            f"need one seed per noise spec, got {len(updates)} tables, "
+            f"{len(specs)} rows of specs and seeds of shape {seeds.shape}"
         )
-    counts = updates.entries.array
-    raw = counts + keyed_laplace_stack(seeds, _NOISE_TAG, counts.shape, [s.scale for s in specs])
-    ns = np.array([float(spec.n) for spec in specs])[:, None, None]
+    order = updates[0].entries.order
+    if any(u.entries.order != order for u in updates):
+        raise DimensionMismatchError("every update table must share one entry order")
+    counts = np.stack([u.entries.array for u in updates])[:, None]
+    scales = [[spec.scale for spec in row] for row in specs]
+    raw = counts + keyed_laplace_stack(seeds, _NOISE_TAG, counts.shape[2:], scales)
+    ns = np.array([[float(spec.n) for spec in row] for row in specs])[:, :, None, None]
     return np.clip(raw, 0.0, ns), raw
 
 
 def perturb_updates(updates: UpdateVector, spec: LaplaceNoiseSpec, seed: int) -> PerturbedUpdates:
-    """Add per-count Laplace noise and truncate into [0, n]: one row of perturb_update_stack."""
-    entries, raw = perturb_update_stack(updates, (spec,), (seed,))
+    """Add per-count Laplace noise and truncate into [0, n]: one entry of perturb_update_stack."""
+    entries, raw = perturb_update_stack((updates,), ((spec,),), ((seed,),))
     order = updates.entries.order
-    return PerturbedUpdates(EntryTable(order, entries[0]), EntryTable(order, raw[0]))
+    return PerturbedUpdates(EntryTable(order, entries[0, 0]), EntryTable(order, raw[0, 0]))
 
 
 def update_deviation_bound(graph: BayesNetGraph, epsilon: float, delta: float) -> float:

@@ -427,13 +427,13 @@ def test_zero_noise_release_of_every_small_dag_matches_the_counts(k):
         data = random_dataset(rng, int(rng.integers(0, 40)), k)
         priors = uniform_priors(graph, 0.5, 2.0)
         z, post, floored = fourier_mod.release_posterior_stack(
-            data, graph, priors, (math.inf,), 1.0, (0,)
+            (data,), graph, priors, (math.inf,), 1.0, ((0,),)
         )
         exact = posterior_params(priors, compute_updates(graph, data)).array
-        np.testing.assert_allclose(post[0], exact, rtol=1e-12)
-        assert not floored[0]
+        np.testing.assert_allclose(post[0, 0], exact, rtol=1e-12)
+        assert not floored[0, 0]
         closure = downward_closure(graph)
-        coeffs = CoefficientSet(closure, EntryTable(closure.members, z[0]))
+        coeffs = CoefficientSet(closure, EntryTable(closure.members, z[0, 0]))
         table = build_table(data)
         for i in range(k):
             recon = reconstruct_marginal(coeffs, i, graph)
@@ -496,7 +496,7 @@ def test_posterior_past_the_double_range_is_refused_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgumentError, match="finite"):
-            fourier_mod.release_posterior_stack(data, graph, priors, (1.4e-306,), t, (1,))
+            fourier_mod.release_posterior_stack((data,), graph, priors, (1.4e-306,), t, ((1,),))
         coeffs = release_coefficients(data, downward_closure(graph), 1.4e-306, t, 1)
         for clamp in (False, True):
             with pytest.raises(InvalidArgumentError, match="finite"):
@@ -524,17 +524,17 @@ def test_one_row_release_is_one_release_floored_on_stealth_failure():
     floored_seeds = 0
     for seed in range(40):
         z, rows, floored = fourier_mod.release_posterior_stack(
-            data, tree, priors, (0.5,), 0.01, (seed,)
+            (data,), tree, priors, (0.5,), 0.01, ((seed,),)
         )
-        post = BetaTable(tree.entry_keys(), rows[0])
+        post = BetaTable(tree.entry_keys(), rows[0, 0])
         want = release_coefficients(data, closure, 0.5, 0.01, derive_seed(seed, "attempt", 0))
-        assert z[0].tobytes() == want.values.array.tobytes()
+        assert z[0, 0].tobytes() == want.values.array.tobytes()
         try:
             assert post == fourier_posterior_params(want, tree, priors)
-            assert not floored[0]
+            assert not floored[0, 0]
         except NonPositivePosteriorParamError:
             assert post == fourier_posterior_params(want, tree, priors, clamp_nonpositive=True)
-            assert floored[0]
+            assert floored[0, 0]
             floored_seeds += 1
     assert 0 < floored_seeds < 40
 
@@ -549,15 +549,17 @@ def test_release_stack_rows_equal_single_releases_bit_for_bit():
     epsilons = (0.5, math.inf, 2.0, 4.0, 8.0, 16.0, 4.0, 8.0)
     seeds = range(len(epsilons))
     z, post, floored = fourier_mod.release_posterior_stack(
-        data, tree, priors, epsilons, 0.01, seeds
+        (data,), tree, priors, epsilons, 0.01, (seeds,)
     )
-    assert z.shape == (len(epsilons), closure.size)
-    assert post.shape == (len(epsilons), tree.update_size(), 2)
+    assert z.shape == (1, len(epsilons), closure.size)
+    assert post.shape == (1, len(epsilons), tree.update_size(), 2)
+    z, post, floored = z[0], post[0], floored[0]
     kept_negative = 0
     for e, (eps, seed) in enumerate(zip(epsilons, seeds)):
         single_z, single_post, single_floored = fourier_mod.release_posterior_stack(
-            data, tree, priors, (eps,), 0.01, (seed,)
+            (data,), tree, priors, (eps,), 0.01, ((seed,),)
         )
+        single_z, single_post, single_floored = single_z[0], single_post[0], single_floored[0]
         want = release_coefficients(data, closure, eps, 0.01, derive_seed(seed, "attempt", 0))
         assert z[e].tobytes() == single_z[0].tobytes() == want.values.array.tobytes()
         try:
@@ -574,10 +576,32 @@ def test_release_stack_rows_equal_single_releases_bit_for_bit():
     assert 0 < floored.sum() < len(epsilons) - 1 and kept_negative
 
 
+def test_release_stack_over_datasets_equals_single_releases_bit_for_bit(rng):
+    # three datasets, three epsilons each: past the batch crossover, some releases floored
+    datasets = [random_dataset(rng, n, 3) for n in (40, 7, 25)]
+    priors = uniform_priors(CHAIN3)
+    epsilons = (0.5, 2.0, math.inf)
+    seeds = np.arange(9, dtype=np.uint32).reshape(3, 3) * 7 + 1
+    z, post, floored = fourier_mod.release_posterior_stack(
+        datasets, CHAIN3, priors, epsilons, 0.01, seeds
+    )
+    assert z.shape == (3, 3, downward_closure(CHAIN3).size) and floored.shape == (3, 3)
+    for r, e in np.ndindex(3, 3):
+        single_z, single_post, single_floored = fourier_mod.release_posterior_stack(
+            (datasets[r],), CHAIN3, priors, (epsilons[e],), 0.01, ((int(seeds[r, e]),),)
+        )
+        assert z[r, e].tobytes() == single_z[0, 0].tobytes()
+        assert post[r, e].tobytes() == single_post[0, 0].tobytes()
+        assert floored[r, e] == single_floored[0, 0]
+    assert floored.any() and not floored.all()
+
+
 def test_release_stack_needs_one_seed_per_epsilon(rng):
     data = random_dataset(rng, 10, 3)
     with pytest.raises(DimensionMismatchError, match="one seed per epsilon"):
-        fourier_mod.release_coefficient_stack(data, downward_closure(CHAIN3), (1.0, 2.0), 1.0, (3,))
+        fourier_mod.release_coefficient_stack(
+            (data,), downward_closure(CHAIN3), (1.0, 2.0), 1.0, ((3,),)
+        )
 
 
 # ---------------------------------------------------------------------------

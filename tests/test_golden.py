@@ -16,6 +16,7 @@ from conftest import random_dag, random_dataset, twenty_node_dag
 from dpbayes import fourier, laplace, sampler
 from dpbayes.cli import main
 from dpbayes.graph import BetaTable, EntryTable, compute_updates, posterior_params, uniform_priors
+from dpbayes.randomness import BATCH_ROWS
 
 # 5 nodes: a root, a chain, a v-structure and a node with two parents
 # declared out of ascending order
@@ -42,6 +43,15 @@ DIGESTS = {
     # 18 of its 24 fourier releases floor their negative cells
     "nb-floored": "ab4064220e01443435f06dc807b202bb1882d6ae20d9b94e12d8cbeb3822d06b",
     "random-dags": "34487aa3c2f6841babec85230da9e2e14c528fb0b58e991b8da2b3a0d424e24a",
+    # taken before the seed grids were batched, from the per-release derive_seed loop
+    "nb-20": "6a94ebadb1fe2b2d44115108a197874bdc761ff53f298ace3712c64a5226091b",
+    "linreg-20": "ce9be3323718ee2bdc110bda5d3aa78225800d249ce195e32d83ab96da76cc5e",
+}
+
+# 20 repeats: every seed grid and split batch of these sweeps takes the array path
+ARRAY_PATH_SWEEPS = {
+    "nb-20": ("--task", "nb", "--repeats", "20", "--sampler-samples", "5"),
+    "linreg-20": ("--task", "linreg", "--repeats", "20"),
 }
 
 FLOORED_SWEEP = (
@@ -82,6 +92,13 @@ def test_sweep_csv_digest(task, capsys):
     assert digest(capsys.readouterr().out) == DIGESTS[task]
 
 
+@pytest.mark.parametrize("name", sorted(ARRAY_PATH_SWEEPS))
+def test_array_path_sweep_csv_digest(name, capsys):
+    assert 20 >= BATCH_ROWS
+    assert main(list(ARRAY_PATH_SWEEPS[name])) == 0
+    assert digest(capsys.readouterr().out) == DIGESTS[name]
+
+
 def test_floored_sweep_csv_digest(capsys, caplog):
     with caplog.at_level("INFO", logger="dpbayes.harness"):
         assert main(list(FLOORED_SWEEP)) == 0
@@ -104,8 +121,9 @@ def test_random_dag_release_digest():
         priors = uniform_priors(graph)
         keys = graph.entry_keys()
         z, post, floored = fourier.release_posterior_stack(
-            data, graph, priors, epsilons, 0.05, seeds
+            (data,), graph, priors, epsilons, 0.05, (seeds,)
         )
+        z, post, floored = z[0], post[0], floored[0]
         assert floored.any() and not floored.all()
         closure = fourier.downward_closure(graph)
         for row in z:
@@ -115,7 +133,8 @@ def test_random_dag_release_digest():
                 sha.update(repr(sorted(cells.items())).encode())
         updates = compute_updates(graph, data)
         specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, data.n) for eps in epsilons]
-        truncated, raw = laplace.perturb_update_stack(updates, specs, seeds)
+        truncated, raw = laplace.perturb_update_stack((updates,), (specs,), (seeds,))
+        truncated, raw = truncated[0], raw[0]
         tables = [posterior_params(priors, updates), *(BetaTable(keys, rows) for rows in post)]
         draws = [sampler.trimmed_posterior_draws(table, sampler.trim_bound(3.0), 7, 3).array
                  for table in tables]

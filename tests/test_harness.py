@@ -329,10 +329,10 @@ def test_nb_experiment_rows_match_releases_scored_one_at_a_time():
             spec = laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n)
             pert = laplace.perturb_updates(updates, spec, derive_seed(config.seed, "laplace", ei, r))
             _, fourier_rows, _ = fourier.release_posterior_stack(
-                train, graph, priors, (eps,), config.fourier_t,
-                (derive_seed(config.seed, "fourier", ei, r),),
+                (train,), graph, priors, (eps,), config.fourier_t,
+                ((derive_seed(config.seed, "fourier", ei, r),),),
             )
-            fourier_post = BetaTable(graph.entry_keys(), fourier_rows[0])
+            fourier_post = BetaTable(graph.entry_keys(), fourier_rows[0, 0])
             want[("none", eps, r)] = score(posterior_params(priors, updates))
             want[("laplace", eps, r)] = score(posterior_params(priors, UpdateVector(pert.entries)))
             want[("fourier", eps, r)] = score(fourier_post)
@@ -402,10 +402,10 @@ def test_nb_experiment_floors_only_the_failing_releases_of_each_stack():
         for ei, eps in enumerate(config.epsilon_grid):
             seed = derive_seed(config.seed, "fourier", ei, r)
             _, post, single_floored = fourier.release_posterior_stack(
-                train, graph, priors, (eps,), config.fourier_t, (seed,)
+                (train,), graph, priors, (eps,), config.fourier_t, ((seed,),)
             )
-            floored += single_floored[0]
-            probs = nb_predictive_batch(post, test.records[:, 1:])[0]
+            floored += single_floored[0, 0]
+            probs = nb_predictive_batch(post[0], test.records[:, 1:])[0]
             want[("fourier", eps, r)] = accuracy(probs, test.records[:, 0], config.threshold)
     assert result.stealth_clamps == floored
     assert 0 < floored < 3 * config.repeats  # some of the finite-epsilon releases, not all

@@ -1,0 +1,134 @@
+"""Batch keyed streams equal the one-row path, bit for bit.
+
+derive_seeds and substreams evaluate numpy's SeedSequence hash and
+PCG64 seeding as uint32 array code from BATCH_ROWS rows on; below that,
+or off the one-word layout, they call derive_seed and substream row by
+row. These tests are what catch a change of numpy's seeding that the
+array code does not follow. Every test runs with warnings as errors:
+a uint32 product that wrapped outside an array would warn.
+"""
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dpbayes.errors import InvalidArgumentError
+from dpbayes.randomness import (
+    BATCH_ROWS,
+    _batch_words,
+    derive_seed,
+    derive_seeds,
+    keyed_laplace_stack,
+    laplace_from_uniform,
+    substream,
+    substreams,
+)
+
+# zero, negative, two-word and 64-bit integers, strings, and anything in between
+EDGE_PARTS = (
+    0, -1, -(2**40), 2**32 - 1, 2**32, 2**40 + 3, 2**63, 2**64 - 1, 2**64 + 5, "", "attempt"
+)
+SCALAR_PARTS = st.one_of(
+    st.sampled_from(EDGE_PARTS), st.integers(-(2**70), 2**70), st.text(max_size=6)
+)
+# row counts on both sides of the crossover
+ROWS = st.integers(1, 3 * BATCH_ROWS)
+WORDS = st.integers(0, 2**32 - 1)
+SEED_LISTS = st.lists(WORDS, min_size=1, max_size=3 * BATCH_ROWS)
+SHAPES = st.one_of(st.integers(1, 5), st.tuples(st.integers(1, 4), st.integers(1, 3)))
+
+
+@pytest.fixture(autouse=True)
+def warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(SCALAR_PARTS, st.lists(SCALAR_PARTS, max_size=4), ROWS, st.integers(1, 3), WORDS)
+def test_derive_seeds_equals_derive_seed(seed, tail, rows, cols, offset):
+    # an array part per side of a broadcast, between scalar parts of any word count
+    down = (offset + np.arange(rows, dtype=np.int64)) % 2**32
+    across = np.arange(cols, dtype=np.uint32)[:, None]
+    got = derive_seeds(seed, "tag", down, *tail, across)
+    assert got.dtype == np.uint32 and got.shape == (cols, rows)
+    want = [[derive_seed(seed, "tag", d, *tail, a) for d in down.tolist()] for a in range(cols)]
+    assert got.tolist() == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(SCALAR_PARTS, max_size=3), SEED_LISTS)
+def test_seed_array_first_equals_derive_seed(key, seeds):
+    got = derive_seeds(np.array(seeds, dtype=np.uint32), *key)
+    assert got.tolist() == [derive_seed(seed, *key) for seed in seeds]
+
+
+def test_scalar_parts_alone_are_one_row():
+    for part in EDGE_PARTS:
+        got = derive_seeds(part, "x", 3)
+        assert got.shape == () and int(got) == derive_seed(part, "x", 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEED_LISTS, st.lists(SCALAR_PARTS, max_size=3), SHAPES)
+def test_each_batched_stream_equals_its_substream(seeds, key, shape):
+    streams = substreams(np.array(seeds, dtype=np.uint32), *key)
+    for seed, rng in zip(seeds, streams, strict=True):
+        assert rng.random(shape).tobytes() == substream(seed, *key).random(shape).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEED_LISTS, SHAPES, st.integers(1, 3))
+def test_keyed_laplace_stack_rows_equal_substream_draws(seeds, shape, cols):
+    grid = np.array(seeds, dtype=np.uint32)[:, None] ^ np.arange(cols, dtype=np.uint32)
+    scales = np.linspace(0.0, 3.0, grid.size).reshape(grid.shape)
+    noise = keyed_laplace_stack(grid, "noise", shape, scales)
+    block = (shape,) if isinstance(shape, int) else shape
+    assert noise.shape == grid.shape + block
+    for index, seed in np.ndenumerate(grid):
+        u = substream(int(seed), "noise").random(shape)
+        assert noise[index].tobytes() == laplace_from_uniform(u, scales[index]).tobytes()
+
+
+def test_python_int_seeds_of_any_size_keep_their_value():
+    # a list that numpy would read as float64 goes row by row, exactly
+    seeds = [-1, 2**63] * BATCH_ROWS
+    draws = [rng.random(2).tobytes() for rng in substreams(seeds, "tag")]
+    assert draws == [substream(seed, "tag").random(2).tobytes() for seed in seeds]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[-1, 5], [2**32, 5], [2**40 + 3, 0], [2**64 - 1, 7]],
+    ids=["negative", "two-word", "two-word-low", "uint64"],
+)
+def test_array_part_off_one_word_takes_the_one_row_path(values):
+    part = np.array(values * BATCH_ROWS, dtype=np.uint64 if max(values) >= 2**63 else np.int64)
+    assert _batch_words((3, "tag", part))[1] is None
+    got = derive_seeds(3, "tag", part)
+    assert got.tolist() == [derive_seed(3, "tag", v) for v in part.tolist()]
+
+
+def test_batch_of_one_word_parts_takes_the_array_path():
+    assert _batch_words((3, "tag", np.arange(BATCH_ROWS)))[1] is not None
+    assert _batch_words((3, "tag", np.arange(BATCH_ROWS - 1)))[1] is None
+
+
+@pytest.mark.parametrize(
+    "part",
+    [np.full(2 * BATCH_ROWS, 1.0), np.ones(2 * BATCH_ROWS, dtype=bool)],
+    ids=["float", "bool"],
+)
+def test_non_integer_array_part_is_an_invalid_argument(part):
+    with pytest.raises(InvalidArgumentError, match="seed or key part must be an integer"):
+        derive_seeds(3, "tag", part)
+    with pytest.raises(InvalidArgumentError, match="seed or key part must be an integer"):
+        next(substreams(part, "tag"))
+
+
+def test_empty_batch():
+    assert derive_seeds(3, np.arange(0)).shape == (0,)
+    assert keyed_laplace_stack(np.zeros((0, 2), dtype=np.uint32), "t", 3, 1.0).shape == (0, 2, 3)
