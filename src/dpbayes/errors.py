@@ -58,11 +58,6 @@ def check_probability(name: str, value: float) -> None:
         raise InvalidArgumentError(f"{name} must lie in [0, 1], got {value}")
 
 
-def check_t(t: float) -> None:
-    if not 0 < t < math.inf:
-        raise InvalidArgumentError(f"t must be positive and finite, got {t}")
-
-
 def check_positive(name: str, value: float) -> None:
     if not 0 < value < math.inf:
         raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")

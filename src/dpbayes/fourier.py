@@ -38,8 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonPositivePosteriorParamError
-from .errors import InvalidArgumentError, check_epsilon, check_fraction, check_integer, check_t
+from .errors import DimensionMismatchError, NonPositivePosteriorParamError, check_positive
+from .errors import InvalidArgumentError, check_epsilon, check_fraction, check_integer
 from .graph import (
     PLAN_CACHE_SIZE,
     BayesNetGraph,
@@ -244,7 +244,7 @@ def noise_scale(closure: DownwardClosure, epsilon: float) -> float:
 def stealth_increment(closure: DownwardClosure, epsilon: float, t: float) -> float:
     """Deterministic boost of the empty-set coefficient: 4t|J|^2/(eps 2^{k/2})."""
     check_epsilon(epsilon)
-    check_t(t)
+    check_positive("t", t)
     return 4.0 * t * closure.size**2 / (epsilon * 2.0 ** (closure.k / 2.0))
 
 
@@ -446,7 +446,7 @@ def marginal_error_bound(
     """
     check_epsilon(epsilon)
     check_fraction("delta", delta)
-    check_t(t)
+    check_positive("t", t)
     size = downward_closure(graph).size
     indeg = graph.parent_count(check_integer("node", node, 0, graph.node_count))
     return (4.0 * size / epsilon) * (2.0**indeg * math.log(size / delta) + t * size)

@@ -39,7 +39,7 @@ from typing import Hashable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import CyclicGraphError, DimensionMismatchError, InvalidArgumentError
-from .errors import check_integer, check_positive
+from .errors import check_integer, check_positive, check_probability
 
 # (node index, parent-configuration index)
 EntryKey = tuple[int, int]
@@ -477,12 +477,24 @@ def joint_log_likelihood(graph: BayesNetGraph, theta: ThetaMap, record: Iterable
 def ancestral_sample(
     graph: BayesNetGraph, theta: ThetaMap, n: int, rng: np.random.Generator
 ) -> Dataset:
-    """Sample n records in topological order from the parameterised network."""
+    """Sample n records in topological order from the parameterised network.
+
+    theta must give a probability in [0, 1] for exactly the graph's
+    entries; it is read once, as a table in the entry order.
+    """
     order = validate_graph(graph)
+    table = EntryTable.of(theta)
+    if table.order != graph.entry_keys():
+        raise DimensionMismatchError(
+            f"theta lists entries {table.order}, expected {graph.entry_keys()}"
+        )
+    for key, value in zip(table.order, table.array.tolist()):
+        check_probability(f"theta {key}", value)
     recs = np.zeros((check_integer("n", n, 0), graph.node_count), dtype=np.int8)
     for i in order:
         pa = list(graph.parents[i])
         cfg = recs[:, pa].astype(np.int64) @ (1 << np.arange(len(pa), dtype=np.int64))
-        probs = np.array([theta[(i, j)] for j in range(graph.config_count(i))])
+        start = table.positions[(i, 0)]
+        probs = table.array[start : start + graph.config_count(i)]
         recs[:, i] = (rng.random(n) < probs[cfg]).astype(np.int8)
     return Dataset(recs)

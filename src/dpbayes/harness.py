@@ -19,7 +19,7 @@ import numpy as np
 from . import fourier, laplace, regression, sampler
 from .errors import ConfigError, DimensionMismatchError, InvalidArgumentError, OmegaTooLargeError
 from .errors import check_epsilon, check_fraction, check_integer, check_nonnegative
-from .errors import check_positive, check_probability, check_t
+from .errors import check_positive, check_probability
 from .graph import (
     Dataset,
     ThetaMap,
@@ -32,7 +32,7 @@ from .graph import (
 )
 from .io import load_dataset, load_regression_csv
 from .metrics import accuracy
-from .randomness import derive_seeds, substream, substreams
+from .randomness import derive_seeds, seed_array, substream, substreams
 
 log = logging.getLogger("dpbayes.harness")
 
@@ -103,7 +103,7 @@ class ExperimentConfig:
                 check_integer(name, getattr(self, name), 1)
             check_integer("n", self.n, 2)
             check_integer("seed", self.seed)
-            check_t(self.fourier_t)
+            check_positive("t", self.fourier_t)
             check_positive("sigma2", self.sigma2)
             if self.radius is not None:
                 check_positive("radius", self.radius)
@@ -138,15 +138,16 @@ def synth_nb(
     """Ancestral samples from a naive-Bayes generator.
 
     Unspecified parameters are drawn uniformly on (0, 1), one keyed
-    substream per entry; records come from their own stream, so the
-    same seed always yields the same bytes.
+    substream per entry, all 2d+1 of them from one substreams batch;
+    records come from their own stream, so the same seed always yields
+    the same bytes.
     """
     graph = naive_bayes_graph(d)
     if theta is None:
-        theta = {
-            key: float(substream(seed, "synth-theta", *key).random())
-            for key in graph.entry_keys()
-        }
+        keys = graph.entry_keys()
+        nodes, configs = np.array(keys).T
+        streams = substreams(seed, "synth-theta", nodes, configs)
+        theta = {key: float(rng.random()) for key, rng in zip(keys, streams)}
     data = ancestral_sample(graph, theta, n, substream(seed, "synth-records"))
     return data, theta
 
@@ -156,7 +157,7 @@ def _splits(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Train and test indices from each seed's permutation; at least `least` train, one test."""
     n_train = min(n - 1, max(least, round(n * fraction)))
-    for rng in substreams(seeds, "train-test-split"):
+    for rng in substreams(seed_array(seeds), "train-test-split"):
         perm = rng.permutation(n)
         yield perm[:n_train], perm[n_train:]
 

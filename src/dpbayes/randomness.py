@@ -8,19 +8,21 @@ order: a string tag is one word, its crc32; an integer is reduced mod
 2^64 and gives its low word, then its high word if that is non-zero (0
 is the one word 0).
 
-substream and derive_seed are the one-row path: they hand numpy that
-word array. derive_seeds and substreams are its batch form over integer
-arrays of key parts, which broadcast. A batch of at least BATCH_ROWS
-rows whose array parts all lie in [0, 2^32), one word per row each,
-shares one word layout: SeedSequence's mix_entropy and generate_state
-and PCG64's seeding (pcg_setseq_128_srandom_r) then run as uint32 array
-code over every row at once, and each row's stream is one reused PCG64
-whose state is set. Any other batch takes the one-row path row by row.
-Both paths give the same bits: the batch relies on numpy keeping the
-SeedSequence and PCG64 seeding streams stable (NEP 19), and
-tests/test_randomness.py compares the two, so a change in either shows
-there. keyed_laplace_stack is the one keyed Laplace draw of a release
-stack.
+substream and derive_seed hand numpy that word array for one key.
+derive_seeds and substreams are their batch form: any part may be a
+numpy array, the arrays broadcast, and each row of the broadcast shape
+is one key. The route follows the key layout alone. A batch of more
+than one row whose array parts all hold integers in [0, 2^32), one word
+per row each, shares one word layout: SeedSequence's mix_entropy and
+generate_state and PCG64's seeding (pcg_setseq_128_srandom_r) then run
+as uint32 array code over every row at once, and each row's stream is
+one reused PCG64 whose state is set. Any other batch (one row, an
+integer outside [0, 2^32), an object array of Python ints) goes key by
+key through numpy, as derive_seed and substream do. Both routes give
+the same bits: the array code relies on numpy keeping the SeedSequence
+and PCG64 seeding streams stable (NEP 19), and tests/test_randomness.py
+compares the two, so a change in either shows there.
+keyed_laplace_stack is the one keyed Laplace draw of a release stack.
 """
 from __future__ import annotations
 
@@ -36,14 +38,6 @@ from .errors import check_integer, check_nonnegative
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
-
-# Rows from which the array pass beats the one-row path. Measured on a
-# shared 2-vCPU Xeon VM with numpy 2.4, best of 15 runs: the one-row
-# path takes about 11 us per derived seed and 16 us per stream of 33
-# uniforms, the array pass about 60 us per call for derived seeds and
-# 100 us plus 4 us per stream for streams. They meet at 5 rows for
-# derived seeds and at 8 for streams; the larger is the crossover.
-BATCH_ROWS = 8
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -136,27 +130,25 @@ def _state_words(words: np.ndarray, count: int) -> np.ndarray:
     return _hash(pool[np.arange(count) % _POOL_SIZE], *_hash_steps(_INIT_B, _MULT_B, count))
 
 
-def _batch_words(parts: tuple) -> tuple[tuple[int, ...], np.ndarray | None]:
-    """The broadcast shape of the array parts, and the (W, rows) word array of the batch.
+def _layout(parts: tuple) -> tuple[tuple[int, ...], np.ndarray | Iterator[tuple]]:
+    """The broadcast shape of a batch, and the batch in the form of its route.
 
-    The words are None, for the one-row path, below BATCH_ROWS rows or
-    when an array part is not all integers in [0, 2^32).
+    A batch of more than one row whose array parts are all integers in
+    [0, 2^32) is its (W, rows) uint32 word array; any other batch is an
+    iterator over its rows' keys, in flat order.
     """
     arrays = [part for part in parts if isinstance(part, np.ndarray)]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     rows = math.prod(shape)
-    if rows < BATCH_ROWS:
-        return shape, None
-    for a in arrays:
-        if a.dtype.kind not in "iu" or a.min() < 0 or a.max() > _MASK32:
-            return shape, None
-    words = []
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            words.append(np.broadcast_to(part, shape).ravel())
-        else:
-            words += [np.full(rows, w) for w in _words(part)]
-    return shape, np.array(words, dtype=np.uint32)
+    if rows > 1 and all(
+        a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= _MASK32 for a in arrays
+    ):
+        words = [w for p in parts for w in ([p] if isinstance(p, np.ndarray) else _words(p))]
+        return shape, np.array([np.broadcast_to(w, shape).ravel() for w in words], dtype=np.uint32)
+    return shape, zip(*(
+        np.broadcast_to(p, shape).ravel().tolist() if isinstance(p, np.ndarray) else [p] * rows
+        for p in parts
+    ))
 
 
 def derive_seeds(seed: int | np.ndarray, *key: int | str | np.ndarray) -> np.ndarray:
@@ -165,17 +157,10 @@ def derive_seeds(seed: int | np.ndarray, *key: int | str | np.ndarray) -> np.nda
     Any part may be a numpy array; the arrays broadcast together, and
     each entry is that row's part. Equal to derive_seed row by row.
     """
-    parts = (seed, *key)
-    shape, words = _batch_words(parts)
-    if words is not None:
-        return _state_words(words, 1).reshape(shape)
-    rows = math.prod(shape)
-    columns = [
-        [part] * rows if not isinstance(part, np.ndarray)
-        else (part if part.shape == shape else np.broadcast_to(part, shape)).ravel().tolist()
-        for part in parts
-    ]
-    return np.array([derive_seed(*row) for row in zip(*columns)], dtype=np.uint32).reshape(shape)
+    shape, batch = _layout((seed, *key))
+    if isinstance(batch, np.ndarray):
+        return _state_words(batch, 1).reshape(shape)
+    return np.array([derive_seed(*row) for row in batch], dtype=np.uint32).reshape(shape)
 
 
 def seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -187,25 +172,26 @@ def seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     return seeds if isinstance(seeds, np.ndarray) else np.array(seeds, dtype=object)
 
 
-def substreams(seeds: Sequence[int] | np.ndarray, *key: int | str) -> Iterator[np.random.Generator]:
-    """substream(seed, *key) for each seed in turn, in the flat order of the seeds.
+def substreams(
+    seed: int | np.ndarray, *key: int | str | np.ndarray
+) -> Iterator[np.random.Generator]:
+    """substream of every row of a batch, in the flat order of the parts' broadcast shape.
 
-    A batch reuses one Generator, whose state is set for each row: use
-    each yielded stream before asking for the next.
+    The parts broadcast as in derive_seeds. The one-word layout reuses
+    one Generator, whose state is set for each row: use each yielded
+    stream before asking for the next.
     """
-    seeds = seed_array(seeds)
-    parts = (seeds, *key)
-    _, words = _batch_words(parts)
-    if words is None:
-        for row in seeds.ravel().tolist():
-            yield substream(row, *key)
+    _, batch = _layout((seed, *key))
+    if not isinstance(batch, np.ndarray):
+        for row in batch:
+            yield substream(*row)
         return
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     # generate_state(4, uint64): words (2j, 2j+1) form the j-th uint64, little-endian
-    state_words = _state_words(words, 8).astype(np.uint64)
+    state_words = _state_words(batch, 8).astype(np.uint64)
     seed_words = state_words[0::2] | state_words[1::2] << np.uint64(32)
     # pcg_setseq_128_srandom_r takes the first two as the state, the last two as the stream
     for high, low, inc_high, inc_low in seed_words.T.tolist():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import dpbayes as dp
-from dpbayes.errors import check_epsilon, check_map_epsilon, check_t
+from dpbayes.errors import check_epsilon, check_map_epsilon, check_positive
 
 NB2 = dp.BayesNetGraph(node_count=3, parents=((), (0,), (0,)))
 DATA = dp.Dataset(np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 0]]))
@@ -220,9 +220,12 @@ def test_non_finite_array_entry_is_an_invalid_argument(name, slot, bad):
 
 
 def test_bad_arguments_are_one_family():
-    for check, bad in ((check_epsilon, 0.0), (check_map_epsilon, math.inf), (check_t, -1.0)):
+    checks = (
+        (check_epsilon, (0.0,)), (check_map_epsilon, (math.inf,)), (check_positive, ("t", -1.0))
+    )
+    for check, args in checks:
         with pytest.raises(dp.InvalidArgumentError) as err:
-            check(bad)
+            check(*args)
         assert type(err.value) is dp.InvalidArgumentError
     assert issubclass(dp.InvalidArgumentError, dp.DpBayesError)
     assert issubclass(dp.InvalidArgumentError, ValueError)

@@ -16,7 +16,6 @@ from conftest import random_dag, random_dataset, twenty_node_dag
 from dpbayes import fourier, laplace, sampler
 from dpbayes.cli import main
 from dpbayes.graph import BetaTable, EntryTable, compute_updates, posterior_params, uniform_priors
-from dpbayes.randomness import BATCH_ROWS
 
 # 5 nodes: a root, a chain, a v-structure and a node with two parents
 # declared out of ascending order
@@ -94,7 +93,6 @@ def test_sweep_csv_digest(task, capsys):
 
 @pytest.mark.parametrize("name", sorted(ARRAY_PATH_SWEEPS))
 def test_array_path_sweep_csv_digest(name, capsys):
-    assert 20 >= BATCH_ROWS
     assert main(list(ARRAY_PATH_SWEEPS[name])) == 0
     assert digest(capsys.readouterr().out) == DIGESTS[name]
 

@@ -160,6 +160,28 @@ def test_synth_nb_honors_theta_override():
     assert np.abs(data.records.mean(axis=0) - 0.5).max() < 0.02
 
 
+FULL_THETA = dict.fromkeys(naive_bayes_graph(2).entry_keys(), 0.5)
+BAD_THETAS = {
+    "missing": ({(0, 0): 0.5}, DimensionMismatchError, r"theta lists entries \(\(0, 0\),\)"),
+    "extra": ({**FULL_THETA, (3, 0): 0.5}, DimensionMismatchError, "theta lists entries"),
+    "above-one": ({**FULL_THETA, (1, 1): 1.5}, InvalidArgumentError, r"theta \(1, 1\) must lie"),
+    "negative": ({**FULL_THETA, (2, 0): -0.1}, InvalidArgumentError, r"theta \(2, 0\) must lie"),
+    "nan": ({**FULL_THETA, (0, 0): math.nan}, InvalidArgumentError, r"theta \(0, 0\) must lie"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_THETAS))
+def test_bad_theta_is_refused_by_synth_nb_and_the_sweep(name):
+    theta, error, message = BAD_THETAS[name]
+    with pytest.raises(error, match=message):
+        synth_nb(2, 10, 0, theta)
+    config = ExperimentConfig(
+        task="nb", mechanisms=("none",), repeats=1, d=2, n=10, train_fraction=0.5, theta=theta
+    )
+    with pytest.raises(error, match=message):
+        run_nb_experiment(config)
+
+
 def test_synth_nb_flagship_scale():
     data, _ = synth_nb(16, 1000, seed=0)
     assert data.records.shape == (1000, 17)
