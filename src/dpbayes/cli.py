@@ -171,17 +171,6 @@ def _read(key: str, value, kind):
     return float(value)
 
 
-def _experiment_config(settings: dict) -> ExperimentConfig:
-    """ExperimentConfig from the given settings; every other field keeps its default."""
-    fields = {key: value for key, value in settings.items() if key != "out"}
-    # the dataset replaces the generated data, so the generator's settings go unread
-    unread = sorted({"d", "n", "noise_sigma"} & set(fields)) if "dataset" in fields else []
-    if unread:
-        scope = f"task {fields['task']!r} with a dataset"
-        raise ConfigError(f"unknown setting {', '.join(map(repr, unread))} for {scope}")
-    return ExperimentConfig(**fields)
-
-
 def _emit(out: str, lines: list[str]) -> int:
     """Write the lines, each newline-terminated, to `out` ('-' or '' for stdout); returns 0."""
     text = "\n".join(lines) + "\n"
@@ -290,7 +279,8 @@ def main(argv: list[str] | None = None) -> int:
             return _run_verify(settings, out)
         if task == "mechanism":
             return _run_mechanism(settings, out)
-        rows = run_experiment(_experiment_config(settings)).rows
+        config = ExperimentConfig(**{k: v for k, v in settings.items() if k != "out"})
+        rows = run_experiment(config).rows
         return _emit(out, rows_to_csv(rows).splitlines())
     except ConfigError as exc:
         print(f"dpbayes: config error: {exc}", file=sys.stderr)

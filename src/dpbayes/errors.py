@@ -29,8 +29,9 @@ class DimensionMismatchError(DpBayesError):
     """Inputs disagree in shape, length or keys: with the network, or with each other.
 
     Record width or vector shape against the network, paired sequences
-    of different lengths, and a prior, posterior or released basis
-    coefficient that is missing for an entry the computation needs.
+    of different lengths, a release stack's seed grid of another shape,
+    and an entry-keyed input (priors, theta, a posterior or released
+    coefficients) that lacks a key the computation needs or has an extra one.
     """
 
 

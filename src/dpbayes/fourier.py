@@ -17,7 +17,7 @@ so the released posteriors look like ordinary clean outputs. That is
 the stealth property. When it fails, release_posterior_stack floors the
 negative cells of that same release at zero: post-processing, so the
 release still costs exactly epsilon. The stack makes a whole grid of
-releases at once, one row of epsilons per dataset, each release from
+releases at once, every dataset under one row of epsilons, each from
 its own keyed substream; a single release is its one-entry case.
 
 Counting and reconstruction share one layout of the family cells:
@@ -53,10 +53,9 @@ from .graph import (
     check_beta_rows,
     count_cells,
     node_families,
-    prior_rows,
     project_marginal,
 )
-from .randomness import derive_seeds, keyed_laplace_stack, seed_array
+from .randomness import derive_seeds, keyed_laplace_stack, seed_grid
 
 _NOISE_TAG = "fourier-coefficient-noise"
 
@@ -216,16 +215,14 @@ def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
 class CoefficientSet:
     """Released coefficient vector over a downward closure, keyed by closure.members.
 
-    A dict of values is read through EntryTable.of.
+    Its values are read through EntryTable.keyed, keyed by closure.members exactly.
     """
 
     closure: DownwardClosure
     values: EntryTable
 
     def __post_init__(self) -> None:
-        self.values = EntryTable.of(self.values)
-        if self.values.order != self.closure.members:
-            raise InvalidArgumentError("coefficient indices must equal the closure exactly")
+        self.values = EntryTable.keyed("coefficients", self.values, self.closure.members)
         if not np.isfinite(self.values.array).all():
             raise InvalidArgumentError("coefficient values must be finite")
 
@@ -267,14 +264,9 @@ def release_coefficient_stack(
     keyed_laplace_stack draw. Reproducible under the seeds; which
     uniform feeds which coefficient depends on closure.members alone.
     """
-    seeds = seed_array(seeds)
-    if not len(datasets) or not len(epsilons) or seeds.shape != (len(datasets), len(epsilons)):
-        raise DimensionMismatchError(
-            f"need one seed per epsilon for each dataset, got {len(datasets)} datasets, "
-            f"{len(epsilons)} epsilons and seeds of shape {seeds.shape}"
-        )
+    seeds = seed_grid(seeds, len(datasets), len(epsilons))
     boosts = [stealth_increment(closure, epsilon, t) for epsilon in epsilons]
-    scales = [[noise_scale(closure, epsilon) for epsilon in epsilons]]
+    scales = [noise_scale(closure, epsilon) for epsilon in epsilons]
     noise = keyed_laplace_stack(seeds, _NOISE_TAG, closure.size, scales)
     values = np.stack([_exact_vector(data, closure) for data in datasets])[:, None] + noise
     values[:, :, 0] += boosts
@@ -393,7 +385,8 @@ def fourier_posterior_params(
     if clamp_nonpositive:
         cells = np.maximum(cells, 0.0)
     keys = graph.entry_keys()
-    return BetaTable(keys, _posterior_rows(prior_rows(priors, keys), cells, graph)[0])
+    prior = BetaTable.keyed("priors", priors, keys).array
+    return BetaTable(keys, _posterior_rows(prior, cells, graph)[0])
 
 
 def release_posterior_stack(
@@ -421,10 +414,9 @@ def release_posterior_stack(
     release [r, e], with clamp_nonpositive set exactly when floored[r, e] is.
     """
     closure = downward_closure(graph)
-    z = release_coefficient_stack(
-        datasets, closure, epsilons, t, derive_seeds(seed_array(seeds), "attempt", 0)
-    )
-    prior = prior_rows(priors, graph.entry_keys())
+    seeds = seed_grid(seeds, len(datasets), len(epsilons))
+    z = release_coefficient_stack(datasets, closure, epsilons, t, derive_seeds(seeds, "attempt", 0))
+    prior = BetaTable.keyed("priors", priors, graph.entry_keys()).array
     cells = _entry_cells(z.reshape(-1, closure.size), closure, graph)
     floored = (prior + cells <= 0.0).any(axis=(1, 2))
     cells = np.where(floored[:, None, None], np.maximum(cells, 0.0), cells)

@@ -17,6 +17,9 @@ counts, priors and posteriors are (m, 2) arrays of (alpha, beta) rows in
 this order, held by an EntryTable: a read-only mapping view from each
 key to its row. EntryTable.of is the one boundary between dicts and
 tables; it sorts a dict's keys once and passes a table through.
+EntryTable.keyed reads every entry-keyed input (priors, theta, a
+posterior, coefficients) through of, and refuses any key set but the
+one the computation needs with DimensionMismatchError.
 
 The family of node i is node_families' tuple (i, *parents[i]), and its
 2^(p+1) cells (p parents) are indexed the same way: bit 0 of a cell
@@ -85,6 +88,14 @@ class EntryTable(Mapping):
             return entries
         order = tuple(sorted(entries))
         return cls(order, np.array([cls._cells(entries[key]) for key in order], dtype=np.float64))
+
+    @classmethod
+    def keyed(cls, what: str, values: Mapping, order: tuple[Hashable, ...]) -> "EntryTable":
+        """values as a table, through of, once its keys are exactly order; `what` names them."""
+        table = cls.of(values)
+        if table.order != order:
+            raise DimensionMismatchError(f"{what} list entries {table.order}, expected {order}")
+        return table
 
     _cells = staticmethod(lambda value: value)  # one mapping value as one array row
 
@@ -390,18 +401,10 @@ def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
     return UpdateVector(EntryTable(keys, pairs[:, ::-1]))
 
 
-def prior_rows(priors: PriorMap, order: tuple[EntryKey, ...]) -> np.ndarray:
-    """The (alpha, beta) rows of priors, which must list exactly the keys in order."""
-    table = BetaTable.of(priors)
-    if table.order != order:
-        raise DimensionMismatchError(f"priors list entries {table.order}, expected {order}")
-    return table.array
-
-
 def posterior_params(priors: PriorMap, updates: UpdateVector) -> BetaTable:
     """Elementwise conjugate update of priors, which must list exactly the update entries."""
     order = updates.entries.order
-    return BetaTable(order, prior_rows(priors, order) + updates.entries.array)
+    return BetaTable(order, BetaTable.keyed("priors", priors, order).array + updates.entries.array)
 
 
 def uniform_priors(graph: BayesNetGraph, alpha: float = 1.0, beta: float = 1.0) -> BetaTable:
@@ -459,17 +462,26 @@ def project_marginal(table: ContingencyTable, keep: Iterable[int]) -> Contingenc
 # ---------------------------------------------------------------------------
 
 
+def _theta_table(graph: BayesNetGraph, theta: ThetaMap) -> EntryTable:
+    """theta as a table in the entry order, once each value is a probability in [0, 1]."""
+    table = EntryTable.keyed("theta values", theta, graph.entry_keys())
+    for key, value in zip(table.order, table.array.tolist()):
+        check_probability(f"theta {key}", value)
+    return table
+
+
 def joint_log_likelihood(graph: BayesNetGraph, theta: ThetaMap, record: Iterable[int]) -> float:
-    """log p_theta(record) under the fully observed network."""
-    rec = tuple(int(v) for v in record)
+    """log p_theta(record) under the fully observed network; record is one 0/1 value per node."""
+    table = _theta_table(graph, theta)
+    rec = Dataset(np.array([tuple(record)])).records[0].tolist()
     if len(rec) != graph.node_count:
-        raise DimensionMismatchError("record width does not match the network")
+        raise DimensionMismatchError(f"record of width {len(rec)} for {graph.node_count} nodes")
     total = 0.0
     for i in range(graph.node_count):
         j = 0
         for p, parent in enumerate(graph.parents[i]):
             j |= rec[parent] << p
-        prob = theta[(i, j)]
+        prob = table[(i, j)]
         total += np.log(prob) if rec[i] else np.log1p(-prob)
     return float(total)
 
@@ -483,13 +495,7 @@ def ancestral_sample(
     entries; it is read once, as a table in the entry order.
     """
     order = validate_graph(graph)
-    table = EntryTable.of(theta)
-    if table.order != graph.entry_keys():
-        raise DimensionMismatchError(
-            f"theta lists entries {table.order}, expected {graph.entry_keys()}"
-        )
-    for key, value in zip(table.order, table.array.tolist()):
-        check_probability(f"theta {key}", value)
+    table = _theta_table(graph, theta)
     recs = np.zeros((check_integer("n", n, 0), graph.node_count), dtype=np.int8)
     for i in order:
         pa = list(graph.parents[i])

@@ -10,6 +10,7 @@ work was scheduled.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -51,9 +52,13 @@ CSV_HEADER = "mechanism,param,repeat,metric,value"
 class ExperimentConfig:
     """One experiment run: what to sweep, how often, from which seed.
 
-    mechanisms=None runs every mechanism of the task; d=None and n=None
-    take the task's sweep size, 16 features and 1000 records for nb, 5
-    and 2000 for linreg.
+    mechanisms=None runs every mechanism of the task. Without a dataset,
+    d=None and n=None take the task's sweep size, 16 features and 1000
+    records for nb, 5 and 2000 for linreg, and noise_sigma=None reads as
+    0.1. A dataset replaces the generated data, so d, n, noise_sigma and
+    theta must then stay None; any of them set is a ConfigError. An nb
+    sampler sweep refuses an epsilon whose trim bound underflows, but not
+    a degenerate trim interval, which the sweep scores as 0.5.
     """
 
     task: str = "nb"
@@ -71,7 +76,7 @@ class ExperimentConfig:
     threshold: float = 0.5
     sigma2: float = 1.0
     radius: float | None = None  # None: 10/sqrt(b) per grid point
-    noise_sigma: float = 0.1
+    noise_sigma: float | None = None  # None: 0.1
     dataset: str | None = None
     theta: ThetaMap | None = field(default=None, hash=False)
 
@@ -79,6 +84,13 @@ class ExperimentConfig:
         if self.task not in _TASKS:
             raise ConfigError(f"unknown sweep task {self.task!r}; use 'nb' or 'linreg'")
         allowed, d, n = _TASKS[self.task]
+        if self.dataset is not None:
+            generator = ("d", "n", "noise_sigma", "theta")
+            unread = [name for name in generator if getattr(self, name) is not None]
+            if unread:
+                scope = f"task {self.task!r} with a dataset"
+                raise ConfigError(f"unknown setting {', '.join(map(repr, unread))} for {scope}")
+            d = n = None  # the sweep takes its size from the dataset
         for name, default in (("mechanisms", allowed), ("d", d), ("n", n)):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
@@ -96,18 +108,24 @@ class ExperimentConfig:
             check_probability("threshold", self.threshold)
             for epsilon in self.epsilon_grid:
                 check_epsilon(epsilon)
+                if self.task == "nb" and "sampler" in self.mechanisms:
+                    with contextlib.suppress(OmegaTooLargeError):  # the sweep scores it as 0.5
+                        sampler.trim_bound(epsilon)
             for b in self.b_grid:
                 check_positive("prior precision", b)
             check_fraction("train fraction", self.train_fraction)
-            for name in ("repeats", "d", "sampler_samples", "regression_samples"):
+            for name in ("repeats", "sampler_samples", "regression_samples"):
                 check_integer(name, getattr(self, name), 1)
-            check_integer("n", self.n, 2)
             check_integer("seed", self.seed)
             check_positive("t", self.fourier_t)
             check_positive("sigma2", self.sigma2)
             if self.radius is not None:
                 check_positive("radius", self.radius)
-            check_nonnegative("noise sigma", self.noise_sigma)
+            if self.dataset is None:
+                check_integer("d", self.d, 1)
+                check_integer("n", self.n, 2)
+            if self.noise_sigma is not None:
+                check_nonnegative("noise sigma", self.noise_sigma)
         except InvalidArgumentError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -280,10 +298,8 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     if "none" in config.mechanisms:
         stacks["none"] = np.stack([post.array for post in exact])[:, None]
     if "laplace" in config.mechanisms:
-        specs = [
-            [laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n) for eps in grid]
-            for train, _ in splits
-        ]
+        n_train = splits[0][0].n  # every split trains on the same number of records
+        specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, n_train) for eps in grid]
         noisy, _ = laplace.perturb_update_stack(updates, specs, _seed_grid(config, "laplace", grid))
         stacks["laplace"] = priors.array + noisy
     stealth_clamps = 0
@@ -343,9 +359,9 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.dataset is not None:
         X_raw, y_raw = load_regression_csv(config.dataset)
     else:
-        X_raw, y_raw, _ = synth_linreg(
-            config.d, config.n, config.seed, config.noise_sigma
-        )
+        # noise_sigma=None keeps synth_linreg's own default
+        given = {} if config.noise_sigma is None else {"noise_sigma": config.noise_sigma}
+        X_raw, y_raw, _ = synth_linreg(config.d, config.n, config.seed, **given)
     data = regression.scale_regression_data(X_raw, y_raw, config.sigma2)
     radii = [
         config.radius if config.radius is not None else regression.default_radius(b)

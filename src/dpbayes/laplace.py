@@ -8,8 +8,8 @@ one of the 2m update counts (m = sum_i 2^{|parents(i)|}, zero-filled
 entries included) and truncates the noisy counts to [0, n]. Truncation
 is post-processing and costs no privacy; outputs stay real-valued.
 Counts and noisy counts are (m, 2) tables in the graph module's entry order;
-perturb_update_stack makes a grid of releases at once, one row of specs
-per count table, as one (R, E, m, 2) stack whose noise is one
+perturb_update_stack makes a grid of releases at once, every count table
+under one row of specs, as one (R, E, m, 2) stack whose noise is one
 randomness.keyed_laplace_stack draw.
 """
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .errors import check_epsilon, check_fraction, check_integer
-from .graph import BayesNetGraph, BetaTable, EntryTable, PriorMap, UpdateVector, prior_rows
-from .randomness import keyed_laplace_stack, seed_array
+from .graph import BayesNetGraph, BetaTable, EntryTable, PriorMap, UpdateVector
+from .randomness import keyed_laplace_stack, seed_grid
 
 _NOISE_TAG = "laplace-update-noise"
 
@@ -77,46 +77,35 @@ class PerturbedUpdates:
 
 def perturb_update_stack(
     updates: Sequence[UpdateVector],
-    specs: Sequence[Sequence[LaplaceNoiseSpec]],
+    specs: Sequence[LaplaceNoiseSpec],
     seeds: Sequence[Sequence[int]] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Releases of several update tables under a grid of specs, stacked: (truncated, raw).
+    """Releases of several update tables under one row of specs, stacked: (truncated, raw).
 
-    updates holds R tables of one graph, specs and seeds one row of E
-    each per table. Both results are (R, E, m, 2) arrays, entry [r, e]
-    the release of updates[r] under specs[r][e] and seeds[r][e]. Each
-    release keeps its own keyed substream, which supplies an (m, 2)
-    block of uniforms, row i for row i of its table; each uniform becomes
-    one count's noise by inverse CDF, and release [r, e] is truncated
-    into [0, specs[r][e].n]. The whole grid's noise is one
+    updates holds R tables of one graph, specs one row of E specs that
+    every table shares, and seeds one seed per (table, spec) pair, as
+    randomness.seed_grid checks. Both results are (R, E, m, 2) arrays,
+    entry [r, e] the release of updates[r] under specs[e] and seeds[r][e]:
+    its own keyed substream supplies an (m, 2) block of uniforms, row i
+    for row i of its table, each one count's noise by inverse CDF, and
+    it is truncated into [0, specs[e].n]. The whole grid's noise is one
     keyed_laplace_stack draw. Entry [r, e] equals
-    perturb_updates(updates[r], specs[r][e], seeds[r][e]) bit for bit.
+    perturb_updates(updates[r], specs[e], seeds[r][e]) bit for bit.
     """
-    seeds = seed_array(seeds)
-    width = len(specs[0]) if len(specs) else 0
-    if (
-        not width
-        or len(specs) != len(updates)
-        or any(len(row) != width for row in specs)
-        or seeds.shape != (len(updates), width)
-    ):
-        raise DimensionMismatchError(
-            f"need one seed per noise spec, got {len(updates)} tables, "
-            f"{len(specs)} rows of specs and seeds of shape {seeds.shape}"
-        )
+    seeds = seed_grid(seeds, len(updates), len(specs))
     order = updates[0].entries.order
     if any(u.entries.order != order for u in updates):
         raise DimensionMismatchError("every update table must share one entry order")
     counts = np.stack([u.entries.array for u in updates])[:, None]
-    scales = [[spec.scale for spec in row] for row in specs]
+    scales = [spec.scale for spec in specs]
     raw = counts + keyed_laplace_stack(seeds, _NOISE_TAG, counts.shape[2:], scales)
-    ns = np.array([[float(spec.n) for spec in row] for row in specs])[:, :, None, None]
+    ns = np.array([float(spec.n) for spec in specs])[:, None, None]
     return np.clip(raw, 0.0, ns), raw
 
 
 def perturb_updates(updates: UpdateVector, spec: LaplaceNoiseSpec, seed: int) -> PerturbedUpdates:
     """Add per-count Laplace noise and truncate into [0, n]: one entry of perturb_update_stack."""
-    entries, raw = perturb_update_stack((updates,), ((spec,),), ((seed,),))
+    entries, raw = perturb_update_stack((updates,), (spec,), ((seed,),))
     order = updates.entries.order
     return PerturbedUpdates(EntryTable(order, entries[0, 0]), EntryTable(order, raw[0, 0]))
 
@@ -163,14 +152,14 @@ def posterior_kl_bound(
     scale = LaplaceNoiseSpec.for_graph(graph, epsilon, n).scale
     if delta != 1:
         check_fraction("delta", delta)
-    priors = BetaTable.of(priors)
+    priors = BetaTable.keyed("priors", priors, updates.entries.order)
     small = np.flatnonzero((priors.array < 2.0).any(axis=1))
     if small.size:
         alpha, beta = priors.array[small[0]].tolist()
         raise InvalidArgumentError(
             f"entry {priors.order[small[0]]} has prior ({alpha}, {beta}); both must be >= 2"
         )
-    a, b = prior_rows(priors, updates.entries.order).T
+    a, b = priors.array.T
     variation = (2.0 * n + 1.0) * (np.log(a + n + 1.0) + np.log(b + n + 1.0))
     if n >= scale:
         decay = math.exp(-n / scale) if scale else 0.0

@@ -22,7 +22,7 @@ key through numpy, as derive_seed and substream do. Both routes give
 the same bits: the array code relies on numpy keeping the SeedSequence
 and PCG64 seeding streams stable (NEP 19), and tests/test_randomness.py
 compares the two, so a change in either shows there.
-keyed_laplace_stack is the one keyed Laplace draw of a release stack.
+keyed_laplace_stack is a release stack's one Laplace draw; seed_grid checks its seeds.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import check_integer, check_nonnegative
+from .errors import DimensionMismatchError, check_integer, check_nonnegative
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -170,6 +170,15 @@ def seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     rounded or reduced on the way in.
     """
     return seeds if isinstance(seeds, np.ndarray) else np.array(seeds, dtype=object)
+
+
+def seed_grid(seeds: Sequence[Sequence[int]] | np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """seed_array(seeds), once it is a non-empty (rows, cols) grid: a seed per (table, epsilon)."""
+    seeds = seed_array(seeds)
+    if not rows or not cols or seeds.shape != (rows, cols):
+        grid = f"a {rows} x {cols} grid, got shape {seeds.shape}"
+        raise DimensionMismatchError(f"need one seed per (table, epsilon) pair: {grid}")
+    return seeds
 
 
 def substreams(

@@ -239,14 +239,10 @@ def naive_bayes_params(posterior: PosteriorMap, d: int) -> BetaTable:
     """The posterior's table, checked to list the entries of naive_bayes_graph(d).
 
     That is class (0, 0), then (f, 0), (f, 1) per feature f = 1..d; any
-    other key tuple raises DimensionMismatchError.
+    other key set raises DimensionMismatchError.
     """
-    table = BetaTable.of(posterior)
-    if table.order != naive_bayes_graph(d).entry_keys():
-        raise DimensionMismatchError(
-            f"not a naive-Bayes posterior over {d} features: entries {list(table.order)}"
-        )
-    return table
+    keys = naive_bayes_graph(d).entry_keys()
+    return BetaTable.keyed("naive-Bayes posterior rows", posterior, keys)
 
 
 def naive_bayes_class1(theta: np.ndarray, X: np.ndarray) -> np.ndarray:

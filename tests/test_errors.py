@@ -242,3 +242,43 @@ def test_numpy_integer_counts_and_seeds_pass():
     draws = dp.trimmed_beta_draws(dp.BetaParams(2.0, 3.0), 0.2, rng, np.int32(4))
     assert draws.shape == (4,)
     assert dp.derive_seed(np.uint32(7), "tag") == dp.derive_seed(7, "tag")
+
+
+# every entry-keyed input -> (the name its refusal gives it, a call that reads it)
+KEYED_INPUTS = {
+    "posterior_params": ("priors", lambda priors: dp.posterior_params(priors, UPDATES)),
+    "posterior_kl_bound": (
+        "priors", lambda priors: dp.posterior_kl_bound(priors, UPDATES, NB2, 1.0, 0.1, DATA.n)
+    ),
+    "synth_nb": ("theta values", lambda theta: dp.synth_nb(2, 10, 0, theta)),
+    "joint_log_likelihood": (
+        "theta values", lambda theta: dp.joint_log_likelihood(NB2, theta, (1, 0, 1))
+    ),
+    "sampler_predictive_batch": (
+        "naive-Bayes posterior rows",
+        lambda post: dp.sampler_predictive_batch(NB2, post, np.array([[0, 1]]), 5.0, 3, 1),
+    ),
+    "CoefficientSet": ("coefficients", lambda values: dp.CoefficientSet(CLOSURE, values)),
+}
+# a valid mapping for each kind of input, and a key that no such mapping may hold
+KEYED_VALUES = {
+    "priors": (dict(dp.uniform_priors(NB2, 2.0, 2.0)), (3, 0)),
+    "theta values": (dict.fromkeys(NB2.entry_keys(), 0.5), (3, 0)),
+    "naive-Bayes posterior rows": (dict(POSTERIOR), (3, 0)),
+    "coefficients": (dict(dp.exact_coefficients(DATA, CLOSURE).values), 0b111),
+}
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+@pytest.mark.parametrize("name", sorted(KEYED_INPUTS))
+def test_entry_keyed_input_needs_exactly_its_keys(name, change):
+    what, call = KEYED_INPUTS[name]
+    full, stray = KEYED_VALUES[what]
+    call(full)
+    first, *rest = full
+    if change == "missing":
+        changed = {key: full[key] for key in rest}
+    else:
+        changed = {**full, stray: full[first]}
+    with pytest.raises(dp.DimensionMismatchError, match=f"^{what} list entries"):
+        call(changed)

@@ -131,7 +131,7 @@ def test_random_dag_release_digest():
                 sha.update(repr(sorted(cells.items())).encode())
         updates = compute_updates(graph, data)
         specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, data.n) for eps in epsilons]
-        truncated, raw = laplace.perturb_update_stack((updates,), (specs,), (seeds,))
+        truncated, raw = laplace.perturb_update_stack((updates,), specs, (seeds,))
         truncated, raw = truncated[0], raw[0]
         tables = [posterior_params(priors, updates), *(BetaTable(keys, rows) for rows in post)]
         draws = [sampler.trimmed_posterior_draws(table, sampler.trim_bound(3.0), 7, 3).array

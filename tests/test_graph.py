@@ -503,6 +503,29 @@ def test_joint_log_likelihood_chain_value():
     assert ll == pytest.approx(np.log(0.9) + np.log(0.7) + np.log(0.5))
 
 
+TWO = BayesNetGraph.from_parent_lists([[], [0]])
+TWO_THETA = {(0, 0): 0.5, (1, 0): 0.3, (1, 1): 0.6}
+
+
+@pytest.mark.parametrize(
+    "theta, record, error, message",
+    [
+        ({(0, 0): 0.5}, (1, 1), DimensionMismatchError, r"theta values list entries \(\(0, 0\),\)"),
+        ({**TWO_THETA, (2, 0): 0.5}, (1, 1), DimensionMismatchError, "theta values list entries"),
+        # (1, 0) is not the entry the record reads: every theta is checked
+        ({**TWO_THETA, (1, 0): 1.5}, (1, 1), InvalidArgumentError, r"theta \(1, 0\) must lie"),
+        ({**TWO_THETA, (0, 0): np.nan}, (1, 1), InvalidArgumentError, r"theta \(0, 0\) must lie"),
+        (TWO_THETA, (1, 2), InvalidArgumentError, "only 0/1 values"),
+        (TWO_THETA, (1, 0, 1), DimensionMismatchError, "record of width 3 for 2 nodes"),
+    ],
+    ids=["missing-key", "extra-key", "above-one", "nan", "non-binary-record", "wrong-width"],
+)
+def test_joint_log_likelihood_refuses_bad_input(theta, record, error, message):
+    assert joint_log_likelihood(TWO, TWO_THETA, (1, 1)) == pytest.approx(np.log(0.5 * 0.6))
+    with pytest.raises(error, match=message):
+        joint_log_likelihood(TWO, theta, record)
+
+
 def test_ancestral_sample_marginals(rng):
     graph = BayesNetGraph(node_count=2, parents=((), (0,)))
     theta = {(0, 0): 0.3, (1, 0): 0.8, (1, 1): 0.1}

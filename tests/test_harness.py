@@ -162,8 +162,8 @@ def test_synth_nb_honors_theta_override():
 
 FULL_THETA = dict.fromkeys(naive_bayes_graph(2).entry_keys(), 0.5)
 BAD_THETAS = {
-    "missing": ({(0, 0): 0.5}, DimensionMismatchError, r"theta lists entries \(\(0, 0\),\)"),
-    "extra": ({**FULL_THETA, (3, 0): 0.5}, DimensionMismatchError, "theta lists entries"),
+    "missing": ({(0, 0): 0.5}, DimensionMismatchError, r"theta values list entries \(\(0, 0\),\)"),
+    "extra": ({**FULL_THETA, (3, 0): 0.5}, DimensionMismatchError, "theta values list entries"),
     "above-one": ({**FULL_THETA, (1, 1): 1.5}, InvalidArgumentError, r"theta \(1, 1\) must lie"),
     "negative": ({**FULL_THETA, (2, 0): -0.1}, InvalidArgumentError, r"theta \(2, 0\) must lie"),
     "nan": ({**FULL_THETA, (0, 0): math.nan}, InvalidArgumentError, r"theta \(0, 0\) must lie"),
@@ -261,7 +261,7 @@ def test_predictive_matches_quadrature():
 def test_predictive_missing_entry():
     post = uniform_nb_posterior(2)
     del post[(2, 1)]
-    with pytest.raises(DimensionMismatchError, match="not a naive-Bayes posterior"):
+    with pytest.raises(DimensionMismatchError, match="naive-Bayes posterior rows list entries"):
         nb_predictive_batch(nb_stack(post), [(0, 1)])
 
 
@@ -390,10 +390,10 @@ def test_nb_experiment_infinite_epsilon():
     for row in run_nb_experiment(exact).rows:
         values.setdefault(row.repeat, {})[row.mechanism] = row.value
     assert all(v["laplace"] == v["fourier"] == v["none"] for v in values.values())
+    # the config refuses such an epsilon before the sweep computes anything
     for eps in (1500.0, math.inf):
-        config = replace(TINY_NB, mechanisms=("sampler",), epsilon_grid=(20.0, eps))
-        with pytest.raises(InvalidArgumentError, match="underflow"):
-            run_nb_experiment(config)
+        with pytest.raises(ConfigError, match="underflow"):
+            replace(TINY_NB, mechanisms=("sampler",), epsilon_grid=(20.0, eps))
 
 
 def test_nb_experiment_counts_floored_fourier_releases(caplog):
@@ -434,11 +434,24 @@ def test_nb_experiment_floors_only_the_failing_releases_of_each_stack():
     assert {(row.mechanism, row.param, row.repeat): row.value for row in result.rows} == want
 
 
+@pytest.mark.parametrize(
+    "name, value", [("d", 2), ("n", 60), ("noise_sigma", 0.1), ("theta", FULL_THETA)]
+)
+@pytest.mark.parametrize("task", ["nb", "linreg"])
+def test_config_with_a_dataset_refuses_the_generator_settings(task, name, value):
+    # the dataset replaces the generated data, so these settings would go unread
+    message = f"unknown setting '{name}' for task '{task}' with a dataset"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(task=task, dataset="records.csv", **{name: value})
+    config = ExperimentConfig(task=task, dataset="records.csv")
+    assert (config.d, config.n, config.noise_sigma, config.theta) == (None, None, None, None)
+
+
 def test_nb_experiment_external_dataset(tmp_path):
     data, _ = synth_nb(2, 50, seed=11)
     path = tmp_path / "records.csv"
     path.write_text("\n".join(",".join(str(v) for v in row) for row in data.records) + "\n")
-    config = replace(TINY_NB, dataset=str(path), repeats=1, epsilon_grid=(2.0,))
+    config = replace(TINY_NB, dataset=str(path), d=None, n=None, repeats=1, epsilon_grid=(2.0,))
     result = run_nb_experiment(config)
     assert len(result.rows) == len(TINY_NB.mechanisms)
 
@@ -464,7 +477,7 @@ def test_linreg_experiment_needs_supported_mechanism():
 
 
 def test_linreg_min_train_size_follows_dataset_width(tmp_path, monkeypatch):
-    # a 3-feature CSV under the default d=16: train on d + 1 = 4 rows, not 17
+    # a 3-feature CSV, where a generated sweep would have 16: train on d + 1 = 4 rows, not 17
     X, y, _ = synth_linreg(3, 40, seed=2)
     path = tmp_path / "reg.csv"
     np.savetxt(path, np.column_stack([X, y]), delimiter=",")
@@ -475,7 +488,9 @@ def test_linreg_min_train_size_follows_dataset_width(tmp_path, monkeypatch):
         "fit_posterior_grid",
         lambda train, *args: seen.append(train.n) or fit(train, *args),
     )
-    config = replace(TINY_LINREG, dataset=str(path), d=16, train_fraction=0.05, repeats=1)
+    config = replace(
+        TINY_LINREG, dataset=str(path), d=None, n=None, train_fraction=0.05, repeats=1
+    )
     run_linreg_experiment(config)
     assert seen == [4]  # one grid fit per repeat
 

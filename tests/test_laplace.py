@@ -157,7 +157,7 @@ def test_stack_rows_equal_single_releases_bit_for_bit(rng):
     specs = [LaplaceNoiseSpec.for_graph(CHAIN3, eps, n) for eps, n in
              ((0.5, 20), (math.inf, 20), (3.0, 20), (0.5, 5))]
     seeds = [11, 12, 13, 11]
-    entries, raw = laplace_mod.perturb_update_stack((up,), (specs,), (seeds,))
+    entries, raw = laplace_mod.perturb_update_stack((up,), specs, (seeds,))
     assert entries.shape == raw.shape == (1, len(specs), CHAIN3.update_size(), 2)
     entries, raw = entries[0], raw[0]
     for e, (spec, seed) in enumerate(zip(specs, seeds)):
@@ -172,15 +172,15 @@ def test_stack_rows_equal_single_releases_bit_for_bit(rng):
 
 
 def test_stack_over_tables_equals_single_releases_bit_for_bit(rng):
-    # three tables of one graph, four specs each: past the batch crossover
+    # three tables of one graph under one row of four specs, each with its own bound
     ups = [chain_updates(rng, n) for n in (20, 5, 12)]
-    specs = [[LaplaceNoiseSpec.for_graph(CHAIN3, eps, n) for eps in (0.5, 1.0, 3.0, math.inf)]
-             for n in (20, 5, 12)]
+    specs = [LaplaceNoiseSpec.for_graph(CHAIN3, eps, n)
+             for eps, n in ((0.5, 20), (1.0, 5), (3.0, 12), (math.inf, 20))]
     seeds = np.arange(12, dtype=np.uint32).reshape(3, 4) * 101
     entries, raw = laplace_mod.perturb_update_stack(ups, specs, seeds)
     assert entries.shape == raw.shape == (3, 4, CHAIN3.update_size(), 2)
     for r, e in np.ndindex(3, 4):
-        single = perturb_updates(ups[r], specs[r][e], int(seeds[r, e]))
+        single = perturb_updates(ups[r], specs[e], int(seeds[r, e]))
         assert raw[r, e].tobytes() == single.raw.array.tobytes()
         assert entries[r, e].tobytes() == single.entries.array.tobytes()
 
@@ -190,7 +190,7 @@ def test_stack_tables_must_share_one_entry_order(rng):
     spec = LaplaceNoiseSpec.for_graph(CHAIN3, 1.0, 20)
     with pytest.raises(DimensionMismatchError, match="one entry order"):
         laplace_mod.perturb_update_stack(
-            (chain_updates(rng), other), ((spec,), (spec,)), ((1,), (2,))
+            (chain_updates(rng), other), (spec,), ((1,), (2,))
         )
 
 
@@ -210,8 +210,8 @@ def test_release_at_tiny_epsilon_truncates_without_a_warning():
 @pytest.mark.parametrize("seeds", [[], [1], [1, 2, 3]], ids=["empty", "short", "long"])
 def test_stack_needs_one_seed_per_spec(rng, seeds):
     specs = [LaplaceNoiseSpec.for_graph(CHAIN3, 1.0, 20)] * (2 if seeds else 0)
-    with pytest.raises(DimensionMismatchError, match="one seed per noise spec"):
-        laplace_mod.perturb_update_stack((chain_updates(rng),), (specs,), (seeds,))
+    with pytest.raises(DimensionMismatchError, match="one seed per"):
+        laplace_mod.perturb_update_stack((chain_updates(rng),), specs, (seeds,))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpbayes.errors import InvalidArgumentError
+from dpbayes import fourier, laplace
+from dpbayes.errors import DimensionMismatchError, InvalidArgumentError
+from dpbayes.graph import BayesNetGraph, Dataset, compute_updates, uniform_priors
 from dpbayes.randomness import (
     derive_seed,
     derive_seeds,
@@ -170,3 +172,28 @@ def test_empty_batch():
     assert derive_seeds(3, np.arange(0)).shape == (0,)
     assert list(substreams(3, "tag", np.arange(0))) == []
     assert keyed_laplace_stack(np.zeros((0, 2), dtype=np.uint32), "t", 3, 1.0).shape == (0, 2, 3)
+
+
+def _stack_call(stack: str, width: int, seeds: list[int]):
+    """One release stack of one table under `width` epsilons, with the row of seeds given."""
+    graph = BayesNetGraph.from_parent_lists([[], [0]])
+    data = Dataset.from_records([(0, 1), (1, 1), (1, 0)])
+    epsilons = (1.0, 2.0)[:width]
+    if stack == "laplace":
+        specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, data.n) for eps in epsilons]
+        return laplace.perturb_update_stack((compute_updates(graph, data),), specs, (seeds,))
+    if stack == "fourier-coefficients":
+        closure = fourier.downward_closure(graph)
+        return fourier.release_coefficient_stack((data,), closure, epsilons, 1.0, (seeds,))
+    priors = uniform_priors(graph)
+    return fourier.release_posterior_stack((data,), graph, priors, epsilons, 1.0, (seeds,))
+
+
+@pytest.mark.parametrize("seeds", [[], [1], [1, 2, 3]], ids=["empty", "short", "long"])
+@pytest.mark.parametrize("stack", ["laplace", "fourier-coefficients", "fourier-posteriors"])
+def test_every_release_stack_needs_one_seed_per_table_and_epsilon(stack, seeds):
+    width = 2 if seeds else 0
+    _stack_call(stack, 2, [1, 2])
+    message = rf"^need one seed per \(table, epsilon\) pair: a 1 x {width} grid, got shape"
+    with pytest.raises(DimensionMismatchError, match=message):
+        _stack_call(stack, width, seeds)
