@@ -259,8 +259,13 @@ class Dataset:
 
     @classmethod
     def from_records(cls, rows: Iterable[Iterable[int]]) -> "Dataset":
+        """Records from rows of 0/1 cells, checked before any cast: 1.5, NaN or 256 is refused."""
         rows = [tuple(r) for r in rows]
-        return cls(np.array(rows, dtype=np.int8) if rows else np.zeros((0, 0), dtype=np.int8))
+        if not rows:
+            return cls(np.zeros((0, 0), dtype=np.int8))
+        if len({len(r) for r in rows}) > 1:
+            raise InvalidArgumentError("records must be a 2-d array (n, k): rows differ in length")
+        return cls(np.array(rows))
 
     @property
     def n(self) -> int:

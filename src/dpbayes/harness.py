@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,6 +44,11 @@ DEFAULT_EPSILON_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 DEFAULT_B_GRID = (0.1, 1.0, 10.0)
 # per sweep task: its mechanisms, and its default feature and record counts
 _TASKS = {"nb": (NB_MECHANISMS, 16, 1000), "linreg": (LINREG_MECHANISMS, 5, 2000)}
+# per sweep task: the settings that only it reads
+_TASK_SETTINGS = {
+    "nb": ("epsilon_grid", "sampler_samples", "fourier_t", "threshold", "theta"),
+    "linreg": ("b_grid", "regression_samples", "sigma2", "radius", "noise_sigma"),
+}
 
 CSV_HEADER = "mechanism,param,repeat,metric,value"
 
@@ -56,9 +61,11 @@ class ExperimentConfig:
     d=None and n=None take the task's sweep size, 16 features and 1000
     records for nb, 5 and 2000 for linreg, and noise_sigma=None reads as
     0.1. A dataset replaces the generated data, so d, n, noise_sigma and
-    theta must then stay None; any of them set is a ConfigError. An nb
-    sampler sweep refuses an epsilon whose trim bound underflows, but not
-    a degenerate trim interval, which the sweep scores as 0.5.
+    theta must then stay None, and a setting that only the other task
+    reads (_TASK_SETTINGS) must keep its default; either one set is a
+    ConfigError. An nb sampler sweep refuses an epsilon whose trim bound
+    underflows, but not a degenerate trim interval, which the sweep
+    scores as 0.5.
     """
 
     task: str = "nb"
@@ -91,6 +98,15 @@ class ExperimentConfig:
                 scope = f"task {self.task!r} with a dataset"
                 raise ConfigError(f"unknown setting {', '.join(map(repr, unread))} for {scope}")
             d = n = None  # the sweep takes its size from the dataset
+        defaults = {f.name: f.default for f in fields(self)}
+        unread = [
+            name
+            for task, names in _TASK_SETTINGS.items() if task != self.task
+            for name in names if getattr(self, name) != defaults[name]
+        ]
+        if unread:
+            scope = f"task {self.task!r}"
+            raise ConfigError(f"unknown setting {', '.join(map(repr, unread))} for {scope}")
         for name, default in (("mechanisms", allowed), ("d", d), ("n", n)):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
@@ -352,8 +368,11 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
     The sweep derives its split seeds and its (repeat, b) grid of draw
     seeds in one derive_seeds call each, and takes every repeat's split
     from one batch of keyed streams. Each repeat fits its whole b grid
-    in one fit_posterior_grid call, from one X'X; the sampler then draws
-    once per (b, repeat), from that pair's own keyed substream.
+    in one fit_posterior_grid call, from one X'X. The sampler draws once
+    per (b, repeat), in (repeat, b) order, from that pair's stream in one
+    substreams batch of the draw seeds; each stream is keyed as
+    predictive_mse keys it. A repeat's none means and sampler draw means
+    form one weight stack, scored by one mse_stack call.
     """
     _require_task(config, "linreg")
     if config.dataset is not None:
@@ -370,21 +389,30 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     mse = {mech: np.empty((len(config.b_grid), config.repeats)) for mech in config.mechanisms}
     split_seeds = derive_seeds(config.seed, "linreg-split", np.arange(config.repeats))
-    draw_seeds = _seed_grid(config, "linreg-draws", config.b_grid).tolist()
+    if "sampler" in config.mechanisms:  # every pair's draw stream, in (repeat, b) order
+        draw_seeds = _seed_grid(config, "linreg-draws", config.b_grid)
+        draw_streams = substreams(draw_seeds, regression.DRAW_TAG)
     splits = _splits(data.n, config.train_fraction, data.d + 1, split_seeds)
     for r, (tr, te) in enumerate(splits):
         train = regression.RegressionData(
             X=data.X[tr], y=data.y[tr], sigma2=config.sigma2
         )
-        X_test, y_test = data.X[te], data.y[te]
         posts = regression.fit_posterior_grid(train, config.b_grid, radii)
-        for bi, post in enumerate(posts):
-            if "none" in config.mechanisms:
-                mse["none"][bi, r] = np.mean((X_test @ post.mu_n - y_test) ** 2)
-            if "sampler" in config.mechanisms:
-                mse["sampler"][bi, r] = regression.predictive_mse(
-                    post, X_test, y_test, config.regression_samples, draw_seeds[r][bi]
-                )
+        weights = {}  # each mechanism's weight vector of every b, one row per b
+        if "none" in config.mechanisms:
+            weights["none"] = [post.mu_n for post in posts]
+        if "sampler" in config.mechanisms:
+            weights["sampler"] = [
+                regression.sample_truncated(
+                    post, next(draw_streams), config.regression_samples
+                ).mean(axis=0)
+                for post in posts
+            ]
+        scores = regression.mse_stack(
+            np.concatenate(list(weights.values())), data.X[te], data.y[te]
+        )
+        for mech, line in zip(weights, scores.reshape(len(weights), len(posts))):
+            mse[mech][:, r] = line
     return ExperimentResult(_rows(config, config.b_grid, "mse", mse))
 
 

@@ -6,6 +6,10 @@ mean and covariance have the usual ridge form; sampling restricts to
 the ball by rejection. fit_posterior_grid fits one dataset under a
 whole grid of prior precisions from a single X'X and X'y, calling
 LAPACK's Cholesky routines directly; fit_posterior is its one-entry case.
+sample_truncated draws from the stream it is handed: a sweep hands it
+each (b, repeat) pair's stream from one randomness.substreams batch,
+and predictive_mse seeds its own. mse_stack scores a stack of weight
+rows against one test set.
 
 One posterior draw costs 2L (Dimitrakakis et al., ALT 2014), with L
 the largest change of the log-likelihood between neighbouring datasets.
@@ -28,7 +32,7 @@ from .errors import ConditionViolatedError, DimensionMismatchError, InvalidArgum
 from .errors import check_integer, check_positive
 from .randomness import substream
 
-_DRAW_TAG = "regression-weight-draw"
+DRAW_TAG = "regression-weight-draw"  # the key of a weight-draw stream
 
 # Gaussian proposals per requested draw before sampling gives up
 _REJECTION_BUDGET = 1000
@@ -174,17 +178,22 @@ def fit_posterior(
     return fit_posterior_grid(data, [precision], [radius])[0]
 
 
-def sample_truncated(post: GaussianPosterior, seed: int, size: int = 1) -> np.ndarray:
-    """Rejection draws from the posterior restricted to its ball.
+def sample_truncated(
+    post: GaussianPosterior, rng: np.random.Generator, size: int = 1
+) -> np.ndarray:
+    """Rejection draws from the posterior restricted to its ball, read from rng.
 
-    Each requested vector gets at most _REJECTION_BUDGET Gaussian
-    proposals; exhausting them raises ConditionViolatedError, which
-    signals that the radius leaves the Gaussian almost no mass and needs
-    reconfiguring rather than silent clamping. A covariance that is not
-    positive definite raises it too.
+    rng is the draw's keyed stream, substream(seed, DRAW_TAG) or its row
+    of a substreams batch; anything but a numpy Generator is an
+    InvalidArgumentError. Each requested vector gets at most
+    _REJECTION_BUDGET Gaussian proposals; exhausting them raises
+    ConditionViolatedError, which signals that the radius leaves the
+    Gaussian almost no mass and needs reconfiguring rather than silent
+    clamping. A covariance that is not positive definite raises it too.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidArgumentError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     check_integer("size", size, 1)
-    rng = substream(seed, _DRAW_TAG)
     try:
         chol = np.linalg.cholesky(post.sigma_n)
     except np.linalg.LinAlgError as exc:
@@ -213,19 +222,21 @@ def default_radius(b: float) -> float:
     return 10.0 / math.sqrt(b)
 
 
-def predictive_mse(
-    post: GaussianPosterior,
-    X_test: np.ndarray,
-    y_test: np.ndarray,
-    samples: int,
-    seed: int,
-) -> float:
-    """MSE of the predictor built from averaged truncated-posterior draws."""
+def mse_stack(weights: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> np.ndarray:
+    """Mean squared test error of each row of a (k, d) stack of weight vectors.
+
+    The test set is checked once for the whole stack. Each row's
+    predictions come from one stacked matmul against a column operand,
+    which equals X_test @ row bit for bit; X_test @ weights.T would not.
+    """
+    W = np.asarray(weights, dtype=np.float64)
+    if W.ndim != 2:
+        raise DimensionMismatchError(f"weights must be a (k, d) stack; got shape {W.shape}")
     X_test = np.asarray(X_test, dtype=np.float64)
     y_test = np.asarray(y_test, dtype=np.float64)
-    if X_test.ndim != 2 or X_test.shape[1] != post.d:
+    if X_test.ndim != 2 or X_test.shape[1] != W.shape[1]:
         raise DimensionMismatchError(
-            f"X_test must have {post.d} columns, one per weight; got shape {X_test.shape}"
+            f"X_test must have {W.shape[1]} columns, one per weight; got shape {X_test.shape}"
         )
     if y_test.shape != (X_test.shape[0],):
         raise DimensionMismatchError(
@@ -234,7 +245,21 @@ def predictive_mse(
         )
     if X_test.shape[0] == 0:
         raise InvalidArgumentError("the test set is empty")
-    draws = sample_truncated(post, seed, samples)
-    w_hat = draws.mean(axis=0)
-    resid = X_test @ w_hat - y_test
-    return float(np.mean(resid**2))
+    return np.mean((np.matmul(X_test[None], W[:, :, None])[..., 0] - y_test) ** 2, axis=1)
+
+
+def predictive_mse(
+    post: GaussianPosterior,
+    X_test: np.ndarray,
+    y_test: np.ndarray,
+    samples: int,
+    seed: int,
+) -> float:
+    """MSE of the predictor built from averaged truncated-posterior draws.
+
+    The draws come from substream(seed, DRAW_TAG), the stream a sweep
+    gives the (b, repeat) pair whose draw seed is seed; the score is
+    mse_stack of their mean.
+    """
+    draws = sample_truncated(post, substream(seed, DRAW_TAG), samples)
+    return float(mse_stack(draws.mean(axis=0)[None], X_test, y_test)[0])

@@ -31,10 +31,10 @@ REG = dp.RegressionData(
     X=np.array([[0.5, 0.1], [0.2, -0.6], [-0.3, 0.4]]), y=np.array([0.3, -0.5, 0.1]), sigma2=1.0
 )
 GAUSS = dp.fit_posterior(REG, 1.0, 10.0)
-CONFIG = dict(
-    repeats=2, train_fraction=0.5, seed=3, d=2, n=10, sampler_samples=5, regression_samples=5,
-    fourier_t=1.0, threshold=0.5, sigma2=1.0, radius=1.0, noise_sigma=0.1,
-)
+# the numeric settings of a sweep config: those both tasks read, then those of one task each
+CONFIG = dict(repeats=2, train_fraction=0.5, seed=3, d=2, n=10)
+NB_CONFIG = dict(CONFIG, sampler_samples=5, fourier_t=1.0, threshold=0.5)
+LINREG_CONFIG = dict(CONFIG, regression_samples=5, sigma2=1.0, radius=1.0, noise_sigma=0.1)
 
 # name -> (keyword arguments of one valid call, the scalar numeric arguments among them)
 CONTRACT = {
@@ -72,7 +72,7 @@ CONTRACT = {
         ("n",),
     ),
     "uniform_priors": (dict(graph=NB2, alpha=1.0, beta=1.0), ("alpha", "beta")),
-    "ExperimentConfig": (CONFIG, tuple(CONFIG)),
+    "ExperimentConfig": (NB_CONFIG, tuple(NB_CONFIG)),
     "naive_bayes_graph": (dict(d=2), ("d",)),
     "split_dataset": (dict(data=DATA, train_fraction=0.5, seed=3), ("train_fraction", "seed")),
     "synth_linreg": (dict(d=2, n=5, seed=3, noise_sigma=0.1), ("d", "n", "seed", "noise_sigma")),
@@ -106,7 +106,7 @@ CONTRACT = {
         dict(post=GAUSS, X_test=REG.X, y_test=REG.y, samples=3, seed=3),
         ("samples", "seed"),
     ),
-    "sample_truncated": (dict(post=GAUSS, seed=3, size=2), ("seed", "size")),
+    "sample_truncated": (dict(post=GAUSS, rng=np.random.default_rng(3), size=2), ("size",)),
     "scale_regression_data": (dict(X=REG.X * 4.0, y=REG.y, sigma2=1.0), ("sigma2",)),
     "sampler_predictive_batch": (
         dict(graph=NB2, posterior=POSTERIOR, X=np.array([[1, 0], [0, 1]]), epsilon=3.0,
@@ -205,6 +205,19 @@ def test_bad_numeric_argument_fails_as_library_error(name, slot, bad):
     except dp.DpBayesError:
         return
     assert not _has_nan(result), f"{name}({slot}={bad}) returned NaN"
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=["nan", "inf", "minus1", "zero"])
+@pytest.mark.parametrize("slot", sorted(set(LINREG_CONFIG) - set(CONFIG)))
+def test_bad_linreg_setting_fails_as_library_error(slot, bad):
+    # ExperimentConfig's CONTRACT row is an nb config, which refuses these settings unread
+    kwargs = dict(LINREG_CONFIG, task="linreg")
+    assert not _has_nan(_call("ExperimentConfig", kwargs))
+    try:
+        result = _call("ExperimentConfig", {**kwargs, slot: bad})
+    except dp.DpBayesError:
+        return
+    assert not _has_nan(result), f"ExperimentConfig({slot}={bad}) returned NaN"
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=["nan", "inf", "minus-inf"])

@@ -105,6 +105,26 @@ def test_bad_constructor_arguments_raise_library_errors(build):
     assert isinstance(caught.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[(0, 1.5), (1, 0)], [(0, float("nan"))], [(0, 256)], [(0, 1), (1,)]],
+    ids=["fraction", "nan", "wraps-to-0", "ragged"],
+)
+def test_from_records_refuses_a_bad_cell_before_any_cast(rows):
+    # an int8 cast ran first: 1.5 became 1 and 256 wrapped to 0, while NaN,
+    # 256 and ragged rows escaped as bare numpy errors
+    with pytest.raises(InvalidArgumentError, match="^records must "):
+        Dataset.from_records(rows)
+
+
+def test_from_records_keeps_valid_records_as_int8():
+    rows = [(0, 1, 1), (1, 0, 0), (True, False, 1.0)]
+    records = Dataset.from_records(rows).records
+    assert records.dtype == np.int8
+    assert records.tobytes() == np.array(rows, dtype=np.int8).tobytes()
+    assert Dataset.from_records([]).records.shape == (0, 0)
+
+
 def test_validate_graph_topological_order():
     order = validate_graph(CHAIN3)
     assert sorted(order) == [0, 1, 2]

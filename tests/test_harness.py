@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from dpbayes import (
 from dpbayes import fourier, laplace, regression
 from dpbayes.graph import BetaTable, UpdateVector, compute_updates, posterior_params
 from dpbayes.graph import uniform_priors
-from dpbayes.randomness import derive_seed
+from dpbayes.randomness import derive_seed, substream
 from dpbayes.harness import LINREG_MECHANISMS, NB_MECHANISMS
 from dpbayes.sampler import naive_bayes_params
 from dpbayes.verify import nb_predictive_quadrature
@@ -83,7 +84,7 @@ def test_config_rejects_invalid_fields():
     with pytest.raises(ConfigError):
         ExperimentConfig(sigma2=0.0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(radius=-1.0)
+        ExperimentConfig(task="linreg", radius=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -109,8 +110,37 @@ def test_config_refuses_a_repeated_mechanism(task, mechanisms):
 )
 def test_config_grids_follow_the_library_rules(grids, message):
     # an infinite b passed the sweep config and failed only after b=1 had run
+    task = "nb" if "epsilon_grid" in grids else "linreg"  # the task that reads the grid
     with pytest.raises(ConfigError, match=message):
-        ExperimentConfig(task="linreg", **grids)
+        ExperimentConfig(task=task, **grids)
+
+
+# per sweep task: a value other than the default for each setting that only the other task reads
+OTHER_TASK_SETTINGS = {
+    "nb": dict(b_grid=(7.0,), regression_samples=5, sigma2=0.5, radius=2.0, noise_sigma=0.3),
+    "linreg": dict(
+        epsilon_grid=(3.0,), sampler_samples=5, fourier_t=1.0, threshold=0.4, theta={}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "task, name", [(task, name) for task, given in OTHER_TASK_SETTINGS.items() for name in given]
+)
+def test_config_refuses_a_setting_of_the_other_task(task, name):
+    # the other task's setting went unread, and the sweep ran as if it had not been given
+    value = OTHER_TASK_SETTINGS[task][name]
+    with pytest.raises(ConfigError, match=f"^unknown setting '{name}' for task '{task}'$"):
+        ExperimentConfig(task=task, **{name: value})
+
+
+def test_config_names_every_setting_of_the_other_task():
+    with pytest.raises(
+        ConfigError, match="^unknown setting 'b_grid', 'radius', 'noise_sigma' for task 'nb'$"
+    ):
+        ExperimentConfig(task="nb", noise_sigma=0.3, b_grid=(7.0,), radius=2.0)
+    # the other task's defaults, given explicitly, are still read as unset
+    ExperimentConfig(task="nb", b_grid=(0.1, 1.0, 10.0), sigma2=1.0, radius=None)
 
 
 def test_config_defaults_mirror_flagship_protocol():
@@ -463,6 +493,42 @@ def test_linreg_experiment_rows_and_replay():
     assert all(r.metric == "mse" and r.value >= 0.0 for r in result.rows)
     again = run_linreg_experiment(TINY_LINREG)
     assert rows_to_csv(result.rows) == rows_to_csv(again.rows)
+
+
+def test_linreg_experiment_rows_match_pairs_scored_one_at_a_time():
+    # the sweep draws from one batch of keyed streams and scores a repeat in one
+    # call; each row still equals its pair fitted, drawn and scored on its own
+    config = TINY_LINREG
+    rows = {(r.mechanism, r.param, r.repeat): r.value for r in run_linreg_experiment(config).rows}
+    X, y, _ = synth_linreg(config.d, config.n, config.seed)
+    data = regression.scale_regression_data(X, y, config.sigma2)
+    n_train = round(config.n * config.train_fraction)
+    want = {}
+    for r in range(config.repeats):
+        split_seed = derive_seed(config.seed, "linreg-split", r)
+        perm = substream(split_seed, "train-test-split").permutation(config.n)
+        tr, te = perm[:n_train], perm[n_train:]
+        train = regression.RegressionData(X=data.X[tr], y=data.y[tr], sigma2=config.sigma2)
+        X_test, y_test = data.X[te], data.y[te]
+        for bi, b in enumerate(config.b_grid):
+            post = regression.fit_posterior(train, b, regression.default_radius(b))
+            want[("none", b, r)] = float(np.mean((X_test @ post.mu_n - y_test) ** 2))
+            want[("sampler", b, r)] = regression.predictive_mse(
+                post, X_test, y_test, config.regression_samples,
+                derive_seed(config.seed, "linreg-draws", bi, r),
+            )
+    assert rows == want
+
+
+@pytest.mark.parametrize("base", [TINY_NB, TINY_LINREG], ids=["nb", "linreg"])
+def test_sweep_rows_do_not_depend_on_the_mechanism_order(base):
+    # a repeat's mechanisms share one scoring call; each keeps its own rows
+    full = run_experiment(base).rows
+    flipped = run_experiment(replace(base, mechanisms=base.mechanisms[::-1])).rows
+    key = attrgetter("mechanism", "param", "repeat")
+    assert sorted(flipped, key=key) == sorted(full, key=key)
+    alone = run_experiment(replace(base, mechanisms=("sampler",))).rows
+    assert alone == [row for row in full if row.mechanism == "sampler"]
 
 
 def test_linreg_experiment_needs_supported_mechanism():

@@ -17,7 +17,8 @@ from dpbayes import (
     sample_truncated,
     scale_regression_data,
 )
-from dpbayes.regression import fit_posterior_grid
+from dpbayes.randomness import substream
+from dpbayes.regression import DRAW_TAG, fit_posterior_grid, mse_stack
 from dpbayes.verify import (
     regression_grid_check,
     ridge_mse,
@@ -30,6 +31,11 @@ def scaled_synth(rng, n=60, d=2, sigma2=0.25):
     w = rng.normal(size=d)
     y = X @ w + 0.3 * rng.normal(size=n)
     return scale_regression_data(X, y, sigma2)
+
+
+def draw_stream(seed):
+    """The weight-draw stream that predictive_mse gives seed."""
+    return substream(seed, DRAW_TAG)
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +223,20 @@ def test_posterior_covariance_symmetric_and_spd(rng):
 
 def test_truncated_draws_respect_radius():
     post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=1.0)
-    draws = sample_truncated(post, seed=2, size=500)
+    draws = sample_truncated(post, draw_stream(2), size=500)
     assert np.linalg.norm(draws, axis=1).max() <= 1.0
 
 
 def test_truncated_draws_deterministic():
     post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=2.0)
-    a = sample_truncated(post, seed=5, size=50)
-    b = sample_truncated(post, seed=5, size=50)
+    a = sample_truncated(post, draw_stream(5), size=50)
+    b = sample_truncated(post, draw_stream(5), size=50)
     assert np.array_equal(a, b)
 
 
 def test_truncated_moments_match_quadrature():
     post = GaussianPosterior(mu_n=np.zeros(1), sigma_n=np.eye(1), radius=1.0)
-    draws = sample_truncated(post, seed=11, size=100000)[:, 0]
+    draws = sample_truncated(post, draw_stream(11), size=100000)[:, 0]
     mean, var = truncated_normal_moments(0.0, 1.0, -1.0, 1.0)
     assert draws.mean() == pytest.approx(mean, abs=0.01)
     assert draws.var() == pytest.approx(var, abs=0.01)
@@ -238,16 +244,24 @@ def test_truncated_moments_match_quadrature():
 
 def test_truncation_vanishes_for_ample_radius():
     post = GaussianPosterior(mu_n=np.zeros(1), sigma_n=np.eye(1), radius=1e9)
-    draws = sample_truncated(post, seed=4, size=50000)[:, 0]
+    draws = sample_truncated(post, draw_stream(4), size=50000)[:, 0]
     assert draws.mean() == pytest.approx(0.0, abs=0.02)
     assert draws.var() == pytest.approx(1.0, abs=0.03)
+
+
+@pytest.mark.parametrize("rng", [3, None, np.random.SeedSequence(3)], ids=["int", "none", "seq"])
+def test_truncated_draws_need_a_generator(rng):
+    # the draws read the stream they are handed; a seed is predictive_mse's to key
+    post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=2.0)
+    with pytest.raises(InvalidArgumentError, match="^rng must be a numpy Generator, got "):
+        sample_truncated(post, rng, size=2)
 
 
 def test_rejection_budget_exhaustion():
     # mean far outside the ball: the acceptance region has no mass
     post = GaussianPosterior(mu_n=np.array([10.0]), sigma_n=np.eye(1) * 1e-4, radius=0.1)
     with pytest.raises(ConditionViolatedError, match="attempts"):
-        sample_truncated(post, seed=1, size=3)
+        sample_truncated(post, draw_stream(1), size=3)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +318,22 @@ def test_predictive_mse_checks_the_test_set():
         predictive_mse(post, X, np.zeros(3), samples=5, seed=1)
     with pytest.raises(InvalidArgumentError, match="^the test set is empty$"):
         predictive_mse(post, np.zeros((0, 2)), np.zeros(0), samples=5, seed=1)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_mse_stack_rows_equal_their_own_gemv(rng, d):
+    # the sweep scores a repeat's weight rows in one call; each row's MSE
+    # must equal its own X_test @ w bit for bit, or the sweep CSVs move
+    for n, k in ((1, 1), (7, 3), (60, 6), (333, 4)):
+        X_test, y_test = rng.normal(size=(n, d)), rng.normal(size=n)
+        W = rng.normal(size=(k, d))
+        want = [float(np.mean((X_test @ w - y_test) ** 2)) for w in W]
+        assert mse_stack(W, X_test, y_test).tolist() == want
+
+
+def test_mse_stack_needs_a_stack_of_rows():
+    with pytest.raises(DimensionMismatchError, match=r"^weights must be a \(k, d\) stack"):
+        mse_stack(np.zeros(2), np.zeros((4, 2)), np.zeros(4))
 
 
 def test_predictive_mse_approaches_ridge(rng):
