@@ -189,7 +189,13 @@ def synth_nb(
 def _splits(
     n: int, fraction: float, least: int, seeds: Sequence[int] | np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Train and test indices from each seed's permutation; at least `least` train, one test."""
+    """Train and test indices from each seed's permutation; at least `least` train, one test.
+
+    Fewer than two records leave no room for both halves, which is an
+    InvalidArgumentError.
+    """
+    if n < 2:
+        raise InvalidArgumentError(f"a train/test split needs at least 2 records, got {n}")
     n_train = min(n - 1, max(least, round(n * fraction)))
     for rng in substreams(seed_array(seeds), "train-test-split"):
         perm = rng.permutation(n)
@@ -367,12 +373,14 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     The sweep derives its split seeds and its (repeat, b) grid of draw
     seeds in one derive_seeds call each, and takes every repeat's split
-    from one batch of keyed streams. Each repeat fits its whole b grid
-    in one fit_posterior_grid call, from one X'X. The sampler draws once
-    per (b, repeat), in (repeat, b) order, from that pair's stream in one
-    substreams batch of the draw seeds; each stream is keyed as
-    predictive_mse keys it. A repeat's none means and sampler draw means
-    form one weight stack, scored by one mse_stack call.
+    from one batch of keyed streams. It runs in three passes. First each
+    repeat fits its whole b grid in one fit_posterior_grid call, from
+    one X'X. Then the sampler draws for every (b, repeat) pair, in
+    (repeat, b) order, in one sample_truncated call over all the
+    posteriors and the flat draw seed grid; each pair's row is keyed as
+    predictive_mse keys it. Last, a repeat's none means and sampler draw
+    means form one weight stack, scored by one mse_stack call. A fit
+    failure is therefore reported before any draw failure.
     """
     _require_task(config, "linreg")
     if config.dataset is not None:
@@ -387,31 +395,33 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
         for b in config.b_grid
     ]
 
-    mse = {mech: np.empty((len(config.b_grid), config.repeats)) for mech in config.mechanisms}
     split_seeds = derive_seeds(config.seed, "linreg-split", np.arange(config.repeats))
-    if "sampler" in config.mechanisms:  # every pair's draw stream, in (repeat, b) order
-        draw_seeds = _seed_grid(config, "linreg-draws", config.b_grid)
-        draw_streams = substreams(draw_seeds, regression.DRAW_TAG)
-    splits = _splits(data.n, config.train_fraction, data.d + 1, split_seeds)
-    for r, (tr, te) in enumerate(splits):
-        train = regression.RegressionData(
-            X=data.X[tr], y=data.y[tr], sigma2=config.sigma2
+    splits = list(_splits(data.n, config.train_fraction, data.d + 1, split_seeds))
+    posts = [
+        regression.fit_posterior_grid(
+            regression.RegressionData(X=data.X[tr], y=data.y[tr], sigma2=config.sigma2),
+            config.b_grid,
+            radii,
         )
-        posts = regression.fit_posterior_grid(train, config.b_grid, radii)
-        weights = {}  # each mechanism's weight vector of every b, one row per b
-        if "none" in config.mechanisms:
-            weights["none"] = [post.mu_n for post in posts]
-        if "sampler" in config.mechanisms:
-            weights["sampler"] = [
-                regression.sample_truncated(
-                    post, next(draw_streams), config.regression_samples
-                ).mean(axis=0)
-                for post in posts
-            ]
+        for tr, _ in splits
+    ]
+    weights = {}  # each mechanism's weight vectors, a (repeat, b, d) stack
+    if "none" in config.mechanisms:
+        weights["none"] = np.array([[post.mu_n for post in line] for line in posts])
+    if "sampler" in config.mechanisms:
+        draws = regression.sample_truncated(
+            [post for line in posts for post in line],
+            _seed_grid(config, "linreg-draws", config.b_grid).ravel(),
+            config.regression_samples,
+        )
+        weights["sampler"] = draws.mean(axis=1).reshape(config.repeats, len(config.b_grid), -1)
+
+    mse = {mech: np.empty((len(config.b_grid), config.repeats)) for mech in config.mechanisms}
+    for r, (_, te) in enumerate(splits):
         scores = regression.mse_stack(
-            np.concatenate(list(weights.values())), data.X[te], data.y[te]
+            np.concatenate([stack[r] for stack in weights.values()]), data.X[te], data.y[te]
         )
-        for mech, line in zip(weights, scores.reshape(len(weights), len(posts))):
+        for mech, line in zip(weights, scores.reshape(len(weights), -1)):
             mse[mech][:, r] = line
     return ExperimentResult(_rows(config, config.b_grid, "mse", mse))
 

@@ -6,10 +6,12 @@ mean and covariance have the usual ridge form; sampling restricts to
 the ball by rejection. fit_posterior_grid fits one dataset under a
 whole grid of prior precisions from a single X'X and X'y, calling
 LAPACK's Cholesky routines directly; fit_posterior is its one-entry case.
-sample_truncated draws from the stream it is handed: a sweep hands it
-each (b, repeat) pair's stream from one randomness.substreams batch,
-and predictive_mse seeds its own. mse_stack scores a stack of weight
-rows against one test set.
+sample_truncated draws for a whole stack of posteriors at once, one
+keyed stream per draw seed: a sweep hands it every (b, repeat) pair in
+one call, and predictive_mse is the one-pair case. mse_stack scores a
+stack of weight rows against one test set. Every array input passes
+through one conversion, so a cell that is no number, a ragged row or a
+wrong shape is an InvalidArgumentError rather than numpy's own error.
 
 One posterior draw costs 2L (Dimitrakakis et al., ALT 2014), with L
 the largest change of the log-likelihood between neighbouring datasets.
@@ -30,12 +32,32 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidArgumentError
 from .errors import check_integer, check_positive
-from .randomness import substream
+from .randomness import seed_array, substream, substreams
 
 DRAW_TAG = "regression-weight-draw"  # the key of a weight-draw stream
 
 # Gaussian proposals per requested draw before sampling gives up
 _REJECTION_BUDGET = 1000
+
+
+def _numbers(name: str, value: object) -> np.ndarray:
+    """value as a float64 array; a cell that is no number, or a ragged row, is refused."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{name} must be an array of numbers: {exc}") from None
+
+
+def _design(X: object, y: object) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float64 arrays, once X is n x d (d >= 1), y has n entries and all are finite."""
+    X, y = _numbers("X", X), _numbers("y", y)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise InvalidArgumentError("X must be n x d with a length-n target vector")
+    if X.shape[1] == 0:
+        raise InvalidArgumentError("X must have at least one feature column")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise InvalidArgumentError("X and y must hold finite numbers only")
+    return X, y
 
 
 @dataclass(frozen=True)
@@ -52,15 +74,8 @@ class RegressionData:
     sigma2: float
 
     def __post_init__(self) -> None:
-        X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise InvalidArgumentError("X must be n x d with a length-n target vector")
-        if X.shape[1] == 0:
-            raise InvalidArgumentError("X must have at least one feature column")
+        X, y = _design(self.X, self.y)
         check_positive("sigma2", self.sigma2)
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise InvalidArgumentError("X and y must hold finite numbers only")
         tol = 1e-9
         if X.size and float(np.linalg.norm(X, axis=1).max()) > 1.0 + tol:
             raise InvalidArgumentError("feature rows must have 2-norm at most 1; scale first")
@@ -80,8 +95,7 @@ class RegressionData:
 
 def scale_regression_data(X: np.ndarray, y: np.ndarray, sigma2: float) -> RegressionData:
     """Ingest raw data, dividing rows by the max row norm and y by max |y| (by 1 if it is 0)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X, y = _design(X, y)
     x_scale = float(np.linalg.norm(X, axis=1).max(initial=0.0)) or 1.0
     y_scale = float(np.abs(y).max(initial=0.0)) or 1.0
     return RegressionData(X=X / x_scale, y=y / y_scale, sigma2=sigma2)
@@ -96,8 +110,8 @@ class GaussianPosterior:
     radius: float
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mu_n, dtype=np.float64)
-        sig = np.asarray(self.sigma_n, dtype=np.float64)
+        mu = _numbers("mean", self.mu_n)
+        sig = _numbers("covariance", self.sigma_n)
         if mu.ndim != 1 or sig.shape != (mu.size, mu.size):
             raise InvalidArgumentError("mean and covariance shapes disagree")
         if not (np.isfinite(mu).all() and np.isfinite(sig).all()):
@@ -117,7 +131,7 @@ def _as_precision(precision: float | np.ndarray, d: int) -> np.ndarray:
     if np.isscalar(precision):
         check_positive("scalar prior precision", precision)  # type: ignore[arg-type]
         return float(precision) * np.eye(d)
-    lam = np.asarray(precision, dtype=np.float64)
+    lam = _numbers("precision matrix", precision)
     if lam.shape != (d, d):
         raise InvalidArgumentError("precision matrix must be d x d")
     if not np.isfinite(lam).all():
@@ -179,40 +193,68 @@ def fit_posterior(
 
 
 def sample_truncated(
-    post: GaussianPosterior, rng: np.random.Generator, size: int = 1
+    posts: Sequence[GaussianPosterior], seeds: Sequence[int] | np.ndarray, size: int = 1
 ) -> np.ndarray:
-    """Rejection draws from the posterior restricted to its ball, read from rng.
+    """Rejection draws from each posterior restricted to its ball: a (k, size, d) array.
 
-    rng is the draw's keyed stream, substream(seed, DRAW_TAG) or its row
-    of a substreams batch; anything but a numpy Generator is an
-    InvalidArgumentError. Each requested vector gets at most
-    _REJECTION_BUDGET Gaussian proposals; exhausting them raises
-    ConditionViolatedError, which signals that the radius leaves the
-    Gaussian almost no mass and needs reconfiguring rather than silent
-    clamping. A covariance that is not positive definite raises it too.
+    Row i holds size draws of posts[i], read from substream(seeds[i],
+    DRAW_TAG); the k posteriors must share one dimension d, with one
+    integer seed each. The first round is stacked: every row's Gaussian
+    block comes from one substreams batch, all covariances are factored
+    by one Cholesky call of the (k, d, d) stack and all proposals are
+    formed by one matmul and checked by one norm. Each of these equals
+    its one-posterior form bit for bit, so a row equals its own call.
+    A row with a rejected slot re-keys its stream, skips the block it
+    has used and redraws its pending slots alone. Each requested vector
+    gets at most _REJECTION_BUDGET Gaussian proposals; exhausting them
+    raises ConditionViolatedError, which signals that the radius leaves
+    the Gaussian almost no mass and needs reconfiguring rather than
+    silent clamping. A covariance that is not positive definite raises it too.
     """
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidArgumentError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     check_integer("size", size, 1)
+    seeds = seed_array(seeds)
+    if seeds.shape != (len(posts),):
+        raise DimensionMismatchError(
+            f"need one draw seed per posterior ({len(posts)}), got shape {seeds.shape}"
+        )
+    if seeds.dtype.kind not in "iu":
+        for seed in seeds.tolist():
+            check_integer("draw seed", seed)
+    dims = sorted({post.d for post in posts})
+    if len(dims) != 1:
+        raise DimensionMismatchError(
+            f"need at least one posterior, all of one dimension; got dimensions {dims}"
+        )
     try:
-        chol = np.linalg.cholesky(post.sigma_n)
+        chol = np.linalg.cholesky(np.stack([post.sigma_n for post in posts]))
     except np.linalg.LinAlgError as exc:
         raise ConditionViolatedError(f"posterior covariance not positive definite: {exc}") from exc
-    out = np.empty((size, post.d), dtype=np.float64)
-    pending = np.arange(size)
-    for _ in range(_REJECTION_BUDGET):
-        if pending.size == 0:
-            return out
-        z = rng.standard_normal((pending.size, post.d))
-        proposal = post.mu_n + z @ chol.T
-        ok = np.linalg.norm(proposal, axis=1) <= post.radius
-        out[pending[ok]] = proposal[ok]
-        pending = pending[~ok]
-    if pending.size:
-        raise ConditionViolatedError(
-            f"{pending.size} of {size} draws found no point with norm <= {post.radius} "
-            f"in {_REJECTION_BUDGET} attempts"
-        )
+    mu = np.stack([post.mu_n for post in posts])
+    radii = np.array([post.radius for post in posts])
+    out = np.empty((len(posts), size, dims[0]))
+    for row, rng in zip(out, substreams(seeds, DRAW_TAG)):
+        rng.standard_normal(out=row)
+    # one buffer for the Gaussian block and the proposals: matmul copies an operand it overwrites
+    np.matmul(out, chol.swapaxes(1, 2), out=out)
+    out += mu[:, None]
+    ok = np.linalg.norm(out, axis=2) <= radii[:, None]
+    for i in np.flatnonzero(~ok.all(axis=1)).tolist():
+        # substreams reuses one Generator, so a row with misses keys its stream anew
+        rng = substream(seeds[i], DRAW_TAG)
+        rng.standard_normal(out.shape[1:])
+        pending = np.flatnonzero(~ok[i])
+        for _ in range(_REJECTION_BUDGET - 1):
+            if pending.size == 0:
+                break
+            proposal = mu[i] + rng.standard_normal((pending.size, dims[0])) @ chol[i].T
+            hit = np.linalg.norm(proposal, axis=1) <= radii[i]
+            out[i, pending[hit]] = proposal[hit]
+            pending = pending[~hit]
+        if pending.size:
+            raise ConditionViolatedError(
+                f"{pending.size} of {size} draws found no point with norm <= {posts[i].radius} "
+                f"in {_REJECTION_BUDGET} attempts"
+            )
     return out
 
 
@@ -229,11 +271,10 @@ def mse_stack(weights: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> np
     predictions come from one stacked matmul against a column operand,
     which equals X_test @ row bit for bit; X_test @ weights.T would not.
     """
-    W = np.asarray(weights, dtype=np.float64)
+    W = _numbers("weights", weights)
     if W.ndim != 2:
         raise DimensionMismatchError(f"weights must be a (k, d) stack; got shape {W.shape}")
-    X_test = np.asarray(X_test, dtype=np.float64)
-    y_test = np.asarray(y_test, dtype=np.float64)
+    X_test, y_test = _numbers("X_test", X_test), _numbers("y_test", y_test)
     if X_test.ndim != 2 or X_test.shape[1] != W.shape[1]:
         raise DimensionMismatchError(
             f"X_test must have {W.shape[1]} columns, one per weight; got shape {X_test.shape}"
@@ -245,6 +286,8 @@ def mse_stack(weights: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> np
         )
     if X_test.shape[0] == 0:
         raise InvalidArgumentError("the test set is empty")
+    if not (np.isfinite(X_test).all() and np.isfinite(y_test).all()):
+        raise InvalidArgumentError("X_test and y_test must hold finite numbers only")
     return np.mean((np.matmul(X_test[None], W[:, :, None])[..., 0] - y_test) ** 2, axis=1)
 
 
@@ -257,9 +300,9 @@ def predictive_mse(
 ) -> float:
     """MSE of the predictor built from averaged truncated-posterior draws.
 
-    The draws come from substream(seed, DRAW_TAG), the stream a sweep
-    gives the (b, repeat) pair whose draw seed is seed; the score is
-    mse_stack of their mean.
+    The draws are sample_truncated([post], [seed], samples), the row a
+    sweep's stacked draw gives the (b, repeat) pair whose draw seed is
+    seed; the score is mse_stack of their mean.
     """
-    draws = sample_truncated(post, substream(seed, DRAW_TAG), samples)
+    draws = sample_truncated([post], [seed], samples)[0]
     return float(mse_stack(draws.mean(axis=0)[None], X_test, y_test)[0])

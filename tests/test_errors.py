@@ -106,7 +106,7 @@ CONTRACT = {
         dict(post=GAUSS, X_test=REG.X, y_test=REG.y, samples=3, seed=3),
         ("samples", "seed"),
     ),
-    "sample_truncated": (dict(post=GAUSS, rng=np.random.default_rng(3), size=2), ("size",)),
+    "sample_truncated": (dict(posts=[GAUSS], seeds=[3], size=2), ("size",)),
     "scale_regression_data": (dict(X=REG.X * 4.0, y=REG.y, sigma2=1.0), ("sigma2",)),
     "sampler_predictive_batch": (
         dict(graph=NB2, posterior=POSTERIOR, X=np.array([[1, 0], [0, 1]]), epsilon=3.0,

@@ -235,6 +235,25 @@ def test_split_replay():
     assert np.array_equal(a_train.records, b_train.records)
 
 
+ONE_RECORD = "^a train/test split needs at least 2 records, got 1$"
+
+
+def test_split_needs_two_records():
+    # one record leaves an empty training split; every split refuses it
+    data, _ = synth_nb(2, 1, seed=5)
+    with pytest.raises(InvalidArgumentError, match=ONE_RECORD):
+        split_dataset(data, 0.5, seed=1)
+
+
+@pytest.mark.parametrize("task", ["nb", "linreg"])
+def test_sweep_on_a_one_record_dataset_is_refused(tmp_path, task):
+    path = tmp_path / "one.csv"
+    path.write_text("1,0,1\n")
+    config = ExperimentConfig(task=task, dataset=str(path), repeats=1)
+    with pytest.raises(InvalidArgumentError, match=ONE_RECORD):
+        run_experiment(config)
+
+
 def test_synth_linreg_shapes_and_replay():
     X, y, w = synth_linreg(4, 300, seed=8)
     assert X.shape == (300, 4) and y.shape == (300,)

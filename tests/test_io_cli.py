@@ -300,6 +300,16 @@ def test_cli_linreg_non_finite_dataset_exits_1(tmp_path, capsys):
     assert err.startswith("dpbayes: config error:") and f"regression data {path}" in err
 
 
+@pytest.mark.parametrize("task", ["nb", "linreg"])
+def test_cli_one_record_dataset_exits_1(tmp_path, capsys, task):
+    path = tmp_path / "one.csv"
+    path.write_text("1,0,1\n")
+    assert main(["--task", task, "--dataset", str(path), "--repeats", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dpbayes: a train/test split needs at least 2 records, got 1\n"
+
+
 def test_load_grid_round_trip(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("0.1,0.2,0.25\n0.3,0.4,0.75\n")

@@ -33,11 +33,6 @@ def scaled_synth(rng, n=60, d=2, sigma2=0.25):
     return scale_regression_data(X, y, sigma2)
 
 
-def draw_stream(seed):
-    """The weight-draw stream that predictive_mse gives seed."""
-    return substream(seed, DRAW_TAG)
-
-
 # ---------------------------------------------------------------------------
 # ingestion scaling
 # ---------------------------------------------------------------------------
@@ -88,6 +83,54 @@ def test_regression_data_rejects_non_finite_cells(bad, where):
 def test_regression_data_rejects_zero_feature_columns():
     with pytest.raises(InvalidArgumentError, match="^X must have at least one feature column$"):
         RegressionData(X=np.zeros((3, 0)), y=np.zeros(3), sigma2=1.0)
+
+
+BAD_INPUTS = {
+    "one-dimensional X": (np.ones(3), np.ones(3), "^X must be n x d with a length-n target"),
+    "string cell": ([[0.1, "a"], [0.2, 0.3]], [0.1, 0.2], "^X must be an array of numbers: "),
+    "ragged rows": ([[0.1, 0.2], [0.3]], [0.1, 0.2], "^X must be an array of numbers: "),
+    "string target": ([[0.1], [0.2]], [0.1, "b"], "^y must be an array of numbers: "),
+}
+
+
+@pytest.mark.parametrize("X, y, msg", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_regression_input_that_is_no_numeric_table_is_an_invalid_argument(X, y, msg):
+    # each entry point converts and shape-checks before any norm
+    with pytest.raises(InvalidArgumentError, match=msg):
+        scale_regression_data(X, y, 1.0)
+    with pytest.raises(InvalidArgumentError, match=msg):
+        RegressionData(X=X, y=y, sigma2=1.0)
+
+
+def test_posterior_input_that_is_no_numeric_table_is_an_invalid_argument(rng):
+    with pytest.raises(InvalidArgumentError, match="^mean must be an array of numbers: "):
+        GaussianPosterior(mu_n=["a", 0.0], sigma_n=np.eye(2), radius=1.0)
+    with pytest.raises(InvalidArgumentError, match="^covariance must be an array of numbers: "):
+        GaussianPosterior(mu_n=np.zeros(2), sigma_n=[[1.0, 0.0], [0.0]], radius=1.0)
+    msg = "^precision matrix must be an array of numbers: "
+    with pytest.raises(InvalidArgumentError, match=msg):
+        fit_posterior(scaled_synth(rng), precision=[[1.0, "b"], [0.0, 1.0]], radius=1.0)
+
+
+@pytest.mark.parametrize("where", ["X_test", "y_test", "weights"])
+def test_scoring_input_that_is_no_numeric_table_is_an_invalid_argument(where):
+    args = {"weights": np.zeros((1, 2)), "X_test": np.zeros((3, 2)), "y_test": np.zeros(3)}
+    args[where] = [["x"] * 2] * len(args[where]) if where != "y_test" else ["x"] * 3
+    with pytest.raises(InvalidArgumentError, match=f"^{where} must be an array of numbers: "):
+        mse_stack(**args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["X_test", "y_test"])
+def test_scoring_refuses_a_non_finite_test_cell(bad, where):
+    post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=1.0)
+    X_test, y_test = np.full((4, 2), 0.1), np.full(4, 0.2)
+    (X_test if where == "X_test" else y_test).flat[-1] = bad
+    msg = "^X_test and y_test must hold finite numbers only$"
+    with pytest.raises(InvalidArgumentError, match=msg):
+        mse_stack(np.zeros((1, 2)), X_test, y_test)
+    with pytest.raises(InvalidArgumentError, match=msg):
+        predictive_mse(post, X_test, y_test, samples=5, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +266,20 @@ def test_posterior_covariance_symmetric_and_spd(rng):
 
 def test_truncated_draws_respect_radius():
     post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=1.0)
-    draws = sample_truncated(post, draw_stream(2), size=500)
+    draws = sample_truncated([post], [2], size=500)[0]
     assert np.linalg.norm(draws, axis=1).max() <= 1.0
 
 
 def test_truncated_draws_deterministic():
     post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=2.0)
-    a = sample_truncated(post, draw_stream(5), size=50)
-    b = sample_truncated(post, draw_stream(5), size=50)
+    a = sample_truncated([post], [5], size=50)[0]
+    b = sample_truncated([post], [5], size=50)[0]
     assert np.array_equal(a, b)
 
 
 def test_truncated_moments_match_quadrature():
     post = GaussianPosterior(mu_n=np.zeros(1), sigma_n=np.eye(1), radius=1.0)
-    draws = sample_truncated(post, draw_stream(11), size=100000)[:, 0]
+    draws = sample_truncated([post], [11], size=100000)[0][:, 0]
     mean, var = truncated_normal_moments(0.0, 1.0, -1.0, 1.0)
     assert draws.mean() == pytest.approx(mean, abs=0.01)
     assert draws.var() == pytest.approx(var, abs=0.01)
@@ -244,24 +287,95 @@ def test_truncated_moments_match_quadrature():
 
 def test_truncation_vanishes_for_ample_radius():
     post = GaussianPosterior(mu_n=np.zeros(1), sigma_n=np.eye(1), radius=1e9)
-    draws = sample_truncated(post, draw_stream(4), size=50000)[:, 0]
+    draws = sample_truncated([post], [4], size=50000)[0][:, 0]
     assert draws.mean() == pytest.approx(0.0, abs=0.02)
     assert draws.var() == pytest.approx(1.0, abs=0.03)
 
 
-@pytest.mark.parametrize("rng", [3, None, np.random.SeedSequence(3)], ids=["int", "none", "seq"])
-def test_truncated_draws_need_a_generator(rng):
-    # the draws read the stream they are handed; a seed is predictive_mse's to key
-    post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=2.0)
-    with pytest.raises(InvalidArgumentError, match="^rng must be a numpy Generator, got "):
-        sample_truncated(post, rng, size=2)
+def reference_draws(post, seed, size):
+    """One posterior's rejection draws, proposal round by proposal round from its own stream."""
+    rng = substream(seed, DRAW_TAG)
+    chol = np.linalg.cholesky(post.sigma_n)
+    out = np.empty((size, post.d))
+    pending = np.arange(size)
+    while pending.size:
+        proposal = post.mu_n + rng.standard_normal((pending.size, post.d)) @ chol.T
+        ok = np.linalg.norm(proposal, axis=1) <= post.radius
+        out[pending[ok]] = proposal[ok]
+        pending = pending[~ok]
+    return out
+
+
+def random_posterior(rng, d, radius):
+    M = rng.normal(size=(d, d))
+    sigma = M @ M.T + 0.1 * np.eye(d)
+    return GaussianPosterior(mu_n=rng.normal(size=d), sigma_n=sigma, radius=radius)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stack_rows_equal_their_own_call(rng, d):
+    # the sweep draws every (b, repeat) pair in one call; each row must equal
+    # the pair drawn alone bit for bit, or the sweep CSVs move
+    posts = [random_posterior(rng, d, 1e3) for _ in range(7)]
+    seeds = rng.integers(0, 2**32, size=7, dtype=np.uint32)
+    stack = sample_truncated(posts, seeds, size=30)
+    assert stack.shape == (7, 30, d)
+    for post, seed, row in zip(posts, seeds.tolist(), stack):
+        assert np.array_equal(row, sample_truncated([post], [seed], size=30)[0])
+        assert np.array_equal(row, reference_draws(post, seed, 30))
+
+
+def test_stack_rows_with_misses_equal_their_own_rounds(rng):
+    # the tight posterior misses in almost every slot of its first round, so
+    # its row re-keys its stream; the roomy rows around it keep their first round
+    tight = GaussianPosterior(mu_n=np.array([0.3, -0.2]), sigma_n=np.eye(2), radius=0.5)
+    posts = [random_posterior(rng, 2, 1e3), tight, random_posterior(rng, 2, 1e3), tight]
+    seeds = [11, 12, 2**40 + 3, 14]
+    stack = sample_truncated(posts, seeds, size=40)
+    for post, seed, row in zip(posts, seeds, stack):
+        assert np.array_equal(row, reference_draws(post, seed, 40))
+    first_round = posts[1].mu_n + substream(12, DRAW_TAG).standard_normal((40, 2))
+    assert (np.linalg.norm(first_round, axis=1) > 0.5).sum() > 20
+    assert np.linalg.norm(stack[1::2], axis=2).max() <= 0.5
+
+
+def test_stack_needs_one_integer_seed_per_posterior_of_one_dimension():
+    post2 = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=2.0)
+    post3 = GaussianPosterior(mu_n=np.zeros(3), sigma_n=np.eye(3), radius=2.0)
+    msg = r"^need one draw seed per posterior \(2\), got shape \(1,\)$"
+    with pytest.raises(DimensionMismatchError, match=msg):
+        sample_truncated([post2, post2], [1], size=2)
+    with pytest.raises(DimensionMismatchError, match=r"got shape \(1, 2\)$"):
+        sample_truncated([post2, post2], np.array([[1, 2]]), size=2)
+    msg = r"^need at least one posterior, all of one dimension; got dimensions \[2, 3\]$"
+    with pytest.raises(DimensionMismatchError, match=msg):
+        sample_truncated([post2, post3], [1, 2], size=2)
+    with pytest.raises(DimensionMismatchError, match=r"got dimensions \[\]$"):
+        sample_truncated([], [], size=2)
+    for seed in (1.5, "3", True, None, np.float64(2.0)):
+        with pytest.raises(InvalidArgumentError, match="^draw seed must be an integer"):
+            sample_truncated([post2, post2], [1, seed], size=2)
+    with pytest.raises(InvalidArgumentError, match="^draw seed must be an integer"):
+        sample_truncated([post2], np.array([2.0]), size=2)
 
 
 def test_rejection_budget_exhaustion():
     # mean far outside the ball: the acceptance region has no mass
     post = GaussianPosterior(mu_n=np.array([10.0]), sigma_n=np.eye(1) * 1e-4, radius=0.1)
-    with pytest.raises(ConditionViolatedError, match="attempts"):
-        sample_truncated(post, draw_stream(1), size=3)
+    msg = "^3 of 3 draws found no point with norm <= 0.1 in 1000 attempts$"
+    with pytest.raises(ConditionViolatedError, match=msg):
+        sample_truncated([post], [1], size=3)
+    # in a stack, a row that runs out is reported with the same message
+    roomy = GaussianPosterior(mu_n=np.zeros(1), sigma_n=np.eye(1), radius=1e3)
+    with pytest.raises(ConditionViolatedError, match=msg):
+        sample_truncated([roomy, post, roomy], [1, 2, 3], size=3)
+
+
+def test_stack_refuses_a_covariance_that_is_not_positive_definite():
+    roomy = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=1.0)
+    flat = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.diag([1.0, -1.0]), radius=1.0)
+    with pytest.raises(ConditionViolatedError, match="^posterior covariance not positive definite"):
+        sample_truncated([roomy, flat], [1, 2], size=3)
 
 
 # ---------------------------------------------------------------------------
