@@ -82,6 +82,7 @@ from .metrics import KlReport, PrivacyCheckReport, accuracy, kl_beta, kl_joint
 from .randomness import derive_seed, laplace_from_uniform, substream
 from .regression import (
     GaussianPosterior,
+    PosteriorStack,
     RegressionData,
     default_radius,
     fit_posterior,

@@ -11,9 +11,11 @@ a parent map with a cycle, ConfigError for a bad experiment or CLI
 setting, and one class for each mechanism's own failure: the trim
 interval of posterior sampling (OmegaTooLargeError) and the stealth
 failure of the Fourier release (NonPositivePosteriorParamError). Each
-rule on a numeric argument is written once, as a check_* function below.
+rule on a numeric argument is written once, as a check_* function below;
+a value that is no real number (a bool counts as none) fails every one of them.
 """
 import math
+import numbers
 import operator
 
 
@@ -39,32 +41,46 @@ class InvalidArgumentError(DpBayesError, ValueError):
     """A numeric argument lies outside its allowed range."""
 
 
+def _check_real(name: str, value: float) -> None:
+    """Refuse a value that is not an int, a float or a numpy scalar of either."""
+    if type(value) is float:  # the common case, without the slower abstract-class check
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+
+
 def check_epsilon(epsilon: float) -> None:
+    _check_real("epsilon", epsilon)
     if not epsilon > 0:
         raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
 
 
 def check_map_epsilon(epsilon: float) -> None:
+    _check_real("epsilon", epsilon)
     if not 0 <= epsilon < math.inf:
         raise InvalidArgumentError(f"epsilon must be finite and non-negative, got {epsilon}")
 
 
 def check_fraction(name: str, value: float) -> None:
+    _check_real(name, value)
     if not 0 < value < 1:
         raise InvalidArgumentError(f"{name} must lie in (0, 1), got {value}")
 
 
 def check_probability(name: str, value: float) -> None:
+    _check_real(name, value)
     if not 0 <= value <= 1:
         raise InvalidArgumentError(f"{name} must lie in [0, 1], got {value}")
 
 
 def check_positive(name: str, value: float) -> None:
+    _check_real(name, value)
     if not 0 < value < math.inf:
         raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
 
 
 def check_nonnegative(name: str, value: float) -> None:
+    _check_real(name, value)
     if not 0 <= value < math.inf:
         raise InvalidArgumentError(f"{name} must be non-negative and finite, got {value}")
 

@@ -373,14 +373,17 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     The sweep derives its split seeds and its (repeat, b) grid of draw
     seeds in one derive_seeds call each, and takes every repeat's split
-    from one batch of keyed streams. It runs in three passes. First each
-    repeat fits its whole b grid in one fit_posterior_grid call, from
-    one X'X. Then the sampler draws for every (b, repeat) pair, in
-    (repeat, b) order, in one sample_truncated call over all the
-    posteriors and the flat draw seed grid; each pair's row is keyed as
-    predictive_mse keys it. Last, a repeat's none means and sampler draw
-    means form one weight stack, scored by one mse_stack call. A fit
-    failure is therefore reported before any draw failure.
+    from one batch of keyed streams. It runs in three passes. First one
+    fit_posterior_stack call fits every repeat's training rows of the
+    scaled data under the whole b grid, into one checked (repeat, b)
+    stack of posteriors: the prior stack is built once, X'X once per
+    repeat, and no training set is checked again. Then the sampler draws
+    for every (b, repeat) pair, in (repeat, b) order, in one
+    sample_truncated call over that stack and the flat draw seed grid;
+    each pair's row is keyed as predictive_mse keys it. Last, a repeat's
+    none means and sampler draw means form one weight stack, scored by
+    one mse_stack call per repeat. A fit failure is therefore reported
+    before any draw failure.
     """
     _require_task(config, "linreg")
     if config.dataset is not None:
@@ -397,24 +400,18 @@ def run_linreg_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     split_seeds = derive_seeds(config.seed, "linreg-split", np.arange(config.repeats))
     splits = list(_splits(data.n, config.train_fraction, data.d + 1, split_seeds))
-    posts = [
-        regression.fit_posterior_grid(
-            regression.RegressionData(X=data.X[tr], y=data.y[tr], sigma2=config.sigma2),
-            config.b_grid,
-            radii,
-        )
-        for tr, _ in splits
-    ]
+    posts = regression.fit_posterior_stack(data, [tr for tr, _ in splits], config.b_grid, radii)
+    shape = (config.repeats, len(config.b_grid), data.d)
     weights = {}  # each mechanism's weight vectors, a (repeat, b, d) stack
     if "none" in config.mechanisms:
-        weights["none"] = np.array([[post.mu_n for post in line] for line in posts])
+        weights["none"] = posts.means.reshape(shape)
     if "sampler" in config.mechanisms:
         draws = regression.sample_truncated(
-            [post for line in posts for post in line],
+            posts,
             _seed_grid(config, "linreg-draws", config.b_grid).ravel(),
             config.regression_samples,
         )
-        weights["sampler"] = draws.mean(axis=1).reshape(config.repeats, len(config.b_grid), -1)
+        weights["sampler"] = draws.mean(axis=1).reshape(shape)
 
     mse = {mech: np.empty((len(config.b_grid), config.repeats)) for mech in config.mechanisms}
     for r, (_, te) in enumerate(splits):

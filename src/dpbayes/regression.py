@@ -3,15 +3,20 @@
 The conjugate pair: Gaussian likelihood with known noise variance and
 a zero-mean Gaussian prior restricted to a Euclidean ball. Posterior
 mean and covariance have the usual ridge form; sampling restricts to
-the ball by rejection. fit_posterior_grid fits one dataset under a
-whole grid of prior precisions from a single X'X and X'y, calling
-LAPACK's Cholesky routines directly; fit_posterior is its one-entry case.
-sample_truncated draws for a whole stack of posteriors at once, one
-keyed stream per draw seed: a sweep hands it every (b, repeat) pair in
-one call, and predictive_mse is the one-pair case. mse_stack scores a
-stack of weight rows against one test set. Every array input passes
-through one conversion, so a cell that is no number, a ragged row or a
-wrong shape is an InvalidArgumentError rather than numpy's own error.
+the ball by rejection. Fitted posteriors live in one PosteriorStack of
+means (k, d), covariances (k, d, d) and radii (k,), checked once when
+it is built; a GaussianPosterior is one such row. fit_posterior_stack
+fits every training set of a sweep, given as row indices into the
+checked data, under the whole grid of prior precisions: the scaled
+priors are built once, X'X and X'y once per set, and LAPACK's Cholesky
+routines are called directly. fit_posterior_grid is its one-set case
+and fit_posterior its one-entry case. sample_truncated draws for a
+whole stack at once, one keyed stream per draw seed: a sweep hands it
+every (b, repeat) pair in one call, and predictive_mse is the one-pair
+case. mse_stack scores a stack of weight rows against one test set.
+Every array input passes through one conversion, so a cell that is no
+number, a ragged row or a wrong shape is an InvalidArgumentError rather
+than numpy's own error.
 
 One posterior draw costs 2L (Dimitrakakis et al., ALT 2014), with L
 the largest change of the log-likelihood between neighbouring datasets.
@@ -102,25 +107,60 @@ def scale_regression_data(X: np.ndarray, y: np.ndarray, sigma2: float) -> Regres
 
 
 @dataclass(frozen=True)
+class PosteriorStack:
+    """k posteriors N(means[i], covs[i]), each restricted to the ball ||w||_2 <= radii[i].
+
+    means is (k, d), covs (k, d, d) and radii (k,). Every cell must be
+    finite, every covariance symmetric and every radius positive; the
+    stack is checked once, here, for all its rows.
+    """
+
+    means: np.ndarray
+    covs: np.ndarray
+    radii: np.ndarray
+
+    def __post_init__(self) -> None:
+        mu = _numbers("mean", self.means)
+        sig = _numbers("covariance", self.covs)
+        radii = _numbers("radius", self.radii)
+        if mu.ndim != 2 or sig.shape != mu.shape + mu.shape[1:]:
+            raise InvalidArgumentError("mean and covariance shapes disagree")
+        if radii.shape != mu.shape[:1]:
+            raise DimensionMismatchError(
+                f"need one radius per posterior ({mu.shape[0]}), got shape {radii.shape}"
+            )
+        if not (np.isfinite(mu).all() and np.isfinite(sig).all()):
+            raise InvalidArgumentError("mean and covariance must hold finite numbers only")
+        if float(np.abs(sig - sig.swapaxes(1, 2)).max(initial=0.0)) > 1e-10:
+            raise InvalidArgumentError("covariance must be symmetric")
+        bad = ~((radii > 0.0) & (radii < np.inf))
+        if bad.any():
+            check_positive("radius", float(radii[bad][0]))
+        object.__setattr__(self, "means", mu)
+        object.__setattr__(self, "covs", sig)
+        object.__setattr__(self, "radii", radii)
+
+    def __len__(self) -> int:
+        return self.radii.size
+
+    @property
+    def d(self) -> int:
+        return self.means.shape[1]
+
+
+@dataclass(frozen=True)
 class GaussianPosterior:
-    """N(mu_n, sigma_n) restricted to the ball ||w||_2 <= radius."""
+    """N(mu_n, sigma_n) restricted to the ball ||w||_2 <= radius, checked as a one-row stack."""
 
     mu_n: np.ndarray
     sigma_n: np.ndarray
     radius: float
 
     def __post_init__(self) -> None:
-        mu = _numbers("mean", self.mu_n)
-        sig = _numbers("covariance", self.sigma_n)
-        if mu.ndim != 1 or sig.shape != (mu.size, mu.size):
-            raise InvalidArgumentError("mean and covariance shapes disagree")
-        if not (np.isfinite(mu).all() and np.isfinite(sig).all()):
-            raise InvalidArgumentError("mean and covariance must hold finite numbers only")
-        if float(np.abs(sig - sig.T).max()) > 1e-10:
-            raise InvalidArgumentError("covariance must be symmetric")
-        check_positive("radius", self.radius)
-        object.__setattr__(self, "mu_n", mu)
-        object.__setattr__(self, "sigma_n", sig)
+        row = PosteriorStack(means=[self.mu_n], covs=[self.sigma_n], radii=[self.radius])
+        object.__setattr__(self, "mu_n", row.means[0])
+        object.__setattr__(self, "sigma_n", row.covs[0])
+        object.__setattr__(self, "radius", float(row.radii[0]))
 
     @property
     def d(self) -> int:
@@ -141,69 +181,94 @@ def _as_precision(precision: float | np.ndarray, d: int) -> np.ndarray:
     return lam
 
 
-def fit_posterior_grid(
+def fit_posterior_stack(
     data: RegressionData,
+    train_rows: Sequence[np.ndarray | slice],
     precisions: Sequence[float | np.ndarray],
     radii: Sequence[float],
-) -> list[GaussianPosterior]:
-    """One posterior per (precision, radius) pair, all on the same data.
+) -> PosteriorStack:
+    """The posterior of every training set under every (precision, radius) pair, as one stack.
 
-    For each prior precision L: mu_n = (X'X + s2 L)^-1 X'y and
-    sigma_n = s2 (X'X + s2 L)^-1. X'X and X'y are formed once for the
-    grid. Each posterior precision is factored by LAPACK dpotrf and
-    solved by dpotrs, the routines behind scipy's cho_factor and
-    cho_solve, so a grid entry equals its own fit_posterior bit for bit;
-    no explicit inverse is formed for the mean. Raises
-    ConditionViolatedError if a system overflows or is not numerically
-    positive definite.
+    Training set r is data.X[train_rows[r]] with its targets, read from
+    the checked data without checking its rows again; an index that is
+    no row of the data is an InvalidArgumentError. Row r * k + i of
+    the stack is its posterior under the i-th of the k pairs: for a prior
+    precision L, mu_n = (X'X + s2 L)^-1 X'y and sigma_n = s2 (X'X + s2 L)^-1.
+    The scaled priors s2 L are formed once, and X'X and X'y once per
+    training set. Each posterior precision is factored by LAPACK dpotrf
+    and solved by dpotrs, the routines behind scipy's cho_factor and
+    cho_solve, so a row equals its own fit_posterior bit for bit; no
+    explicit inverse is formed for the mean. Raises ConditionViolatedError
+    if a system overflows or is not numerically positive definite.
     """
     if len(precisions) != len(radii):
         raise DimensionMismatchError(
             f"{len(precisions)} prior precisions but {len(radii)} radii"
         )
-    if not len(precisions):
-        return []
-    lam = np.stack([_as_precision(precision, data.d) for precision in precisions])
-    with np.errstate(over="ignore"):  # an overflow is refused just below
-        A = data.X.T @ data.X + data.sigma2 * lam
-        A = (A + A.swapaxes(1, 2)) / 2.0
-    if not np.isfinite(A).all():
-        raise ConditionViolatedError("posterior precision overflows to a non-finite entry")
-    xty = data.X.T @ data.y
-    ident = np.eye(data.d)
-    posts = []
-    for a, radius in zip(A, radii):
-        chol, info = dpotrf(a, lower=1, clean=0)
-        if info:
-            raise ConditionViolatedError(
-                "posterior precision not positive definite: "
-                f"{info}-th leading minor of the array is not positive definite"
-            )
-        mu = dpotrs(chol, xty, lower=1)[0]
-        sigma = data.sigma2 * dpotrs(chol, ident, lower=1)[0]
-        posts.append(GaussianPosterior(mu_n=mu, sigma_n=(sigma + sigma.T) / 2.0, radius=radius))
-    return posts
+    d = data.d
+    lam = np.array([_as_precision(precision, d) for precision in precisions]).reshape(-1, d, d)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        prior = data.sigma2 * lam
+    means = np.empty((len(train_rows), len(lam), d))
+    covs = np.empty((len(train_rows), len(lam), d, d))
+    ident = np.eye(d)
+    for rows, mean_line, cov_line in zip(train_rows, means, covs):
+        try:
+            X, y = data.X[rows], data.y[rows]
+        except IndexError as exc:
+            raise InvalidArgumentError(f"training rows must index the data: {exc}") from None
+        with np.errstate(over="ignore"):
+            A = X.T @ X + prior
+            A = (A + A.swapaxes(1, 2)) / 2.0
+        if not np.isfinite(A).all():
+            raise ConditionViolatedError("posterior precision overflows to a non-finite entry")
+        xty = X.T @ y
+        for a, mean, cov in zip(A, mean_line, cov_line):
+            chol, info = dpotrf(a, lower=1, clean=0)
+            if info:
+                raise ConditionViolatedError(
+                    "posterior precision not positive definite: "
+                    f"{info}-th leading minor of the array is not positive definite"
+                )
+            mean[:] = dpotrs(chol, xty, lower=1)[0]
+            sigma = data.sigma2 * dpotrs(chol, ident, lower=1)[0]
+            cov[:] = (sigma + sigma.T) / 2.0
+    return PosteriorStack(
+        means=means.reshape(-1, d),
+        covs=covs.reshape(-1, d, d),
+        radii=np.tile(radii, len(train_rows)),
+    )
+
+
+def fit_posterior_grid(
+    data: RegressionData,
+    precisions: Sequence[float | np.ndarray],
+    radii: Sequence[float],
+) -> PosteriorStack:
+    """One posterior per (precision, radius) pair on all the data: fit_posterior_stack's one set."""
+    return fit_posterior_stack(data, [slice(None)], precisions, radii)
 
 
 def fit_posterior(
     data: RegressionData, precision: float | np.ndarray, radius: float
 ) -> GaussianPosterior:
     """The posterior under one prior precision: fit_posterior_grid with one entry."""
-    return fit_posterior_grid(data, [precision], [radius])[0]
+    stack = fit_posterior_grid(data, [precision], [radius])
+    return GaussianPosterior(mu_n=stack.means[0], sigma_n=stack.covs[0], radius=stack.radii[0])
 
 
 def sample_truncated(
-    posts: Sequence[GaussianPosterior], seeds: Sequence[int] | np.ndarray, size: int = 1
+    stack: PosteriorStack, seeds: Sequence[int] | np.ndarray, size: int = 1
 ) -> np.ndarray:
-    """Rejection draws from each posterior restricted to its ball: a (k, size, d) array.
+    """Rejection draws from each posterior of a stack within its ball: a (k, size, d) array.
 
-    Row i holds size draws of posts[i], read from substream(seeds[i],
-    DRAW_TAG); the k posteriors must share one dimension d, with one
-    integer seed each. The first round is stacked: every row's Gaussian
-    block comes from one substreams batch, all covariances are factored
-    by one Cholesky call of the (k, d, d) stack and all proposals are
-    formed by one matmul and checked by one norm. Each of these equals
-    its one-posterior form bit for bit, so a row equals its own call.
+    Row i holds size draws of the stack's i-th posterior, read from
+    substream(seeds[i], DRAW_TAG); the stack needs one integer seed per
+    posterior. The first round is stacked: every row's Gaussian block
+    comes from one substreams batch, all covariances are factored by one
+    Cholesky call of the (k, d, d) stack and all proposals are formed by
+    one matmul and checked by one norm. Each of these equals its
+    one-posterior form bit for bit, so a row equals its own call.
     A row with a rejected slot re-keys its stream, skips the block it
     has used and redraws its pending slots alone. Each requested vector
     gets at most _REJECTION_BUDGET Gaussian proposals; exhausting them
@@ -213,25 +278,21 @@ def sample_truncated(
     """
     check_integer("size", size, 1)
     seeds = seed_array(seeds)
-    if seeds.shape != (len(posts),):
+    if seeds.shape != (len(stack),):
         raise DimensionMismatchError(
-            f"need one draw seed per posterior ({len(posts)}), got shape {seeds.shape}"
+            f"need one draw seed per posterior ({len(stack)}), got shape {seeds.shape}"
         )
     if seeds.dtype.kind not in "iu":
         for seed in seeds.tolist():
             check_integer("draw seed", seed)
-    dims = sorted({post.d for post in posts})
-    if len(dims) != 1:
-        raise DimensionMismatchError(
-            f"need at least one posterior, all of one dimension; got dimensions {dims}"
-        )
+    if not len(stack):
+        raise DimensionMismatchError("need at least one posterior, got an empty stack")
     try:
-        chol = np.linalg.cholesky(np.stack([post.sigma_n for post in posts]))
+        chol = np.linalg.cholesky(stack.covs)
     except np.linalg.LinAlgError as exc:
         raise ConditionViolatedError(f"posterior covariance not positive definite: {exc}") from exc
-    mu = np.stack([post.mu_n for post in posts])
-    radii = np.array([post.radius for post in posts])
-    out = np.empty((len(posts), size, dims[0]))
+    mu, radii = stack.means, stack.radii
+    out = np.empty((len(stack), size, stack.d))
     for row, rng in zip(out, substreams(seeds, DRAW_TAG)):
         rng.standard_normal(out=row)
     # one buffer for the Gaussian block and the proposals: matmul copies an operand it overwrites
@@ -246,13 +307,13 @@ def sample_truncated(
         for _ in range(_REJECTION_BUDGET - 1):
             if pending.size == 0:
                 break
-            proposal = mu[i] + rng.standard_normal((pending.size, dims[0])) @ chol[i].T
+            proposal = mu[i] + rng.standard_normal((pending.size, stack.d)) @ chol[i].T
             hit = np.linalg.norm(proposal, axis=1) <= radii[i]
             out[i, pending[hit]] = proposal[hit]
             pending = pending[~hit]
         if pending.size:
             raise ConditionViolatedError(
-                f"{pending.size} of {size} draws found no point with norm <= {posts[i].radius} "
+                f"{pending.size} of {size} draws found no point with norm <= {radii[i]} "
                 f"in {_REJECTION_BUDGET} attempts"
             )
     return out
@@ -267,13 +328,16 @@ def default_radius(b: float) -> float:
 def mse_stack(weights: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> np.ndarray:
     """Mean squared test error of each row of a (k, d) stack of weight vectors.
 
-    The test set is checked once for the whole stack. Each row's
-    predictions come from one stacked matmul against a column operand,
-    which equals X_test @ row bit for bit; X_test @ weights.T would not.
+    The test set is checked once for the whole stack, and every weight
+    must be finite. Each row's predictions come from one stacked matmul
+    against a column operand, which equals X_test @ row bit for bit;
+    X_test @ weights.T would not.
     """
     W = _numbers("weights", weights)
     if W.ndim != 2:
         raise DimensionMismatchError(f"weights must be a (k, d) stack; got shape {W.shape}")
+    if not np.isfinite(W).all():
+        raise InvalidArgumentError("weights must hold finite numbers only")
     X_test, y_test = _numbers("X_test", X_test), _numbers("y_test", y_test)
     if X_test.ndim != 2 or X_test.shape[1] != W.shape[1]:
         raise DimensionMismatchError(
@@ -300,9 +364,10 @@ def predictive_mse(
 ) -> float:
     """MSE of the predictor built from averaged truncated-posterior draws.
 
-    The draws are sample_truncated([post], [seed], samples), the row a
+    The draws are sample_truncated of post as a one-row stack, the row a
     sweep's stacked draw gives the (b, repeat) pair whose draw seed is
     seed; the score is mse_stack of their mean.
     """
-    draws = sample_truncated([post], [seed], samples)[0]
+    row = PosteriorStack(means=[post.mu_n], covs=[post.sigma_n], radii=[post.radius])
+    draws = sample_truncated(row, [seed], samples)[0]
     return float(mse_stack(draws.mean(axis=0)[None], X_test, y_test)[0])

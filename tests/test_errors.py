@@ -31,6 +31,7 @@ REG = dp.RegressionData(
     X=np.array([[0.5, 0.1], [0.2, -0.6], [-0.3, 0.4]]), y=np.array([0.3, -0.5, 0.1]), sigma2=1.0
 )
 GAUSS = dp.fit_posterior(REG, 1.0, 10.0)
+STACK = dp.PosteriorStack(means=[GAUSS.mu_n], covs=[GAUSS.sigma_n], radii=[10.0])
 # the numeric settings of a sweep config: those both tasks read, then those of one task each
 CONFIG = dict(repeats=2, train_fraction=0.5, seed=3, d=2, n=10)
 NB_CONFIG = dict(CONFIG, sampler_samples=5, fourier_t=1.0, threshold=0.5)
@@ -106,7 +107,7 @@ CONTRACT = {
         dict(post=GAUSS, X_test=REG.X, y_test=REG.y, samples=3, seed=3),
         ("samples", "seed"),
     ),
-    "sample_truncated": (dict(posts=[GAUSS], seeds=[3], size=2), ("size",)),
+    "sample_truncated": (dict(stack=STACK, seeds=[3], size=2), ("size",)),
     "scale_regression_data": (dict(X=REG.X * 4.0, y=REG.y, sigma2=1.0), ("sigma2",)),
     "sampler_predictive_batch": (
         dict(graph=NB2, posterior=POSTERIOR, X=np.array([[1, 0], [0, 1]]), epsilon=3.0,
@@ -127,6 +128,9 @@ CONTRACT = {
 # name -> (keyword arguments of one valid call, the array arguments whose entries must be finite)
 FINITE_ARRAYS = {
     "accuracy": (dict(predictions=[0.9, 0.2, 0.6], labels=[1, 0, 0]), ("predictions",)),
+    "PosteriorStack": (
+        dict(means=STACK.means, covs=STACK.covs, radii=STACK.radii), ("means", "covs", "radii")
+    ),
 }
 
 # Exception classes: they take a message, not a numeric argument.
@@ -143,7 +147,7 @@ NO_NUMERIC_ARGUMENT = {
     "compute_updates", "joint_log_likelihood", "posterior_params", "project_marginal",
     "validate_graph", "nb_predictive_batch", "rows_to_csv", "run_experiment",
     "run_linreg_experiment", "run_nb_experiment", "load_dataset", "load_grid", "load_network",
-    "load_regression_csv", "kl_beta", "kl_joint",
+    "load_regression_csv", "kl_beta", "kl_joint", "PosteriorStack",
 }
 
 # Result records: plain holders of values that another call computed or checks.
@@ -242,6 +246,33 @@ def test_bad_arguments_are_one_family():
         assert type(err.value) is dp.InvalidArgumentError
     assert issubclass(dp.InvalidArgumentError, dp.DpBayesError)
     assert issubclass(dp.InvalidArgumentError, ValueError)
+
+
+# a numeric setting that is no real number, where a bare TypeError once escaped
+NOT_REAL = {
+    "default_radius": lambda: dp.default_radius("1"),
+    "fit_posterior": lambda: dp.fit_posterior(REG, "a", 1.0),
+    "trim_bound": lambda: dp.trim_bound("3"),
+    "trim_bound-bool": lambda: dp.trim_bound(True),
+    "linreg-sigma2": lambda: dp.ExperimentConfig(task="linreg", sigma2="1"),
+    "epsilon-grid": lambda: dp.ExperimentConfig(epsilon_grid=("1",)),
+    "synth_linreg": lambda: dp.synth_linreg(2, 5, 3, noise_sigma="0.1"),
+    "split_dataset": lambda: dp.split_dataset(DATA, "0.5", 3),
+    "accuracy": lambda: dp.accuracy([0.9, 0.2], [1, 0], threshold="0.5"),
+    "sampling_probabilities": lambda: dp.sampling_probabilities(**MAP, epsilon="1", delta=SENS),
+}
+
+
+@pytest.mark.parametrize("call", NOT_REAL.values(), ids=NOT_REAL)
+def test_a_value_that_is_no_real_number_is_a_library_error(call):
+    with pytest.raises(dp.DpBayesError, match="must be a real number, got "):
+        call()
+
+
+def test_numpy_scalar_settings_pass():
+    assert dp.default_radius(np.float64(4.0)) == 5.0
+    assert dp.trim_bound(np.int64(3)) == dp.trim_bound(3)
+    dp.ExperimentConfig(task="linreg", sigma2=np.float32(0.5), b_grid=(np.float64(2.0),))
 
 
 @pytest.mark.parametrize("count", [2.0, math.nan, np.float64(3.0), "3", True])

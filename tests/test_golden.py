@@ -45,6 +45,8 @@ DIGESTS = {
     # taken before the seed grids were batched, from the per-release derive_seed loop
     "nb-20": "6a94ebadb1fe2b2d44115108a197874bdc761ff53f298ace3712c64a5226091b",
     "linreg-20": "ce9be3323718ee2bdc110bda5d3aa78225800d249ce195e32d83ab96da76cc5e",
+    # all 30 (b, repeat) pairs miss in their first round and redraw from a re-keyed stream
+    "linreg-missed": "fd64a5ad5f72cc59bf005e55210781b1b7e825e5abbf9b1a9cf91b0c735ee2f5",
 }
 
 # 20 repeats: every seed grid and split batch of these sweeps takes the array path
@@ -52,6 +54,8 @@ ARRAY_PATH_SWEEPS = {
     "nb-20": ("--task", "nb", "--repeats", "20", "--sampler-samples", "5"),
     "linreg-20": ("--task", "linreg", "--repeats", "20"),
 }
+
+MISSED_DRAW_SWEEP = ("--task", "linreg", "--repeats", "10", "--seed", "5", "--radius", "1.0")
 
 FLOORED_SWEEP = (
     "--task", "nb", "--mechanisms", "fourier", "--fourier-t", "0.01", "--repeats", "4",
@@ -95,6 +99,11 @@ def test_sweep_csv_digest(task, capsys):
 def test_array_path_sweep_csv_digest(name, capsys):
     assert main(list(ARRAY_PATH_SWEEPS[name])) == 0
     assert digest(capsys.readouterr().out) == DIGESTS[name]
+
+
+def test_missed_draw_sweep_csv_digest(capsys):
+    assert main(list(MISSED_DRAW_SWEEP)) == 0
+    assert digest(capsys.readouterr().out) == DIGESTS["linreg-missed"]
 
 
 def test_floored_sweep_csv_digest(capsys, caplog):

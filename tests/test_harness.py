@@ -567,17 +567,18 @@ def test_linreg_min_train_size_follows_dataset_width(tmp_path, monkeypatch):
     path = tmp_path / "reg.csv"
     np.savetxt(path, np.column_stack([X, y]), delimiter=",")
     seen = []
-    fit = regression.fit_posterior_grid
-    monkeypatch.setattr(
-        regression,
-        "fit_posterior_grid",
-        lambda train, *args: seen.append(train.n) or fit(train, *args),
-    )
+    fit_stack = regression.fit_posterior_stack
+
+    def fit(data, train_rows, *args):
+        seen.extend(data.y[rows].size for rows in train_rows)
+        return fit_stack(data, train_rows, *args)
+
+    monkeypatch.setattr(regression, "fit_posterior_stack", fit)
     config = replace(
         TINY_LINREG, dataset=str(path), d=None, n=None, train_fraction=0.05, repeats=1
     )
     run_linreg_experiment(config)
-    assert seen == [4]  # one grid fit per repeat
+    assert seen == [4]  # one training set per repeat
 
 
 def test_benchmark_sweeps_are_valid_configs():

@@ -10,6 +10,7 @@ from dpbayes import (
     DimensionMismatchError,
     GaussianPosterior,
     InvalidArgumentError,
+    PosteriorStack,
     RegressionData,
     default_radius,
     fit_posterior,
@@ -18,12 +19,21 @@ from dpbayes import (
     scale_regression_data,
 )
 from dpbayes.randomness import substream
-from dpbayes.regression import DRAW_TAG, fit_posterior_grid, mse_stack
+from dpbayes.regression import DRAW_TAG, fit_posterior_grid, fit_posterior_stack, mse_stack
 from dpbayes.verify import (
     regression_grid_check,
     ridge_mse,
     truncated_normal_moments,
 )
+
+
+def stack_of(*posts):
+    """The stack whose rows are the given posteriors, in order."""
+    return PosteriorStack(
+        means=[post.mu_n for post in posts],
+        covs=[post.sigma_n for post in posts],
+        radii=[post.radius for post in posts],
+    )
 
 
 def scaled_synth(rng, n=60, d=2, sigma2=0.25):
@@ -207,11 +217,28 @@ def test_grid_fit_matches_single_fits_bit_for_bit(rng, d):
     radii = [1.0, 2.0, 3.0, 4.0]
     posts = fit_posterior_grid(data, precisions, radii)
     assert len(posts) == len(precisions)
-    for precision, radius, post in zip(precisions, radii, posts):
+    for i, (precision, radius) in enumerate(zip(precisions, radii)):
         one = fit_posterior(data, precision, radius)
-        assert np.array_equal(post.mu_n, one.mu_n)
-        assert np.array_equal(post.sigma_n, one.sigma_n)
-        assert post.radius == radius
+        assert np.array_equal(posts.means[i], one.mu_n)
+        assert np.array_equal(posts.covs[i], one.sigma_n)
+        assert posts.radii[i] == radius == one.radius
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_stack_fit_rows_equal_each_training_set_fit_bit_for_bit(rng, d):
+    # the sweep fits every repeat's training rows of the checked data in one
+    # call; each repeat's rows must equal a grid fit on a copy of those rows
+    data = scaled_synth(rng, n=50, d=d)
+    train_rows = [rng.permutation(50)[:n] for n in (d + 1, 7, 20, 0)]
+    precisions, radii = [0.1, np.diag(rng.uniform(0.5, 2.0, d)), 10.0], [3.0, 2.0, 0.5]
+    stack = fit_posterior_stack(data, train_rows, precisions, radii)
+    assert stack.means.shape == (12, d) and stack.covs.shape == (12, d, d)
+    for r, rows in enumerate(train_rows):
+        train = RegressionData(X=data.X[rows].copy(), y=data.y[rows].copy(), sigma2=data.sigma2)
+        one = fit_posterior_grid(train, precisions, radii)
+        assert np.array_equal(stack.means[3 * r : 3 * r + 3], one.means)
+        assert np.array_equal(stack.covs[3 * r : 3 * r + 3], one.covs)
+        assert stack.radii[3 * r : 3 * r + 3].tolist() == radii
 
 
 @pytest.mark.parametrize(
@@ -230,11 +257,18 @@ def test_grid_fit_names_the_failing_minor(lam, minor):
         fit_posterior(data, lam, 1.0)
 
 
+@pytest.mark.parametrize("rows", [np.array([0, 60]), np.array([0.0, 1.0]), "all"])
+def test_stack_fit_refuses_rows_outside_the_data(rng, rows):
+    data = scaled_synth(rng)
+    with pytest.raises(InvalidArgumentError, match="^training rows must index the data: "):
+        fit_posterior_stack(data, [np.arange(5), rows], [1.0], [1.0])
+
+
 def test_grid_fit_needs_one_radius_per_precision(rng):
     data = scaled_synth(rng)
     with pytest.raises(DimensionMismatchError, match="^2 prior precisions but 1 radii$"):
         fit_posterior_grid(data, [1.0, 2.0], [1.0])
-    assert fit_posterior_grid(data, [], []) == []
+    assert len(fit_posterior_grid(data, [], [])) == 0
 
 
 @pytest.mark.parametrize(
@@ -249,6 +283,24 @@ def test_gaussian_posterior_must_be_finite(mu, sigma):
     msg = "^mean and covariance must hold finite numbers only$"
     with pytest.raises(InvalidArgumentError, match=msg):
         GaussianPosterior(mu_n=mu, sigma_n=sigma, radius=1.0)
+
+
+def test_posterior_stack_checks_every_row():
+    means, covs = np.zeros((3, 2)), np.stack([np.eye(2)] * 3)
+    with pytest.raises(DimensionMismatchError, match=r"^need one radius per posterior \(3\), got"):
+        PosteriorStack(means=means, covs=covs, radii=[1.0, 2.0])
+    with pytest.raises(InvalidArgumentError, match="^mean and covariance shapes disagree$"):
+        PosteriorStack(means=means, covs=covs[:2], radii=[1.0] * 3)
+    with pytest.raises(InvalidArgumentError, match="^radius must be positive and finite, got nan"):
+        PosteriorStack(means=means, covs=covs, radii=[1.0, math.nan, -1.0])
+    lopsided = covs.copy()
+    lopsided[2, 0, 1] = 0.5
+    with pytest.raises(InvalidArgumentError, match="^covariance must be symmetric$"):
+        PosteriorStack(means=means, covs=lopsided, radii=[1.0] * 3)
+    spoiled = means.copy()
+    spoiled[1, 1] = math.inf
+    with pytest.raises(InvalidArgumentError, match="^mean and covariance must hold finite"):
+        PosteriorStack(means=spoiled, covs=covs, radii=[1.0] * 3)
 
 
 def test_posterior_covariance_symmetric_and_spd(rng):
@@ -266,20 +318,20 @@ def test_posterior_covariance_symmetric_and_spd(rng):
 
 def test_truncated_draws_respect_radius():
     post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=1.0)
-    draws = sample_truncated([post], [2], size=500)[0]
+    draws = sample_truncated(stack_of(post), [2], size=500)[0]
     assert np.linalg.norm(draws, axis=1).max() <= 1.0
 
 
 def test_truncated_draws_deterministic():
     post = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=2.0)
-    a = sample_truncated([post], [5], size=50)[0]
-    b = sample_truncated([post], [5], size=50)[0]
+    a = sample_truncated(stack_of(post), [5], size=50)[0]
+    b = sample_truncated(stack_of(post), [5], size=50)[0]
     assert np.array_equal(a, b)
 
 
 def test_truncated_moments_match_quadrature():
     post = GaussianPosterior(mu_n=np.zeros(1), sigma_n=np.eye(1), radius=1.0)
-    draws = sample_truncated([post], [11], size=100000)[0][:, 0]
+    draws = sample_truncated(stack_of(post), [11], size=100000)[0][:, 0]
     mean, var = truncated_normal_moments(0.0, 1.0, -1.0, 1.0)
     assert draws.mean() == pytest.approx(mean, abs=0.01)
     assert draws.var() == pytest.approx(var, abs=0.01)
@@ -287,7 +339,7 @@ def test_truncated_moments_match_quadrature():
 
 def test_truncation_vanishes_for_ample_radius():
     post = GaussianPosterior(mu_n=np.zeros(1), sigma_n=np.eye(1), radius=1e9)
-    draws = sample_truncated([post], [4], size=50000)[0][:, 0]
+    draws = sample_truncated(stack_of(post), [4], size=50000)[0][:, 0]
     assert draws.mean() == pytest.approx(0.0, abs=0.02)
     assert draws.var() == pytest.approx(1.0, abs=0.03)
 
@@ -318,10 +370,10 @@ def test_stack_rows_equal_their_own_call(rng, d):
     # the pair drawn alone bit for bit, or the sweep CSVs move
     posts = [random_posterior(rng, d, 1e3) for _ in range(7)]
     seeds = rng.integers(0, 2**32, size=7, dtype=np.uint32)
-    stack = sample_truncated(posts, seeds, size=30)
+    stack = sample_truncated(stack_of(*posts), seeds, size=30)
     assert stack.shape == (7, 30, d)
     for post, seed, row in zip(posts, seeds.tolist(), stack):
-        assert np.array_equal(row, sample_truncated([post], [seed], size=30)[0])
+        assert np.array_equal(row, sample_truncated(stack_of(post), [seed], size=30)[0])
         assert np.array_equal(row, reference_draws(post, seed, 30))
 
 
@@ -331,7 +383,7 @@ def test_stack_rows_with_misses_equal_their_own_rounds(rng):
     tight = GaussianPosterior(mu_n=np.array([0.3, -0.2]), sigma_n=np.eye(2), radius=0.5)
     posts = [random_posterior(rng, 2, 1e3), tight, random_posterior(rng, 2, 1e3), tight]
     seeds = [11, 12, 2**40 + 3, 14]
-    stack = sample_truncated(posts, seeds, size=40)
+    stack = sample_truncated(stack_of(*posts), seeds, size=40)
     for post, seed, row in zip(posts, seeds, stack):
         assert np.array_equal(row, reference_draws(post, seed, 40))
     first_round = posts[1].mu_n + substream(12, DRAW_TAG).standard_normal((40, 2))
@@ -344,19 +396,20 @@ def test_stack_needs_one_integer_seed_per_posterior_of_one_dimension():
     post3 = GaussianPosterior(mu_n=np.zeros(3), sigma_n=np.eye(3), radius=2.0)
     msg = r"^need one draw seed per posterior \(2\), got shape \(1,\)$"
     with pytest.raises(DimensionMismatchError, match=msg):
-        sample_truncated([post2, post2], [1], size=2)
+        sample_truncated(stack_of(post2, post2), [1], size=2)
     with pytest.raises(DimensionMismatchError, match=r"got shape \(1, 2\)$"):
-        sample_truncated([post2, post2], np.array([[1, 2]]), size=2)
-    msg = r"^need at least one posterior, all of one dimension; got dimensions \[2, 3\]$"
-    with pytest.raises(DimensionMismatchError, match=msg):
-        sample_truncated([post2, post3], [1, 2], size=2)
-    with pytest.raises(DimensionMismatchError, match=r"got dimensions \[\]$"):
-        sample_truncated([], [], size=2)
+        sample_truncated(stack_of(post2, post2), np.array([[1, 2]]), size=2)
+    empty = PosteriorStack(means=np.zeros((0, 2)), covs=np.zeros((0, 2, 2)), radii=np.zeros(0))
+    with pytest.raises(DimensionMismatchError, match="^need at least one posterior, got an empty"):
+        sample_truncated(empty, [], size=2)
+    # posteriors of two dimensions make no stack
+    with pytest.raises(InvalidArgumentError, match="^mean must be an array of numbers: "):
+        stack_of(post2, post3)
     for seed in (1.5, "3", True, None, np.float64(2.0)):
         with pytest.raises(InvalidArgumentError, match="^draw seed must be an integer"):
-            sample_truncated([post2, post2], [1, seed], size=2)
+            sample_truncated(stack_of(post2, post2), [1, seed], size=2)
     with pytest.raises(InvalidArgumentError, match="^draw seed must be an integer"):
-        sample_truncated([post2], np.array([2.0]), size=2)
+        sample_truncated(stack_of(post2), np.array([2.0]), size=2)
 
 
 def test_rejection_budget_exhaustion():
@@ -364,18 +417,18 @@ def test_rejection_budget_exhaustion():
     post = GaussianPosterior(mu_n=np.array([10.0]), sigma_n=np.eye(1) * 1e-4, radius=0.1)
     msg = "^3 of 3 draws found no point with norm <= 0.1 in 1000 attempts$"
     with pytest.raises(ConditionViolatedError, match=msg):
-        sample_truncated([post], [1], size=3)
+        sample_truncated(stack_of(post), [1], size=3)
     # in a stack, a row that runs out is reported with the same message
     roomy = GaussianPosterior(mu_n=np.zeros(1), sigma_n=np.eye(1), radius=1e3)
     with pytest.raises(ConditionViolatedError, match=msg):
-        sample_truncated([roomy, post, roomy], [1, 2, 3], size=3)
+        sample_truncated(stack_of(roomy, post, roomy), [1, 2, 3], size=3)
 
 
 def test_stack_refuses_a_covariance_that_is_not_positive_definite():
     roomy = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.eye(2), radius=1.0)
     flat = GaussianPosterior(mu_n=np.zeros(2), sigma_n=np.diag([1.0, -1.0]), radius=1.0)
     with pytest.raises(ConditionViolatedError, match="^posterior covariance not positive definite"):
-        sample_truncated([roomy, flat], [1, 2], size=3)
+        sample_truncated(stack_of(roomy, flat), [1, 2], size=3)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +496,14 @@ def test_mse_stack_rows_equal_their_own_gemv(rng, d):
         W = rng.normal(size=(k, d))
         want = [float(np.mean((X_test @ w - y_test) ** 2)) for w in W]
         assert mse_stack(W, X_test, y_test).tolist() == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mse_stack_refuses_a_non_finite_weight(bad):
+    weights = np.array([[0.1, 0.2], [0.3, 0.0]])
+    weights[1, 0] = bad
+    with pytest.raises(InvalidArgumentError, match="^weights must hold finite numbers only$"):
+        mse_stack(weights, np.full((4, 2), 0.1), np.full(4, 0.2))
 
 
 def test_mse_stack_needs_a_stack_of_rows():
