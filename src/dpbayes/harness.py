@@ -234,20 +234,31 @@ def nb_predictive_batch(posteriors: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     posteriors are the (alpha, beta) rows of naive-Bayes posteriors,
     stacked as one (G, m, 2) array in the entry order of
-    sampler.naive_bayes_params. Each Beta entry contributes its
-    predictive factor alpha/(alpha+beta) or beta/(alpha+beta), so a
-    posterior's means are a single draw column of the naive-Bayes kernel
-    the Monte Carlo predictive uses. Each posterior is one kernel group,
-    so a call reads X once for all.
+    sampler.naive_bayes_params, and scored against the (n, d) rows of X
+    into (G, n) probabilities. An (R, G, m, 2) stack of R such sets is
+    scored against an (R, n, d) stack of X, set r against its own rows,
+    into (R, G, n); one set is the R = 1 case of that stack. Each Beta
+    entry contributes its predictive factor alpha/(alpha+beta) or
+    beta/(alpha+beta), so a posterior's means are a single draw column
+    of the naive-Bayes kernel the Monte Carlo predictive uses. Each
+    posterior is one kernel group: the rows are checked, the means taken
+    and the kernel's columns built once per call, and each set reads its
+    X once for all its posteriors, in a product of the shape it has when
+    scored alone. The caller bounds memory by the size of the stack it
+    passes; the kernel's own buffers do not grow with R.
     """
     shape = getattr(posteriors, "shape", None)  # None for anything but an array
-    if shape is None or len(shape) != 3 or not shape[0] or shape[1] % 2 != 1 or shape[2] != 2:
+    if (
+        shape is None or len(shape) not in (3, 4) or not shape[-3]
+        or shape[-2] % 2 != 1 or shape[-1] != 2
+    ):
         raise DimensionMismatchError(
-            f"need a (G, m, 2) stack of naive-Bayes posteriors, got shape {shape}"
+            "need a (G, m, 2) stack of naive-Bayes posteriors, or an (R, G, m, 2) stack of"
+            f" such stacks, got shape {shape}"
         )
     params = check_beta_rows(posteriors)
-    means = params[:, :, 0] / (params[:, :, 0] + params[:, :, 1])
-    return sampler.naive_bayes_class1(means.T[:, :, None], X)
+    means = params[..., 0] / (params[..., 0] + params[..., 1])
+    return sampler.naive_bayes_class1(np.swapaxes(means, -1, -2)[..., None], X)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +301,16 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     stack of coefficients over each repeat's exact coefficient vector,
     read back with one Walsh pass per family size. Every release still
     draws from its own keyed substream, and a fourier release is floored
-    only when its own posterior has a non-positive parameter. A repeat's
-    none, laplace and fourier posteriors form one (G, m, 2) array,
-    scored by one nb_predictive_batch call and one accuracy over its G
-    rows; the sampler scores each release alone.
+    only when its own posterior has a non-positive parameter. Every
+    repeat's test rows and labels are indexed straight from the checked
+    dataset, without a second check. A repeat's none, laplace and fourier
+    posteriors form its (G, m, 2) row of one (R, G, m, 2) stack, scored
+    against the (R, n_test, d) stack of test rows by one
+    nb_predictive_batch call and one accuracy call per chunk of repeats.
+    A chunk holds as many repeats as fit their (G, n_test) probabilities
+    in one kernel block (sampler._BLOCK_BYTES), so memory does not grow
+    with R: at the bench config, 20 repeats of 13 posteriors on 950 test
+    rows, the sweep is one chunk. The sampler scores each release alone.
     """
     _require_task(config, "nb")
     if config.dataset is not None:
@@ -309,25 +326,28 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     grid = config.epsilon_grid
 
     split_seeds = derive_seeds(config.seed, "split", np.arange(config.repeats))
-    splits = [
-        (data.subset(train), data.subset(test))
-        for train, test in _splits(data.n, config.train_fraction, 1, split_seeds)
-    ]
-    updates = [compute_updates(graph, train) for train, _ in splits]
+    trains, tests = [], []
+    for train, test in _splits(data.n, config.train_fraction, 1, split_seeds):
+        trains.append(data.subset(train))
+        tests.append(test)
+    # every repeat's test rows, read from the checked records: (R, n_test, d) and (R, n_test)
+    test_records = data.records[np.array(tests)]
+    X_test, labels = test_records[:, :, 1:], test_records[:, :, 0]
+    updates = [compute_updates(graph, train) for train in trains]
     exact = [posterior_params(priors, u) for u in updates]
 
     stacks = {}  # the posterior-mean releases of each mechanism, one row of them per repeat
     if "none" in config.mechanisms:
         stacks["none"] = np.stack([post.array for post in exact])[:, None]
     if "laplace" in config.mechanisms:
-        n_train = splits[0][0].n  # every split trains on the same number of records
+        n_train = trains[0].n  # every split trains on the same number of records
         specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, n_train) for eps in grid]
         noisy, _ = laplace.perturb_update_stack(updates, specs, _seed_grid(config, "laplace", grid))
         stacks["laplace"] = priors.array + noisy
     stealth_clamps = 0
     if "fourier" in config.mechanisms:
         _, stacks["fourier"], floored = fourier.release_posterior_stack(
-            [train for train, _ in splits], graph, priors, grid, config.fourier_t,
+            trains, graph, priors, grid, config.fourier_t,
             _seed_grid(config, "fourier", grid),
         )
         stealth_clamps = int(floored.sum())
@@ -337,30 +357,34 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
            for m in config.mechanisms}
     if "sampler" in config.mechanisms:
         sampler_seeds = _seed_grid(config, "sampler", grid).tolist()
-    for r, (_, test) in enumerate(splits):
-        X_test = test.records[:, 1:]
-        labels = test.records[:, 0].astype(np.int64)
-        if "sampler" in config.mechanisms:
+        for r in range(config.repeats):
             for ei, eps in enumerate(grid):
                 try:
                     probs = sampler.sampler_predictive_batch(
-                        graph, exact[r], X_test, eps, config.sampler_samples,
+                        graph, exact[r], X_test[r], eps, config.sampler_samples,
                         sampler_seeds[r][ei],
                     )
                 except OmegaTooLargeError:
                     # Trim interval is degenerate at this epsilon: the
                     # only released parameter is the midpoint, which
                     # carries no data and so costs no privacy.
-                    probs = np.full(X_test.shape[0], 0.5)
-                acc["sampler"][ei, r] = accuracy(probs, labels, config.threshold)
+                    probs = np.full(X_test.shape[1], 0.5)
+                acc["sampler"][ei, r] = accuracy(probs, labels[r], config.threshold)
 
-        if stacks:
-            probs = nb_predictive_batch(np.concatenate([s[r] for s in stacks.values()]), X_test)
-            scores = accuracy(probs, labels, config.threshold)
-            at = 0  # each mechanism's rows follow the previous one's in the scored stack
+    if stacks:
+        # repeats in chunks whose (repeats, G, n_test) probability stack fits one kernel block
+        groups = sum(stack.shape[1] for stack in stacks.values())
+        chunk = max(1, sampler._BLOCK_BYTES // (8 * groups * X_test.shape[1]))
+        for at in range(0, config.repeats, chunk):
+            part = slice(at, at + chunk)
+            probs = nb_predictive_batch(
+                np.concatenate([stack[part] for stack in stacks.values()], axis=1), X_test[part]
+            )
+            scores = accuracy(probs, labels[part], config.threshold)
+            first = 0  # each mechanism's rows follow the previous one's in the scored stack
             for mech, stack in stacks.items():
-                acc[mech][:, r] = scores[at : at + stack.shape[1]]
-                at += stack.shape[1]
+                acc[mech][:, part] = scores[:, first : first + stack.shape[1]].T
+                first += stack.shape[1]
 
     if stealth_clamps:
         releases = config.repeats * len(grid)

@@ -53,21 +53,23 @@ def accuracy(
     """Fraction of labels matched by thresholding class-1 probabilities.
 
     predictions hold one probability per label, or a (G, labels) stack of
-    such rows, which gives one accuracy per row as an array. A prediction
+    such rows, which gives one accuracy per row as an array. An (R, G,
+    labels) stack of R such stacks takes an (R, labels) stack of labels,
+    row r labelling stack r, and gives an (R, G) array. A prediction
     exactly at the threshold counts as class 1. A NaN or infinite
     prediction raises InvalidArgumentError: it has no class.
     """
     check_probability("threshold", threshold)
     preds = np.asarray(predictions, dtype=float)
     labs = np.asarray(labels)
-    if preds.shape[-1] != labs.shape[0]:
-        raise DimensionMismatchError(
-            f"{preds.shape[-1]} predictions vs {labs.shape[0]} labels"
-        )
+    lead = labs.shape[:-1]  # the stack axes that labels share with predictions
+    if labs.ndim > preds.ndim or preds.shape[: len(lead)] + preds.shape[-1:] != labs.shape:
+        raise DimensionMismatchError(f"{preds.shape} predictions vs {labs.shape} labels")
     if preds.shape[-1] == 0:
         raise DimensionMismatchError("cannot score an empty prediction set")
     if not np.isfinite(preds).all():
         raise InvalidArgumentError("predictions must be finite probabilities")
+    labs = labs.reshape(lead + (1,) * (preds.ndim - labs.ndim) + labs.shape[-1:])
     hits = np.mean((preds >= threshold) == labs, axis=-1)
     return float(hits) if preds.ndim == 1 else hits
 

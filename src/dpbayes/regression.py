@@ -46,11 +46,19 @@ _REJECTION_BUDGET = 1000
 
 
 def _numbers(name: str, value: object) -> np.ndarray:
-    """value as a float64 array; a cell that is no number, or a ragged row, is refused."""
+    """value as a float64 array; a cell that is no number, or a ragged row, is refused.
+
+    So is a bool, or an array of them, which would read as 0.0 and 1.0:
+    the scalar checks of the errors module refuse a bool too.
+    """
     try:
-        return np.asarray(value, dtype=np.float64)
+        bools = np.asarray(value).dtype == np.bool_
+        array = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"{name} must be an array of numbers: {exc}") from None
+    if bools:
+        raise InvalidArgumentError(f"{name} must hold numbers, not bools")
+    return array
 
 
 def _design(X: object, y: object) -> tuple[np.ndarray, np.ndarray]:

@@ -249,30 +249,40 @@ def naive_bayes_class1(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Pr(Y=1 | x) for every group of draws and every row of X: (G, rows).
 
     theta is (m, G, S): one row per entry in naive_bayes_params order and
-    G groups of S draw columns; each group averages over its own S. Every
-    theta must lie strictly inside (0, 1), or InvalidArgumentError is
-    raised: a log of 0 would turn the product into NaN. Per draw,
+    G groups of S draw columns; each group averages over its own S. A
+    stack of R such sets, (R, m, G, S), is scored against an (R, rows, d)
+    stack of X, set r against its own rows X[r], into one (R, G, rows)
+    stack; one set is the R = 1 case of that stack. Every theta must lie
+    strictly inside (0, 1), or InvalidArgumentError is raised: a log of 0
+    would turn the product into NaN. Per draw,
     log p_y(x) = c_y[s] + x . (log theta_y - log(1 - theta_y))[:, s]
     with c_y[s] the class term plus the sum of log(1 - theta_y). Every
-    column, ordered (group, class, draw), of one (d+1) x 2GS matrix is
+    column, ordered (group, class, draw), of a set's (d+1) x 2GS matrix is
     [log-odds | c], so its product with the columns [x | 1] gives every
-    row's 2GS log-likelihoods, one column per row of X.
+    row's 2GS log-likelihoods, one column per row of X. The columns of
+    every set are built in one vectorised pass; each set then takes its
+    own products, of the same shape as when it is scored alone.
 
     The product is taken in blocks of columns, and exp runs in place on
-    one buffer of at most _BLOCK_BYTES, reused by every block, so the
-    likelihoods stay in cache between the product, the exp and the sum.
-    (It is larger only when 2 x rows doubles, or 2GS, exceed that.)
-    A (group, class) segment of S columns sums its draws into one row
-    per row of X. When S fits in a block, a block holds whole segments,
-    so the S = 1 posterior means of many groups are one product. When it
-    does not, a block holds a run of one segment's draws, and the
-    segment's partial sum rides along as row 0 of the next run's
-    reduction. Either way every segment adds its draws one at a time in
-    ascending order, as a sum over the whole segment does, so the result
-    differs from one unblocked product only by how BLAS rounds a product
-    of another shape. For the same reason each group matches a call with
-    that group alone up to that rounding (none seen with OpenBLAS at
-    S = 1, or when each segment fills blocks of its own).
+    one buffer of at most _BLOCK_BYTES, reused by every block of every
+    set, so the likelihoods stay in cache between the product, the exp
+    and the sum. (It is larger only when 2 x rows doubles, or 2GS, exceed
+    that.) The class sums of a set go to one (G, 2, rows) buffer, also
+    reused, and only its probabilities to the output stack. A (group,
+    class) segment of S columns sums its draws into one row per row of
+    X; a segment of one draw is its own sum, so the product writes it
+    there and exp runs on it in place. When S fits in a block, a block
+    holds whole segments, so the S = 1 posterior means of many groups
+    are one product. When it does not, a block holds a run of one
+    segment's draws, and the segment's partial sum rides along as row 0
+    of the next run's reduction. Either way
+    every segment adds its draws one at a time in ascending order, as a
+    sum over the whole segment does, so the result differs from one
+    unblocked product only by how BLAS rounds a product of another shape.
+    For the same reason each group matches a call with that group alone
+    up to that rounding (none seen with OpenBLAS at S = 1, or when each
+    segment fills blocks of its own), and each set matches a call with
+    that set alone bit for bit.
 
     No column is shifted by its max first. For feature bits each
     log-likelihood is a sum of log-probabilities, so it is <= 0 and its
@@ -282,77 +292,92 @@ def naive_bayes_class1(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     lose less than 2^-1074, at most a 2S * 2^-174 share of the sum, so
     p1 / (p0 + p1) keeps full precision. Rows with a (group, row) sum
     outside [2^-900, 2^900] (about 1000 features, or a non-binary x that
-    can overflow) are recomputed with each group's 2S block shifted by
-    its own max, which makes its largest term exactly 1, and only the
-    out-of-window cells take the new values. The recomputation reuses
-    the buffer, taking those rows of X in chunks of as many as their 2GS
-    likelihoods each fit. The class sums reduce over the draw axis,
-    which comes before the row axis: a reduction along a short trailing
-    axis (2S = 2 for a single column of means) costs numpy a call per
-    row of X.
+    can overflow) are recomputed, per set, with each group's 2S block
+    shifted by its own max, which makes its largest term exactly 1, and
+    only the out-of-window cells take the new values. The recomputation
+    reuses the buffer, taking those rows of X in chunks of as many as
+    their 2GS likelihoods each fit. The class sums reduce over the draw
+    axis, which comes before the row axis: a reduction along a short
+    trailing axis (2S = 2 for a single column of means) costs numpy a
+    call per row of X.
     """
-    d = theta.shape[0] // 2
-    groups, samples = theta.shape[1:]
+    one_set = theta.ndim == 3
+    d = theta.shape[-3] // 2
     X = np.asarray(X)
-    if X.ndim != 2 or X.shape[1] != d:
+    if X.ndim != theta.ndim - 1 or X.shape[-1] != d or (not one_set and len(X) != len(theta)):
+        per_set = "" if one_set else f"{len(theta)} sets of "
         raise DimensionMismatchError(
-            f"X must be rows of {d} feature bits, got shape {X.shape}"
+            f"X must be {per_set}rows of {d} feature bits, got shape {X.shape}"
         )
+    if one_set:
+        theta, X = theta[None], X[None]
+    sets, _, groups, samples = theta.shape
     inside = (0.0 < theta) & (theta < 1.0)
     if not inside.all():
         raise InvalidArgumentError(
             f"every theta must lie strictly inside (0, 1), got {theta[~inside][0]}"
         )
-    # per_class[f, g, y, s] for feature f given class value y in draw s of group g
-    per_class = np.stack([theta[1::2], theta[2::2]], axis=2)
+    # per_class[r, f, g, y, s] for feature f given class value y in draw s of group g of set r
+    per_class = np.stack([theta[:, 1::2], theta[:, 2::2]], axis=3)
     log_1mth = np.log1p(-per_class)
-    # coef[:, g, y, s] = [log-odds of every feature | c_y[s]] of group g
-    coef = np.empty((d + 1, groups, 2, samples))
-    np.subtract(np.log(per_class), log_1mth, out=coef[:d])
-    coef[d] = log_1mth.sum(axis=0) + np.stack([np.log1p(-theta[0]), np.log(theta[0])], axis=1)
-    columns = coef.reshape(d + 1, -1).T  # 2GS x (d+1)
-    # rows[:, i] = [x_i | 1]
-    n = len(X)
+    # coef[r, :, g, y, s] = [log-odds of every feature | c_y[s]] of group g of set r
+    coef = np.empty((sets, d + 1, groups, 2, samples))
+    np.subtract(np.log(per_class), log_1mth, out=coef[:, :d])
+    coef[:, d] = log_1mth.sum(axis=1) + np.stack(
+        [np.log1p(-theta[:, 0]), np.log(theta[:, 0])], axis=2
+    )
+    # rows[:, i] = [x_i | 1] of the set being scored
+    n = X.shape[1]
     rows = np.empty((d + 1, n))
-    rows[:d] = X.T
     rows[d] = 1.0
     # a block is `run` draws of each of `per` segments, under a carried row 0
     block_rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)) - 1)
     run = min(samples, block_rows)
     per = min(2 * groups, max(1, block_rows // samples))
-    buf = np.empty(max((per * run + 1) * n, len(columns)))
+    buf = np.empty(max((per * run + 1) * n, 2 * groups * samples))
     sums = np.empty((2 * groups, n))
-    with np.errstate(over="ignore"):
-        for seg in range(0, 2 * groups, per):
-            k = min(per, 2 * groups - seg)
-            for start in range(0, samples, run):
-                width = min(run, samples - start)
-                block = buf[: (1 + k * width) * n].reshape(1 + k * width, n)
-                lik = block[1:]
-                at = seg * samples + start
-                np.matmul(columns[at : at + k * width], rows, out=lik)
-                np.exp(lik, out=lik)
-                if start:
-                    block[0] = sums[seg]
-                    block.sum(axis=0, out=sums[seg])
-                else:
-                    lik.reshape(k, width, n).sum(axis=1, out=sums[seg : seg + k])
-    sums = sums.reshape(groups, 2, n)
-    total = sums.sum(axis=1)
-    redo = (total < 2.0**-900) | (total > 2.0**900)
-    hit = np.flatnonzero(redo.any(axis=0))
-    chunk = len(buf) // len(columns)
-    for at in range(0, hit.size, chunk):
-        cells = hit[at : at + chunk]
-        # the max-shifted formula, written into the front of the buffer
-        shifted = buf[: len(columns) * cells.size].reshape(len(columns), -1)
-        np.matmul(columns, rows[:, cells], out=shifted)
-        shifted = shifted.reshape(groups, 2 * samples, -1)
-        shifted -= shifted.max(axis=1, keepdims=True)
-        np.exp(shifted, out=shifted)
-        fixed = shifted.reshape(groups, 2, samples, -1).sum(axis=2)
-        sums[:, :, cells] = np.where(redo[:, None, cells], fixed, sums[:, :, cells])
-    return sums[:, 1] / sums.sum(axis=1)
+    by_class = sums.reshape(groups, 2, n)
+    total = np.empty((groups, n))
+    out = np.empty((sets, groups, n))
+    for r in range(sets):
+        columns = coef[r].reshape(d + 1, -1).T  # 2GS x (d+1)
+        rows[:d] = X[r].T
+        with np.errstate(over="ignore"):
+            for seg in range(0, 2 * groups, per):
+                k = min(per, 2 * groups - seg)
+                for start in range(0, samples, run):
+                    width = min(run, samples - start)
+                    block = buf[: (1 + k * width) * n].reshape(1 + k * width, n)
+                    # a segment's first run of one draw is its own sum
+                    direct = width == 1 and not start
+                    lik = sums[seg : seg + k] if direct else block[1:]
+                    at = seg * samples + start
+                    np.matmul(columns[at : at + k * width], rows, out=lik)
+                    np.exp(lik, out=lik)
+                    if start:
+                        block[0] = sums[seg]
+                        block.sum(axis=0, out=sums[seg])
+                    elif not direct:
+                        lik.reshape(k, width, n).sum(axis=1, out=sums[seg : seg + k])
+        np.add(by_class[:, 0], by_class[:, 1], out=total)
+        redo = (total < 2.0**-900) | (total > 2.0**900)
+        if redo.any():
+            hit = np.flatnonzero(redo.any(axis=0))
+            chunk = len(buf) // len(columns)
+            for at in range(0, hit.size, chunk):
+                cells = hit[at : at + chunk]
+                # the max-shifted formula, written into the front of the buffer
+                shifted = buf[: len(columns) * cells.size].reshape(len(columns), -1)
+                np.matmul(columns, rows[:, cells], out=shifted)
+                shifted = shifted.reshape(groups, 2 * samples, -1)
+                shifted -= shifted.max(axis=1, keepdims=True)
+                np.exp(shifted, out=shifted)
+                fixed = shifted.reshape(groups, 2, samples, -1).sum(axis=2)
+                kept = by_class[:, :, cells]
+                by_class[:, :, cells] = np.where(redo[:, None, cells], fixed, kept)
+            np.add(by_class[:, 0], by_class[:, 1], out=total)
+        np.divide(by_class[:, 1], total, out=out[r])
+    return out[0] if one_set else out
 
 
 def sampler_predictive_batch(

@@ -5,6 +5,10 @@ digest hashes the released arrays' bytes, so any change of the
 arithmetic, the noise layout or the entry order moves a digest. The
 digests were taken with numpy 2.4 and scipy 1.17; a refactor that
 claims byte-identical output must leave every one of them in place.
+
+Beside each whole-output digest of a sweep or of the random DAGs sits
+one digest per mechanism, so a change that moves one mechanism's
+outputs shows which mechanisms stayed put.
 """
 import hashlib
 import json
@@ -49,6 +53,38 @@ DIGESTS = {
     "linreg-missed": "fd64a5ad5f72cc59bf005e55210781b1b7e825e5abbf9b1a9cf91b0c735ee2f5",
 }
 
+# per sweep, one digest per mechanism: the CSV header and that mechanism's rows
+SWEEP_MECHANISM_DIGESTS = {
+    "nb": {
+        "none": "4268fd3729d040df060c6e5f2439f99f7d995051cd86122d4160c59a0e0bfef1",
+        "laplace": "1f00fafe3c13e10fc033bfc8af511f1ce0b6e951cc9d9a58dee1dc931aa7812d",
+        "fourier": "1ccb30f0444c30784b531e562a4fe4a7b76d993f2094ac46e651b73ad593c0b3",
+        "sampler": "4acde278ad3a078c7e0d7463d04f4166dc7d97a5fec8f72e811efe791016a2ca",
+    },
+    "nb-20": {
+        "none": "61011a2508dae354e802efdfb28358d46760cfdacfcac6f91a7c316cbbf5d42c",
+        "laplace": "bade5de8187ce799f612e3099289b732de1df3422518eb1bed24fb1efa746bc9",
+        "fourier": "4734d5c475aea53fbe803c3d269e8e7b4a95b1dbf840369ee9d07087e4584a00",
+        "sampler": "ecda75fa6a02a75b9bafc9e9cef81f0e40231afeac8c748cb68ca3ef99512436",
+    },
+    "linreg": {
+        "none": "90a978862ccd7b44fc3df92bfdc82f732d451471f622f1069c4f3a095eda671b",
+        "sampler": "4aca8afb03fe3b1f4e1249494075e2be5c753f83510a0c59e4cda2f3a340ac1d",
+    },
+    "linreg-20": {
+        "none": "a7bcf38d1d3388cf722f690f4d9a2e074ac1b449bc7140337bd7d2c5aac635ba",
+        "sampler": "606ea6828c634b24ea3076c9a2fa7737a7eab3e5ca0b3653c430df24e8ce5dea",
+    },
+}
+
+# the random-DAG releases, one digest per mechanism; the sampler's hashes the
+# draws from the exact posteriors, and only "random-dags" those from the Fourier ones
+RANDOM_DAG_MECHANISM_DIGESTS = {
+    "laplace": "a16faa202514f78c22cebffeaffc7a75fea055a4c2090474ae38b1f3bb429a0d",
+    "fourier": "99504e2eeda19dbbe0b4ca66ef0b7866dea55228d26af2f4d484e2ca1b6bdcc9",
+    "sampler": "9323b02cf3a6d4b918a77ce2a546f33e15feab95087a86d47b83d87706584e92",
+}
+
 # 20 repeats: every seed grid and split batch of these sweeps takes the array path
 ARRAY_PATH_SWEEPS = {
     "nb-20": ("--task", "nb", "--repeats", "20", "--sampler-samples", "5"),
@@ -65,6 +101,16 @@ FLOORED_SWEEP = (
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def mechanism_digests(csv: str) -> dict[str, str]:
+    """Per mechanism of a sweep CSV, the digest of its header and that mechanism's rows."""
+    header, *lines = csv.splitlines(keepends=True)
+    mechanisms = dict.fromkeys(line.split(",", 1)[0] for line in lines)
+    return {
+        mech: digest(header + "".join(line for line in lines if line.startswith(f"{mech},")))
+        for mech in mechanisms
+    }
 
 
 @pytest.fixture
@@ -92,13 +138,17 @@ def test_cli_release_digest(name, files, capsys):
 @pytest.mark.parametrize("task", ["nb", "linreg"])
 def test_sweep_csv_digest(task, capsys):
     assert main(["--task", task, "--repeats", "2"]) == 0
-    assert digest(capsys.readouterr().out) == DIGESTS[task]
+    out = capsys.readouterr().out
+    assert mechanism_digests(out) == SWEEP_MECHANISM_DIGESTS[task]
+    assert digest(out) == DIGESTS[task]
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_PATH_SWEEPS))
 def test_array_path_sweep_csv_digest(name, capsys):
     assert main(list(ARRAY_PATH_SWEEPS[name])) == 0
-    assert digest(capsys.readouterr().out) == DIGESTS[name]
+    out = capsys.readouterr().out
+    assert mechanism_digests(out) == SWEEP_MECHANISM_DIGESTS[name]
+    assert digest(out) == DIGESTS[name]
 
 
 def test_missed_draw_sweep_csv_digest(capsys):
@@ -118,11 +168,13 @@ def test_random_dag_release_digest():
 
     Covers floored and unfloored Fourier rows, every node's
     reconstructed marginal of every Fourier row, and trimmed draws from
-    the exact and the Fourier posteriors.
+    the exact and the Fourier posteriors. Beside the digest of all of
+    them, each mechanism's releases have their own.
     """
     rng = np.random.default_rng(20240817)
     epsilons, seeds = (0.5, 1.0, 3.0, 10.0, 0.5, 3.0), tuple(range(6))
     sha = hashlib.sha256()
+    per_mechanism = {mech: hashlib.sha256() for mech in RANDOM_DAG_MECHANISM_DIGESTS}
     for graph in (random_dag(rng, 8), twenty_node_dag(rng)):
         data = random_dataset(rng, 300, graph.node_count)
         priors = uniform_priors(graph)
@@ -137,7 +189,9 @@ def test_random_dag_release_digest():
             coeffs = fourier.CoefficientSet(closure, EntryTable(closure.members, row))
             for node in range(graph.node_count):
                 cells = fourier.reconstruct_marginal(coeffs, node, graph).cells
-                sha.update(repr(sorted(cells.items())).encode())
+                marginal = repr(sorted(cells.items())).encode()
+                sha.update(marginal)
+                per_mechanism["fourier"].update(marginal)
         updates = compute_updates(graph, data)
         specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, data.n) for eps in epsilons]
         truncated, raw = laplace.perturb_update_stack((updates,), specs, (seeds,))
@@ -147,4 +201,11 @@ def test_random_dag_release_digest():
                  for table in tables]
         for array in (z, post, floored, truncated, raw, *draws):
             sha.update(np.ascontiguousarray(array).tobytes())
+        for mech, arrays in (
+            ("fourier", (z, post, floored)), ("laplace", (truncated, raw)), ("sampler", draws[:1])
+        ):
+            for array in arrays:
+                per_mechanism[mech].update(np.ascontiguousarray(array).tobytes())
+    got = {mech: h.hexdigest() for mech, h in per_mechanism.items()}
+    assert got == RANDOM_DAG_MECHANISM_DIGESTS
     assert sha.hexdigest() == DIGESTS["random-dags"]

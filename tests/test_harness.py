@@ -25,7 +25,7 @@ from dpbayes import (
     synth_linreg,
     synth_nb,
 )
-from dpbayes import fourier, laplace, regression
+from dpbayes import fourier, harness, laplace, regression, sampler
 from dpbayes.graph import BetaTable, UpdateVector, compute_updates, posterior_params
 from dpbayes.graph import uniform_priors
 from dpbayes.randomness import derive_seed, substream
@@ -356,6 +356,28 @@ def test_predictive_batch_reads_a_stack_as_its_rows():
         nb_predictive_batch(np.array([[[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]]), X)
 
 
+def test_predictive_batch_of_one_set_is_the_stack_of_one():
+    gen = np.random.default_rng(5)
+    stack = gen.uniform(0.5, 40.0, (3, 9, 2))
+    X = gen.integers(0, 2, (25, 4))
+    one = nb_predictive_batch(stack, X)
+    assert one.shape == (3, 25)
+    np.testing.assert_array_equal(nb_predictive_batch(stack[None], X[None]), one[None])
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16, 30])
+def test_predictive_batch_scores_each_set_as_alone(d):
+    # each set of a stack keeps the product shape it has when scored alone,
+    # so it keeps that call's bits
+    gen = np.random.default_rng(d)
+    stack = gen.uniform(0.5, 40.0, (4, 13, 2 * d + 1, 2))
+    X = gen.integers(0, 2, (4, 120, d + 1)).astype(np.int8)[:, :, 1:]
+    got = nb_predictive_batch(stack, X)
+    assert got.shape == (4, 13, 120)
+    for r in range(4):
+        np.testing.assert_array_equal(got[r], nb_predictive_batch(stack[r], X[r]))
+
+
 # ---------------------------------------------------------------------------
 # experiment sweeps
 # ---------------------------------------------------------------------------
@@ -408,6 +430,52 @@ def test_nb_experiment_rows_match_releases_scored_one_at_a_time():
             want[("laplace", eps, r)] = score(posterior_params(priors, UpdateVector(pert.entries)))
             want[("fourier", eps, r)] = score(fourier_post)
     assert rows == want
+
+
+def test_nb_experiment_rows_match_repeats_scored_one_at_a_time(monkeypatch):
+    # the sweep scores every repeat's posterior means in one stacked call;
+    # each repeat's rows equal its own stack scored alone against its own split
+    config = replace(TINY_NB, mechanisms=("none", "laplace", "fourier"), repeats=4)
+    stacks = []
+
+    def spy(posteriors, X):
+        stacks.append(posteriors)
+        return nb_predictive_batch(posteriors, X)
+
+    monkeypatch.setattr(harness, "nb_predictive_batch", spy)
+    rows = {(r.mechanism, r.param, r.repeat): r.value for r in run_nb_experiment(config).rows}
+    grid = config.epsilon_grid
+    assert [stack.shape[:2] for stack in stacks] == [(config.repeats, 1 + 2 * len(grid))]
+    data, _ = synth_nb(config.d, config.n, config.seed)
+    want = {}
+    for r in range(config.repeats):
+        _, test = split_dataset(data, config.train_fraction, derive_seed(config.seed, "split", r))
+        probs = nb_predictive_batch(stacks[0][r], test.records[:, 1:])
+        scores = accuracy(probs, test.records[:, 0], config.threshold).tolist()
+        for ei, eps in enumerate(grid):
+            want[("none", eps, r)] = scores[0]
+            want[("laplace", eps, r)] = scores[1 + ei]
+            want[("fourier", eps, r)] = scores[1 + len(grid) + ei]
+    assert rows == want
+
+
+def test_nb_experiment_scores_repeats_in_chunks_of_one_block(monkeypatch):
+    # a block of 11 rows of test-set likelihoods keeps each repeat's 2G = 10
+    # columns in one product, but holds the probabilities of only 2 repeats,
+    # so 5 repeats are scored in chunks of 2, 2 and 1; the rows stay the same
+    config = replace(TINY_NB, mechanisms=("none", "laplace", "fourier"), repeats=5)
+    whole = run_nb_experiment(config).rows
+    n_test = config.n - round(config.n * config.train_fraction)
+    monkeypatch.setattr(sampler, "_BLOCK_BYTES", 8 * n_test * 11)
+    calls = []
+
+    def spy(posteriors, X):
+        calls.append(len(posteriors))
+        return nb_predictive_batch(posteriors, X)
+
+    monkeypatch.setattr(harness, "nb_predictive_batch", spy)
+    assert run_nb_experiment(config).rows == whole
+    assert calls == [2, 2, 1]
 
 
 def test_nb_experiment_replay_byte_identical():

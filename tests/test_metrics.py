@@ -139,6 +139,19 @@ def test_accuracy_of_a_stack_is_one_value_per_row():
     assert got.tolist() == [accuracy(row, [1, 1, 0], 0.5) for row in preds] == [1.0, 0.0, 2 / 3]
 
 
+def test_accuracy_of_a_stack_of_stacks_reads_each_against_its_own_labels():
+    preds = [[[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.1], [0.6, 0.7]], [[0.4, 0.4], [0.5, 0.5]]]
+    labels = [[1, 0], [0, 1], [0, 0]]
+    got = accuracy(preds, labels)
+    assert got.shape == (3, 2)
+    assert got.tolist() == [accuracy(p, lab).tolist() for p, lab in zip(preds, labels)]
+    # labels for the first two stacks only, or a stack of labels for one row
+    with pytest.raises(DimensionMismatchError, match=r"^\(3, 2, 2\) predictions vs \(2, 2\)"):
+        accuracy(preds, labels[:2])
+    with pytest.raises(DimensionMismatchError, match=r"^\(2,\) predictions vs \(2, 2\)"):
+        accuracy(preds[0][0], labels[:2])
+
+
 def test_accuracy_random_approaches_half(rng):
     preds = rng.random(20000)
     labels = rng.integers(0, 2, 20000)

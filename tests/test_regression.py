@@ -122,6 +122,31 @@ def test_posterior_input_that_is_no_numeric_table_is_an_invalid_argument(rng):
         fit_posterior(scaled_synth(rng), precision=[[1.0, "b"], [0.0, 1.0]], radius=1.0)
 
 
+BOOL_INPUTS = {
+    "posterior-radius": ("radius", lambda data: GaussianPosterior(np.zeros(2), np.eye(2), True)),
+    "numpy-bool-radius": (
+        "radius", lambda data: GaussianPosterior(np.zeros(2), np.eye(2), np.True_)
+    ),
+    "fit-radius": ("radius", lambda data: fit_posterior(data, 1.0, True)),
+    "stack-radii": (
+        "radius",
+        lambda data: PosteriorStack(np.zeros((1, 2)), [np.eye(2)], radii=np.array([True])),
+    ),
+    "data-X": ("X", lambda data: RegressionData(np.array([[True, False]]), np.array([0.5]), 1.0)),
+    "data-y": ("y", lambda data: RegressionData(np.array([[0.5, 0.5]]), np.array([True]), 1.0)),
+    "scoring-X": (
+        "X_test", lambda data: mse_stack(np.zeros((1, 2)), np.array([[True, False]]), np.zeros(1))
+    ),
+}
+
+
+@pytest.mark.parametrize("name, call", BOOL_INPUTS.values(), ids=BOOL_INPUTS)
+def test_a_bool_is_no_regression_number(rng, name, call):
+    # a bool would read as 0.0 or 1.0; the scalar checks refuse it too
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must hold numbers, not bools$"):
+        call(scaled_synth(rng))
+
+
 @pytest.mark.parametrize("where", ["X_test", "y_test", "weights"])
 def test_scoring_input_that_is_no_numeric_table_is_an_invalid_argument(where):
     args = {"weights": np.zeros((1, 2)), "X_test": np.zeros((3, 2)), "y_test": np.zeros(3)}

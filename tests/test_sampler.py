@@ -685,6 +685,41 @@ def test_naive_bayes_class1_rescues_only_the_out_of_window_group(samples):
             np.testing.assert_array_equal(got[g], naive_bayes_class1(theta[:, g : g + 1], X)[0])
 
 
+@pytest.mark.parametrize("samples", [1, 50])
+def test_naive_bayes_class1_stack_rescues_each_set_as_alone(samples):
+    # three sets of 1000 features: set 1 is the underflowing case above,
+    # while sets 0 and 2 put every bit near 0.05 or 0.95 by class and
+    # score all-zeros and all-ones rows, which stay in the window; each
+    # set of the stack equals, bit for bit, a call with that set alone
+    gen = np.random.default_rng(29)
+    k = 1000
+    theta = np.stack(
+        [wide_theta(gen, k, samples, separated=sep) for sep in (True, False, True)]
+    )[:, :, None]
+    zeros, ones, alternating = np.zeros(k), np.ones(k), (np.arange(k) % 2).astype(float)
+    X = np.array([[zeros, ones, zeros], [ones, zeros, alternating], [ones, ones, zeros]])
+    for r, inside in enumerate((True, False, True)):
+        log_sums = log_total(theta[r, :, 0], X[r])
+        assert (np.abs(log_sums) < LOG_WINDOW).all() if inside else (log_sums < -LOG_WINDOW).all()
+    got = naive_bayes_class1(theta, X)
+    assert got.shape == (3, 1, 3)
+    for r in range(3):
+        np.testing.assert_allclose(
+            got[r, 0], class1_by_logsumexp(theta[r, :, 0], X[r]), rtol=0, atol=1e-12
+        )
+        np.testing.assert_array_equal(got[r], naive_bayes_class1(theta[r], X[r]))
+
+
+def test_naive_bayes_class1_needs_one_set_of_rows_per_theta_set():
+    theta = nb_theta(np.random.default_rng(31), 2, 1, 1)
+    naive_bayes_class1(np.stack([theta, theta]), np.zeros((2, 4, 2)))
+    for X in (np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((2, 4, 3))):
+        with pytest.raises(DimensionMismatchError, match="X must be 2 sets of rows of 2 feature"):
+            naive_bayes_class1(np.stack([theta, theta]), X)
+    with pytest.raises(DimensionMismatchError, match="X must be rows of 2 feature bits"):
+        naive_bayes_class1(theta, np.zeros((2, 4, 2)))
+
+
 def block_columns(rows):
     """Likelihood columns of `rows` float64 values that fit in one kernel block."""
     return _BLOCK_BYTES // (8 * rows)
