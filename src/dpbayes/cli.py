@@ -216,12 +216,15 @@ def _run_mechanism(settings: dict, out: str) -> int:
             lines.append(f"{i},{coords}")
         return _emit(out, lines)
 
+    if name not in _RELEASES:
+        raise ConfigError(f"unknown mechanism {name!r}")
     graph, priors = load_network(_require(settings, "network"))
     data = load_dataset(_require(settings, "dataset"))
+    updates = compute_updates(graph, data)  # every release reads the one count
 
     if name == "laplace":
         spec = laplace.LaplaceNoiseSpec.for_graph(graph, epsilon, data.n)
-        pert = laplace.perturb_updates(compute_updates(graph, data), spec, seed)
+        pert = laplace.perturb_updates(updates, spec, seed)
         lines = ["node,config,z1,z2"]
         for (i, j), (z1, z2) in zip(pert.entries.order, pert.entries.array.tolist()):
             lines.append(f"{i},{j},{z1!r},{z2!r}")
@@ -230,7 +233,7 @@ def _run_mechanism(settings: dict, out: str) -> int:
     if name == "fourier":
         t = settings.get("t", fourier.DEFAULT_STEALTH_T)
         z, post, floored = fourier.release_posterior_stack(
-            (data,), graph, priors, (epsilon,), t, ((seed,),)
+            updates.entries.array[None], graph, priors, (epsilon,), t, ((seed,),)
         )
         if floored[0, 0]:
             log.warning("stealth failed; negative cells floored at zero")
@@ -241,19 +244,17 @@ def _run_mechanism(settings: dict, out: str) -> int:
             lines.append(f"posterior,{i},{j},{alpha!r};{beta!r}")
         return _emit(out, lines)
 
-    if name == "sampler":
-        samples = settings.get("samples", 1)
-        if samples < 0:
-            raise ConfigError(f"samples must be non-negative, got {samples}")
-        post = posterior_params(priors, compute_updates(graph, data))
-        draws = sampler.trimmed_posterior_draws(post, sampler.trim_bound(epsilon), seed, samples)
-        lines = ["node,config,draw,theta"]
-        for s, column in enumerate(draws.array.T.tolist()):
-            for (i, j), theta in zip(draws.order, column):
-                lines.append(f"{i},{j},{s},{theta!r}")
-        return _emit(out, lines)
-
-    raise ConfigError(f"unknown mechanism {name!r}")
+    # the sampler, the one release left
+    samples = settings.get("samples", 1)
+    if samples < 0:
+        raise ConfigError(f"samples must be non-negative, got {samples}")
+    post = posterior_params(priors, updates)
+    draws = sampler.trimmed_posterior_draws(post, sampler.trim_bound(epsilon), seed, samples)
+    lines = ["node,config,draw,theta"]
+    for s, column in enumerate(draws.array.T.tolist()):
+        for (i, j), theta in zip(draws.order, column):
+            lines.append(f"{i},{j},{s},{theta!r}")
+    return _emit(out, lines)
 
 
 def _run_verify(settings: dict, out: str) -> int:

@@ -17,17 +17,17 @@ so the released posteriors look like ordinary clean outputs. That is
 the stealth property. When it fails, release_posterior_stack floors the
 negative cells of that same release at zero: post-processing, so the
 release still costs exactly epsilon. The stack makes a whole grid of
-releases at once, every dataset under one row of epsilons, each from
-its own keyed substream; a single release is its one-entry case.
+releases at once, every count table under one row of epsilons, each
+from its own keyed substream; a single release is its one-entry case.
 
-Counting and reconstruction share one layout of the family cells:
-_family_layout pairs each cell of a tuple of families with the closure
-member behind it. The exact coefficients count the maximal members'
-cells and transform them; the posteriors transform the released
-coefficients back into the cells of graph.node_families, which
-entry_cell_plan lays out as the (beta, alpha) pairs of the entry order.
-A stack's noise is one randomness.keyed_laplace_stack draw, over every
-(dataset, epsilon) pair of the grid.
+One layout of the family cells is read both ways: _family_layout pairs
+each cell of a tuple of families with the closure member behind it;
+_coefficients turns cells into coefficients, _family_cells coefficients
+into cells. The stack reads its exact coefficients off the update
+counts, which are the cells of graph.node_families in entry_cell_plan's
+layout, and its posteriors are those cells read back from the released
+coefficients. A stack's noise is one randomness.keyed_laplace_stack
+draw, over every (table, epsilon) pair of the grid.
 """
 from __future__ import annotations
 
@@ -51,6 +51,7 @@ from .graph import (
     PriorMap,
     cell_plan,
     check_beta_rows,
+    check_update_stack,
     count_cells,
     node_families,
     project_marginal,
@@ -60,6 +61,8 @@ from .randomness import derive_seeds, keyed_laplace_stack, seed_grid
 _NOISE_TAG = "fourier-coefficient-noise"
 
 DEFAULT_STEALTH_T = math.log(10.0)
+
+Families = tuple[tuple[int, ...], ...]  # variable tuples, each laid out as its 2^f cells
 
 
 @dataclass(frozen=True)
@@ -124,25 +127,25 @@ def _local_masks(nodes: tuple[int, ...]) -> list[int]:
 
 
 def _walsh(table: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of each row of a (rows, 2^f) table.
+    """Unnormalised Walsh-Hadamard transform along the last axis of a (..., 2^f) table.
 
-    out[r, g] = sum_c (-1)^{popcount(c & g)} * table[r, c], by f
+    out[..., g] = sum_c (-1)^{popcount(c & g)} * table[..., c], by f
     butterfly passes in O(f 2^f) per row. The transform is its own
     inverse up to a factor 2^f.
     """
-    rows, width = table.shape
+    shape = table.shape
     h = 1
-    while h < width:
-        pairs = table.reshape(rows, -1, 2, h)
-        lo, hi = pairs[:, :, :1], pairs[:, :, 1:]
-        table = np.concatenate((lo + hi, lo - hi), axis=2).reshape(rows, width)
+    while h < shape[-1]:
+        pairs = table.reshape(*shape[:-1], -1, 2, h)
+        lo, hi = pairs[..., :1, :], pairs[..., 1:, :]
+        table = np.concatenate((lo + hi, lo - hi), axis=-2).reshape(shape)
         h *= 2
     return table
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _family_layout(
-    closure: DownwardClosure, families: tuple[tuple[int, ...], ...]
+    closure: DownwardClosure, families: Families
 ) -> tuple[CellPlan, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """The cell_plan of the families, and which coefficient each of their cells pairs with.
 
@@ -177,7 +180,7 @@ def _family_layout(
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _maximal_families(closure: DownwardClosure) -> tuple[tuple[int, ...], ...]:
+def _maximal_families(closure: DownwardClosure) -> Families:
     """The ascending variables of every maximal member, in closure order.
 
     Every member lies under some maximal one, so the submasks of these
@@ -192,22 +195,18 @@ def _maximal_families(closure: DownwardClosure) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _exact_vector(data: Dataset, closure: DownwardClosure) -> np.ndarray:
-    """Every exact coefficient, in closure.members order.
+def _coefficients(cells: np.ndarray, closure: DownwardClosure, families: Families) -> np.ndarray:
+    """Every exact coefficient, in closure.members order, of each row of an (R, cells) stack.
 
-    The records' cells over the variables of every maximal member are
-    counted by one graph.count_cells call into their _family_layout; the
-    Walsh butterfly of each member size's integer counts gives 2^{k/2}
-    times each submask's coefficient. Equal, bit for bit, to
-    fourier_coefficient; no records x closure matrix is built.
+    A row holds integer cell counts of the families, whose submasks cover
+    the closure, in their _family_layout; each family's Walsh butterfly
+    is 2^{k/2} times its submasks' coefficients. Equal, bit for bit, to
+    fourier_coefficient, whichever family a submask is read from.
     """
-    exact = np.zeros(closure.size)
-    if data.n == 0:
-        return exact
-    plan, tables = _family_layout(closure, _maximal_families(closure))
-    counts = count_cells(data.records, plan)
-    for cells, positions in tables:
-        exact[positions] = _walsh(counts[cells])
+    _, tables = _family_layout(closure, families)
+    exact = np.zeros((len(cells), closure.size))
+    for index, positions in tables:
+        exact[:, positions] = _walsh(cells[:, index])
     return exact * 2.0 ** (-closure.k / 2.0)
 
 
@@ -228,8 +227,12 @@ class CoefficientSet:
 
 
 def exact_coefficients(data: Dataset, closure: DownwardClosure) -> CoefficientSet:
-    """Noise-free coefficient set; the zero-noise reference path."""
-    return CoefficientSet(closure, EntryTable(closure.members, _exact_vector(data, closure)))
+    """Noise-free coefficients, counted over the maximal members' cells: the zero-noise path."""
+    families = _maximal_families(closure)
+    plan, _ = _family_layout(closure, families)
+    cells = count_cells(data.records, plan) if data.n else np.zeros(plan.total)
+    exact = _coefficients(cells[None], closure, families)[0]
+    return CoefficientSet(closure, EntryTable(closure.members, exact))
 
 
 def noise_scale(closure: DownwardClosure, epsilon: float) -> float:
@@ -246,29 +249,29 @@ def stealth_increment(closure: DownwardClosure, epsilon: float, t: float) -> flo
 
 
 def release_coefficient_stack(
-    datasets: Sequence[Dataset],
+    exact: np.ndarray,
     closure: DownwardClosure,
     epsilons: Sequence[float],
     t: float,
     seeds: Sequence[Sequence[int]] | np.ndarray,
 ) -> np.ndarray:
-    """One noisy coefficient release per (dataset, epsilon) pair, stacked as an (R, E, |J|) array.
+    """One noisy coefficient release per (row, epsilon) pair, stacked as an (R, E, |J|) array.
 
-    seeds holds one row of E seeds per dataset. Release [r, e] adds
-    independent Laplace(2|J|/(eps_e 2^{k/2})) noise to every exact
-    coefficient of datasets[r], which are computed once per dataset: the
-    release's own keyed substream, seeds[r][e], supplies closure.size
-    uniforms, the i-th for closure.members[i], each mapped by inverse
-    CDF. Then the all-zeros coefficient is raised by
-    4t|J|^2/(eps_e 2^{k/2}). The whole grid's noise is one
-    keyed_laplace_stack draw. Reproducible under the seeds; which
-    uniform feeds which coefficient depends on closure.members alone.
+    exact is an (R, |J|) stack of exact coefficient vectors in
+    closure.members order, and seeds holds one row of E seeds per
+    vector. Release [r, e] adds independent Laplace(2|J|/(eps_e 2^{k/2}))
+    noise to every coefficient of exact[r]: the release's own keyed
+    substream, seeds[r][e], supplies closure.size uniforms, the i-th for
+    closure.members[i], each mapped by inverse CDF. Then the all-zeros
+    coefficient is raised by 4t|J|^2/(eps_e 2^{k/2}). The whole grid's
+    noise is one keyed_laplace_stack draw. Reproducible under the seeds;
+    which uniform feeds which coefficient depends on closure.members alone.
     """
-    seeds = seed_grid(seeds, len(datasets), len(epsilons))
+    seeds = seed_grid(seeds, len(exact), len(epsilons))
     boosts = [stealth_increment(closure, epsilon, t) for epsilon in epsilons]
     scales = [noise_scale(closure, epsilon) for epsilon in epsilons]
     noise = keyed_laplace_stack(seeds, _NOISE_TAG, closure.size, scales)
-    values = np.stack([_exact_vector(data, closure) for data in datasets])[:, None] + noise
+    values = exact[:, None] + noise
     values[:, :, 0] += boosts
     return values
 
@@ -277,7 +280,8 @@ def release_coefficients(
     data: Dataset, closure: DownwardClosure, epsilon: float, t: float, seed: int
 ) -> CoefficientSet:
     """Noisy coefficient release with the stealth increment applied: one entry of the stack."""
-    values = release_coefficient_stack((data,), closure, (epsilon,), t, ((seed,),))[0, 0]
+    exact = exact_coefficients(data, closure).values.array[None]
+    values = release_coefficient_stack(exact, closure, (epsilon,), t, ((seed,),))[0, 0]
     return CoefficientSet(closure, EntryTable(closure.members, values))
 
 
@@ -287,10 +291,7 @@ def release_coefficients(
 
 
 def _family_cells(
-    z: np.ndarray,
-    closure: DownwardClosure,
-    graph: BayesNetGraph,
-    families: tuple[tuple[int, ...], ...],
+    z: np.ndarray, closure: DownwardClosure, graph: BayesNetGraph, families: Families
 ) -> np.ndarray:
     """Cells of the graph's families for each row of an (E, |J|) stack, in their cell_plan layout.
 
@@ -308,9 +309,8 @@ def _family_cells(
     out = np.empty((len(z), plan.total))
     with np.errstate(over="ignore", invalid="ignore"):
         for cells, positions in tables:
-            rows, width = positions.shape
-            table = _walsh(z[:, positions].reshape(-1, width)).reshape(len(z), rows, width)
-            out[:, cells] = table * 2.0 ** (closure.k / 2.0 - (width.bit_length() - 1))
+            scale = 2.0 ** (closure.k / 2.0 - (positions.shape[1].bit_length() - 1))
+            out[:, cells] = _walsh(z[:, positions]) * scale
     if not np.isfinite(out).all():
         raise InvalidArgumentError("reconstructed cells must be finite")
     return out
@@ -390,21 +390,22 @@ def fourier_posterior_params(
 
 
 def release_posterior_stack(
-    datasets: Sequence[Dataset],
+    updates: np.ndarray,
     graph: BayesNetGraph,
     priors: PriorMap,
     epsilons: Sequence[float],
     t: float,
     seeds: Sequence[Sequence[int]] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One release over downward_closure(graph) per (dataset, epsilon) pair, and its posterior.
+    """One release over downward_closure(graph) per (table, epsilon) pair, and its posterior.
 
-    seeds holds one row of E seeds per dataset, and release [r, e] of
-    datasets[r] at epsilons[e] draws its noise from
-    derive_seed(seeds[r][e], "attempt", 0): the whole grid derives those
-    seeds in one derive_seeds call and makes its releases in one
-    release_coefficient_stack call. A release whose posterior has a
-    non-positive parameter (a stealth failure) is read again with its
+    updates is an (R, m, 2) stack of the graph's update counts, as
+    graph.count_updates returns them, and seeds holds one row of E seeds
+    per table. Release [r, e] of updates[r] at epsilons[e] draws its
+    noise from derive_seed(seeds[r][e], "attempt", 0): the whole grid
+    derives those seeds in one derive_seeds call and makes its releases
+    in one release_coefficient_stack call. A release whose posterior has
+    a non-positive parameter (a stealth failure) is read again with its
     negative cells floored at zero; every other release keeps its cells
     as they are, and any other error propagates. Flooring is
     post-processing of the one release, so the privacy cost of release
@@ -414,8 +415,10 @@ def release_posterior_stack(
     release [r, e], with clamp_nonpositive set exactly when floored[r, e] is.
     """
     closure = downward_closure(graph)
-    seeds = seed_grid(seeds, len(datasets), len(epsilons))
-    z = release_coefficient_stack(datasets, closure, epsilons, t, derive_seeds(seeds, "attempt", 0))
+    cells = check_update_stack(updates, graph.update_size())[:, :, ::-1].reshape(len(updates), -1)
+    seeds = seed_grid(seeds, len(cells), len(epsilons))
+    exact = _coefficients(cells, closure, node_families(graph))
+    z = release_coefficient_stack(exact, closure, epsilons, t, derive_seeds(seeds, "attempt", 0))
     prior = BetaTable.keyed("priors", priors, graph.entry_keys()).array
     cells = _entry_cells(z.reshape(-1, closure.size), closure, graph)
     floored = (prior + cells <= 0.0).any(axis=(1, 2))

@@ -29,9 +29,9 @@ cells are therefore the (x_i=0, x_i=1) = (beta, alpha) pairs of its
 entries in entry order. count_cells counts the records into the cells
 of every family a cell_plan lists with one matrix product and one
 bincount; entry_cell_plan lists the families in node order, so the
-counts read two at a time are the update pairs of compute_updates.
-The Fourier reconstruction writes the node families' cells in the same
-layout, so its cells read two at a time are the same pairs.
+counts read two at a time are the update pairs of count_updates. The
+Fourier release reads its coefficients off those same cells, and its
+reconstruction writes the node families' cells back in this layout.
 """
 from __future__ import annotations
 
@@ -275,9 +275,6 @@ class Dataset:
     def dimension(self) -> int:
         return self.records.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.records[indices])
-
 
 # ---------------------------------------------------------------------------
 # update vectors
@@ -392,18 +389,31 @@ def entry_cell_plan(graph: BayesNetGraph) -> CellPlan:
     return cell_plan(graph.node_count, node_families(graph))
 
 
-def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
-    """Count-based posterior updates for every entry of the network.
+def count_updates(graph: BayesNetGraph, records: np.ndarray) -> np.ndarray:
+    """(alpha, beta) update counts of each set of an (R, n, k) record stack, as (R, m, 2) floats.
 
-    For each record x and node i with parent configuration j = x_{pi(i)},
-    delta_alpha[i, j] grows by x_i and delta_beta[i, j] by 1 - x_i: the
-    family cells 2j + 1 and 2j.
+    Each record x with parent configuration j = x_{pi(i)} adds x_i to
+    alpha and 1 - x_i to beta of entry (i, j): the family cells 2j + 1
+    and 2j. Each set is one count_cells call.
     """
-    keys = graph.entry_keys()
-    if not data.n:
-        return UpdateVector(EntryTable(keys, np.zeros((len(keys), 2))))
-    pairs = count_cells(data.records, entry_cell_plan(graph)).reshape(-1, 2).astype(np.float64)
-    return UpdateVector(EntryTable(keys, pairs[:, ::-1]))
+    plan = entry_cell_plan(graph)
+    counts = np.array([count_cells(rows, plan) for rows in records], dtype=np.float64)
+    return counts.reshape(len(records), plan.total // 2, 2)[:, :, ::-1]
+
+
+def compute_updates(graph: BayesNetGraph, data: Dataset) -> UpdateVector:
+    """Updates of every entry: count_updates of one set; an empty set may have no columns."""
+    records = data.records if data.n else np.zeros((0, graph.node_count), np.int8)
+    return UpdateVector(EntryTable(graph.entry_keys(), count_updates(graph, records[None])[0]))
+
+
+def check_update_stack(updates: np.ndarray, m: int | None = None) -> np.ndarray:
+    """updates, once a numeric (R, m, 2) array, of m rows if given; else DimensionMismatchError."""
+    shape = getattr(updates, "shape", None)  # None for anything but an array
+    numeric = shape is not None and len(shape) == 3 and updates.dtype.kind in "iuf"
+    if not numeric or shape[2] != 2 or m not in (None, shape[1]):
+        raise DimensionMismatchError(f"need a numeric (R, {m or 'm'}, 2) update stack, got {shape}")
+    return updates
 
 
 def posterior_params(priors: PriorMap, updates: UpdateVector) -> BetaTable:

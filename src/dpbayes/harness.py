@@ -22,13 +22,13 @@ from .errors import ConfigError, DimensionMismatchError, InvalidArgumentError, O
 from .errors import check_epsilon, check_fraction, check_integer, check_nonnegative
 from .errors import check_positive, check_probability
 from .graph import (
+    BetaTable,
     Dataset,
     ThetaMap,
     ancestral_sample,
     check_beta_rows,
-    compute_updates,
+    count_updates,
     naive_bayes_graph,
-    posterior_params,
     uniform_priors,
 )
 from .io import load_dataset, load_regression_csv
@@ -206,7 +206,7 @@ def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Data
     """Disjoint, covering train/test split from a seeded permutation."""
     check_fraction("train fraction", train_fraction)
     train, test = next(_splits(data.n, train_fraction, 1, (seed,)))
-    return data.subset(train), data.subset(test)
+    return Dataset(data.records[train]), Dataset(data.records[test])
 
 
 def synth_linreg(
@@ -295,22 +295,24 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     The sweep derives each kind of seed for all its repeats and epsilons
     in one derive_seeds call, and takes every repeat's split from one
-    batch of keyed streams. Each repeat counts its training split once.
-    Laplace then releases the whole (repeat, epsilon) grid as one
-    (R, E, m, 2) stack of noisy counts, and fourier as one (R, E, |J|)
-    stack of coefficients over each repeat's exact coefficient vector,
-    read back with one Walsh pass per family size. Every release still
-    draws from its own keyed substream, and a fourier release is floored
-    only when its own posterior has a non-positive parameter. Every
-    repeat's test rows and labels are indexed straight from the checked
-    dataset, without a second check. A repeat's none, laplace and fourier
-    posteriors form its (G, m, 2) row of one (R, G, m, 2) stack, scored
-    against the (R, n_test, d) stack of test rows by one
-    nb_predictive_batch call and one accuracy call per chunk of repeats.
+    batch of keyed streams. Every repeat's rows are indexed straight from
+    the checked dataset, and one count_updates call counts each training
+    split once, into the (R, m, 2) stack of counts that every mechanism
+    reads. The exact posteriors are the priors plus the counts; laplace
+    releases the whole (repeat, epsilon) grid as one (R, E, m, 2) stack
+    of noisy counts, and fourier as one (R, E, |J|) stack of coefficients
+    read off the counts, and back, with one Walsh pass per family size.
+    Every release still draws from its own keyed substream, and a fourier
+    release is floored only when its own posterior has a non-positive
+    parameter. A repeat's none, laplace and fourier posteriors form its
+    (G, m, 2) row of one (R, G, m, 2) stack, scored against the
+    (R, n_test, d) stack of test rows by one nb_predictive_batch call
+    and one accuracy call per chunk of repeats.
     A chunk holds as many repeats as fit their (G, n_test) probabilities
     in one kernel block (sampler._BLOCK_BYTES), so memory does not grow
     with R: at the bench config, 20 repeats of 13 posteriors on 950 test
-    rows, the sweep is one chunk. The sampler scores each release alone.
+    rows, the sweep is one chunk. The sampler scores each release alone,
+    from its repeat's row of the exact posteriors.
     """
     _require_task(config, "nb")
     if config.dataset is not None:
@@ -326,29 +328,25 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     grid = config.epsilon_grid
 
     split_seeds = derive_seeds(config.seed, "split", np.arange(config.repeats))
-    trains, tests = [], []
-    for train, test in _splits(data.n, config.train_fraction, 1, split_seeds):
-        trains.append(data.subset(train))
-        tests.append(test)
-    # every repeat's test rows, read from the checked records: (R, n_test, d) and (R, n_test)
-    test_records = data.records[np.array(tests)]
+    trains, tests = zip(*_splits(data.n, config.train_fraction, 1, split_seeds))
+    # every repeat's rows, read from the checked records: (R, n_split, d + 1)
+    train_records, test_records = data.records[np.array(trains)], data.records[np.array(tests)]
     X_test, labels = test_records[:, :, 1:], test_records[:, :, 0]
-    updates = [compute_updates(graph, train) for train in trains]
-    exact = [posterior_params(priors, u) for u in updates]
+    counts = count_updates(graph, train_records)
+    exact = priors.array + counts
 
     stacks = {}  # the posterior-mean releases of each mechanism, one row of them per repeat
     if "none" in config.mechanisms:
-        stacks["none"] = np.stack([post.array for post in exact])[:, None]
+        stacks["none"] = exact[:, None]
     if "laplace" in config.mechanisms:
-        n_train = trains[0].n  # every split trains on the same number of records
+        n_train = train_records.shape[1]  # every split trains on the same number of records
         specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, n_train) for eps in grid]
-        noisy, _ = laplace.perturb_update_stack(updates, specs, _seed_grid(config, "laplace", grid))
+        noisy, _ = laplace.perturb_update_stack(counts, specs, _seed_grid(config, "laplace", grid))
         stacks["laplace"] = priors.array + noisy
     stealth_clamps = 0
     if "fourier" in config.mechanisms:
         _, stacks["fourier"], floored = fourier.release_posterior_stack(
-            trains, graph, priors, grid, config.fourier_t,
-            _seed_grid(config, "fourier", grid),
+            counts, graph, priors, grid, config.fourier_t, _seed_grid(config, "fourier", grid)
         )
         stealth_clamps = int(floored.sum())
 
@@ -361,8 +359,8 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
             for ei, eps in enumerate(grid):
                 try:
                     probs = sampler.sampler_predictive_batch(
-                        graph, exact[r], X_test[r], eps, config.sampler_samples,
-                        sampler_seeds[r][ei],
+                        graph, BetaTable(priors.order, exact[r]), X_test[r], eps,
+                        config.sampler_samples, sampler_seeds[r][ei],
                     )
                 except OmegaTooLargeError:
                     # Trim interval is degenerate at this epsilon: the

@@ -8,9 +8,9 @@ one of the 2m update counts (m = sum_i 2^{|parents(i)|}, zero-filled
 entries included) and truncates the noisy counts to [0, n]. Truncation
 is post-processing and costs no privacy; outputs stay real-valued.
 Counts and noisy counts are (m, 2) tables in the graph module's entry order;
-perturb_update_stack makes a grid of releases at once, every count table
-under one row of specs, as one (R, E, m, 2) stack whose noise is one
-randomness.keyed_laplace_stack draw.
+perturb_update_stack makes a grid of releases at once, every table of an
+(R, m, 2) stack of counts under one row of specs, as one (R, E, m, 2)
+stack whose noise is one randomness.keyed_laplace_stack draw.
 """
 from __future__ import annotations
 
@@ -20,9 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidArgumentError
-from .errors import check_epsilon, check_fraction, check_integer
-from .graph import BayesNetGraph, BetaTable, EntryTable, PriorMap, UpdateVector
+from .errors import InvalidArgumentError, check_epsilon, check_fraction, check_integer
+from .graph import BayesNetGraph, BetaTable, EntryTable, PriorMap, UpdateVector, check_update_stack
 from .randomness import keyed_laplace_stack, seed_grid
 
 _NOISE_TAG = "laplace-update-noise"
@@ -76,27 +75,25 @@ class PerturbedUpdates:
 
 
 def perturb_update_stack(
-    updates: Sequence[UpdateVector],
+    updates: np.ndarray,
     specs: Sequence[LaplaceNoiseSpec],
     seeds: Sequence[Sequence[int]] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Releases of several update tables under one row of specs, stacked: (truncated, raw).
+    """Releases of a stack of update tables under one row of specs, stacked: (truncated, raw).
 
-    updates holds R tables of one graph, specs one row of E specs that
-    every table shares, and seeds one seed per (table, spec) pair, as
-    randomness.seed_grid checks. Both results are (R, E, m, 2) arrays,
-    entry [r, e] the release of updates[r] under specs[e] and seeds[r][e]:
-    its own keyed substream supplies an (m, 2) block of uniforms, row i
-    for row i of its table, each one count's noise by inverse CDF, and
-    it is truncated into [0, specs[e].n]. The whole grid's noise is one
-    keyed_laplace_stack draw. Entry [r, e] equals
-    perturb_updates(updates[r], specs[e], seeds[r][e]) bit for bit.
+    updates is an (R, m, 2) stack of count tables, as graph.count_updates
+    returns them, specs one row of E specs that every table shares, and
+    seeds one seed per (table, spec) pair, as randomness.seed_grid
+    checks. Both results are (R, E, m, 2) arrays, entry [r, e] the
+    release of updates[r] under specs[e] and seeds[r][e]: its own keyed
+    substream supplies an (m, 2) block of uniforms, row i for row i of
+    its table, each one count's noise by inverse CDF, and it is
+    truncated into [0, specs[e].n]. The whole grid's noise is one
+    keyed_laplace_stack draw. Entry [r, e] equals perturb_updates of
+    table r under specs[e] and seeds[r][e] bit for bit.
     """
-    seeds = seed_grid(seeds, len(updates), len(specs))
-    order = updates[0].entries.order
-    if any(u.entries.order != order for u in updates):
-        raise DimensionMismatchError("every update table must share one entry order")
-    counts = np.stack([u.entries.array for u in updates])[:, None]
+    counts = check_update_stack(updates)[:, None]
+    seeds = seed_grid(seeds, len(counts), len(specs))
     scales = [spec.scale for spec in specs]
     raw = counts + keyed_laplace_stack(seeds, _NOISE_TAG, counts.shape[2:], scales)
     ns = np.array([float(spec.n) for spec in specs])[:, None, None]
@@ -105,7 +102,7 @@ def perturb_update_stack(
 
 def perturb_updates(updates: UpdateVector, spec: LaplaceNoiseSpec, seed: int) -> PerturbedUpdates:
     """Add per-count Laplace noise and truncate into [0, n]: one entry of perturb_update_stack."""
-    entries, raw = perturb_update_stack((updates,), (spec,), ((seed,),))
+    entries, raw = perturb_update_stack(updates.entries.array[None], (spec,), ((seed,),))
     order = updates.entries.order
     return PerturbedUpdates(EntryTable(order, entries[0, 0]), EntryTable(order, raw[0, 0]))
 

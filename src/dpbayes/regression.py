@@ -9,11 +9,11 @@ it is built; a GaussianPosterior is one such row. fit_posterior_stack
 fits every training set of a sweep, given as row indices into the
 checked data, under the whole grid of prior precisions: the scaled
 priors are built once, X'X and X'y once per set, and LAPACK's Cholesky
-routines are called directly. fit_posterior_grid is its one-set case
-and fit_posterior its one-entry case. sample_truncated draws for a
-whole stack at once, one keyed stream per draw seed: a sweep hands it
-every (b, repeat) pair in one call, and predictive_mse is the one-pair
-case. mse_stack scores a stack of weight rows against one test set.
+routines are called directly. fit_posterior is its one-entry case, one
+precision on all the data. sample_truncated draws for a whole stack at
+once, one keyed stream per draw seed: a sweep hands it every
+(b, repeat) pair in one call, and predictive_mse is the one-pair case.
+mse_stack scores a stack of weight rows against one test set.
 Every array input passes through one conversion, so a cell that is no
 number, a ragged row or a wrong shape is an InvalidArgumentError rather
 than numpy's own error.
@@ -248,20 +248,11 @@ def fit_posterior_stack(
     )
 
 
-def fit_posterior_grid(
-    data: RegressionData,
-    precisions: Sequence[float | np.ndarray],
-    radii: Sequence[float],
-) -> PosteriorStack:
-    """One posterior per (precision, radius) pair on all the data: fit_posterior_stack's one set."""
-    return fit_posterior_stack(data, [slice(None)], precisions, radii)
-
-
 def fit_posterior(
     data: RegressionData, precision: float | np.ndarray, radius: float
 ) -> GaussianPosterior:
-    """The posterior under one prior precision: fit_posterior_grid with one entry."""
-    stack = fit_posterior_grid(data, [precision], [radius])
+    """The posterior under one prior precision on all the data: fit_posterior_stack's one entry."""
+    stack = fit_posterior_stack(data, [slice(None)], [precision], [radius])
     return GaussianPosterior(mu_n=stack.means[0], sigma_n=stack.covs[0], radius=stack.radii[0])
 
 

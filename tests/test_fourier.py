@@ -34,7 +34,7 @@ from dpbayes import (
     uniform_priors,
 )
 from dpbayes import fourier as fourier_mod
-from dpbayes.graph import BetaTable
+from dpbayes.graph import BetaTable, count_updates
 from dpbayes.randomness import derive_seed, laplace_from_uniform, substream
 from dpbayes.verify import all_dags, dense_table, walsh_coefficients_dense, dense_marginal
 
@@ -169,6 +169,44 @@ def test_coefficient_vector_on_empty_set_closure(rng):
     clo = DownwardClosure(k=3, members=(0,))
     assert exact_coefficients(data, clo).values == {0: fourier_coefficient(data, 0)}
     assert exact_coefficients(data, clo).values[0] == 37 * 2.0**-1.5
+
+
+def updates_of(graph: BayesNetGraph, *datasets: Dataset) -> np.ndarray:
+    """The (R, m, 2) stack of the datasets' update counts, each set counted alone."""
+    return np.concatenate([count_updates(graph, data.records[None]) for data in datasets])
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_release_stack_reads_the_exact_coefficients_off_the_update_counts(k):
+    # the coefficients read off the node families' counted cells equal those
+    # counted over the maximal members, bit for bit, table by table; with
+    # eps = inf a release adds nothing to them
+    rng = np.random.default_rng(100 + k)
+    for dag in all_dags(k):
+        parents = [tuple(rng.permutation(pa).tolist()) for pa in dag.parents]
+        graph = BayesNetGraph.from_parent_lists(parents)
+        closure = downward_closure(graph)
+        datasets = [random_dataset(rng, n, k) for n in (int(rng.integers(1, 60)), 9, 0)]
+        z, _, _ = fourier_mod.release_posterior_stack(
+            updates_of(graph, *datasets), graph, uniform_priors(graph), (math.inf,), 1.0,
+            [[0], [1], [2]],
+        )
+        for data, row in zip(datasets, z[:, 0]):
+            assert row.tobytes() == exact_coefficients(data, closure).values.array.tobytes()
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [np.zeros((5, 2)), np.zeros((1, 5, 3)), np.zeros((1, 1, 5, 2)), np.zeros((1, 5, 2), bool),
+     np.full((1, 5, 2), "1"), [np.zeros((5, 2))], np.zeros((1, 4, 2)), np.zeros((1, 6, 2))],
+    ids=["one-table", "three-columns", "four-axes", "bools", "strings", "list", "m-4", "m-6"],
+)
+def test_release_stack_needs_numeric_update_counts_of_the_graph(stack):
+    # CHAIN3 has m = 5 entries: a stack for another graph is refused like any other shape
+    with pytest.raises(DimensionMismatchError, match=r"^need a numeric \(R, 5, 2\) update stack"):
+        fourier_mod.release_posterior_stack(
+            stack, CHAIN3, uniform_priors(CHAIN3), (1.0,), 1.0, ((1,),)
+        )
 
 
 def test_release_noise_layout(rng):
@@ -427,7 +465,7 @@ def test_zero_noise_release_of_every_small_dag_matches_the_counts(k):
         data = random_dataset(rng, int(rng.integers(0, 40)), k)
         priors = uniform_priors(graph, 0.5, 2.0)
         z, post, floored = fourier_mod.release_posterior_stack(
-            (data,), graph, priors, (math.inf,), 1.0, ((0,),)
+            updates_of(graph, data), graph, priors, (math.inf,), 1.0, ((0,),)
         )
         exact = posterior_params(priors, compute_updates(graph, data)).array
         np.testing.assert_allclose(post[0, 0], exact, rtol=1e-12)
@@ -496,7 +534,9 @@ def test_posterior_past_the_double_range_is_refused_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgumentError, match="finite"):
-            fourier_mod.release_posterior_stack((data,), graph, priors, (1.4e-306,), t, ((1,),))
+            fourier_mod.release_posterior_stack(
+                updates_of(graph, data), graph, priors, (1.4e-306,), t, ((1,),)
+            )
         coeffs = release_coefficients(data, downward_closure(graph), 1.4e-306, t, 1)
         for clamp in (False, True):
             with pytest.raises(InvalidArgumentError, match="finite"):
@@ -524,7 +564,7 @@ def test_one_row_release_is_one_release_floored_on_stealth_failure():
     floored_seeds = 0
     for seed in range(40):
         z, rows, floored = fourier_mod.release_posterior_stack(
-            (data,), tree, priors, (0.5,), 0.01, ((seed,),)
+            updates_of(tree, data), tree, priors, (0.5,), 0.01, ((seed,),)
         )
         post = BetaTable(tree.entry_keys(), rows[0, 0])
         want = release_coefficients(data, closure, 0.5, 0.01, derive_seed(seed, "attempt", 0))
@@ -549,7 +589,7 @@ def test_release_stack_rows_equal_single_releases_bit_for_bit():
     epsilons = (0.5, math.inf, 2.0, 4.0, 8.0, 16.0, 4.0, 8.0)
     seeds = range(len(epsilons))
     z, post, floored = fourier_mod.release_posterior_stack(
-        (data,), tree, priors, epsilons, 0.01, (seeds,)
+        updates_of(tree, data), tree, priors, epsilons, 0.01, (seeds,)
     )
     assert z.shape == (1, len(epsilons), closure.size)
     assert post.shape == (1, len(epsilons), tree.update_size(), 2)
@@ -557,7 +597,7 @@ def test_release_stack_rows_equal_single_releases_bit_for_bit():
     kept_negative = 0
     for e, (eps, seed) in enumerate(zip(epsilons, seeds)):
         single_z, single_post, single_floored = fourier_mod.release_posterior_stack(
-            (data,), tree, priors, (eps,), 0.01, ((seed,),)
+            updates_of(tree, data), tree, priors, (eps,), 0.01, ((seed,),)
         )
         single_z, single_post, single_floored = single_z[0], single_post[0], single_floored[0]
         want = release_coefficients(data, closure, eps, 0.01, derive_seed(seed, "attempt", 0))
@@ -583,12 +623,13 @@ def test_release_stack_over_datasets_equals_single_releases_bit_for_bit(rng):
     epsilons = (0.5, 2.0, math.inf)
     seeds = np.arange(9, dtype=np.uint32).reshape(3, 3) * 7 + 1
     z, post, floored = fourier_mod.release_posterior_stack(
-        datasets, CHAIN3, priors, epsilons, 0.01, seeds
+        updates_of(CHAIN3, *datasets), CHAIN3, priors, epsilons, 0.01, seeds
     )
     assert z.shape == (3, 3, downward_closure(CHAIN3).size) and floored.shape == (3, 3)
     for r, e in np.ndindex(3, 3):
         single_z, single_post, single_floored = fourier_mod.release_posterior_stack(
-            (datasets[r],), CHAIN3, priors, (epsilons[e],), 0.01, ((int(seeds[r, e]),),)
+            updates_of(CHAIN3, datasets[r]), CHAIN3, priors, (epsilons[e],), 0.01,
+            ((int(seeds[r, e]),),),
         )
         assert z[r, e].tobytes() == single_z[0, 0].tobytes()
         assert post[r, e].tobytes() == single_post[0, 0].tobytes()
@@ -597,11 +638,10 @@ def test_release_stack_over_datasets_equals_single_releases_bit_for_bit(rng):
 
 
 def test_release_stack_needs_one_seed_per_epsilon(rng):
-    data = random_dataset(rng, 10, 3)
+    closure = downward_closure(CHAIN3)
+    exact = exact_coefficients(random_dataset(rng, 10, 3), closure).values.array[None]
     with pytest.raises(DimensionMismatchError, match="one seed per"):
-        fourier_mod.release_coefficient_stack(
-            (data,), downward_closure(CHAIN3), (1.0, 2.0), 1.0, ((3,),)
-        )
+        fourier_mod.release_coefficient_stack(exact, closure, (1.0, 2.0), 1.0, ((3,),))
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,9 @@ def test_random_dag_release_digest():
         data = random_dataset(rng, 300, graph.node_count)
         priors = uniform_priors(graph)
         keys = graph.entry_keys()
+        updates = compute_updates(graph, data)
         z, post, floored = fourier.release_posterior_stack(
-            (data,), graph, priors, epsilons, 0.05, (seeds,)
+            updates.entries.array[None], graph, priors, epsilons, 0.05, (seeds,)
         )
         z, post, floored = z[0], post[0], floored[0]
         assert floored.any() and not floored.all()
@@ -192,9 +193,8 @@ def test_random_dag_release_digest():
                 marginal = repr(sorted(cells.items())).encode()
                 sha.update(marginal)
                 per_mechanism["fourier"].update(marginal)
-        updates = compute_updates(graph, data)
         specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, data.n) for eps in epsilons]
-        truncated, raw = laplace.perturb_update_stack((updates,), specs, (seeds,))
+        truncated, raw = laplace.perturb_update_stack(updates.entries.array[None], specs, (seeds,))
         truncated, raw = truncated[0], raw[0]
         tables = [posterior_params(priors, updates), *(BetaTable(keys, rows) for rows in post)]
         draws = [sampler.trimmed_posterior_draws(table, sampler.trim_bound(3.0), 7, 3).array

@@ -26,8 +26,9 @@ from dpbayes import (
     synth_nb,
 )
 from dpbayes import fourier, harness, laplace, regression, sampler
+from dpbayes import graph as graph_mod
 from dpbayes.graph import BetaTable, UpdateVector, compute_updates, posterior_params
-from dpbayes.graph import uniform_priors
+from dpbayes.graph import count_cells, uniform_priors
 from dpbayes.randomness import derive_seed, substream
 from dpbayes.harness import LINREG_MECHANISMS, NB_MECHANISMS
 from dpbayes.sampler import naive_bayes_params
@@ -422,7 +423,7 @@ def test_nb_experiment_rows_match_releases_scored_one_at_a_time():
             spec = laplace.LaplaceNoiseSpec.for_graph(graph, eps, train.n)
             pert = laplace.perturb_updates(updates, spec, derive_seed(config.seed, "laplace", ei, r))
             _, fourier_rows, _ = fourier.release_posterior_stack(
-                (train,), graph, priors, (eps,), config.fourier_t,
+                updates.entries.array[None], graph, priors, (eps,), config.fourier_t,
                 ((derive_seed(config.seed, "fourier", ei, r),),),
             )
             fourier_post = BetaTable(graph.entry_keys(), fourier_rows[0, 0])
@@ -457,6 +458,28 @@ def test_nb_experiment_rows_match_repeats_scored_one_at_a_time(monkeypatch):
             want[("laplace", eps, r)] = scores[1 + ei]
             want[("fourier", eps, r)] = scores[1 + len(grid) + ei]
     assert rows == want
+
+
+@pytest.mark.parametrize("mechanisms", [("none", "laplace", "fourier"), ("fourier",)])
+def test_nb_experiment_counts_each_training_split_once(monkeypatch, mechanisms):
+    # every mechanism reads one stack of update counts: the records are
+    # counted by one count_cells call per split, on that split's training rows
+    config = replace(TINY_NB, mechanisms=mechanisms, repeats=3)
+    whole = run_nb_experiment(config).rows
+    counted = []
+
+    def spy(records, plan):
+        counted.append(records.copy())
+        return count_cells(records, plan)
+
+    monkeypatch.setattr(graph_mod, "count_cells", spy)
+    monkeypatch.setattr(fourier, "count_cells", spy)
+    assert run_nb_experiment(config).rows == whole
+    data, _ = synth_nb(config.d, config.n, config.seed)
+    assert len(counted) == config.repeats
+    for r, records in enumerate(counted):
+        train, _ = split_dataset(data, config.train_fraction, derive_seed(config.seed, "split", r))
+        assert np.array_equal(records, train.records)
 
 
 def test_nb_experiment_scores_repeats_in_chunks_of_one_block(monkeypatch):
@@ -538,10 +561,11 @@ def test_nb_experiment_floors_only_the_failing_releases_of_each_stack():
     for r in range(config.repeats):
         split_seed = derive_seed(config.seed, "split", r)
         train, test = split_dataset(data, config.train_fraction, split_seed)
+        updates = compute_updates(graph, train).entries.array[None]
         for ei, eps in enumerate(config.epsilon_grid):
             seed = derive_seed(config.seed, "fourier", ei, r)
             _, post, single_floored = fourier.release_posterior_stack(
-                (train,), graph, priors, (eps,), config.fourier_t, ((seed,),)
+                updates, graph, priors, (eps,), config.fourier_t, ((seed,),)
             )
             floored += single_floored[0, 0]
             probs = nb_predictive_batch(post[0], test.records[:, 1:])[0]

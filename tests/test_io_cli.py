@@ -660,6 +660,13 @@ def test_cli_mechanism_needs_epsilon(tmp_path, capsys):
 
 def test_cli_mechanism_unknown_name(tmp_path, capsys):
     assert main(mech_args(tmp_path, "mechanism=teleport", "epsilon=1", "seed=1")) == 1
+    assert capsys.readouterr().err == "dpbayes: config error: unknown mechanism 'teleport'\n"
+    # the name is refused before the files are read, so a dataset of the wrong width
+    # does not hide it
+    args = mech_args(tmp_path, "mechanism=teleport", "epsilon=1")
+    write_binary_csv(tmp_path, [(0, 1), (1, 0)])
+    assert main(args) == 1
+    assert capsys.readouterr().err == "dpbayes: config error: unknown mechanism 'teleport'\n"
 
 
 def test_cli_laplace_emission(tmp_path, capsys):

@@ -157,7 +157,7 @@ def test_stack_rows_equal_single_releases_bit_for_bit(rng):
     specs = [LaplaceNoiseSpec.for_graph(CHAIN3, eps, n) for eps, n in
              ((0.5, 20), (math.inf, 20), (3.0, 20), (0.5, 5))]
     seeds = [11, 12, 13, 11]
-    entries, raw = laplace_mod.perturb_update_stack((up,), specs, (seeds,))
+    entries, raw = laplace_mod.perturb_update_stack(up.entries.array[None], specs, (seeds,))
     assert entries.shape == raw.shape == (1, len(specs), CHAIN3.update_size(), 2)
     entries, raw = entries[0], raw[0]
     for e, (spec, seed) in enumerate(zip(specs, seeds)):
@@ -177,7 +177,8 @@ def test_stack_over_tables_equals_single_releases_bit_for_bit(rng):
     specs = [LaplaceNoiseSpec.for_graph(CHAIN3, eps, n)
              for eps, n in ((0.5, 20), (1.0, 5), (3.0, 12), (math.inf, 20))]
     seeds = np.arange(12, dtype=np.uint32).reshape(3, 4) * 101
-    entries, raw = laplace_mod.perturb_update_stack(ups, specs, seeds)
+    stack = np.stack([up.entries.array for up in ups])
+    entries, raw = laplace_mod.perturb_update_stack(stack, specs, seeds)
     assert entries.shape == raw.shape == (3, 4, CHAIN3.update_size(), 2)
     for r, e in np.ndindex(3, 4):
         single = perturb_updates(ups[r], specs[e], int(seeds[r, e]))
@@ -185,13 +186,17 @@ def test_stack_over_tables_equals_single_releases_bit_for_bit(rng):
         assert entries[r, e].tobytes() == single.entries.array.tobytes()
 
 
-def test_stack_tables_must_share_one_entry_order(rng):
-    other = compute_updates(SINGLE, random_dataset(rng, 10, 1))
-    spec = LaplaceNoiseSpec.for_graph(CHAIN3, 1.0, 20)
-    with pytest.raises(DimensionMismatchError, match="one entry order"):
-        laplace_mod.perturb_update_stack(
-            (chain_updates(rng), other), (spec,), ((1,), (2,))
-        )
+@pytest.mark.parametrize(
+    "stack",
+    [np.zeros((4, 2)), np.zeros((1, 4, 3)), np.zeros((1, 1, 4, 2)), np.zeros((1, 4, 2), bool),
+     np.full((1, 4, 2), "1"), [np.zeros((4, 2))]],
+    ids=["one-table", "three-columns", "four-axes", "bools", "strings", "list"],
+)
+def test_stack_must_be_one_numeric_array_of_count_tables(stack):
+    # one (R, m, 2) array has one entry order; anything else is refused up front
+    spec = LaplaceNoiseSpec.for_graph(SINGLE, 1.0, 20)
+    with pytest.raises(DimensionMismatchError, match=r"^need a numeric \(R, m, 2\) update stack"):
+        laplace_mod.perturb_update_stack(stack, (spec,), ((1,),))
 
 
 def test_release_at_tiny_epsilon_truncates_without_a_warning():
@@ -211,7 +216,7 @@ def test_release_at_tiny_epsilon_truncates_without_a_warning():
 def test_stack_needs_one_seed_per_spec(rng, seeds):
     specs = [LaplaceNoiseSpec.for_graph(CHAIN3, 1.0, 20)] * (2 if seeds else 0)
     with pytest.raises(DimensionMismatchError, match="one seed per"):
-        laplace_mod.perturb_update_stack((chain_updates(rng),), specs, (seeds,))
+        laplace_mod.perturb_update_stack(chain_updates(rng).entries.array[None], specs, (seeds,))
 
 
 # ---------------------------------------------------------------------------

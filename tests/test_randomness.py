@@ -179,14 +179,16 @@ def _stack_call(stack: str, width: int, seeds: list[int]):
     graph = BayesNetGraph.from_parent_lists([[], [0]])
     data = Dataset.from_records([(0, 1), (1, 1), (1, 0)])
     epsilons = (1.0, 2.0)[:width]
+    updates = compute_updates(graph, data).entries.array[None]
     if stack == "laplace":
         specs = [laplace.LaplaceNoiseSpec.for_graph(graph, eps, data.n) for eps in epsilons]
-        return laplace.perturb_update_stack((compute_updates(graph, data),), specs, (seeds,))
+        return laplace.perturb_update_stack(updates, specs, (seeds,))
     if stack == "fourier-coefficients":
         closure = fourier.downward_closure(graph)
-        return fourier.release_coefficient_stack((data,), closure, epsilons, 1.0, (seeds,))
+        exact = fourier.exact_coefficients(data, closure).values.array[None]
+        return fourier.release_coefficient_stack(exact, closure, epsilons, 1.0, (seeds,))
     priors = uniform_priors(graph)
-    return fourier.release_posterior_stack((data,), graph, priors, epsilons, 1.0, (seeds,))
+    return fourier.release_posterior_stack(updates, graph, priors, epsilons, 1.0, (seeds,))
 
 
 @pytest.mark.parametrize("seeds", [[], [1], [1, 2, 3]], ids=["empty", "short", "long"])

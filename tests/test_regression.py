@@ -19,7 +19,7 @@ from dpbayes import (
     scale_regression_data,
 )
 from dpbayes.randomness import substream
-from dpbayes.regression import DRAW_TAG, fit_posterior_grid, fit_posterior_stack, mse_stack
+from dpbayes.regression import DRAW_TAG, fit_posterior_stack, mse_stack
 from dpbayes.verify import (
     regression_grid_check,
     ridge_mse,
@@ -240,7 +240,7 @@ def test_grid_fit_matches_single_fits_bit_for_bit(rng, d):
     M = rng.normal(size=(d, d))
     precisions = [0.1, M @ M.T + 0.5 * np.eye(d), 10.0, np.diag(rng.uniform(0.5, 2.0, d))]
     radii = [1.0, 2.0, 3.0, 4.0]
-    posts = fit_posterior_grid(data, precisions, radii)
+    posts = fit_posterior_stack(data, [slice(None)], precisions, radii)
     assert len(posts) == len(precisions)
     for i, (precision, radius) in enumerate(zip(precisions, radii)):
         one = fit_posterior(data, precision, radius)
@@ -252,7 +252,7 @@ def test_grid_fit_matches_single_fits_bit_for_bit(rng, d):
 @pytest.mark.parametrize("d", [1, 3, 5])
 def test_stack_fit_rows_equal_each_training_set_fit_bit_for_bit(rng, d):
     # the sweep fits every repeat's training rows of the checked data in one
-    # call; each repeat's rows must equal a grid fit on a copy of those rows
+    # call; each repeat's rows must equal a one-set fit on a copy of those rows
     data = scaled_synth(rng, n=50, d=d)
     train_rows = [rng.permutation(50)[:n] for n in (d + 1, 7, 20, 0)]
     precisions, radii = [0.1, np.diag(rng.uniform(0.5, 2.0, d)), 10.0], [3.0, 2.0, 0.5]
@@ -260,7 +260,7 @@ def test_stack_fit_rows_equal_each_training_set_fit_bit_for_bit(rng, d):
     assert stack.means.shape == (12, d) and stack.covs.shape == (12, d, d)
     for r, rows in enumerate(train_rows):
         train = RegressionData(X=data.X[rows].copy(), y=data.y[rows].copy(), sigma2=data.sigma2)
-        one = fit_posterior_grid(train, precisions, radii)
+        one = fit_posterior_stack(train, [slice(None)], precisions, radii)
         assert np.array_equal(stack.means[3 * r : 3 * r + 3], one.means)
         assert np.array_equal(stack.covs[3 * r : 3 * r + 3], one.covs)
         assert stack.radii[3 * r : 3 * r + 3].tolist() == radii
@@ -277,7 +277,7 @@ def test_grid_fit_names_the_failing_minor(lam, minor):
         "of the array is not positive definite$"
     )
     with pytest.raises(ConditionViolatedError, match=msg):
-        fit_posterior_grid(data, [1.0, lam, 2.0], [1.0, 1.0, 1.0])
+        fit_posterior_stack(data, [slice(None)], [1.0, lam, 2.0], [1.0, 1.0, 1.0])
     with pytest.raises(ConditionViolatedError, match=msg):
         fit_posterior(data, lam, 1.0)
 
@@ -292,8 +292,8 @@ def test_stack_fit_refuses_rows_outside_the_data(rng, rows):
 def test_grid_fit_needs_one_radius_per_precision(rng):
     data = scaled_synth(rng)
     with pytest.raises(DimensionMismatchError, match="^2 prior precisions but 1 radii$"):
-        fit_posterior_grid(data, [1.0, 2.0], [1.0])
-    assert len(fit_posterior_grid(data, [], [])) == 0
+        fit_posterior_stack(data, [slice(None)], [1.0, 2.0], [1.0])
+    assert len(fit_posterior_stack(data, [slice(None)], [], [])) == 0
 
 
 @pytest.mark.parametrize(
