@@ -6,7 +6,10 @@ repeat, metric) ready for any plotting tool. Everything is a pure
 function of (config, seed): repeats derive their own substreams, so
 re-running a config reproduces the CSV byte for byte, and rows are
 emitted in (mechanism, grid point, repeat) order no matter how the
-work was scheduled.
+work was scheduled. That holds for the one schedule that runs on two
+threads: the naive-Bayes sampler draws each release on a helper thread
+while the release before it is scored, and every release still reads
+its own keyed substream.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from .errors import ConfigError, DimensionMismatchError, InvalidArgumentError, O
 from .errors import check_epsilon, check_fraction, check_integer, check_nonnegative
 from .errors import check_positive, check_probability
 from .graph import (
-    BetaTable,
     Dataset,
     ThetaMap,
     ancestral_sample,
@@ -311,8 +313,18 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     A chunk holds as many repeats as fit their (G, n_test) probabilities
     in one kernel block (sampler._BLOCK_BYTES), so memory does not grow
     with R: at the bench config, 20 repeats of 13 posteriors on 950 test
-    rows, the sweep is one chunk. The sampler scores each release alone,
-    from its repeat's row of the exact posteriors.
+    rows, the sweep is one chunk. The sampler resolves each epsilon's
+    trim bound once: a degenerate epsilon's rows score the 0.5 midpoint,
+    and the live ones, largest first, go to one stacked
+    sampler_predictive_batch call and one accuracy call per chunk of
+    repeats whose (R, E, n_test) probabilities fit the same block. That
+    call draws every (repeat, epsilon) release from its own substream,
+    one release ahead of its scoring, and scores each alone from its
+    repeat's row of the exact posteriors. The largest epsilon goes first
+    because its draw is the one no scoring overlaps, and its wide
+    interval sends the most rows the cheap Beta route. When several
+    releases of one repeat fail to draw, the error names the largest
+    failing epsilon's interval.
     """
     _require_task(config, "nb")
     if config.dataset is not None:
@@ -354,20 +366,28 @@ def run_nb_experiment(config: ExperimentConfig) -> ExperimentResult:
     acc = {m: np.empty((1 if m == "none" else len(grid), config.repeats))
            for m in config.mechanisms}
     if "sampler" in config.mechanisms:
-        sampler_seeds = _seed_grid(config, "sampler", grid).tolist()
-        for r in range(config.repeats):
-            for ei, eps in enumerate(grid):
-                try:
-                    probs = sampler.sampler_predictive_batch(
-                        graph, BetaTable(priors.order, exact[r]), X_test[r], eps,
-                        config.sampler_samples, sampler_seeds[r][ei],
-                    )
-                except OmegaTooLargeError:
-                    # Trim interval is degenerate at this epsilon: the
-                    # only released parameter is the midpoint, which
-                    # carries no data and so costs no privacy.
-                    probs = np.full(X_test.shape[1], 0.5)
-                acc["sampler"][ei, r] = accuracy(probs, labels[r], config.threshold)
+        live, midpoint = [], []
+        for ei, eps in enumerate(grid):
+            try:
+                sampler.trim_bound(eps)
+                live.append(ei)
+            except OmegaTooLargeError:
+                # Trim interval is degenerate at this epsilon: the only
+                # released parameter is the midpoint, which carries no
+                # data and so costs no privacy.
+                midpoint.append(ei)
+        acc["sampler"][midpoint] = accuracy(np.full(labels.shape, 0.5), labels, config.threshold)
+        live.sort(key=lambda ei: -grid[ei])  # the one draw no scoring overlaps is then the cheapest
+        if live:
+            eps_live = [grid[ei] for ei in live]
+            seeds = _seed_grid(config, "sampler", grid)[:, live]
+            chunk = max(1, sampler._BLOCK_BYTES // (8 * len(live) * X_test.shape[1]))
+            for at in range(0, config.repeats, chunk):
+                part = slice(at, at + chunk)
+                probs = sampler.sampler_predictive_batch(
+                    graph, exact[part], X_test[part], eps_live, config.sampler_samples, seeds[part]
+                )
+                acc["sampler"][live, part] = accuracy(probs, labels[part], config.threshold).T
 
     if stacks:
         # repeats in chunks whose (repeats, G, n_test) probability stack fits one kernel block

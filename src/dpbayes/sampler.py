@@ -25,18 +25,29 @@ The guarantee assumes exact draws from the trimmed posterior. A release
 draws them all in one trimmed_beta_draws call, whose docstring proves
 them exact and lists the blocks it takes from its generator. Posteriors
 and draw blocks are tables in the graph module's entry order.
+
+The naive-Bayes predictive, sampler_predictive_batch, takes a stack of
+releases. One helper thread makes each release's draws while the calling
+thread scores the release before it, never more than one draw block
+ahead. The helper calls no BLAS routine: the scoring's product is the
+only BLAS call, made on the calling thread. The draws are the same
+exact draws, each release reads its own keyed substream, and each is
+scored alone, so the overlap moves no bit of any draw or probability.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.special
 
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidArgumentError
 from .errors import OmegaTooLargeError, check_epsilon, check_integer
-from .graph import BayesNetGraph, BetaParams, BetaTable, EntryTable, PosteriorMap, naive_bayes_graph
-from .randomness import substream
+from .graph import BayesNetGraph, BetaParams, BetaTable, EntryTable, PosteriorMap
+from .graph import check_update_stack, naive_bayes_graph
+from .randomness import seed_grid, substream
 
 _DRAW_TAG = "trimmed-posterior-draw"
 
@@ -382,25 +393,72 @@ def naive_bayes_class1(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def sampler_predictive_batch(
     graph: BayesNetGraph,
-    posterior: PosteriorMap,
+    posterior: PosteriorMap | np.ndarray,
     X: np.ndarray,
-    epsilon: float,
+    epsilon: float | Sequence[float],
     samples: int,
-    seed: int,
+    seed: int | Sequence[Sequence[int]] | np.ndarray,
 ) -> np.ndarray:
     """Monte Carlo class-1 probabilities for rows of X under trimming.
 
-    graph must be naive_bayes_graph(d) for some d >= 1. The (m, samples)
-    block of trimmed_posterior_draws, in the graph's entry order, feeds
-    naive_bayes_class1 as its one group.
+    graph must be naive_bayes_graph(d) for some d >= 1. A release is the
+    (m, samples) block of trimmed_posterior_draws, in the graph's entry
+    order, fed to naive_bayes_class1 as its one group.
+
+    One release takes a posterior mapping, (n, d) rows of X, a float
+    epsilon and an int seed, and gives (n,) probabilities. A stack of
+    releases takes an (R, m, 2) array of (alpha, beta) rows in
+    naive_bayes_params order, an (R, n, d) stack of X, E epsilons and an
+    (R, E) grid of seeds, and gives (R, E, n) probabilities: entry
+    (r, e) is the one release of posterior r, X[r], epsilon e and seed
+    (r, e), bit for bit. Any other shape is a DimensionMismatchError,
+    raised before anything is drawn.
+
+    A stack makes its releases in (r, e) order, each drawn from its own
+    substream(seed, "trimmed-posterior-draw") and scored alone, as one
+    release is. One helper thread draws release k + 1 while the calling
+    thread scores release k, and never runs further ahead than that one
+    block, so a stack holds at most two draw blocks at once. The helper
+    runs only the draws, which call no BLAS routine; the scoring's
+    product runs on the calling thread alone. Draws stay exact and each
+    keeps its own stream, so the overlap changes no output. The helper
+    is joined before the call returns or raises, and the error raised is
+    that of the first failing release in (r, e) order, as a loop over
+    the releases would raise it. One release starts no thread.
     """
     check_integer("samples", samples, 1)
-    omega = trim_bound(epsilon)
+    one = isinstance(posterior, Mapping)
+    if not one and np.ndim(epsilon) != 1:
+        raise DimensionMismatchError(f"need a sequence of epsilons, got {epsilon!r}")
+    omegas = [trim_bound(epsilon)] if one else [trim_bound(eps) for eps in epsilon]
     d = graph.node_count - 1
     if not d or graph != naive_bayes_graph(d):
         raise ConditionViolatedError(
             "the predictive needs a naive-Bayes graph: node 0 the sole parent of nodes 1..d, d >= 1"
         )
-    draws = trimmed_posterior_draws(naive_bayes_params(posterior, d), omega, seed, samples)
-    return naive_bayes_class1(draws.array[:, None, :], X)[0]
+    if one:
+        draws = trimmed_posterior_draws(naive_bayes_params(posterior, d), omegas[0], seed, samples)
+        return naive_bayes_class1(draws.array[:, None, :], X)[0]
+    stack = check_update_stack(posterior, 2 * d + 1).astype(np.float64, copy=False)
+    X = np.asarray(X)
+    if X.ndim != 3 or X.shape[::2] != (len(stack), d):
+        raise DimensionMismatchError(
+            f"X must be {len(stack)} sets of rows of {d} feature bits, got shape {X.shape}"
+        )
+    seeds = seed_grid(seed, len(stack), len(omegas)).tolist()
+    tables = [BetaTable(graph.entry_keys(), rows) for rows in stack]
+    releases = [(r, e) for r in range(len(tables)) for e in range(len(omegas))]
 
+    def draw(k: int) -> np.ndarray:
+        r, e = releases[k]
+        return trimmed_posterior_draws(tables[r], omegas[e], seeds[r][e], samples).array
+
+    out = np.empty((len(tables), len(omegas), X.shape[1]))
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(draw, 0)
+        for k, (r, e) in enumerate(releases):
+            block = pending.result()
+            if k + 1 < len(releases):
+                pending = helper.submit(draw, k + 1)
+            out[r, e] = naive_bayes_class1(block[:, None, :], X[r])[0]
+    return out

@@ -125,6 +125,18 @@ CONTRACT = {
     ),
 }
 
+# name -> (keyword arguments of one valid call of its stack form, the array arguments whose
+# entries are scalar numeric arguments, and a value of the wrong shape for each array argument)
+STACK_CONTRACT = {
+    "sampler_predictive_batch": (
+        dict(graph=NB2, posterior=np.stack([POSTERIOR.array] * 2),
+             X=np.array([[[1, 0], [0, 1]]] * 2), epsilon=[3.0, 5.0], samples=4,
+             seed=np.array([[3, 4], [5, 6]])),
+        ("epsilon", "seed"),
+        dict(posterior=POSTERIOR.array, X=np.array([[1, 0], [0, 1]]), seed=np.array([[3, 4]])),
+    ),
+}
+
 # name -> (keyword arguments of one valid call, the array arguments whose entries must be finite)
 FINITE_ARRAYS = {
     "accuracy": (dict(predictions=[0.9, 0.2, 0.6], labels=[1, 0, 0]), ("predictions",)),
@@ -209,6 +221,31 @@ def test_bad_numeric_argument_fails_as_library_error(name, slot, bad):
     except dp.DpBayesError:
         return
     assert not _has_nan(result), f"{name}({slot}={bad}) returned NaN"
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=["nan", "inf", "minus1", "zero"])
+@pytest.mark.parametrize(
+    "name, slot", [(name, slot) for name, (_, slots, _) in STACK_CONTRACT.items() for slot in slots]
+)
+def test_bad_numeric_entry_of_a_stack_fails_as_library_error(name, slot, bad):
+    kwargs = STACK_CONTRACT[name][0]
+    assert not _has_nan(_call(name, kwargs))
+    spoiled = np.array(kwargs[slot], dtype=object)  # each other entry keeps its type
+    spoiled.flat[-1] = bad
+    try:
+        result = _call(name, {**kwargs, slot: spoiled})
+    except dp.DpBayesError:
+        return
+    assert not _has_nan(result), f"{name}({slot}[-1]={bad}) returned NaN"
+
+
+@pytest.mark.parametrize(
+    "name, slot", [(name, slot) for name, (*_, shapes) in STACK_CONTRACT.items() for slot in shapes]
+)
+def test_a_stack_argument_of_the_wrong_shape_is_a_dimension_mismatch(name, slot):
+    kwargs, _, shapes = STACK_CONTRACT[name]
+    with pytest.raises(dp.DimensionMismatchError):
+        _call(name, {**kwargs, slot: shapes[slot]})
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES, ids=["nan", "inf", "minus1", "zero"])

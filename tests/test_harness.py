@@ -1,6 +1,7 @@
 """Experiment orchestration: synthesis, splits, predictives, sweeps, CSV."""
 
 import math
+import threading
 from dataclasses import replace
 from operator import attrgetter
 
@@ -497,6 +498,55 @@ def test_nb_experiment_scores_repeats_in_chunks_of_one_block(monkeypatch):
         return nb_predictive_batch(posteriors, X)
 
     monkeypatch.setattr(harness, "nb_predictive_batch", spy)
+    assert run_nb_experiment(config).rows == whole
+    assert calls == [2, 2, 1]
+
+
+def test_nb_experiment_sampler_rows_match_releases_made_one_at_a_time():
+    # the sweep draws and scores each repeat's live epsilons in one stacked
+    # call, largest first; every row still equals its own release, and the
+    # degenerate epsilon's rows score the midpoint
+    config = replace(TINY_NB, mechanisms=("sampler",), epsilon_grid=(1.0, 3.0, 20.0), repeats=3)
+    before = threading.active_count()
+    rows = {(r.param, r.repeat): r.value for r in run_nb_experiment(config).rows}
+    assert threading.active_count() == before
+    data, _ = synth_nb(config.d, config.n, config.seed)
+    graph = naive_bayes_graph(config.d)
+    want = {}
+    for r in range(config.repeats):
+        train, test = split_dataset(data, config.train_fraction, derive_seed(config.seed, "split", r))
+        posterior = posterior_params(uniform_priors(graph), compute_updates(graph, train))
+        X, labels = test.records[:, 1:], test.records[:, 0]
+        want[(1.0, r)] = accuracy(np.full(len(labels), 0.5), labels, config.threshold)
+        for ei, eps in enumerate(config.epsilon_grid[1:], 1):
+            seed = derive_seed(config.seed, "sampler", ei, r)
+            probs = sampler.sampler_predictive_batch(
+                graph, posterior, X, eps, config.sampler_samples, seed
+            )
+            want[(eps, r)] = accuracy(probs, labels, config.threshold)
+    assert rows == want
+
+
+def test_nb_experiment_draws_sampler_repeats_in_chunks_of_one_block(monkeypatch):
+    # a block of 4 rows of test-set likelihoods holds the probabilities of
+    # 2 repeats at the 2 live epsilons, so 5 repeats go in chunks of 2, 2
+    # and 1; one draw per release keeps every kernel product the shape it
+    # has under the full block, so the rows stay the same bit for bit
+    config = replace(
+        TINY_NB, mechanisms=("sampler",), epsilon_grid=(1.0, 3.0, 20.0), repeats=5,
+        sampler_samples=1,
+    )
+    whole = run_nb_experiment(config).rows
+    n_test = config.n - round(config.n * config.train_fraction)
+    monkeypatch.setattr(sampler, "_BLOCK_BYTES", 8 * n_test * 4)
+    calls = []
+    stacked = sampler.sampler_predictive_batch
+
+    def spy(graph, posterior, *args):
+        calls.append(len(posterior))
+        return stacked(graph, posterior, *args)
+
+    monkeypatch.setattr(sampler, "sampler_predictive_batch", spy)
     assert run_nb_experiment(config).rows == whole
     assert calls == [2, 2, 1]
 

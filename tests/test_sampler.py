@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from dpbayes import (
     DpBayesError,
     InvalidArgumentError,
     OmegaTooLargeError,
+    naive_bayes_graph,
     nb_predictive_batch,
     sampler_predictive_batch,
     trim_bound,
@@ -520,6 +522,89 @@ def test_predictive_batch_matches_quadrature_two_features():
     got = sampler_predictive_batch(NB2, posterior, X, epsilon=epsilon, samples=100000, seed=21)
     want = [trimmed_nb_predictive_quadrature(posterior, row, trim_bound(epsilon)) for row in X]
     assert got == pytest.approx(want, abs=0.01)
+
+
+def release_stack(d, repeats):
+    """(repeats, 2d+1, 2) posteriors, one not log-concave row each, and (repeats, 40, d) rows."""
+    gen = np.random.default_rng(8)
+    stack = 1.0 + gen.integers(0, 60, (repeats, 2 * d + 1, 2))
+    stack[:, 1] = (0.5, 3.0)
+    return stack, gen.integers(0, 2, (repeats, 40, d))
+
+
+def route(params, omega):
+    if trim_mass(params, omega) >= PROPOSAL_MASS:
+        return "beta"
+    return "envelope" if takes_envelope(params, omega) else "inversion"
+
+
+def test_predictive_stack_equals_its_releases_made_one_at_a_time():
+    # every (repeat, epsilon) release of the stack, drawn a release ahead on
+    # the helper thread, equals the one-release call bit for bit, on rows of
+    # all three routes
+    d, epsilons, S = 16, (2.0, 5.0, 20.0), 200
+    stack, X = release_stack(d, 3)
+    seeds = np.arange(9).reshape(3, 3) + 40
+    graph = naive_bayes_graph(d)
+    got = sampler_predictive_batch(graph, stack, X, epsilons, S, seeds)
+    assert got.shape == (3, 3, 40)
+    routes = set()
+    for r, rows in enumerate(stack):
+        posterior = BetaTable(graph.entry_keys(), rows)
+        for e, epsilon in enumerate(epsilons):
+            routes.update(route(BetaParams(*p), trim_bound(epsilon)) for p in rows.tolist())
+            alone = sampler_predictive_batch(graph, posterior, X[r], epsilon, S, int(seeds[r, e]))
+            assert np.array_equal(got[r, e], alone)
+    assert routes == {"beta", "envelope", "inversion"}
+
+
+STACK_SHAPES = {
+    "one-posterior": dict(posterior=lambda stack: stack[0]),
+    "narrow-posterior": dict(posterior=lambda stack: stack[:, :3]),
+    "wide-posterior": dict(posterior=lambda stack: np.concatenate([stack] * 2, axis=2)),
+    "one-X": dict(X=lambda X: X[0]),
+    "X-of-another-stack": dict(X=lambda X: X[:1]),
+    "narrow-X": dict(X=lambda X: X[..., :1]),
+    "flat-seeds": dict(seed=lambda seeds: seeds.ravel()),
+    "seeds-of-another-stack": dict(seed=lambda seeds: seeds[:1]),
+    "seeds-of-another-grid": dict(seed=lambda seeds: seeds[:, :1]),
+    "one-epsilon": dict(epsilon=lambda epsilons: epsilons[0]),
+}
+
+
+@pytest.mark.parametrize("change", STACK_SHAPES.values(), ids=STACK_SHAPES)
+def test_predictive_stack_refuses_a_bad_shape(change):
+    stack, X = release_stack(2, 2)
+    args = dict(
+        graph=NB2, posterior=stack, X=X, epsilon=(3.0, 5.0), samples=5,
+        seed=np.arange(4).reshape(2, 2),
+    )
+    assert sampler_predictive_batch(**args).shape == (2, 2, 40)
+    ((slot, edit),) = change.items()
+    with pytest.raises(DimensionMismatchError):
+        sampler_predictive_batch(**{**args, slot: edit(args[slot])})
+
+
+def test_predictive_stack_raises_the_first_failing_release_and_joins_its_helper():
+    # Beta(1, 2986) puts no representable mass on [0.22313, 0.77687] (eps 3):
+    # the stack raises the error of that row, in repeat 1, as its one-release
+    # call does, not that of repeat 2's failing row, and no thread outlives
+    # either call
+    graph = naive_bayes_graph(1)
+    stack = np.full((3, 3, 2), 2.0)
+    stack[1, 1] = (1.0, 2986.0)
+    stack[2, 2] = (2986.0, 1.0)
+    X, seeds = np.zeros((3, 4, 1)), np.array([[1], [2], [3]])
+    before = threading.active_count()
+    sampler_predictive_batch(graph, stack[:1], X[:1], (3.0, 20.0), 20, [[1, 2]])
+    assert threading.active_count() == before
+    with pytest.raises(ConditionViolatedError) as alone:
+        sampler_predictive_batch(graph, BetaTable(graph.entry_keys(), stack[1]), X[1], 3.0, 20, 2)
+    assert "Beta(1, 2986) puts no representable mass" in str(alone.value)
+    with pytest.raises(ConditionViolatedError) as stacked:
+        sampler_predictive_batch(graph, stack, X, (3.0,), 20, seeds)
+    assert str(stacked.value) == str(alone.value)
+    assert threading.active_count() == before
 
 
 def class_log_sums(theta, X):
