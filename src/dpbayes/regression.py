@@ -13,7 +13,9 @@ routines are called directly. fit_posterior is its one-entry case, one
 precision on all the data. sample_truncated draws for a whole stack at
 once, one keyed stream per draw seed: a sweep hands it every
 (b, repeat) pair in one call, and predictive_mse is the one-pair case.
-mse_stack scores a stack of weight rows against one test set.
+mse_stack scores a stack of weight rows against one test set, and
+mse_stack_rows against test rows indexed from the checked data, as a
+sweep takes them, without checking those rows again.
 Every array input passes through one conversion, so a cell that is no
 number, a ragged row or a wrong shape is an InvalidArgumentError rather
 than numpy's own error.
@@ -332,11 +334,7 @@ def mse_stack(weights: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> np
     against a column operand, which equals X_test @ row bit for bit;
     X_test @ weights.T would not.
     """
-    W = _numbers("weights", weights)
-    if W.ndim != 2:
-        raise DimensionMismatchError(f"weights must be a (k, d) stack; got shape {W.shape}")
-    if not np.isfinite(W).all():
-        raise InvalidArgumentError("weights must hold finite numbers only")
+    W = _weight_stack(weights)
     X_test, y_test = _numbers("X_test", X_test), _numbers("y_test", y_test)
     if X_test.ndim != 2 or X_test.shape[1] != W.shape[1]:
         raise DimensionMismatchError(
@@ -351,6 +349,43 @@ def mse_stack(weights: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> np
         raise InvalidArgumentError("the test set is empty")
     if not (np.isfinite(X_test).all() and np.isfinite(y_test).all()):
         raise InvalidArgumentError("X_test and y_test must hold finite numbers only")
+    return _mse(W, X_test, y_test)
+
+
+def mse_stack_rows(weights: np.ndarray, data: RegressionData, test_rows: np.ndarray) -> np.ndarray:
+    """mse_stack of the weights on the test set data.X[test_rows], data.y[test_rows].
+
+    The rows are read from the checked data without checking them again;
+    an index that is no row of the data, or no row at all, is an
+    InvalidArgumentError. The weights are checked as mse_stack checks
+    them, and must have data.d columns.
+    """
+    W = _weight_stack(weights)
+    if W.shape[1] != data.d:
+        raise DimensionMismatchError(
+            f"weights must have {data.d} columns, one per feature; got shape {W.shape}"
+        )
+    try:
+        X_test, y_test = data.X[test_rows], data.y[test_rows]
+    except IndexError as exc:
+        raise InvalidArgumentError(f"test rows must index the data: {exc}") from None
+    if X_test.shape[0] == 0:
+        raise InvalidArgumentError("the test set is empty")
+    return _mse(W, X_test, y_test)
+
+
+def _weight_stack(weights: object) -> np.ndarray:
+    """weights as a (k, d) float64 stack, once every cell is finite."""
+    W = _numbers("weights", weights)
+    if W.ndim != 2:
+        raise DimensionMismatchError(f"weights must be a (k, d) stack; got shape {W.shape}")
+    if not np.isfinite(W).all():
+        raise InvalidArgumentError("weights must hold finite numbers only")
+    return W
+
+
+def _mse(W: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> np.ndarray:
+    """Each weight row's MSE, its predictions from one stacked matmul against a column operand."""
     return np.mean((np.matmul(X_test[None], W[:, :, None])[..., 0] - y_test) ** 2, axis=1)
 
 

@@ -27,16 +27,16 @@ them exact and lists the blocks it takes from its generator. Posteriors
 and draw blocks are tables in the graph module's entry order.
 
 The naive-Bayes predictive, sampler_predictive_batch, takes a stack of
-releases. One helper thread makes each release's draws while the calling
-thread scores the release before it, never more than one draw block
-ahead. The helper calls no BLAS routine: the scoring's product is the
-only BLAS call, made on the calling thread. The draws are the same
-exact draws, each release reads its own keyed substream, and each is
-scored alone, so the overlap moves no bit of any draw or probability.
+releases. Two workers, the calling thread and one helper thread, take
+the releases in turn and each draws and scores whole releases, so both
+threads call the scoring's BLAS product. The draws are the same exact
+draws, each release reads its own keyed substream, and each is scored
+alone, so the schedule moves no bit of any draw or probability.
 """
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
@@ -414,17 +414,18 @@ def sampler_predictive_batch(
     (r, e), bit for bit. Any other shape is a DimensionMismatchError,
     raised before anything is drawn.
 
-    A stack makes its releases in (r, e) order, each drawn from its own
-    substream(seed, "trimmed-posterior-draw") and scored alone, as one
-    release is. One helper thread draws release k + 1 while the calling
-    thread scores release k, and never runs further ahead than that one
-    block, so a stack holds at most two draw blocks at once. The helper
-    runs only the draws, which call no BLAS routine; the scoring's
-    product runs on the calling thread alone. Draws stay exact and each
-    keeps its own stream, so the overlap changes no output. The helper
-    is joined before the call returns or raises, and the error raised is
-    that of the first failing release in (r, e) order, as a loop over
-    the releases would raise it. One release starts no thread.
+    A stack hands out its releases in (r, e) order to two workers, the
+    calling thread and one helper thread. Each takes the next release
+    whenever it is free, draws it from its own substream(seed,
+    "trimmed-posterior-draw") and scores it alone, as one release is, so
+    a stack holds at most two draw blocks at once, one per worker. Draws
+    stay exact and each keeps its own stream, so the schedule changes no
+    output. Once a release fails no worker takes another, and those
+    already taken run to their end. Every release before a failing one
+    was taken before it, so the error raised is that of the first
+    failing release in (r, e) order, as a loop over the releases would
+    raise it. The helper is joined before the call returns or raises.
+    One release starts no thread.
     """
     check_integer("samples", samples, 1)
     one = isinstance(posterior, Mapping)
@@ -447,18 +448,31 @@ def sampler_predictive_batch(
         )
     seeds = seed_grid(seed, len(stack), len(omegas)).tolist()
     tables = [BetaTable(graph.entry_keys(), rows) for rows in stack]
-    releases = [(r, e) for r in range(len(tables)) for e in range(len(omegas))]
+    # release k is (r, e) = divmod(k, E): the workers share one iterator in (r, e) order
+    jobs, taking = iter(range(len(tables) * len(omegas))), threading.Lock()
+    failed: dict[int, BaseException] = {}  # each failing release's error, by release index
 
-    def draw(k: int) -> np.ndarray:
-        r, e = releases[k]
+    def draw(r: int, e: int) -> np.ndarray:
         return trimmed_posterior_draws(tables[r], omegas[e], seeds[r][e], samples).array
+
+    def work() -> None:
+        while True:
+            with taking:
+                k = None if failed else next(jobs, None)
+            if k is None:
+                return
+            r, e = divmod(k, len(omegas))
+            try:
+                # no name holds the block, so it is freed before the worker draws again
+                out[r, e] = naive_bayes_class1(draw(r, e)[:, None, :], X[r])[0]
+            except BaseException as exc:
+                failed[k] = exc
 
     out = np.empty((len(tables), len(omegas), X.shape[1]))
     with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(draw, 0)
-        for k, (r, e) in enumerate(releases):
-            block = pending.result()
-            if k + 1 < len(releases):
-                pending = helper.submit(draw, k + 1)
-            out[r, e] = naive_bayes_class1(block[:, None, :], X[r])[0]
+        other = helper.submit(work)
+        work()
+        other.result()
+    if failed:
+        raise failed[min(failed)]
     return out

@@ -19,7 +19,7 @@ from dpbayes import (
     scale_regression_data,
 )
 from dpbayes.randomness import substream
-from dpbayes.regression import DRAW_TAG, fit_posterior_stack, mse_stack
+from dpbayes.regression import DRAW_TAG, fit_posterior_stack, mse_stack, mse_stack_rows
 from dpbayes.verify import (
     regression_grid_check,
     ridge_mse,
@@ -534,6 +534,35 @@ def test_mse_stack_refuses_a_non_finite_weight(bad):
 def test_mse_stack_needs_a_stack_of_rows():
     with pytest.raises(DimensionMismatchError, match=r"^weights must be a \(k, d\) stack"):
         mse_stack(np.zeros(2), np.zeros((4, 2)), np.zeros(4))
+
+
+def test_mse_stack_rows_equals_mse_stack_on_the_same_rows(rng):
+    # the sweep scores test rows indexed from the checked data; the values
+    # must be those of mse_stack on the indexed copies, bit for bit
+    data = scaled_synth(rng, n=60, d=3)
+    W = rng.normal(size=(6, 3))
+    for rows in (np.arange(60), rng.permutation(60)[:17], np.array([5]), slice(40, None)):
+        want = mse_stack(W, data.X[rows], data.y[rows])
+        assert mse_stack_rows(W, data, rows).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("rows", [np.array([0, 60]), np.array([0.0, 1.0]), "all"])
+def test_mse_stack_rows_refuses_rows_outside_the_data(rng, rows):
+    data = scaled_synth(rng)
+    with pytest.raises(InvalidArgumentError, match="^test rows must index the data: "):
+        mse_stack_rows(np.zeros((1, 2)), data, rows)
+
+
+def test_mse_stack_rows_checks_its_weights_and_refuses_an_empty_test_set(rng):
+    data = scaled_synth(rng)
+    with pytest.raises(InvalidArgumentError, match="^weights must hold finite numbers only$"):
+        mse_stack_rows(np.array([[0.1, math.nan]]), data, np.arange(4))
+    with pytest.raises(DimensionMismatchError, match=r"^weights must be a \(k, d\) stack"):
+        mse_stack_rows(np.zeros(2), data, np.arange(4))
+    with pytest.raises(DimensionMismatchError, match="^weights must have 2 columns, one per"):
+        mse_stack_rows(np.zeros((1, 3)), data, np.arange(4))
+    with pytest.raises(InvalidArgumentError, match="^the test set is empty$"):
+        mse_stack_rows(np.zeros((1, 2)), data, np.arange(0))
 
 
 def test_predictive_mse_approaches_ridge(rng):

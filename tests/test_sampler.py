@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from dpbayes import (
     trimmed_beta_draws,
     trimmed_posterior_sample,
 )
+from dpbayes import sampler
 from dpbayes.graph import BetaTable
 from dpbayes.randomness import substream
 from dpbayes.sampler import (
@@ -538,16 +540,24 @@ def route(params, omega):
     return "envelope" if takes_envelope(params, omega) else "inversion"
 
 
-def test_predictive_stack_equals_its_releases_made_one_at_a_time():
-    # every (repeat, epsilon) release of the stack, drawn a release ahead on
-    # the helper thread, equals the one-release call bit for bit, on rows of
-    # all three routes
-    d, epsilons, S = 16, (2.0, 5.0, 20.0), 200
-    stack, X = release_stack(d, 3)
-    seeds = np.arange(9).reshape(3, 3) + 40
+@pytest.mark.parametrize(
+    "repeats, epsilons",
+    [(1, (3.0,)), (3, (2.0, 5.0, 20.0)), (2, (2.0, 3.0, 5.0, 20.0))],
+    ids=["1x1", "3x3", "2x4"],
+)
+def test_predictive_stack_equals_its_releases_made_one_at_a_time(repeats, epsilons):
+    # every (repeat, epsilon) release of the stack, drawn and scored by either
+    # of its two workers, equals the one-release call bit for bit, on rows of
+    # all three routes. Of 1, 9 and 8 releases, the 9 leave one worker the odd
+    # one, and no thread outlives the call
+    d, S = 16, 200
+    stack, X = release_stack(d, repeats)
+    seeds = np.arange(repeats * len(epsilons)).reshape(repeats, -1) + 40
     graph = naive_bayes_graph(d)
+    before = threading.active_count()
     got = sampler_predictive_batch(graph, stack, X, epsilons, S, seeds)
-    assert got.shape == (3, 3, 40)
+    assert threading.active_count() == before
+    assert got.shape == (repeats, len(epsilons), 40)
     routes = set()
     for r, rows in enumerate(stack):
         posterior = BetaTable(graph.entry_keys(), rows)
@@ -605,6 +615,57 @@ def test_predictive_stack_raises_the_first_failing_release_and_joins_its_helper(
         sampler_predictive_batch(graph, stack, X, (3.0,), 20, seeds)
     assert str(stacked.value) == str(alone.value)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("first", [None, 3, 4], ids=["as-scheduled", "3-first", "4-first"])
+def test_predictive_stack_raises_the_smallest_failing_release_across_its_workers(
+    monkeypatch, first
+):
+    # Beta(1, 2986) puts no representable mass on the eps-2 and eps-3
+    # intervals but some on the eps-20 one, so of the 3 x 3 releases 3, 4, 6
+    # and 7 fail. 3 and 4 are adjacent, so when both run they run on
+    # different workers, and whichever of them fails first, the stack raises
+    # release 3's error, as a loop over the releases would, and leaves no
+    # thread running. Release k draws from seed k; `first` holds release 3
+    # or 4 back until the other has started, and the other until `first`
+    # has failed, so both orders are run.
+    graph = naive_bayes_graph(1)
+    stack = np.full((3, 3, 2), 2.0)
+    stack[1:, 1] = (1.0, 2986.0)
+    X, seeds = np.zeros((3, 4, 1)), np.arange(9).reshape(3, 3)
+    epsilons = (2.0, 3.0, 20.0)
+    posterior = BetaTable(graph.entry_keys(), stack[1])
+    for e, eps in enumerate(epsilons[:2]):
+        with pytest.raises(ConditionViolatedError):
+            sampler_predictive_batch(graph, posterior, X[1], eps, 20, int(seeds[1, e]))
+    sampler_predictive_batch(graph, posterior, X[1], epsilons[2], 20, int(seeds[1, 2]))
+    with pytest.raises(ConditionViolatedError) as alone:
+        sampler_predictive_batch(graph, posterior, X[1], epsilons[0], 20, int(seeds[1, 0]))
+    assert str(alone.value).endswith("on [0.367879, 0.632121]")
+    if first is not None:
+        started, failed = threading.Event(), threading.Event()
+        draws = sampler.trimmed_posterior_draws
+
+        def held_back(table, omega, seed, samples):
+            if seed == first:
+                assert started.wait(5)
+                try:
+                    return draws(table, omega, seed, samples)
+                finally:
+                    failed.set()
+            if seed == 7 - first:
+                started.set()
+                assert failed.wait(5)
+                time.sleep(0.05)  # for `first` to record its error
+            return draws(table, omega, seed, samples)
+
+        monkeypatch.setattr(sampler, "trimmed_posterior_draws", held_back)
+    before = threading.active_count()
+    for _ in range(10 if first is None else 1):
+        with pytest.raises(ConditionViolatedError) as stacked:
+            sampler_predictive_batch(graph, stack, X, epsilons, 20, seeds)
+        assert str(stacked.value) == str(alone.value)
+        assert threading.active_count() == before
 
 
 def class_log_sums(theta, X):
